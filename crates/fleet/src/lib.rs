@@ -13,8 +13,9 @@
 //!   colocate) onto one of N decoder shards, stable under resize.
 //! * **Shards** ([`shard`]): each shard owns per-victim
 //!   [`wm_online::OnlineDecoder`]s and serializes them all into one
-//!   byte-deterministic shard checkpoint via the shard-scoped
-//!   `checkpoint_value` API.
+//!   byte-deterministic binary checkpoint blob — a header written
+//!   once, one length-prefixed record per victim, a trailing CRC-32 —
+//!   that migrations split and splice by byte range.
 //! * **Supervision** ([`supervisor`]): a deterministic control loop
 //!   checkpoints every shard on a sim-time cadence, absorbs
 //!   [`wm_chaos::ShardFaultPlan`] faults (kill, stall,
@@ -47,8 +48,8 @@ pub use process::{
 pub use resize::{MigrationWindow, ResizeSchedule, ResizeScheduleError, ResizeStep};
 pub use ring::{victim_key, HashRing};
 pub use shard::{
-    ShardEnvelope, ShardRestoreError, ShardRestoreErrorKind, ShardState, WorkerFault,
-    SHARD_CHECKPOINT_VERSION,
+    one_record, parse_envelope, ShardEnvelope, ShardRestoreError, ShardRestoreErrorKind,
+    ShardState, WorkerFault,
 };
 pub use supervisor::{
     Fleet, FleetReport, FleetStats, LossWindow, ObsReport, ObserverConfig, ShardRecovery,

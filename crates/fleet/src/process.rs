@@ -25,9 +25,12 @@
 //! Drain, `0x08` Adopt, `0x09` Shutdown. Replies (worker →
 //! supervisor): `0x80` Ok, `0x81` Verdicts, `0x82` Blob, `0x83`
 //! Drained, `0xFF` Err. Hot-path payloads (Feed) are fixed-layout
-//! binary; everything structured rides the canonical `wm-json`
-//! state dialect already used by checkpoints, so the cross-process
-//! representation is byte-deterministic by construction.
+//! binary. Decoder state crosses the pipe in the checkpoint codec of
+//! [`wm_online::checkpoint`]: `Restore` and `Blob` carry a sealed shard
+//! blob verbatim, `Drained` the drained victims' framed records back to
+//! back, and `Adopt` one such record — the same bytes a shard blob
+//! holds. `Init` and `Verdicts` ride canonical `wm-json` documents.
+//! Every payload is byte-deterministic by construction.
 //!
 //! Each `Verdicts` reply carries the worker's *full* live-victim set
 //! and resident state bytes, so the supervisor's routing cache is
@@ -41,15 +44,18 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
+use wm_core::provenance::{ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole};
+use wm_core::DecodedChoice;
 use wm_core::IntervalClassifier;
 use wm_json::Value;
-use wm_online::{config_from_value, config_value, verdict_from_value, verdict_value};
-use wm_online::{OnlineConfig, OnlineVerdict};
+use wm_online::{split_records, OnlineConfig, OnlineVerdict};
 use wm_story::{
     Choice, ChoiceOption, ChoicePoint, ChoicePointId, Segment, SegmentEnd, SegmentId, StoryGraph,
 };
 
-use crate::shard::{ShardRestoreError, ShardRestoreErrorKind, ShardState, WorkerFault};
+use crate::shard::{
+    one_record, parse_envelope, ShardRestoreError, ShardRestoreErrorKind, ShardState, WorkerFault,
+};
 
 /// Hard cap on one frame's length field (opcode + payload), 64 MiB.
 /// Far above any real shard checkpoint; a corrupt prefix claiming more
@@ -188,12 +194,8 @@ pub enum Request {
     FinishAll,
     /// Pull the listed victims out as migration units.
     Drain(Vec<u32>),
-    /// Install one migrated victim from its checkpoint document.
-    Adopt {
-        victim: u32,
-        seen: SimTime,
-        state: Value,
-    },
+    /// Install one migrated victim from its framed record.
+    Adopt(Vec<u8>),
     /// Exit cleanly.
     Shutdown,
 }
@@ -236,9 +238,7 @@ impl Request {
                 let cfg = root
                     .get("config")
                     .ok_or(FrameError::Malformed("init"))
-                    .and_then(|v| {
-                        config_from_value(v).map_err(|_| FrameError::Malformed("init config"))
-                    })?;
+                    .and_then(config_from_value)?;
                 let classifier = root
                     .get("classifier")
                     .ok_or(FrameError::Malformed("init"))
@@ -285,16 +285,8 @@ impl Request {
                 Ok(Request::Drain(victims))
             }
             OP_ADOPT => {
-                let root = json_payload(payload, "adopt")?;
-                let victim = u32::try_from(json_u64(&root, "victim", "adopt")?)
-                    .map_err(|_| FrameError::Malformed("adopt"))?;
-                let seen = SimTime(json_u64(&root, "seen_us", "adopt")?);
-                let state = root.get("state").ok_or(FrameError::Malformed("adopt"))?;
-                Ok(Request::Adopt {
-                    victim,
-                    seen,
-                    state: state.clone(),
-                })
+                one_record(payload).map_err(|_| FrameError::Malformed("adopt"))?;
+                Ok(Request::Adopt(payload.to_vec()))
             }
             OP_SHUTDOWN => Ok(Request::Shutdown),
             other => Err(FrameError::UnknownOpcode(other)),
@@ -350,18 +342,7 @@ impl Request {
                 }
                 encode_frame(OP_DRAIN, &payload, out);
             }
-            Request::Adopt {
-                victim,
-                seen,
-                state,
-            } => {
-                let root = Value::object(vec![
-                    ("victim".into(), Value::from(*victim as i64)),
-                    ("seen_us".into(), Value::from(seen.micros() as i64)),
-                    ("state".into(), state.clone()),
-                ]);
-                encode_frame(OP_ADOPT, &wm_json::to_bytes(&root), out);
-            }
+            Request::Adopt(record) => encode_frame(OP_ADOPT, record, out),
             Request::Shutdown => encode_frame(OP_SHUTDOWN, &[], out),
         }
     }
@@ -393,8 +374,8 @@ pub enum Reply {
     },
     /// A checkpoint blob, verbatim.
     Blob(Vec<u8>),
-    /// Drained migration units `(victim, last_seen, state document)`.
-    Drained(Vec<(u32, SimTime, Value)>),
+    /// Drained migration units `(victim, last_seen, framed record)`.
+    Drained(Vec<(u32, SimTime, Vec<u8>)>),
     Err(RemoteError),
 }
 
@@ -419,8 +400,7 @@ impl Reply {
                         .as_i64()
                         .and_then(|v| u32::try_from(v).ok())
                         .ok_or(FrameError::Malformed("verdicts"))?;
-                    let verdict = verdict_from_value(&parts[1])
-                        .map_err(|_| FrameError::Malformed("verdicts"))?;
+                    let verdict = verdict_from_value(&parts[1])?;
                     verdicts.push((victim, verdict));
                 }
                 let mut live = Vec::new();
@@ -444,28 +424,14 @@ impl Reply {
             }
             OP_BLOB => Ok(Reply::Blob(payload.to_vec())),
             OP_DRAINED => {
-                let root = json_payload(payload, "drained")?;
-                let mut entries = Vec::new();
-                for entry in root
-                    .get("entries")
-                    .and_then(Value::as_array)
-                    .ok_or(FrameError::Malformed("drained"))?
-                {
-                    let parts = entry
-                        .as_array()
-                        .filter(|p| p.len() == 3)
-                        .ok_or(FrameError::Malformed("drained"))?;
-                    let victim = parts[0]
-                        .as_i64()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or(FrameError::Malformed("drained"))?;
-                    let seen = parts[1]
-                        .as_i64()
-                        .and_then(|v| u64::try_from(v).ok())
-                        .ok_or(FrameError::Malformed("drained"))?;
-                    entries.push((victim, SimTime(seen), parts[2].clone()));
-                }
-                Ok(Reply::Drained(entries))
+                let records =
+                    split_records(payload, 0).map_err(|_| FrameError::Malformed("drained"))?;
+                Ok(Reply::Drained(
+                    records
+                        .iter()
+                        .map(|r| (r.victim, r.seen, r.bytes.to_vec()))
+                        .collect(),
+                ))
             }
             OP_ERR => {
                 let code = *payload.first().ok_or(FrameError::Malformed("err"))?;
@@ -506,18 +472,8 @@ impl Reply {
             }
             Reply::Blob(blob) => encode_frame(OP_BLOB, blob, out),
             Reply::Drained(entries) => {
-                let entries: Vec<Value> = entries
-                    .iter()
-                    .map(|(victim, seen, state)| {
-                        Value::array(vec![
-                            Value::from(*victim as i64),
-                            Value::from(seen.micros() as i64),
-                            state.clone(),
-                        ])
-                    })
-                    .collect();
-                let root = Value::object(vec![("entries".into(), Value::array(entries))]);
-                encode_frame(OP_DRAINED, &wm_json::to_bytes(&root), out);
+                let records: Vec<u8> = entries.iter().flat_map(|e| e.2.iter().copied()).collect();
+                encode_frame(OP_DRAINED, &records, out);
             }
             Reply::Err(e) => {
                 let (code, victim) = match e {
@@ -532,6 +488,141 @@ impl Reply {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// config / verdict codecs (Init and Verdicts payloads)
+
+/// `Init` document keys for [`OnlineConfig::to_words`], in order.
+const CONFIG_KEYS: [&str; 14] = [
+    "time_scale",
+    "reorder_lag_us",
+    "gap_patience_us",
+    "checkpoint_every_records",
+    "max_flows",
+    "max_pending_events",
+    "max_ready_events",
+    "max_recent_apps",
+    "max_gap_times",
+    "max_loss_windows",
+    "max_carry_bytes",
+    "max_parked_bytes",
+    "max_parked_segments",
+    "max_marks",
+];
+
+fn config_value(cfg: &OnlineConfig) -> Value {
+    Value::object(
+        CONFIG_KEYS
+            .iter()
+            .zip(cfg.to_words())
+            .map(|(k, x)| (k.to_string(), Value::from(x as i64)))
+            .collect(),
+    )
+}
+
+fn config_from_value(v: &Value) -> Result<OnlineConfig, FrameError> {
+    let mut words = [0u64; 14];
+    for (x, key) in words.iter_mut().zip(CONFIG_KEYS) {
+        *x = json_u64(v, key, "init config")?;
+    }
+    OnlineConfig::from_words(words).ok_or(FrameError::Malformed("init config"))
+}
+
+/// Serialize an [`OnlineVerdict`] for the `Verdicts` reply. The
+/// confidence is the only float in the whole decode pipeline; it
+/// crosses the boundary as its IEEE-754 bit pattern (`f64::to_bits`,
+/// stored in the dialect's i64) so the round trip is exact.
+fn verdict_value(v: &OnlineVerdict) -> Value {
+    let int = |x: u64| Value::from(x as i64);
+    let records: Vec<Value> = v
+        .provenance
+        .records
+        .iter()
+        .map(|r| {
+            let role = match r.role {
+                RecordRole::Anchor => 0,
+                RecordRole::Type1Report => 1,
+                RecordRole::Type2Report => 2,
+            };
+            Value::array(vec![
+                int(r.index as u64),
+                int(r.time.micros()),
+                int(r.length as u64),
+                int(role),
+            ])
+        })
+        .collect();
+    let tier = match v.provenance.tier {
+        ConfidenceTier::Observed => 0,
+        ConfidenceTier::Inferred => 1,
+        ConfidenceTier::Blind => 2,
+    };
+    Value::object(vec![
+        ("index".into(), int(v.index)),
+        ("cp".into(), int(v.choice.cp.0 as u64)),
+        ("choice".into(), int(v.choice.choice.index() as u64)),
+        ("t_us".into(), int(v.choice.time.micros())),
+        ("observed".into(), Value::from(v.choice.observed)),
+        (
+            "conf_bits".into(),
+            Value::from(v.choice.confidence.to_bits() as i64),
+        ),
+        ("tier".into(), int(tier)),
+        ("near_gap".into(), Value::from(v.provenance.near_gap)),
+        ("records".into(), Value::array(records)),
+    ])
+}
+
+fn verdict_from_value(v: &Value) -> Result<OnlineVerdict, FrameError> {
+    let bad = FrameError::Malformed("verdicts");
+    let num = |key: &str| json_u64(v, key, "verdicts");
+    let flag = |key: &str| v.get(key).and_then(Value::as_bool).ok_or(bad);
+    let mut records = Vec::new();
+    for r in v.get("records").and_then(Value::as_array).ok_or(bad)? {
+        let item = |i: usize| {
+            r.as_array()
+                .and_then(|items| items.get(i))
+                .and_then(Value::as_i64)
+                .and_then(|x| u64::try_from(x).ok())
+                .ok_or(bad)
+        };
+        records.push(ProvenanceRecord {
+            index: usize::try_from(item(0)?).map_err(|_| bad)?,
+            time: SimTime(item(1)?),
+            length: u16::try_from(item(2)?).map_err(|_| bad)?,
+            role: match item(3)? {
+                0 => RecordRole::Anchor,
+                1 => RecordRole::Type1Report,
+                2 => RecordRole::Type2Report,
+                _ => return Err(bad),
+            },
+        });
+    }
+    let conf_bits = v.get("conf_bits").and_then(Value::as_i64).ok_or(bad)?;
+    Ok(OnlineVerdict {
+        index: num("index")?,
+        choice: DecodedChoice {
+            cp: ChoicePointId(u16::try_from(num("cp")?).map_err(|_| bad)?),
+            choice: usize::try_from(num("choice")?)
+                .ok()
+                .and_then(Choice::from_index)
+                .ok_or(bad)?,
+            time: SimTime(num("t_us")?),
+            observed: flag("observed")?,
+            confidence: f64::from_bits(conf_bits as u64),
+        },
+        provenance: ChoiceProvenance {
+            records,
+            tier: match num("tier")? {
+                0 => ConfidenceTier::Observed,
+                1 => ConfidenceTier::Inferred,
+                2 => ConfidenceTier::Blind,
+                _ => return Err(bad),
+            },
+            near_gap: flag("near_gap")?,
+        },
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -868,8 +959,8 @@ impl ProcessShard {
                 // Seed the parent-side live cache from the blob we just
                 // handed over, so loss accounting after a post-restore
                 // crash knows which victims were resident.
-                let env = crate::shard::parse_envelope(slot, blob)?;
-                self.live = env.victims.iter().map(|(v, _, _)| *v).collect();
+                let env = parse_envelope(slot, blob)?;
+                self.live = env.records.iter().map(|r| r.victim).collect();
                 Ok(())
             }
             Reply::Err(RemoteError::Envelope) => Err(ShardRestoreError {
@@ -889,7 +980,7 @@ impl ProcessShard {
     pub fn drain_victims(
         &mut self,
         victims: &[u32],
-    ) -> Result<Vec<(u32, SimTime, Value)>, WorkerFault> {
+    ) -> Result<Vec<(u32, SimTime, Vec<u8>)>, WorkerFault> {
         match self.call(&Request::Drain(victims.to_vec()))? {
             Reply::Drained(entries) => {
                 for v in victims {
@@ -902,20 +993,12 @@ impl ProcessShard {
         }
     }
 
-    /// See [`ShardState::adopt_victim`]. `Ok(true)` means adopted;
-    /// `Ok(false)` means the worker rejected the state document (the
-    /// victim will start cold) — the transport is fine either way.
-    pub fn adopt(
-        &mut self,
-        victim: u32,
-        seen: SimTime,
-        state: &Value,
-    ) -> Result<bool, WorkerFault> {
-        match self.call(&Request::Adopt {
-            victim,
-            seen,
-            state: state.clone(),
-        })? {
+    /// See [`ShardState::adopt_victim`]: `record` is `victim`'s framed
+    /// record. `Ok(true)` means adopted; `Ok(false)` means the worker
+    /// rejected the record (the victim will start cold) — the
+    /// transport is fine either way.
+    pub fn adopt(&mut self, victim: u32, record: &[u8]) -> Result<bool, WorkerFault> {
+        match self.call(&Request::Adopt(record.to_vec()))? {
             Reply::Ok => {
                 self.live.insert(victim);
                 Ok(true)
@@ -1012,13 +1095,12 @@ fn handle(req: Request, worker: &mut Option<WorkerState>) -> Reply {
                 }
                 Request::Checkpoint { taken } => Reply::Blob(w.state.checkpoint(taken)),
                 Request::Drain(victims) => Reply::Drained(w.state.drain_victims(&victims)),
-                Request::Adopt {
-                    victim,
-                    seen,
-                    state,
-                } => match w.state.adopt_victim(victim, seen, &state) {
-                    Ok(()) => Reply::Ok,
-                    Err(_) => Reply::Err(RemoteError::Victim(victim)),
+                Request::Adopt(record) => match one_record(&record) {
+                    Ok(rec) => match w.state.adopt_victim(&rec) {
+                        Ok(()) => Reply::Ok,
+                        Err(_) => Reply::Err(RemoteError::Victim(rec.victim)),
+                    },
+                    Err(_) => Reply::Err(RemoteError::Internal),
                 },
                 Request::Init { .. } | Request::Shutdown => unreachable!("handled above"),
             }
@@ -1181,6 +1263,55 @@ mod tests {
             wm_online::graph_fingerprint(&graph),
             wm_online::graph_fingerprint(&rebuilt)
         );
+    }
+
+    #[test]
+    fn verdict_codec_roundtrips_exactly() {
+        let verdict = OnlineVerdict {
+            index: 3,
+            choice: DecodedChoice {
+                cp: ChoicePointId(2),
+                choice: Choice::NonDefault,
+                time: SimTime(1_234_567),
+                observed: true,
+                // No short decimal form: the bit-pattern transport must
+                // reproduce it exactly.
+                confidence: 0.1 + 0.7 * 0.3,
+            },
+            provenance: ChoiceProvenance {
+                records: vec![ProvenanceRecord {
+                    index: 41,
+                    time: SimTime(1_230_000),
+                    length: 2_215,
+                    role: RecordRole::Type1Report,
+                }],
+                tier: ConfidenceTier::Observed,
+                near_gap: true,
+            },
+        };
+        let doc = verdict_value(&verdict);
+        let back = verdict_from_value(&doc).unwrap();
+        assert_eq!(back, verdict);
+        assert!(back.choice.confidence.to_bits() == verdict.choice.confidence.to_bits());
+        assert_eq!(
+            wm_json::to_bytes(&doc),
+            wm_json::to_bytes(&verdict_value(&back))
+        );
+        for (key, bad) in [
+            ("index", Value::from("nope")),
+            ("tier", Value::from(9i64)),
+            ("choice", Value::from(7i64)),
+        ] {
+            let mut doc = verdict_value(&verdict);
+            if let Value::Object(ref mut entries) = doc {
+                for entry in entries.iter_mut().filter(|e| e.0 == key) {
+                    entry.1 = bad.clone();
+                }
+            }
+            assert!(verdict_from_value(&doc).is_err(), "field {key}");
+        }
+        let cfg = OnlineConfig::scaled(20);
+        assert_eq!(config_from_value(&config_value(&cfg)).unwrap(), cfg);
     }
 
     #[test]

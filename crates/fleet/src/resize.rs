@@ -7,11 +7,11 @@
 //!
 //! 1. **Drain.** Every live shard that owns victims claimed by the new
 //!    ring drains exactly those victims to fresh per-victim checkpoint
-//!    documents ([`crate::shard::ShardState::drain_victims`]) — full
+//!    records ([`crate::shard::ShardState::drain_victims`]) — full
 //!    decoder state, no rollback, so a fault-free drain is lossless.
 //!    Dead shards are split at the *blob* level instead: the migrating
-//!    victims' sub-documents are lifted out of the last parseable
-//!    checkpoint and the remainder is re-sealed for the shard's own
+//!    victims' records are copied out of the last parseable checkpoint
+//!    by byte range and the remainder is re-sealed for the shard's own
 //!    eventual restart, which rolls those victims back to that
 //!    checkpoint — exactly a kill's loss semantics, and accounted with
 //!    the same window arithmetic.

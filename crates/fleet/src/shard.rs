@@ -9,11 +9,14 @@
 //! victim *concurrency* × the per-decoder bound, never by how many
 //! victims ever streamed through.
 //!
-//! A shard checkpoint is one canonical `wm-json` document embedding
-//! every live decoder via the shard-scoped
-//! [`OnlineDecoder::checkpoint_value`] API: byte-deterministic
-//! (decoders serialize in victim-id order from the `BTreeMap`), and
-//! restorable as a unit. Restore errors carry the victim that failed
+//! A shard checkpoint is one `wm-online` checkpoint blob (see
+//! [`wm_online::checkpoint`]): the header — graph fingerprint, decoder
+//! config, classifier — once, then one length-prefixed record per live
+//! decoder in victim-id order, sealed by a CRC-32. It is
+//! byte-deterministic and restorable as a unit. A [`ShardEnvelope`]
+//! borrows the records straight from the blob, so a resize can split
+//! or splice victims by copying byte ranges and re-sealing. Restore
+//! errors name the shard slot, and the victim when one record fails,
 //! so supervisor logs are actionable.
 
 use std::collections::BTreeMap;
@@ -21,13 +24,12 @@ use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_core::IntervalClassifier;
-use wm_json::Value;
-use wm_online::{CheckpointError, OnlineConfig, OnlineDecoder, OnlineVerdict};
+use wm_online::{
+    graph_fingerprint, restore_record, split_records, Blob, BlobHeader, BlobWriter,
+    CheckpointError, OnlineConfig, OnlineDecoder, OnlineVerdict, RecordRef,
+};
 use wm_story::StoryGraph;
 use wm_telemetry::Registry;
-
-/// Shard checkpoint format version. Bump on any schema change.
-pub const SHARD_CHECKPOINT_VERSION: i64 = 1;
 
 /// How a process-shard worker failed, as seen from the supervisor.
 /// Folded into [`ShardRestoreErrorKind::Worker`] when the failure
@@ -80,8 +82,8 @@ pub struct ShardRestoreError {
 /// What went wrong inside a failed shard restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRestoreErrorKind {
-    /// The shard envelope itself is damaged (bad JSON, wrong version,
-    /// missing fields). Carries the underlying decoder-checkpoint
+    /// The shard blob itself is damaged (torn, bad magic or version,
+    /// CRC mismatch, wrong film). Carries the underlying checkpoint
     /// error, which names the offending field or byte offset.
     Envelope(CheckpointError),
     /// One embedded victim checkpoint failed to restore.
@@ -113,6 +115,7 @@ pub struct ShardState {
     shard: u32,
     classifier: IntervalClassifier,
     graph: Arc<StoryGraph>,
+    graph_fp: u64,
     cfg: OnlineConfig,
     decoders: BTreeMap<u32, OnlineDecoder>,
     last_seen: BTreeMap<u32, SimTime>,
@@ -133,6 +136,7 @@ impl ShardState {
         ShardState {
             shard,
             classifier,
+            graph_fp: graph_fingerprint(&graph),
             graph,
             cfg,
             decoders: BTreeMap::new(),
@@ -263,28 +267,26 @@ impl ShardState {
 
     // -- shard-scoped checkpointing -----------------------------------
 
-    /// Serialize the whole shard into one canonical checkpoint blob.
-    /// Resets each decoder's cadence clock, like the per-decoder API.
+    /// The header every blob this shard writes carries.
+    pub fn header(&self, taken: SimTime) -> BlobHeader {
+        BlobHeader {
+            shard: self.shard,
+            taken,
+            graph_fp: self.graph_fp,
+            cfg: self.cfg.clone(),
+            classifier: self.classifier.clone(),
+        }
+    }
+
+    /// Serialize the whole shard into one checkpoint blob. Resets each
+    /// decoder's cadence clock, like the per-decoder API.
     pub fn checkpoint(&mut self, taken: SimTime) -> Vec<u8> {
-        let victims: Vec<Value> = self
-            .decoders
-            .iter_mut()
-            .map(|(id, dec)| {
-                let seen = self.last_seen.get(id).copied().unwrap_or(SimTime::ZERO);
-                Value::array(vec![
-                    Value::from(*id as i64),
-                    Value::from(seen.micros() as i64),
-                    dec.checkpoint_value(),
-                ])
-            })
-            .collect();
-        let root = Value::object(vec![
-            ("version".into(), Value::from(SHARD_CHECKPOINT_VERSION)),
-            ("shard".into(), Value::from(self.shard as i64)),
-            ("taken_us".into(), Value::from(taken.micros() as i64)),
-            ("victims".into(), Value::array(victims)),
-        ]);
-        wm_json::to_bytes(&root)
+        let mut blob = BlobWriter::new(&self.header(taken));
+        for (id, dec) in self.decoders.iter_mut() {
+            let seen = self.last_seen.get(id).copied().unwrap_or(SimTime::ZERO);
+            blob.push_decoder(*id, seen, dec);
+        }
+        blob.finish()
     }
 
     /// Restore a shard from a blob written by [`ShardState::checkpoint`].
@@ -298,17 +300,22 @@ impl ShardState {
         cfg: OnlineConfig,
     ) -> Result<Self, ShardRestoreError> {
         let envelope = parse_envelope(slot, bytes)?;
-        let mut state = ShardState::new(envelope.shard, classifier, graph, cfg);
-        for (id, seen, value) in &envelope.victims {
-            let dec =
-                OnlineDecoder::resume_from_value(value, state.graph.clone()).map_err(|e| {
-                    ShardRestoreError {
-                        shard: slot,
-                        kind: ShardRestoreErrorKind::Victim(*id, e),
-                    }
+        let header = &envelope.header;
+        let mut state = ShardState::new(header.shard, classifier, graph, cfg);
+        if header.graph_fp != state.graph_fp {
+            return Err(ShardRestoreError {
+                shard: slot,
+                kind: ShardRestoreErrorKind::Envelope(CheckpointError::GraphMismatch),
+            });
+        }
+        for rec in &envelope.records {
+            let dec = restore_record(rec, &header.classifier, &header.cfg, state.graph.clone())
+                .map_err(|e| ShardRestoreError {
+                    shard: slot,
+                    kind: ShardRestoreErrorKind::Victim(rec.victim, e),
                 })?;
-            state.decoders.insert(*id, dec);
-            state.last_seen.insert(*id, *seen);
+            state.decoders.insert(rec.victim, dec);
+            state.last_seen.insert(rec.victim, rec.seen);
         }
         Ok(state)
     }
@@ -316,39 +323,36 @@ impl ShardState {
     // -- live resharding ----------------------------------------------
 
     /// Pull the listed victims out of this shard as migration units:
-    /// each entry is `(victim, last_seen, checkpoint document)`, the
-    /// exact per-victim sub-blob a shard checkpoint embeds, taken
-    /// *live* (no rollback — the decoder's full state moves, so a
-    /// fault-free drain is lossless). Victims without a live decoder
-    /// are skipped: they hold no state to move and will simply start
-    /// cold on their new owner at their next packet.
-    pub fn drain_victims(&mut self, victims: &[u32]) -> Vec<(u32, SimTime, Value)> {
+    /// each entry is `(victim, last_seen, record)`, the exact framed
+    /// record a shard blob carries, taken *live* (no rollback — the
+    /// decoder's full state moves, so a fault-free drain is lossless).
+    /// Victims without a live decoder are skipped: they hold no state
+    /// to move and will simply start cold on their new owner at their
+    /// next packet.
+    pub fn drain_victims(&mut self, victims: &[u32]) -> Vec<(u32, SimTime, Vec<u8>)> {
         let mut out = Vec::with_capacity(victims.len());
         for &victim in victims {
             let Some(mut dec) = self.decoders.remove(&victim) else {
                 continue;
             };
             let seen = self.last_seen.remove(&victim).unwrap_or(SimTime::ZERO);
-            // Buffered event counts belong to the shard the events
-            // happened on: publish them here before the decoder's
+            // The checkpoint publishes buffered event counts to the
+            // shard the events happened on, before the decoder's
             // registry attachment is dropped with it.
-            dec.flush_telemetry();
-            out.push((victim, seen, dec.checkpoint_value()));
+            let mut record = Vec::new();
+            dec.checkpoint_record(victim, seen, &mut record);
+            out.push((victim, seen, record));
         }
         out
     }
 
-    /// Install a migrated victim from its checkpoint document (the
-    /// inverse of [`ShardState::drain_victims`]). The decoder inherits
-    /// this shard's telemetry registry.
-    pub fn adopt_victim(
-        &mut self,
-        victim: u32,
-        seen: SimTime,
-        value: &Value,
-    ) -> Result<(), CheckpointError> {
-        let dec = OnlineDecoder::resume_from_value(value, self.graph.clone())?;
-        self.adopt_decoder(victim, seen, dec);
+    /// Install a migrated victim from its record (the inverse of
+    /// [`ShardState::drain_victims`]). The record's decoder takes this
+    /// shard's config and classifier, which its fleet shares; it
+    /// inherits this shard's telemetry registry.
+    pub fn adopt_victim(&mut self, rec: &RecordRef<'_>) -> Result<(), CheckpointError> {
+        let dec = restore_record(rec, &self.classifier, &self.cfg, self.graph.clone())?;
+        self.adopt_decoder(rec.victim, rec.seen, dec);
         Ok(())
     }
 
@@ -364,104 +368,25 @@ impl ShardState {
     }
 }
 
-/// A parsed shard checkpoint: the envelope fields plus every victim's
-/// sub-document, still unresolved into decoders. The unit the resize
-/// protocol splits when it migrates victims out of a *dead* shard's
-/// stored blob.
-#[derive(Debug, Clone)]
-pub struct ShardEnvelope {
-    pub shard: u32,
-    pub taken: SimTime,
-    /// `(victim, last_seen, checkpoint document)` in victim-id order.
-    pub victims: Vec<(u32, SimTime, Value)>,
-}
+/// A parsed shard checkpoint: the blob header plus every victim's
+/// record, borrowed from the blob bytes and not yet decoded. The unit
+/// the resize protocol splits ([`Blob::reseal`]) when it migrates
+/// victims out of a *dead* shard's stored blob.
+pub type ShardEnvelope<'a> = Blob<'a>;
 
 /// Parse a shard checkpoint blob into its envelope, attributing any
 /// damage to supervisor slot `slot`.
-pub fn parse_envelope(slot: u32, bytes: &[u8]) -> Result<ShardEnvelope, ShardRestoreError> {
-    let env = |e: CheckpointError| ShardRestoreError {
+pub fn parse_envelope(slot: u32, bytes: &[u8]) -> Result<ShardEnvelope<'_>, ShardRestoreError> {
+    Blob::parse(bytes).map_err(|e| ShardRestoreError {
         shard: slot,
         kind: ShardRestoreErrorKind::Envelope(e),
-    };
-    let root = wm_json::parse(bytes).map_err(|e| {
-        env(CheckpointError::Syntax {
-            offset: e.offset,
-            near: "<shard>",
-        })
-    })?;
-    let version = root
-        .get("version")
-        .and_then(Value::as_i64)
-        .ok_or(env(CheckpointError::Malformed("version")))?;
-    if version != SHARD_CHECKPOINT_VERSION {
-        return Err(env(CheckpointError::Version(version)));
-    }
-    let shard = root
-        .get("shard")
-        .and_then(Value::as_i64)
-        .and_then(|s| u32::try_from(s).ok())
-        .ok_or(env(CheckpointError::Malformed("shard")))?;
-    let taken = root
-        .get("taken_us")
-        .and_then(Value::as_i64)
-        .and_then(|t| u64::try_from(t).ok())
-        .ok_or(env(CheckpointError::Malformed("taken_us")))?;
-    let entries = root
-        .get("victims")
-        .and_then(Value::as_array)
-        .ok_or(env(CheckpointError::Malformed("victims")))?;
-    let mut victims = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let parts = entry
-            .as_array()
-            .ok_or(env(CheckpointError::Malformed("victims")))?;
-        let (id, seen, value) = match parts {
-            [id, seen, value] => (id, seen, value),
-            _ => return Err(env(CheckpointError::Malformed("victims"))),
-        };
-        let id = id
-            .as_i64()
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or(env(CheckpointError::Malformed("victims")))?;
-        let seen = seen
-            .as_i64()
-            .and_then(|v| u64::try_from(v).ok())
-            .ok_or(ShardRestoreError {
-                shard: slot,
-                kind: ShardRestoreErrorKind::Victim(id, CheckpointError::Malformed("victims")),
-            })?;
-        victims.push((id, SimTime(seen), value.clone()));
-    }
-    Ok(ShardEnvelope {
-        shard,
-        taken: SimTime(taken),
-        victims,
     })
 }
 
-impl ShardEnvelope {
-    /// Re-serialize this envelope into canonical checkpoint bytes —
-    /// byte-identical to [`ShardState::checkpoint`] over the same
-    /// content, so a blob split by a resize stays restorable by the
-    /// unchanged restore path.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let victims: Vec<Value> = self
-            .victims
-            .iter()
-            .map(|(id, seen, value)| {
-                Value::array(vec![
-                    Value::from(*id as i64),
-                    Value::from(seen.micros() as i64),
-                    value.clone(),
-                ])
-            })
-            .collect();
-        let root = Value::object(vec![
-            ("version".into(), Value::from(SHARD_CHECKPOINT_VERSION)),
-            ("shard".into(), Value::from(self.shard as i64)),
-            ("taken_us".into(), Value::from(self.taken.micros() as i64)),
-            ("victims".into(), Value::array(victims)),
-        ]);
-        wm_json::to_bytes(&root)
+/// Frame exactly one migrated record (a `Drained`/`Adopt` unit).
+pub fn one_record(bytes: &[u8]) -> Result<RecordRef<'_>, CheckpointError> {
+    match split_records(bytes, 0)?.as_slice() {
+        [rec] => Ok(*rec),
+        _ => Err(CheckpointError::Malformed("records")),
     }
 }

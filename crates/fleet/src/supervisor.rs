@@ -13,7 +13,7 @@
 //! fault plan, and the resize schedule — no wall clocks, no OS threads
 //! in the decision path. The only parallelism is rehydration: when
 //! several shards come due for restart (or several victims migrate) at
-//! the same instant their checkpoint documents are rehydrated on the
+//! the same instant their checkpoint records are rehydrated on the
 //! long-lived [`wm_pool::Pool`], whose results are merged back in
 //! deterministic order, so the outcome is byte-identical to a serial
 //! restore. Same seed + same plan + same packets ⇒ identical merged
@@ -52,9 +52,11 @@ use std::sync::Arc;
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{corrupt_blob, tear_blob, ShardFault, ShardFaultKind, ShardFaultPlan};
 use wm_core::IntervalClassifier;
-use wm_json::Value;
 use wm_obs::{FleetStatus, SeriesPoint, SeriesRing, ShardVitals, SloThresholds, Watchdog};
-use wm_online::{CheckpointError, OnlineDecoder, OnlineVerdict};
+use wm_online::{
+    graph_fingerprint, restore_record, BlobHeader, BlobWriter, CheckpointError, OnlineDecoder,
+    OnlineVerdict, RecordRef,
+};
 use wm_pool::Pool;
 use wm_story::StoryGraph;
 use wm_telemetry::{Counter, DeltaTracker, Registry, Snapshot};
@@ -65,8 +67,7 @@ use crate::process::{resolve_worker, ProcessShard};
 use crate::resize::{MigrationWindow, ResizeSchedule, ResizeStep};
 use crate::ring::{victim_key, HashRing};
 use crate::shard::{
-    parse_envelope, ShardEnvelope, ShardRestoreError, ShardRestoreErrorKind, ShardState,
-    WorkerFault,
+    parse_envelope, ShardRestoreError, ShardRestoreErrorKind, ShardState, WorkerFault,
 };
 use crate::{FleetConfig, FleetConfigError, ShardBackend};
 
@@ -115,7 +116,7 @@ pub struct FleetStats {
     pub resizes: u64,
     /// Victims migrated across shards by resize steps.
     pub victims_migrated: u64,
-    /// Migrations whose state document was rejected on delivery — the
+    /// Migrations whose checkpoint record was rejected on delivery — the
     /// victim restarted cold on its new owner.
     pub migrate_failures: u64,
     /// Process-shard children spawned to replace a dead shard
@@ -345,7 +346,7 @@ impl ShardRunner {
     fn drain_victims(
         &mut self,
         victims: &[u32],
-    ) -> Result<Vec<(u32, SimTime, Value)>, WorkerFault> {
+    ) -> Result<Vec<(u32, SimTime, Vec<u8>)>, WorkerFault> {
         match self {
             ShardRunner::InProcess(s) => Ok(s.drain_victims(victims)),
             ShardRunner::Process(p) => p.drain_victims(victims),
@@ -442,7 +443,8 @@ struct Migration {
     victim: u32,
     from_shard: u32,
     seen: SimTime,
-    value: Value,
+    /// The victim's framed checkpoint record, as a shard blob holds it.
+    record: Vec<u8>,
     /// At-risk window (from == to for a lossless live drain).
     from: SimTime,
     to: SimTime,
@@ -456,6 +458,7 @@ pub struct Fleet {
     cfg: FleetConfig,
     classifier: IntervalClassifier,
     graph: Arc<StoryGraph>,
+    graph_fp: u64,
     ring: HashRing,
     slots: Vec<ShardSlot>,
     dedup: VerdictDedup,
@@ -465,6 +468,10 @@ pub struct Fleet {
     cursor: usize,
     resize_steps: Vec<ResizeStep>,
     resize_cursor: usize,
+    /// Sim-time (µs) of the earliest pending fault, restart, stall
+    /// drain or resize step; `u64::MAX` when none is pending. `push`
+    /// runs its due-checks only once the stream reaches it.
+    next_due: u64,
     migrations: Vec<MigrationWindow>,
     retired_recovery: Vec<ShardRecovery>,
     damage_seq: u64,
@@ -515,6 +522,7 @@ impl Fleet {
         Ok(Fleet {
             cfg,
             classifier,
+            graph_fp: graph_fingerprint(&graph),
             graph,
             ring,
             slots,
@@ -525,6 +533,7 @@ impl Fleet {
             cursor: 0,
             resize_steps: Vec::new(),
             resize_cursor: 0,
+            next_due: u64::MAX,
             migrations: Vec::new(),
             retired_recovery: Vec::new(),
             damage_seq: 0,
@@ -543,6 +552,7 @@ impl Fleet {
     pub fn inject(&mut self, plan: &ShardFaultPlan) {
         self.plan = plan.events().to_vec();
         self.cursor = 0;
+        self.refresh_next_due();
     }
 
     /// Arm a resize schedule. Must be called before the first packet.
@@ -550,6 +560,7 @@ impl Fleet {
     pub fn schedule_resize(&mut self, schedule: &ResizeSchedule) {
         self.resize_steps = schedule.steps().to_vec();
         self.resize_cursor = 0;
+        self.refresh_next_due();
     }
 
     pub fn attach_telemetry(&mut self, registry: &Registry) {
@@ -687,10 +698,13 @@ impl Fleet {
         if let Some(c) = &self.counters {
             c.packets.inc();
         }
-        self.apply_due_faults();
-        self.apply_due_restarts();
-        self.drain_elapsed_stalls();
-        self.apply_due_resizes();
+        if self.now.micros() >= self.next_due {
+            self.apply_due_faults();
+            self.apply_due_restarts();
+            self.drain_elapsed_stalls();
+            self.apply_due_resizes();
+            self.refresh_next_due();
+        }
         let shard = self.shard_for(victim);
         self.route(shard, time, victim, frame);
         self.checkpoint_tick();
@@ -852,6 +866,32 @@ impl Fleet {
 
     // -- fault injection ----------------------------------------------
 
+    /// Recompute the earliest pending deadline: the next fault and
+    /// resize step, every dead shard's restart, and every live shard's
+    /// stall that is still running or has packets queued. Scheduling
+    /// paths outside `push`'s due block lower it directly.
+    fn refresh_next_due(&mut self) {
+        let now = self.now.micros();
+        let fault = self.plan.get(self.cursor).map(|f| f.at.micros());
+        let resize = self
+            .resize_steps
+            .get(self.resize_cursor)
+            .map(|s| s.at.micros());
+        let slots = self.slots.iter().filter_map(|slot| match slot.state {
+            None => slot.restart_at.map(SimTime::micros),
+            Some(_) if !slot.stall_queue.is_empty() || slot.stalled_until.micros() > now => {
+                Some(slot.stalled_until.micros())
+            }
+            Some(_) => None,
+        });
+        self.next_due = fault
+            .into_iter()
+            .chain(resize)
+            .chain(slots)
+            .min()
+            .unwrap_or(u64::MAX);
+    }
+
     fn apply_due_faults(&mut self) {
         while self.cursor < self.plan.len()
             && self.plan[self.cursor].at.micros() <= self.now.micros()
@@ -891,6 +931,7 @@ impl Fleet {
         let delay = cfg_base.saturating_mul(1u64 << exp).min(cfg_cap);
         slot.backoff_exp = slot.backoff_exp.saturating_add(1);
         slot.restart_at = Some(SimTime(at.micros() + delay));
+        self.next_due = self.next_due.min(at.micros() + delay);
         slot.stall_queue.clear();
         slot.stalled_until = SimTime::ZERO;
         self.stats.kills += 1;
@@ -1150,6 +1191,7 @@ impl Fleet {
                     let delay = base.saturating_mul(1u64 << exp).min(cap);
                     slot.backoff_exp = slot.backoff_exp.saturating_add(1);
                     slot.restart_at = Some(SimTime(now.micros() + delay));
+                    self.next_due = self.next_due.min(now.micros() + delay);
                     return;
                 }
             },
@@ -1292,7 +1334,7 @@ impl Fleet {
                     };
                     match drained {
                         Ok(entries) => {
-                            for (victim, seen, value) in entries {
+                            for (victim, seen, record) in entries {
                                 // Any stall-overflow loss this victim
                                 // accrued here ends with the move.
                                 if let Some(from) = self.slots[k].open_loss.remove(&victim) {
@@ -1302,7 +1344,7 @@ impl Fleet {
                                     victim,
                                     from_shard: k as u32,
                                     seen,
-                                    value,
+                                    record,
                                     from: at,
                                     to: at,
                                 });
@@ -1370,10 +1412,9 @@ impl Fleet {
     }
 
     /// Migrate victims out of a *dead* shard: split its last parseable
-    /// checkpoint blob (the same one its restart would use), lift the
-    /// migrants' sub-documents out as moves, and re-seal the remainder
-    /// so the shard's own restart cannot resurrect a victim it no
-    /// longer owns.
+    /// checkpoint blob (the same one its restart would use), copy the
+    /// migrants' records out as moves, and re-seal the remainder so the
+    /// shard's own restart cannot resurrect a victim it no longer owns.
     fn split_dead_source(
         &mut self,
         k: usize,
@@ -1387,49 +1428,45 @@ impl Fleet {
             let slot = &mut self.slots[k];
             let killed_at = slot.killed_at;
             let last_ckpt = slot.last_checkpoint_at;
-            let parsed_latest = slot
+            let migrates = |victim: u32| removed || owns(victim) != k;
+            let latest = slot
                 .latest
-                .as_ref()
+                .as_deref()
                 .and_then(|b| parse_envelope(k as u32, b).ok());
-            let parsed_prev = slot
+            let prev = slot
                 .prev
-                .as_ref()
+                .as_deref()
                 .and_then(|b| parse_envelope(k as u32, b).ok());
+            // Moves come from the blob the restore path would pick:
+            // latest if parseable, else prev.
             let mut migrated: Vec<u32> = Vec::new();
-            {
-                // Moves come from the blob the restore path would
-                // pick: latest if parseable, else prev.
-                let source = parsed_latest.as_ref().or(parsed_prev.as_ref());
-                if let Some(env) = source {
-                    for (victim, seen, value) in &env.victims {
-                        if !(removed || owns(*victim) != k) {
-                            continue;
-                        }
-                        migrated.push(*victim);
-                        let from = slot.open_loss.remove(victim).unwrap_or(last_ckpt);
-                        let replay = killed_at.micros().saturating_sub(from.micros());
-                        moves.push(Migration {
-                            victim: *victim,
-                            from_shard: k as u32,
-                            seen: *seen,
-                            value: value.clone(),
-                            from,
-                            to: SimTime(at.micros() + replay),
-                        });
-                    }
+            if let Some(env) = latest.as_ref().or(prev.as_ref()) {
+                for rec in env.records.iter().filter(|r| migrates(r.victim)) {
+                    migrated.push(rec.victim);
+                    let from = slot.open_loss.remove(&rec.victim).unwrap_or(last_ckpt);
+                    let replay = killed_at.micros().saturating_sub(from.micros());
+                    moves.push(Migration {
+                        victim: rec.victim,
+                        from_shard: k as u32,
+                        seen: rec.seen,
+                        record: rec.bytes.to_vec(),
+                        from,
+                        to: SimTime(at.micros() + replay),
+                    });
                 }
             }
             // Scrub the migrants out of BOTH stored blobs: after the
             // ring swap this shard no longer owns them, and restoring
             // them here would make two shards emit for one victim.
             if !migrated.is_empty() {
-                if let Some(mut env) = parsed_latest {
-                    env.victims.retain(|(v, _, _)| !migrated.contains(v));
-                    slot.latest = Some(env.to_bytes());
+                let keep = |victim: u32| !migrated.contains(&victim);
+                let latest = latest.map(|env| env.reseal(keep, None));
+                let prev = prev.map(|env| env.reseal(keep, None));
+                if latest.is_some() {
+                    slot.latest = latest;
                 }
-                if let Some(mut env) = parsed_prev {
-                    env.victims.retain(|(v, _, _)| !migrated.contains(v));
-                    slot.prev = Some(env.to_bytes());
+                if prev.is_some() {
+                    slot.prev = prev;
                 }
             }
             // A removed dead shard takes any unparseable remainder
@@ -1461,10 +1498,22 @@ impl Fleet {
             (0..moves.len()).map(|_| None).collect();
         if self.worker.is_none() && moves.len() >= 2 {
             let graph = self.graph.clone();
-            let values: Vec<Value> = moves.iter().map(|m| m.value.clone()).collect();
-            let values = Arc::new(values);
+            let classifier = self.classifier.clone();
+            let cfg = self.cfg.decode.clone();
+            let records: Vec<(u32, SimTime, Vec<u8>)> = moves
+                .iter()
+                .map(|m| (m.victim, m.seen, m.record.clone()))
+                .collect();
+            let records = Arc::new(records);
             prebuilt = self.pool.run(moves.len(), move |i| {
-                Some(OnlineDecoder::resume_from_value(&values[i], graph.clone()))
+                let (victim, seen, bytes) = &records[i];
+                let rec = RecordRef {
+                    victim: *victim,
+                    seen: *seen,
+                    bytes,
+                    offset: 0,
+                };
+                Some(restore_record(&rec, &classifier, &cfg, graph.clone()))
             });
         }
         for (m, pre) in moves.into_iter().zip(prebuilt) {
@@ -1498,27 +1547,32 @@ impl Fleet {
     }
 
     /// Install one migrant on shard `target`. Returns false when the
-    /// state document could not be carried over (the victim restarts
-    /// cold on its next packet).
+    /// record could not be carried over (the victim restarts cold on
+    /// its next packet).
     fn deliver_one(
         &mut self,
         target: usize,
         m: &Migration,
         prebuilt: Option<Result<OnlineDecoder, CheckpointError>>,
     ) -> bool {
-        if self.slots[target].state.is_some() {
-            let result: Result<bool, WorkerFault> =
-                match self.slots[target].state.as_mut().expect("checked live") {
-                    ShardRunner::InProcess(state) => Ok(match prebuilt {
-                        Some(Ok(dec)) => {
-                            state.adopt_decoder(m.victim, m.seen, dec);
-                            true
-                        }
-                        Some(Err(_)) => false,
-                        None => state.adopt_victim(m.victim, m.seen, &m.value).is_ok(),
-                    }),
-                    ShardRunner::Process(p) => p.adopt(m.victim, m.seen, &m.value),
-                };
+        let rec = RecordRef {
+            victim: m.victim,
+            seen: m.seen,
+            bytes: &m.record,
+            offset: 0,
+        };
+        if let Some(runner) = self.slots[target].state.as_mut() {
+            let result: Result<bool, WorkerFault> = match runner {
+                ShardRunner::InProcess(state) => Ok(match prebuilt {
+                    Some(Ok(dec)) => {
+                        state.adopt_decoder(m.victim, m.seen, dec);
+                        true
+                    }
+                    Some(Err(_)) => false,
+                    None => state.adopt_victim(&rec).is_ok(),
+                }),
+                ShardRunner::Process(p) => p.adopt(m.victim, &m.record),
+            };
             match result {
                 Ok(adopted) => return adopted,
                 // The target's child died under the adopt: absorb the
@@ -1527,37 +1581,44 @@ impl Fleet {
                 Err(fault) => self.absorb_worker_fault(target, fault),
             }
         }
-        // Dead target: splice the migrant's document into the blob(s)
+        // Dead target: splice the migrant's record into the blob(s)
         // its restart will restore from, so the migrated state
         // survives the outage instead of being dropped on the floor.
+        let header = self.blob_header(target);
         let slot = &mut self.slots[target];
-        let mut placed = false;
-        match &mut slot.latest {
-            Some(bytes) => {
-                if let Ok(mut env) = parse_envelope(target as u32, bytes) {
-                    splice_victim(&mut env, m);
-                    *bytes = env.to_bytes();
-                    placed = true;
-                }
-            }
+        let splice = |stored: Option<&[u8]>| {
+            let env = parse_envelope(target as u32, stored?).ok()?;
+            Some(env.reseal(|_| true, Some(rec)))
+        };
+        let latest = match slot.latest.as_deref() {
+            Some(stored) => splice(Some(stored)),
             None => {
-                let env = ShardEnvelope {
-                    shard: target as u32,
-                    taken: slot.last_checkpoint_at,
-                    victims: vec![(m.victim, m.seen, m.value.clone())],
-                };
-                slot.latest = Some(env.to_bytes());
-                placed = true;
+                let mut blob = BlobWriter::new(&header);
+                blob.push_record(&m.record);
+                Some(blob.finish())
             }
+        };
+        let prev = splice(slot.prev.as_deref());
+        let placed = latest.is_some() || prev.is_some();
+        if latest.is_some() {
+            slot.latest = latest;
         }
-        if let Some(bytes) = &mut slot.prev {
-            if let Ok(mut env) = parse_envelope(target as u32, bytes) {
-                splice_victim(&mut env, m);
-                *bytes = env.to_bytes();
-                placed = true;
-            }
+        if prev.is_some() {
+            slot.prev = prev;
         }
         placed
+    }
+
+    /// The header of a blob written for slot `k` at its last
+    /// checkpoint.
+    fn blob_header(&self, k: usize) -> BlobHeader {
+        BlobHeader {
+            shard: k as u32,
+            taken: self.slots[k].last_checkpoint_at,
+            graph_fp: self.graph_fp,
+            cfg: self.cfg.decode.clone(),
+            classifier: self.classifier.clone(),
+        }
     }
 
     // -- checkpoint cadence -------------------------------------------
@@ -1743,12 +1804,4 @@ impl Fleet {
             handle.instant_at(at.micros(), *parent, name, a, b);
         }
     }
-}
-
-/// Insert (or replace) one victim's sub-document in an envelope,
-/// keeping victim-id order so the re-sealed bytes stay canonical.
-fn splice_victim(env: &mut ShardEnvelope, m: &Migration) {
-    env.victims.retain(|(v, _, _)| *v != m.victim);
-    env.victims.push((m.victim, m.seen, m.value.clone()));
-    env.victims.sort_by_key(|(v, _, _)| *v);
 }

@@ -418,6 +418,13 @@ fn external_kill_nine_of_a_worker_is_absorbed_mid_stream() {
     for (t, v, frame) in &stream[half..] {
         fleet.push(*t, *v, frame);
     }
+    // The crash surfaced on a packet exchange, outside any scheduled
+    // fault; its restart must still fire at the backoff deadline while
+    // the stream runs, not only at `finish`.
+    assert!(
+        fleet.shard_recovery().iter().any(|r| r.respawns >= 1),
+        "the respawn must happen mid-stream"
+    );
     let report = fleet.finish();
     assert!(
         report.stats.kills >= 1,

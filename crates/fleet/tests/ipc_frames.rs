@@ -12,8 +12,7 @@ use std::sync::Arc;
 use wm_capture::time::{Duration, SimTime};
 use wm_core::IntervalClassifier;
 use wm_fleet::{decode_frame, encode_frame, FrameError, RemoteError, Reply, Request, MAX_FRAME};
-use wm_json::Value;
-use wm_online::OnlineConfig;
+use wm_online::{OnlineConfig, OnlineDecoder};
 use wm_story::bandersnatch::tiny_film;
 
 fn classifier() -> IntervalClassifier {
@@ -22,6 +21,18 @@ fn classifier() -> IntervalClassifier {
         type2: (30, 40),
         slack: 2,
     }
+}
+
+/// One victim's framed checkpoint record, as `Drained`/`Adopt` carry it.
+fn sample_record(victim: u32) -> Vec<u8> {
+    let mut dec = OnlineDecoder::new(
+        classifier(),
+        Arc::new(tiny_film()),
+        OnlineConfig::scaled(20),
+    );
+    let mut record = Vec::new();
+    dec.checkpoint_record(victim, SimTime(88), &mut record);
+    record
 }
 
 /// One encoded frame per request/reply shape the protocol can carry.
@@ -49,11 +60,7 @@ fn sample_frames() -> Vec<Vec<u8>> {
         },
         Request::FinishAll,
         Request::Drain(vec![1, 2, 3, 40_000]),
-        Request::Adopt {
-            victim: 7,
-            seen: SimTime(88),
-            state: Value::object(vec![("k".to_string(), Value::from(1i64))]),
-        },
+        Request::Adopt(sample_record(7)),
         Request::Shutdown,
     ];
     let replies = vec![
@@ -64,7 +71,7 @@ fn sample_frames() -> Vec<Vec<u8>> {
             state_bytes: 4_096,
         },
         Reply::Blob(vec![0x00, 0xFF, 0x7F]),
-        Reply::Drained(vec![(5, SimTime(123), Value::from(true))]),
+        Reply::Drained(vec![(5, SimTime(88), sample_record(5))]),
         Reply::Err(RemoteError::Victim(19)),
         Reply::Err(RemoteError::Envelope),
         Reply::Err(RemoteError::Internal),

@@ -9,7 +9,9 @@ use std::sync::Arc;
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{ShardFault, ShardFaultKind, ShardFaultPlan};
 use wm_core::{IntervalClassifier, WhiteMirrorConfig};
-use wm_fleet::{merge_taps, Fleet, FleetConfig, FleetReport, TapPacket};
+use wm_fleet::{
+    merge_taps, Fleet, FleetConfig, FleetReport, ShardRestoreErrorKind, ShardState, TapPacket,
+};
 use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::tiny_film;
@@ -289,6 +291,49 @@ fn torn_checkpoint_falls_back_to_previous_good_blob() {
     let again = run_fleet(cfg, &stream, Some(&plan));
     assert_eq!(report.verdicts, again.verdicts);
     assert_eq!(report.stats, again.stats);
+}
+
+#[test]
+fn damaged_shard_blobs_are_rejected_naming_the_shard() {
+    // A real multi-victim shard blob, taken mid-stream: every proper
+    // prefix and every single-bit flip must fail to restore, with the
+    // error attributed to the slot the restore ran for.
+    let clf = trained_classifier();
+    let graph = Arc::new(tiny_film());
+    let cfg = OnlineConfig::scaled(TS);
+    let stream = victim_stream(3);
+    let mut shard = ShardState::new(4, clf.clone(), graph.clone(), cfg.clone());
+    let mut out = Vec::new();
+    for (t, v, frame) in &stream[..stream.len() / 2] {
+        shard.feed(*v, *t, frame, 64, &mut out);
+    }
+    let live = shard.live_victim_count();
+    assert!(live >= 2, "the blob must carry several victims");
+    let blob = shard.checkpoint(SimTime(1));
+    let restore = |bytes: &[u8]| {
+        ShardState::restore(7, bytes, clf.clone(), graph.clone(), cfg.clone())
+            .map(|s| s.live_victim_count())
+    };
+    assert_eq!(restore(&blob), Ok(live));
+    let mut damaged = blob.clone();
+    for i in 0..blob.len() * 8 {
+        damaged[i / 8] ^= 1 << (i % 8);
+        match restore(&damaged) {
+            Err(e) => {
+                assert_eq!(e.shard, 7, "flip {i} attributed to the wrong slot");
+                assert!(matches!(e.kind, ShardRestoreErrorKind::Envelope(_)));
+            }
+            Ok(_) => panic!("flipping bit {i} of the shard blob restored"),
+        }
+        damaged[i / 8] ^= 1 << (i % 8);
+    }
+    for torn in 0..blob.len() {
+        assert_eq!(
+            restore(&blob[..torn]).map_err(|e| e.shard),
+            Err(7),
+            "torn at {torn}"
+        );
+    }
 }
 
 #[test]

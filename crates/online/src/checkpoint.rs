@@ -1,4 +1,4 @@
-//! Versioned, byte-deterministic decoder checkpoints.
+//! Versioned, checksummed binary decoder checkpoints.
 //!
 //! A checkpoint is the *entire* [`OnlineDecoder`] minus its
 //! attachments: configuration, classifier calibration, the watermark
@@ -8,51 +8,87 @@
 //! packets after the checkpoint yields byte-for-byte the uninterrupted
 //! verdict stream — the kill/resume property CI enforces.
 //!
-//! Determinism is by construction:
+//! # Layout
 //!
-//! * [`wm_json::Value`] objects keep insertion order and
-//!   [`wm_json::to_bytes`] is canonical, so a fixed field order gives a
-//!   fixed byte layout;
-//! * every field is an integer, boolean, hex string or list thereof —
-//!   no floats (derived durations are recomputed from the graph and
-//!   the time scale on resume);
-//! * flows serialize in `BTreeMap` (key) order.
+//! One layout serves a single decoder and a whole fleet shard. Every
+//! integer is little-endian.
 //!
-//! The blob carries a format `version` and a structural fingerprint of
-//! the story graph; [`decode`] rejects blobs from a different format
-//! or a different film.
+//! ```text
+//! blob   = header record* crc
+//! header = "WMCK" version:u16 length:u32 shard:u32 taken_us:u64
+//!          graph_fp:u64 config:14×u64 classifier:5×u16   (152 bytes)
+//! record = len:u32 victim:u32 last_seen_us:u64 state      (len counts what follows it)
+//! crc    = CRC-32 (IEEE) of every byte before it
+//! ```
+//!
+//! `length` is the whole blob, CRC included. The header carries what
+//! every record shares — the story-graph fingerprint, the
+//! [`OnlineConfig`] and the classifier — once. Records are in
+//! strictly ascending victim order, so a blob can be split or spliced
+//! by copying record byte ranges and re-sealing ([`BlobWriter`]).
+//! `state` is the decoder's fields in a fixed order: fixed-width
+//! integers, a one-byte tag before each optional value, a `u32` count
+//! before each list, and carry and parked bytes copied as they are.
+//! [`OnlineDecoder::checkpoint`] writes the one-record form (shard 0,
+//! victim 0).
+//!
+//! Determinism is by construction: the field order is fixed, there
+//! are no floats (derived durations are recomputed from the graph and
+//! the time scale on resume), flows serialize in `BTreeMap` order and
+//! records in victim order.
+//!
+//! # Integrity
+//!
+//! [`Blob::parse`] checks magic, version and declared length, then the
+//! CRC, and only then reads a field. CRC-32 detects every single-bit
+//! flip and every error burst up to 32 bits long, so a torn or flipped
+//! blob is rejected with a typed [`CheckpointError`] instead of
+//! restoring altered state. A blob taken against a different film is
+//! rejected by its graph fingerprint.
 
 use std::sync::Arc;
 
-use crate::bounded::{BoundedVec, ByteCarry, ParkedSegments};
-use crate::engine::{
-    OnlineConfig, OnlineDecoder, OnlineStats, OnlineVerdict, PendingEvent, Phase, ReadyEvent,
-};
-use crate::ingest::{FlowIngest, IngestLimits, IngestStats};
+use crate::bounded::{BoundedVec, ByteCarry};
+use crate::crc::crc32;
+use crate::engine::{OnlineConfig, OnlineDecoder, PendingEvent, Phase, ReadyEvent};
+use crate::ingest::FlowIngest;
 use wm_capture::headers::FlowId;
-use wm_capture::time::{Duration, SimTime};
+use wm_capture::time::SimTime;
 use wm_capture::RecordClass;
-use wm_core::provenance::{ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole};
-use wm_core::{DecodedChoice, IntervalClassifier};
-use wm_json::Value;
-use wm_story::{Choice, ChoicePointId, SegmentEnd, SegmentId, StoryGraph};
+use wm_core::IntervalClassifier;
+use wm_story::{ChoicePointId, SegmentEnd, SegmentId, StoryGraph};
 
-/// Checkpoint format version. Bump on any schema change.
-pub const CHECKPOINT_VERSION: i64 = 1;
+/// Checkpoint format version. Bump on any layout change.
+pub const CHECKPOINT_VERSION: u16 = 2;
 
-/// Why a checkpoint failed to restore.
+const MAGIC: [u8; 4] = *b"WMCK";
+/// Byte offset of the `length` field.
+const LENGTH_AT: usize = 6;
+/// Fixed header size: magic, version, length, shard, taken, graph
+/// fingerprint, 14 config words, 5 classifier words.
+const HEADER_LEN: usize = 4 + 2 + 4 + 4 + 8 + 8 + 14 * 8 + 5 * 2;
+const CRC_LEN: usize = 4;
+/// Bytes of a record before its decoder state: len, victim, last_seen.
+const RECORD_PREFIX: usize = 4 + 4 + 8;
+
+/// Why a checkpoint failed to restore. Framing failures mirror the
+/// process protocol's `FrameError`: a short buffer is
+/// [`CheckpointError::Truncated`] at a named field, a bad length is
+/// typed, never a panic or a partial restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The blob is not syntactically valid JSON — truncated by a torn
-    /// write or corrupted in storage. `offset` is the byte the parser
-    /// gave up at; `near` names the last schema field whose key opens
-    /// before that byte (`"<start>"` when the damage precedes every
-    /// field), so a supervisor log says *what* was being read when
-    /// the blob ended, not just that it ended.
-    Syntax { offset: usize, near: &'static str },
+    /// The bytes end before the layout does — a torn write. `offset`
+    /// is where the unreadable field starts; `near` names it.
+    Truncated { offset: usize, near: &'static str },
+    /// The blob is longer than its header declares.
+    Length { declared: usize, actual: usize },
+    /// Not a checkpoint: the magic bytes are wrong.
+    Magic,
     /// The blob's format version is not supported.
-    Version(i64),
-    /// A required field is missing or mistyped.
+    Version(u16),
+    /// The trailing CRC-32 does not match the bytes before it.
+    Checksum { stored: u32, computed: u32 },
+    /// A field holds a value the layout does not allow.
     Malformed(&'static str),
     /// The checkpoint was taken against a different story graph.
     GraphMismatch,
@@ -62,20 +98,23 @@ pub enum CheckpointError {
 
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use CheckpointError::*;
         match self {
-            CheckpointError::Syntax { offset, near } => write!(
-                f,
-                "checkpoint JSON invalid at byte {offset} (near field `{near}`): \
-                 truncated or corrupted blob"
-            ),
-            CheckpointError::Version(v) => write!(f, "unsupported checkpoint version {v}"),
-            CheckpointError::Malformed(field) => {
-                write!(f, "checkpoint field `{field}` missing or mistyped")
+            Truncated { offset, near } => write!(f, "checkpoint torn at byte {offset} ({near})"),
+            Length { declared, actual } => {
+                write!(f, "checkpoint is {actual} bytes, not {declared}")
             }
-            CheckpointError::GraphMismatch => {
-                write!(f, "checkpoint was taken against a different story graph")
+            Magic => write!(f, "not a checkpoint (bad magic)"),
+            Version(v) => write!(f, "unsupported checkpoint version {v}"),
+            Checksum { stored, computed } => {
+                write!(
+                    f,
+                    "checkpoint CRC {computed:#010x} != stored {stored:#010x}"
+                )
             }
-            CheckpointError::Classifier => write!(f, "classifier calibration failed to restore"),
+            Malformed(field) => write!(f, "checkpoint field `{field}` invalid"),
+            GraphMismatch => write!(f, "checkpoint was taken against a different story graph"),
+            Classifier => write!(f, "classifier calibration failed to restore"),
         }
     }
 }
@@ -115,857 +154,770 @@ pub fn graph_fingerprint(graph: &StoryGraph) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// encode
+// primitive codec
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// Fixed-width little-endian integers.
+trait Le: Sized + Copy {
+    fn put_le(self, out: &mut Vec<u8>);
+    fn from_le(bytes: &[u8]) -> Option<Self>;
 }
 
-fn int(x: u64) -> Value {
-    Value::from(x as i64)
+macro_rules! le {
+    ($($t:ty),*) => {$(
+        impl Le for $t {
+            fn put_le(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn from_le(bytes: &[u8]) -> Option<Self> {
+                Some(<$t>::from_le_bytes(bytes.try_into().ok()?))
+            }
+        }
+    )*};
 }
+le!(u8, u16, u32, u64, i64);
 
-fn time(t: SimTime) -> Value {
-    int(t.micros())
-}
+/// Append-only encoder over a byte buffer.
+struct Writer<'a>(&'a mut Vec<u8>);
 
-fn opt_time(t: Option<SimTime>) -> Value {
-    match t {
-        Some(t) => time(t),
-        None => Value::Null,
+impl Writer<'_> {
+    fn emit<T: Le>(&mut self, x: T) {
+        x.put_le(self.0);
+    }
+    fn emit_all<T: Le>(&mut self, xs: &[T]) {
+        for &x in xs {
+            self.emit(x);
+        }
     }
 }
 
-fn class_code(c: RecordClass) -> Value {
-    int(match c {
-        RecordClass::Type1 => 1,
-        RecordClass::Type2 => 2,
-        RecordClass::Other => 0,
-    })
+/// Bounds-checked cursor. Every read names the field it reads, so a
+/// short buffer fails as [`CheckpointError::Truncated`] at that field;
+/// `base` makes reported offsets absolute within the enclosing blob.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    base: usize,
 }
 
-fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).unwrap_or('0'));
-        s.push(char::from_digit((b & 0xf) as u32, 16).unwrap_or('0'));
+impl<'a> Reader<'a> {
+    fn new(bytes: &'a [u8], base: usize) -> Self {
+        Reader {
+            bytes,
+            pos: 0,
+            base,
+        }
     }
-    s
+
+    fn offset(&self) -> usize {
+        self.base + self.pos
+    }
+
+    fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
+    fn slice(&mut self, n: usize, near: &'static str) -> Result<&'a [u8], CheckpointError> {
+        let out = self
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.pos..end))
+            .ok_or(CheckpointError::Truncated {
+                offset: self.offset(),
+                near,
+            })?;
+        self.pos += n;
+        Ok(out)
+    }
+
+    fn num<T: Le>(&mut self, near: &'static str) -> Result<T, CheckpointError> {
+        let bytes = self.slice(std::mem::size_of::<T>(), near)?;
+        T::from_le(bytes).ok_or(CheckpointError::Malformed(near))
+    }
+
+    fn array<T: Le + Default, const N: usize>(
+        &mut self,
+        near: &'static str,
+    ) -> Result<[T; N], CheckpointError> {
+        let mut out = [T::default(); N];
+        for x in out.iter_mut() {
+            *x = self.num(near)?;
+        }
+        Ok(out)
+    }
+
+    fn count(&mut self, near: &'static str) -> Result<usize, CheckpointError> {
+        Ok(self.num::<u32>(near)? as usize)
+    }
 }
 
-/// Serialize an [`OnlineConfig`] as the canonical checkpoint `config`
-/// document. Public so a multi-process fleet can ship the decoder
-/// configuration to a shard worker over the same codec the checkpoint
-/// format uses (one schema, one decoder, one set of truncation tests).
-pub fn config_value(cfg: &OnlineConfig) -> Value {
-    obj(vec![
-        ("time_scale", int(cfg.time_scale as u64)),
-        ("reorder_lag_us", int(cfg.reorder_lag.micros())),
-        ("gap_patience_us", int(cfg.gap_patience.micros())),
-        (
-            "checkpoint_every_records",
-            int(cfg.checkpoint_every_records),
-        ),
-        ("max_flows", int(cfg.max_flows as u64)),
-        ("max_pending_events", int(cfg.max_pending_events as u64)),
-        ("max_ready_events", int(cfg.max_ready_events as u64)),
-        ("max_recent_apps", int(cfg.max_recent_apps as u64)),
-        ("max_gap_times", int(cfg.max_gap_times as u64)),
-        ("max_loss_windows", int(cfg.max_loss_windows as u64)),
-        ("max_carry_bytes", int(cfg.ingest.max_carry_bytes as u64)),
-        ("max_parked_bytes", int(cfg.ingest.max_parked_bytes as u64)),
-        (
-            "max_parked_segments",
-            int(cfg.ingest.max_parked_segments as u64),
-        ),
-        ("max_marks", int(cfg.ingest.max_marks as u64)),
-    ])
+/// One walk over a decoder's fields in layout order. [`Writer`] and
+/// [`Reader`] both implement it, so [`state`] — the single field list —
+/// both encodes and decodes, and the two directions cannot drift.
+trait Pass<'a> {
+    /// The reader: lists are rebuilt instead of walked.
+    const READS: bool;
+    /// Write `*x`, or read into it.
+    fn int<T: Le>(&mut self, x: &mut T, near: &'static str) -> Result<(), CheckpointError>;
+    /// Write `bytes` behind a `u32` length, or read such a string.
+    fn bytes(&mut self, bytes: &[u8], near: &'static str) -> Result<&'a [u8], CheckpointError>;
 }
 
-fn flow_value(id: &FlowId, ingest: &FlowIngest) -> Value {
-    let id_parts: Vec<Value> = id
-        .src_ip
-        .iter()
-        .map(|&b| int(b as u64))
-        .chain(std::iter::once(int(id.src_port as u64)))
-        .chain(id.dst_ip.iter().map(|&b| int(b as u64)))
-        .chain(std::iter::once(int(id.dst_port as u64)))
-        .collect();
-    let marks: Vec<Value> = ingest
-        .marks
-        .iter()
-        .map(|&(off, t)| Value::array(vec![Value::from(off), time(t)]))
-        .collect();
-    let parked: Vec<Value> = ingest
-        .parked
-        .iter()
-        .map(|(off, t, data)| {
-            Value::array(vec![Value::from(off), time(t), Value::from(to_hex(data))])
+impl<'a> Pass<'a> for Writer<'_> {
+    const READS: bool = false;
+    fn int<T: Le>(&mut self, x: &mut T, _: &'static str) -> Result<(), CheckpointError> {
+        self.emit(*x);
+        Ok(())
+    }
+    fn bytes(&mut self, bytes: &[u8], _: &'static str) -> Result<&'a [u8], CheckpointError> {
+        self.emit(bytes.len() as u32);
+        self.0.extend_from_slice(bytes);
+        Ok(&[])
+    }
+}
+
+impl<'a> Pass<'a> for Reader<'a> {
+    const READS: bool = true;
+    fn int<T: Le>(&mut self, x: &mut T, near: &'static str) -> Result<(), CheckpointError> {
+        *x = self.num(near)?;
+        Ok(())
+    }
+    fn bytes(&mut self, _: &[u8], near: &'static str) -> Result<&'a [u8], CheckpointError> {
+        let n = self.count(near)?;
+        self.slice(n, near)
+    }
+}
+
+// ---------------------------------------------------------------------
+// header
+
+/// What a blob header carries once for all of its records.
+#[derive(Debug, Clone)]
+pub struct BlobHeader {
+    /// The shard the blob was taken on (0 for a single decoder).
+    pub shard: u32,
+    /// Sim-time the blob was taken.
+    pub taken: SimTime,
+    /// [`graph_fingerprint`] of the film every record walks.
+    pub graph_fp: u64,
+    pub cfg: OnlineConfig,
+    pub classifier: IntervalClassifier,
+}
+
+impl BlobHeader {
+    /// Reject a blob taken against a different film.
+    pub fn check_graph(&self, graph: &StoryGraph) -> Result<(), CheckpointError> {
+        if self.graph_fp == graph_fingerprint(graph) {
+            Ok(())
+        } else {
+            Err(CheckpointError::GraphMismatch)
+        }
+    }
+
+    fn write(&self, w: &mut Writer<'_>) {
+        let c = &self.cfg;
+        let k = &self.classifier;
+        w.0.extend_from_slice(&MAGIC);
+        w.emit(CHECKPOINT_VERSION);
+        w.emit(0u32); // length, patched by `BlobWriter::finish`
+        w.emit(self.shard);
+        w.emit_all(&[self.taken.micros(), self.graph_fp]);
+        w.emit_all(&c.to_words());
+        w.emit_all(&[k.type1.0, k.type1.1, k.type2.0, k.type2.1, k.slack]);
+    }
+
+    /// Read the fields after `length`.
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let shard = r.num("shard")?;
+        let taken = SimTime(r.num("taken")?);
+        let graph_fp = r.num("graph_fp")?;
+        let cfg = OnlineConfig::from_words(r.array("config")?)
+            .ok_or(CheckpointError::Malformed("config"))?;
+        let [lo1, hi1, lo2, hi2, slack] = r.array("classifier")?;
+        if lo1 > hi1 || lo2 > hi2 {
+            return Err(CheckpointError::Classifier);
+        }
+        let classifier = IntervalClassifier {
+            type1: (lo1, hi1),
+            type2: (lo2, hi2),
+            slack,
+        };
+        Ok(BlobHeader {
+            shard,
+            taken,
+            graph_fp,
+            cfg,
+            classifier,
         })
-        .collect();
-    let s = ingest.stats;
-    obj(vec![
-        ("id", Value::array(id_parts)),
-        (
-            "base_seq",
-            match ingest.base_seq {
-                Some(s) => int(s as u64),
-                None => Value::Null,
-            },
-        ),
-        ("last_rel", Value::from(ingest.last_rel)),
-        ("carry_start", Value::from(ingest.carry_start)),
-        ("carry", Value::from(to_hex(ingest.carry.as_slice()))),
-        ("marks", Value::array(marks)),
-        ("parked", Value::array(parked)),
-        ("synced", Value::from(ingest.synced)),
-        ("hole_since_us", opt_time(ingest.hole_since)),
-        ("last_record_time_us", time(ingest.last_record_time)),
-        ("records", int(s.records)),
-        ("gaps", int(s.gaps)),
-        ("resyncs", int(s.resyncs)),
-        ("skipped_bytes", int(s.skipped_bytes)),
-        ("duplicate_bytes", int(s.duplicate_bytes)),
-        ("parked_overflows", int(s.parked_overflows)),
-    ])
+    }
 }
 
-fn phase_value(phase: &Phase) -> Value {
-    match phase {
-        Phase::Seek { seg, cp } => obj(vec![
-            ("kind", Value::from("seek")),
-            ("seg", int(seg.0 as u64)),
-            ("cp", int(cp.0 as u64)),
-        ]),
+// ---------------------------------------------------------------------
+// blobs and records
+
+/// One framed per-victim record, borrowed from a blob or payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    pub victim: u32,
+    /// The victim's last packet time on its shard.
+    pub seen: SimTime,
+    /// The whole record, length prefix included — the unit a split or
+    /// splice copies.
+    pub bytes: &'a [u8],
+    /// Absolute offset of `bytes` in the enclosing blob, for errors.
+    pub offset: usize,
+}
+
+/// A checksum-verified blob: its header, and its records borrowed
+/// from the blob bytes.
+#[derive(Debug, Clone)]
+pub struct Blob<'a> {
+    pub header: BlobHeader,
+    pub records: Vec<RecordRef<'a>>,
+}
+
+impl<'a> Blob<'a> {
+    /// Verify framing and CRC, then parse the header and frame the
+    /// records. Record contents are decoded only on restore.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, CheckpointError> {
+        let mut r = Reader::new(bytes, 0);
+        if r.slice(4, "magic")? != MAGIC {
+            return Err(CheckpointError::Magic);
+        }
+        let version = r.num("version")?;
+        if version != CHECKPOINT_VERSION {
+            return Err(CheckpointError::Version(version));
+        }
+        let length = r.count("length")?;
+        if length < HEADER_LEN + CRC_LEN {
+            return Err(CheckpointError::Malformed("length"));
+        }
+        if bytes.len() < length {
+            return Err(truncation(bytes, length));
+        }
+        if bytes.len() > length {
+            return Err(CheckpointError::Length {
+                declared: length,
+                actual: bytes.len(),
+            });
+        }
+        let body_len = length - CRC_LEN;
+        let body = bytes.get(..body_len).unwrap_or(&[]);
+        let mut tail = Reader::new(bytes.get(body_len..).unwrap_or(&[]), body_len);
+        let stored = tail.num("crc")?;
+        let computed = crc32(body);
+        if stored != computed {
+            return Err(CheckpointError::Checksum { stored, computed });
+        }
+        let header = BlobHeader::read(&mut r)?;
+        let records = split_records(body.get(HEADER_LEN..).unwrap_or(&[]), HEADER_LEN)?;
+        Ok(Blob { header, records })
+    }
+}
+
+impl Blob<'_> {
+    /// Re-seal into a new blob under the same header: the records
+    /// `keep` accepts, plus `splice` — one framed record — in victim
+    /// order, replacing any record for the same victim. Copies record
+    /// byte ranges; decodes nothing.
+    pub fn reseal(&self, keep: impl Fn(u32) -> bool, splice: Option<RecordRef<'_>>) -> Vec<u8> {
+        let mut blob = BlobWriter::new(&self.header);
+        let mut pending = splice;
+        for rec in &self.records {
+            if let Some(new) = pending.filter(|new| new.victim <= rec.victim) {
+                blob.push_record(new.bytes);
+                pending = None;
+                if new.victim == rec.victim {
+                    continue;
+                }
+            }
+            if keep(rec.victim) {
+                blob.push_record(rec.bytes);
+            }
+        }
+        if let Some(new) = pending {
+            blob.push_record(new.bytes);
+        }
+        blob.finish()
+    }
+}
+
+/// A torn blob: name the region it ends in.
+fn truncation(bytes: &[u8], length: usize) -> CheckpointError {
+    let near = match bytes.len() {
+        n if n < HEADER_LEN => "header",
+        n if n < length - CRC_LEN => "records",
+        _ => "crc",
+    };
+    CheckpointError::Truncated {
+        offset: bytes.len(),
+        near,
+    }
+}
+
+/// Frame a run of records (`[u32 len]` each, ascending victims) that
+/// starts at absolute offset `base`.
+pub fn split_records(bytes: &[u8], base: usize) -> Result<Vec<RecordRef<'_>>, CheckpointError> {
+    let mut r = Reader::new(bytes, base);
+    let mut out: Vec<RecordRef<'_>> = Vec::new();
+    while r.remaining() > 0 {
+        let start = r.pos;
+        let offset = r.offset();
+        let n = r.count("record length")?;
+        let body = r.slice(n, "record")?;
+        let mut head = Reader::new(body, offset + 4);
+        let victim = head.num("victim")?;
+        let seen = SimTime(head.num("last_seen")?);
+        if out.last().is_some_and(|prev| prev.victim >= victim) {
+            return Err(CheckpointError::Malformed("victim order"));
+        }
+        out.push(RecordRef {
+            victim,
+            seen,
+            bytes: bytes.get(start..r.pos).unwrap_or(&[]),
+            offset,
+        });
+    }
+    Ok(out)
+}
+
+/// Builds a sealed blob: header, records, then length and CRC.
+pub struct BlobWriter {
+    buf: Vec<u8>,
+}
+
+impl BlobWriter {
+    pub fn new(header: &BlobHeader) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN + CRC_LEN);
+        header.write(&mut Writer(&mut buf));
+        BlobWriter { buf }
+    }
+
+    /// Append a framed record as-is (the caller keeps victim order).
+    pub fn push_record(&mut self, record: &[u8]) {
+        self.buf.extend_from_slice(record);
+    }
+
+    /// Checkpoint `dec` into the blob as `victim`'s record.
+    pub fn push_decoder(&mut self, victim: u32, seen: SimTime, dec: &mut OnlineDecoder) {
+        dec.checkpoint_record(victim, seen, &mut self.buf);
+    }
+
+    /// Patch in the total length and append the CRC.
+    pub fn finish(mut self) -> Vec<u8> {
+        let length = (self.buf.len() + CRC_LEN) as u32;
+        if let Some(field) = self.buf.get_mut(LENGTH_AT..LENGTH_AT + 4) {
+            field.copy_from_slice(&length.to_le_bytes());
+        }
+        let crc = crc32(&self.buf);
+        self.buf.extend_from_slice(&crc.to_le_bytes());
+        self.buf
+    }
+}
+
+/// Append `dec`'s state as one framed record.
+pub(crate) fn encode_record(
+    dec: &mut OnlineDecoder,
+    victim: u32,
+    seen: SimTime,
+    out: &mut Vec<u8>,
+) {
+    let start = out.len();
+    let mut w = Writer(out);
+    w.emit(0u32); // length, patched below
+    w.emit(victim);
+    w.emit(seen.micros());
+    // The writer never fails, and it stores every field back as it was.
+    let _ = state(&mut w, dec);
+    let len = (out.len() - start - 4) as u32;
+    if let Some(field) = out.get_mut(start..start + 4) {
+        field.copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// Rebuild a decoder from one record. `classifier` and `cfg` come
+/// from the enclosing blob's header (or, for a migrated record, from
+/// the adopting shard, which shares its fleet's configuration).
+pub fn restore_record(
+    rec: &RecordRef<'_>,
+    classifier: &IntervalClassifier,
+    cfg: &OnlineConfig,
+    graph: Arc<StoryGraph>,
+) -> Result<OnlineDecoder, CheckpointError> {
+    cfg.validate()
+        .map_err(|_| CheckpointError::Malformed("config"))?;
+    let body = rec.bytes.get(RECORD_PREFIX..).unwrap_or(&[]);
+    let mut r = Reader::new(body, rec.offset + RECORD_PREFIX);
+    let mut decoder = OnlineDecoder::new(classifier.clone(), graph, cfg.clone());
+    state(&mut r, &mut decoder)?;
+    if r.remaining() > 0 {
+        return Err(CheckpointError::Malformed("record length"));
+    }
+    decoder.stats.resumes = decoder.stats.resumes.saturating_add(1);
+    Ok(decoder)
+}
+
+/// Restore the single decoder of a one-record blob.
+pub(crate) fn decode(
+    bytes: &[u8],
+    graph: Arc<StoryGraph>,
+) -> Result<OnlineDecoder, CheckpointError> {
+    let blob = Blob::parse(bytes)?;
+    blob.header.check_graph(&graph)?;
+    match blob.records.as_slice() {
+        [rec] => restore_record(rec, &blob.header.classifier, &blob.header.cfg, graph),
+        _ => Err(CheckpointError::Malformed("records")),
+    }
+}
+
+// ---------------------------------------------------------------------
+// decoder state
+
+type Step = Result<(), CheckpointError>;
+
+fn time<'a>(p: &mut impl Pass<'a>, t: &mut SimTime, near: &'static str) -> Step {
+    let mut us = t.micros();
+    p.int(&mut us, near)?;
+    *t = SimTime(us);
+    Ok(())
+}
+
+fn flag<'a>(p: &mut impl Pass<'a>, b: &mut bool, near: &'static str) -> Step {
+    let mut x = *b as u8;
+    p.int(&mut x, near)?;
+    *b = match x {
+        0 => false,
+        1 => true,
+        _ => return Err(CheckpointError::Malformed(near)),
+    };
+    Ok(())
+}
+
+const CLASSES: [RecordClass; 3] = [RecordClass::Other, RecordClass::Type1, RecordClass::Type2];
+
+fn class<'a>(p: &mut impl Pass<'a>, c: &mut RecordClass, near: &'static str) -> Step {
+    let mut x = CLASSES.iter().position(|k| k == c).unwrap_or(0) as u8;
+    p.int(&mut x, near)?;
+    *c = *CLASSES
+        .get(x as usize)
+        .ok_or(CheckpointError::Malformed(near))?;
+    Ok(())
+}
+
+/// A one-byte presence tag, then the value when present.
+fn opt<'a, P: Pass<'a>, T: Copy>(
+    p: &mut P,
+    o: &mut Option<T>,
+    blank: T,
+    near: &'static str,
+    mut field: impl FnMut(&mut P, &mut T) -> Step,
+) -> Step {
+    let mut some = o.is_some();
+    flag(p, &mut some, near)?;
+    *o = match some {
+        true => {
+            let mut x = o.unwrap_or(blank);
+            field(p, &mut x)?;
+            Some(x)
+        }
+        false => None,
+    };
+    Ok(())
+}
+
+fn opt_time<'a>(p: &mut impl Pass<'a>, t: &mut Option<SimTime>, near: &'static str) -> Step {
+    opt(p, t, SimTime::ZERO, near, |p, t| time(p, t, near))
+}
+
+/// A `u32` count, then the items: walked when writing, admitted into
+/// the (fresh, empty) bounded list when reading.
+fn list<'a, P: Pass<'a>, T: Copy>(
+    p: &mut P,
+    v: &mut BoundedVec<T>,
+    blank: T,
+    near: &'static str,
+    mut item: impl FnMut(&mut P, &mut T) -> Step,
+) -> Step {
+    let mut n = v.len() as u32;
+    p.int(&mut n, near)?;
+    if P::READS {
+        for _ in 0..n {
+            let mut x = blank;
+            item(p, &mut x)?;
+            v.admit(x);
+        }
+    } else {
+        for x in v.iter() {
+            item(p, &mut x.clone())?;
+        }
+    }
+    Ok(())
+}
+
+fn ready<'a>(p: &mut impl Pass<'a>, e: &mut ReadyEvent, near: &'static str) -> Step {
+    time(p, &mut e.time, near)?;
+    p.int(&mut e.index, near)?;
+    p.int(&mut e.length, near)?;
+    class(p, &mut e.class, near)
+}
+
+const BLANK_READY: ReadyEvent = ReadyEvent {
+    time: SimTime::ZERO,
+    index: 0,
+    length: 0,
+    class: RecordClass::Other,
+};
+
+/// The decoder's whole checkpointed state, in layout order.
+fn state<'a, P: Pass<'a>>(p: &mut P, d: &mut OnlineDecoder) -> Step {
+    time(p, &mut d.max_seen, "max_seen")?;
+    time(p, &mut d.watermark, "watermark")?;
+    flag(p, &mut d.finishing, "finishing")?;
+    let mut flows = d.flows.len() as u32;
+    p.int(&mut flows, "flows")?;
+    if P::READS {
+        for _ in 0..flows {
+            if d.flows.len() >= d.cfg.max_flows.max(1) {
+                return Err(CheckpointError::Malformed("flows"));
+            }
+            let mut id = FlowId {
+                src_ip: [0; 4],
+                src_port: 0,
+                dst_ip: [0; 4],
+                dst_port: 0,
+            };
+            let mut ingest = FlowIngest::new(d.cfg.ingest);
+            flow(p, &mut id, &mut ingest)?;
+            d.flows.insert(id, ingest);
+        }
+    } else {
+        for (id, ingest) in d.flows.iter_mut() {
+            flow(p, &mut id.clone(), ingest)?;
+        }
+    }
+
+    p.int(&mut d.admit_seq, "admit_seq")?;
+    let blank = PendingEvent {
+        time: SimTime::ZERO,
+        seq: 0,
+        length: 0,
+        class: RecordClass::Other,
+    };
+    list(p, &mut d.pending, blank, "pending", |p, e| {
+        time(p, &mut e.time, "pending")?;
+        p.int(&mut e.seq, "pending")?;
+        p.int(&mut e.length, "pending")?;
+        class(p, &mut e.class, "pending")
+    })?;
+    list(p, &mut d.ready, BLANK_READY, "ready", |p, e| {
+        ready(p, e, "ready")
+    })?;
+    let mut cursor = d.cursor as u64;
+    p.int(&mut cursor, "cursor")?;
+    d.cursor = usize::try_from(cursor).map_err(|_| CheckpointError::Malformed("cursor"))?;
+    p.int(&mut d.app_count, "app_count")?;
+    opt_time(p, &mut d.app_first, "app_first")?;
+    opt_time(p, &mut d.app_second, "app_second")?;
+    opt_time(p, &mut d.first_type1, "first_type1")?;
+    opt_time(p, &mut d.last_kept_t1, "last_kept_t1")?;
+    opt_time(p, &mut d.last_kept_t2, "last_kept_t2")?;
+    let blank = (0, SimTime::ZERO, 0);
+    list(p, &mut d.recent_apps, blank, "recent_apps", |p, r| {
+        p.int(&mut r.0, "recent_apps")?;
+        time(p, &mut r.1, "recent_apps")?;
+        p.int(&mut r.2, "recent_apps")
+    })?;
+    list(p, &mut d.gap_times, SimTime::ZERO, "gap_times", |p, t| {
+        time(p, t, "gap_times")
+    })?;
+    let blank = (SimTime::ZERO, SimTime::ZERO);
+    list(p, &mut d.loss_windows, blank, "loss_windows", |p, w| {
+        time(p, &mut w.0, "loss_windows")?;
+        time(p, &mut w.1, "loss_windows")
+    })?;
+
+    phase(p, &mut d.phase)?;
+    opt_time(p, &mut d.predicted, "predicted")?;
+    p.int(&mut d.emitted, "emitted")?;
+    p.int(&mut d.records_seen, "records_seen")?;
+    d.records_at_checkpoint = d.records_seen;
+    // `resumes` is session-local and stays out: a resumed decoder's
+    // count starts fresh (the restore's increment makes it 1).
+    let st = &mut d.stats;
+    for x in [
+        &mut st.packets,
+        &mut st.segments,
+        &mut st.truncated_segments,
+        &mut st.records,
+        &mut st.non_app_records,
+        &mut st.report_events,
+        &mut st.deduped_events,
+        &mut st.late_events,
+        &mut st.pending_force_finalized,
+        &mut st.ready_evictions,
+        &mut st.flows,
+        &mut st.flow_overflow_drops,
+        &mut st.gaps,
+        &mut st.verdicts,
+        &mut st.checkpoints,
+    ] {
+        p.int(x, "stats")?;
+    }
+    Ok(())
+}
+
+fn flow<'a, P: Pass<'a>>(p: &mut P, id: &mut FlowId, f: &mut FlowIngest) -> Step {
+    for ip in [&mut id.src_ip, &mut id.dst_ip] {
+        let mut word = u32::from_le_bytes(*ip);
+        p.int(&mut word, "flow id")?;
+        *ip = word.to_le_bytes();
+    }
+    p.int(&mut id.src_port, "flow id")?;
+    p.int(&mut id.dst_port, "flow id")?;
+    opt(p, &mut f.base_seq, 0, "base_seq", |p, s| {
+        p.int(s, "base_seq")
+    })?;
+    p.int(&mut f.last_rel, "last_rel")?;
+    p.int(&mut f.carry_start, "carry_start")?;
+    let carry = p.bytes(f.carry.as_slice(), "carry")?;
+    if P::READS {
+        f.carry = ByteCarry::from_vec(carry.to_vec(), f.limits.max_carry_bytes);
+    }
+    list(p, &mut f.marks, (0, SimTime::ZERO), "marks", |p, m| {
+        p.int(&mut m.0, "marks")?;
+        time(p, &mut m.1, "marks")
+    })?;
+    let mut parked = f.parked.len() as u32;
+    p.int(&mut parked, "parked")?;
+    if P::READS {
+        for _ in 0..parked {
+            let (mut off, mut t) = (0i64, SimTime::ZERO);
+            p.int(&mut off, "parked")?;
+            time(p, &mut t, "parked")?;
+            f.parked.park(off, t, p.bytes(&[], "parked")?);
+        }
+    } else {
+        for (mut off, mut t, data) in f.parked.iter() {
+            p.int(&mut off, "parked")?;
+            time(p, &mut t, "parked")?;
+            p.bytes(data, "parked")?;
+        }
+    }
+    flag(p, &mut f.synced, "synced")?;
+    opt_time(p, &mut f.hole_since, "hole_since")?;
+    time(p, &mut f.last_record_time, "last_record_time")?;
+    let s = &mut f.stats;
+    for x in [
+        &mut s.records,
+        &mut s.gaps,
+        &mut s.resyncs,
+        &mut s.skipped_bytes,
+        &mut s.duplicate_bytes,
+        &mut s.parked_overflows,
+    ] {
+        p.int(x, "flow stats")?;
+    }
+    Ok(())
+}
+
+/// The graph-walk frontier: a variant tag, then every variant's
+/// fields (zero where a variant lacks them).
+fn phase<'a, P: Pass<'a>>(p: &mut P, phase: &mut Phase) -> Step {
+    let zero = SimTime::ZERO;
+    let (mut tag, mut seg, mut cp, mut t1, mut observed, mut t1_evt) = match *phase {
+        Phase::Seek { seg, cp } => (0u8, seg.0, cp.0, zero, false, None),
         Phase::Open {
             seg,
             cp,
             t1,
             observed,
             t1_evt,
-        } => obj(vec![
-            ("kind", Value::from("open")),
-            ("seg", int(seg.0 as u64)),
-            ("cp", int(cp.0 as u64)),
-            ("t1_us", time(*t1)),
-            ("observed", Value::from(*observed)),
-            (
-                "t1_evt",
-                match t1_evt {
-                    // Same [time, index, length, class] layout as the
-                    // `ready` list (both decode via `ready_evt_of`).
-                    Some(ev) => Value::array(vec![
-                        time(ev.time),
-                        int(ev.index),
-                        int(ev.length as u64),
-                        class_code(ev.class),
-                    ]),
-                    None => Value::Null,
-                },
-            ),
-        ]),
-        Phase::Done => obj(vec![("kind", Value::from("done"))]),
-    }
-}
-
-/// Serialize `decoder` into the canonical checkpoint bytes.
-pub(crate) fn encode(decoder: &OnlineDecoder) -> Vec<u8> {
-    wm_json::to_bytes(&encode_value(decoder))
-}
-
-/// Serialize `decoder` as a [`wm_json::Value`] document — the
-/// shard-scoped form: a supervisor checkpointing many decoders embeds
-/// each value in its own envelope and serializes the whole shard
-/// once, so a shard blob stays a single canonical JSON document
-/// instead of JSON-escaped-inside-JSON.
-pub(crate) fn encode_value(decoder: &OnlineDecoder) -> Value {
-    let pending: Vec<Value> = decoder
-        .pending
-        .iter()
-        .map(|e| {
-            Value::array(vec![
-                time(e.time),
-                int(e.seq),
-                int(e.length as u64),
-                class_code(e.class),
-            ])
-        })
-        .collect();
-    let ready: Vec<Value> = decoder
-        .ready
-        .iter()
-        .map(|e| {
-            Value::array(vec![
-                time(e.time),
-                int(e.index),
-                int(e.length as u64),
-                class_code(e.class),
-            ])
-        })
-        .collect();
-    let recent: Vec<Value> = decoder
-        .recent_apps
-        .iter()
-        .map(|&(i, t, len)| Value::array(vec![int(i), time(t), int(len as u64)]))
-        .collect();
-    let gap_times: Vec<Value> = decoder.gap_times.iter().map(|&t| time(t)).collect();
-    let losses: Vec<Value> = decoder
-        .loss_windows
-        .iter()
-        .map(|&(a, b)| Value::array(vec![time(a), time(b)]))
-        .collect();
-    let flows: Vec<Value> = decoder
-        .flows
-        .iter()
-        .map(|(id, ingest)| flow_value(id, ingest))
-        .collect();
-    let st = decoder.stats;
-    obj(vec![
-        ("version", Value::from(CHECKPOINT_VERSION)),
-        (
-            "graph_fp",
-            Value::from(graph_fingerprint(&decoder.graph) as i64),
-        ),
-        ("config", config_value(&decoder.cfg)),
-        ("classifier", decoder.classifier.to_json()),
-        (
-            "clock",
-            obj(vec![
-                ("max_seen_us", time(decoder.max_seen)),
-                ("watermark_us", time(decoder.watermark)),
-                ("finishing", Value::from(decoder.finishing)),
-            ]),
-        ),
-        ("flows", Value::array(flows)),
-        (
-            "events",
-            obj(vec![
-                ("admit_seq", int(decoder.admit_seq)),
-                ("pending", Value::array(pending)),
-                ("ready", Value::array(ready)),
-                ("cursor", int(decoder.cursor as u64)),
-                ("app_count", int(decoder.app_count)),
-                ("app_first_us", opt_time(decoder.app_first)),
-                ("app_second_us", opt_time(decoder.app_second)),
-                ("first_type1_us", opt_time(decoder.first_type1)),
-                ("last_kept_t1_us", opt_time(decoder.last_kept_t1)),
-                ("last_kept_t2_us", opt_time(decoder.last_kept_t2)),
-                ("recent_apps", Value::array(recent)),
-                ("gap_times", Value::array(gap_times)),
-                ("loss_windows", Value::array(losses)),
-            ]),
-        ),
-        (
-            "frontier",
-            obj(vec![
-                ("phase", phase_value(&decoder.phase)),
-                ("predicted_us", opt_time(decoder.predicted)),
-                ("emitted", int(decoder.emitted)),
-            ]),
-        ),
-        ("records_seen", int(decoder.records_seen)),
-        (
-            "stats",
-            obj(vec![
-                ("packets", int(st.packets)),
-                ("segments", int(st.segments)),
-                ("truncated_segments", int(st.truncated_segments)),
-                ("records", int(st.records)),
-                ("non_app_records", int(st.non_app_records)),
-                ("report_events", int(st.report_events)),
-                ("deduped_events", int(st.deduped_events)),
-                ("late_events", int(st.late_events)),
-                ("pending_force_finalized", int(st.pending_force_finalized)),
-                ("ready_evictions", int(st.ready_evictions)),
-                ("flows", int(st.flows)),
-                ("flow_overflow_drops", int(st.flow_overflow_drops)),
-                ("gaps", int(st.gaps)),
-                ("verdicts", int(st.verdicts)),
-                ("checkpoints", int(st.checkpoints)),
-            ]),
-        ),
-    ])
+        } => (1, seg.0, cp.0, t1, observed, t1_evt),
+        Phase::Done => (2, 0, 0, zero, false, None),
+    };
+    p.int(&mut tag, "phase")?;
+    p.int(&mut seg, "phase")?;
+    p.int(&mut cp, "phase")?;
+    time(p, &mut t1, "phase")?;
+    flag(p, &mut observed, "phase")?;
+    opt(p, &mut t1_evt, BLANK_READY, "t1_evt", |p, e| {
+        ready(p, e, "t1_evt")
+    })?;
+    let (seg, cp) = (SegmentId(seg), ChoicePointId(cp));
+    *phase = match tag {
+        0 => Phase::Seek { seg, cp },
+        1 => Phase::Open {
+            seg,
+            cp,
+            t1,
+            observed,
+            t1_evt,
+        },
+        2 => Phase::Done,
+        _ => return Err(CheckpointError::Malformed("phase")),
+    };
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
-// decode
+// base64 transport for `checkpoint_value`
 
-fn field<'a>(v: &'a Value, key: &'static str) -> Result<&'a Value, CheckpointError> {
-    v.get(key).ok_or(CheckpointError::Malformed(key))
-}
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
-fn get_i64(v: &Value, key: &'static str) -> Result<i64, CheckpointError> {
-    field(v, key)?
-        .as_i64()
-        .ok_or(CheckpointError::Malformed(key))
-}
-
-fn get_u64(v: &Value, key: &'static str) -> Result<u64, CheckpointError> {
-    let x = get_i64(v, key)?;
-    u64::try_from(x).map_err(|_| CheckpointError::Malformed(key))
-}
-
-fn get_usize(v: &Value, key: &'static str) -> Result<usize, CheckpointError> {
-    let x = get_u64(v, key)?;
-    usize::try_from(x).map_err(|_| CheckpointError::Malformed(key))
-}
-
-fn get_bool(v: &Value, key: &'static str) -> Result<bool, CheckpointError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or(CheckpointError::Malformed(key))
-}
-
-fn get_time(v: &Value, key: &'static str) -> Result<SimTime, CheckpointError> {
-    Ok(SimTime(get_u64(v, key)?))
-}
-
-fn get_opt_time(v: &Value, key: &'static str) -> Result<Option<SimTime>, CheckpointError> {
-    match field(v, key)? {
-        Value::Null => Ok(None),
-        other => {
-            let x = other.as_i64().ok_or(CheckpointError::Malformed(key))?;
-            let x = u64::try_from(x).map_err(|_| CheckpointError::Malformed(key))?;
-            Ok(Some(SimTime(x)))
+pub(crate) fn to_base64(bytes: &[u8]) -> String {
+    let mut out = Vec::with_capacity(bytes.len().div_ceil(3) * 4);
+    for chunk in bytes.chunks(3) {
+        let byte = |i: usize| chunk.get(i).map_or(0, |&b| b as u32);
+        let n = (byte(0) << 16) | (byte(1) << 8) | byte(2);
+        for shift in [18, 12, 6, 0] {
+            out.push(BASE64.get((n >> shift & 63) as usize).map_or(b'A', |&c| c));
         }
     }
+    // A short last chunk leaves one or two digits of zero bits: pad.
+    let keep = out.len() - (3 - bytes.len() % 3) % 3;
+    out.truncate(keep);
+    out.resize(bytes.len().div_ceil(3) * 4, b'=');
+    String::from_utf8(out).unwrap_or_default()
 }
 
-fn get_array<'a>(v: &'a Value, key: &'static str) -> Result<&'a [Value], CheckpointError> {
-    field(v, key)?
-        .as_array()
-        .ok_or(CheckpointError::Malformed(key))
-}
-
-fn item_u64(items: &[Value], i: usize, key: &'static str) -> Result<u64, CheckpointError> {
-    let x = items
-        .get(i)
-        .and_then(|v| v.as_i64())
-        .ok_or(CheckpointError::Malformed(key))?;
-    u64::try_from(x).map_err(|_| CheckpointError::Malformed(key))
-}
-
-fn item_i64(items: &[Value], i: usize, key: &'static str) -> Result<i64, CheckpointError> {
-    items
-        .get(i)
-        .and_then(|v| v.as_i64())
-        .ok_or(CheckpointError::Malformed(key))
-}
-
-fn class_of(code: u64, key: &'static str) -> Result<RecordClass, CheckpointError> {
-    match code {
-        0 => Ok(RecordClass::Other),
-        1 => Ok(RecordClass::Type1),
-        2 => Ok(RecordClass::Type2),
-        _ => Err(CheckpointError::Malformed(key)),
+/// Inverse of [`BASE64`]: `=` maps to 64, every other byte outside the
+/// alphabet to `0xff`.
+const UNBASE64: [u8; 256] = {
+    let mut t = [0xffu8; 256];
+    t[b'=' as usize] = 64; // wm-lint: allow(panic/index, reason = "const-evaluated")
+    let mut i = 0;
+    while i < 64 {
+        // wm-lint: allow(panic/index, reason = "const-evaluated; i < 64, bytes < 256")
+        t[BASE64[i] as usize] = i as u8;
+        i += 1;
     }
-}
+    t
+};
 
-fn from_hex(s: &str, key: &'static str) -> Result<Vec<u8>, CheckpointError> {
-    let digits: Vec<u32> = s
-        .chars()
-        .map(|c| c.to_digit(16))
-        .collect::<Option<Vec<u32>>>()
-        .ok_or(CheckpointError::Malformed(key))?;
-    if !digits.len().is_multiple_of(2) {
-        return Err(CheckpointError::Malformed(key));
+pub(crate) fn from_base64(s: &str) -> Result<Vec<u8>, CheckpointError> {
+    let raw = s.as_bytes();
+    let pad = raw.iter().rev().take_while(|&&c| c == b'=').count();
+    let digits = raw.get(..raw.len() - pad).unwrap_or(&[]);
+    if !raw.len().is_multiple_of(4) || pad > 2 || digits.contains(&b'=') {
+        return Err(CheckpointError::Malformed("base64"));
     }
-    Ok(digits
-        .chunks(2)
-        .map(|pair| {
-            let hi = pair.first().copied().unwrap_or(0);
-            let lo = pair.get(1).copied().unwrap_or(0);
-            ((hi << 4) | lo) as u8
-        })
-        .collect())
-}
-
-fn config_of(v: &Value) -> Result<OnlineConfig, CheckpointError> {
-    let time_scale = get_u64(v, "time_scale")?;
-    Ok(OnlineConfig {
-        time_scale: u32::try_from(time_scale)
-            .map_err(|_| CheckpointError::Malformed("time_scale"))?,
-        reorder_lag: Duration(get_u64(v, "reorder_lag_us")?),
-        gap_patience: Duration(get_u64(v, "gap_patience_us")?),
-        checkpoint_every_records: get_u64(v, "checkpoint_every_records")?,
-        max_flows: get_usize(v, "max_flows")?,
-        max_pending_events: get_usize(v, "max_pending_events")?,
-        max_ready_events: get_usize(v, "max_ready_events")?,
-        max_recent_apps: get_usize(v, "max_recent_apps")?,
-        max_gap_times: get_usize(v, "max_gap_times")?,
-        max_loss_windows: get_usize(v, "max_loss_windows")?,
-        ingest: IngestLimits {
-            max_carry_bytes: get_usize(v, "max_carry_bytes")?,
-            max_parked_bytes: get_usize(v, "max_parked_bytes")?,
-            max_parked_segments: get_usize(v, "max_parked_segments")?,
-            max_marks: get_usize(v, "max_marks")?,
-        },
-    })
-}
-
-fn flow_of(v: &Value, limits: IngestLimits) -> Result<(FlowId, FlowIngest), CheckpointError> {
-    let id_parts = get_array(v, "id")?;
-    if id_parts.len() != 10 {
-        return Err(CheckpointError::Malformed("id"));
-    }
-    let byte = |i: usize| -> Result<u8, CheckpointError> {
-        let x = item_u64(id_parts, i, "id")?;
-        u8::try_from(x).map_err(|_| CheckpointError::Malformed("id"))
-    };
-    let port = |i: usize| -> Result<u16, CheckpointError> {
-        let x = item_u64(id_parts, i, "id")?;
-        u16::try_from(x).map_err(|_| CheckpointError::Malformed("id"))
-    };
-    let id = FlowId {
-        src_ip: [byte(0)?, byte(1)?, byte(2)?, byte(3)?],
-        src_port: port(4)?,
-        dst_ip: [byte(5)?, byte(6)?, byte(7)?, byte(8)?],
-        dst_port: port(9)?,
-    };
-    let base_seq = match field(v, "base_seq")? {
-        Value::Null => None,
-        other => {
-            let x = other
-                .as_i64()
-                .ok_or(CheckpointError::Malformed("base_seq"))?;
-            Some(u32::try_from(x).map_err(|_| CheckpointError::Malformed("base_seq"))?)
-        }
-    };
-    let mut marks = BoundedVec::new(limits.max_marks);
-    for m in get_array(v, "marks")? {
-        let pair = m.as_array().ok_or(CheckpointError::Malformed("marks"))?;
-        let off = item_i64(pair, 0, "marks")?;
-        let t = SimTime(item_u64(pair, 1, "marks")?);
-        marks.admit((off, t));
-    }
-    let mut parked = ParkedSegments::new(limits.max_parked_bytes, limits.max_parked_segments);
-    for p in get_array(v, "parked")? {
-        let triple = p.as_array().ok_or(CheckpointError::Malformed("parked"))?;
-        let off = item_i64(triple, 0, "parked")?;
-        let t = SimTime(item_u64(triple, 1, "parked")?);
-        let data = triple
-            .get(2)
-            .and_then(|d| d.as_str())
-            .ok_or(CheckpointError::Malformed("parked"))?;
-        parked.park(off, t, &from_hex(data, "parked")?);
-    }
-    let carry_hex = field(v, "carry")?
-        .as_str()
-        .ok_or(CheckpointError::Malformed("carry"))?;
-    let ingest = FlowIngest {
-        limits,
-        base_seq,
-        last_rel: get_i64(v, "last_rel")?,
-        carry: ByteCarry::from_vec(from_hex(carry_hex, "carry")?, limits.max_carry_bytes),
-        carry_start: get_i64(v, "carry_start")?,
-        marks,
-        parked,
-        synced: get_bool(v, "synced")?,
-        hole_since: get_opt_time(v, "hole_since_us")?,
-        last_record_time: get_time(v, "last_record_time_us")?,
-        stats: IngestStats {
-            records: get_u64(v, "records")?,
-            gaps: get_u64(v, "gaps")?,
-            resyncs: get_u64(v, "resyncs")?,
-            skipped_bytes: get_u64(v, "skipped_bytes")?,
-            duplicate_bytes: get_u64(v, "duplicate_bytes")?,
-            parked_overflows: get_u64(v, "parked_overflows")?,
-        },
-    };
-    Ok((id, ingest))
-}
-
-fn ready_evt_of(items: &[Value], key: &'static str) -> Result<ReadyEvent, CheckpointError> {
-    Ok(ReadyEvent {
-        time: SimTime(item_u64(items, 0, key)?),
-        index: item_u64(items, 1, key)?,
-        length: u16::try_from(item_u64(items, 2, key)?)
-            .map_err(|_| CheckpointError::Malformed(key))?,
-        class: class_of(item_u64(items, 3, key)?, key)?,
-    })
-}
-
-fn phase_of(v: &Value) -> Result<Phase, CheckpointError> {
-    let kind = field(v, "kind")?
-        .as_str()
-        .ok_or(CheckpointError::Malformed("kind"))?;
-    match kind {
-        "seek" => Ok(Phase::Seek {
-            seg: SegmentId(
-                u16::try_from(get_u64(v, "seg")?).map_err(|_| CheckpointError::Malformed("seg"))?,
-            ),
-            cp: ChoicePointId(
-                u16::try_from(get_u64(v, "cp")?).map_err(|_| CheckpointError::Malformed("cp"))?,
-            ),
-        }),
-        "open" => {
-            let t1_evt = match field(v, "t1_evt")? {
-                Value::Null => None,
-                other => {
-                    let items = other
-                        .as_array()
-                        .ok_or(CheckpointError::Malformed("t1_evt"))?;
-                    Some(ready_evt_of(items, "t1_evt")?)
-                }
-            };
-            Ok(Phase::Open {
-                seg: SegmentId(
-                    u16::try_from(get_u64(v, "seg")?)
-                        .map_err(|_| CheckpointError::Malformed("seg"))?,
-                ),
-                cp: ChoicePointId(
-                    u16::try_from(get_u64(v, "cp")?)
-                        .map_err(|_| CheckpointError::Malformed("cp"))?,
-                ),
-                t1: get_time(v, "t1_us")?,
-                observed: get_bool(v, "observed")?,
-                t1_evt,
-            })
-        }
-        "done" => Ok(Phase::Done),
-        _ => Err(CheckpointError::Malformed("kind")),
-    }
-}
-
-/// Every object key the checkpoint schema ever writes, in document
-/// order. [`syntax_error`] resolves the bytes it finds near a parse
-/// failure against this vocabulary so the error can carry a
-/// `&'static str` (keeping [`CheckpointError`] `Copy`).
-const SCHEMA_KEYS: &[&str] = &[
-    "version",
-    "graph_fp",
-    "config",
-    "time_scale",
-    "reorder_lag_us",
-    "gap_patience_us",
-    "checkpoint_every_records",
-    "max_flows",
-    "max_pending_events",
-    "max_ready_events",
-    "max_recent_apps",
-    "max_gap_times",
-    "max_loss_windows",
-    "max_carry_bytes",
-    "max_parked_bytes",
-    "max_parked_segments",
-    "max_marks",
-    "classifier",
-    "clock",
-    "max_seen_us",
-    "watermark_us",
-    "finishing",
-    "flows",
-    "id",
-    "base_seq",
-    "carry",
-    "carry_start",
-    "hole_since_us",
-    "last_record_time_us",
-    "last_rel",
-    "marks",
-    "parked",
-    "parked_overflows",
-    "resyncs",
-    "skipped_bytes",
-    "duplicate_bytes",
-    "events",
-    "admit_seq",
-    "pending",
-    "ready",
-    "cursor",
-    "app_count",
-    "app_first_us",
-    "app_second_us",
-    "first_type1_us",
-    "last_kept_t1_us",
-    "last_kept_t2_us",
-    "recent_apps",
-    "gap_times",
-    "loss_windows",
-    "frontier",
-    "phase",
-    "kind",
-    "cp",
-    "seg",
-    "t1_us",
-    "t1_evt",
-    "observed",
-    "predicted_us",
-    "emitted",
-    "records_seen",
-    "stats",
-    "packets",
-    "segments",
-    "truncated_segments",
-    "records",
-    "non_app_records",
-    "report_events",
-    "deduped_events",
-    "late_events",
-    "pending_force_finalized",
-    "ready_evictions",
-    "gaps",
-    "verdicts",
-    "checkpoints",
-];
-
-/// Map a JSON parse failure at `offset` to the checkpoint field being
-/// read when the blob ran out: the schema key whose quoted form opens
-/// last before the failure point. Error path only, so the quadratic
-/// scan over the fixed vocabulary is irrelevant.
-fn syntax_error(bytes: &[u8], offset: usize) -> CheckpointError {
-    let head = bytes.get(..offset.min(bytes.len())).unwrap_or(&[]);
-    let mut near: &'static str = "<start>";
-    let mut best: usize = 0;
-    for key in SCHEMA_KEYS {
-        let pat_len = key.len() + 2;
-        for (i, w) in head.windows(pat_len).enumerate() {
-            if w.first() == Some(&b'"')
-                && w.last() == Some(&b'"')
-                && w.get(1..pat_len - 1)
-                    .is_some_and(|mid| mid == key.as_bytes())
-                && i >= best
-            {
-                best = i;
-                near = key;
-            }
-        }
-    }
-    CheckpointError::Syntax { offset, near }
-}
-
-/// Restore a decoder from checkpoint bytes against `graph`.
-pub(crate) fn decode(
-    bytes: &[u8],
-    graph: Arc<StoryGraph>,
-) -> Result<OnlineDecoder, CheckpointError> {
-    let root = wm_json::parse(bytes).map_err(|e| syntax_error(bytes, e.offset))?;
-    decode_value(&root, graph)
-}
-
-/// Restore a decoder from an already-parsed checkpoint document — the
-/// shard-scoped counterpart of [`encode_value`].
-pub(crate) fn decode_value(
-    root: &Value,
-    graph: Arc<StoryGraph>,
-) -> Result<OnlineDecoder, CheckpointError> {
-    let version = get_i64(root, "version")?;
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::Version(version));
-    }
-    let fp = get_i64(root, "graph_fp")?;
-    if fp != graph_fingerprint(&graph) as i64 {
-        return Err(CheckpointError::GraphMismatch);
-    }
-    let cfg = config_of(field(root, "config")?)?;
-    let classifier = IntervalClassifier::from_json(field(root, "classifier")?)
-        .ok_or(CheckpointError::Classifier)?;
-    let mut decoder = OnlineDecoder::new(classifier, graph, cfg.clone());
-
-    let clock = field(root, "clock")?;
-    decoder.max_seen = get_time(clock, "max_seen_us")?;
-    decoder.watermark = get_time(clock, "watermark_us")?;
-    decoder.finishing = get_bool(clock, "finishing")?;
-
-    for f in get_array(root, "flows")? {
-        let (id, ingest) = flow_of(f, cfg.ingest)?;
-        if decoder.flows.len() >= cfg.max_flows.max(1) {
-            return Err(CheckpointError::Malformed("flows"));
-        }
-        decoder.flows.insert(id, ingest);
-    }
-
-    let events = field(root, "events")?;
-    decoder.admit_seq = get_u64(events, "admit_seq")?;
-    for e in get_array(events, "pending")? {
-        let items = e.as_array().ok_or(CheckpointError::Malformed("pending"))?;
-        decoder.pending.admit(PendingEvent {
-            time: SimTime(item_u64(items, 0, "pending")?),
-            seq: item_u64(items, 1, "pending")?,
-            length: u16::try_from(item_u64(items, 2, "pending")?)
-                .map_err(|_| CheckpointError::Malformed("pending"))?,
-            class: class_of(item_u64(items, 3, "pending")?, "pending")?,
+    let mut out = vec![0u8; raw.len() / 4 * 3];
+    // Out-of-alphabet bytes map to 0xff, the only values with the top
+    // bit set, so OR-ing every lookup flags them with one test.
+    let mut seen = 0u8;
+    for (group, dst) in raw.chunks_exact(4).zip(out.chunks_exact_mut(3)) {
+        let n = group.iter().fold(0u32, |n, &c| {
+            let v = UNBASE64.get(c as usize).copied().unwrap_or(0xff);
+            seen |= v;
+            (n << 6) | (v & 63) as u32
         });
+        let [_, a, b, c] = n.to_be_bytes();
+        dst.copy_from_slice(&[a, b, c]);
     }
-    for e in get_array(events, "ready")? {
-        let items = e.as_array().ok_or(CheckpointError::Malformed("ready"))?;
-        decoder.ready.admit(ready_evt_of(items, "ready")?);
+    if seen & 0x80 != 0 {
+        return Err(CheckpointError::Malformed("base64"));
     }
-    decoder.cursor = get_usize(events, "cursor")?;
-    decoder.app_count = get_u64(events, "app_count")?;
-    decoder.app_first = get_opt_time(events, "app_first_us")?;
-    decoder.app_second = get_opt_time(events, "app_second_us")?;
-    decoder.first_type1 = get_opt_time(events, "first_type1_us")?;
-    decoder.last_kept_t1 = get_opt_time(events, "last_kept_t1_us")?;
-    decoder.last_kept_t2 = get_opt_time(events, "last_kept_t2_us")?;
-    for e in get_array(events, "recent_apps")? {
-        let items = e
-            .as_array()
-            .ok_or(CheckpointError::Malformed("recent_apps"))?;
-        decoder.recent_apps.admit((
-            item_u64(items, 0, "recent_apps")?,
-            SimTime(item_u64(items, 1, "recent_apps")?),
-            u16::try_from(item_u64(items, 2, "recent_apps")?)
-                .map_err(|_| CheckpointError::Malformed("recent_apps"))?,
-        ));
-    }
-    for t in get_array(events, "gap_times")? {
-        let x = t.as_i64().ok_or(CheckpointError::Malformed("gap_times"))?;
-        let x = u64::try_from(x).map_err(|_| CheckpointError::Malformed("gap_times"))?;
-        decoder.gap_times.admit(SimTime(x));
-    }
-    for w in get_array(events, "loss_windows")? {
-        let items = w
-            .as_array()
-            .ok_or(CheckpointError::Malformed("loss_windows"))?;
-        decoder.loss_windows.admit((
-            SimTime(item_u64(items, 0, "loss_windows")?),
-            SimTime(item_u64(items, 1, "loss_windows")?),
-        ));
-    }
-
-    let frontier = field(root, "frontier")?;
-    decoder.phase = phase_of(field(frontier, "phase")?)?;
-    decoder.predicted = get_opt_time(frontier, "predicted_us")?;
-    decoder.emitted = get_u64(frontier, "emitted")?;
-
-    decoder.records_seen = get_u64(root, "records_seen")?;
-    decoder.records_at_checkpoint = decoder.records_seen;
-
-    let st = field(root, "stats")?;
-    decoder.stats = OnlineStats {
-        packets: get_u64(st, "packets")?,
-        segments: get_u64(st, "segments")?,
-        truncated_segments: get_u64(st, "truncated_segments")?,
-        records: get_u64(st, "records")?,
-        non_app_records: get_u64(st, "non_app_records")?,
-        report_events: get_u64(st, "report_events")?,
-        deduped_events: get_u64(st, "deduped_events")?,
-        late_events: get_u64(st, "late_events")?,
-        pending_force_finalized: get_u64(st, "pending_force_finalized")?,
-        ready_evictions: get_u64(st, "ready_evictions")?,
-        flows: get_u64(st, "flows")?,
-        flow_overflow_drops: get_u64(st, "flow_overflow_drops")?,
-        gaps: get_u64(st, "gaps")?,
-        verdicts: get_u64(st, "verdicts")?,
-        checkpoints: get_u64(st, "checkpoints")?,
-        // Session-local: a resumed decoder's resume count starts
-        // fresh (the caller's increment makes it 1).
-        resumes: 0,
-    };
-    Ok(decoder)
-}
-
-/// Parse the document written by [`config_value`] back into an
-/// [`OnlineConfig`].
-pub fn config_from_value(v: &Value) -> Result<OnlineConfig, CheckpointError> {
-    config_of(v)
-}
-
-// ---------------------------------------------------------------------
-// cross-process verdict codec
-
-/// Serialize an [`OnlineVerdict`] as a canonical `wm-json` document,
-/// for shipping verdicts from a process-shard worker back to the
-/// supervisor. The confidence is the only float in the whole decode
-/// pipeline; it crosses the boundary as its IEEE-754 bit pattern
-/// (`f64::to_bits`, stored in the dialect's i64) so the round trip is
-/// exact — the state dialect stays float-free.
-pub fn verdict_value(v: &OnlineVerdict) -> Value {
-    let records: Vec<Value> = v
-        .provenance
-        .records
-        .iter()
-        .map(|r| {
-            Value::array(vec![
-                int(r.index as u64),
-                time(r.time),
-                int(r.length as u64),
-                int(match r.role {
-                    RecordRole::Anchor => 0,
-                    RecordRole::Type1Report => 1,
-                    RecordRole::Type2Report => 2,
-                }),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("index", int(v.index)),
-        ("cp", int(v.choice.cp.0 as u64)),
-        ("choice", int(v.choice.choice.index() as u64)),
-        ("t_us", time(v.choice.time)),
-        ("observed", Value::from(v.choice.observed)),
-        (
-            "conf_bits",
-            Value::from(v.choice.confidence.to_bits() as i64),
-        ),
-        (
-            "tier",
-            int(match v.provenance.tier {
-                ConfidenceTier::Observed => 0,
-                ConfidenceTier::Inferred => 1,
-                ConfidenceTier::Blind => 2,
-            }),
-        ),
-        ("near_gap", Value::from(v.provenance.near_gap)),
-        ("records", Value::array(records)),
-    ])
-}
-
-/// Parse the document written by [`verdict_value`] back into an
-/// [`OnlineVerdict`].
-pub fn verdict_from_value(v: &Value) -> Result<OnlineVerdict, CheckpointError> {
-    let mut records = Vec::new();
-    for r in get_array(v, "records")? {
-        let items = r.as_array().ok_or(CheckpointError::Malformed("records"))?;
-        records.push(ProvenanceRecord {
-            index: usize::try_from(item_u64(items, 0, "records")?)
-                .map_err(|_| CheckpointError::Malformed("records"))?,
-            time: SimTime(item_u64(items, 1, "records")?),
-            length: u16::try_from(item_u64(items, 2, "records")?)
-                .map_err(|_| CheckpointError::Malformed("records"))?,
-            role: match item_u64(items, 3, "records")? {
-                0 => RecordRole::Anchor,
-                1 => RecordRole::Type1Report,
-                2 => RecordRole::Type2Report,
-                _ => return Err(CheckpointError::Malformed("records")),
-            },
-        });
-    }
-    let choice = Choice::from_index(
-        usize::try_from(get_u64(v, "choice")?).map_err(|_| CheckpointError::Malformed("choice"))?,
-    )
-    .ok_or(CheckpointError::Malformed("choice"))?;
-    let conf_bits = field(v, "conf_bits")?
-        .as_i64()
-        .ok_or(CheckpointError::Malformed("conf_bits"))?;
-    Ok(OnlineVerdict {
-        index: get_u64(v, "index")?,
-        choice: DecodedChoice {
-            cp: ChoicePointId(
-                u16::try_from(get_u64(v, "cp")?).map_err(|_| CheckpointError::Malformed("cp"))?,
-            ),
-            choice,
-            time: get_time(v, "t_us")?,
-            observed: get_bool(v, "observed")?,
-            confidence: f64::from_bits(conf_bits as u64),
-        },
-        provenance: ChoiceProvenance {
-            records,
-            tier: match get_u64(v, "tier")? {
-                0 => ConfidenceTier::Observed,
-                1 => ConfidenceTier::Inferred,
-                2 => ConfidenceTier::Blind,
-                _ => return Err(CheckpointError::Malformed("tier")),
-            },
-            near_gap: get_bool(v, "near_gap")?,
-        },
-    })
+    out.truncate(out.len() - pad);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -990,22 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_checkpoint_roundtrips_byte_identically() {
-        let mut d = fresh();
-        let cp = d.checkpoint();
-        let mut restored =
-            OnlineDecoder::resume_from_checkpoint(&cp, Arc::new(tiny_film())).unwrap();
-        assert_eq!(restored.stats().resumes, 1);
-        let cp2 = restored.checkpoint();
-        // Counters that moved: checkpoints (1 → 2). Everything else
-        // byte-identical. Take a third to prove stability.
-        let mut restored2 =
-            OnlineDecoder::resume_from_checkpoint(&cp2, Arc::new(tiny_film())).unwrap();
-        let cp3 = restored2.checkpoint();
-        assert_eq!(cp2.len(), cp3.len());
-    }
-
-    #[test]
     fn checkpoint_is_deterministic() {
         let mut a = fresh();
         let mut b = fresh();
@@ -1013,98 +949,111 @@ mod tests {
     }
 
     #[test]
-    fn version_and_graph_are_validated() {
-        let mut d = fresh();
-        let cp = d.checkpoint();
-        // Wrong graph: a film with a different topology.
+    fn magic_version_length_crc_and_graph_are_validated() {
+        let cp = fresh().checkpoint();
+        assert_eq!(
+            cp[LENGTH_AT..LENGTH_AT + 4],
+            (cp.len() as u32).to_le_bytes()
+        );
         let other = Arc::new(wm_story::bandersnatch::bandersnatch());
         assert_eq!(
             OnlineDecoder::resume_from_checkpoint(&cp, other).err(),
             Some(CheckpointError::GraphMismatch)
         );
-        // Corrupted blob: the error carries where the parse died.
-        assert!(matches!(
-            OnlineDecoder::resume_from_checkpoint(b"not json", Arc::new(tiny_film())).err(),
-            Some(CheckpointError::Syntax { .. })
-        ));
-        // Truncation mid-document names the field being read: cut the
-        // blob right after the `classifier` key opens and the error
-        // must point at it.
-        let full = fresh().checkpoint();
-        let text = std::str::from_utf8(&full).unwrap();
-        let cut = text.find("\"classifier\"").unwrap() + "\"classifier\"".len() + 1;
-        match OnlineDecoder::resume_from_checkpoint(&full[..cut], Arc::new(tiny_film())).err() {
-            Some(CheckpointError::Syntax { near, .. }) => assert_eq!(near, "classifier"),
-            other => panic!("expected Syntax error naming `classifier`, got {other:?}"),
-        }
-        // Bumped version.
-        let text = String::from_utf8(cp).unwrap();
-        let bumped = text.replace("\"version\":1", "\"version\":99");
+        let film = || Arc::new(tiny_film());
         assert_eq!(
-            OnlineDecoder::resume_from_checkpoint(bumped.as_bytes(), Arc::new(tiny_film())).err(),
+            OnlineDecoder::resume_from_checkpoint(b"not a blob", film()).err(),
+            Some(CheckpointError::Magic)
+        );
+        let mut bumped = cp.clone();
+        bumped[4] = 99;
+        assert_eq!(
+            OnlineDecoder::resume_from_checkpoint(&bumped, film()).err(),
             Some(CheckpointError::Version(99))
+        );
+        let mut longer = cp.clone();
+        longer.push(0);
+        assert_eq!(
+            OnlineDecoder::resume_from_checkpoint(&longer, film()).err(),
+            Some(CheckpointError::Length {
+                declared: cp.len(),
+                actual: cp.len() + 1
+            })
+        );
+        let mut flipped = cp.clone();
+        flipped[HEADER_LEN + 20] ^= 0x10;
+        assert!(matches!(
+            OnlineDecoder::resume_from_checkpoint(&flipped, film()).err(),
+            Some(CheckpointError::Checksum { .. })
+        ));
+        // A cut names the field or region it hit.
+        for (cut, region) in [
+            (2, "magic"),
+            (HEADER_LEN - 4, "header"),
+            (cp.len() - 2, "crc"),
+        ] {
+            let err = OnlineDecoder::resume_from_checkpoint(&cp[..cut], film()).err();
+            let near = match err {
+                Some(CheckpointError::Truncated { near, .. }) => near,
+                other => panic!("cut at {cut}: expected truncation, got {other:?}"),
+            };
+            assert_eq!(near, region);
+        }
+    }
+
+    #[test]
+    fn records_split_and_reseal_by_byte_ranges() {
+        let graph = Arc::new(tiny_film());
+        let header = BlobHeader {
+            shard: 3,
+            taken: SimTime(77),
+            graph_fp: graph_fingerprint(&graph),
+            cfg: OnlineConfig::scaled(20),
+            classifier: classifier(),
+        };
+        let mut w = BlobWriter::new(&header);
+        for victim in [2u32, 5, 9] {
+            w.push_decoder(victim, SimTime(victim as u64 * 10), &mut fresh());
+        }
+        let blob = w.finish();
+        let parsed = Blob::parse(&blob).unwrap();
+        assert_eq!((parsed.header.shard, parsed.header.taken), (3, SimTime(77)));
+        assert_eq!(parsed.header.cfg, header.cfg);
+        let victims = |b: &Blob<'_>| b.records.iter().map(|r| r.victim).collect::<Vec<_>>();
+        assert_eq!(victims(&parsed), [2, 5, 9]);
+        // Re-sealing the same records reproduces the blob; splicing
+        // inserts a new victim in order while `keep` drops another,
+        // and the carried records are the same bytes.
+        assert_eq!(parsed.reseal(|_| true, Some(parsed.records[1])), blob);
+        let mut framed = parsed.records[1].bytes.to_vec();
+        framed[4..8].copy_from_slice(&7u32.to_le_bytes());
+        let moved = split_records(&framed, 0).unwrap()[0];
+        let spliced = parsed.reseal(|v| v != 9, Some(moved));
+        let spliced = Blob::parse(&spliced).unwrap();
+        assert_eq!(victims(&spliced), [2, 5, 7]);
+        assert_eq!(spliced.records[0].bytes, parsed.records[0].bytes);
+        let dec = restore_record(&spliced.records[2], &header.classifier, &header.cfg, graph);
+        assert_eq!(dec.unwrap().stats().resumes, 1);
+        // Out-of-order records are rejected.
+        let mut w = BlobWriter::new(&header);
+        w.push_record(parsed.records[1].bytes);
+        w.push_record(parsed.records[0].bytes);
+        assert_eq!(
+            Blob::parse(&w.finish()).err(),
+            Some(CheckpointError::Malformed("victim order"))
         );
     }
 
     #[test]
-    fn verdict_codec_roundtrips_exactly() {
-        let verdict = OnlineVerdict {
-            index: 3,
-            choice: DecodedChoice {
-                cp: ChoicePointId(2),
-                choice: Choice::NonDefault,
-                time: SimTime(1_234_567),
-                observed: true,
-                // A value with no short decimal form: the bit-pattern
-                // transport must reproduce it exactly.
-                confidence: 0.1 + 0.7 * 0.3,
-            },
-            provenance: ChoiceProvenance {
-                records: vec![
-                    ProvenanceRecord {
-                        index: 41,
-                        time: SimTime(1_230_000),
-                        length: 2_215,
-                        role: RecordRole::Type1Report,
-                    },
-                    ProvenanceRecord {
-                        index: 43,
-                        time: SimTime(1_240_000),
-                        length: 2_999,
-                        role: RecordRole::Type2Report,
-                    },
-                ],
-                tier: ConfidenceTier::Observed,
-                near_gap: true,
-            },
-        };
-        let doc = verdict_value(&verdict);
-        let back = verdict_from_value(&doc).unwrap();
-        assert_eq!(back.index, verdict.index);
-        assert_eq!(back.choice, verdict.choice);
-        assert!(back.choice.confidence.to_bits() == verdict.choice.confidence.to_bits());
-        assert_eq!(back.provenance, verdict.provenance);
-        // Canonical bytes are stable across a re-encode.
-        assert_eq!(
-            wm_json::to_bytes(&doc),
-            wm_json::to_bytes(&verdict_value(&back))
-        );
-        // Damaged documents yield typed errors, never panics.
-        let mut fields = vec![
-            ("index", Value::from("nope")),
-            ("tier", Value::from(9i64)),
-            ("choice", Value::from(7i64)),
-        ];
-        for (key, bad) in fields.drain(..) {
-            let mut doc = verdict_value(&verdict);
-            if let Value::Object(ref mut entries) = doc {
-                for entry in entries.iter_mut() {
-                    if entry.0 == key {
-                        entry.1 = bad.clone();
-                    }
-                }
-            }
-            assert!(verdict_from_value(&doc).is_err(), "field {key}");
+    fn base64_transport_roundtrips() {
+        for len in 0..8 {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 97 + 200) as u8).collect();
+            assert_eq!(from_base64(&to_base64(&bytes)).unwrap(), bytes);
+        }
+        assert_eq!(to_base64(b"Man"), "TWFu");
+        assert_eq!(to_base64(b"Ma"), "TWE=");
+        for bad in ["TWF", "TW=u", "TWE=TWFu", "T!Fu", "T==="] {
+            assert!(from_base64(bad).is_err(), "{bad}");
         }
     }
 

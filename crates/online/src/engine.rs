@@ -22,8 +22,8 @@
 //!
 //! Crash recovery: [`OnlineDecoder::checkpoint`] serializes the whole
 //! decoder — ingest carries, pending/ready events, the phase frontier,
-//! classifier calibration — into a compact, versioned, byte-
-//! deterministic JSON blob on a configurable record cadence, and
+//! classifier calibration — into a compact, versioned, CRC-sealed
+//! binary blob on a configurable record cadence, and
 //! [`OnlineDecoder::resume_from_checkpoint`] restores it. Replaying
 //! the packets after the checkpoint yields the uninterrupted verdict
 //! stream with zero duplicates; packets lost between checkpoint and
@@ -124,6 +124,53 @@ impl OnlineConfig {
     /// of zero degrade gracefully (the engine clamps to one).
     pub fn validate(&self) -> Result<(), crate::ingest::IngestLimitsError> {
         self.ingest.validate()
+    }
+
+    /// Every knob as one integer, in a fixed order: the form both the
+    /// checkpoint header and the process-shard `Init` payload carry.
+    pub fn to_words(&self) -> [u64; 14] {
+        [
+            self.time_scale as u64,
+            self.reorder_lag.micros(),
+            self.gap_patience.micros(),
+            self.checkpoint_every_records,
+            self.max_flows as u64,
+            self.max_pending_events as u64,
+            self.max_ready_events as u64,
+            self.max_recent_apps as u64,
+            self.max_gap_times as u64,
+            self.max_loss_windows as u64,
+            self.ingest.max_carry_bytes as u64,
+            self.ingest.max_parked_bytes as u64,
+            self.ingest.max_parked_segments as u64,
+            self.ingest.max_marks as u64,
+        ]
+    }
+
+    /// The inverse of [`OnlineConfig::to_words`]; `None` when a word
+    /// does not fit its field.
+    pub fn from_words(words: [u64; 14]) -> Option<Self> {
+        let [scale, lag, patience, every, sizes @ ..] = words;
+        let [flows, pending, ready, recent, gaps, losses, carry, parked, segs, marks] =
+            sizes.map(|x| usize::try_from(x).ok());
+        Some(OnlineConfig {
+            time_scale: u32::try_from(scale).ok()?,
+            reorder_lag: Duration(lag),
+            gap_patience: Duration(patience),
+            checkpoint_every_records: every,
+            max_flows: flows?,
+            max_pending_events: pending?,
+            max_ready_events: ready?,
+            max_recent_apps: recent?,
+            max_gap_times: gaps?,
+            max_loss_windows: losses?,
+            ingest: IngestLimits {
+                max_carry_bytes: carry?,
+                max_parked_bytes: parked?,
+                max_parked_segments: segs?,
+                max_marks: marks?,
+            },
+        })
     }
 }
 
@@ -955,28 +1002,38 @@ impl OnlineDecoder {
     // -- checkpointing ------------------------------------------------
 
     /// Serialize the full decoder state into a compact, versioned,
-    /// byte-deterministic blob (see [`crate::checkpoint`] for the
-    /// format). Resets the cadence clock.
+    /// checksummed blob: the one-record form of the shard checkpoint
+    /// layout (see [`crate::checkpoint`]). Resets the cadence clock.
     pub fn checkpoint(&mut self) -> Vec<u8> {
-        self.record_checkpoint_gauges();
-        self.records_at_checkpoint = self.records_seen;
-        self.stats.checkpoints = self.stats.checkpoints.saturating_add(1);
-        self.flush_telemetry();
-        crate::checkpoint::encode(self)
+        let header = crate::checkpoint::BlobHeader {
+            shard: 0,
+            taken: SimTime::ZERO,
+            graph_fp: crate::checkpoint::graph_fingerprint(&self.graph),
+            cfg: self.cfg.clone(),
+            classifier: self.classifier.clone(),
+        };
+        let mut blob = crate::checkpoint::BlobWriter::new(&header);
+        blob.push_decoder(0, SimTime::ZERO, self);
+        blob.finish()
     }
 
-    /// Shard-scoped checkpoint: the same state as
-    /// [`OnlineDecoder::checkpoint`] but as a [`wm_json::Value`], so a
-    /// supervisor snapshotting a whole shard of decoders can embed
-    /// each one in a single canonical JSON document instead of
-    /// JSON-escaped-inside-JSON. Resets the cadence clock exactly like
-    /// the byte form.
-    pub fn checkpoint_value(&mut self) -> wm_json::Value {
+    /// Shard-scoped checkpoint: append this decoder to `out` as one
+    /// framed record for `victim` (last seen at `seen`), without the
+    /// header a shard blob writes once for all its records. Resets the
+    /// cadence clock exactly like [`OnlineDecoder::checkpoint`].
+    pub fn checkpoint_record(&mut self, victim: u32, seen: SimTime, out: &mut Vec<u8>) {
         self.record_checkpoint_gauges();
         self.records_at_checkpoint = self.records_seen;
         self.stats.checkpoints = self.stats.checkpoints.saturating_add(1);
         self.flush_telemetry();
-        crate::checkpoint::encode_value(self)
+        crate::checkpoint::encode_record(self, victim, seen, out);
+    }
+
+    /// [`OnlineDecoder::checkpoint`] carried as a base64 string inside
+    /// a [`wm_json::Value`], for callers that move checkpoints through
+    /// JSON documents. The blob is the only codec; this only wraps it.
+    pub fn checkpoint_value(&mut self) -> wm_json::Value {
+        wm_json::Value::from(crate::checkpoint::to_base64(&self.checkpoint()))
     }
 
     /// Health gauges observed at every checkpoint, before the cadence
@@ -993,15 +1050,15 @@ impl OnlineDecoder {
     }
 
     /// Restore a decoder from a value produced by
-    /// [`OnlineDecoder::checkpoint_value`] (or by parsing checkpoint
-    /// bytes out of a larger shard document).
+    /// [`OnlineDecoder::checkpoint_value`].
     pub fn resume_from_value(
         value: &wm_json::Value,
         graph: Arc<StoryGraph>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let mut decoder = crate::checkpoint::decode_value(value, graph)?;
-        decoder.stats.resumes = decoder.stats.resumes.saturating_add(1);
-        Ok(decoder)
+        let text = value
+            .as_str()
+            .ok_or(crate::checkpoint::CheckpointError::Malformed("value"))?;
+        Self::resume_from_checkpoint(&crate::checkpoint::from_base64(text)?, graph)
     }
 
     /// Restore a decoder from a checkpoint taken by
@@ -1013,8 +1070,6 @@ impl OnlineDecoder {
         bytes: &[u8],
         graph: Arc<StoryGraph>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        let mut decoder = crate::checkpoint::decode(bytes, graph)?;
-        decoder.stats.resumes = decoder.stats.resumes.saturating_add(1);
-        Ok(decoder)
+        crate::checkpoint::decode(bytes, graph)
     }
 }

@@ -17,8 +17,9 @@
 //! * [`ingest::FlowIngest`] — per-flow streaming reassembly under hard
 //!   byte budgets, tolerant of reordering, truncation, duplicates and
 //!   mid-session tap attach.
-//! * [`checkpoint`] — compact, versioned, byte-deterministic decoder
-//!   snapshots on a configurable record cadence;
+//! * [`checkpoint`] — compact, versioned, CRC-sealed binary decoder
+//!   snapshots on a configurable record cadence, in the one layout a
+//!   fleet shard also uses for many decoders;
 //!   [`engine::OnlineDecoder::resume_from_checkpoint`] restores one
 //!   after a process kill with zero duplicated verdicts and explicit
 //!   loss-window reporting for anything dropped in between.
@@ -34,13 +35,14 @@
 
 pub mod bounded;
 pub mod checkpoint;
+mod crc;
 pub mod engine;
 pub mod ingest;
 pub mod shard;
 
 pub use checkpoint::{
-    config_from_value, config_value, graph_fingerprint, verdict_from_value, verdict_value,
-    CheckpointError, CHECKPOINT_VERSION,
+    graph_fingerprint, restore_record, split_records, Blob, BlobHeader, BlobWriter,
+    CheckpointError, RecordRef, CHECKPOINT_VERSION,
 };
 pub use engine::{OnlineConfig, OnlineDecoder, OnlineStats, OnlineVerdict};
 pub use ingest::{

@@ -13,7 +13,10 @@ use std::sync::Arc;
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{impair_capture, CaptureImpairment, TapPacket};
 use wm_core::{IntervalClassifier, WhiteMirrorConfig};
-use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
+use wm_online::{
+    graph_fingerprint, restore_record, Blob, BlobHeader, BlobWriter, CheckpointError, OnlineConfig,
+    OnlineDecoder, OnlineVerdict,
+};
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::tiny_film;
 use wm_story::{Choice, ViewerScript};
@@ -220,12 +223,12 @@ fn checkpoint_truncated_at_every_byte_is_rejected_cleanly() {
                 "truncation at byte {torn}/{} restored a decoder",
                 blob.len()
             ),
-            Err(wm_online::CheckpointError::Syntax { offset, near }) => {
+            Err(CheckpointError::Truncated { offset, near }) => {
                 assert!(
                     offset <= torn,
                     "reported offset {offset} past the {torn}-byte blob"
                 );
-                assert!(!near.is_empty(), "Syntax error must name a field context");
+                assert!(!near.is_empty(), "truncation must name a field context");
             }
             // Rarely a prefix is *parseable* JSON (e.g. cut after a
             // closing brace of a nested value is still invalid at the
@@ -248,6 +251,103 @@ fn checkpoint_truncated_at_every_byte_is_rejected_cleanly() {
     );
     for (i, v) in verdicts.iter().enumerate() {
         assert_eq!(v.index, i as u64, "verdict indices must be contiguous");
+    }
+}
+
+/// Restore every record of a multi-victim blob, the way a shard
+/// restore does.
+fn restore_blob(
+    bytes: &[u8],
+    graph: &Arc<wm_story::StoryGraph>,
+) -> Result<Vec<OnlineDecoder>, CheckpointError> {
+    let blob = Blob::parse(bytes)?;
+    blob.header.check_graph(graph)?;
+    blob.records
+        .iter()
+        .map(|rec| {
+            restore_record(
+                rec,
+                &blob.header.classifier,
+                &blob.header.cfg,
+                graph.clone(),
+            )
+        })
+        .collect()
+}
+
+/// Flip every bit of `blob` in turn; `restore` must reject each copy.
+/// Returns how many flips were checked.
+fn every_bit_flip_is_rejected<T>(
+    blob: &[u8],
+    what: &str,
+    restore: impl Fn(&[u8]) -> Result<T, CheckpointError>,
+) -> usize {
+    let mut damaged = blob.to_vec();
+    for byte in 0..blob.len() {
+        for bit in 0..8 {
+            damaged[byte] ^= 1 << bit;
+            assert!(
+                restore(&damaged).is_err(),
+                "{what}: flipping bit {bit} of byte {byte}/{} restored",
+                blob.len()
+            );
+            damaged[byte] ^= 1 << bit;
+        }
+    }
+    blob.len() * 8
+}
+
+#[test]
+fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
+    // Storage-corruption model: one bit of a stored checkpoint flips.
+    // The CRC-32 trailer detects every single-bit error, so every flip
+    // of a real mid-stream decoder checkpoint — and of a multi-victim
+    // shard blob built from such decoders — must be rejected with a
+    // typed error: never restored with altered state, never a panic.
+    let clf = trained_classifier();
+    let graph = Arc::new(tiny_film());
+    let cfg = OnlineConfig::scaled(TS);
+    let mid_stream = |seed: u64, picks: &[Choice]| {
+        let packets = tap_packets(&session(seed, picks));
+        let mut dec = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
+        feed(&mut dec, &packets[..packets.len() / 2]);
+        dec
+    };
+
+    let blob = mid_stream(
+        940,
+        &[Choice::NonDefault, Choice::Default, Choice::NonDefault],
+    )
+    .checkpoint();
+    assert!(OnlineDecoder::resume_from_checkpoint(&blob, graph.clone()).is_ok());
+    let flips = every_bit_flip_is_rejected(&blob, "decoder checkpoint", |b| {
+        OnlineDecoder::resume_from_checkpoint(b, graph.clone())
+    });
+    assert_eq!(flips, blob.len() * 8);
+
+    let header = BlobHeader {
+        shard: 2,
+        taken: SimTime(1_000_000),
+        graph_fp: graph_fingerprint(&graph),
+        cfg: cfg.clone(),
+        classifier: clf.clone(),
+    };
+    let mut writer = BlobWriter::new(&header);
+    for (victim, seed) in [(3u32, 941u64), (8, 942), (21, 943)] {
+        let mut dec = mid_stream(
+            seed,
+            &[Choice::Default, Choice::NonDefault, Choice::Default],
+        );
+        writer.push_decoder(victim, SimTime(seed), &mut dec);
+    }
+    let shard_blob = writer.finish();
+    assert_eq!(restore_blob(&shard_blob, &graph).map(|d| d.len()), Ok(3));
+    every_bit_flip_is_rejected(&shard_blob, "shard blob", |b| restore_blob(b, &graph));
+    for torn in 0..shard_blob.len() {
+        match restore_blob(&shard_blob[..torn], &graph).map(|d| d.len()) {
+            Err(CheckpointError::Truncated { offset, .. }) => assert!(offset <= torn),
+            other => panic!("shard blob cut at {torn}: expected truncation, got {other:?}"),
+        }
     }
 }
 
