@@ -2,13 +2,11 @@
 //!
 //! Measures the sharded streaming-decode engine
 //! ([`wm_online::decode_sessions_sharded`]) end to end: a pool of
-//! simulated victim captures is decoded as a fleet, once under the
-//! work-stealing scheduler and once under the legacy fixed
-//! contiguous-chunk scheduler, with the two outputs asserted equal —
-//! scheduling must never change what the attacker decodes. Reported:
-//! sessions/sec, records/sec decoded, bytes/sec ingested and peak RSS,
-//! written to `BENCH_throughput.json` (schema-checked in-process; CI
-//! validates the same file).
+//! simulated victim captures is decoded as a fleet under the
+//! work-stealing scheduler. Reported: sessions/sec, records/sec
+//! decoded, bytes/sec ingested and peak RSS, written to
+//! `BENCH_throughput.json` (schema-checked in-process; CI validates
+//! the same file).
 //!
 //! ```sh
 //! cargo run --release -p wm-bench --bin throughput [-- --smoke] [-- --soak [N]]
@@ -21,9 +19,7 @@
 //! yields exactly the expected verdicts — zero lost, zero duplicated.
 
 use std::time::Instant;
-use wm_bench::throughput::{
-    current_rss_bytes, decode_sessions_contiguous, peak_rss_bytes, validate_throughput_json,
-};
+use wm_bench::throughput::{current_rss_bytes, peak_rss_bytes, validate_throughput_json};
 use wm_bench::{
     graph, sample_behavior, train_attack_for, viewer_cfg, write_bench_json, TraceTally, TIME_SCALE,
 };
@@ -88,7 +84,7 @@ fn main() {
         pool_n as f64 / gen_secs
     );
 
-    // ---- fleet decode: work-stealing vs contiguous chunks -----------
+    // ---- fleet decode ------------------------------------------------
     let batch_n: usize = if smoke { 16 } else { 256 };
     let batch: Vec<Vec<CapturedPacket>> =
         (0..batch_n).map(|i| pool[i % pool.len()].clone()).collect();
@@ -105,19 +101,10 @@ fn main() {
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let t = Instant::now();
-    let contiguous = decode_sessions_contiguous(&classifier, &graph, &cfg, &batch, workers);
-    let contiguous_secs = t.elapsed().as_secs_f64();
-    assert_eq!(
-        sharded, contiguous,
-        "scheduling must not change decode output"
-    );
 
     let records: u64 = sharded.iter().map(|s| s.stats.records).sum();
     let verdicts: u64 = sharded.iter().map(|s| s.verdicts.len() as u64).sum();
     let sessions_per_sec = batch_n as f64 / sharded_secs;
-    let sessions_per_sec_contiguous = batch_n as f64 / contiguous_secs;
-    let speedup = sessions_per_sec / sessions_per_sec_contiguous;
     let peak_rss = peak_rss_bytes().unwrap_or(0);
 
     println!("  fleet: {batch_n} sessions, {records} records, {batch_bytes} capture bytes");
@@ -127,7 +114,6 @@ fn main() {
         records as f64 / sharded_secs,
         batch_bytes as f64 / sharded_secs,
     );
-    println!("  contiguous chunks:            {sessions_per_sec_contiguous:>10.1} sessions/s  (speedup {speedup:.2}x)");
     println!(
         "  verdicts: {verdicts}   peak RSS: {:.1} MiB",
         peak_rss as f64 / (1024.0 * 1024.0)
@@ -206,8 +192,6 @@ fn main() {
         ("records_per_sec", records as f64 / sharded_secs),
         ("bytes_per_sec", batch_bytes as f64 / sharded_secs),
         ("peak_rss_bytes", peak_rss as f64),
-        ("sessions_per_sec_contiguous", sessions_per_sec_contiguous),
-        ("speedup_vs_contiguous", speedup),
         ("gen_sessions_per_sec", pool_n as f64 / gen_secs),
         ("fleet_sessions", batch_n as f64),
         ("verdicts_total", verdicts as f64),

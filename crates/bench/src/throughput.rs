@@ -2,77 +2,20 @@
 //!
 //! The binary measures the sharded decode engine end to end; this
 //! module holds the pieces worth exercising without the full harness:
-//! the legacy contiguous-chunk scheduler the speedup is measured
-//! against, `/proc`-based RSS probes, and the schema check CI runs
-//! against the emitted `BENCH_throughput.json`.
-
-use std::sync::Arc;
-use wm_core::IntervalClassifier;
-use wm_online::{replay_session, CapturedPacket, OnlineConfig, SessionDecode};
-use wm_story::StoryGraph;
+//! `/proc`-based RSS probes and the schema check CI runs against the
+//! emitted `BENCH_throughput.json`.
 
 /// Every metric `BENCH_throughput.json` must carry. The first four are
-/// the headline numbers; `*_contiguous` pins the scheduling comparison
-/// so a regression to contiguous chunking cannot pass the schema gate
-/// by silently dropping the baseline, and the `obs_*` pair pins the
-/// metrics-plane overhead story (observed vs bare serial replay,
-/// budget ≤ 1.05).
+/// the headline numbers; the `obs_*` pair pins the metrics-plane
+/// overhead story (observed vs bare serial replay, budget ≤ 1.05).
 pub const REQUIRED_METRICS: &[&str] = &[
     "sessions_per_sec",
     "records_per_sec",
     "bytes_per_sec",
     "peak_rss_bytes",
-    "sessions_per_sec_contiguous",
-    "speedup_vs_contiguous",
     "sessions_per_sec_obs",
     "obs_overhead_ratio",
 ];
-
-/// The pre-work-stealing scheduler, kept as the bench baseline: split
-/// the session list into `workers` fixed contiguous chunks and decode
-/// each chunk on its own thread. A pathologically long session
-/// serializes everything behind it in its chunk — exactly the tail the
-/// dynamic pool removes. Output is still in session order, identical
-/// to [`wm_online::decode_sessions_sharded`] (the bin asserts this).
-pub fn decode_sessions_contiguous(
-    classifier: &IntervalClassifier,
-    graph: &Arc<StoryGraph>,
-    cfg: &OnlineConfig,
-    sessions: &[Vec<CapturedPacket>],
-    workers: usize,
-) -> Vec<SessionDecode> {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        workers
-    };
-    if workers <= 1 || sessions.len() <= 1 {
-        return sessions
-            .iter()
-            .map(|s| replay_session(classifier, graph, cfg, s))
-            .collect();
-    }
-    let chunk = sessions.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sessions
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .map(|s| replay_session(classifier, graph, cfg, s))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("decode worker panicked"))
-            .collect()
-    })
-}
 
 /// Peak resident set (`VmHWM`) of this process, in bytes. `None` off
 /// Linux or if `/proc` is unreadable.
@@ -105,31 +48,6 @@ mod tests {
     use super::*;
     use crate::{bench_json, TraceTally};
     use wm_telemetry::Snapshot;
-
-    fn classifier() -> IntervalClassifier {
-        IntervalClassifier {
-            type1: (2000, 2100),
-            type2: (900, 950),
-            slack: 5,
-        }
-    }
-
-    #[test]
-    fn contiguous_matches_sharded_on_trivial_fleets() {
-        let graph = Arc::new(wm_story::bandersnatch::tiny_film());
-        let cfg = OnlineConfig::scaled(20);
-        let c = classifier();
-        // Empty captures decode to empty results; equality across both
-        // schedulers and several worker counts still checks the merge
-        // order plumbing end to end.
-        let sessions: Vec<Vec<CapturedPacket>> = vec![Vec::new(); 5];
-        let reference = wm_online::decode_sessions_sharded(&c, &graph, &cfg, &sessions, 1);
-        for workers in [1usize, 2, 4] {
-            let got = decode_sessions_contiguous(&c, &graph, &cfg, &sessions, workers);
-            assert_eq!(got, reference, "workers = {workers}");
-        }
-        assert!(decode_sessions_contiguous(&c, &graph, &cfg, &[], 4).is_empty());
-    }
 
     #[test]
     fn rss_probes_report_plausible_values() {

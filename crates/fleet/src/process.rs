@@ -24,13 +24,17 @@
 //! Feed, `0x04` Checkpoint, `0x05` EvictIdle, `0x06` FinishAll, `0x07`
 //! Drain, `0x08` Adopt, `0x09` Shutdown. Replies (worker →
 //! supervisor): `0x80` Ok, `0x81` Verdicts, `0x82` Blob, `0x83`
-//! Drained, `0xFF` Err. Hot-path payloads (Feed) are fixed-layout
-//! binary. Decoder state crosses the pipe in the checkpoint codec of
-//! [`wm_online::checkpoint`]: `Restore` and `Blob` carry a sealed shard
-//! blob verbatim, `Drained` the drained victims' framed records back to
-//! back, and `Adopt` one such record — the same bytes a shard blob
-//! holds. `Init` and `Verdicts` ride canonical `wm-json` documents.
-//! Every payload is byte-deterministic by construction.
+//! Drained, `0xFF` Err. Every payload is binary, built from the
+//! primitives of [`wm_online::checkpoint`]: `Restore` and `Blob` carry
+//! a sealed shard blob verbatim, `Drained` the drained victims' framed
+//! records back to back, and `Adopt` one such record — the same bytes
+//! a shard blob holds. `Init` is a sealed zero-record blob, whose
+//! header carries the shard, config, classifier and graph
+//! fingerprint, followed by the graph topology. `Verdicts` is one
+//! field walk ([`Pass`]) over the verdicts, the live set and the state
+//! bytes, so its encoder and decoder cannot drift. Feed, Checkpoint,
+//! EvictIdle, Drain and Err are fixed little-endian layouts. Every
+//! payload is byte-deterministic by construction.
 //!
 //! Each `Verdicts` reply carries the worker's *full* live-victim set
 //! and resident state bytes, so the supervisor's routing cache is
@@ -47,11 +51,14 @@ use wm_capture::time::{Duration, SimTime};
 use wm_core::provenance::{ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole};
 use wm_core::DecodedChoice;
 use wm_core::IntervalClassifier;
-use wm_json::Value;
-use wm_online::{split_records, OnlineConfig, OnlineVerdict};
-use wm_story::{
-    Choice, ChoiceOption, ChoicePoint, ChoicePointId, Segment, SegmentEnd, SegmentId, StoryGraph,
+use wm_online::checkpoint::{
+    flag, read_graph, seq, time, variant, write_graph, Pass, Reader, Step, Writer,
 };
+use wm_online::{
+    graph_fingerprint, split_records, Blob, BlobHeader, BlobWriter, CheckpointError, OnlineConfig,
+    OnlineVerdict,
+};
+use wm_story::{Choice, ChoicePointId, StoryGraph};
 
 use crate::shard::{
     one_record, parse_envelope, ShardRestoreError, ShardRestoreErrorKind, ShardState, WorkerFault,
@@ -216,43 +223,26 @@ fn u32_at(payload: &[u8], off: usize, what: &'static str) -> Result<u32, FrameEr
     Ok(u32::from_le_bytes(bytes))
 }
 
-fn json_payload(payload: &[u8], what: &'static str) -> Result<Value, FrameError> {
-    wm_json::parse(payload).map_err(|_| FrameError::Malformed(what))
-}
-
-fn json_u64(v: &Value, key: &str, what: &'static str) -> Result<u64, FrameError> {
-    v.get(key)
-        .and_then(Value::as_i64)
-        .and_then(|n| u64::try_from(n).ok())
-        .ok_or(FrameError::Malformed(what))
-}
-
 impl Request {
     /// Parse a request from a decoded frame's opcode and payload.
     pub fn parse(opcode: u8, payload: &[u8]) -> Result<Request, FrameError> {
         match opcode {
             OP_INIT => {
-                let root = json_payload(payload, "init")?;
-                let shard = u32::try_from(json_u64(&root, "shard", "init")?)
-                    .map_err(|_| FrameError::Malformed("init"))?;
-                let cfg = root
-                    .get("config")
-                    .ok_or(FrameError::Malformed("init"))
-                    .and_then(config_from_value)?;
-                let classifier = root
-                    .get("classifier")
-                    .ok_or(FrameError::Malformed("init"))
-                    .and_then(classifier_from_value)?;
-                let graph = root
-                    .get("graph")
-                    .ok_or(FrameError::Malformed("init"))
-                    .and_then(graph_from_value)?;
-                Ok(Request::Init {
-                    shard,
-                    cfg,
-                    classifier,
-                    graph: Arc::new(graph),
-                })
+                let init = || -> Result<Request, CheckpointError> {
+                    let (blob, topology) = Blob::parse_prefix(payload)?;
+                    let graph = read_graph(topology)?;
+                    blob.header.check_graph(&graph)?;
+                    if !blob.records.is_empty() {
+                        return Err(CheckpointError::Malformed("records"));
+                    }
+                    Ok(Request::Init {
+                        shard: blob.header.shard,
+                        cfg: blob.header.cfg,
+                        classifier: blob.header.classifier,
+                        graph: Arc::new(graph),
+                    })
+                };
+                init().map_err(|_| FrameError::Malformed("init"))
             }
             OP_RESTORE => Ok(Request::Restore(payload.to_vec())),
             OP_FEED => {
@@ -302,13 +292,16 @@ impl Request {
                 classifier,
                 graph,
             } => {
-                let root = Value::object(vec![
-                    ("shard".into(), Value::from(*shard as i64)),
-                    ("config".into(), config_value(cfg)),
-                    ("classifier".into(), classifier_value(classifier)),
-                    ("graph".into(), graph_value(graph)),
-                ]);
-                encode_frame(OP_INIT, &wm_json::to_bytes(&root), out);
+                let header = BlobHeader {
+                    shard: *shard,
+                    taken: SimTime::ZERO,
+                    graph_fp: graph_fingerprint(graph),
+                    cfg: cfg.clone(),
+                    classifier: classifier.clone(),
+                };
+                let mut payload = BlobWriter::new(&header).finish();
+                write_graph(graph, &mut payload);
+                encode_frame(OP_INIT, &payload, out);
             }
             Request::Restore(blob) => encode_frame(OP_RESTORE, blob, out),
             Request::Feed {
@@ -385,37 +378,11 @@ impl Reply {
         match opcode {
             OP_OK => Ok(Reply::Ok),
             OP_VERDICTS => {
-                let root = json_payload(payload, "verdicts")?;
-                let mut verdicts = Vec::new();
-                for entry in root
-                    .get("verdicts")
-                    .and_then(Value::as_array)
-                    .ok_or(FrameError::Malformed("verdicts"))?
-                {
-                    let parts = entry
-                        .as_array()
-                        .filter(|p| p.len() == 2)
-                        .ok_or(FrameError::Malformed("verdicts"))?;
-                    let victim = parts[0]
-                        .as_i64()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or(FrameError::Malformed("verdicts"))?;
-                    let verdict = verdict_from_value(&parts[1])?;
-                    verdicts.push((victim, verdict));
-                }
-                let mut live = Vec::new();
-                for v in root
-                    .get("live")
-                    .and_then(Value::as_array)
-                    .ok_or(FrameError::Malformed("verdicts live"))?
-                {
-                    live.push(
-                        v.as_i64()
-                            .and_then(|v| u32::try_from(v).ok())
-                            .ok_or(FrameError::Malformed("verdicts live"))?,
-                    );
-                }
-                let state_bytes = json_u64(&root, "state_bytes", "verdicts state_bytes")?;
+                let (mut verdicts, mut live, mut state_bytes) = (Vec::new(), Vec::new(), 0);
+                let mut r = Reader::new(payload, 0);
+                verdicts_payload(&mut r, &mut verdicts, &mut live, &mut state_bytes)
+                    .and_then(|()| r.end("verdicts"))
+                    .map_err(|_| FrameError::Malformed("verdicts"))?;
                 Ok(Reply::Verdicts {
                     verdicts,
                     live,
@@ -456,19 +423,16 @@ impl Reply {
                 live,
                 state_bytes,
             } => {
-                let verdicts: Vec<Value> = verdicts
-                    .iter()
-                    .map(|(victim, v)| {
-                        Value::array(vec![Value::from(*victim as i64), verdict_value(v)])
-                    })
-                    .collect();
-                let live: Vec<Value> = live.iter().map(|v| Value::from(*v as i64)).collect();
-                let root = Value::object(vec![
-                    ("verdicts".into(), Value::array(verdicts)),
-                    ("live".into(), Value::array(live)),
-                    ("state_bytes".into(), Value::from(*state_bytes as i64)),
-                ]);
-                encode_frame(OP_VERDICTS, &wm_json::to_bytes(&root), out);
+                let mut payload = Vec::new();
+                // The walk takes its fields mutably, so it walks copies;
+                // the writer never fails.
+                let _ = verdicts_payload(
+                    &mut Writer(&mut payload),
+                    &mut verdicts.clone(),
+                    &mut live.clone(),
+                    &mut state_bytes.clone(),
+                );
+                encode_frame(OP_VERDICTS, &payload, out);
             }
             Reply::Blob(blob) => encode_frame(OP_BLOB, blob, out),
             Reply::Drained(entries) => {
@@ -491,278 +455,88 @@ impl Reply {
 }
 
 // ---------------------------------------------------------------------
-// config / verdict codecs (Init and Verdicts payloads)
+// Verdicts payload
 
-/// `Init` document keys for [`OnlineConfig::to_words`], in order.
-const CONFIG_KEYS: [&str; 14] = [
-    "time_scale",
-    "reorder_lag_us",
-    "gap_patience_us",
-    "checkpoint_every_records",
-    "max_flows",
-    "max_pending_events",
-    "max_ready_events",
-    "max_recent_apps",
-    "max_gap_times",
-    "max_loss_windows",
-    "max_carry_bytes",
-    "max_parked_bytes",
-    "max_parked_segments",
-    "max_marks",
+const CHOICES: [Choice; 2] = [Choice::Default, Choice::NonDefault];
+const ROLES: [RecordRole; 3] = [
+    RecordRole::Anchor,
+    RecordRole::Type1Report,
+    RecordRole::Type2Report,
+];
+const TIERS: [ConfidenceTier; 3] = [
+    ConfidenceTier::Observed,
+    ConfidenceTier::Inferred,
+    ConfidenceTier::Blind,
 ];
 
-fn config_value(cfg: &OnlineConfig) -> Value {
-    Value::object(
-        CONFIG_KEYS
-            .iter()
-            .zip(cfg.to_words())
-            .map(|(k, x)| (k.to_string(), Value::from(x as i64)))
-            .collect(),
-    )
-}
+const BLANK_VERDICT: OnlineVerdict = OnlineVerdict {
+    index: 0,
+    choice: DecodedChoice {
+        cp: ChoicePointId(0),
+        choice: Choice::Default,
+        time: SimTime::ZERO,
+        observed: false,
+        confidence: 0.0,
+    },
+    provenance: ChoiceProvenance {
+        records: Vec::new(),
+        tier: ConfidenceTier::Observed,
+        near_gap: false,
+    },
+};
 
-fn config_from_value(v: &Value) -> Result<OnlineConfig, FrameError> {
-    let mut words = [0u64; 14];
-    for (x, key) in words.iter_mut().zip(CONFIG_KEYS) {
-        *x = json_u64(v, key, "init config")?;
-    }
-    OnlineConfig::from_words(words).ok_or(FrameError::Malformed("init config"))
-}
-
-/// Serialize an [`OnlineVerdict`] for the `Verdicts` reply. The
-/// confidence is the only float in the whole decode pipeline; it
-/// crosses the boundary as its IEEE-754 bit pattern (`f64::to_bits`,
-/// stored in the dialect's i64) so the round trip is exact.
-fn verdict_value(v: &OnlineVerdict) -> Value {
-    let int = |x: u64| Value::from(x as i64);
-    let records: Vec<Value> = v
-        .provenance
-        .records
-        .iter()
-        .map(|r| {
-            let role = match r.role {
-                RecordRole::Anchor => 0,
-                RecordRole::Type1Report => 1,
-                RecordRole::Type2Report => 2,
-            };
-            Value::array(vec![
-                int(r.index as u64),
-                int(r.time.micros()),
-                int(r.length as u64),
-                int(role),
-            ])
-        })
-        .collect();
-    let tier = match v.provenance.tier {
-        ConfidenceTier::Observed => 0,
-        ConfidenceTier::Inferred => 1,
-        ConfidenceTier::Blind => 2,
-    };
-    Value::object(vec![
-        ("index".into(), int(v.index)),
-        ("cp".into(), int(v.choice.cp.0 as u64)),
-        ("choice".into(), int(v.choice.choice.index() as u64)),
-        ("t_us".into(), int(v.choice.time.micros())),
-        ("observed".into(), Value::from(v.choice.observed)),
-        (
-            "conf_bits".into(),
-            Value::from(v.choice.confidence.to_bits() as i64),
-        ),
-        ("tier".into(), int(tier)),
-        ("near_gap".into(), Value::from(v.provenance.near_gap)),
-        ("records".into(), Value::array(records)),
-    ])
-}
-
-fn verdict_from_value(v: &Value) -> Result<OnlineVerdict, FrameError> {
-    let bad = FrameError::Malformed("verdicts");
-    let num = |key: &str| json_u64(v, key, "verdicts");
-    let flag = |key: &str| v.get(key).and_then(Value::as_bool).ok_or(bad);
-    let mut records = Vec::new();
-    for r in v.get("records").and_then(Value::as_array).ok_or(bad)? {
-        let item = |i: usize| {
-            r.as_array()
-                .and_then(|items| items.get(i))
-                .and_then(Value::as_i64)
-                .and_then(|x| u64::try_from(x).ok())
-                .ok_or(bad)
-        };
-        records.push(ProvenanceRecord {
-            index: usize::try_from(item(0)?).map_err(|_| bad)?,
-            time: SimTime(item(1)?),
-            length: u16::try_from(item(2)?).map_err(|_| bad)?,
-            role: match item(3)? {
-                0 => RecordRole::Anchor,
-                1 => RecordRole::Type1Report,
-                2 => RecordRole::Type2Report,
-                _ => return Err(bad),
-            },
-        });
-    }
-    let conf_bits = v.get("conf_bits").and_then(Value::as_i64).ok_or(bad)?;
-    Ok(OnlineVerdict {
-        index: num("index")?,
-        choice: DecodedChoice {
-            cp: ChoicePointId(u16::try_from(num("cp")?).map_err(|_| bad)?),
-            choice: usize::try_from(num("choice")?)
-                .ok()
-                .and_then(Choice::from_index)
-                .ok_or(bad)?,
-            time: SimTime(num("t_us")?),
-            observed: flag("observed")?,
-            confidence: f64::from_bits(conf_bits as u64),
+/// The `Verdicts` payload in one walk: count-prefixed `(victim,
+/// verdict)` pairs, the count-prefixed live set, then the resident
+/// state bytes.
+fn verdicts_payload<'a, P: Pass<'a>>(
+    p: &mut P,
+    verdicts: &mut Vec<(u32, OnlineVerdict)>,
+    live: &mut Vec<u32>,
+    state_bytes: &mut u64,
+) -> Step {
+    seq(
+        p,
+        verdicts,
+        (0, BLANK_VERDICT),
+        "verdicts",
+        |p, (victim, v)| {
+            p.int(victim, "verdicts")?;
+            verdict(p, v)
         },
-        provenance: ChoiceProvenance {
-            records,
-            tier: match num("tier")? {
-                0 => ConfidenceTier::Observed,
-                1 => ConfidenceTier::Inferred,
-                2 => ConfidenceTier::Blind,
-                _ => return Err(bad),
-            },
-            near_gap: flag("near_gap")?,
-        },
-    })
+    )?;
+    seq(p, live, 0, "live", |p, victim| p.int(victim, "live"))?;
+    p.int(state_bytes, "state_bytes")
 }
 
-// ---------------------------------------------------------------------
-// classifier / graph codecs (Init payload)
-
-fn classifier_value(c: &IntervalClassifier) -> Value {
-    Value::object(vec![
-        (
-            "type1".into(),
-            Value::array(vec![
-                Value::from(c.type1.0 as i64),
-                Value::from(c.type1.1 as i64),
-            ]),
-        ),
-        (
-            "type2".into(),
-            Value::array(vec![
-                Value::from(c.type2.0 as i64),
-                Value::from(c.type2.1 as i64),
-            ]),
-        ),
-        ("slack".into(), Value::from(c.slack as i64)),
-    ])
-}
-
-fn classifier_from_value(v: &Value) -> Result<IntervalClassifier, FrameError> {
-    let band = |key: &str| -> Result<(u16, u16), FrameError> {
-        let parts = v
-            .get(key)
-            .and_then(Value::as_array)
-            .filter(|p| p.len() == 2)
-            .ok_or(FrameError::Malformed("classifier"))?;
-        let lo = parts[0]
-            .as_i64()
-            .and_then(|n| u16::try_from(n).ok())
-            .ok_or(FrameError::Malformed("classifier"))?;
-        let hi = parts[1]
-            .as_i64()
-            .and_then(|n| u16::try_from(n).ok())
-            .ok_or(FrameError::Malformed("classifier"))?;
-        Ok((lo, hi))
+/// One [`OnlineVerdict`]. The confidence is the only float in the
+/// whole decode pipeline; it crosses the pipe as its IEEE-754 bit
+/// pattern, so the round trip is exact.
+fn verdict<'a, P: Pass<'a>>(p: &mut P, v: &mut OnlineVerdict) -> Step {
+    let c = &mut v.choice;
+    p.int(&mut v.index, "verdict")?;
+    p.int(&mut c.cp.0, "verdict")?;
+    variant(p, &mut c.choice, &CHOICES, "verdict choice")?;
+    time(p, &mut c.time, "verdict")?;
+    flag(p, &mut c.observed, "verdict")?;
+    let mut bits = c.confidence.to_bits();
+    p.int(&mut bits, "confidence")?;
+    c.confidence = f64::from_bits(bits);
+    let blank = ProvenanceRecord {
+        index: 0,
+        time: SimTime::ZERO,
+        length: 0,
+        role: RecordRole::Anchor,
     };
-    Ok(IntervalClassifier {
-        type1: band("type1")?,
-        type2: band("type2")?,
-        slack: v
-            .get("slack")
-            .and_then(Value::as_i64)
-            .and_then(|n| u16::try_from(n).ok())
-            .ok_or(FrameError::Malformed("classifier"))?,
-    })
-}
-
-/// Encode the graph *topology*: start segment, per-segment id /
-/// duration / end, per-choice-point id and option targets. Names,
-/// questions, labels and behaviour tags are presentation data the
-/// decoder never touches — `graph_fingerprint` covers exactly the
-/// encoded fields, so a worker-side graph rebuilt from this document
-/// validates against any checkpoint taken on the original.
-fn graph_value(g: &StoryGraph) -> Value {
-    let segments: Vec<Value> = g
-        .segments()
-        .iter()
-        .map(|s| {
-            let (kind, arg) = match s.end {
-                SegmentEnd::Ending => (0i64, 0i64),
-                SegmentEnd::Continue(next) => (1, next.0 as i64),
-                SegmentEnd::Choice(cp) => (2, cp.0 as i64),
-            };
-            Value::array(vec![
-                Value::from(s.id.0 as i64),
-                Value::from(s.duration_secs as i64),
-                Value::from(kind),
-                Value::from(arg),
-            ])
-        })
-        .collect();
-    let cps: Vec<Value> = g
-        .choice_points()
-        .iter()
-        .map(|cp| {
-            Value::array(vec![
-                Value::from(cp.id.0 as i64),
-                Value::from(cp.option(Choice::Default).target.0 as i64),
-                Value::from(cp.option(Choice::NonDefault).target.0 as i64),
-            ])
-        })
-        .collect();
-    Value::object(vec![
-        ("start".into(), Value::from(g.start().0 as i64)),
-        ("segments".into(), Value::array(segments)),
-        ("cps".into(), Value::array(cps)),
-    ])
-}
-
-fn graph_from_value(v: &Value) -> Result<StoryGraph, FrameError> {
-    let bad = FrameError::Malformed("graph");
-    let u16_of = |val: &Value| -> Result<u16, FrameError> {
-        val.as_i64().and_then(|n| u16::try_from(n).ok()).ok_or(bad)
-    };
-    let start = SegmentId(u16_of(v.get("start").ok_or(bad)?)?);
-    let mut segments = Vec::new();
-    for entry in v.get("segments").and_then(Value::as_array).ok_or(bad)? {
-        let parts = entry.as_array().filter(|p| p.len() == 4).ok_or(bad)?;
-        let id = SegmentId(u16_of(&parts[0])?);
-        let duration_secs = parts[1]
-            .as_i64()
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or(bad)?;
-        let end = match parts[2].as_i64().ok_or(bad)? {
-            0 => SegmentEnd::Ending,
-            1 => SegmentEnd::Continue(SegmentId(u16_of(&parts[3])?)),
-            2 => SegmentEnd::Choice(ChoicePointId(u16_of(&parts[3])?)),
-            _ => return Err(bad),
-        };
-        segments.push(Segment {
-            id,
-            name: "",
-            duration_secs,
-            end,
-        });
-    }
-    let mut cps = Vec::new();
-    for entry in v.get("cps").and_then(Value::as_array).ok_or(bad)? {
-        let parts = entry.as_array().filter(|p| p.len() == 3).ok_or(bad)?;
-        let option = |target: SegmentId| ChoiceOption {
-            label: "",
-            target,
-            tags: &[],
-        };
-        cps.push(ChoicePoint {
-            id: ChoicePointId(u16_of(&parts[0])?),
-            question: "",
-            options: [
-                option(SegmentId(u16_of(&parts[1])?)),
-                option(SegmentId(u16_of(&parts[2])?)),
-            ],
-        });
-    }
-    StoryGraph::new("", segments, cps, start).map_err(|_| bad)
+    seq(p, &mut v.provenance.records, blank, "provenance", |p, r| {
+        let mut index = r.index as u64;
+        p.int(&mut index, "provenance")?;
+        r.index = usize::try_from(index).map_err(|_| CheckpointError::Malformed("provenance"))?;
+        time(p, &mut r.time, "provenance")?;
+        p.int(&mut r.length, "provenance")?;
+        variant(p, &mut r.role, &ROLES, "provenance role")
+    })?;
+    variant(p, &mut v.provenance.tier, &TIERS, "tier")?;
+    flag(p, &mut v.provenance.near_gap, "near_gap")
 }
 
 // ---------------------------------------------------------------------
@@ -1252,66 +1026,6 @@ mod tests {
                 other => panic!("mismatched request roundtrip: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn graph_codec_preserves_the_fingerprint() {
-        let graph = wm_story::bandersnatch::tiny_film();
-        let doc = graph_value(&graph);
-        let rebuilt = graph_from_value(&doc).unwrap();
-        assert_eq!(
-            wm_online::graph_fingerprint(&graph),
-            wm_online::graph_fingerprint(&rebuilt)
-        );
-    }
-
-    #[test]
-    fn verdict_codec_roundtrips_exactly() {
-        let verdict = OnlineVerdict {
-            index: 3,
-            choice: DecodedChoice {
-                cp: ChoicePointId(2),
-                choice: Choice::NonDefault,
-                time: SimTime(1_234_567),
-                observed: true,
-                // No short decimal form: the bit-pattern transport must
-                // reproduce it exactly.
-                confidence: 0.1 + 0.7 * 0.3,
-            },
-            provenance: ChoiceProvenance {
-                records: vec![ProvenanceRecord {
-                    index: 41,
-                    time: SimTime(1_230_000),
-                    length: 2_215,
-                    role: RecordRole::Type1Report,
-                }],
-                tier: ConfidenceTier::Observed,
-                near_gap: true,
-            },
-        };
-        let doc = verdict_value(&verdict);
-        let back = verdict_from_value(&doc).unwrap();
-        assert_eq!(back, verdict);
-        assert!(back.choice.confidence.to_bits() == verdict.choice.confidence.to_bits());
-        assert_eq!(
-            wm_json::to_bytes(&doc),
-            wm_json::to_bytes(&verdict_value(&back))
-        );
-        for (key, bad) in [
-            ("index", Value::from("nope")),
-            ("tier", Value::from(9i64)),
-            ("choice", Value::from(7i64)),
-        ] {
-            let mut doc = verdict_value(&verdict);
-            if let Value::Object(ref mut entries) = doc {
-                for entry in entries.iter_mut().filter(|e| e.0 == key) {
-                    entry.1 = bad.clone();
-                }
-            }
-            assert!(verdict_from_value(&doc).is_err(), "field {key}");
-        }
-        let cfg = OnlineConfig::scaled(20);
-        assert_eq!(config_from_value(&config_value(&cfg)).unwrap(), cfg);
     }
 
     #[test]

@@ -10,10 +10,13 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
-use wm_core::IntervalClassifier;
+use wm_core::provenance::{ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole};
+use wm_core::{DecodedChoice, IntervalClassifier};
 use wm_fleet::{decode_frame, encode_frame, FrameError, RemoteError, Reply, Request, MAX_FRAME};
-use wm_online::{OnlineConfig, OnlineDecoder};
-use wm_story::bandersnatch::tiny_film;
+use wm_online::checkpoint::write_graph;
+use wm_online::{graph_fingerprint, Blob, OnlineConfig, OnlineDecoder, OnlineVerdict};
+use wm_story::bandersnatch::{bandersnatch, tiny_film};
+use wm_story::{Choice, ChoicePointId, StoryGraph};
 
 fn classifier() -> IntervalClassifier {
     IntervalClassifier {
@@ -35,15 +38,64 @@ fn sample_record(victim: u32) -> Vec<u8> {
     record
 }
 
+fn init(graph: StoryGraph) -> Request {
+    Request::Init {
+        shard: 3,
+        cfg: OnlineConfig::scaled(20),
+        classifier: classifier(),
+        graph: Arc::new(graph),
+    }
+}
+
+fn sample_verdict() -> OnlineVerdict {
+    OnlineVerdict {
+        index: 3,
+        choice: DecodedChoice {
+            cp: ChoicePointId(2),
+            choice: Choice::NonDefault,
+            time: SimTime(1_234_567),
+            observed: true,
+            // No short decimal form: the bit-pattern transport must
+            // reproduce it exactly.
+            confidence: 0.1 + 0.7 * 0.3,
+        },
+        provenance: ChoiceProvenance {
+            records: vec![ProvenanceRecord {
+                index: 41,
+                time: SimTime(1_230_000),
+                length: 2_215,
+                role: RecordRole::Type1Report,
+            }],
+            tier: ConfidenceTier::Observed,
+            near_gap: true,
+        },
+    }
+}
+
+fn sample_verdicts() -> Reply {
+    let mut blind = sample_verdict();
+    blind.index = 4;
+    blind.provenance.records.clear();
+    blind.provenance.tier = ConfidenceTier::Blind;
+    Reply::Verdicts {
+        verdicts: vec![(9, sample_verdict()), (9, blind)],
+        live: vec![1, 9],
+        state_bytes: 4_096,
+    }
+}
+
+/// The encoded frame's payload.
+fn payload_of(encode: impl FnOnce(&mut Vec<u8>)) -> (u8, Vec<u8>) {
+    let mut buf = Vec::new();
+    encode(&mut buf);
+    let frame = decode_frame(&buf).unwrap();
+    (frame.opcode, frame.payload.to_vec())
+}
+
 /// One encoded frame per request/reply shape the protocol can carry.
 fn sample_frames() -> Vec<Vec<u8>> {
     let requests = vec![
-        Request::Init {
-            shard: 3,
-            cfg: OnlineConfig::scaled(20),
-            classifier: classifier(),
-            graph: Arc::new(tiny_film()),
-        },
+        init(tiny_film()),
         Request::Restore(vec![0xDE, 0xAD, 0xBE, 0xEF]),
         Request::Feed {
             time: SimTime(1_234_567),
@@ -65,11 +117,7 @@ fn sample_frames() -> Vec<Vec<u8>> {
     ];
     let replies = vec![
         Reply::Ok,
-        Reply::Verdicts {
-            verdicts: Vec::new(),
-            live: vec![1, 9],
-            state_bytes: 4_096,
-        },
+        sample_verdicts(),
         Reply::Blob(vec![0x00, 0xFF, 0x7F]),
         Reply::Drained(vec![(5, SimTime(88), sample_record(5))]),
         Reply::Err(RemoteError::Victim(19)),
@@ -178,6 +226,137 @@ fn truncated_and_corrupted_payloads_parse_to_typed_errors() {
                 Err(FrameError::UnknownOpcode(0xEE))
             ),
             "frame {i}: reply parser must type unknown opcodes"
+        );
+    }
+}
+
+/// The full payload parses; every strict prefix, and the payload with
+/// trailing bytes, is a typed `Malformed(what)`.
+fn assert_payload_is_exact(
+    what: &'static str,
+    (op, payload): (u8, Vec<u8>),
+    parse: fn(u8, &[u8]) -> Option<FrameError>,
+) {
+    assert_eq!(parse(op, &payload), None, "{what}: the full payload parses");
+    for cut in 0..payload.len() {
+        assert_eq!(
+            parse(op, &payload[..cut]),
+            Some(FrameError::Malformed(what)),
+            "{what} prefix {cut}"
+        );
+    }
+    for extra in [&[0u8][..], &[0xFF; 9]] {
+        let mut long = payload.clone();
+        long.extend_from_slice(extra);
+        assert_eq!(
+            parse(op, &long),
+            Some(FrameError::Malformed(what)),
+            "{what} + {} trailing bytes",
+            extra.len()
+        );
+    }
+}
+
+#[test]
+fn init_and_verdicts_payloads_reject_every_prefix_and_trailing_bytes() {
+    assert_payload_is_exact(
+        "init",
+        payload_of(|buf| init(tiny_film()).encode(buf)),
+        |op, payload| Request::parse(op, payload).err(),
+    );
+    assert_payload_is_exact(
+        "verdicts",
+        payload_of(|buf| sample_verdicts().encode(buf)),
+        |op, payload| Reply::parse(op, payload).err(),
+    );
+}
+
+#[test]
+fn hostile_verdict_counts_are_rejected_without_allocating() {
+    // A count read from the wire never sizes an allocation: a parser
+    // that reserved u32::MAX verdicts (or live victims) would abort
+    // here instead of failing at the first missing item.
+    let (op, _) = payload_of(|buf| sample_verdicts().encode(buf));
+    let mut many_verdicts = u32::MAX.to_le_bytes().to_vec();
+    many_verdicts.extend_from_slice(&[0; 12]);
+    let mut many_live = 0u32.to_le_bytes().to_vec();
+    many_live.extend_from_slice(&u32::MAX.to_le_bytes());
+    many_live.extend_from_slice(&[0; 8]);
+    for payload in [many_verdicts, many_live] {
+        assert_eq!(payload.len(), 16);
+        assert_eq!(
+            Reply::parse(op, &payload).err(),
+            Some(FrameError::Malformed("verdicts"))
+        );
+    }
+}
+
+#[test]
+fn graph_codec_preserves_the_fingerprint() {
+    for graph in [tiny_film(), bandersnatch()] {
+        let fp = graph_fingerprint(&graph);
+        let (op, payload) = payload_of(|buf| init(graph).encode(buf));
+        match Request::parse(op, &payload) {
+            Ok(Request::Init {
+                shard,
+                cfg,
+                classifier: c,
+                graph,
+            }) => {
+                assert_eq!(graph_fingerprint(&graph), fp);
+                assert_eq!((shard, cfg), (3, OnlineConfig::scaled(20)));
+                assert_eq!((c.type1, c.type2, c.slack), ((10, 20), (30, 40), 2));
+            }
+            other => panic!("init roundtrip: {other:?}"),
+        }
+    }
+    // A topology that does not match the header's fingerprint is
+    // rejected: the blob was sealed for a different film.
+    let (op, payload) = payload_of(|buf| init(tiny_film()).encode(buf));
+    let (_, topology) = Blob::parse_prefix(&payload).unwrap();
+    let mut swapped = payload[..payload.len() - topology.len()].to_vec();
+    write_graph(&bandersnatch(), &mut swapped);
+    assert_eq!(
+        Request::parse(op, &swapped).err(),
+        Some(FrameError::Malformed("init"))
+    );
+}
+
+#[test]
+fn verdict_codec_roundtrips_exactly() {
+    let reply = sample_verdicts();
+    let (op, payload) = payload_of(|buf| reply.encode(buf));
+    let back = Reply::parse(op, &payload).unwrap();
+    match (&reply, &back) {
+        (
+            Reply::Verdicts {
+                verdicts: v0,
+                live: l0,
+                state_bytes: s0,
+            },
+            Reply::Verdicts {
+                verdicts,
+                live,
+                state_bytes,
+            },
+        ) => {
+            assert_eq!((v0, l0, s0), (verdicts, live, state_bytes));
+            let bits = |v: &[(u32, OnlineVerdict)]| v[0].1.choice.confidence.to_bits();
+            assert_eq!(bits(v0), bits(verdicts));
+        }
+        other => panic!("verdicts roundtrip: {other:?}"),
+    }
+    assert_eq!(payload_of(|buf| back.encode(buf)).1, payload);
+    // Layout offsets of the first verdict: count 0, victim 4, index 8,
+    // cp 16, choice 18, time 19, observed 27, confidence 28, records
+    // 36, record role 58, tier 59, near_gap 60.
+    for (at, bad) in [(18, 7), (27, 2), (58, 3), (59, 9), (60, 2)] {
+        let mut damaged = payload.clone();
+        damaged[at] = bad;
+        assert_eq!(
+            Reply::parse(op, &damaged).err(),
+            Some(FrameError::Malformed("verdicts")),
+            "byte {at} = {bad}"
         );
     }
 }

@@ -6,8 +6,9 @@
 //! match [`crate::Number`]:
 //!
 //! * exponents are not accepted;
-//! * fractional numbers may carry at most three fraction digits (they are
-//!   normalized to [`crate::Number::Fixed3`], so `1.5` parses as `1.500`).
+//! * fractional numbers carry one to three fraction digits (normalized
+//!   to [`crate::Number::Fixed3`], so `1.5` parses as `1.500`) or exactly
+//!   six ([`crate::Number::Fixed6`], the bench-report form).
 
 use crate::escape::unescape;
 use crate::value::{Number, Value};
@@ -196,22 +197,24 @@ impl<'a> Parser<'a> {
         if frac_digits.is_empty() {
             return Err(self.err("expected fraction digit"));
         }
-        if frac_digits.len() > 3 {
-            return Err(self.err("more than 3 fraction digits unsupported"));
-        }
+        let (digits, fixed): (u32, fn(i64) -> Number) = match frac_digits.len() {
+            1..=3 => (3, Number::Fixed3),
+            6 => (6, Number::Fixed6),
+            _ => return Err(self.err("fraction digits must number 1-3 or 6")),
+        };
         let mut frac: u64 = 0;
         for &d in frac_digits {
             frac = frac * 10 + (d - b'0') as u64;
         }
-        for _ in frac_digits.len()..3 {
+        for _ in frac_digits.len()..digits as usize {
             frac *= 10;
         }
         let scaled = magnitude
-            .checked_mul(1000)
+            .checked_mul(10u64.pow(digits))
             .and_then(|m| m.checked_add(frac))
             .ok_or_else(|| self.err("fixed-point overflow"))?;
         let v = to_signed(neg, scaled).ok_or_else(|| self.err("fixed-point overflow"))?;
-        Ok(Value::Num(Number::Fixed3(v)))
+        Ok(Value::Num(fixed(v)))
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -309,6 +312,18 @@ mod tests {
     }
 
     #[test]
+    fn six_fraction_digits_parse_as_fixed6() {
+        assert_eq!(
+            parse(b"1.500000").unwrap(),
+            Value::Num(Number::Fixed6(1_500_000))
+        );
+        assert_eq!(parse(b"-0.000005").unwrap(), Value::Num(Number::Fixed6(-5)));
+        for bad in [&b"1.2345"[..], b"1.23456", b"1.2345678"] {
+            assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
     fn whitespace_tolerated() {
         let v = parse(b" { \"a\" : [ 1 , 2 ] , \"b\" : null } \n").unwrap();
         assert_eq!(
@@ -370,6 +385,7 @@ mod tests {
         let v = Value::object(vec![
             ("esn".into(), Value::from("NFCDIE-03-ABCDEF0123456789")),
             ("pos".into(), Value::Num(Number::Fixed3(914_250))),
+            ("metric".into(), Value::Num(Number::Fixed6(-2_114_270_786))),
             (
                 "flags".into(),
                 Value::array(vec![Value::Bool(true), Value::Null]),

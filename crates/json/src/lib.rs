@@ -18,9 +18,9 @@
 //!   to validate the blobs it receives (and by round-trip tests).
 //!
 //! The crate is deliberately *not* a general-purpose JSON library: numbers
-//! are restricted to the shapes the simulated player emits (i64 and
-//! fixed-point milliseconds) so that serialization is total and
-//! unambiguous.
+//! are restricted to the shapes the simulated player and the bench
+//! reports emit (i64, fixed-point milliseconds, six-digit fixed point)
+//! so that serialization is total and unambiguous.
 
 pub mod de;
 pub mod escape;

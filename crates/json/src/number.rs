@@ -7,7 +7,8 @@ use std::fmt;
 /// The simulated Netflix player only ever emits two shapes of number:
 /// signed integers (timestamps in milliseconds, segment indices, byte
 /// offsets) and fixed-point values with exactly three fractional digits
-/// (playback positions in seconds). Restricting [`Number`] to these two
+/// (playback positions in seconds). Bench reports add a third: metrics
+/// with exactly six fractional digits. Restricting [`Number`] to these
 /// shapes keeps serialization total: every representable number has
 /// exactly one textual form, so `serialized_len` can be computed without
 /// allocating.
@@ -18,6 +19,10 @@ pub enum Number {
     /// A fixed-point value with three fractional digits, stored as the
     /// value multiplied by 1000. `Fixed3(1234)` serializes as `1.234`.
     Fixed3(i64),
+    /// A fixed-point value with six fractional digits, stored as the
+    /// value multiplied by 10⁶. `Fixed6(1_500_000)` serializes as
+    /// `1.500000`, the form bench reports write (`{v:.6}`).
+    Fixed6(i64),
 }
 
 impl Number {
@@ -25,13 +30,8 @@ impl Number {
     pub fn serialized_len(&self) -> usize {
         match *self {
             Number::Int(v) => (v < 0) as usize + dec_len_u64(v.unsigned_abs()),
-            Number::Fixed3(v) => {
-                // sign + integral digits + '.' + exactly 3 fraction digits
-                let neg = v < 0;
-                let abs = v.unsigned_abs();
-                let int_part = abs / 1000;
-                (neg as usize) + dec_len_u64(int_part) + 1 + 3
-            }
+            Number::Fixed3(v) => fixed_len(v, 3),
+            Number::Fixed6(v) => fixed_len(v, 6),
         }
     }
 
@@ -43,21 +43,40 @@ impl Number {
                 let s = fmt_i64(v, &mut buf);
                 out.extend_from_slice(s);
             }
-            Number::Fixed3(v) => {
-                if v < 0 {
-                    out.push(b'-');
-                }
-                let abs = v.unsigned_abs();
-                let mut buf = [0u8; 20];
-                let s = fmt_u64(abs / 1000, &mut buf);
-                out.extend_from_slice(s);
-                out.push(b'.');
-                let frac = (abs % 1000) as u32;
-                out.push(b'0' + (frac / 100) as u8);
-                out.push(b'0' + (frac / 10 % 10) as u8);
-                out.push(b'0' + (frac % 10) as u8);
-            }
+            Number::Fixed3(v) => write_fixed(v, 3, out),
+            Number::Fixed6(v) => write_fixed(v, 6, out),
         }
+    }
+
+    /// The value as an `f64` (fixed-point values divided by their
+    /// scale).
+    pub fn to_f64(&self) -> f64 {
+        match *self {
+            Number::Int(v) => v as f64,
+            Number::Fixed3(v) => v as f64 / 1e3,
+            Number::Fixed6(v) => v as f64 / 1e6,
+        }
+    }
+}
+
+/// Sign + integral digits + '.' + exactly `digits` fraction digits.
+fn fixed_len(v: i64, digits: u32) -> usize {
+    let int_part = v.unsigned_abs() / 10u64.pow(digits);
+    (v < 0) as usize + dec_len_u64(int_part) + 1 + digits as usize
+}
+
+fn write_fixed(v: i64, digits: u32, out: &mut Vec<u8>) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    let scale = 10u64.pow(digits);
+    let abs = v.unsigned_abs();
+    let mut buf = [0u8; 20];
+    out.extend_from_slice(fmt_u64(abs / scale, &mut buf));
+    out.push(b'.');
+    let frac = abs % scale;
+    for d in (0..digits).rev() {
+        out.push(b'0' + (frac / 10u64.pow(d) % 10) as u8);
     }
 }
 
@@ -153,6 +172,29 @@ mod tests {
                 want.len(),
                 "len for {v}"
             );
+        }
+    }
+
+    #[test]
+    fn fixed6_text() {
+        let cases = [
+            (0i64, "0.000000"),
+            (1, "0.000001"),
+            (1_500_000, "1.500000"),
+            (-5, "-0.000005"),
+            (2_812_269_271_941_605, "2812269271.941605"),
+            (i64::MIN, "-9223372036854.775808"),
+        ];
+        for (v, want) in cases {
+            let mut out = Vec::new();
+            Number::Fixed6(v).write_to(&mut out);
+            assert_eq!(out, want.as_bytes(), "for {v}");
+            assert_eq!(
+                Number::Fixed6(v).serialized_len(),
+                want.len(),
+                "len for {v}"
+            );
+            assert_eq!(Number::Fixed6(v).to_f64(), want.parse::<f64>().unwrap());
         }
     }
 

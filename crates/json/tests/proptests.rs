@@ -39,14 +39,15 @@ fn arb_string(rng: &mut Rng, max_len: usize) -> String {
 /// Arbitrary JSON value of bounded depth: leaves at depth 0, containers
 /// above with up to 5 children each.
 fn arb_value(rng: &mut Rng, depth: usize) -> Value {
-    let choices = if depth == 0 { 5 } else { 7 };
+    let choices = if depth == 0 { 6 } else { 8 };
     match rng.below(choices) {
         0 => Value::Null,
         1 => Value::Bool(rng.below(2) == 1),
         2 => Value::Num(Number::Int(rng.next() as i64)),
         3 => Value::Num(Number::Fixed3(rng.next() as i64)),
         4 => Value::Str(arb_string(rng, 24)),
-        5 => {
+        5 => Value::Num(Number::Fixed6(rng.next() as i64)),
+        6 => {
             let n = rng.below(6);
             Value::Array((0..n).map(|_| arb_value(rng, depth - 1)).collect())
         }

@@ -8,14 +8,17 @@
 //! they must be present and finite but machines differ, so CI never
 //! flakes on them. Both defaults can be overridden per metric.
 //!
-//! The metrics parser is textual on purpose: bench metrics carry six
-//! fraction digits, more than the `wm-json` state-blob dialect admits.
+//! Documents are read with `wm_json::parse`, whose six-digit fixed
+//! point is exactly the form bench reports write, so a torn or
+//! malformed document is a parse error, never a partial metric set.
 //!
 //! The `bench_diff` CLI mirrors `trace_diff` exit codes:
 //! 0 = within bands, 1 = regression, 2 = usage/parse error.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use wm_json::Value;
 
 /// A parsed bench report: its name and the `"metrics"` object.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,41 +30,28 @@ pub struct BenchDoc {
 impl BenchDoc {
     /// Parse a `BENCH_*.json` document produced by `wm-bench`.
     pub fn parse(json: &str) -> Result<BenchDoc, String> {
-        let bench = extract_string(json, "bench").ok_or("missing \"bench\" name")?;
-        let metrics_start = json
-            .find("\"metrics\":{")
-            .ok_or("missing \"metrics\" object")?
-            + "\"metrics\":{".len();
-        let body = &json[metrics_start..];
-        let end = body.find('}').ok_or("unterminated \"metrics\" object")?;
-        let body = &body[..end];
+        let doc = wm_json::parse(json.as_bytes()).map_err(|e| e.to_string())?;
+        let bench = doc
+            .get("bench")
+            .and_then(Value::as_str)
+            .ok_or("missing \"bench\" name")?
+            .to_string();
+        let members = doc
+            .get("metrics")
+            .and_then(Value::as_object)
+            .ok_or("missing \"metrics\" object")?;
         let mut metrics = BTreeMap::new();
-        for pair in body.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, value) = pair
-                .split_once(':')
-                .ok_or_else(|| format!("malformed metric pair {pair:?}"))?;
-            let key = key.trim().trim_matches('"').to_string();
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("metric {key:?} is not a number: {value:?}"))?;
-            metrics.insert(key, value);
+        for (key, value) in members {
+            let Value::Num(n) = value else {
+                return Err(format!("metric {key:?} is not a number: {value:?}"));
+            };
+            metrics.insert(key.clone(), n.to_f64());
         }
         if metrics.is_empty() {
             return Err("empty \"metrics\" object".into());
         }
         Ok(BenchDoc { bench, metrics })
     }
-}
-
-fn extract_string(json: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &json[json.find(&pat)? + pat.len()..];
-    Some(rest[..rest.find('"')?].to_string())
 }
 
 /// Tolerance band for one metric.
@@ -367,6 +357,16 @@ mod tests {
 
         // 2: unparseable candidate or bench-name mismatch.
         assert_eq!(diff_exit_code(&base, "not json", &none).0, 2);
+        // 2: a torn candidate, cut right after its metrics object, is
+        // a parse error even though every metric it carries matches.
+        let cut = base
+            .find(",\"telemetry\"")
+            .expect("telemetry follows metrics");
+        assert_eq!(diff_exit_code(&base, &base[..cut], &none).0, 2);
+        // 0: whitespace inside the document is still the same document.
+        let spaced = base.replacen("\"metrics\":{", "\"metrics\": { ", 1);
+        let (code, out) = diff_exit_code(&base, &spaced, &none);
+        assert_eq!(code, 0, "{out}");
         let other = doc("throughput", &[("kills_i2", 5.0)]);
         assert_eq!(diff_exit_code(&base, &other, &none).0, 2);
     }

@@ -125,12 +125,15 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"t_us\":1000,\"delta\":"));
-        for line in lines {
-            let delta = line
-                .split_once(",\"delta\":")
-                .map(|(_, rest)| &rest[..rest.len() - 1])
-                .expect("delta field");
-            assert!(Snapshot::from_json_str(delta).is_some(), "{delta}");
+        for (line, packets) in lines.into_iter().zip([7, 9]) {
+            let doc = wm_json::parse(line.as_bytes()).expect("line parses");
+            let delta = doc.get("delta").expect("delta field");
+            let counter = delta.get("counters").and_then(|c| c.get("fleet.packets"));
+            assert_eq!(counter, Some(&wm_json::Value::from(packets)), "{line}");
+            assert_eq!(
+                delta.get("histograms"),
+                Some(&wm_json::Value::object(vec![]))
+            );
         }
     }
 }

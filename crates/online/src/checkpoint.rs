@@ -32,6 +32,12 @@
 //! [`OnlineDecoder::checkpoint`] writes the one-record form (shard 0,
 //! victim 0).
 //!
+//! The field-walk primitives ([`Pass`], [`Writer`], [`Reader`],
+//! [`seq`], …) are public: the process-shard pipe builds its `Init`
+//! and `Verdicts` payloads from them, and [`write_graph`] /
+//! [`read_graph`] carry a story graph's topology, exactly the fields
+//! [`graph_fingerprint`] covers.
+//!
 //! Determinism is by construction: the field order is fixed, there
 //! are no floats (derived durations are recomputed from the graph and
 //! the time scale on resume), flows serialize in `BTreeMap` order and
@@ -56,7 +62,9 @@ use wm_capture::headers::FlowId;
 use wm_capture::time::SimTime;
 use wm_capture::RecordClass;
 use wm_core::IntervalClassifier;
-use wm_story::{ChoicePointId, SegmentEnd, SegmentId, StoryGraph};
+use wm_story::{
+    ChoiceOption, ChoicePoint, ChoicePointId, Segment, SegmentEnd, SegmentId, StoryGraph,
+};
 
 /// Checkpoint format version. Bump on any layout change.
 pub const CHECKPOINT_VERSION: u16 = 2;
@@ -153,11 +161,87 @@ pub fn graph_fingerprint(graph: &StoryGraph) -> u64 {
     h
 }
 
+/// One walk over a story graph's topology: exactly the fields
+/// [`graph_fingerprint`] mixes, in its order — the start segment, each
+/// segment's id, duration and end, each choice point's id and option
+/// targets. Names, questions, labels and tags are presentation data
+/// the decoder never reads, so a graph rebuilt from this walk carries
+/// the original's fingerprint.
+fn topology<'a, P: Pass<'a>>(
+    p: &mut P,
+    start: &mut SegmentId,
+    segments: &mut Vec<Segment>,
+    cps: &mut Vec<ChoicePoint>,
+) -> Step {
+    p.int(&mut start.0, "start")?;
+    let blank = Segment {
+        id: SegmentId(0),
+        name: "",
+        duration_secs: 0,
+        end: SegmentEnd::Ending,
+    };
+    seq(p, segments, blank, "segments", |p, s| {
+        p.int(&mut s.id.0, "segments")?;
+        p.int(&mut s.duration_secs, "segments")?;
+        let (mut tag, mut arg) = match s.end {
+            SegmentEnd::Ending => (1u8, 0),
+            SegmentEnd::Continue(next) => (2, next.0),
+            SegmentEnd::Choice(cp) => (3, cp.0),
+        };
+        p.int(&mut tag, "segment end")?;
+        if tag != 1 {
+            p.int(&mut arg, "segment end")?;
+        }
+        s.end = match tag {
+            1 => SegmentEnd::Ending,
+            2 => SegmentEnd::Continue(SegmentId(arg)),
+            3 => SegmentEnd::Choice(ChoicePointId(arg)),
+            _ => return Err(CheckpointError::Malformed("segment end")),
+        };
+        Ok(())
+    })?;
+    let option = ChoiceOption {
+        label: "",
+        target: SegmentId(0),
+        tags: &[],
+    };
+    let blank = ChoicePoint {
+        id: ChoicePointId(0),
+        question: "",
+        options: [option.clone(), option],
+    };
+    seq(p, cps, blank, "choice points", |p, cp| {
+        p.int(&mut cp.id.0, "choice points")?;
+        for opt in &mut cp.options {
+            p.int(&mut opt.target.0, "choice points")?;
+        }
+        Ok(())
+    })
+}
+
+/// Append `graph`'s topology.
+pub fn write_graph(graph: &StoryGraph, out: &mut Vec<u8>) {
+    let mut start = graph.start();
+    let mut segments = graph.segments().to_vec();
+    let mut cps = graph.choice_points().to_vec();
+    // The writer never fails.
+    let _ = topology(&mut Writer(out), &mut start, &mut segments, &mut cps);
+}
+
+/// Rebuild a graph from exactly the bytes [`write_graph`] appended.
+pub fn read_graph(bytes: &[u8]) -> Result<StoryGraph, CheckpointError> {
+    let mut r = Reader::new(bytes, 0);
+    let (mut start, mut segments, mut cps) = (SegmentId(0), Vec::new(), Vec::new());
+    topology(&mut r, &mut start, &mut segments, &mut cps)?;
+    r.end("graph")?;
+    StoryGraph::new("", segments, cps, start).map_err(|_| CheckpointError::Malformed("graph"))
+}
+
 // ---------------------------------------------------------------------
 // primitive codec
 
 /// Fixed-width little-endian integers.
-trait Le: Sized + Copy {
+pub trait Le: Sized + Copy {
     fn put_le(self, out: &mut Vec<u8>);
     fn from_le(bytes: &[u8]) -> Option<Self>;
 }
@@ -177,7 +261,7 @@ macro_rules! le {
 le!(u8, u16, u32, u64, i64);
 
 /// Append-only encoder over a byte buffer.
-struct Writer<'a>(&'a mut Vec<u8>);
+pub struct Writer<'a>(pub &'a mut Vec<u8>);
 
 impl Writer<'_> {
     fn emit<T: Le>(&mut self, x: T) {
@@ -193,14 +277,14 @@ impl Writer<'_> {
 /// Bounds-checked cursor. Every read names the field it reads, so a
 /// short buffer fails as [`CheckpointError::Truncated`] at that field;
 /// `base` makes reported offsets absolute within the enclosing blob.
-struct Reader<'a> {
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
     base: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8], base: usize) -> Self {
+    pub fn new(bytes: &'a [u8], base: usize) -> Self {
         Reader {
             bytes,
             pos: 0,
@@ -214,6 +298,14 @@ impl<'a> Reader<'a> {
 
     fn remaining(&self) -> usize {
         self.bytes.len().saturating_sub(self.pos)
+    }
+
+    /// Reject bytes left over after the layout ended.
+    pub fn end(&self, near: &'static str) -> Result<(), CheckpointError> {
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(CheckpointError::Malformed(near)),
+        }
     }
 
     fn slice(&mut self, n: usize, near: &'static str) -> Result<&'a [u8], CheckpointError> {
@@ -253,7 +345,7 @@ impl<'a> Reader<'a> {
 /// One walk over a decoder's fields in layout order. [`Writer`] and
 /// [`Reader`] both implement it, so [`state`] — the single field list —
 /// both encodes and decodes, and the two directions cannot drift.
-trait Pass<'a> {
+pub trait Pass<'a> {
     /// The reader: lists are rebuilt instead of walked.
     const READS: bool;
     /// Write `*x`, or read into it.
@@ -379,6 +471,18 @@ impl<'a> Blob<'a> {
     /// Verify framing and CRC, then parse the header and frame the
     /// records. Record contents are decoded only on restore.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, CheckpointError> {
+        match Self::parse_prefix(bytes)? {
+            (blob, []) => Ok(blob),
+            (_, rest) => Err(CheckpointError::Length {
+                declared: bytes.len() - rest.len(),
+                actual: bytes.len(),
+            }),
+        }
+    }
+
+    /// [`Blob::parse`] the blob at the front of `bytes`, whose header
+    /// declares its length, and return it with the bytes after it.
+    pub fn parse_prefix(bytes: &'a [u8]) -> Result<(Self, &'a [u8]), CheckpointError> {
         let mut r = Reader::new(bytes, 0);
         if r.slice(4, "magic")? != MAGIC {
             return Err(CheckpointError::Magic);
@@ -391,15 +495,9 @@ impl<'a> Blob<'a> {
         if length < HEADER_LEN + CRC_LEN {
             return Err(CheckpointError::Malformed("length"));
         }
-        if bytes.len() < length {
+        let Some((bytes, rest)) = bytes.split_at_checked(length) else {
             return Err(truncation(bytes, length));
-        }
-        if bytes.len() > length {
-            return Err(CheckpointError::Length {
-                declared: length,
-                actual: bytes.len(),
-            });
-        }
+        };
         let body_len = length - CRC_LEN;
         let body = bytes.get(..body_len).unwrap_or(&[]);
         let mut tail = Reader::new(bytes.get(body_len..).unwrap_or(&[]), body_len);
@@ -410,7 +508,7 @@ impl<'a> Blob<'a> {
         }
         let header = BlobHeader::read(&mut r)?;
         let records = split_records(body.get(HEADER_LEN..).unwrap_or(&[]), HEADER_LEN)?;
-        Ok(Blob { header, records })
+        Ok((Blob { header, records }, rest))
     }
 }
 
@@ -549,9 +647,7 @@ pub fn restore_record(
     let mut r = Reader::new(body, rec.offset + RECORD_PREFIX);
     let mut decoder = OnlineDecoder::new(classifier.clone(), graph, cfg.clone());
     state(&mut r, &mut decoder)?;
-    if r.remaining() > 0 {
-        return Err(CheckpointError::Malformed("record length"));
-    }
+    r.end("record length")?;
     decoder.stats.resumes = decoder.stats.resumes.saturating_add(1);
     Ok(decoder)
 }
@@ -572,16 +668,19 @@ pub(crate) fn decode(
 // ---------------------------------------------------------------------
 // decoder state
 
-type Step = Result<(), CheckpointError>;
+/// The outcome of one step of a walk.
+pub type Step = Result<(), CheckpointError>;
 
-fn time<'a>(p: &mut impl Pass<'a>, t: &mut SimTime, near: &'static str) -> Step {
+/// A sim time as its `u64` microseconds.
+pub fn time<'a>(p: &mut impl Pass<'a>, t: &mut SimTime, near: &'static str) -> Step {
     let mut us = t.micros();
     p.int(&mut us, near)?;
     *t = SimTime(us);
     Ok(())
 }
 
-fn flag<'a>(p: &mut impl Pass<'a>, b: &mut bool, near: &'static str) -> Step {
+/// A `bool` as one byte, 0 or 1.
+pub fn flag<'a>(p: &mut impl Pass<'a>, b: &mut bool, near: &'static str) -> Step {
     let mut x = *b as u8;
     p.int(&mut x, near)?;
     *b = match x {
@@ -592,16 +691,22 @@ fn flag<'a>(p: &mut impl Pass<'a>, b: &mut bool, near: &'static str) -> Step {
     Ok(())
 }
 
-const CLASSES: [RecordClass; 3] = [RecordClass::Other, RecordClass::Type1, RecordClass::Type2];
-
-fn class<'a>(p: &mut impl Pass<'a>, c: &mut RecordClass, near: &'static str) -> Step {
-    let mut x = CLASSES.iter().position(|k| k == c).unwrap_or(0) as u8;
-    p.int(&mut x, near)?;
-    *c = *CLASSES
-        .get(x as usize)
+/// An enum as a one-byte index into `all`, its variants in tag order.
+pub fn variant<'a, T: Copy + PartialEq>(
+    p: &mut impl Pass<'a>,
+    x: &mut T,
+    all: &[T],
+    near: &'static str,
+) -> Step {
+    let mut tag = all.iter().position(|k| k == x).unwrap_or(0) as u8;
+    p.int(&mut tag, near)?;
+    *x = *all
+        .get(tag as usize)
         .ok_or(CheckpointError::Malformed(near))?;
     Ok(())
 }
+
+const CLASSES: [RecordClass; 3] = [RecordClass::Other, RecordClass::Type1, RecordClass::Type2];
 
 /// A one-byte presence tag, then the value when present.
 fn opt<'a, P: Pass<'a>, T: Copy>(
@@ -653,11 +758,38 @@ fn list<'a, P: Pass<'a>, T: Copy>(
     Ok(())
 }
 
+/// A `u32` count, then the items: walked when writing, pushed one at a
+/// time when reading, so a hostile count fails at the first missing
+/// item instead of allocating for the count.
+pub fn seq<'a, P: Pass<'a>, T: Clone>(
+    p: &mut P,
+    v: &mut Vec<T>,
+    blank: T,
+    near: &'static str,
+    mut item: impl FnMut(&mut P, &mut T) -> Step,
+) -> Step {
+    let mut n = v.len() as u32;
+    p.int(&mut n, near)?;
+    if P::READS {
+        v.clear();
+        for _ in 0..n {
+            let mut x = blank.clone();
+            item(p, &mut x)?;
+            v.push(x);
+        }
+    } else {
+        for x in v.iter_mut() {
+            item(p, x)?;
+        }
+    }
+    Ok(())
+}
+
 fn ready<'a>(p: &mut impl Pass<'a>, e: &mut ReadyEvent, near: &'static str) -> Step {
     time(p, &mut e.time, near)?;
     p.int(&mut e.index, near)?;
     p.int(&mut e.length, near)?;
-    class(p, &mut e.class, near)
+    variant(p, &mut e.class, &CLASSES, near)
 }
 
 const BLANK_READY: ReadyEvent = ReadyEvent {
@@ -706,7 +838,7 @@ fn state<'a, P: Pass<'a>>(p: &mut P, d: &mut OnlineDecoder) -> Step {
         time(p, &mut e.time, "pending")?;
         p.int(&mut e.seq, "pending")?;
         p.int(&mut e.length, "pending")?;
-        class(p, &mut e.class, "pending")
+        variant(p, &mut e.class, &CLASSES, "pending")
     })?;
     list(p, &mut d.ready, BLANK_READY, "ready", |p, e| {
         ready(p, e, "ready")

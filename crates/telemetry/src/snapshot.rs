@@ -1,9 +1,10 @@
 //! Immutable, mergeable metric snapshots with JSON and table renderers.
 //!
-//! The JSON codec is hand-rolled (std-only) and round-trips exactly:
-//! `Snapshot::from_json_str(&snap.to_json_string()) == Some(snap)`.
+//! The JSON writer is hand-rolled so the crate stays std-only; its
+//! output is canonical JSON that `wm_json::parse` reads back to the same
+//! counters and histograms (checked in `tests/properties.rs`).
 
-use crate::metric::{Histogram, BUCKETS};
+use crate::metric::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -220,21 +221,6 @@ impl Snapshot {
         s
     }
 
-    /// Parse the JSON produced by [`Snapshot::to_json_string`].
-    pub fn from_json_str(json: &str) -> Option<Snapshot> {
-        let mut p = Parser {
-            bytes: json.as_bytes(),
-            pos: 0,
-        };
-        let snap = p.snapshot()?;
-        p.skip_ws();
-        if p.pos == p.bytes.len() {
-            Some(snap)
-        } else {
-            None
-        }
-    }
-
     /// The seed-deterministic projection of this snapshot: counters
     /// only, with every histogram dropped.
     ///
@@ -323,212 +309,6 @@ fn table_opt(v: Option<u64>) -> String {
     }
 }
 
-/// Minimal recursive-descent parser for the snapshot schema only.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let ch = rest.chars().next()?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
-
-    /// A u64, or the literal `null` (empty-histogram min/max).
-    fn u64_or_null(&mut self) -> Option<Option<u64>> {
-        self.skip_ws();
-        if self.bytes.get(self.pos..self.pos + 4) == Some(b"null") {
-            self.pos += 4;
-            return Some(None);
-        }
-        self.u64().map(Some)
-    }
-
-    fn key(&mut self, expected: &str) -> Option<()> {
-        let k = self.string()?;
-        if k != expected {
-            return None;
-        }
-        self.eat(b':')
-    }
-
-    fn snapshot(&mut self) -> Option<Snapshot> {
-        self.eat(b'{')?;
-        self.key("counters")?;
-        let counters = self.counters()?;
-        self.eat(b',')?;
-        self.key("histograms")?;
-        let histograms = self.histograms()?;
-        self.eat(b'}')?;
-        Some(Snapshot {
-            counters,
-            histograms,
-        })
-    }
-
-    fn counters(&mut self) -> Option<BTreeMap<String, u64>> {
-        self.eat(b'{')?;
-        let mut out = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.eat(b'}')?;
-            return Some(out);
-        }
-        loop {
-            let name = self.string()?;
-            self.eat(b':')?;
-            out.insert(name, self.u64()?);
-            match self.peek()? {
-                b',' => self.eat(b',')?,
-                b'}' => {
-                    self.eat(b'}')?;
-                    return Some(out);
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn histograms(&mut self) -> Option<BTreeMap<String, HistogramSnapshot>> {
-        self.eat(b'{')?;
-        let mut out = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.eat(b'}')?;
-            return Some(out);
-        }
-        loop {
-            let name = self.string()?;
-            self.eat(b':')?;
-            out.insert(name, self.histogram()?);
-            match self.peek()? {
-                b',' => self.eat(b',')?,
-                b'}' => {
-                    self.eat(b'}')?;
-                    return Some(out);
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn histogram(&mut self) -> Option<HistogramSnapshot> {
-        self.eat(b'{')?;
-        self.key("count")?;
-        let count = self.u64()?;
-        self.eat(b',')?;
-        self.key("sum")?;
-        let sum = self.u64()?;
-        self.eat(b',')?;
-        self.key("min")?;
-        let min = self.u64_or_null()?;
-        self.eat(b',')?;
-        self.key("max")?;
-        let max = self.u64_or_null()?;
-        self.eat(b',')?;
-        self.key("buckets")?;
-        self.eat(b'[')?;
-        let mut buckets = Vec::new();
-        if self.peek() == Some(b']') {
-            self.eat(b']')?;
-        } else {
-            loop {
-                self.eat(b'[')?;
-                let idx = self.u64()?;
-                if idx >= BUCKETS as u64 {
-                    return None;
-                }
-                self.eat(b',')?;
-                let c = self.u64()?;
-                self.eat(b']')?;
-                buckets.push((idx as u8, c));
-                match self.peek()? {
-                    b',' => self.eat(b',')?,
-                    b']' => {
-                        self.eat(b']')?;
-                        break;
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        self.eat(b'}')?;
-        Some(HistogramSnapshot {
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,20 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_exact() {
-        let snap = sample();
-        let json = snap.to_json_string();
-        let back = Snapshot::from_json_str(&json).expect("parses");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn empty_roundtrip() {
-        let snap = Snapshot::default();
-        assert_eq!(Snapshot::from_json_str(&snap.to_json_string()), Some(snap));
-    }
-
-    #[test]
     fn empty_histogram_serializes_null_bounds() {
         let reg = Registry::new();
         reg.histogram("idle_us");
@@ -568,18 +334,10 @@ mod tests {
         assert_eq!(snap.histograms["idle_us"].max, None);
         let json = snap.to_json_string();
         assert!(json.contains("\"min\":null,\"max\":null"), "{json}");
-        assert_eq!(Snapshot::from_json_str(&json), Some(snap));
         // A histogram that really recorded a zero keeps `"min":0`.
         reg.histogram("idle_us").record(0);
         let json = reg.snapshot().to_json_string();
         assert!(json.contains("\"min\":0,\"max\":0"), "{json}");
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        let mut json = sample().to_json_string();
-        json.push('x');
-        assert_eq!(Snapshot::from_json_str(&json), None);
     }
 
     #[test]
@@ -643,11 +401,6 @@ mod tests {
         let delta = reg.snapshot().delta_since(&base);
         assert_eq!(delta.counters["c"], 0);
         assert_eq!(delta.histograms["h"], HistogramSnapshot::default());
-        // The delta round-trips through JSON like any snapshot.
-        assert_eq!(
-            Snapshot::from_json_str(&delta.to_json_string()),
-            Some(delta)
-        );
     }
 
     #[test]
@@ -664,11 +417,6 @@ mod tests {
         let view = snap.deterministic_view();
         assert_eq!(view.counters, snap.counters);
         assert!(view.histograms.is_empty());
-        // The view is itself a valid snapshot: round-trips and merges.
-        assert_eq!(
-            Snapshot::from_json_str(&view.to_json_string()),
-            Some(view.clone())
-        );
         assert_eq!(view.deterministic_view(), view);
     }
 

@@ -5,7 +5,8 @@
 //! many random cases per property, fully deterministic, with the seed in
 //! the assertion message for reproduction.
 
-use wm_telemetry::{Registry, Snapshot};
+use wm_json::Value;
+use wm_telemetry::{HistogramSnapshot, Registry, Snapshot};
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -87,14 +88,75 @@ fn merged_equals_sequential_folds() {
     }
 }
 
+/// Read `Snapshot::to_json_string` output back with the workspace's
+/// JSON reader: every counter and every histogram field.
+fn parsed(json: &str) -> Snapshot {
+    let doc = wm_json::parse(json.as_bytes()).unwrap_or_else(|e| panic!("{e}: {json}"));
+    let int = |v: &Value| v.as_i64().and_then(|n| u64::try_from(n).ok());
+    let section = |key| doc.get(key).and_then(Value::as_object).expect(key);
+    let histogram = |h: &Value| {
+        let field = |key| h.get(key).expect(key);
+        let bound = |key| match field(key) {
+            Value::Null => None,
+            v => Some(int(v).expect(key)),
+        };
+        let bucket = |pair: &Value| match pair.as_array() {
+            Some([i, c]) => (int(i).expect("bucket") as u8, int(c).expect("bucket")),
+            _ => panic!("bucket {pair:?}"),
+        };
+        HistogramSnapshot {
+            count: int(field("count")).expect("count"),
+            sum: int(field("sum")).expect("sum"),
+            min: bound("min"),
+            max: bound("max"),
+            buckets: field("buckets")
+                .as_array()
+                .expect("buckets")
+                .iter()
+                .map(bucket)
+                .collect(),
+        }
+    };
+    Snapshot {
+        counters: section("counters")
+            .iter()
+            .map(|(k, v)| (k.clone(), int(v).expect("counter")))
+            .collect(),
+        histograms: section("histograms")
+            .iter()
+            .map(|(k, h)| (k.clone(), histogram(h)))
+            .collect(),
+    }
+}
+
 #[test]
 fn json_roundtrips_random_snapshots() {
     for seed in 0..200u64 {
         let mut s = seed ^ 0x5eed_5eed;
         let snap = random_snapshot(&mut s);
+        // The snapshot, its all-zero delta against itself (every key
+        // kept, histograms emptied to null bounds) and its counters-only
+        // view all read back exactly.
+        for snap in [snap.delta_since(&snap), snap.deterministic_view(), snap] {
+            let json = snap.to_json_string();
+            assert_eq!(parsed(&json), snap, "seed {seed}: {json}");
+        }
+    }
+}
+
+#[test]
+fn json_reads_back_fixed_snapshots() {
+    let reg = Registry::new();
+    reg.counter("a.events").add(7);
+    reg.counter("quote\"back\\slash\u{1}").add(123_456);
+    reg.histogram("idle_us");
+    let h = reg.histogram("lat_ns");
+    for v in [3u64, 900, 900, 40_000, 0] {
+        h.record(v);
+    }
+    for snap in [Snapshot::default(), reg.snapshot()] {
         let json = snap.to_json_string();
-        let back = Snapshot::from_json_str(&json);
-        assert_eq!(back.as_ref(), Some(&snap), "seed {seed}: {json}");
+        assert_eq!(parsed(&json), snap, "{json}");
     }
 }
 
