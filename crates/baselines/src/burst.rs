@@ -97,7 +97,7 @@ mod tests {
             seq: 0,
             ack: 0,
             flags: TcpFlags::PSH_ACK,
-            payload: vec![0; payload],
+            payload: vec![0; payload].into(),
             retransmit: false,
         }
     }

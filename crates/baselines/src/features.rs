@@ -69,7 +69,7 @@ mod tests {
             seq: 0,
             ack: 0,
             flags: TcpFlags::PSH_ACK,
-            payload: vec![0xab; payload_len],
+            payload: vec![0xab; payload_len].into(),
             retransmit: false,
         }
     }

@@ -235,7 +235,7 @@ mod tests {
             seq,
             ack: 0,
             flags: TcpFlags::PSH_ACK,
-            payload: payload.to_vec(),
+            payload: payload.into(),
             retransmit: false,
         }
     }

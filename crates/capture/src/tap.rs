@@ -153,19 +153,23 @@ impl Tap {
 
     /// Record a TCP segment observed at `time`.
     pub fn record_segment(&mut self, time: SimTime, seg: &TcpSegment) {
+        self.record_frame(time, &seg.flow, seg.seq, seg.ack, seg.flags, &seg.payload);
+    }
+
+    /// Serialize one observed frame into the trace.
+    fn record_frame(
+        &mut self,
+        time: SimTime,
+        flow: &FlowId,
+        seq: u32,
+        ack: u32,
+        flags: TcpFlags,
+        payload: &[u8],
+    ) {
         let ip_id = self.next_ip_id;
         self.next_ip_id = self.next_ip_id.wrapping_add(1);
         let ts = (time.micros() / 1_000) as u32; // ms-granularity TSval
-        let frame = build_frame(
-            &seg.flow,
-            seg.seq,
-            seg.ack,
-            seg.flags,
-            ts,
-            0,
-            ip_id,
-            &seg.payload,
-        );
+        let frame = build_frame(flow, seq, ack, flags, ts, 0, ip_id, payload);
         if let Some(c) = &self.frames_tapped {
             c.inc();
         }
@@ -206,15 +210,7 @@ impl Tap {
                 );
             }
         }
-        let seg = TcpSegment {
-            flow: *flow,
-            seq,
-            ack,
-            flags,
-            payload: Vec::new(),
-            retransmit: false,
-        };
-        self.record_segment(time, &seg);
+        self.record_frame(time, flow, seq, ack, flags, &[]);
     }
 
     /// Finish capturing and take the trace.
@@ -304,7 +300,7 @@ mod tests {
             seq: 100,
             ack: 200,
             flags: TcpFlags::PSH_ACK,
-            payload: payload.to_vec(),
+            payload: payload.into(),
             retransmit: false,
         }
     }
@@ -388,7 +384,7 @@ mod tests {
             seq: 7,
             ack: 8,
             flags: TcpFlags::PSH_ACK,
-            payload: vec![0; 100],
+            payload: vec![0; 100].into(),
             retransmit: false,
         };
         tap.record_segment(SimTime(5_000), &down);

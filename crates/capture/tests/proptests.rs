@@ -28,7 +28,7 @@ fn seg(seq: u32, payload: Vec<u8>) -> TcpSegment {
         seq,
         ack: 0,
         flags: TcpFlags::PSH_ACK,
-        payload,
+        payload: payload.into(),
         retransmit: false,
     }
 }

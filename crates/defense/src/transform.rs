@@ -78,7 +78,7 @@ impl Defense {
                     path: req.path.clone(),
                     headers: {
                         let mut h = req.headers.clone();
-                        h.push(("Content-Encoding".into(), "wm-lz".into()));
+                        h.push("Content-Encoding", "wm-lz");
                         h
                     },
                     body: compressed,

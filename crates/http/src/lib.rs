@@ -9,39 +9,99 @@
 //!
 //! The module provides [`Request`]/[`Response`] builders with exact
 //! serialized sizes, plus incremental parsers ([`RequestParser`],
-//! [`ResponseParser`]) used by the simulated server and player.
+//! [`ResponseParser`]) used by the simulated server and player. Both
+//! sit on the simulator's per-message path, so a message costs a
+//! handful of allocations: its method or reason, path, header block
+//! and body.
 
 use std::fmt;
+use std::io::Write;
 
 mod parse;
 
 pub use parse::{ParseError, ParsePhase, RequestParser, ResponseParser};
+
+/// Header fields in serialization order (order matters for byte
+/// layout), stored as their wire block: one `Name: value\r\n` line per
+/// field. Building, serializing and parsing a message each touch one
+/// buffer instead of two strings per field. Names must not contain
+/// `:`, and neither names nor values may contain CR or LF.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Headers {
+    block: String,
+}
+
+/// Room for a typical header block, so building one allocates once.
+const TYPICAL_BLOCK: usize = 256;
+
+impl Headers {
+    fn with_capacity(n: usize) -> Self {
+        Headers {
+            block: String::with_capacity(n),
+        }
+    }
+
+    /// Append a field.
+    pub fn push(&mut self, name: &str, value: &str) {
+        if self.block.capacity() == 0 {
+            self.block.reserve(TYPICAL_BLOCK);
+        }
+        self.block.push_str(name);
+        self.block.push_str(": ");
+        self.block.push_str(value);
+        self.block.push_str("\r\n");
+    }
+
+    /// The fields as `(name, value)` pairs, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        // Every line is `name: value\r\n`, and neither part holds a
+        // `\n` or (in the name) a `:`, so single-byte searches split
+        // the block exactly.
+        self.block.split_terminator('\n').map(|line| {
+            let line = line.strip_suffix('\r').unwrap_or(line);
+            let (name, value) = line.split_once(':').unwrap_or((line, ""));
+            (name, value.strip_prefix(' ').unwrap_or(value))
+        })
+    }
+
+    /// The first value of field `name` (case-insensitive name match).
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
+
+    /// The serialized block (every line `\r\n`-terminated).
+    fn wire(&self) -> &[u8] {
+        self.block.as_bytes()
+    }
+}
 
 /// An HTTP/1.1 request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     pub method: String,
     pub path: String,
-    /// Headers in serialization order (order matters for byte layout).
-    pub headers: Vec<(String, String)>,
+    pub headers: Headers,
     pub body: Vec<u8>,
 }
 
 impl Request {
     /// Build a request; a `Content-Length` header is appended
-    /// automatically when a body is present.
-    pub fn new(method: &str, path: &str) -> Self {
+    /// automatically when a body is present. An owned `path` is moved
+    /// in, not copied.
+    pub fn new(method: &str, path: impl Into<String>) -> Self {
         Request {
             method: method.to_owned(),
-            path: path.to_owned(),
-            headers: Vec::new(),
+            path: path.into(),
+            headers: Headers::default(),
             body: Vec::new(),
         }
     }
 
     /// Append a header (chainable).
     pub fn header(mut self, name: &str, value: &str) -> Self {
-        self.headers.push((name.to_owned(), value.to_owned()));
+        self.headers.push(name, value);
         self
     }
 
@@ -54,44 +114,43 @@ impl Request {
     /// Serialize to wire bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.serialized_len());
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Append the wire bytes to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.method.as_bytes());
         out.push(b' ');
         out.extend_from_slice(self.path.as_bytes());
         out.extend_from_slice(b" HTTP/1.1\r\n");
-        for (name, value) in &self.headers {
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(value.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
+        out.extend_from_slice(self.headers.wire());
         if !self.body.is_empty() {
-            out.extend_from_slice(b"Content-Length: ");
-            out.extend_from_slice(self.body.len().to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
+            write_content_length(out, self.body.len());
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
-        out
     }
 
     /// Exact length of [`Request::to_bytes`].
     pub fn serialized_len(&self) -> usize {
+        self.serialized_len_with_body(self.body.len())
+    }
+
+    /// Exact length of [`Request::to_bytes`] were the body `body_len`
+    /// bytes long (the `Content-Length` digits included).
+    pub fn serialized_len_with_body(&self, body_len: usize) -> usize {
         let mut n = self.method.len() + 1 + self.path.len() + 11; // " HTTP/1.1\r\n"
-        for (name, value) in &self.headers {
-            n += name.len() + 2 + value.len() + 2;
+        n += self.headers.wire().len();
+        if body_len > 0 {
+            n += 16 + dec_len(body_len) + 2; // "Content-Length: …\r\n"
         }
-        if !self.body.is_empty() {
-            n += 16 + dec_len(self.body.len()) + 2; // "Content-Length: …\r\n"
-        }
-        n + 2 + self.body.len()
+        n + 2 + body_len
     }
 
     /// Look up a header value (case-insensitive name match).
     pub fn header_value(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        self.headers.get(name)
     }
 }
 
@@ -100,7 +159,7 @@ impl Request {
 pub struct Response {
     pub status: u16,
     pub reason: String,
-    pub headers: Vec<(String, String)>,
+    pub headers: Headers,
     pub body: Vec<u8>,
 }
 
@@ -109,7 +168,7 @@ impl Response {
         Response {
             status,
             reason: reason.to_owned(),
-            headers: Vec::new(),
+            headers: Headers::default(),
             body: Vec::new(),
         }
     }
@@ -120,7 +179,7 @@ impl Response {
     }
 
     pub fn header(mut self, name: &str, value: &str) -> Self {
-        self.headers.push((name.to_owned(), value.to_owned()));
+        self.headers.push(name, value);
         self
     }
 
@@ -133,30 +192,31 @@ impl Response {
     /// real origin servers).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.body.len());
-        out.extend_from_slice(b"HTTP/1.1 ");
-        out.extend_from_slice(self.status.to_string().as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(self.reason.as_bytes());
-        out.extend_from_slice(b"\r\n");
-        for (name, value) in &self.headers {
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(value.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(b"Content-Length: ");
-        out.extend_from_slice(self.body.len().to_string().as_bytes());
-        out.extend_from_slice(b"\r\n\r\n");
-        out.extend_from_slice(&self.body);
+        self.write_to(&mut out);
         out
     }
 
-    pub fn header_value(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+    /// Append the wire bytes to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        // Writing into a Vec cannot fail.
+        let _ = write!(out, "HTTP/1.1 {} ", self.status);
+        out.extend_from_slice(self.reason.as_bytes());
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(self.headers.wire());
+        write_content_length(out, self.body.len());
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&self.body);
     }
+
+    pub fn header_value(&self, name: &str) -> Option<&str> {
+        self.headers.get(name)
+    }
+}
+
+/// `Content-Length: <n>\r\n`, formatted in place.
+fn write_content_length(out: &mut Vec<u8>, n: usize) {
+    // Writing into a Vec cannot fail.
+    let _ = write!(out, "Content-Length: {n}\r\n");
 }
 
 impl fmt::Display for Request {

@@ -6,7 +6,7 @@
 //! `Content-Length` framing is supported (all simulated traffic uses
 //! it; see the crate docs).
 
-use crate::{Request, Response};
+use crate::{Headers, Request, Response};
 
 /// A malformed message head, as a typed error.
 ///
@@ -46,131 +46,255 @@ impl std::error::Error for ParseError {}
 pub enum ParsePhase {
     /// Accumulating header bytes (until `\r\n\r\n`).
     Headers,
-    /// Headers parsed; accumulating `remaining` body bytes.
+    /// Headers parsed; accumulating the body's remaining bytes.
     Body,
 }
 
-/// Generic head-then-body accumulator shared by both parsers.
-struct Accumulator {
-    buf: Vec<u8>,
-    phase: ParsePhase,
-    /// Parsed head lines (start line + headers) once phase is Body.
-    head: Vec<String>,
-    body_remaining: usize,
-    body: Vec<u8>,
+/// Most body bytes reserved up front from a peer-supplied
+/// `Content-Length`; larger bodies grow as their bytes arrive.
+const MAX_BODY_PREALLOC: usize = 1 << 20;
+
+/// A message the accumulator can frame: built from its start line,
+/// then given its header fields and body.
+trait Message: Sized {
+    fn from_start_line(line: &str) -> Result<Self, ParseError>;
+    fn headers_mut(&mut self) -> &mut Headers;
+    fn body_mut(&mut self) -> &mut Vec<u8>;
 }
 
-impl Accumulator {
-    fn new() -> Self {
-        Accumulator {
-            buf: Vec::new(),
-            phase: ParsePhase::Headers,
-            head: Vec::new(),
-            body_remaining: 0,
-            body: Vec::new(),
+impl Message for Request {
+    fn from_start_line(line: &str) -> Result<Self, ParseError> {
+        let mut parts = line.split(' ');
+        let method = parts.next().unwrap_or("");
+        let path = parts.next().unwrap_or("");
+        let version = parts.next().unwrap_or("");
+        if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
+            return Err(ParseError::MalformedRequestLine(line.to_owned()));
         }
+        Ok(Request::new(method, path))
     }
 
-    /// Feed bytes; returns `Some((head_lines, body))` per complete
-    /// message. Returns `Err` on malformed heads.
-    fn feed(
-        &mut self,
-        mut bytes: &[u8],
-        out: &mut Vec<(Vec<String>, Vec<u8>)>,
-    ) -> Result<(), ParseError> {
-        while !bytes.is_empty() {
-            match self.phase {
-                ParsePhase::Headers => {
-                    self.buf.extend_from_slice(bytes);
-                    bytes = &[];
-                    if let Some(end) = find_double_crlf(&self.buf) {
-                        let head_bytes = self.buf.get(..end).unwrap_or_default().to_vec();
-                        let rest = self.buf.get(end + 4..).unwrap_or_default().to_vec();
-                        self.buf.clear();
-                        let head_text =
-                            String::from_utf8(head_bytes).map_err(|_| ParseError::NonUtf8Head)?;
-                        self.head = head_text.split("\r\n").map(str::to_owned).collect();
-                        self.body_remaining = content_length(&self.head)?;
-                        self.body = Vec::with_capacity(self.body_remaining);
-                        self.phase = ParsePhase::Body;
-                        // Re-feed what followed the head.
-                        self.feed(&rest, out)?;
-                    }
-                }
-                ParsePhase::Body => {
-                    let take = bytes.len().min(self.body_remaining);
-                    let (chunk, rest) = bytes.split_at_checked(take).unwrap_or((bytes, &[]));
-                    self.body.extend_from_slice(chunk);
-                    self.body_remaining -= chunk.len();
-                    bytes = rest;
-                    if self.body_remaining == 0 {
-                        out.push((
-                            std::mem::take(&mut self.head),
-                            std::mem::take(&mut self.body),
-                        ));
-                        self.phase = ParsePhase::Headers;
-                    }
-                }
-            }
+    fn headers_mut(&mut self) -> &mut Headers {
+        &mut self.headers
+    }
+
+    fn body_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.body
+    }
+}
+
+impl Message for Response {
+    fn from_start_line(line: &str) -> Result<Self, ParseError> {
+        let bad = || ParseError::BadStatusLine(line.to_owned());
+        let mut parts = line.splitn(3, ' ');
+        let version = parts.next().unwrap_or("");
+        let status: u16 = parts.next().unwrap_or("").parse().map_err(|_| bad())?;
+        let reason = parts.next().unwrap_or("");
+        if !version.starts_with("HTTP/1.") {
+            return Err(bad());
         }
-        // Zero-length bodies complete immediately even with no trailing bytes.
-        if self.phase == ParsePhase::Body && self.body_remaining == 0 {
-            out.push((
-                std::mem::take(&mut self.head),
-                std::mem::take(&mut self.body),
-            ));
-            self.phase = ParsePhase::Headers;
+        Ok(Response::new(status, reason))
+    }
+
+    fn headers_mut(&mut self) -> &mut Headers {
+        &mut self.headers
+    }
+
+    fn body_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.body
+    }
+}
+
+/// Head-then-body framing shared by both parsers.
+///
+/// One pass over each fed slice: a head that arrives whole is parsed
+/// in place, body bytes are copied once, straight into the message.
+/// Only a head split across feeds is buffered, and the search for its
+/// `\r\n\r\n` resumes where the previous feed left off.
+struct Accumulator<M> {
+    /// The start of a head split across feeds. Never holds a complete
+    /// `\r\n\r\n` (it would have ended the head).
+    partial_head: Vec<u8>,
+    /// The message whose body is being read, and its bytes still owed.
+    pending: Option<(M, usize)>,
+}
+
+impl<M: Message> Accumulator<M> {
+    fn new() -> Self {
+        Accumulator {
+            partial_head: Vec::new(),
+            pending: None,
         }
-        Ok(())
     }
 
     fn phase(&self) -> ParsePhase {
-        self.phase
+        match self.pending {
+            Some(_) => ParsePhase::Body,
+            None => ParsePhase::Headers,
+        }
     }
-}
 
-fn find_double_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
+    /// Feed bytes, appending every message they complete to `out`.
+    /// Returns `Err` on a malformed head.
+    // wm-lint: hotpath
+    fn feed(&mut self, mut input: &[u8], out: &mut Vec<M>) -> Result<(), ParseError> {
+        loop {
+            if let Some((msg, owed)) = &mut self.pending {
+                let (chunk, rest) = input.split_at((*owed).min(input.len()));
+                msg.body_mut().extend_from_slice(chunk);
+                *owed -= chunk.len();
+                input = rest;
+                if *owed > 0 {
+                    return Ok(());
+                }
+                // Zero-length bodies complete here too, with no
+                // trailing bytes needed.
+                out.extend(self.pending.take().map(|(msg, _)| msg));
+                continue;
+            }
+            if input.is_empty() {
+                return Ok(());
+            }
+            let consumed = if self.partial_head.is_empty() {
+                match find_double_crlf(input) {
+                    Some(end) => {
+                        self.pending = Some(parse_head(input.get(..end).unwrap_or_default())?);
+                        end + 4
+                    }
+                    None => {
+                        self.partial_head.extend_from_slice(input);
+                        return Ok(());
+                    }
+                }
+            } else {
+                match self.complete_head(input) {
+                    Some(consumed) => {
+                        let head = parse_head(&self.partial_head);
+                        self.partial_head.clear();
+                        self.pending = Some(head?);
+                        consumed
+                    }
+                    None => return Ok(()),
+                }
+            };
+            input = input.get(consumed..).unwrap_or_default();
+        }
+    }
 
-/// The head lines after the start line (empty when the head is empty).
-fn header_lines(head: &[String]) -> &[String] {
-    head.get(1..).unwrap_or_default()
-}
-
-/// The start line of a head block (`""` when the head is empty).
-fn start_line(head: &[String]) -> &str {
-    head.first().map(String::as_str).unwrap_or_default()
-}
-
-fn content_length(head: &[String]) -> Result<usize, ParseError> {
-    for line in header_lines(head) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                return value
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|_| ParseError::BadContentLength(value.trim().to_owned()));
+    /// Extend the buffered partial head with `input` up to its end:
+    /// returns how many input bytes ended it (terminator included), or
+    /// `None` when all of `input` belongs to a still-open head. Only
+    /// the last three buffered bytes are searched again, for a
+    /// terminator that straddles the feeds.
+    fn complete_head(&mut self, input: &[u8]) -> Option<usize> {
+        let old = self.partial_head.len();
+        let from = old.saturating_sub(3);
+        let probe = input.get(..3).unwrap_or(input);
+        self.partial_head.extend_from_slice(probe);
+        if let Some(at) = find_double_crlf(self.partial_head.get(from..).unwrap_or_default()) {
+            self.partial_head.truncate(from + at);
+            return Some(from + at + 4 - old);
+        }
+        self.partial_head.truncate(old);
+        match find_double_crlf(input) {
+            Some(end) => {
+                self.partial_head
+                    .extend_from_slice(input.get(..end).unwrap_or_default());
+                Some(end + 4)
+            }
+            None => {
+                self.partial_head.extend_from_slice(input);
+                None
             }
         }
     }
-    Ok(0)
 }
 
-fn split_headers(head: &[String]) -> Result<Vec<(String, String)>, ParseError> {
-    header_lines(head)
-        .iter()
-        .map(|line| {
-            line.split_once(':')
-                .map(|(n, v)| (n.trim().to_owned(), v.trim().to_owned()))
-                .ok_or_else(|| ParseError::MalformedHeaderLine(line.clone()))
-        })
-        .collect()
+/// Where the first `\r\n\r\n` in `buf` starts. A Horspool scan:
+/// the byte under the end of the candidate window decides how far the
+/// window can move, so typical header text is skipped four bytes at a
+/// time.
+fn find_double_crlf(buf: &[u8]) -> Option<usize> {
+    let mut end = 3;
+    while let Some(&last) = buf.get(end) {
+        end += match last {
+            b'\n' if buf.get(end - 3..end) == Some(b"\r\n\r") => return Some(end - 3),
+            b'\n' => 2,
+            b'\r' => 1,
+            _ => 4,
+        };
+    }
+    None
+}
+
+/// Parse a complete head (everything before its `\r\n\r\n`) into a
+/// message awaiting its body, and the body length owed.
+///
+/// One pass over the field lines. Errors surface in a fixed order:
+/// UTF-8, then the first `Content-Length` value, then the start line,
+/// then the first line without a `:`.
+// wm-lint: alloc-ok(reason = "one head per message: its method or reason, path, header block and body buffer, each allocated once")
+fn parse_head<M: Message>(head: &[u8]) -> Result<(M, usize), ParseError> {
+    let text = std::str::from_utf8(head).map_err(|_| ParseError::NonUtf8Head)?;
+    let mut lines = CrlfSplit(Some(text));
+    let start = lines.next().unwrap_or_default();
+    let mut headers = Headers::with_capacity(text.len() - start.len());
+    let mut body_len = None;
+    let mut malformed = None;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            malformed = malformed.or(Some(line));
+            continue;
+        };
+        let (name, value) = (name.trim(), value.trim());
+        // The builders re-add Content-Length on serialization; strip
+        // it on parse so `parse(serialize(m)) == m`.
+        if !name.eq_ignore_ascii_case("content-length") {
+            headers.push(name, value);
+        } else if body_len.is_none() {
+            let len = value
+                .parse::<usize>()
+                .map_err(|_| ParseError::BadContentLength(value.to_owned()))?;
+            body_len = Some(len);
+        }
+    }
+    let mut msg = M::from_start_line(start)?;
+    if let Some(line) = malformed {
+        return Err(ParseError::MalformedHeaderLine(line.to_owned()));
+    }
+    let body_len = body_len.unwrap_or(0);
+    *msg.headers_mut() = headers;
+    msg.body_mut()
+        .reserve_exact(body_len.min(MAX_BODY_PREALLOC));
+    Ok((msg, body_len))
+}
+
+/// `str::split("\r\n")`, finding each `\n` with the standard
+/// library's byte search instead of a general substring search.
+struct CrlfSplit<'a>(Option<&'a str>);
+
+impl<'a> Iterator for CrlfSplit<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.0?;
+        let mut from = 0;
+        while let Some(at) = rest.get(from..).and_then(|r| r.find('\n')) {
+            let nl = from + at;
+            if nl > 0 && rest.as_bytes().get(nl - 1) == Some(&b'\r') {
+                self.0 = rest.get(nl + 1..);
+                return rest.get(..nl - 1);
+            }
+            from = nl + 1;
+        }
+        self.0 = None;
+        Some(rest)
+    }
 }
 
 /// Incremental request parser (server side).
 pub struct RequestParser {
-    acc: Accumulator,
+    acc: Accumulator<Request>,
 }
 
 impl RequestParser {
@@ -187,27 +311,9 @@ impl RequestParser {
 
     /// Feed stream bytes; returns the requests completed by this feed.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Request>, ParseError> {
-        let mut raw = Vec::new();
-        self.acc.feed(bytes, &mut raw)?;
-        raw.into_iter()
-            .map(|(head, body)| {
-                let mut parts = start_line(&head).split(' ');
-                let method = parts.next().unwrap_or("").to_owned();
-                let path = parts.next().unwrap_or("").to_owned();
-                let version = parts.next().unwrap_or("");
-                if method.is_empty() || path.is_empty() || !version.starts_with("HTTP/1.") {
-                    return Err(ParseError::MalformedRequestLine(
-                        start_line(&head).to_owned(),
-                    ));
-                }
-                Ok(Request {
-                    method,
-                    path,
-                    headers: strip_content_length(split_headers(&head)?),
-                    body,
-                })
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.acc.feed(bytes, &mut out)?;
+        Ok(out)
     }
 }
 
@@ -219,7 +325,7 @@ impl Default for RequestParser {
 
 /// Incremental response parser (client side).
 pub struct ResponseParser {
-    acc: Accumulator,
+    acc: Accumulator<Response>,
 }
 
 impl ResponseParser {
@@ -235,29 +341,9 @@ impl ResponseParser {
 
     /// Feed stream bytes; returns the responses completed by this feed.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Response>, ParseError> {
-        let mut raw = Vec::new();
-        self.acc.feed(bytes, &mut raw)?;
-        raw.into_iter()
-            .map(|(head, body)| {
-                let mut parts = start_line(&head).splitn(3, ' ');
-                let version = parts.next().unwrap_or("");
-                let status: u16 = parts
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|_| ParseError::BadStatusLine(start_line(&head).to_owned()))?;
-                let reason = parts.next().unwrap_or("").to_owned();
-                if !version.starts_with("HTTP/1.") {
-                    return Err(ParseError::BadStatusLine(start_line(&head).to_owned()));
-                }
-                Ok(Response {
-                    status,
-                    reason,
-                    headers: strip_content_length(split_headers(&head)?),
-                    body,
-                })
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.acc.feed(bytes, &mut out)?;
+        Ok(out)
     }
 }
 
@@ -267,18 +353,29 @@ impl Default for ResponseParser {
     }
 }
 
-/// The builders re-add Content-Length on serialization; strip it on
-/// parse so `parse(serialize(m)) == m`.
-fn strip_content_length(headers: Vec<(String, String)>) -> Vec<(String, String)> {
-    headers
-        .into_iter()
-        .filter(|(n, _)| !n.eq_ignore_ascii_case("content-length"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn double_crlf_search_matches_naive_scan() {
+        let naive = |b: &[u8]| b.windows(4).position(|w| w == b"\r\n\r\n");
+        let alphabet = [b'\r', b'\n', b'a'];
+        // Every string over {CR, LF, a} up to length 8.
+        for len in 0..=8u32 {
+            for code in 0..3usize.pow(len) {
+                let mut c = code;
+                let buf: Vec<u8> = (0..len)
+                    .map(|_| {
+                        let b = alphabet[c % 3];
+                        c /= 3;
+                        b
+                    })
+                    .collect();
+                assert_eq!(find_double_crlf(&buf), naive(&buf), "{buf:?}");
+            }
+        }
+    }
 
     #[test]
     fn request_roundtrip() {

@@ -4,7 +4,7 @@
 //! property runs over a few hundred cases drawn from a local splitmix64
 //! driver. Failures print the case number for replay.
 
-use wm_http::{ParseError, Request, RequestParser, Response, ResponseParser};
+use wm_http::{ParseError, ParsePhase, Request, RequestParser, Response, ResponseParser};
 
 /// Minimal splitmix64 case generator.
 struct Rng(u64);
@@ -125,13 +125,86 @@ fn pipelining() {
         let mut rng = Rng(0x47_2000 + case);
         let n = 1 + rng.below(5);
         let reqs: Vec<Request> = (0..n)
-            .map(|i| Request::new("POST", &format!("/r/{i}")).body(rng.bytes(99)))
+            .map(|i| Request::new("POST", format!("/r/{i}")).body(rng.bytes(99)))
             .collect();
         let wire: Vec<u8> = reqs.iter().flat_map(Request::to_bytes).collect();
         let mut parser = RequestParser::new();
         let got = parser.feed(&wire).expect("own requests");
         assert_eq!(got, reqs, "case {case}");
     }
+}
+
+/// Pipelined requests parse back in order under every feed chunking:
+/// every chunk size from one byte up, so chunk edges land inside
+/// `\r\n\r\n`, on zero-length bodies, and on chunks that end one
+/// body and start the next head.
+#[test]
+fn pipelining_any_chunking() {
+    for case in 0..40u64 {
+        let mut rng = Rng(0x47_5000 + case);
+        let n = 1 + rng.below(4);
+        let reqs: Vec<Request> = (0..n)
+            .map(|i| {
+                // A third of the bodies are empty (no Content-Length).
+                let body = if rng.below(3) == 0 {
+                    Vec::new()
+                } else {
+                    rng.bytes(60)
+                };
+                Request::new(["GET", "POST"][rng.below(2)], format!("/r/{i}"))
+                    .header("Host", "www.netflix.com")
+                    .body(body)
+            })
+            .collect();
+        let wire: Vec<u8> = reqs.iter().flat_map(Request::to_bytes).collect();
+        for chunk in 1..=wire.len() {
+            let mut parser = RequestParser::new();
+            let mut got = Vec::new();
+            for piece in wire.chunks(chunk) {
+                got.extend(parser.feed(piece).expect("own requests"));
+            }
+            assert_eq!(got, reqs, "case {case}, chunk {chunk}");
+            assert_eq!(
+                parser.phase(),
+                ParsePhase::Headers,
+                "case {case}, chunk {chunk}"
+            );
+        }
+    }
+}
+
+/// A feed that completes one message's body and carries only the
+/// first bytes of the next head keeps those bytes: the next feed
+/// finishes that head, whatever the split point inside it.
+#[test]
+fn partial_head_after_body_survives() {
+    let a = Response::ok().body(b"first".to_vec());
+    let b = Response::new(204, "No Content").header("X-Next", "yes");
+    let (a_wire, b_wire) = (a.to_bytes(), b.to_bytes());
+    for split in 0..=b_wire.len() {
+        let mut first = a_wire.clone();
+        first.extend_from_slice(&b_wire[..split]);
+        let mut parser = ResponseParser::new();
+        let mut got = parser.feed(&first).expect("own responses");
+        got.extend(parser.feed(&b_wire[split..]).expect("own responses"));
+        assert_eq!(got, vec![a.clone(), b.clone()], "split {split}");
+    }
+}
+
+/// Ten thousand bodiless requests pipelined into one feed parse in one
+/// pass: the accumulator loops rather than recursing per message, so
+/// the input's length never bounds the stack.
+#[test]
+fn ten_thousand_pipelined_requests_in_one_feed() {
+    const N: usize = 10_000;
+    let wire = b"GET / HTTP/1.1\r\n\r\n".repeat(N);
+    let got = RequestParser::new()
+        .feed(&wire)
+        .expect("well-formed requests");
+    assert_eq!(got.len(), N);
+    assert!(got
+        .iter()
+        .all(|r| r.method == "GET" && r.path == "/" && r.body.is_empty()));
 }
 
 /// The parser never panics on arbitrary bytes.

@@ -82,7 +82,9 @@ pub struct V2Config {
 
 /// The per-record hot loops the throughput engine (PR 6) depends on:
 /// the sim's reused-buffer record drain, TLS sealing/framing into
-/// caller buffers, online ingest, and the LUT length classifier.
+/// caller buffers, online ingest, and the LUT length classifier; and
+/// the victim's per-segment and per-message data path: TCP segment
+/// arrival and HTTP framing.
 /// The per-session drivers above them (dataset runner, session setup)
 /// are deliberately *not* roots: they allocate once per session, and
 /// annotating them would drown the per-record envelope in noise.
@@ -92,6 +94,8 @@ pub const EXPECTED_HOTPATH_ROOTS: &[&str] = &[
     "wm_tls::RecordEngine::next_record_into",
     "wm_online::FlowIngest::accept_segment",
     "wm_core::IntervalClassifier::classify_lengths",
+    "wm_net::TcpEndpoint::on_segment",
+    "wm_http::Accumulator::feed",
 ];
 
 /// Victim-side response construction: every wire length the attacker

@@ -11,10 +11,19 @@
 //! The connection handshake (SYN exchange) is emitted by the session
 //! layer for pcap realism; endpoints here start in the established
 //! state with agreed initial sequence numbers.
+//!
+//! The data path copies each payload byte once on the way in (into
+//! the segment's shared payload) and once on the way out (into the
+//! delivered buffer). A segment's payload is an `Arc<[u8]>`: the
+//! in-flight queue, the link event, the capture tap and the peer's
+//! reassembly map all hold the same bytes. Pure ACKs carry the empty
+//! payload, which does not allocate, and the caller-owned
+//! [`TcpActions`] and segment buffers are reused across calls.
 
 use crate::headers::{FlowId, TcpFlags};
 use crate::time::{Duration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Maximum segment size: 1500 MTU − 20 IP − 32 TCP(w/ timestamps).
 pub const MSS: usize = 1448;
@@ -39,23 +48,23 @@ pub struct TcpSegment {
     /// Cumulative acknowledgement (wire numbering of the reverse stream).
     pub ack: u32,
     pub flags: TcpFlags,
-    pub payload: Vec<u8>,
+    /// Payload bytes, shared by every holder of the segment (cloning a
+    /// segment never copies them).
+    pub payload: Arc<[u8]>,
     /// True if this segment is a retransmission (for trace statistics).
     pub retransmit: bool,
 }
 
 /// What an endpoint wants the session layer to do after an interaction.
+///
+/// Caller-owned and reused: [`TcpEndpoint::on_segment`] clears it
+/// before filling it, so one value serves a whole session.
 #[derive(Debug, Default)]
 pub struct TcpActions {
     /// Application bytes newly delivered in order.
     pub delivered: Vec<u8>,
     /// Segments to transmit (data and/or pure ACKs).
     pub to_send: Vec<TcpSegment>,
-}
-
-struct Inflight {
-    payload: Vec<u8>,
-    retransmitted: bool,
 }
 
 /// One endpoint of an established TCP connection.
@@ -69,9 +78,15 @@ pub struct TcpEndpoint {
     snd_una: u64,
     /// Next expected absolute receive offset.
     rcv_nxt: u64,
-    send_buf: VecDeque<u8>,
-    inflight: BTreeMap<u64, Inflight>,
-    reasm: BTreeMap<u64, Vec<u8>>,
+    /// Written bytes not yet segmentized: `send_buf[send_head..]`.
+    send_buf: Vec<u8>,
+    send_head: usize,
+    /// Unacknowledged segments by absolute offset, contiguous and in
+    /// offset order (segments are only ever appended).
+    inflight: VecDeque<(u64, Arc<[u8]>)>,
+    /// Out-of-order payloads by absolute offset of their first byte:
+    /// shared, never copied, trimmed by offset when they drain.
+    reasm: BTreeMap<u64, Arc<[u8]>>,
     rto: Duration,
     rto_deadline: Option<SimTime>,
     /// Counters for trace statistics.
@@ -98,8 +113,9 @@ impl TcpEndpoint {
             snd_nxt: 0,
             snd_una: 0,
             rcv_nxt: 0,
-            send_buf: VecDeque::new(),
-            inflight: BTreeMap::new(),
+            send_buf: Vec::new(),
+            send_head: 0,
+            inflight: VecDeque::new(),
             reasm: BTreeMap::new(),
             rto: INITIAL_RTO,
             rto_deadline: None,
@@ -114,12 +130,24 @@ impl TcpEndpoint {
 
     /// Queue application bytes for transmission.
     pub fn write(&mut self, bytes: &[u8]) {
-        self.send_buf.extend(bytes);
+        if self.send_head * 2 >= self.send_buf.len() {
+            // Segmentized bytes outweigh unsent ones: drop them, so the
+            // buffer holds at most about twice the unsent bytes (and
+            // restarts empty once everything went out).
+            self.send_buf.drain(..self.send_head);
+            self.send_head = 0;
+        }
+        self.send_buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes written but not yet segmentized.
+    fn unsent(&self) -> usize {
+        self.send_buf.len() - self.send_head
     }
 
     /// Bytes accepted but not yet acknowledged by the peer.
     pub fn outstanding(&self) -> usize {
-        self.send_buf.len() + (self.snd_nxt - self.snd_una) as usize
+        self.unsent() + (self.snd_nxt - self.snd_una) as usize
     }
 
     /// Whether every written byte has been acknowledged.
@@ -132,59 +160,52 @@ impl TcpEndpoint {
         self.rto_deadline
     }
 
-    /// Segmentize buffered bytes up to the send window.
+    /// Segmentize buffered bytes up to the send window, appending the
+    /// new segments to `out`.
     ///
     /// Multiple preceding `write` calls coalesce here — two small TLS
     /// records written back-to-back ride in one segment, exactly the
     /// write-coalescing real stacks exhibit.
-    pub fn flush(&mut self, now: SimTime) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
-        while !self.send_buf.is_empty()
-            && (self.snd_nxt - self.snd_una) as usize + MSS <= SEND_WINDOW
-        {
-            let take = self.send_buf.len().min(MSS);
-            let payload: Vec<u8> = self.send_buf.drain(..take).collect();
+    pub fn flush(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
+        while self.unsent() > 0 && (self.snd_nxt - self.snd_una) as usize + MSS <= SEND_WINDOW {
+            let take = self.unsent().min(MSS);
+            let payload: Arc<[u8]> = Arc::from(&self.send_buf[self.send_head..][..take]);
+            self.send_head += take;
             let abs = self.snd_nxt;
-            self.snd_nxt += payload.len() as u64;
-            self.stats.bytes_sent += payload.len() as u64;
+            self.snd_nxt += take as u64;
+            self.stats.bytes_sent += take as u64;
             self.stats.segments_sent += 1;
-            let is_last = self.send_buf.is_empty();
             out.push(TcpSegment {
                 flow: self.flow,
                 seq: self.wire_seq(abs),
                 ack: self.wire_ack(),
-                flags: if is_last {
+                flags: if self.unsent() == 0 {
                     TcpFlags::PSH_ACK
                 } else {
                     TcpFlags::ACK
                 },
-                payload: payload.clone(),
+                payload: Arc::clone(&payload),
                 retransmit: false,
             });
-            self.inflight.insert(
-                abs,
-                Inflight {
-                    payload,
-                    retransmitted: false,
-                },
-            );
+            self.inflight.push_back((abs, payload));
         }
         if !self.inflight.is_empty() && self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.rto);
         }
-        out
     }
 
-    /// Handle an arriving segment; returns delivered bytes and replies.
-    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) -> TcpActions {
-        let mut actions = TcpActions::default();
+    /// Handle an arriving segment: `actions` is cleared, then filled
+    /// with the bytes delivered in order and the segments to send.
+    // wm-lint: hotpath
+    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment, actions: &mut TcpActions) {
+        actions.delivered.clear();
+        actions.to_send.clear();
 
-        // --- Receive path: payload into the reassembly buffer. ---
+        // --- Receive path: deliver in order, park the rest. ---
         if !seg.payload.is_empty() {
             let abs_seq = unwrap_u32(self.rcv_nxt, seg.seq.wrapping_sub(self.rcv_isn));
-            self.insert_reasm(abs_seq, &seg.payload);
             let before = self.rcv_nxt;
-            self.drain_reasm(&mut actions.delivered);
+            self.receive(abs_seq, &seg.payload, &mut actions.delivered);
             if self.rcv_nxt == before && abs_seq + (seg.payload.len() as u64) <= self.rcv_nxt {
                 self.stats.duplicate_segments += 1;
             }
@@ -195,7 +216,7 @@ impl TcpEndpoint {
                 seq: self.wire_seq(self.snd_nxt),
                 ack: self.wire_ack(),
                 flags: TcpFlags::ACK,
-                payload: Vec::new(),
+                payload: Arc::default(),
                 retransmit: false,
             });
         }
@@ -205,15 +226,13 @@ impl TcpEndpoint {
             let abs_ack = unwrap_u32(self.snd_una, seg.ack.wrapping_sub(self.isn));
             if abs_ack > self.snd_una && abs_ack <= self.snd_nxt {
                 self.snd_una = abs_ack;
-                // Drop fully acked inflight segments.
-                let acked: Vec<u64> = self
-                    .inflight
-                    .range(..abs_ack)
-                    .filter(|(off, seg)| *off + seg.payload.len() as u64 <= abs_ack)
-                    .map(|(off, _)| *off)
-                    .collect();
-                for off in acked {
-                    self.inflight.remove(&off);
+                // Drop fully acked inflight segments (they are in
+                // offset order, so the acked ones form a prefix).
+                while let Some((off, payload)) = self.inflight.front() {
+                    if *off + payload.len() as u64 > abs_ack {
+                        break;
+                    }
+                    self.inflight.pop_front();
                 }
                 // Fresh progress: reset the RTO backoff and re-arm.
                 self.rto = INITIAL_RTO;
@@ -223,35 +242,33 @@ impl TcpEndpoint {
                     Some(now + self.rto)
                 };
                 // The window may have opened.
-                actions.to_send.extend(self.flush(now));
+                self.flush(now, &mut actions.to_send);
             }
         }
-        actions
     }
 
     /// Retransmission timer fired (session layer filters stale timers by
-    /// comparing against [`TcpEndpoint::rto_deadline`]).
-    pub fn on_rto(&mut self, now: SimTime) -> Vec<TcpSegment> {
-        let wire_ack = self.wire_ack();
-        let Some((&abs, inflight)) = self.inflight.iter_mut().next() else {
+    /// comparing against [`TcpEndpoint::rto_deadline`]): resend the
+    /// oldest unacknowledged segment, if any.
+    pub fn on_rto(&mut self, now: SimTime) -> Option<TcpSegment> {
+        let Some((abs, payload)) = self.inflight.front() else {
             self.rto_deadline = None;
-            return Vec::new();
+            return None;
         };
-        inflight.retransmitted = true;
         self.stats.retransmissions += 1;
         self.stats.segments_sent += 1;
         let seg = TcpSegment {
             flow: self.flow,
-            seq: self.isn.wrapping_add(abs as u32),
-            ack: wire_ack,
+            seq: self.wire_seq(*abs),
+            ack: self.wire_ack(),
             flags: TcpFlags::PSH_ACK,
-            payload: inflight.payload.clone(),
+            payload: Arc::clone(payload),
             retransmit: true,
         };
         // Exponential backoff.
         self.rto = Duration((self.rto.micros() * 2).min(MAX_RTO.micros()));
         self.rto_deadline = Some(now + self.rto);
-        vec![seg]
+        Some(seg)
     }
 
     fn wire_seq(&self, abs: u64) -> u32 {
@@ -262,33 +279,41 @@ impl TcpEndpoint {
         self.rcv_isn.wrapping_add(self.rcv_nxt as u32)
     }
 
-    fn insert_reasm(&mut self, mut abs: u64, mut payload: &[u8]) {
-        // Trim bytes we already delivered.
-        if abs < self.rcv_nxt {
-            let skip = (self.rcv_nxt - abs) as usize;
-            if skip >= payload.len() {
-                return;
-            }
-            payload = &payload[skip..];
-            abs = self.rcv_nxt;
+    /// Take in a payload starting at absolute offset `abs`: bytes that
+    /// extend the in-order stream go to `out` (with whatever parked
+    /// payloads they make contiguous); bytes past a gap are parked.
+    fn receive(&mut self, abs: u64, payload: &Arc<[u8]>, out: &mut Vec<u8>) {
+        let end = abs + payload.len() as u64;
+        if end <= self.rcv_nxt {
+            return; // entirely delivered before
         }
-        // Naive overlap handling: keep the first copy of any offset.
-        // (Both ends are our own stack, so inconsistent overlaps cannot
-        // occur; duplicates from retransmission can.)
-        self.reasm.entry(abs).or_insert_with(|| payload.to_vec());
-    }
-
-    fn drain_reasm(&mut self, out: &mut Vec<u8>) {
-        // The range bound keeps `abs <= rcv_nxt`, so every chunk found
-        // here is deliverable (possibly after trimming).
-        while let Some((&abs, _)) = self.reasm.range(..=self.rcv_nxt).next_back() {
-            let Some(chunk) = self.reasm.remove(&abs) else {
+        if abs > self.rcv_nxt {
+            // Past a gap: park it. Both ends are our own stack, so
+            // copies of one offset hold the same bytes; keep the
+            // longer one.
+            if self
+                .reasm
+                .get(&abs)
+                .is_none_or(|kept| kept.len() < payload.len())
+            {
+                self.reasm.insert(abs, Arc::clone(payload));
+            }
+            return;
+        }
+        // Trim bytes already delivered, then deliver the rest.
+        let skip = (self.rcv_nxt - abs) as usize;
+        out.extend_from_slice(&payload[skip..]);
+        self.rcv_nxt = end;
+        // Drain parked payloads the stream now reaches.
+        while let Some(entry) = self.reasm.first_entry() {
+            if *entry.key() > self.rcv_nxt {
                 break;
-            };
-            let skip = (self.rcv_nxt - abs) as usize;
-            if skip < chunk.len() {
-                out.extend_from_slice(&chunk[skip..]);
-                self.rcv_nxt = abs + chunk.len() as u64;
+            }
+            let (at, parked) = entry.remove_entry();
+            let skip = (self.rcv_nxt - at) as usize;
+            if skip < parked.len() {
+                out.extend_from_slice(&parked[skip..]);
+                self.rcv_nxt += (parked.len() - skip) as u64;
             }
         }
     }
@@ -323,6 +348,20 @@ mod tests {
         }
     }
 
+    /// `flush` into a fresh vector.
+    fn flushed(ep: &mut TcpEndpoint, now: SimTime) -> Vec<TcpSegment> {
+        let mut out = Vec::new();
+        ep.flush(now, &mut out);
+        out
+    }
+
+    /// `on_segment` into fresh actions.
+    fn arrive(ep: &mut TcpEndpoint, now: SimTime, seg: &TcpSegment) -> TcpActions {
+        let mut actions = TcpActions::default();
+        ep.on_segment(now, seg, &mut actions);
+        actions
+    }
+
     fn pair() -> (TcpEndpoint, TcpEndpoint) {
         let f = flow();
         (
@@ -347,12 +386,12 @@ mod tests {
                 break;
             }
             for seg in std::mem::take(&mut to_b) {
-                let act = b.on_segment(now, &seg);
+                let act = arrive(b, now, &seg);
                 b_bytes.extend(act.delivered);
                 to_a.extend(act.to_send);
             }
             for seg in std::mem::take(&mut to_a) {
-                let act = a.on_segment(now, &seg);
+                let act = arrive(a, now, &seg);
                 a_bytes.extend(act.delivered);
                 to_b.extend(act.to_send);
             }
@@ -364,7 +403,7 @@ mod tests {
     fn simple_transfer() {
         let (mut a, mut b) = pair();
         a.write(b"hello tcp world");
-        let segs = a.flush(SimTime(1));
+        let segs = flushed(&mut a, SimTime(1));
         assert_eq!(segs.len(), 1);
         assert!(segs[0].flags.psh);
         let (_, b_bytes) = pump(&mut a, &mut b, segs);
@@ -377,7 +416,7 @@ mod tests {
         let (mut a, _) = pair();
         let data = vec![7u8; MSS * 2 + 100];
         a.write(&data);
-        let segs = a.flush(SimTime(1));
+        let segs = flushed(&mut a, SimTime(1));
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].payload.len(), MSS);
         assert_eq!(segs[1].payload.len(), MSS);
@@ -391,7 +430,7 @@ mod tests {
         let (mut a, mut b) = pair();
         a.write(b"first record ");
         a.write(b"second record");
-        let segs = a.flush(SimTime(1));
+        let segs = flushed(&mut a, SimTime(1));
         assert_eq!(segs.len(), 1, "small writes coalesce into one segment");
         let (_, b_bytes) = pump(&mut a, &mut b, segs);
         assert_eq!(b_bytes, b"first record second record");
@@ -402,12 +441,12 @@ mod tests {
         let (mut a, mut b) = pair();
         a.write(&vec![1u8; MSS]);
         a.write(&vec![2u8; MSS]);
-        let mut segs = a.flush(SimTime(1));
+        let mut segs = flushed(&mut a, SimTime(1));
         segs.reverse(); // deliver out of order
         let now = SimTime(2);
-        let first = b.on_segment(now, &segs[0]);
+        let first = arrive(&mut b, now, &segs[0]);
         assert!(first.delivered.is_empty(), "gap: nothing delivered yet");
-        let second = b.on_segment(now, &segs[1]);
+        let second = arrive(&mut b, now, &segs[1]);
         assert_eq!(second.delivered.len(), 2 * MSS);
         assert_eq!(&second.delivered[..MSS], &vec![1u8; MSS][..]);
     }
@@ -416,14 +455,15 @@ mod tests {
     fn retransmission_recovers_loss() {
         let (mut a, mut b) = pair();
         a.write(b"lost in transit");
-        let segs = a.flush(SimTime(1));
+        let segs = flushed(&mut a, SimTime(1));
         assert_eq!(a.rto_deadline(), Some(SimTime(1) + INITIAL_RTO));
         drop(segs); // the link ate it
-        let rtx = a.on_rto(SimTime(1) + INITIAL_RTO);
-        assert_eq!(rtx.len(), 1);
-        assert!(rtx[0].retransmit);
-        assert_eq!(rtx[0].payload, b"lost in transit");
-        let (_, b_bytes) = pump(&mut a, &mut b, rtx);
+        let rtx = a
+            .on_rto(SimTime(1) + INITIAL_RTO)
+            .expect("one segment in flight");
+        assert!(rtx.retransmit);
+        assert_eq!(&rtx.payload[..], b"lost in transit");
+        let (_, b_bytes) = pump(&mut a, &mut b, vec![rtx]);
         assert_eq!(b_bytes, b"lost in transit");
         assert!(a.fully_acked());
         assert_eq!(a.stats.retransmissions, 1);
@@ -433,7 +473,7 @@ mod tests {
     fn rto_backoff_doubles_and_caps() {
         let (mut a, _) = pair();
         a.write(b"x");
-        a.flush(SimTime(0));
+        flushed(&mut a, SimTime(0));
         let mut last_gap = Duration::ZERO;
         for _ in 0..8 {
             let now = a.rto_deadline().unwrap();
@@ -450,11 +490,11 @@ mod tests {
     fn duplicate_delivery_is_idempotent() {
         let (mut a, mut b) = pair();
         a.write(b"only once");
-        let segs = a.flush(SimTime(1));
+        let segs = flushed(&mut a, SimTime(1));
         let now = SimTime(2);
-        let first = b.on_segment(now, &segs[0]);
+        let first = arrive(&mut b, now, &segs[0]);
         assert_eq!(first.delivered, b"only once");
-        let dup = b.on_segment(now, &segs[0]);
+        let dup = arrive(&mut b, now, &segs[0]);
         assert!(dup.delivered.is_empty(), "duplicate must not re-deliver");
         assert_eq!(b.stats.duplicate_segments, 1);
     }
@@ -463,7 +503,7 @@ mod tests {
     fn window_limits_inflight() {
         let (mut a, _) = pair();
         a.write(&vec![0u8; SEND_WINDOW * 2]);
-        let segs = a.flush(SimTime(1));
+        let segs = flushed(&mut a, SimTime(1));
         let inflight: usize = segs.iter().map(|s| s.payload.len()).sum();
         assert!(inflight <= SEND_WINDOW);
         assert!(a.outstanding() > inflight, "rest remains buffered");
@@ -473,9 +513,35 @@ mod tests {
     fn window_reopens_on_ack() {
         let (mut a, mut b) = pair();
         a.write(&vec![9u8; SEND_WINDOW + MSS]);
-        let segs = a.flush(SimTime(1));
+        let segs = flushed(&mut a, SimTime(1));
         let (_, b_bytes) = pump(&mut a, &mut b, segs);
         assert_eq!(b_bytes.len(), SEND_WINDOW + MSS, "acks released the tail");
+    }
+
+    #[test]
+    fn send_buffer_stays_bounded_while_window_limited() {
+        let (mut a, mut b) = pair();
+        a.write(&vec![1u8; 2 * SEND_WINDOW]);
+        let mut wire: VecDeque<TcpSegment> = flushed(&mut a, SimTime(1)).into();
+        let mut received = 0;
+        for round in 0..300u32 {
+            // One segment arrives and is acked; the opened window
+            // sends one more; the application keeps writing, so unsent
+            // bytes never run out.
+            let seg = wire.pop_front().expect("window keeps segments in flight");
+            let act = arrive(&mut b, SimTime(2), &seg);
+            received += act.delivered.len();
+            wire.extend(arrive(&mut a, SimTime(2), &act.to_send[0]).to_send);
+            a.write(&vec![round as u8; MSS]);
+            assert!(a.unsent() > 0);
+            assert!(
+                a.send_buf.len() <= 2 * a.unsent() + MSS,
+                "round {round}: {} buffered for {} unsent",
+                a.send_buf.len(),
+                a.unsent()
+            );
+        }
+        assert_eq!(received, 300 * MSS);
     }
 
     #[test]
@@ -485,8 +551,8 @@ mod tests {
         let b_data: Vec<u8> = (0..50_000u32).map(|i| (i % 241) as u8).collect();
         a.write(&a_data);
         b.write(&b_data);
-        let mut init = a.flush(SimTime(1));
-        init.extend(b.flush(SimTime(1)));
+        let mut init = flushed(&mut a, SimTime(1));
+        init.extend(flushed(&mut b, SimTime(1)));
         // pump handles "to b" first; split manually.
         let (to_b, to_a): (Vec<_>, Vec<_>) = init.into_iter().partition(|s| s.flow.dst_port == 443);
         let mut a_recv = Vec::new();
@@ -499,12 +565,12 @@ mod tests {
                 break;
             }
             for seg in std::mem::take(&mut qb) {
-                let act = b.on_segment(now, &seg);
+                let act = arrive(&mut b, now, &seg);
                 b_recv.extend(act.delivered);
                 qa.extend(act.to_send);
             }
             for seg in std::mem::take(&mut qa) {
-                let act = a.on_segment(now, &seg);
+                let act = arrive(&mut a, now, &seg);
                 a_recv.extend(act.delivered);
                 qb.extend(act.to_send);
             }

@@ -4,9 +4,10 @@
 //! property runs over a few hundred cases drawn from the crate's own
 //! seeded `SimRng`. Failures print the case seed for replay.
 
+use std::sync::Arc;
 use wm_net::headers::{build_frame, parse_frame, FlowId, TcpFlags, FRAME_OVERHEAD};
 use wm_net::rng::SimRng;
-use wm_net::tcp::{unwrap_u32, TcpEndpoint, TcpSegment, MSS};
+use wm_net::tcp::{unwrap_u32, TcpActions, TcpEndpoint, TcpSegment, MSS};
 use wm_net::time::SimTime;
 
 fn arb_flow(rng: &mut SimRng) -> FlowId {
@@ -16,6 +17,20 @@ fn arb_flow(rng: &mut SimRng) -> FlowId {
         dst_ip: (rng.next_u64() as u32).to_be_bytes(),
         dst_port: rng.next_u64() as u16,
     }
+}
+
+/// `flush` into a fresh vector.
+fn flushed(ep: &mut TcpEndpoint) -> Vec<TcpSegment> {
+    let mut out = Vec::new();
+    ep.flush(SimTime(1), &mut out);
+    out
+}
+
+/// `on_segment` into fresh actions.
+fn arrive(ep: &mut TcpEndpoint, seg: &TcpSegment) -> TcpActions {
+    let mut actions = TcpActions::default();
+    ep.on_segment(SimTime(2), seg, &mut actions);
+    actions
 }
 
 fn arb_bytes(rng: &mut SimRng, max_len: usize) -> Vec<u8> {
@@ -110,7 +125,7 @@ fn tcp_delivers_any_stream() {
         for w in offsets.windows(2) {
             a.write(&data[w[0]..w[1]]);
         }
-        let mut to_b: Vec<TcpSegment> = a.flush(SimTime(1));
+        let mut to_b: Vec<TcpSegment> = flushed(&mut a);
         let mut to_a: Vec<TcpSegment> = Vec::new();
         let mut received = Vec::new();
         for _ in 0..10_000 {
@@ -118,12 +133,12 @@ fn tcp_delivers_any_stream() {
                 break;
             }
             for seg in std::mem::take(&mut to_b) {
-                let act = b.on_segment(SimTime(2), &seg);
+                let act = arrive(&mut b, &seg);
                 received.extend(act.delivered);
                 to_a.extend(act.to_send);
             }
             for seg in std::mem::take(&mut to_a) {
-                let act = a.on_segment(SimTime(2), &seg);
+                let act = arrive(&mut a, &seg);
                 to_b.extend(act.to_send);
             }
         }
@@ -150,7 +165,7 @@ fn tcp_reorder_invariant() {
         let mut a = TcpEndpoint::new(flow, 1, 2);
         let mut b = TcpEndpoint::new(flow.reversed(), 2, 1);
         a.write(&data);
-        let mut segs = a.flush(SimTime(1));
+        let mut segs = flushed(&mut a);
         // Fisher–Yates shuffle.
         for i in (1..segs.len()).rev() {
             let j = rng.uniform_u64(0, i as u64) as usize;
@@ -158,7 +173,7 @@ fn tcp_reorder_invariant() {
         }
         let mut received = Vec::new();
         for seg in &segs {
-            received.extend(b.on_segment(SimTime(2), seg).delivered);
+            received.extend(arrive(&mut b, seg).delivered);
         }
         assert_eq!(received, data, "case {case}");
     }
@@ -182,15 +197,90 @@ fn tcp_duplicate_invariant() {
         let mut a = TcpEndpoint::new(flow, 1, 2);
         let mut b = TcpEndpoint::new(flow.reversed(), 2, 1);
         a.write(&data);
-        let segs = a.flush(SimTime(1));
+        let segs = flushed(&mut a);
         let dup_idx = rng.uniform_u64(0, segs.len() as u64 - 1) as usize;
         let mut received = Vec::new();
         for (i, seg) in segs.iter().enumerate() {
-            received.extend(b.on_segment(SimTime(2), seg).delivered);
+            received.extend(arrive(&mut b, seg).delivered);
             if i == dup_idx {
-                received.extend(b.on_segment(SimTime(2), seg).delivered);
+                received.extend(arrive(&mut b, seg).delivered);
             }
         }
         assert_eq!(received, data, "case {case}");
+    }
+}
+
+/// Overlapping retransmissions — segments cut at other boundaries than
+/// the originals, partly covering bytes already delivered or already
+/// parked — go through the reassembly trim paths: the stream still
+/// arrives exactly once, in order, and every byte is delivered as soon
+/// as it is contiguous.
+#[test]
+fn tcp_overlapping_retransmits_trim() {
+    for case in 0..200u64 {
+        let mut rng = SimRng::new(0x00F7_0000 + case);
+        let mut data = arb_bytes(&mut rng, MSS * 4);
+        if data.is_empty() {
+            data.push(0xcc);
+        }
+        let flow = FlowId {
+            src_ip: [10, 0, 0, 1],
+            src_port: 40000,
+            dst_ip: [10, 0, 0, 2],
+            dst_port: 443,
+        };
+        let isn = rng.next_u64() as u32;
+        let mut b = TcpEndpoint::new(flow.reversed(), 7, isn);
+        let cut = |from: usize, to: usize| TcpSegment {
+            flow,
+            seq: isn.wrapping_add(from as u32),
+            ack: 7,
+            flags: TcpFlags::PSH_ACK,
+            payload: Arc::from(&data[from..to]),
+            retransmit: true,
+        };
+        // Random overlapping pieces, then a covering sweep so the
+        // whole stream is always reachable.
+        let mut pieces: Vec<(usize, usize)> = (0..rng.uniform_u64(1, 12))
+            .map(|_| {
+                let from = rng.uniform_u64(0, data.len() as u64 - 1) as usize;
+                let len = rng.uniform_u64(1, (data.len() - from) as u64) as usize;
+                (from, from + len)
+            })
+            .collect();
+        let mut at = 0;
+        while at < data.len() {
+            let to = (at + rng.uniform_u64(1, MSS as u64) as usize).min(data.len());
+            pieces.push((at, to));
+            at = to;
+        }
+        for i in (1..pieces.len()).rev() {
+            let j = rng.uniform_u64(0, i as u64) as usize;
+            pieces.swap(i, j);
+        }
+        let mut received = Vec::new();
+        for (n, &(from, to)) in pieces.iter().enumerate() {
+            let act = arrive(&mut b, &cut(from, to));
+            received.extend(act.delivered);
+            // Everything contiguous so far is delivered at once: the
+            // prefix covered by the pieces that have arrived.
+            let mut prefix = 0;
+            while let Some(&(_, t)) = pieces[..=n]
+                .iter()
+                .filter(|&&(f, t)| f <= prefix && prefix < t)
+                .max_by_key(|p| p.1)
+            {
+                prefix = t;
+            }
+            assert_eq!(received.len(), prefix, "case {case}: piece {n}");
+            assert_eq!(
+                act.to_send.len(),
+                1,
+                "case {case}: every data segment is acked"
+            );
+            assert!(act.to_send[0].payload.is_empty(), "case {case}: pure ACK");
+        }
+        assert_eq!(received, data, "case {case}");
+        assert_eq!(b.stats.bytes_delivered, data.len() as u64, "case {case}");
     }
 }

@@ -162,12 +162,12 @@ impl NetflixServer {
         if let Some(t) = &self.telemetry {
             t.requests.inc();
         }
-        let path = req.path.clone();
-        let (route, _query) = path.split_once('?').unwrap_or((path.as_str(), ""));
+        let path = req.path.as_str();
+        let (route, _query) = path.split_once('?').unwrap_or((path, ""));
         match (req.method.as_str(), route) {
             ("GET", "/manifest") => self.serve_manifest(),
             ("GET", p) if p.starts_with("/media/") => {
-                let resp = self.serve_chunk(&path);
+                let resp = self.serve_chunk(path);
                 if let Some(t) = &self.telemetry {
                     if resp.status == 200 {
                         t.chunks_served.inc();

@@ -860,7 +860,7 @@ impl Player {
         }
         self.dl_queue.pop_front();
         let path = format!("/media/{}/{}?br={}", next.segment.0, next.idx, self.bitrate);
-        let req = Request::new("GET", &path)
+        let req = Request::new("GET", path)
             .header("Host", "www.netflix.com")
             .header("User-Agent", self.profile.user_agent())
             .header("Accept", "*/*")
@@ -938,8 +938,7 @@ impl Player {
             .saturating_sub(base.serialized_len() + 24)
             .max(2);
         for _ in 0..4 {
-            let req = base.clone().body(telemetry_body(body_len));
-            let total = req.serialized_len();
+            let total = base.serialized_len_with_body(body_len);
             if total == plain_target {
                 break;
             }
@@ -1324,14 +1323,29 @@ impl Player {
     }
 }
 
-/// Simple JSON-ish telemetry body of exactly `n` bytes.
+/// Simple JSON-ish telemetry body of exactly `n` bytes (at least 2):
+/// `{"b":"` and `"}` around filler where byte `i` is
+/// `'A' + (11·i mod 26)`.
 fn telemetry_body(n: usize) -> Vec<u8> {
-    let mut body = Vec::with_capacity(n);
-    body.extend_from_slice(b"{\"b\":\"");
-    while body.len() < n.saturating_sub(2) {
-        body.push(b'A' + ((body.len() * 11) % 26) as u8);
+    const OPEN: &[u8] = b"{\"b\":\"";
+    /// One period of the filler.
+    const CYCLE: [u8; 26] = {
+        let mut c = [0u8; 26];
+        let mut i = 0;
+        while i < 26 {
+            c[i] = b'A' + ((i * 11) % 26) as u8;
+            i += 1;
+        }
+        c
+    };
+    let inner = n.saturating_sub(2);
+    let mut body = Vec::with_capacity(inner + 2);
+    body.extend_from_slice(&OPEN[..inner.min(OPEN.len())]);
+    while body.len() < inner {
+        let at = body.len();
+        let run = (26 - at % 26).min(inner - at);
+        body.extend_from_slice(&CYCLE[at % 26..][..run]);
     }
-    body.truncate(n.saturating_sub(2));
     body.extend_from_slice(b"\"}");
     body
 }
@@ -1629,6 +1643,20 @@ mod tests {
                 }
                 _ => {}
             }
+        }
+    }
+
+    #[test]
+    fn telemetry_body_is_exact_and_cycles() {
+        for n in 0..300usize {
+            // Reference: the byte-at-a-time definition.
+            let mut want = b"{\"b\":\"".to_vec();
+            while want.len() < n.saturating_sub(2) {
+                want.push(b'A' + ((want.len() * 11) % 26) as u8);
+            }
+            want.truncate(n.saturating_sub(2));
+            want.extend_from_slice(b"\"}");
+            assert_eq!(telemetry_body(n), want, "n = {n}");
         }
     }
 

@@ -8,12 +8,12 @@ use wm_capture::labels::{LabeledRecord, RecordClass};
 use wm_capture::tap::Tap;
 use wm_chaos::FaultKind;
 use wm_cipher::kdf::{derive_key, derive_seed};
-use wm_http::{Request, RequestParser, ResponseParser};
+use wm_http::{Request, RequestParser, Response, ResponseParser};
 use wm_net::headers::{FlowId, TcpFlags, FRAME_OVERHEAD};
 use wm_net::link::{Link, LinkParams};
 use wm_net::queue::{Event, EventQueue, PeerId, TimerKind};
 use wm_net::rng::SimRng;
-use wm_net::tcp::{TcpEndpoint, TcpSegment};
+use wm_net::tcp::{TcpActions, TcpEndpoint, TcpSegment};
 use wm_net::time::{Duration, SimTime};
 use wm_netflix::{NetflixServer, ServerConfig};
 use wm_player::{Player, PlayerActions, PlayerFault, PlayerTelemetry, RequestKind};
@@ -80,8 +80,9 @@ struct SessionState<'a> {
     server: NetflixServer,
     req_parser: RequestParser,
     resp_parser: ResponseParser,
-    /// Responses waiting for their service delay.
-    server_out: VecDeque<(SimTime, Vec<u8>)>,
+    /// Responses waiting for their service delay (serialized when
+    /// they leave).
+    server_out: VecDeque<(SimTime, Response)>,
 
     /// (time, segment) pairs the tap observed, ordered at finish.
     tapped: Vec<(SimTime, TcpSegment)>,
@@ -122,6 +123,12 @@ struct SessionState<'a> {
     /// allocates nothing.
     wire_buf: Vec<u8>,
     rec_texts: Vec<Vec<u8>>,
+    /// Reused HTTP scratch: the serialized message being sealed.
+    http_buf: Vec<u8>,
+    /// Reused TCP scratch: one arrival's delivered bytes and replies,
+    /// and one flush's new segments.
+    tcp_actions: TcpActions,
+    tcp_segs: Vec<TcpSegment>,
 
     /// Per-session metric registry (None when telemetry is disabled).
     registry: Option<Registry>,
@@ -323,6 +330,9 @@ impl<'a> SessionState<'a> {
             chaos_tel,
             wire_buf: Vec::new(),
             rec_texts: Vec::new(),
+            http_buf: Vec::new(),
+            tcp_actions: TcpActions::default(),
+            tcp_segs: Vec::new(),
             registry,
             spans,
             trace,
@@ -341,7 +351,6 @@ impl<'a> SessionState<'a> {
     }
 
     fn drive(&mut self) -> Result<(), SessionError> {
-        self.emit_syn_exchange();
         // First handshake flight shortly after the TCP handshake.
         self.queue.schedule(
             SimTime(45_000),
@@ -409,15 +418,18 @@ impl<'a> SessionState<'a> {
         ];
         controls.extend(std::mem::take(&mut self.control_frames));
         controls.sort_by_key(|(t, ..)| *t);
-        let tapped = std::mem::take(&mut self.tapped);
+        // Every tapped payload stays alive until all frames are built,
+        // so a capture's frames are allocated together rather than
+        // between freed payloads: decoders read them in order, and a
+        // compact capture decodes faster.
         let mut ci = 0;
-        for (t, seg) in tapped {
+        for &(t, ref seg) in &self.tapped {
             while ci < controls.len() && controls[ci].0 <= t {
                 let (ct, flow, seq, ack, flags) = controls[ci];
                 tap.record_control(ct, &flow, seq, ack, flags);
                 ci += 1;
             }
-            tap.record_segment(t, &seg);
+            tap.record_segment(t, seg);
         }
         while ci < controls.len() {
             let (ct, flow, seq, ack, flags) = controls[ci];
@@ -473,10 +485,6 @@ impl<'a> SessionState<'a> {
     /// endpoints start established).
     fn syn_times(&self) -> (SimTime, SimTime, SimTime) {
         (SimTime(1_000), SimTime(19_000), SimTime(38_000))
-    }
-
-    fn emit_syn_exchange(&mut self) {
-        // Times are nominal; the handshake flights start at 45 ms.
     }
 
     // ---- event handlers -------------------------------------------------
@@ -552,18 +560,19 @@ impl<'a> SessionState<'a> {
             );
             return;
         }
-        let (sender, wire) = self.hs_flights[self.hs_cursor].clone();
+        let (sender, wire) = &self.hs_flights[self.hs_cursor];
         self.hs_cursor += 1;
-        match sender {
+        let owner = match sender {
             Sender::Client => {
-                self.client_tcp.write(&wire);
-                self.flush_tcp(now, PeerId::Client);
+                self.client_tcp.write(wire);
+                PeerId::Client
             }
             Sender::Server => {
-                self.server_tcp.write(&wire);
-                self.flush_tcp(now, PeerId::Server);
+                self.server_tcp.write(wire);
+                PeerId::Server
             }
-        }
+        };
+        self.flush_tcp(now, owner);
         // Next flight one half-RTT plus processing later.
         self.queue.schedule(
             now + Duration::from_millis(60),
@@ -581,8 +590,7 @@ impl<'a> SessionState<'a> {
         };
         match ep.rto_deadline() {
             Some(d) if now >= d => {
-                let segs = ep.on_rto(now);
-                for seg in segs {
+                if let Some(seg) = ep.on_rto(now) {
                     self.send_segment(now, owner.peer(), seg);
                 }
                 self.arm_rto(now, owner);
@@ -596,14 +604,16 @@ impl<'a> SessionState<'a> {
             if *ready > now {
                 break;
             }
-            let (_, bytes) = self.server_out.pop_front().expect("peeked");
+            let (_, resp) = self.server_out.pop_front().expect("peeked");
+            self.http_buf.clear();
+            resp.write_to(&mut self.http_buf);
             self.wire_buf.clear();
             {
                 let spans = self.spans.clone();
                 let _s = spans.as_ref().map(|s| s.seal_ns.span());
                 self.server_tls.seal_payload_into(
                     ContentType::ApplicationData,
-                    &bytes,
+                    &self.http_buf,
                     &mut self.wire_buf,
                 );
             }
@@ -627,21 +637,25 @@ impl<'a> SessionState<'a> {
         if seg.flow != expected {
             return Ok(());
         }
-        let actions = match to {
-            PeerId::Client => self.client_tcp.on_segment(now, seg),
-            PeerId::Server => self.server_tcp.on_segment(now, seg),
-        };
-        for out in actions.to_send {
+        let mut actions = std::mem::take(&mut self.tcp_actions);
+        match to {
+            PeerId::Client => self.client_tcp.on_segment(now, seg, &mut actions),
+            PeerId::Server => self.server_tcp.on_segment(now, seg, &mut actions),
+        }
+        for out in actions.to_send.drain(..) {
             self.send_segment(now, to.peer(), out);
         }
         self.arm_rto(now, to);
-        if actions.delivered.is_empty() {
-            return Ok(());
-        }
-        match to {
-            PeerId::Server => self.server_deliver(now, &actions.delivered),
-            PeerId::Client => self.client_deliver(now, &actions.delivered),
-        }
+        let delivered = if actions.delivered.is_empty() {
+            Ok(())
+        } else {
+            match to {
+                PeerId::Server => self.server_deliver(now, &actions.delivered),
+                PeerId::Client => self.client_deliver(now, &actions.delivered),
+            }
+        };
+        self.tcp_actions = actions;
+        delivered
     }
 
     // ---- byte delivery ----------------------------------------------------
@@ -671,7 +685,6 @@ impl<'a> SessionState<'a> {
                 ));
             }
         };
-        let mut got_request = false;
         for plaintext in texts.iter().take(n) {
             let requests = self.req_parser.feed(plaintext).map_err(|e| {
                 self.fail(
@@ -683,13 +696,12 @@ impl<'a> SessionState<'a> {
                 )
             })?;
             for mut req in requests {
-                // Server-side decode hook (compression defense).
-                if let Some(decoded) = self
-                    .cfg
-                    .defense
-                    .decode_body(req.header_value("content-encoding"), &req.body)
-                {
-                    req.body = decoded;
+                // Server-side decode hook (compression defense); a
+                // body without a content encoding stays as it is.
+                if let Some(encoding) = req.header_value("content-encoding") {
+                    if let Some(decoded) = self.cfg.defense.decode_body(Some(encoding), &req.body) {
+                        req.body = decoded;
+                    }
                 }
                 let resp = {
                     let spans = self.spans.clone();
@@ -704,7 +716,7 @@ impl<'a> SessionState<'a> {
                     .unwrap_or(SimTime::ZERO)
                     .max(now + delay)
                     .max(self.server_stall_until);
-                self.server_out.push_back((ready, resp.to_bytes()));
+                self.server_out.push_back((ready, resp));
                 self.queue.schedule(
                     ready,
                     Event::Timer {
@@ -712,11 +724,9 @@ impl<'a> SessionState<'a> {
                         kind: SERVER_SEND,
                     },
                 );
-                got_request = true;
             }
         }
         self.rec_texts = texts;
-        let _ = got_request;
         Ok(())
     }
 
@@ -776,55 +786,25 @@ impl<'a> SessionState<'a> {
                 out.kind,
                 RequestKind::StateType1 | RequestKind::StateType2 | RequestKind::DummyReport
             );
-            let writes: Vec<Vec<u8>> = if is_state {
+            if is_state {
                 // A deployed countermeasure controls record framing
                 // below the browser's flush quirks; only undefended
                 // posts are subject to the rare header/body flush split.
-                if out.split_flush && self.cfg.defense == wm_defense::Defense::None {
+                let writes = if out.split_flush && self.cfg.defense == wm_defense::Defense::None {
                     split_at_header_boundary(&out.request)
                 } else {
                     self.cfg.defense.encode(&out.request)
+                };
+                let whole_report = writes.len() == 1;
+                for write in &writes {
+                    self.seal_client_write(now, write, out.kind, whole_report);
                 }
             } else {
-                vec![out.request.to_bytes()]
-            };
-            let whole_report = is_state && writes.len() == 1;
-            for write in &writes {
-                self.wire_buf.clear();
-                {
-                    let spans = self.spans.clone();
-                    let _s = spans.as_ref().map(|s| s.seal_ns.span());
-                    self.client_tls.seal_payload_into(
-                        ContentType::ApplicationData,
-                        write,
-                        &mut self.wire_buf,
-                    );
-                }
-                // Label each record of this write.
-                let n_records = write.len().div_ceil(MAX_FRAGMENT).max(1);
-                let class = match out.kind {
-                    RequestKind::StateType1 if whole_report && n_records == 1 => RecordClass::Type1,
-                    RequestKind::StateType2 if whole_report && n_records == 1 => RecordClass::Type2,
-                    _ => RecordClass::Other,
-                };
-                if n_records == 1 {
-                    self.labels.push(LabeledRecord {
-                        time: now,
-                        length: (self.wire_buf.len() - RECORD_HEADER_LEN) as u16,
-                        class,
-                    });
-                } else {
-                    // Fragmented write (never a clean state report).
-                    let mut obs = wm_tls::RecordObserver::new();
-                    for r in obs.feed(&self.wire_buf) {
-                        self.labels.push(LabeledRecord {
-                            time: now,
-                            length: r.length,
-                            class: RecordClass::Other,
-                        });
-                    }
-                }
-                self.client_tcp.write(&self.wire_buf);
+                let mut http = std::mem::take(&mut self.http_buf);
+                http.clear();
+                out.request.write_to(&mut http);
+                self.seal_client_write(now, &http, out.kind, false);
+                self.http_buf = http;
             }
             self.flush_tcp(now, PeerId::Client);
         }
@@ -844,16 +824,65 @@ impl<'a> SessionState<'a> {
         }
     }
 
+    /// Seal one client write into records, label them, and queue the
+    /// records on the client's TCP stream. `whole_report` says the
+    /// write is an entire state report rather than a piece of one.
+    fn seal_client_write(
+        &mut self,
+        now: SimTime,
+        write: &[u8],
+        kind: RequestKind,
+        whole_report: bool,
+    ) {
+        self.wire_buf.clear();
+        {
+            let spans = self.spans.clone();
+            let _s = spans.as_ref().map(|s| s.seal_ns.span());
+            self.client_tls.seal_payload_into(
+                ContentType::ApplicationData,
+                write,
+                &mut self.wire_buf,
+            );
+        }
+        // Label each record of this write.
+        let n_records = write.len().div_ceil(MAX_FRAGMENT).max(1);
+        let class = match kind {
+            RequestKind::StateType1 if whole_report && n_records == 1 => RecordClass::Type1,
+            RequestKind::StateType2 if whole_report && n_records == 1 => RecordClass::Type2,
+            _ => RecordClass::Other,
+        };
+        if n_records == 1 {
+            self.labels.push(LabeledRecord {
+                time: now,
+                length: (self.wire_buf.len() - RECORD_HEADER_LEN) as u16,
+                class,
+            });
+        } else {
+            // Fragmented write (never a clean state report).
+            let mut obs = wm_tls::RecordObserver::new();
+            for r in obs.feed(&self.wire_buf) {
+                self.labels.push(LabeledRecord {
+                    time: now,
+                    length: r.length,
+                    class: RecordClass::Other,
+                });
+            }
+        }
+        self.client_tcp.write(&self.wire_buf);
+    }
+
     // ---- transmission -------------------------------------------------------
 
     fn flush_tcp(&mut self, now: SimTime, owner: PeerId) {
-        let segs = match owner {
-            PeerId::Client => self.client_tcp.flush(now),
-            PeerId::Server => self.server_tcp.flush(now),
-        };
-        for seg in segs {
+        let mut segs = std::mem::take(&mut self.tcp_segs);
+        match owner {
+            PeerId::Client => self.client_tcp.flush(now, &mut segs),
+            PeerId::Server => self.server_tcp.flush(now, &mut segs),
+        }
+        for seg in segs.drain(..) {
             self.send_segment(now, owner.peer(), seg);
         }
+        self.tcp_segs = segs;
         self.arm_rto(now, owner);
     }
 
