@@ -287,7 +287,7 @@ fn burst_total_decode(
         ),
         slack: 10,
     };
-    wm_core::BeamDecoder::new(
+    wm_core::ChoiceDecoder::new(
         &classifier,
         graph,
         wm_core::DecoderConfig::scaled(TIME_SCALE),

@@ -79,6 +79,7 @@ fn main() {
                 attack.classifier(),
                 &graph,
                 DecoderConfig::scaled(TIME_SCALE),
+                1,
             )
             .decode(&features.records);
             greedy_agg.merge(&choice_accuracy(&greedy, &out.decisions));

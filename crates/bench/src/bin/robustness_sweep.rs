@@ -18,7 +18,7 @@ use wm_bench::{
 };
 use wm_core::classify::{HistogramClassifier, KnnClassifier, RecordClassifier};
 use wm_core::{
-    choice_accuracy, client_app_records, BeamDecoder, ChoiceAccuracy, ChoiceDecoder, DecoderConfig,
+    choice_accuracy, client_app_records, ChoiceAccuracy, ChoiceDecoder, DecoderConfig,
     IntervalClassifier, WhiteMirrorConfig,
 };
 use wm_dataset::{OperationalConditions, ViewerSpec};
@@ -234,14 +234,14 @@ fn ablation(graph: &Arc<StoryGraph>) -> Snapshot {
             let features = client_app_records(&out.trace);
             let mut cfg = DecoderConfig::scaled(TIME_SCALE);
             cfg.time_aware = false;
-            let d = ChoiceDecoder::new(classifier, graph, cfg).decode(&features.records);
+            let d = ChoiceDecoder::new(classifier, graph, cfg, 1).decode(&features.records);
             naive.merge(&choice_accuracy(&d, &out.decisions));
 
             let cfg = DecoderConfig::scaled(TIME_SCALE);
-            let d = ChoiceDecoder::new(classifier, graph, cfg.clone()).decode(&features.records);
+            let d = ChoiceDecoder::new(classifier, graph, cfg.clone(), 1).decode(&features.records);
             aware.merge(&choice_accuracy(&d, &out.decisions));
 
-            let d = BeamDecoder::new(classifier, graph, cfg, 8).decode(&features.records);
+            let d = ChoiceDecoder::new(classifier, graph, cfg, 8).decode(&features.records);
             beam.merge(&choice_accuracy(&d, &out.decisions));
         }
         println!(

@@ -10,7 +10,7 @@ use crate::classify::{IntervalClassifier, RecordClassifier};
 use crate::decode::{ChoiceDecoder, DecodedChoice, DecoderConfig};
 use crate::features::{client_app_records, ClientFeatures};
 use crate::metrics::{choice_accuracy, ChoiceAccuracy, ConfusionMatrix};
-use crate::provenance::{build_provenance, ChoiceProvenance};
+use crate::provenance::{build_provenance, grade, ChoiceProvenance};
 use std::sync::Arc;
 use wm_capture::labels::LabeledRecord;
 use wm_capture::tap::Trace;
@@ -26,9 +26,9 @@ pub struct WhiteMirrorConfig {
     pub slack: u16,
     /// Decoder settings (window, time-awareness, time scale).
     pub decoder: DecoderConfig,
-    /// Hypotheses tracked jointly (1 = greedy decoding; >1 enables the
-    /// beam decoder, which survives corrupted reports without
-    /// cascading — see `crate::beam`).
+    /// Hypotheses the path decoder tracks jointly (1 = greedy
+    /// decoding; wider survives corrupted reports without cascading —
+    /// see `crate::decode`).
     pub beam_width: usize,
 }
 
@@ -118,12 +118,6 @@ impl DecodedSession {
             .join("\n")
     }
 }
-
-/// Confidence multiplier for a decision whose choice window overlaps a
-/// capture gap: the tap may have missed the very report that would
-/// flip the decision. Public so the streaming decoder (`wm-online`)
-/// applies the identical discount.
-pub const GAP_CONFIDENCE_FACTOR: f64 = 0.5;
 
 /// Attack-side telemetry handles (see `wm-telemetry`): wall-clock
 /// timings of the classify and decode stages plus per-class record
@@ -252,13 +246,11 @@ impl WhiteMirror {
     /// Shared decode tail: gap-aware confidence, provenance
     /// reconstruction and (when attached) trace emission.
     fn finish(&self, mut choices: Vec<DecodedChoice>, features: ClientFeatures) -> DecodedSession {
-        self.apply_gap_confidence(&mut choices, &features);
-        let provenance = build_provenance(
-            &choices,
-            &features,
-            &self.classifier,
-            self.cfg.decoder.window,
-        );
+        let window = self.cfg.decoder.window;
+        let provenance = build_provenance(&choices, &features, &self.classifier, window);
+        for d in &mut choices {
+            grade(d, features.gap_times.iter().copied(), window);
+        }
         if let Some((h, parent)) = &self.trace {
             let start = features.records.first().map_or(0, |r| r.time.micros());
             let end = choices
@@ -288,38 +280,10 @@ impl WhiteMirror {
         }
     }
 
-    /// Downgrade decisions whose choice window a capture gap overlaps:
-    /// the decode stays whatever the surviving evidence supports, but
-    /// the attacker reports reduced certainty there.
-    fn apply_gap_confidence(&self, choices: &mut [DecodedChoice], features: &ClientFeatures) {
-        if features.gap_times.is_empty() {
-            return;
-        }
-        let window = self.cfg.decoder.window;
-        for d in choices.iter_mut() {
-            let near_gap = features
-                .gap_times
-                .iter()
-                .any(|&g| g + window >= d.time && g <= d.time + window);
-            if near_gap {
-                d.confidence *= GAP_CONFIDENCE_FACTOR;
-            }
-        }
-    }
-
     fn run_decoder(&self, features: &ClientFeatures, graph: &StoryGraph) -> Vec<DecodedChoice> {
-        if self.cfg.beam_width > 1 && self.cfg.decoder.time_aware {
-            crate::beam::BeamDecoder::new(
-                &self.classifier,
-                graph,
-                self.cfg.decoder.clone(),
-                self.cfg.beam_width,
-            )
+        let cfg = self.cfg.decoder.clone();
+        ChoiceDecoder::new(&self.classifier, graph, cfg, self.cfg.beam_width)
             .decode(&features.records)
-        } else {
-            ChoiceDecoder::new(&self.classifier, graph, self.cfg.decoder.clone())
-                .decode(&features.records)
-        }
     }
 
     /// Decode and score against ground truth.

@@ -13,8 +13,10 @@
 //! 3. [`decode`] — turn the classified event stream into the choice
 //!    sequence, walking the (public) story graph: every type-1 marks a
 //!    question, a type-2 inside the choice window marks a non-default
-//!    pick. A time-aware variant cross-checks question times against
-//!    segment durations to survive missed reports;
+//!    pick. One incremental path decoder predicts question times from
+//!    segment durations to survive missed reports, keeping one
+//!    hypothesis (greedy) or several (beam); the offline attack, the
+//!    ablations and the streaming attacker (`wm-online`) all run it;
 //! 4. [`metrics`] — per-record confusion matrices and per-choice
 //!    accuracy, including the worst-case accounting behind the paper's
 //!    headline "96% of the time in the worst case".
@@ -26,7 +28,6 @@
 //! captures (`wm_capture::Trace`) and the public story graph.
 
 pub mod attack;
-pub mod beam;
 pub mod classify;
 pub mod decode;
 pub mod features;
@@ -34,18 +35,16 @@ pub mod metrics;
 pub mod provenance;
 pub mod report;
 
-pub use attack::{
-    AttackTelemetry, DecodedSession, WhiteMirror, WhiteMirrorConfig, GAP_CONFIDENCE_FACTOR,
-};
-pub use beam::BeamDecoder;
+pub use attack::{AttackTelemetry, DecodedSession, WhiteMirror, WhiteMirrorConfig};
 pub use classify::{HistogramClassifier, IntervalClassifier, KnnClassifier, RecordClassifier};
 pub use decode::{
-    initial_gap_secs, min_question_gap_secs, question_gap_secs, ChoiceDecoder, DecodedChoice,
-    DecoderConfig, CONFIDENCE_BLIND, CONFIDENCE_INFERRED, CONFIDENCE_OBSERVED, WINDOW_SECS,
+    ChoiceDecoder, Decision, DecodedChoice, DecoderConfig, PathDecoder, ReportEvent, Timing,
+    CONFIDENCE_BLIND, CONFIDENCE_INFERRED, CONFIDENCE_OBSERVED, WINDOW_SECS,
 };
 pub use features::{client_app_records, ClientFeatures};
 pub use metrics::{choice_accuracy, ChoiceAccuracy, ConfusionMatrix};
 pub use provenance::{
-    build_provenance, ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole,
+    build_provenance, grade, ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole,
+    GAP_CONFIDENCE_FACTOR,
 };
 pub use report::session_report;

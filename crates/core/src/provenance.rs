@@ -112,10 +112,42 @@ impl ChoiceProvenance {
     }
 }
 
+/// Confidence multiplier for a decision whose choice window overlaps a
+/// capture gap: the tap may have missed the very report that would
+/// flip the decision.
+pub const GAP_CONFIDENCE_FACTOR: f64 = 0.5;
+
+/// Grade one decision against the capture's gaps: when a gap lies
+/// within `window` of its question, discount its confidence by
+/// [`GAP_CONFIDENCE_FACTOR`]. Returns the decision's evidence tier and
+/// whether a gap was near. The one grading rule of the offline attack,
+/// its provenance and the streaming decoder.
+pub fn grade(
+    d: &mut DecodedChoice,
+    gaps: impl IntoIterator<Item = SimTime>,
+    window: Duration,
+) -> (ConfidenceTier, bool) {
+    let near_gap = gaps
+        .into_iter()
+        .any(|g| g + window >= d.time && g <= d.time + window);
+    if near_gap {
+        d.confidence *= GAP_CONFIDENCE_FACTOR;
+    }
+    let tier = if d.observed {
+        ConfidenceTier::Observed
+    } else if d.confidence > CONFIDENCE_BLIND {
+        ConfidenceTier::Inferred
+    } else {
+        ConfidenceTier::Blind
+    };
+    (tier, near_gap)
+}
+
 /// Build per-choice provenance after decoding.
 ///
 /// Pure post-hoc reconstruction over the same classified record stream
-/// the decoder consumed: an observed decision cites its type-1 record
+/// the decoder consumed, for `choices` as the decoder emitted them
+/// (before [`grade`]): an observed decision cites its type-1 record
 /// (exact time match) plus any type-2 inside the window; an inferred or
 /// blind decision cites the record nearest its predicted question time
 /// as the timing anchor.
@@ -142,18 +174,8 @@ pub fn build_provenance<C: RecordClassifier + ?Sized>(
     choices
         .iter()
         .map(|d| {
-            let near_gap = features
-                .gap_times
-                .iter()
-                .any(|&g| g + window >= d.time && g <= d.time + window);
-            let tier = if d.observed {
-                ConfidenceTier::Observed
-            } else if d.confidence > CONFIDENCE_BLIND {
-                ConfidenceTier::Inferred
-            } else {
-                ConfidenceTier::Blind
-            };
-
+            let (tier, near_gap) =
+                grade(&mut d.clone(), features.gap_times.iter().copied(), window);
             let mut records = Vec::new();
             if d.observed {
                 if let Some(&(i, t, len, _)) = classified

@@ -11,7 +11,7 @@ use wm_capture::ContentType;
 use wm_capture::ObservedRecord;
 use wm_core::classify::{HistogramClassifier, IntervalClassifier, KnnClassifier, RecordClassifier};
 use wm_core::metrics::{choice_accuracy, ConfusionMatrix};
-use wm_core::{BeamDecoder, ChoiceDecoder, DecodedChoice, DecoderConfig};
+use wm_core::{ChoiceDecoder, DecodedChoice, DecoderConfig, PathDecoder};
 use wm_story::bandersnatch::tiny_film;
 use wm_story::{Choice, ChoicePointId};
 
@@ -184,8 +184,40 @@ fn choice_accuracy_bounds() {
     }
 }
 
+/// Decode `records` as a stream: report events arrive one at a time,
+/// the horizon rising to each next event's time (everything below it
+/// is final), then the stream ends.
+fn streamed(
+    classifier: &IntervalClassifier,
+    graph: &wm_story::StoryGraph,
+    records: &[TimedRecord],
+    width: usize,
+) -> Vec<DecodedChoice> {
+    let decoder = ChoiceDecoder::new(classifier, graph, DecoderConfig::scaled(1), width);
+    let events = decoder.report_events(records);
+    let timing = *decoder.timing();
+    let apps = [records.first(), records.get(1)].map(|r| r.map(|r| r.time));
+    let first_type1 = events
+        .iter()
+        .find(|e| e.class == RecordClass::Type1)
+        .map(|e| e.time);
+    let mut path = PathDecoder::new(graph, timing, width);
+    let mut out = Vec::new();
+    for (n, next) in events.iter().enumerate() {
+        let horizon = Some(next.time);
+        let anchor = timing.anchor(apps, first_type1, horizon);
+        while let Some(d) = path.step(graph, &events[..n], anchor, horizon) {
+            out.push(d.choice);
+        }
+    }
+    let anchor = timing.anchor(apps, first_type1, None);
+    out.extend(path.finish(graph, &events, anchor).iter().map(|d| d.choice));
+    out
+}
+
 /// Decoders always emit one decision per choice point on the walked
-/// path and never panic, for arbitrary classified event streams.
+/// path and never panic, for arbitrary classified event streams; the
+/// path decoder decodes a stream exactly as it decodes the whole.
 #[test]
 fn decoders_total_and_path_consistent() {
     let graph = tiny_film();
@@ -216,12 +248,12 @@ fn decoders_total_and_path_consistent() {
             })
             .collect();
         records.sort_by_key(|r| r.time);
-        for time_aware in [false, true] {
+        for (time_aware, width) in [(false, 1), (true, 1), (true, 8)] {
             let cfg = DecoderConfig {
                 time_aware,
                 ..DecoderConfig::scaled(1)
             };
-            let decoded = ChoiceDecoder::new(&classifier, &graph, cfg).decode(&records);
+            let decoded = ChoiceDecoder::new(&classifier, &graph, cfg, width).decode(&records);
             // The decode must trace a real path: its cp sequence equals
             // the walk induced by its own choices.
             let seq = wm_story::ChoiceSequence(decoded.iter().map(|d| d.choice).collect());
@@ -230,12 +262,11 @@ fn decoders_total_and_path_consistent() {
             for (d, cp) in decoded.iter().zip(walk.encountered.iter()) {
                 assert_eq!(d.cp, *cp, "case {case}");
             }
+            if time_aware {
+                let stream = streamed(&classifier, &graph, &records, width);
+                assert_eq!(stream, decoded, "case {case}: width {width} streamed");
+            }
         }
-        let cfg = DecoderConfig::scaled(1);
-        let decoded = BeamDecoder::new(&classifier, &graph, cfg, 8).decode(&records);
-        let seq = wm_story::ChoiceSequence(decoded.iter().map(|d| d.choice).collect());
-        let walk = wm_story::path::walk(&graph, &seq);
-        assert_eq!(decoded.len(), walk.encountered.len(), "case {case}");
     }
 }
 
@@ -299,21 +330,21 @@ fn decoders_exact_on_clean_streams() {
                 });
             }
         }
-        for time_aware in [false, true] {
+        for (time_aware, width) in [(false, 1), (true, 1), (true, 8)] {
             let cfg = DecoderConfig {
                 time_aware,
                 ..DecoderConfig::scaled(1)
             };
-            let decoded = ChoiceDecoder::new(&classifier, &graph, cfg).decode(&records);
+            let decoded = ChoiceDecoder::new(&classifier, &graph, cfg, width).decode(&records);
             let picks: Vec<Choice> = decoded.iter().map(|d| d.choice).collect();
             assert_eq!(
                 &picks, &truth,
-                "case {case}: greedy time_aware={time_aware}"
+                "case {case}: time_aware={time_aware} width {width}"
             );
+            if time_aware {
+                let stream = streamed(&classifier, &graph, &records, width);
+                assert_eq!(stream, decoded, "case {case}: width {width} streamed");
+            }
         }
-        let decoded =
-            BeamDecoder::new(&classifier, &graph, DecoderConfig::scaled(1), 8).decode(&records);
-        let picks: Vec<Choice> = decoded.iter().map(|d| d.choice).collect();
-        assert_eq!(&picks, &truth, "case {case}: beam");
     }
 }

@@ -212,7 +212,6 @@ pub fn panic_rules_apply(rel_path: &str) -> bool {
         || rel_path.starts_with("crates/capture/src/")
         || rel_path.starts_with("crates/online/src/")
         || rel_path == "crates/core/src/decode.rs"
-        || rel_path == "crates/core/src/beam.rs"
 }
 
 /// The online decoder's ingest paths: long-running, fed by an
@@ -1212,6 +1211,16 @@ mod tests {
         let f = check_source("wm-online", "crates/online/src/ingest.rs", bare);
         assert!(rules_of(&f).contains(&MISSING_REASON));
         assert!(rules_of(&f).contains(&BOUNDED_BUFFER));
+    }
+
+    #[test]
+    fn path_decoder_is_under_the_panic_family() {
+        let f = check_source(
+            "wm-core",
+            "crates/core/src/decode.rs",
+            "let v = x.unwrap();",
+        );
+        assert_eq!(rules_of(&f), [PANIC_UNWRAP]);
     }
 
     #[test]

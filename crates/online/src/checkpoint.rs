@@ -3,10 +3,10 @@
 //! A checkpoint is the *entire* [`OnlineDecoder`] minus its
 //! attachments: configuration, classifier calibration, the watermark
 //! clock, every flow's reassembly state (carry bytes, parked segments,
-//! timing marks), the pending/ready event queues, the phase frontier
-//! of the graph walk, and all counters. Restoring it and replaying the
-//! packets after the checkpoint yields byte-for-byte the uninterrupted
-//! verdict stream — the kill/resume property CI enforces.
+//! timing marks), the pending/ready event queues, the path decoder's
+//! frontier in the graph walk, and all counters. Restoring it and
+//! replaying the packets after the checkpoint yields byte-for-byte the
+//! uninterrupted verdict stream — the kill/resume property CI enforces.
 //!
 //! # Layout
 //!
@@ -56,12 +56,13 @@ use std::sync::Arc;
 
 use crate::bounded::{BoundedVec, ByteCarry};
 use crate::crc::crc32;
-use crate::engine::{OnlineConfig, OnlineDecoder, PendingEvent, Phase, ReadyEvent};
+use crate::engine::{OnlineConfig, OnlineDecoder, PendingEvent};
 use crate::ingest::FlowIngest;
 use wm_capture::headers::FlowId;
 use wm_capture::time::SimTime;
 use wm_capture::RecordClass;
-use wm_core::IntervalClassifier;
+use wm_core::decode::Frontier;
+use wm_core::{IntervalClassifier, ReportEvent};
 use wm_story::{
     ChoiceOption, ChoicePoint, ChoicePointId, Segment, SegmentEnd, SegmentId, StoryGraph,
 };
@@ -785,14 +786,14 @@ pub fn seq<'a, P: Pass<'a>, T: Clone>(
     Ok(())
 }
 
-fn ready<'a>(p: &mut impl Pass<'a>, e: &mut ReadyEvent, near: &'static str) -> Step {
+fn ready<'a>(p: &mut impl Pass<'a>, e: &mut ReportEvent, near: &'static str) -> Step {
     time(p, &mut e.time, near)?;
     p.int(&mut e.index, near)?;
     p.int(&mut e.length, near)?;
     variant(p, &mut e.class, &CLASSES, near)
 }
 
-const BLANK_READY: ReadyEvent = ReadyEvent {
+const BLANK_READY: ReportEvent = ReportEvent {
     time: SimTime::ZERO,
     index: 0,
     length: 0,
@@ -843,9 +844,14 @@ fn state<'a, P: Pass<'a>>(p: &mut P, d: &mut OnlineDecoder) -> Step {
     list(p, &mut d.ready, BLANK_READY, "ready", |p, e| {
         ready(p, e, "ready")
     })?;
-    let mut cursor = d.cursor as u64;
+    // The width-1 path decoder's one hypothesis.
+    let head = d
+        .path
+        .lone_mut()
+        .ok_or(CheckpointError::Malformed("phase"))?;
+    let mut cursor = head.cursor as u64;
     p.int(&mut cursor, "cursor")?;
-    d.cursor = usize::try_from(cursor).map_err(|_| CheckpointError::Malformed("cursor"))?;
+    head.cursor = usize::try_from(cursor).map_err(|_| CheckpointError::Malformed("cursor"))?;
     p.int(&mut d.app_count, "app_count")?;
     opt_time(p, &mut d.app_first, "app_first")?;
     opt_time(p, &mut d.app_second, "app_second")?;
@@ -867,8 +873,8 @@ fn state<'a, P: Pass<'a>>(p: &mut P, d: &mut OnlineDecoder) -> Step {
         time(p, &mut w.1, "loss_windows")
     })?;
 
-    phase(p, &mut d.phase)?;
-    opt_time(p, &mut d.predicted, "predicted")?;
+    phase(p, &mut head.frontier, &d.graph)?;
+    opt_time(p, &mut head.predicted, "predicted")?;
     p.int(&mut d.emitted, "emitted")?;
     p.int(&mut d.records_seen, "records_seen")?;
     d.records_at_checkpoint = d.records_seen;
@@ -952,19 +958,20 @@ fn flow<'a, P: Pass<'a>>(p: &mut P, id: &mut FlowId, f: &mut FlowIngest) -> Step
 }
 
 /// The graph-walk frontier: a variant tag, then every variant's
-/// fields (zero where a variant lacks them).
-fn phase<'a, P: Pass<'a>>(p: &mut P, phase: &mut Phase) -> Step {
+/// fields (zero where a variant lacks them). A frontier must name a
+/// question `graph` asks.
+fn phase<'a, P: Pass<'a>>(p: &mut P, frontier: &mut Frontier, graph: &StoryGraph) -> Step {
     let zero = SimTime::ZERO;
-    let (mut tag, mut seg, mut cp, mut t1, mut observed, mut t1_evt) = match *phase {
-        Phase::Seek { seg, cp } => (0u8, seg.0, cp.0, zero, false, None),
-        Phase::Open {
+    let (mut tag, mut seg, mut cp, mut t1, mut observed, mut t1_evt) = match *frontier {
+        Frontier::Seek { seg, cp } => (0u8, seg.0, cp.0, zero, false, None),
+        Frontier::Open {
             seg,
             cp,
             t1,
             observed,
             t1_evt,
         } => (1, seg.0, cp.0, t1, observed, t1_evt),
-        Phase::Done => (2, 0, 0, zero, false, None),
+        Frontier::Done => (2, 0, 0, zero, false, None),
     };
     p.int(&mut tag, "phase")?;
     p.int(&mut seg, "phase")?;
@@ -975,18 +982,21 @@ fn phase<'a, P: Pass<'a>>(p: &mut P, phase: &mut Phase) -> Step {
         ready(p, e, "t1_evt")
     })?;
     let (seg, cp) = (SegmentId(seg), ChoicePointId(cp));
-    *phase = match tag {
-        0 => Phase::Seek { seg, cp },
-        1 => Phase::Open {
+    *frontier = match tag {
+        0 => Frontier::Seek { seg, cp },
+        1 => Frontier::Open {
             seg,
             cp,
             t1,
             observed,
             t1_evt,
         },
-        2 => Phase::Done,
+        2 => Frontier::Done,
         _ => return Err(CheckpointError::Malformed("phase")),
     };
+    if !frontier.fits(graph) {
+        return Err(CheckpointError::Malformed("phase"));
+    }
     Ok(())
 }
 
@@ -1130,6 +1140,47 @@ mod tests {
                 other => panic!("cut at {cut}: expected truncation, got {other:?}"),
             };
             assert_eq!(near, region);
+        }
+    }
+
+    #[test]
+    fn frontier_outside_the_graph_is_rejected() {
+        // A fresh decoder's state ends with its frontier — tag:u8
+        // seg:u16 cp:u16 t1:u64 observed:u8 t1_evt-tag:u8 — then the
+        // prediction tag, `emitted`, `records_seen`, 15 stats and the
+        // CRC: the frontier tag sits 156 bytes from the end.
+        let cp = fresh().checkpoint();
+        let at = cp.len() - 156;
+        assert_eq!(cp[at..at + 5], [0, 0, 0, 0, 0], "Seek at segment 0, cp 0");
+        let patched = |tag: u8, seg: u16, choice: u16| {
+            let mut blob = cp.clone();
+            blob[at] = tag;
+            blob[at + 1..at + 3].copy_from_slice(&seg.to_le_bytes());
+            blob[at + 3..at + 5].copy_from_slice(&choice.to_le_bytes());
+            let body = blob.len() - CRC_LEN;
+            let crc = crc32(&blob[..body]);
+            blob[body..].copy_from_slice(&crc.to_le_bytes());
+            OnlineDecoder::resume_from_checkpoint(&blob, Arc::new(tiny_film()))
+        };
+        // tiny_film: segment 1 asks cp 1; segment 7 is an ending.
+        for (tag, seg, choice) in [
+            (0, 9999, 0),
+            (0, 0, 9999),
+            (1, 9999, 0),
+            (1, 0, 9999),
+            (0, 1, 0),
+            (1, 7, 2),
+        ] {
+            assert_eq!(
+                patched(tag, seg, choice).err(),
+                Some(CheckpointError::Malformed("phase")),
+                "tag {tag} seg {seg} cp {choice}"
+            );
+        }
+        // A frontier the graph does ask resumes and decodes to the end.
+        for tag in [0, 1] {
+            let mut dec = patched(tag, 1, 1).expect("segment 1 asks cp 1");
+            assert_eq!(dec.finish().len(), 2, "tag {tag}: cp 1 and cp 2 remain");
         }
     }
 

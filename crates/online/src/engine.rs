@@ -1,13 +1,13 @@
 //! The streaming (online) White Mirror decoder.
 //!
 //! The offline attack ([`wm_core`]) decodes a finished capture in one
-//! pass. [`OnlineDecoder`] runs the *same* timing model — the same
-//! anchor estimate, duplicate suppression, type-1 seek slack and
-//! type-2 window scan as [`wm_core::ChoiceDecoder`], with the same
-//! confidence arithmetic and provenance tiers — but incrementally,
-//! against packets as the tap delivers them, in memory bounded by
-//! configuration rather than session length. On a clean in-order
-//! capture its verdict stream is byte-for-byte the offline decode.
+//! pass. [`OnlineDecoder`] drives wm-core's path decoder
+//! ([`wm_core::PathDecoder`], width 1) — the same timing model,
+//! duplicate suppression and confidence grading the offline greedy
+//! decode uses — incrementally, against packets as the tap delivers
+//! them, in memory bounded by configuration rather than session
+//! length. On a clean in-order capture its verdict stream is
+//! byte-for-byte the offline greedy decode.
 //!
 //! The central discipline is a **watermark**: the capture time below
 //! which the event stream is *final*. It trails the newest packet by
@@ -15,13 +15,13 @@
 //! record in reassembly. Classified report events sit in a small
 //! sorted pending buffer until the watermark passes them, then
 //! finalize — dedup, ordering, anchor estimation — exactly once. The
-//! decoder's phase machine (seek the next type-1, scan its choice
-//! window, walk the graph) only commits to a verdict when the
-//! watermark proves no earlier-timed evidence can still arrive, so a
-//! verdict, once emitted, is never retracted.
+//! path decoder reads the finalized events with the watermark as its
+//! horizon, so it only commits to a verdict when the watermark proves
+//! no earlier-timed evidence can still arrive: a verdict, once
+//! emitted, is never retracted.
 //!
 //! Crash recovery: [`OnlineDecoder::checkpoint`] serializes the whole
-//! decoder — ingest carries, pending/ready events, the phase frontier,
+//! decoder — ingest carries, pending/ready events, the path frontier,
 //! classifier calibration — into a compact, versioned, CRC-sealed
 //! binary blob on a configurable record cadence, and
 //! [`OnlineDecoder::resume_from_checkpoint`] restores it. Replaying
@@ -38,12 +38,9 @@ use wm_capture::headers::{parse_frame_lossy, FlowId};
 use wm_capture::time::{Duration, SimTime};
 use wm_capture::{ContentType, RecordClass};
 use wm_core::classify::RecordClassifier;
-use wm_core::provenance::{ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole};
-use wm_core::{
-    initial_gap_secs, min_question_gap_secs, question_gap_secs, DecodedChoice, IntervalClassifier,
-    CONFIDENCE_BLIND, CONFIDENCE_INFERRED, CONFIDENCE_OBSERVED, GAP_CONFIDENCE_FACTOR, WINDOW_SECS,
-};
-use wm_story::{Choice, ChoicePointId, SegmentEnd, SegmentId, StoryGraph};
+use wm_core::provenance::{grade, ChoiceProvenance, ProvenanceRecord, RecordRole};
+use wm_core::{Decision, DecodedChoice, IntervalClassifier, PathDecoder, ReportEvent, Timing};
+use wm_story::{Choice, StoryGraph};
 use wm_telemetry::{Counter, Histogram, Registry};
 use wm_trace::{SpanId, TraceHandle};
 
@@ -66,7 +63,7 @@ pub struct OnlineConfig {
     pub max_flows: usize,
     /// Classified events awaiting watermark finality.
     pub max_pending_events: usize,
-    /// Finalized report events awaiting the phase machine.
+    /// Finalized report events awaiting the path decoder.
     pub max_ready_events: usize,
     /// Recent application records kept for anchor provenance.
     pub max_recent_apps: usize,
@@ -221,66 +218,6 @@ pub(crate) struct PendingEvent {
     pub(crate) class: RecordClass,
 }
 
-/// A finalized report event, queued for the phase machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ReadyEvent {
-    pub(crate) time: SimTime,
-    /// Index into the finalized application-record stream (the same
-    /// numbering offline provenance cites).
-    pub(crate) index: u64,
-    pub(crate) length: u16,
-    pub(crate) class: RecordClass,
-}
-
-/// Where the decoder stands in the story graph: the beam frontier of
-/// the streaming walk (width 1 — the greedy offline path).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Phase {
-    /// Looking for the type-1 report of the question shown while
-    /// `seg` plays.
-    Seek { seg: SegmentId, cp: ChoicePointId },
-    /// Question placed at `t1`; scanning its choice window for a
-    /// type-2.
-    Open {
-        seg: SegmentId,
-        cp: ChoicePointId,
-        t1: SimTime,
-        observed: bool,
-        t1_evt: Option<ReadyEvent>,
-    },
-    /// The walk reached an ending.
-    Done,
-}
-
-/// Durations derived from the graph and the time scale. Never
-/// checkpointed: recomputed on construction and resume so the
-/// checkpoint holds integers only (byte determinism).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Derived {
-    pub(crate) scale: f64,
-    pub(crate) dedup: Duration,
-    pub(crate) slack: Duration,
-    pub(crate) first_slack: Duration,
-    pub(crate) window_cfg: Duration,
-    pub(crate) init_gap: Duration,
-}
-
-impl Derived {
-    pub(crate) fn compute(graph: &StoryGraph, time_scale: u32) -> Derived {
-        let scale = time_scale.max(1) as f64;
-        let min_gap = min_question_gap_secs(graph);
-        let slack = Duration::from_secs_f64((min_gap / 2.0).clamp(1.0, 5.0) / scale);
-        Derived {
-            scale,
-            dedup: Duration::from_secs_f64((min_gap / 3.0).clamp(0.5, 2.0) / scale),
-            slack,
-            first_slack: Duration(slack.micros() * 3),
-            window_cfg: Duration::from_secs_f64(WINDOW_SECS / scale),
-            init_gap: Duration::from_secs_f64(initial_gap_secs(graph) / scale),
-        }
-    }
-}
-
 /// Telemetry counters the engine publishes to when attached.
 ///
 /// The hot path never touches these: per-event counts accumulate in
@@ -333,7 +270,6 @@ pub struct OnlineDecoder {
     pub(crate) cfg: OnlineConfig,
     pub(crate) graph: Arc<StoryGraph>,
     pub(crate) classifier: IntervalClassifier,
-    pub(crate) derived: Derived,
 
     // -- clock --
     pub(crate) max_seen: SimTime,
@@ -346,8 +282,7 @@ pub struct OnlineDecoder {
     // -- event stream --
     pub(crate) admit_seq: u64,
     pub(crate) pending: BoundedVec<PendingEvent>,
-    pub(crate) ready: BoundedVec<ReadyEvent>,
-    pub(crate) cursor: usize,
+    pub(crate) ready: BoundedVec<ReportEvent>,
     pub(crate) app_count: u64,
     pub(crate) app_first: Option<SimTime>,
     pub(crate) app_second: Option<SimTime>,
@@ -359,8 +294,7 @@ pub struct OnlineDecoder {
     pub(crate) loss_windows: BoundedVec<(SimTime, SimTime)>,
 
     // -- decode frontier --
-    pub(crate) phase: Phase,
-    pub(crate) predicted: Option<SimTime>,
+    pub(crate) path: PathDecoder,
     pub(crate) emitted: u64,
 
     // -- checkpoint cadence --
@@ -379,25 +313,11 @@ pub struct OnlineDecoder {
     trace: Option<(TraceHandle, SpanId)>,
 }
 
-/// Walk `Continue` chains from `from` to the next decision point.
-pub(crate) fn phase_at(graph: &StoryGraph, from: SegmentId) -> Phase {
-    let mut current = from;
-    loop {
-        match graph.segment(current).end {
-            SegmentEnd::Ending => return Phase::Done,
-            SegmentEnd::Continue(next) => current = next,
-            SegmentEnd::Choice(cp) => return Phase::Seek { seg: current, cp },
-        }
-    }
-}
-
 impl OnlineDecoder {
     pub fn new(classifier: IntervalClassifier, graph: Arc<StoryGraph>, cfg: OnlineConfig) -> Self {
-        let derived = Derived::compute(&graph, cfg.time_scale);
-        let phase = phase_at(&graph, graph.start());
+        let path = PathDecoder::new(&graph, Timing::new(&graph, cfg.time_scale), 1);
         OnlineDecoder {
-            derived,
-            phase,
+            path,
             classifier,
             max_seen: SimTime::ZERO,
             watermark: SimTime::ZERO,
@@ -406,7 +326,6 @@ impl OnlineDecoder {
             admit_seq: 0,
             pending: BoundedVec::new(cfg.max_pending_events),
             ready: BoundedVec::new(cfg.max_ready_events),
-            cursor: 0,
             app_count: 0,
             app_first: None,
             app_second: None,
@@ -416,7 +335,6 @@ impl OnlineDecoder {
             recent_apps: BoundedVec::new(cfg.max_recent_apps),
             gap_times: BoundedVec::new(cfg.max_gap_times),
             loss_windows: BoundedVec::new(cfg.max_loss_windows),
-            predicted: None,
             emitted: 0,
             records_seen: 0,
             records_at_checkpoint: 0,
@@ -487,7 +405,7 @@ impl OnlineDecoder {
 
     /// Whether the graph walk has reached an ending.
     pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
+        self.path.is_done()
     }
 
     /// True when the record cadence since the last checkpoint has been
@@ -504,7 +422,7 @@ impl OnlineDecoder {
         let flows: usize = self.flows.values().map(|f| f.state_bytes()).sum();
         flows
             + self.pending.len() * std::mem::size_of::<PendingEvent>()
-            + self.ready.len() * std::mem::size_of::<ReadyEvent>()
+            + self.ready.len() * std::mem::size_of::<ReportEvent>()
             + self.recent_apps.len() * std::mem::size_of::<(u64, SimTime, u16)>()
             + self.gap_times.len() * std::mem::size_of::<SimTime>()
             + self.loss_windows.len() * std::mem::size_of::<(SimTime, SimTime)>()
@@ -648,7 +566,7 @@ impl OnlineDecoder {
 
     /// An event's timestamp became final: assign its application-record
     /// index, update the anchor estimate, dedup, and queue reports for
-    /// the phase machine.
+    /// the path decoder.
     fn finalize(&mut self, e: PendingEvent) {
         let index = self.app_count;
         self.app_count = self.app_count.saturating_add(1);
@@ -658,35 +576,27 @@ impl OnlineDecoder {
             self.app_second = Some(e.time);
         }
         self.recent_apps.admit_evict((index, e.time, e.length));
-        let prev = match e.class {
+        let last_kept = match e.class {
             RecordClass::Other => return,
-            RecordClass::Type1 => self.last_kept_t1,
-            RecordClass::Type2 => self.last_kept_t2,
+            RecordClass::Type1 => &mut self.last_kept_t1,
+            RecordClass::Type2 => &mut self.last_kept_t2,
         };
         self.stats.report_events = self.stats.report_events.saturating_add(1);
-        // Duplicate suppression, same rule as the offline decoder:
-        // a report of the same class within the dedup window of the
-        // last *kept* one is a retry/duplicate, not a new event.
-        if prev.is_some_and(|p| e.time.since(p) <= self.derived.dedup) {
+        if !self.path.timing().keep_report(e.time, last_kept) {
             self.stats.deduped_events = self.stats.deduped_events.saturating_add(1);
             return;
-        }
-        match e.class {
-            RecordClass::Type1 => self.last_kept_t1 = Some(e.time),
-            RecordClass::Type2 => self.last_kept_t2 = Some(e.time),
-            RecordClass::Other => {}
         }
         if e.class == RecordClass::Type1 && self.first_type1.is_none() {
             self.first_type1 = Some(e.time);
         }
         if self.ready.len() >= self.ready.cap() {
-            // The phase machine is far behind the event stream; shed
+            // The path decoder is far behind the event stream; shed
             // the oldest (it is the least likely to still be wanted).
             self.ready.pop_front();
-            self.cursor = self.cursor.saturating_sub(1);
+            self.path.rebase(1);
             self.stats.ready_evictions = self.stats.ready_evictions.saturating_add(1);
         }
-        self.ready.admit(ReadyEvent {
+        self.ready.admit(ReportEvent {
             time: e.time,
             index,
             length: e.length,
@@ -733,216 +643,48 @@ impl OnlineDecoder {
                 self.finalize(e);
             }
         }
-        // 3. Run the phase machine until it stops making progress.
-        loop {
-            let stepped = match self.phase {
-                Phase::Done => false,
-                Phase::Seek { seg, cp } => self.try_seek(seg, cp),
-                Phase::Open {
-                    seg,
-                    cp,
-                    t1,
-                    observed,
-                    t1_evt,
-                } => self.try_open(seg, cp, t1, observed, t1_evt, out),
-            };
-            if !stepped {
-                break;
+        // 3. Step the path decoder until the evidence stops deciding.
+        let horizon = (!self.finishing).then_some(self.watermark);
+        let apps = [self.app_first, self.app_second];
+        let anchor = self.path.timing().anchor(apps, self.first_type1, horizon);
+        while let Some(d) = self
+            .path
+            .step(&self.graph, self.ready.as_slice(), anchor, horizon)
+        {
+            self.emit(out, d);
+            // The walk never revisits evidence at or before this question.
+            let t1 = d.choice.time;
+            let mut dropped = 0usize;
+            while self.ready.first().is_some_and(|e| e.time <= t1) {
+                self.ready.pop_front();
+                dropped += 1;
             }
+            self.path.rebase(dropped);
+            // Gap markers too old to overlap any future choice window.
+            let window = self.path.timing().window;
+            self.gap_times.keep(|&g| g + window >= t1);
         }
     }
 
-    /// Playback-anchor estimate for the first question, once decidable:
-    /// the second application record plus the public opening-chain gap
-    /// (identical to the offline decoder's `initial_question_time`).
-    fn anchor(&self) -> Option<SimTime> {
-        if let Some(a2) = self.app_second {
-            if self.finishing || self.watermark > a2 {
-                return Some(a2 + self.derived.init_gap);
-            }
-        }
-        if !self.finishing {
-            // A second app record may still arrive below the current
-            // candidate; wait for the watermark to decide.
-            return None;
-        }
-        if let Some(a1) = self.app_first {
-            return Some(a1 + self.derived.init_gap);
-        }
-        // No app records at all: fall back to the first type-1, then
-        // to time zero — the offline fallbacks.
-        Some(self.first_type1.unwrap_or(SimTime::ZERO))
-    }
-
-    /// Seek the type-1 report of the question at `cp` near its
-    /// predicted time. Returns true when the phase advanced.
-    fn try_seek(&mut self, seg: SegmentId, cp: ChoicePointId) -> bool {
-        let Some(anchor) = self.anchor() else {
-            return false;
-        };
-        let slack = if self.predicted.is_none() {
-            self.derived.first_slack
-        } else {
-            self.derived.slack
-        };
-        let expect = self.predicted.unwrap_or(anchor);
-        let deadline = expect + slack;
-        let mut found: Option<(usize, ReadyEvent)> = None;
-        let mut decided = false;
-        let mut probe = self.cursor;
-        while let Some(&ev) = self.ready.get(probe) {
-            if ev.time > deadline {
-                decided = true;
-                break;
-            }
-            if ev.class == RecordClass::Type1 && ev.time + slack >= expect {
-                found = Some((probe, ev));
-                decided = true;
-                break;
-            }
-            probe += 1;
-        }
-        // A found report commits immediately: the ready stream is
-        // final and complete below the watermark, and every future
-        // event is timed at or above it. Otherwise the absence of the
-        // report is only decided once the watermark clears the window.
-        if !(decided || self.finishing || self.watermark > deadline) {
-            return false;
-        }
-        let (t1, observed, t1_evt) = match found {
-            Some((at, ev)) => {
-                self.cursor = at + 1;
-                (ev.time, true, Some(ev))
-            }
-            None => (expect, false, None),
-        };
-        self.phase = Phase::Open {
-            seg,
-            cp,
-            t1,
-            observed,
-            t1_evt,
-        };
-        true
-    }
-
-    /// Scan the open question's choice window for a type-2 report.
-    fn try_open(
-        &mut self,
-        seg: SegmentId,
-        cp: ChoicePointId,
-        t1: SimTime,
-        observed: bool,
-        t1_evt: Option<ReadyEvent>,
-        out: &mut Batch<OnlineVerdict>,
-    ) -> bool {
-        let dur = self.graph.segment(seg).duration_secs as f64;
-        let window = Duration::from_secs_f64(WINDOW_SECS.min(dur / 2.0) / self.derived.scale);
-        let close = t1 + window;
-        let mut choice: Option<Choice> = None;
-        let mut t2_evt: Option<ReadyEvent> = None;
-        let mut probe = self.cursor;
-        while let Some(&ev) = self.ready.get(probe) {
-            if ev.time > close {
-                choice = Some(Choice::Default);
-                break;
-            }
-            if ev.time >= t1 {
-                match ev.class {
-                    RecordClass::Type2 => {
-                        choice = Some(Choice::NonDefault);
-                        t2_evt = Some(ev);
-                        self.cursor = probe + 1;
-                        break;
-                    }
-                    RecordClass::Type1 => {
-                        choice = Some(Choice::Default);
-                        break;
-                    }
-                    RecordClass::Other => {}
-                }
-            }
-            probe += 1;
-        }
-        let choice = match choice {
-            Some(c) => c,
-            // Nothing in the window yet: default only once no report
-            // timed inside it can still arrive.
-            None if self.finishing || self.watermark > close => Choice::Default,
-            None => return false,
-        };
-        self.emit(out, cp, t1, observed, t1_evt, choice, t2_evt);
-        // Step the graph walk and re-anchor the next prediction on
-        // this question's time (offline's exact arithmetic).
-        let gap = question_gap_secs(&self.graph, seg, cp, choice);
-        self.predicted = Some(t1 + Duration::from_secs_f64(gap / self.derived.scale));
-        let next = self.graph.choice_point(cp).option(choice).target;
-        self.phase = phase_at(&self.graph, next);
-        // The walk never revisits evidence at or before this question.
-        let mut dropped = 0usize;
-        while self.ready.first().is_some_and(|e| e.time <= t1) {
-            self.ready.pop_front();
-            dropped += 1;
-        }
-        self.cursor = self.cursor.saturating_sub(dropped);
-        // Gap markers too old to overlap any future choice window.
-        let wcfg = self.derived.window_cfg;
-        self.gap_times.keep(|&g| g + wcfg >= t1);
-        true
-    }
-
-    /// Resolve one choice: confidence arithmetic, provenance citation
+    /// Resolve one choice: confidence grading, provenance citation
     /// and emission — the online equivalent of the offline
     /// `decode_trace` + `build_provenance` pair.
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &mut self,
-        out: &mut Batch<OnlineVerdict>,
-        cp: ChoicePointId,
-        t1: SimTime,
-        observed: bool,
-        t1_evt: Option<ReadyEvent>,
-        choice: Choice,
-        t2_evt: Option<ReadyEvent>,
-    ) {
-        let wcfg = self.derived.window_cfg;
-        let near_gap = self
-            .gap_times
-            .iter()
-            .any(|&g| g + wcfg >= t1 && g <= t1 + wcfg);
-        let mut confidence = if observed {
-            CONFIDENCE_OBSERVED
-        } else {
-            CONFIDENCE_INFERRED
-        };
-        if near_gap {
-            confidence *= GAP_CONFIDENCE_FACTOR;
-        }
-        let tier = if observed {
-            ConfidenceTier::Observed
-        } else if confidence > CONFIDENCE_BLIND {
-            ConfidenceTier::Inferred
-        } else {
-            ConfidenceTier::Blind
-        };
+    fn emit(&mut self, out: &mut Batch<OnlineVerdict>, d: Decision) {
+        let mut choice = d.choice;
+        let window = self.path.timing().window;
+        let (tier, near_gap) = grade(&mut choice, self.gap_times.iter().copied(), window);
+        let t1 = choice.time;
         let mut cited: Batch<ProvenanceRecord> = Batch::new();
-        if observed {
-            if let Some(ev) = t1_evt {
+        for (ev, role) in [
+            (d.type1, RecordRole::Type1Report),
+            (d.type2, RecordRole::Type2Report),
+        ] {
+            if let Some(ev) = ev {
                 cited.put(ProvenanceRecord {
                     index: ev.index as usize,
                     time: ev.time,
                     length: ev.length,
-                    role: RecordRole::Type1Report,
-                });
-            }
-        }
-        if choice == Choice::NonDefault {
-            if let Some(ev) = t2_evt {
-                cited.put(ProvenanceRecord {
-                    index: ev.index as usize,
-                    time: ev.time,
-                    length: ev.length,
-                    role: RecordRole::Type2Report,
+                    role,
                 });
             }
         }
@@ -968,13 +710,6 @@ impl OnlineDecoder {
                 });
             }
         }
-        let d = DecodedChoice {
-            cp,
-            choice,
-            time: t1,
-            observed,
-            confidence,
-        };
         let provenance = ChoiceProvenance {
             records: cited.into_vec(),
             tier,
@@ -985,8 +720,9 @@ impl OnlineDecoder {
                 t1.micros(),
                 *parent,
                 "online.verdict",
-                cp.0 as u64,
-                (((choice == Choice::NonDefault) as u64) << 8) | provenance.records.len() as u64,
+                choice.cp.0 as u64,
+                (((choice.choice == Choice::NonDefault) as u64) << 8)
+                    | provenance.records.len() as u64,
             );
         }
         self.stats.verdicts = self.stats.verdicts.saturating_add(1);
@@ -994,7 +730,7 @@ impl OnlineDecoder {
         self.emitted = self.emitted.saturating_add(1);
         out.put(OnlineVerdict {
             index,
-            choice: d,
+            choice,
             provenance,
         });
     }

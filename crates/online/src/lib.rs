@@ -9,11 +9,12 @@
 //!
 //! * [`engine::OnlineDecoder`] — consumes captured frames one at a
 //!   time, reassembles TLS records incrementally across interleaved
-//!   flows, classifies state reports on the fly and emits per-choice
-//!   [`engine::OnlineVerdict`]s (same confidence arithmetic and
-//!   provenance tiers as the offline pipeline) the moment each choice
-//!   becomes decidable. Memory is bounded by configuration, not by
-//!   session length.
+//!   flows, classifies state reports on the fly, drives wm-core's path
+//!   decoder ([`wm_core::PathDecoder`], width 1) over them and emits
+//!   per-choice [`engine::OnlineVerdict`]s (same confidence grading
+//!   and provenance tiers as the offline pipeline) the moment each
+//!   choice becomes decidable. Memory is bounded by configuration, not
+//!   by session length.
 //! * [`ingest::FlowIngest`] — per-flow streaming reassembly under hard
 //!   byte budgets, tolerant of reordering, truncation, duplicates and
 //!   mid-session tap attach.
@@ -28,8 +29,9 @@
 //!   ingest paths).
 //!
 //! On a clean, in-order capture the online verdict stream is
-//! byte-for-byte the offline greedy decode (`wm_core::ChoiceDecoder` +
-//! `build_provenance`); the equivalence is enforced by tests. Under
+//! byte-for-byte the offline greedy decode (`wm_core::ChoiceDecoder`
+//! at width 1 + `build_provenance`); the equivalence is enforced by
+//! tests. Under
 //! impairment the two may diverge only around the impaired spans,
 //! which the decoder reports as loss windows.
 

@@ -62,7 +62,7 @@ fn offline_reference(
     let features = client_app_records(&out.trace);
     let cfg = DecoderConfig::scaled(TS);
     let window = cfg.window;
-    let choices = ChoiceDecoder::new(clf, graph, cfg).decode(&features.records);
+    let choices = ChoiceDecoder::new(clf, graph, cfg, 1).decode(&features.records);
     let provenance = build_provenance(&choices, &features, clf, window);
     (choices, provenance)
 }
