@@ -45,8 +45,8 @@ use wm_fleet::{
     TapPacket,
 };
 use wm_online::CapturedPacket;
+use wm_telemetry::trace::{SpanId, TraceEvent, TraceHandle};
 use wm_telemetry::Snapshot;
-use wm_trace::{SpanId, TraceEvent, TraceHandle};
 
 const SHARDS: usize = 4;
 const INTENSITIES: [f64; 3] = [0.0, 1.0, 2.0];

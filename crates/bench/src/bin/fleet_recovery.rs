@@ -32,8 +32,8 @@ use wm_dataset::{OperationalConditions, ViewerSpec};
 use wm_fleet::{merge_taps, Fleet, FleetConfig, FleetReport, ObserverConfig, TapPacket};
 use wm_obs::collapse_spans;
 use wm_online::{decode_sessions_sharded, CapturedPacket};
+use wm_telemetry::trace::{SpanId, TraceEvent, TraceHandle};
 use wm_telemetry::Snapshot;
-use wm_trace::{SpanId, TraceEvent, TraceHandle};
 
 const SHARDS: usize = 4;
 const INTENSITIES: [f64; 5] = [0.0, 1.0, 2.0, 3.0, 4.0];

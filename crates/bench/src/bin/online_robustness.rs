@@ -28,8 +28,8 @@ use wm_core::{choice_accuracy, ChoiceAccuracy, DecodedChoice};
 use wm_dataset::{OperationalConditions, ViewerSpec};
 use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
 use wm_sim::run_session;
+use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Registry, Snapshot};
-use wm_trace::{SpanId, TraceHandle};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke")

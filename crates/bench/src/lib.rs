@@ -38,7 +38,7 @@ use wm_dataset::{OperationalConditions, SimOptions, ViewerSpec};
 use wm_player::ViewerScript;
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::StoryGraph;
-use wm_trace::{counts_by_name, TraceEvent};
+use wm_telemetry::trace::{counts_by_name, TraceEvent};
 
 /// The time scale every harness runs at (playback 40× so a full
 /// Bandersnatch session simulates in well under a second).
@@ -153,8 +153,8 @@ mod tests {
     #[test]
     fn bench_json_includes_trace_section() {
         let mut tally = TraceTally::default();
-        let h = wm_trace::TraceHandle::new();
-        let s = h.span_start("session", wm_trace::SpanId::NONE);
+        let h = wm_telemetry::trace::TraceHandle::new();
+        let s = h.span_start("session", wm_telemetry::trace::SpanId::NONE);
         h.instant(s, "player.question", 1, 0);
         h.span_end(s, "session");
         tally.observe(&h.snapshot());

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use wm_net::headers::{build_frame, parse_frame, FlowId, TcpFlags};
 use wm_net::tcp::TcpSegment;
 use wm_net::time::SimTime;
+use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Registry};
-use wm_trace::{SpanId, TraceHandle};
 
 /// One captured frame.
 #[derive(Debug, Clone, PartialEq, Eq)]

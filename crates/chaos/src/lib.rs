@@ -74,7 +74,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable `wm-trace` event name for this fault's firing, so the
+    /// Stable trace event name for this fault's firing, so the
     /// first diverging event between a clean and a faulted trace reads
     /// as the fault itself.
     pub fn trace_name(&self) -> &'static str {

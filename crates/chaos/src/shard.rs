@@ -55,7 +55,7 @@ pub enum ShardFaultKind {
 }
 
 impl ShardFaultKind {
-    /// Stable `wm-trace` event name for this fault's firing.
+    /// Stable trace event name for this fault's firing.
     pub fn trace_name(&self) -> &'static str {
         match self {
             ShardFaultKind::Kill => "chaos.shard_kill",

@@ -16,8 +16,8 @@ use wm_capture::labels::LabeledRecord;
 use wm_capture::tap::Trace;
 use wm_capture::RecordClass;
 use wm_story::{Choice, ChoicePointId, StoryGraph};
+use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
-use wm_trace::{SpanId, TraceHandle};
 
 /// Attack configuration.
 #[derive(Debug, Clone)]

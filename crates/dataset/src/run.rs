@@ -26,7 +26,7 @@ pub struct SimOptions {
     /// [`aggregate_telemetry`]). Observation only — traces are
     /// byte-identical either way.
     pub telemetry: bool,
-    /// Record a causal event trace per session (see `wm-trace`).
+    /// Record a causal event trace per session (see `wm_telemetry::trace`).
     /// Observation only — captures are byte-identical either way.
     pub trace: bool,
     /// Fault-injection intensity (0.0 = clean sessions). Each viewer

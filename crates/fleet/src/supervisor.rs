@@ -59,8 +59,8 @@ use wm_online::{
 };
 use wm_pool::Pool;
 use wm_story::StoryGraph;
-use wm_telemetry::{Counter, DeltaTracker, Registry, Snapshot};
-use wm_trace::{SpanId, TraceHandle};
+use wm_telemetry::trace::{SpanId, TraceHandle};
+use wm_telemetry::{DeltaTracker, Registry, Snapshot};
 
 use crate::dedup::VerdictDedup;
 use crate::process::{resolve_worker, ProcessShard};
@@ -82,7 +82,8 @@ pub struct LossWindow {
     pub to: SimTime,
 }
 
-/// Supervisor counters, mirrored into telemetry when attached.
+/// Supervisor counters: the one record of every fleet-level count,
+/// read through [`Fleet::stats`] and carried on the [`FleetReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Packets routed into the fleet.
@@ -213,38 +214,6 @@ struct Observer {
     watchdog: Watchdog,
     next_tick: SimTime,
     every: Duration,
-}
-
-struct Counters {
-    packets: Arc<Counter>,
-    verdicts: Arc<Counter>,
-    dedup_dropped: Arc<Counter>,
-    kills: Arc<Counter>,
-    stalls: Arc<Counter>,
-    restarts: Arc<Counter>,
-    cold_starts: Arc<Counter>,
-    checkpoints: Arc<Counter>,
-    checkpoints_rejected: Arc<Counter>,
-    packets_lost: Arc<Counter>,
-    victims_evicted: Arc<Counter>,
-}
-
-impl Counters {
-    fn new(reg: &Registry) -> Self {
-        Counters {
-            packets: reg.counter("fleet.packets"),
-            verdicts: reg.counter("fleet.verdicts"),
-            dedup_dropped: reg.counter("fleet.dedup_dropped"),
-            kills: reg.counter("fleet.kills"),
-            stalls: reg.counter("fleet.stalls"),
-            restarts: reg.counter("fleet.restarts"),
-            cold_starts: reg.counter("fleet.cold_starts"),
-            checkpoints: reg.counter("fleet.checkpoints"),
-            checkpoints_rejected: reg.counter("fleet.checkpoints_rejected"),
-            packets_lost: reg.counter("fleet.packets_lost"),
-            victims_evicted: reg.counter("fleet.victims_evicted"),
-        }
-    }
 }
 
 /// Where one slot's decoders actually live: in this address space, or
@@ -477,7 +446,6 @@ pub struct Fleet {
     damage_seq: u64,
     now: SimTime,
     stats: FleetStats,
-    counters: Option<Counters>,
     trace: Option<(TraceHandle, SpanId)>,
     observer: Option<Observer>,
     pool: Pool,
@@ -539,7 +507,6 @@ impl Fleet {
             damage_seq: 0,
             now: SimTime::ZERO,
             stats: FleetStats::default(),
-            counters: None,
             trace: None,
             observer: None,
             pool,
@@ -561,10 +528,6 @@ impl Fleet {
         self.resize_steps = schedule.steps().to_vec();
         self.resize_cursor = 0;
         self.refresh_next_due();
-    }
-
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.counters = Some(Counters::new(registry));
     }
 
     pub fn attach_trace(&mut self, handle: TraceHandle, parent: SpanId) {
@@ -607,24 +570,6 @@ impl Fleet {
     /// until an observer is attached.
     pub fn fleet_status(&self) -> Option<FleetStatus> {
         self.observer.as_ref().map(|o| o.watchdog.status())
-    }
-
-    /// Cumulative fleet-wide metrics: every per-shard observer
-    /// registry merged (including shards retired by shrink steps).
-    /// `None` until an observer is attached. Decoders publish their
-    /// counts at observation ticks, so values are exact as of the last
-    /// tick (the finalized [`ObsReport`] snapshot is exact as of end
-    /// of stream).
-    pub fn observer_snapshot(&self) -> Option<Snapshot> {
-        self.observer.as_ref().map(|o| {
-            let parts: Vec<Snapshot> = o
-                .registries
-                .iter()
-                .chain(o.retired.iter().map(|(r, _)| r))
-                .map(|r| r.snapshot())
-                .collect();
-            Snapshot::merged(parts.iter())
-        })
     }
 
     pub fn stats(&self) -> FleetStats {
@@ -678,11 +623,6 @@ impl Fleet {
             .sum()
     }
 
-    /// Victims tracked by the dedup stage (live + tombstoned).
-    pub fn dedup_victims(&self) -> usize {
-        self.dedup.live_victims()
-    }
-
     /// Take every verdict delivered so far, in emission order —
     /// streaming consumption for long-haul runs, so delivered verdicts
     /// don't accumulate in the supervisor. The final report then
@@ -695,9 +635,6 @@ impl Fleet {
     pub fn push(&mut self, time: SimTime, victim: u32, frame: &[u8]) {
         self.now = SimTime(self.now.micros().max(time.micros()));
         self.stats.packets += 1;
-        if let Some(c) = &self.counters {
-            c.packets.inc();
-        }
         if self.now.micros() >= self.next_due {
             self.apply_due_faults();
             self.apply_due_restarts();
@@ -751,9 +688,6 @@ impl Fleet {
                 }
             };
             self.stats.victims_evicted += evicted;
-            if let Some(c) = &self.counters {
-                c.victims_evicted.add(evicted);
-            }
             self.emit(&out);
             let end = self.now;
             let slot = &mut self.slots[k];
@@ -835,24 +769,15 @@ impl Fleet {
         for (victim, verdict) in out {
             if self.dedup.admit(*victim, verdict) {
                 self.stats.verdicts += 1;
-                if let Some(c) = &self.counters {
-                    c.verdicts.inc();
-                }
                 self.verdicts.push((*victim, verdict.clone()));
             } else {
                 self.stats.dedup_dropped += 1;
-                if let Some(c) = &self.counters {
-                    c.dedup_dropped.inc();
-                }
             }
         }
     }
 
     fn lose_packet(&mut self) {
         self.stats.packets_lost += 1;
-        if let Some(c) = &self.counters {
-            c.packets_lost.inc();
-        }
     }
 
     fn close_loss(&mut self, shard: usize, victim: u32, from: SimTime, to: SimTime) {
@@ -935,9 +860,6 @@ impl Fleet {
         slot.stall_queue.clear();
         slot.stalled_until = SimTime::ZERO;
         self.stats.kills += 1;
-        if let Some(c) = &self.counters {
-            c.kills.inc();
-        }
         if let Some((handle, parent)) = &self.trace {
             let span = handle.span_start_at(at.micros(), "fleet.restart", *parent);
             handle.instant_at(
@@ -986,9 +908,6 @@ impl Fleet {
         let until = at.micros() + stall.micros();
         slot.stalled_until = SimTime(slot.stalled_until.micros().max(until));
         self.stats.stalls += 1;
-        if let Some(c) = &self.counters {
-            c.stalls.inc();
-        }
         self.trace_instant(
             at,
             ShardFaultKind::Stall { stall }.trace_name(),
@@ -1148,9 +1067,6 @@ impl Fleet {
                 debug_assert_eq!(e.shard, k as u32);
                 self.stats.checkpoints_rejected += 1;
                 self.slots[k].restore_failures += 1;
-                if let Some(c) = &self.counters {
-                    c.checkpoints_rejected.inc();
-                }
                 let prev = self.slots[k].prev.clone();
                 let fallback = match prev {
                     Some(blob) => match self.restore_runner(k, &blob) {
@@ -1219,12 +1135,6 @@ impl Fleet {
         self.slots[k].recovery_latency_us += latency;
         if cold {
             self.stats.cold_starts += 1;
-        }
-        if let Some(c) = &self.counters {
-            c.restarts.inc();
-            if cold {
-                c.cold_starts.inc();
-            }
         }
         // The restored decoder re-numbers evidence records starting
         // from the checkpoint, so for roughly the span of traffic
@@ -1648,9 +1558,6 @@ impl Fleet {
                 }
             };
             self.stats.victims_evicted += evicted;
-            if let Some(c) = &self.counters {
-                c.victims_evicted.add(evicted);
-            }
             let ckpt = {
                 let runner = self.slots[k].state.as_mut().expect("checked live above");
                 runner
@@ -1689,9 +1596,6 @@ impl Fleet {
                 );
             }
             self.stats.checkpoints += 1;
-            if let Some(c) = &self.counters {
-                c.checkpoints.inc();
-            }
             self.trace_instant(now, "fleet.checkpoint", k as u64, state_bytes as u64);
         }
     }

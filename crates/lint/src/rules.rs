@@ -134,7 +134,6 @@ pub const ATTACKER_ALLOWED_DEPS: &[&str] = &[
     "wm-pool",
     "wm-story",
     "wm-telemetry",
-    "wm-trace",
 ];
 
 /// Per-crate widenings of [`ATTACKER_ALLOWED_DEPS`]. The fleet
@@ -189,19 +188,21 @@ pub fn hash_collections_apply(crate_name: &str) -> bool {
     BYTE_PRODUCING_CRATES.contains(&crate_name)
 }
 
-/// Trace emit paths: anything in `crates/trace/src/` sits between an
-/// emitter and the recorder, so any wall-clock reachability there —
-/// `Instant::<anything>` in path position, or `SystemTime` even as a
-/// bare type — can leak nondeterminism into event timestamps. Golden
+/// Trace emit paths: anything in `crates/telemetry/src/trace/` sits
+/// between an emitter and the recorder, so any wall-clock reachability
+/// there — `Instant::<anything>` in path position, or `SystemTime` even
+/// as a bare type — can leak nondeterminism into event timestamps. Golden
 /// traces and `trace_diff` gates only hold if every `TraceEvent` is
 /// stamped with sim time. (Bare `Instant` is exempt: it is also the
-/// crate's own `EventKind::Instant` variant.) The observability
+/// module's own `EventKind::Instant` variant.) The rest of
+/// `wm-telemetry` stays outside: its `Span` timer measures wall time
+/// by design and never stamps a trace event. The observability
 /// plane's emit/export paths (`crates/obs/src/`) get the same
 /// treatment: alert events, time-series points and flamegraph stacks
 /// all claim byte-determinism, which a wall clock anywhere in the
 /// crate would silently break.
 pub fn trace_sim_time_applies(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/trace/src/") || rel_path.starts_with("crates/obs/src/")
+    rel_path.starts_with("crates/telemetry/src/trace/") || rel_path.starts_with("crates/obs/src/")
 }
 
 /// Attacker-facing parse paths: every byte they consume is
@@ -420,7 +421,7 @@ fn trace_sim_time_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
         let Some(name) = ident(t) else { continue };
         // `SystemTime` anywhere; `Instant` only in path position
         // (`Instant::…`) — the bare word is also the legitimate
-        // `EventKind::Instant` variant of this very crate.
+        // `EventKind::Instant` variant of the trace module.
         let wall_clock = name == "SystemTime"
             || (name == "Instant"
                 && is_punct(tokens.get(i + 1), ':')
@@ -875,12 +876,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_sim_time_fires_on_wall_clock_in_trace_crate() {
+    fn trace_sim_time_fires_on_wall_clock_in_trace_module() {
         // `Instant::now()` trips both the generic wall-clock rule and
         // the stricter trace rule.
         let f = check_source(
-            "wm-trace",
-            "crates/trace/src/recorder.rs",
+            "wm-telemetry",
+            "crates/telemetry/src/trace/recorder.rs",
             "let t = Instant::now();",
         );
         assert!(rules_of(&f).contains(&TRACE_SIM_TIME), "{f:?}");
@@ -889,14 +890,14 @@ mod tests {
         // (even a field/signature without `::now()`), fires the trace
         // rule — timestamps must arrive as sim-time integers.
         let f = check_source(
-            "wm-trace",
-            "crates/trace/src/recorder.rs",
+            "wm-telemetry",
+            "crates/telemetry/src/trace/recorder.rs",
             "let e = start.elapsed(); let z = Instant::from_micros(0);",
         );
         assert_eq!(rules_of(&f), [TRACE_SIM_TIME]);
         let f = check_source(
-            "wm-trace",
-            "crates/trace/src/event.rs",
+            "wm-telemetry",
+            "crates/telemetry/src/trace/event.rs",
             "struct E { at: SystemTime }",
         );
         assert_eq!(rules_of(&f), [TRACE_SIM_TIME]);
@@ -904,10 +905,12 @@ mod tests {
 
     #[test]
     fn trace_sim_time_permits_the_event_kind_variant() {
-        // `EventKind::Instant` is this crate's own variant name, not a
+        // `EventKind::Instant` is the trace module's own variant, not a
         // wall-clock type; the bare ident must not fire.
         let src = "match k { EventKind::Instant => \"n\", _ => \"b\" }";
-        assert!(check_source("wm-trace", "crates/trace/src/export.rs", src).is_empty());
+        assert!(
+            check_source("wm-telemetry", "crates/telemetry/src/trace/export.rs", src).is_empty()
+        );
     }
 
     #[test]
@@ -915,6 +918,17 @@ mod tests {
         let src = "struct S { at: SystemTime }";
         let f = check_source("wm-player", "crates/player/src/player.rs", src);
         assert!(rules_of(&f).iter().all(|r| *r != TRACE_SIM_TIME), "{f:?}");
+        // Within wm-telemetry only the trace module is in scope: the
+        // metric `Span` timer's wall clock never stamps a trace event.
+        let src = "let t = Instant::now();";
+        let f = check_source("wm-telemetry", "crates/telemetry/src/metric.rs", src);
+        assert!(rules_of(&f).iter().all(|r| *r != TRACE_SIM_TIME), "{f:?}");
+        let f = check_source(
+            "wm-telemetry",
+            "crates/telemetry/src/trace/recorder.rs",
+            src,
+        );
+        assert!(rules_of(&f).contains(&TRACE_SIM_TIME), "{f:?}");
     }
 
     #[test]
@@ -939,9 +953,9 @@ mod tests {
     #[test]
     fn trace_sim_time_suppressible_with_reason_only() {
         let ok = "struct E { at: SystemTime } // wm-lint: allow(determinism/trace-sim-time, reason = \"doc example\")";
-        assert!(check_source("wm-trace", "crates/trace/src/lib.rs", ok).is_empty());
+        assert!(check_source("wm-telemetry", "crates/telemetry/src/trace/mod.rs", ok).is_empty());
         let bare = "// wm-lint: allow(determinism/trace-sim-time)\nstruct E { at: SystemTime }";
-        let f = check_source("wm-trace", "crates/trace/src/lib.rs", bare);
+        let f = check_source("wm-telemetry", "crates/telemetry/src/trace/mod.rs", bare);
         assert!(rules_of(&f).contains(&MISSING_REASON));
         assert!(rules_of(&f).contains(&TRACE_SIM_TIME));
     }
@@ -1271,7 +1285,7 @@ mod tests {
     #[test]
     fn workspace_deps_pass_every_section() {
         let m = crate::manifest::parse(
-            "[package]\nname = \"wm-core\"\n[dependencies]\nwm-json.workspace = true\n[dev-dependencies]\nwm-trace.workspace = true\n[build-dependencies]\nwm-json.workspace = true\n",
+            "[package]\nname = \"wm-core\"\n[dependencies]\nwm-json.workspace = true\n[dev-dependencies]\nwm-telemetry.workspace = true\n[build-dependencies]\nwm-json.workspace = true\n",
         );
         assert!(check_manifest("crates/core/Cargo.toml", &m).is_empty());
     }
@@ -1343,7 +1357,7 @@ mod tests {
     fn fleet_chaos_allowance_is_scoped_to_the_fleet() {
         // wm-fleet may absorb chaos fault plans…
         let fleet = crate::manifest::parse(
-            "[package]\nname = \"wm-fleet\"\n[dependencies]\nwm-chaos.workspace = true\nwm-online.workspace = true\nwm-pool.workspace = true\nwm-telemetry.workspace = true\nwm-trace.workspace = true\n",
+            "[package]\nname = \"wm-fleet\"\n[dependencies]\nwm-chaos.workspace = true\nwm-online.workspace = true\nwm-pool.workspace = true\nwm-telemetry.workspace = true\n",
         );
         assert!(check_manifest("crates/fleet/Cargo.toml", &fleet).is_empty());
         // …but victim internals stay off-limits to it…

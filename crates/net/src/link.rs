@@ -12,8 +12,8 @@
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
 use std::sync::Arc;
+use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
-use wm_trace::{SpanId, TraceHandle};
 
 /// Parameters of one link direction.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use wm_http::{Request, Response};
 use wm_json::{parse, Value};
 use wm_story::{ChoicePointId, SegmentId, StoryGraph};
+use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Registry};
-use wm_trace::{SpanId, TraceHandle};
 
 /// Ids in state-report bodies are offset by this constant so they
 /// always serialize as two digits (a width-discipline convention shared

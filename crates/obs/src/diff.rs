@@ -12,8 +12,9 @@
 //! point is exactly the form bench reports write, so a torn or
 //! malformed document is a parse error, never a partial metric set.
 //!
-//! The `bench_diff` CLI mirrors `trace_diff` exit codes:
-//! 0 = within bands, 1 = regression, 2 = usage/parse error.
+//! `obs bench-diff` wraps [`bench_diff`] with the exit codes every
+//! `obs` tool shares: 0 = within bands, 1 = regression, 2 = usage or
+//! parse error.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -237,23 +238,21 @@ pub fn bench_diff(
     })
 }
 
-/// The CLI contract in library form so tests can pin exit codes
-/// without spawning processes: returns `(exit_code, rendered output)`
-/// with 0 = within bands, 1 = regression, 2 = parse/schema error.
-pub fn diff_exit_code(
-    baseline_json: &str,
-    candidate_json: &str,
-    overrides: &BTreeMap<String, Band>,
-) -> (u8, String) {
-    match bench_diff(baseline_json, candidate_json, overrides) {
-        Ok(report) => ((report.regressed()) as u8, report.render()),
-        Err(e) => (2, format!("bench_diff: error: {e}\n")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `obs bench-diff`'s exit code and printed output for one pair.
+    fn diff_exit_code(
+        baseline_json: &str,
+        candidate_json: &str,
+        overrides: &BTreeMap<String, Band>,
+    ) -> (u8, String) {
+        match bench_diff(baseline_json, candidate_json, overrides) {
+            Ok(report) => (report.regressed() as u8, report.render()),
+            Err(e) => (2, e),
+        }
+    }
 
     fn doc(bench: &str, metrics: &[(&str, f64)]) -> String {
         let body: Vec<String> = metrics

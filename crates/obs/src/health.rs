@@ -8,7 +8,7 @@
 //! observations, so a shard flapping around a threshold cannot spam
 //! the alert stream. Every state change is a [`HealthTransition`] in
 //! sim time — a deterministic alert stream the supervisor also mirrors
-//! into `wm-trace` instants.
+//! into trace instants.
 
 /// Typed shard health, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

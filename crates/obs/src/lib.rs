@@ -1,7 +1,7 @@
 //! # wm-obs — deterministic observability plane
 //!
 //! Attacker-side infrastructure for *operating* the fleet, layered on
-//! [`wm_telemetry`] registries and [`wm_trace`] spans:
+//! [`wm_telemetry`] registries and trace spans:
 //!
 //! * [`series`] — a bounded ring of fleet-wide time-series points,
 //!   each the merge of per-shard registry deltas taken at one sim-time
@@ -13,10 +13,14 @@
 //!   Prometheus text exposition of any snapshot;
 //! * [`profile`] — a span-derived sim-time profiler emitting
 //!   collapsed-stack flamegraph output (inferno/speedscope format)
-//!   from [`wm_trace`] span trees;
+//!   from [`wm_telemetry::trace`] span trees;
 //! * [`diff`] — the bench-regression gate: compare any `BENCH_*.json`
 //!   against a committed baseline with per-metric tolerance bands
-//!   (`bench_diff` CLI, exit 0/1/2 like `trace_diff`).
+//!   (`obs bench-diff`).
+//!
+//! The `obs` binary puts `trace-diff`, `bench-diff` and `flamegraph`
+//! behind one exit contract: 0 = pass, 1 = divergence or regression,
+//! 2 = usage, I/O or parse error.
 //!
 //! Everything here observes; nothing feeds back into simulated bytes.
 //! All iteration is over ordered containers and all timestamps are
@@ -29,7 +33,7 @@ pub mod health;
 pub mod profile;
 pub mod series;
 
-pub use diff::{bench_diff, diff_exit_code, Band, BenchDoc, DiffReport, MetricDiff};
+pub use diff::{bench_diff, Band, BenchDoc, DiffReport, MetricDiff};
 pub use export::{prometheus_text, sanitize_metric_name};
 pub use health::{
     FleetStatus, HealthState, HealthTransition, ShardVitals, SloThresholds, Watchdog,

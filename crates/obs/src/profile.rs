@@ -1,12 +1,12 @@
 //! Span-derived sim-time profiler: collapsed-stack flamegraph output.
 //!
-//! Walks a [`wm_trace`] event stream, reconstructs the span tree from
-//! parent links, and attributes each span's *self* time (duration
-//! minus time spent in child spans) to its `root;child;leaf` stack.
-//! The output is the collapsed-stack format `inferno` / speedscope /
-//! `flamegraph.pl` consume: one `stack value` line per stack, here
-//! with the value in simulation microseconds — so the profile is a
-//! pure function of the trace and byte-identical per seed.
+//! Walks a [`wm_telemetry::trace`] event stream, reconstructs the span
+//! tree from parent links, and attributes each span's *self* time
+//! (duration minus time spent in child spans) to its `root;child;leaf`
+//! stack. The output is the collapsed-stack format `inferno` /
+//! speedscope / `flamegraph.pl` consume: one `stack value` line per
+//! stack, here with the value in simulation microseconds — so the
+//! profile is a pure function of the trace and byte-identical per seed.
 //!
 //! Robustness rules, chosen so a *bounded* trace ring (which may have
 //! shed early events) still profiles cleanly: an end without a
@@ -17,7 +17,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use wm_trace::{EventKind, TraceEvent};
+use wm_json::Value;
+use wm_telemetry::trace::{EventKind, TraceEvent};
 
 /// A span boundary in borrowed form, so the collapser serves both
 /// in-memory [`TraceEvent`]s and parsed JSONL lines.
@@ -110,8 +111,9 @@ pub fn collapse_spans(events: &[TraceEvent]) -> String {
     }))
 }
 
-/// Collapse a trace exported by `wm_trace::export_jsonl`. Returns an
-/// error naming the first malformed line.
+/// Collapse a trace exported by [`wm_telemetry::trace::export_jsonl`].
+/// Returns an error naming the first malformed line, including one
+/// whose span or parent id does not fit a `SpanId`.
 pub fn collapse_jsonl(jsonl: &str) -> Result<String, String> {
     let mut edges = Vec::new();
     for (i, line) in jsonl.lines().enumerate() {
@@ -119,46 +121,42 @@ pub fn collapse_jsonl(jsonl: &str) -> Result<String, String> {
             continue;
         }
         let err = |what: &str| format!("line {}: {what}: {line}", i + 1);
-        let kind = field_str(line, "kind").ok_or_else(|| err("missing kind"))?;
-        let start = match kind.as_str() {
+        let event = wm_json::parse(line.as_bytes()).map_err(|e| err(&e.to_string()))?;
+        let text = |key: &str| {
+            event
+                .get(key)
+                .and_then(Value::as_str)
+                .ok_or_else(|| err(&format!("missing {key}")))
+        };
+        let int = |key: &str| {
+            event
+                .get(key)
+                .and_then(Value::as_i64)
+                .ok_or_else(|| err(&format!("missing {key}")))
+        };
+        let id =
+            |key: &str| u32::try_from(int(key)?).map_err(|_| err(&format!("{key} out of range")));
+        let start = match text("kind")? {
             "start" => true,
             "end" => false,
             "instant" => continue,
             _ => return Err(err("unknown kind")),
         };
         edges.push(SpanEdge {
-            t_us: field_u64(line, "t_us").ok_or_else(|| err("missing t_us"))?,
-            span: field_u64(line, "span").ok_or_else(|| err("missing span"))? as u32,
-            parent: field_u64(line, "parent").ok_or_else(|| err("missing parent"))? as u32,
+            t_us: u64::try_from(int("t_us")?).map_err(|_| err("t_us out of range"))?,
+            span: id("span")?,
+            parent: id("parent")?,
             start,
-            name: field_str(line, "name").ok_or_else(|| err("missing name"))?,
+            name: text("name")?.to_string(),
         });
     }
     Ok(collapse(edges))
 }
 
-/// Extract `"key":<u64>` from a single-line JSON object.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract `"key":"<string>"` from a single-line JSON object. Event
-/// names are static identifiers, so no escape handling is needed.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wm_trace::{export_jsonl, SpanId, TraceHandle};
+    use wm_telemetry::trace::{export_jsonl, SpanId, TraceHandle};
 
     /// root [0,100] with child [10,40] and grandchild [20,25].
     fn sample() -> Vec<TraceEvent> {
@@ -237,5 +235,25 @@ mod tests {
         assert!(collapse_jsonl("{\"nope\":1}").is_err());
         let ok = collapse_jsonl("").expect("empty trace is empty profile");
         assert_eq!(ok, "");
+    }
+
+    #[test]
+    fn span_ids_beyond_u32_are_an_error_not_an_alias() {
+        // Span 4294967297 would alias span 1 if narrowed, erasing `a`.
+        let line = |t: u64, span: u64, kind: &str, name: &str| {
+            format!(
+                "{{\"seq\":0,\"t_us\":{t},\"span\":{span},\"parent\":0,\"kind\":\"{kind}\",\"name\":\"{name}\",\"a\":0,\"b\":0}}\n"
+            )
+        };
+        let big = u64::from(u32::MAX) + 2;
+        let jsonl = [
+            line(0, 1, "start", "a"),
+            line(10, big, "start", "b"),
+            line(30, big, "end", "b"),
+            line(100, 1, "end", "a"),
+        ]
+        .concat();
+        let e = collapse_jsonl(&jsonl).expect_err("span id overflows SpanId");
+        assert!(e.starts_with("line 2: span out of range"), "{e}");
     }
 }

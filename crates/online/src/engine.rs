@@ -41,8 +41,8 @@ use wm_core::classify::RecordClassifier;
 use wm_core::provenance::{grade, ChoiceProvenance, ProvenanceRecord, RecordRole};
 use wm_core::{Decision, DecodedChoice, IntervalClassifier, PathDecoder, ReportEvent, Timing};
 use wm_story::{Choice, StoryGraph};
+use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
-use wm_trace::{SpanId, TraceHandle};
 
 /// Tunables for the online decoder. All buffers it ever grows are
 /// sized by these fields, so resident memory is a constant of the

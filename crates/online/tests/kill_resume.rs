@@ -345,8 +345,8 @@ fn telemetry_and_trace_follow_the_online_path() {
     let packets = tap_packets(&out);
 
     let registry = wm_telemetry::Registry::new();
-    let handle = wm_trace::TraceHandle::new();
-    let span = handle.span_start_at(0, "online.session", wm_trace::SpanId::NONE);
+    let handle = wm_telemetry::trace::TraceHandle::new();
+    let span = handle.span_start_at(0, "online.session", wm_telemetry::trace::SpanId::NONE);
 
     let mut dec = OnlineDecoder::new(clf, graph, OnlineConfig::scaled(TS));
     dec.attach_telemetry(&registry);
@@ -365,7 +365,7 @@ fn telemetry_and_trace_follow_the_online_path() {
     assert!(registry.counter("online.records").get() > 0);
 
     let events = handle.snapshot();
-    let counts = wm_trace::counts_by_name(&events);
+    let counts = wm_telemetry::trace::counts_by_name(&events);
     assert_eq!(
         counts.get("online.verdict").copied().unwrap_or(0),
         verdicts.len() as u64

@@ -31,8 +31,8 @@ use wm_net::time::{Duration, SimTime};
 use wm_netflix::Manifest;
 use wm_story::ViewerScript;
 use wm_story::{Choice, ChoicePointId, SegmentEnd, SegmentId, StoryGraph};
+use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
-use wm_trace::{SpanId, TraceHandle};
 
 /// Timer kinds owned by the player (the session layer routes them back).
 pub mod timer_kinds {

@@ -11,9 +11,9 @@ use wm_net::time::SimTime;
 use wm_netflix::StateLogEntry;
 use wm_player::{PlayerConfig, Profile, TruthEvent, ViewerScript};
 use wm_story::{Choice, ChoicePointId, StoryGraph};
+use wm_telemetry::trace::TraceEvent;
 use wm_telemetry::Snapshot;
 use wm_tls::CipherSuite;
-use wm_trace::TraceEvent;
 
 /// Everything describing one viewing session.
 #[derive(Clone)]
@@ -41,7 +41,7 @@ pub struct SessionConfig {
     /// only: the trace, labels and truth are byte-identical either way;
     /// disabled sessions return an empty [`Snapshot`].
     pub telemetry: bool,
-    /// Record a causal, sim-time-stamped event trace (see `wm-trace`).
+    /// Record a causal, sim-time-stamped event trace (see `wm_telemetry::trace`).
     /// Observation only: the capture, labels and truth are
     /// byte-identical either way; disabled sessions return an empty
     /// event vector.

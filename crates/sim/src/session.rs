@@ -17,11 +17,11 @@ use wm_net::tcp::{TcpActions, TcpEndpoint, TcpSegment};
 use wm_net::time::{Duration, SimTime};
 use wm_netflix::{NetflixServer, ServerConfig};
 use wm_player::{Player, PlayerActions, PlayerFault, PlayerTelemetry, RequestKind};
+use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
 use wm_tls::handshake::{simulate_handshake, simulate_resumption, Sender};
 use wm_tls::record::{ContentType, MAX_FRAGMENT, RECORD_HEADER_LEN};
 use wm_tls::{RecordEngine, SessionKeys};
-use wm_trace::{SpanId, TraceHandle};
 
 /// Session-layer timer kinds (player kinds start at 0x100).
 const TCP_RTO: TimerKind = TimerKind(1);
@@ -1382,7 +1382,7 @@ mod tests {
         );
         assert_eq!(plain.stats.events, traced.stats.events);
 
-        let counts = wm_trace::counts_by_name(&traced.trace_events);
+        let counts = wm_telemetry::trace::counts_by_name(&traced.trace_events);
         assert_eq!(
             counts["player.question"], 3,
             "one question instant per choice point"
@@ -1406,7 +1406,7 @@ mod tests {
         // Causality: every event's parent span started earlier.
         let mut open = std::collections::BTreeMap::new();
         for e in &traced.trace_events {
-            if e.kind == wm_trace::EventKind::SpanStart {
+            if e.kind == wm_telemetry::trace::EventKind::SpanStart {
                 open.insert(e.span, e.seq);
             }
             if e.parent != SpanId::NONE {
@@ -1432,7 +1432,7 @@ mod tests {
         cfg.chaos = stress_plan();
         cfg.trace = true;
         let out = run_session(&cfg).expect("chaotic traced session");
-        let counts = wm_trace::counts_by_name(&out.trace_events);
+        let counts = wm_telemetry::trace::counts_by_name(&out.trace_events);
         assert_eq!(counts["chaos.tap_gap"], 1);
         assert_eq!(counts["chaos.connection_reset"], 1);
         assert_eq!(counts["chaos.server_stall"], 1);

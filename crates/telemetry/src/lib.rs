@@ -11,7 +11,10 @@
 //!   handles, snapshottable at any time;
 //! * [`Snapshot`] — an immutable, mergeable view that renders both a
 //!   human-readable table and machine-readable JSON (round-trippable
-//!   without any external JSON crate).
+//!   without any external JSON crate);
+//! * [`trace`] — the causal event recorder: sim-time-stamped spans and
+//!   instants, their JSONL / Chrome exports and the first-divergence
+//!   diff.
 //!
 //! Design rules:
 //!
@@ -32,6 +35,7 @@ pub mod delta;
 pub mod metric;
 pub mod registry;
 pub mod snapshot;
+pub mod trace;
 
 pub use delta::DeltaTracker;
 pub use metric::{Counter, Histogram, Span, BUCKETS};

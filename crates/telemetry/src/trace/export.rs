@@ -5,7 +5,7 @@
 //! fixed key order, fixed number formatting — so equal seeds export
 //! byte-identical files and `trace_diff` can align them line by line.
 
-use crate::event::{EventKind, TraceEvent};
+use super::event::{EventKind, TraceEvent};
 use std::fmt::Write as _;
 
 /// One JSON object per line, in emission order. The canonical golden
@@ -67,8 +67,7 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SpanId;
-    use crate::recorder::TraceHandle;
+    use crate::trace::{SpanId, TraceHandle};
 
     fn sample() -> Vec<TraceEvent> {
         let h = TraceHandle::new();

@@ -1,7 +1,7 @@
-//! # wm-trace — deterministic causal event tracing
+//! Deterministic causal event tracing.
 //!
-//! The pipeline's flight recorder. `wm-telemetry` (PR 1) aggregates —
-//! it can say accuracy dropped; this crate explains *why*: which TLS
+//! The pipeline's flight recorder. The metric registry aggregates —
+//! it can say accuracy dropped; this module explains *why*: which TLS
 //! record, on which flow, near which tap gap, produced (or lost) each
 //! classified choice.
 //!
@@ -16,7 +16,7 @@
 //! 3. **Allocation-cheap.** An event is a fixed-shape `Copy` struct
 //!    with a `&'static str` name and two `u64` payload words; emitting
 //!    one is a bounded ring-buffer push behind an `Arc` handle shared
-//!    like a telemetry `Registry`.
+//!    like a [`Registry`](crate::Registry).
 //! 4. **Observation only.** Attaching a [`TraceHandle`] never draws
 //!    randomness or perturbs sim-visible state; pcaps, labels and
 //!    truth are byte-identical with tracing on or off.
@@ -24,8 +24,8 @@
 //! Exporters: [`export_jsonl`] (golden fixtures, diffing) and
 //! [`export_chrome_trace`] (Chrome trace-event JSON — open in
 //! <https://ui.perfetto.dev>). [`trace_diff`] aligns two JSONL exports
-//! and reports the first diverging event; the `trace_diff` binary
-//! wraps it for CI gating.
+//! and reports the first diverging event; `obs trace-diff` (in
+//! `wm-obs`) wraps it for CI gating.
 
 pub mod diff;
 pub mod event;

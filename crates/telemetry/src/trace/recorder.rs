@@ -1,6 +1,6 @@
 //! The bounded ring-buffer recorder and its shared handle.
 //!
-//! Mirrors the `wm-telemetry` registry pattern: subsystems hold a
+//! Mirrors the [`Registry`](crate::Registry) pattern: subsystems hold a
 //! cloned [`TraceHandle`] (an `Arc` around the recorder) and emit into
 //! it; the session owner drains the events at the end. The buffer is
 //! bounded: when full, the **oldest** event is evicted. Because a
@@ -15,7 +15,7 @@
 //! record engine, the Netflix request handler) still stamp events with
 //! exact sim time. Nothing here ever reads a wall clock.
 
-use crate::event::{EventKind, SpanId, TraceEvent};
+use super::event::{EventKind, SpanId, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -257,7 +257,7 @@ mod tests {
         // its SpanEnd in the buffer too (ends are emitted later, and
         // eviction is strictly oldest-first). Exercised with a
         // seeded pseudo-random workload (see also the property test in
-        // tests/properties.rs).
+        // tests/trace_properties.rs).
         let h = TraceHandle::with_capacity(8);
         let mut open = Vec::new();
         let mut x = 0x9e3779b97f4a7c15u64;

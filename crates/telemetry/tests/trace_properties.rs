@@ -8,7 +8,7 @@
 //! (ends always carry later sequence numbers than their starts), and
 //! the test hammers it across seeds, capacities and workload shapes.
 
-use wm_trace::{EventKind, SpanId, TraceHandle};
+use wm_telemetry::trace::{EventKind, SpanId, TraceHandle};
 
 struct XorShift(u64);
 

@@ -13,8 +13,8 @@ use wm_cipher::block::{BlockCipher, BLOCK};
 use wm_cipher::kdf::{derive_key, mix};
 use wm_cipher::mac::{tags_equal, Mac128};
 use wm_cipher::{open_into, seal_into, Key, Nonce};
+use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Registry};
-use wm_trace::{SpanId, TraceHandle};
 
 /// Key material for one connection, both directions.
 #[derive(Clone)]

@@ -63,8 +63,8 @@ pub use wm_player as player;
 pub use wm_sim as sim;
 pub use wm_story as story;
 pub use wm_telemetry as telemetry;
+pub use wm_telemetry::trace;
 pub use wm_tls as tls;
-pub use wm_trace as trace;
 
 /// The names most programs need.
 pub mod prelude {
@@ -79,6 +79,8 @@ pub mod prelude {
     pub use wm_player::{Profile, ViewerScript};
     pub use wm_sim::{run_session, run_session_lossy, SessionConfig, SessionError, SessionOutput};
     pub use wm_story::{self as story, Choice, StoryGraph};
+    pub use wm_telemetry::trace::{
+        counts_by_name, export_chrome_trace, export_jsonl, trace_diff, TraceEvent,
+    };
     pub use wm_tls::CipherSuite;
-    pub use wm_trace::{counts_by_name, export_chrome_trace, export_jsonl, trace_diff, TraceEvent};
 }

@@ -130,8 +130,6 @@ fn hundred_thousand_sessions_supervised_flat_memory_bounded_loss() {
 
     let mut fleet = white_mirror::fleet::Fleet::new(cfg.clone(), classifier.clone(), graph.clone())
         .expect("valid fleet config");
-    let telemetry = white_mirror::telemetry::Registry::new();
-    fleet.attach_telemetry(&telemetry);
     fleet.inject(&plan);
 
     let jsonl_path = concat!(
