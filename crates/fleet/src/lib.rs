@@ -66,6 +66,8 @@ use wm_online::{IngestLimitsError, OnlineConfig};
 pub enum FleetConfigError {
     /// `shards` must be ≥ 1.
     ZeroShards,
+    /// `vnodes_per_shard` must be ≥ 1.
+    ZeroVnodes,
     /// `checkpoint_every` must be a positive sim-time interval.
     ZeroCheckpointCadence,
     /// `backoff_base`/`backoff_cap` must be positive with base ≤ cap.
@@ -86,6 +88,9 @@ impl std::fmt::Display for FleetConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FleetConfigError::ZeroShards => write!(f, "fleet needs at least one shard"),
+            FleetConfigError::ZeroVnodes => {
+                write!(f, "each shard needs at least one ring point")
+            }
             FleetConfigError::ZeroCheckpointCadence => {
                 write!(f, "checkpoint cadence must be a positive sim-time interval")
             }
@@ -190,6 +195,9 @@ impl FleetConfig {
         if self.shards == 0 {
             return Err(FleetConfigError::ZeroShards);
         }
+        if self.vnodes_per_shard == 0 {
+            return Err(FleetConfigError::ZeroVnodes);
+        }
         if self.checkpoint_every.micros() == 0 {
             return Err(FleetConfigError::ZeroCheckpointCadence);
         }
@@ -245,6 +253,9 @@ mod tests {
         let mut c = good.clone();
         c.shards = 0;
         assert_eq!(c.validate(), Err(FleetConfigError::ZeroShards));
+        let mut c = good.clone();
+        c.vnodes_per_shard = 0;
+        assert_eq!(c.validate(), Err(FleetConfigError::ZeroVnodes));
         let mut c = good.clone();
         c.checkpoint_every = Duration::ZERO;
         assert_eq!(c.validate(), Err(FleetConfigError::ZeroCheckpointCadence));
