@@ -9,7 +9,7 @@
 //! fleet:
 //!
 //! * **Demux** ([`ring`]): a seeded consistent-hash ring routes each
-//!   victim flow (4-tuple minus the source port, so reconnects
+//!   victim (by tap attribution, never flow identity, so reconnects
 //!   colocate) onto one of N decoder shards, stable under resize.
 //! * **Shards** ([`shard`]): each shard owns per-victim
 //!   [`wm_online::OnlineDecoder`]s and serializes them all into one

@@ -45,12 +45,29 @@ pub fn victim_key(seed: u64, victim: u32) -> u64 {
     fnv(fnv(FNV_OFFSET, &seed.to_le_bytes()), &victim.to_le_bytes())
 }
 
+/// Buckets in the ring's lookup index: one per value of a key's top
+/// byte.
+const BUCKETS: usize = 256;
+
 /// A seeded consistent-hash ring over `shards` shards.
+///
+/// Lookups go through a 256-bucket index over the sorted points:
+/// bucket `b` starts at the first point whose top byte is `b`, so a
+/// key's owner is a short forward scan from its bucket's start, with
+/// one branch for the wrap past the last point. The ring also holds
+/// its seed already folded into FNV, so routing a victim hashes only
+/// the victim id.
 #[derive(Debug, Clone)]
 pub struct HashRing {
-    /// `(point, shard)` sorted by point; lookup is the first point at
-    /// or after the key, wrapping to the front.
-    points: Vec<(u64, u32)>,
+    /// Ring points in ascending order, ties broken by shard.
+    points: Vec<u64>,
+    /// `owners[i]` is the shard `points[i]` belongs to.
+    owners: Vec<u32>,
+    /// `starts[b]` is the index of the first point with top byte
+    /// `>= b`; `starts[BUCKETS]` is the point count.
+    starts: Box<[u32; BUCKETS + 1]>,
+    /// The FNV state after the seed: [`victim_key`] minus the victim.
+    seed_hash: u64,
     shards: usize,
 }
 
@@ -60,10 +77,11 @@ impl HashRing {
     pub fn new(seed: u64, shards: usize, vnodes: usize) -> Self {
         let shards = shards.max(1);
         let vnodes = vnodes.max(1);
+        let seed_hash = fnv(FNV_OFFSET, &seed.to_le_bytes());
         let mut points = Vec::with_capacity(shards * vnodes);
         for shard in 0..shards {
             for vnode in 0..vnodes {
-                let mut h = fnv(FNV_OFFSET, &seed.to_le_bytes());
+                let mut h = seed_hash;
                 h = fnv(h, &(shard as u64).to_le_bytes());
                 h = fnv(h, &(vnode as u64).to_le_bytes());
                 points.push((h, shard as u32));
@@ -72,7 +90,17 @@ impl HashRing {
         // Sort by point; break ties by shard so equal points (FNV has
         // no collision guarantee) still order deterministically.
         points.sort_unstable();
-        HashRing { points, shards }
+        let mut starts = Box::new([0u32; BUCKETS + 1]);
+        for (b, start) in starts.iter_mut().enumerate() {
+            *start = points.partition_point(|&(p, _)| ((p >> 56) as usize) < b) as u32;
+        }
+        HashRing {
+            owners: points.iter().map(|&(_, shard)| shard).collect(),
+            points: points.into_iter().map(|(p, _)| p).collect(),
+            starts,
+            seed_hash,
+            shards,
+        }
     }
 
     /// Number of shards the ring routes to.
@@ -83,15 +111,64 @@ impl HashRing {
     /// The shard owning `key`: first ring point at or after it,
     /// wrapping past `u64::MAX` to the smallest point.
     pub fn shard_of(&self, key: u64) -> usize {
-        let idx = self.points.partition_point(|&(p, _)| p < key);
-        let (_, shard) = self.points[idx % self.points.len()];
-        shard as usize
+        let bucket = (key >> 56) as usize;
+        let end = self.starts[bucket + 1] as usize;
+        let mut idx = self.starts[bucket] as usize;
+        while idx < end && self.points[idx] < key {
+            idx += 1;
+        }
+        if idx == self.points.len() {
+            idx = 0;
+        }
+        self.owners[idx] as usize
+    }
+
+    /// The shard owning `victim`; the same answer as
+    /// `shard_of(victim_key(seed, victim))` for this ring's seed.
+    // wm-lint: hotpath
+    pub fn victim_shard(&self, victim: u32) -> usize {
+        self.shard_of(fnv(self.seed_hash, &victim.to_le_bytes()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition the bucketed lookup must agree with: a binary
+    /// search over the sorted points, wrapping past the last one.
+    fn reference_owner(ring: &HashRing, key: u64) -> usize {
+        let idx = ring.points.partition_point(|&p| p < key);
+        ring.owners[idx % ring.points.len()] as usize
+    }
+
+    #[test]
+    fn bucketed_lookup_matches_the_sorted_reference() {
+        let seed = 0xF1EE7;
+        for shards in 1..=9 {
+            for vnodes in [1, 3, 16, 64] {
+                let ring = HashRing::new(seed, shards, vnodes);
+                assert_eq!(ring.points.len(), shards * vnodes);
+                let mut keys = vec![0, u64::MAX];
+                for &p in &ring.points {
+                    keys.extend([p.wrapping_sub(1), p, p.wrapping_add(1)]);
+                }
+                for key in keys {
+                    assert_eq!(
+                        ring.shard_of(key),
+                        reference_owner(&ring, key),
+                        "{shards} shards x {vnodes} vnodes, key {key:#x}"
+                    );
+                }
+                for victim in 0..20_000u32 {
+                    let key = victim_key(seed, victim);
+                    let want = reference_owner(&ring, key);
+                    assert_eq!(ring.shard_of(key), want, "victim {victim}");
+                    assert_eq!(ring.victim_shard(victim), want, "victim {victim}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn ring_is_deterministic_and_covers_all_shards() {

@@ -9,6 +9,13 @@
 //! victim *concurrency* × the per-decoder bound, never by how many
 //! victims ever streamed through.
 //!
+//! The resident table is one sorted victim-id index beside one entry
+//! per victim (its boxed decoder and last-seen time), kept in the same
+//! order: a packet costs one binary search over dense ids, a
+//! first-contact insert shifts ids and pointers but never a decoder,
+//! and every walk — blob records, eviction, `finish_all` — runs in
+//! ascending victim order.
+//!
 //! A shard checkpoint is one `wm-online` checkpoint blob (see
 //! [`wm_online::checkpoint`]): the header — graph fingerprint, decoder
 //! config, classifier — once, then one length-prefixed record per live
@@ -19,7 +26,6 @@
 //! errors name the shard slot, and the victim when one record fails,
 //! so supervisor logs are actionable.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
@@ -110,6 +116,12 @@ impl std::fmt::Display for ShardRestoreError {
 
 impl std::error::Error for ShardRestoreError {}
 
+/// One resident victim: its decoder and when its last packet arrived.
+struct Resident {
+    seen: SimTime,
+    decoder: Box<OnlineDecoder>,
+}
+
 /// The live state of one shard.
 pub struct ShardState {
     shard: u32,
@@ -117,8 +129,10 @@ pub struct ShardState {
     graph: Arc<StoryGraph>,
     graph_fp: u64,
     cfg: OnlineConfig,
-    decoders: BTreeMap<u32, OnlineDecoder>,
-    last_seen: BTreeMap<u32, SimTime>,
+    /// Resident victim ids, ascending.
+    ids: Vec<u32>,
+    /// `residents[i]` belongs to `ids[i]`.
+    residents: Vec<Resident>,
     /// Shard-scoped registry the observability plane aggregates;
     /// attached to every decoder, current and future. Not part of the
     /// checkpoint (observation never feeds simulated state), so the
@@ -139,8 +153,8 @@ impl ShardState {
             graph_fp: graph_fingerprint(&graph),
             graph,
             cfg,
-            decoders: BTreeMap::new(),
-            last_seen: BTreeMap::new(),
+            ids: Vec::new(),
+            residents: Vec::new(),
             registry: None,
         }
     }
@@ -153,8 +167,8 @@ impl ShardState {
     /// gets its `online.*` metrics pointed at it, and decoders created
     /// later (first contact or restore) inherit it.
     pub fn set_registry(&mut self, registry: Arc<Registry>) {
-        for dec in self.decoders.values_mut() {
-            dec.attach_telemetry(&registry);
+        for r in &mut self.residents {
+            r.decoder.attach_telemetry(&registry);
         }
         self.registry = Some(registry);
     }
@@ -164,23 +178,30 @@ impl ShardState {
     /// observer snapshot so tick values are exact without the decoders
     /// paying per-event atomic updates on the decode path.
     pub fn flush_telemetry(&mut self) {
-        for dec in self.decoders.values_mut() {
-            dec.flush_telemetry();
+        for r in &mut self.residents {
+            r.decoder.flush_telemetry();
         }
     }
 
     /// Victims with a live decoder.
     pub fn live_victims(&self) -> impl Iterator<Item = u32> + '_ {
-        self.decoders.keys().copied()
+        self.ids.iter().copied()
     }
 
     pub fn live_victim_count(&self) -> usize {
-        self.decoders.len()
+        self.ids.len()
     }
 
     /// Sum of every live decoder's resident state.
     pub fn state_bytes(&self) -> usize {
-        self.decoders.values().map(OnlineDecoder::state_bytes).sum()
+        self.residents.iter().map(|r| r.decoder.state_bytes()).sum()
+    }
+
+    /// Where `victim` sits in the resident table: `Ok(i)` when it is
+    /// resident, else `Err(i)` with the index that keeps ids sorted.
+    // wm-lint: hotpath
+    fn resident(&self, victim: u32) -> Result<usize, usize> {
+        self.ids.binary_search(&victim)
     }
 
     /// Feed one packet for `victim`, creating its decoder on first
@@ -196,32 +217,59 @@ impl ShardState {
         max_victims: usize,
         out: &mut Vec<(u32, OnlineVerdict)>,
     ) {
-        if !self.decoders.contains_key(&victim) {
-            while self.decoders.len() >= max_victims.max(1) {
-                let stalest = self
-                    .last_seen
-                    .iter()
-                    .min_by_key(|&(id, t)| (*t, *id))
-                    .map(|(id, _)| *id);
-                match stalest {
-                    Some(id) => self.evict(id, out),
-                    None => break,
-                }
-            }
-            let mut dec = OnlineDecoder::new(
-                self.classifier.clone(),
-                self.graph.clone(),
-                self.cfg.clone(),
-            );
-            if let Some(reg) = &self.registry {
-                dec.attach_telemetry(reg);
-            }
-            self.decoders.insert(victim, dec);
+        let i = match self.resident(victim) {
+            Ok(i) => i,
+            Err(_) => self.admit(victim, max_victims, out),
+        };
+        let r = &mut self.residents[i];
+        r.seen = time;
+        for v in r.decoder.push_packet(time, frame) {
+            out.push((victim, v));
         }
-        self.last_seen.insert(victim, time);
-        if let Some(dec) = self.decoders.get_mut(&victim) {
-            for v in dec.push_packet(time, frame) {
-                out.push((victim, v));
+    }
+
+    /// First contact: evict the stalest victims (earliest last-seen,
+    /// lowest id on ties) until there is room, then install a fresh
+    /// decoder for `victim`. Returns its table index.
+    fn admit(
+        &mut self,
+        victim: u32,
+        max_victims: usize,
+        out: &mut Vec<(u32, OnlineVerdict)>,
+    ) -> usize {
+        while self.ids.len() >= max_victims.max(1) {
+            let stalest = (0..self.ids.len())
+                .min_by_key(|&i| (self.residents[i].seen, self.ids[i]))
+                .expect("table is non-empty");
+            self.evict_at(stalest, out);
+        }
+        let mut dec = OnlineDecoder::new(
+            self.classifier.clone(),
+            self.graph.clone(),
+            self.cfg.clone(),
+        );
+        if let Some(reg) = &self.registry {
+            dec.attach_telemetry(reg);
+        }
+        self.install(victim, SimTime::ZERO, dec)
+    }
+
+    /// Put `dec` in the table as `victim`'s decoder, replacing any
+    /// decoder it already has. Returns its table index.
+    fn install(&mut self, victim: u32, seen: SimTime, dec: OnlineDecoder) -> usize {
+        let resident = Resident {
+            seen,
+            decoder: Box::new(dec),
+        };
+        match self.resident(victim) {
+            Ok(i) => {
+                self.residents[i] = resident;
+                i
+            }
+            Err(i) => {
+                self.ids.insert(i, victim);
+                self.residents.insert(i, resident);
+                i
             }
         }
     }
@@ -235,34 +283,37 @@ impl ShardState {
         out: &mut Vec<(u32, OnlineVerdict)>,
     ) -> Vec<u32> {
         let cutoff = now.micros().saturating_sub(idle.micros());
-        let stale: Vec<u32> = self
-            .last_seen
-            .iter()
-            .filter(|&(_, t)| t.micros() < cutoff)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &stale {
-            self.evict(*id, out);
+        let mut stale = Vec::new();
+        let mut i = 0;
+        while i < self.ids.len() {
+            if self.residents[i].seen.micros() < cutoff {
+                stale.push(self.ids[i]);
+                self.evict_at(i, out);
+            } else {
+                i += 1;
+            }
         }
         stale
     }
 
     /// Finish and drop every decoder (end of input).
     pub fn finish_all(&mut self, out: &mut Vec<(u32, OnlineVerdict)>) -> Vec<u32> {
-        let all: Vec<u32> = self.decoders.keys().copied().collect();
-        for id in &all {
-            self.evict(*id, out);
+        let all = std::mem::take(&mut self.ids);
+        for (&victim, mut r) in all.iter().zip(std::mem::take(&mut self.residents)) {
+            for v in r.decoder.finish() {
+                out.push((victim, v));
+            }
         }
         all
     }
 
-    fn evict(&mut self, victim: u32, out: &mut Vec<(u32, OnlineVerdict)>) {
-        if let Some(mut dec) = self.decoders.remove(&victim) {
-            for v in dec.finish() {
-                out.push((victim, v));
-            }
+    /// Finish and drop the decoder at table index `i`.
+    fn evict_at(&mut self, i: usize, out: &mut Vec<(u32, OnlineVerdict)>) {
+        let victim = self.ids.remove(i);
+        let mut r = self.residents.remove(i);
+        for v in r.decoder.finish() {
+            out.push((victim, v));
         }
-        self.last_seen.remove(&victim);
     }
 
     // -- shard-scoped checkpointing -----------------------------------
@@ -282,9 +333,8 @@ impl ShardState {
     /// decoder's cadence clock, like the per-decoder API.
     pub fn checkpoint(&mut self, taken: SimTime) -> Vec<u8> {
         let mut blob = BlobWriter::new(&self.header(taken));
-        for (id, dec) in self.decoders.iter_mut() {
-            let seen = self.last_seen.get(id).copied().unwrap_or(SimTime::ZERO);
-            blob.push_decoder(*id, seen, dec);
+        for (&id, r) in self.ids.iter().zip(&mut self.residents) {
+            blob.push_decoder(id, r.seen, &mut r.decoder);
         }
         blob.finish()
     }
@@ -314,8 +364,7 @@ impl ShardState {
                     shard: slot,
                     kind: ShardRestoreErrorKind::Victim(rec.victim, e),
                 })?;
-            state.decoders.insert(rec.victim, dec);
-            state.last_seen.insert(rec.victim, rec.seen);
+            state.install(rec.victim, rec.seen, dec);
         }
         Ok(state)
     }
@@ -332,15 +381,16 @@ impl ShardState {
     pub fn drain_victims(&mut self, victims: &[u32]) -> Vec<(u32, SimTime, Vec<u8>)> {
         let mut out = Vec::with_capacity(victims.len());
         for &victim in victims {
-            let Some(mut dec) = self.decoders.remove(&victim) else {
+            let Ok(i) = self.resident(victim) else {
                 continue;
             };
-            let seen = self.last_seen.remove(&victim).unwrap_or(SimTime::ZERO);
+            self.ids.remove(i);
+            let Resident { seen, mut decoder } = self.residents.remove(i);
             // The checkpoint publishes buffered event counts to the
             // shard the events happened on, before the decoder's
             // registry attachment is dropped with it.
             let mut record = Vec::new();
-            dec.checkpoint_record(victim, seen, &mut record);
+            decoder.checkpoint_record(victim, seen, &mut record);
             out.push((victim, seen, record));
         }
         out
@@ -363,8 +413,7 @@ impl ShardState {
         if let Some(reg) = &self.registry {
             dec.attach_telemetry(reg);
         }
-        self.decoders.insert(victim, dec);
-        self.last_seen.insert(victim, seen);
+        self.install(victim, seen, dec);
     }
 }
 

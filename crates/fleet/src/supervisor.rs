@@ -65,7 +65,7 @@ use wm_telemetry::{DeltaTracker, Registry, Snapshot};
 use crate::dedup::VerdictDedup;
 use crate::process::{resolve_worker, ProcessShard};
 use crate::resize::{MigrationWindow, ResizeSchedule, ResizeStep};
-use crate::ring::{victim_key, HashRing};
+use crate::ring::HashRing;
 use crate::shard::{
     parse_envelope, ShardRestoreError, ShardRestoreErrorKind, ShardState, WorkerFault,
 };
@@ -441,6 +441,11 @@ pub struct Fleet {
     /// drain or resize step; `u64::MAX` when none is pending. `push`
     /// runs its due-checks only once the stream reaches it.
     next_due: u64,
+    /// Sim-time (µs) at or before the earliest live shard's next
+    /// checkpoint and the observer's next tick. `push` runs its
+    /// post-route ticks only once the stream reaches it; every path
+    /// that sets one of those times lowers it.
+    next_tick: u64,
     migrations: Vec<MigrationWindow>,
     retired_recovery: Vec<ShardRecovery>,
     damage_seq: u64,
@@ -502,6 +507,7 @@ impl Fleet {
             resize_steps: Vec::new(),
             resize_cursor: 0,
             next_due: u64::MAX,
+            next_tick: first.micros(),
             migrations: Vec::new(),
             retired_recovery: Vec::new(),
             damage_seq: 0,
@@ -563,6 +569,7 @@ impl Fleet {
             next_tick: SimTime(every.micros().max(1)),
             every,
         });
+        self.lower_next_tick(SimTime(every.micros().max(1)));
     }
 
     /// The current `fleet_status` report: per-shard health as of the
@@ -644,8 +651,11 @@ impl Fleet {
         }
         let shard = self.shard_for(victim);
         self.route(shard, time, victim, frame);
-        self.checkpoint_tick();
-        self.observer_tick();
+        if self.now.micros() >= self.next_tick {
+            self.checkpoint_tick();
+            self.observer_tick();
+            self.refresh_next_tick();
+        }
     }
 
     /// End of input: drain stall queues, resurrect dead shards so
@@ -722,7 +732,7 @@ impl Fleet {
         // reconnect flows, rotated CDN frontends, and (under capture
         // impairment) runt frames with no parseable tuple, and its
         // decoder needs all of them on one shard.
-        self.ring.shard_of(victim_key(self.cfg.ring_seed, victim))
+        self.ring.victim_shard(victim)
     }
 
     fn route(&mut self, shard: usize, time: SimTime, victim: u32, frame: &[u8]) {
@@ -1127,6 +1137,8 @@ impl Fleet {
             self.stats.process_respawns += 1;
         }
         slot.next_checkpoint = SimTime(now.micros() + self.cfg.checkpoint_every.micros());
+        let next_checkpoint = slot.next_checkpoint;
+        self.lower_next_tick(next_checkpoint);
         self.stats.restarts += 1;
         let latency = now
             .micros()
@@ -1192,8 +1204,9 @@ impl Fleet {
         // worker spawn leaves the new slot dead with a scheduled
         // restart, like any other crash.
         for k in old_count..new_count {
-            let mut slot =
-                ShardSlot::new(SimTime(at.micros() + self.cfg.checkpoint_every.micros()));
+            let first = SimTime(at.micros() + self.cfg.checkpoint_every.micros());
+            self.lower_next_tick(first);
+            let mut slot = ShardSlot::new(first);
             match self.cold_runner(k) {
                 Ok(runner) => slot.state = Some(runner),
                 Err(_) => {
@@ -1221,8 +1234,7 @@ impl Fleet {
         let mut moves: Vec<Migration> = Vec::new();
         let mut requeue: Vec<(SimTime, u32, Vec<u8>)> = Vec::new();
         {
-            let seed = self.cfg.ring_seed;
-            let owns = |victim: u32| new_ring.shard_of(victim_key(seed, victim));
+            let owns = |victim: u32| new_ring.victim_shard(victim);
             for k in 0..old_count {
                 let removed = k >= new_count;
                 // Live source: lossless drain of full decoder state.
@@ -1532,6 +1544,24 @@ impl Fleet {
     }
 
     // -- checkpoint cadence -------------------------------------------
+
+    /// Make sure `push` runs its ticks once the stream reaches `at`.
+    fn lower_next_tick(&mut self, at: SimTime) {
+        self.next_tick = self.next_tick.min(at.micros());
+    }
+
+    /// Recompute the tick deadline after the ticks ran: the earliest
+    /// live shard's next checkpoint and the observer's next tick. Dead
+    /// shards are left out; a restore lowers the deadline again.
+    fn refresh_next_tick(&mut self) {
+        let checkpoints = self
+            .slots
+            .iter()
+            .filter(|slot| slot.state.is_some())
+            .map(|slot| slot.next_checkpoint.micros());
+        let observer = self.observer.as_ref().map(|o| o.next_tick.micros());
+        self.next_tick = checkpoints.chain(observer).min().unwrap_or(u64::MAX);
+    }
 
     fn checkpoint_tick(&mut self) {
         for k in 0..self.slots.len() {

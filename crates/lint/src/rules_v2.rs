@@ -84,7 +84,8 @@ pub struct V2Config {
 /// the sim's reused-buffer record drain, TLS sealing/framing into
 /// caller buffers, online ingest, and the LUT length classifier; and
 /// the victim's per-segment and per-message data path: TCP segment
-/// arrival and HTTP framing.
+/// arrival and HTTP framing; and the fleet's per-packet routing: the
+/// ring's victim lookup and the shard's resident-table search.
 /// The per-session drivers above them (dataset runner, session setup)
 /// are deliberately *not* roots: they allocate once per session, and
 /// annotating them would drown the per-record envelope in noise.
@@ -96,6 +97,8 @@ pub const EXPECTED_HOTPATH_ROOTS: &[&str] = &[
     "wm_core::IntervalClassifier::classify_lengths",
     "wm_net::TcpEndpoint::on_segment",
     "wm_http::Accumulator::feed",
+    "wm_fleet::HashRing::victim_shard",
+    "wm_fleet::ShardState::resident",
 ];
 
 /// Victim-side response construction: every wire length the attacker

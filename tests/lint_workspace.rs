@@ -40,7 +40,7 @@ fn workspace_v2_analysis_is_live() {
         v2.graph_edges
     );
     assert_eq!(
-        v2.hotpath_roots, 7,
+        v2.hotpath_roots, 9,
         "hot-path roots drifted from the declared set"
     );
     assert!(
