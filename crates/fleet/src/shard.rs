@@ -307,10 +307,14 @@ impl ShardState {
         all
     }
 
+    /// Take table entry `i` out: its victim id and resident.
+    fn remove_at(&mut self, i: usize) -> (u32, Resident) {
+        (self.ids.remove(i), self.residents.remove(i))
+    }
+
     /// Finish and drop the decoder at table index `i`.
     fn evict_at(&mut self, i: usize, out: &mut Vec<(u32, OnlineVerdict)>) {
-        let victim = self.ids.remove(i);
-        let mut r = self.residents.remove(i);
+        let (victim, mut r) = self.remove_at(i);
         for v in r.decoder.finish() {
             out.push((victim, v));
         }
@@ -384,8 +388,7 @@ impl ShardState {
             let Ok(i) = self.resident(victim) else {
                 continue;
             };
-            self.ids.remove(i);
-            let Resident { seen, mut decoder } = self.residents.remove(i);
+            let (_, Resident { seen, mut decoder }) = self.remove_at(i);
             // The checkpoint publishes buffered event counts to the
             // shard the events happened on, before the decoder's
             // registry attachment is dropped with it.

@@ -560,16 +560,17 @@ impl Fleet {
         } else {
             Duration::from_micros(cfg.cadence_us)
         };
+        let first_tick = SimTime(every.micros().max(1));
         self.observer = Some(Observer {
             registries,
             trackers: (0..shards).map(|_| DeltaTracker::new()).collect(),
             retired: Vec::new(),
             series: SeriesRing::new(cfg.series_capacity),
             watchdog: Watchdog::new(shards, cfg.slo, cfg.transition_capacity),
-            next_tick: SimTime(every.micros().max(1)),
+            next_tick: first_tick,
             every,
         });
-        self.lower_next_tick(SimTime(every.micros().max(1)));
+        self.lower_next_tick(first_tick);
     }
 
     /// The current `fleet_status` report: per-shard health as of the
@@ -1136,8 +1137,8 @@ impl Fleet {
             slot.respawns += 1;
             self.stats.process_respawns += 1;
         }
-        slot.next_checkpoint = SimTime(now.micros() + self.cfg.checkpoint_every.micros());
-        let next_checkpoint = slot.next_checkpoint;
+        let next_checkpoint = SimTime(now.micros() + self.cfg.checkpoint_every.micros());
+        slot.next_checkpoint = next_checkpoint;
         self.lower_next_tick(next_checkpoint);
         self.stats.restarts += 1;
         let latency = now
