@@ -1,8 +1,7 @@
 //! # wm-bench — experiment harnesses
 //!
 //! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index), plus criterion micro-benchmarks of the pipeline. The
-//! binaries print self-contained reports comparing the paper's numbers
+//! index). The binaries print self-contained reports comparing the paper's numbers
 //! with the reproduction's:
 //!
 //! | binary | artifact |

@@ -31,9 +31,12 @@
 //! range right after a restart (that loss is inside the reported
 //! recovery window), but a duplicate can never be delivered.
 //!
-//! State is two integers per live victim and is retired with the
-//! victim, so dedup memory is bounded by victim *concurrency*, not by
-//! how many victims ever streamed through the fleet.
+//! State is two integers per victim, kept for the fleet's lifetime:
+//! dedup memory grows with the number of victims that ever streamed
+//! through the fleet, not with victim concurrency. The marks must
+//! outlive the victim's decoder. A victim evicted for idleness comes
+//! back to a cold decoder that restarts at slot 0, and only the
+//! retained marks drop the slots it re-derives.
 
 use std::collections::BTreeMap;
 use wm_online::OnlineVerdict;
@@ -51,7 +54,6 @@ struct VictimMarks {
 #[derive(Debug, Default)]
 pub struct VerdictDedup {
     marks: BTreeMap<u32, VictimMarks>,
-    dropped: u64,
 }
 
 impl VerdictDedup {
@@ -74,7 +76,6 @@ impl VerdictDedup {
                 _ => true,
             };
         if !fresh {
-            self.dropped += 1;
             return false;
         }
         if let Some(cited) = cited_max {
@@ -82,23 +83,6 @@ impl VerdictDedup {
         }
         marks.next_index = marks.next_index.max(verdict.index + 1);
         true
-    }
-
-    /// Drop a victim's marks once the victim is retired (its decoder
-    /// finished and was evicted): keeps dedup memory proportional to
-    /// live victims.
-    pub fn retire(&mut self, victim: u32) {
-        self.marks.remove(&victim);
-    }
-
-    /// Victims currently tracked.
-    pub fn live_victims(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// Verdicts dropped as duplicates so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -151,7 +135,6 @@ mod tests {
         assert!(!dedup.admit(1, &verdict(2, &[14, 16])));
         // New evidence past the high-water: delivered.
         assert!(dedup.admit(1, &verdict(2, &[17, 20])));
-        assert_eq!(dedup.dropped(), 2);
     }
 
     #[test]
@@ -175,18 +158,12 @@ mod tests {
         assert!(dedup.admit(4, &verdict(0, &[])));
         assert!(!dedup.admit(4, &verdict(0, &[])), "replayed blind index");
         assert!(dedup.admit(4, &verdict(1, &[])));
-    }
-
-    #[test]
-    fn victims_are_independent_and_retire_frees_state() {
-        let mut dedup = VerdictDedup::new();
+        // Victims are independent: the same slot and records are fresh
+        // for another victim.
         assert!(dedup.admit(1, &verdict(0, &[5])));
         assert!(
             dedup.admit(2, &verdict(0, &[5])),
             "other victim, same indices"
         );
-        assert_eq!(dedup.live_victims(), 2);
-        dedup.retire(1);
-        assert_eq!(dedup.live_victims(), 1);
     }
 }

@@ -30,8 +30,8 @@
 //!
 //! Everything is byte-deterministic: the same seed, fault plan, and
 //! packet stream produce the identical merged verdict stream and loss
-//! report, regardless of restore-pool width, and — absent faults —
-//! regardless of shard count.
+//! report, and — absent faults — regardless of shard count, backend
+//! or resize schedule.
 
 pub mod dedup;
 pub mod process;
@@ -159,9 +159,6 @@ pub struct FleetConfig {
     pub victim_idle: Duration,
     /// Hard cap on concurrently-live victims per shard.
     pub max_victims_per_shard: usize,
-    /// Worker threads on the persistent restore pool (0 = per-core,
-    /// 1 = inline). Never affects output bytes.
-    pub restore_workers: usize,
     /// Where shard decoders live (in-process, or one child OS process
     /// per shard). Never affects output bytes on fault-free input.
     pub backend: ShardBackend,
@@ -185,7 +182,6 @@ impl FleetConfig {
             stall_queue_packets: 4096,
             victim_idle: Duration::from_secs_f64(600.0 / ts),
             max_victims_per_shard: 64,
-            restore_workers: 1,
             backend: ShardBackend::InProcess,
             decode: OnlineConfig::scaled(time_scale),
         }

@@ -20,9 +20,8 @@
 //!    movement: survivors' arcs are untouched, so only victims claimed
 //!    by added shards (grow) or orphaned by removed shards (shrink)
 //!    migrate — the resize proptest pins the per-step bound.
-//! 3. **Restore.** Migrated victims rehydrate on their new owners —
-//!    `wm-pool`-parallel, merged back in victim order, so the outcome
-//!    is byte-identical to a serial resume.
+//! 3. **Restore.** Migrated victims rehydrate on their new owners one
+//!    record at a time, in (victim, source shard) order.
 //!
 //! Every migration is reported as a [`MigrationWindow`]; windows for
 //! dead-shard migrations are *also* mirrored into the loss-window

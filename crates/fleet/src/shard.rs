@@ -404,19 +404,12 @@ impl ShardState {
     /// shard's config and classifier, which its fleet shares; it
     /// inherits this shard's telemetry registry.
     pub fn adopt_victim(&mut self, rec: &RecordRef<'_>) -> Result<(), CheckpointError> {
-        let dec = restore_record(rec, &self.classifier, &self.cfg, self.graph.clone())?;
-        self.adopt_decoder(rec.victim, rec.seen, dec);
-        Ok(())
-    }
-
-    /// Install an already-rehydrated decoder (the pool-parallel resume
-    /// path: the supervisor rehydrates off-thread, then adopts in
-    /// deterministic order).
-    pub fn adopt_decoder(&mut self, victim: u32, seen: SimTime, mut dec: OnlineDecoder) {
+        let mut dec = restore_record(rec, &self.classifier, &self.cfg, self.graph.clone())?;
         if let Some(reg) = &self.registry {
             dec.attach_telemetry(reg);
         }
-        self.install(victim, seen, dec);
+        self.install(rec.victim, rec.seen, dec);
+        Ok(())
     }
 }
 

@@ -11,14 +11,12 @@
 //!
 //! The loop is driven purely by the packet stream's sim-times, the
 //! fault plan, and the resize schedule — no wall clocks, no OS threads
-//! in the decision path. The only parallelism is rehydration: when
-//! several shards come due for restart (or several victims migrate) at
-//! the same instant their checkpoint records are rehydrated on the
-//! long-lived [`wm_pool::Pool`], whose results are merged back in
-//! deterministic order, so the outcome is byte-identical to a serial
-//! restore. Same seed + same plan + same packets ⇒ identical merged
-//! verdict stream and identical loss-window report, for any worker
-//! count — and, on fault-free input, for any resize schedule.
+//! in the decision path. Restores and resize migrations rehydrate one
+//! checkpoint record at a time on the supervisor's own thread, in
+//! shard and then victim order. Same seed + same plan + same packets
+//! ⇒ identical merged verdict stream and identical loss-window report
+//! — and, on fault-free input, for any shard count or resize
+//! schedule.
 //!
 //! # Backends
 //!
@@ -53,11 +51,7 @@ use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{corrupt_blob, tear_blob, ShardFault, ShardFaultKind, ShardFaultPlan};
 use wm_core::IntervalClassifier;
 use wm_obs::{FleetStatus, SeriesPoint, SeriesRing, ShardVitals, SloThresholds, Watchdog};
-use wm_online::{
-    graph_fingerprint, restore_record, BlobHeader, BlobWriter, CheckpointError, OnlineDecoder,
-    OnlineVerdict, RecordRef,
-};
-use wm_pool::Pool;
+use wm_online::{graph_fingerprint, BlobHeader, BlobWriter, OnlineVerdict, RecordRef};
 use wm_story::StoryGraph;
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{DeltaTracker, Registry, Snapshot};
@@ -396,6 +390,22 @@ impl ShardSlot {
         }
     }
 
+    /// Schedule the next restart attempt one backoff step after `at`:
+    /// `backoff_base`, doubling per consecutive failure, capped at
+    /// `backoff_cap`. Returns the restart time; the caller lowers the
+    /// fleet's `next_due` to it.
+    fn schedule_restart(&mut self, at: SimTime, cfg: &FleetConfig) -> SimTime {
+        let base = cfg.backoff_base.micros().max(1);
+        let cap = cfg.backoff_cap.micros().max(base);
+        let delay = base
+            .saturating_mul(1u64 << self.backoff_exp.min(20))
+            .min(cap);
+        self.backoff_exp = self.backoff_exp.saturating_add(1);
+        let restart = SimTime(at.micros() + delay);
+        self.restart_at = Some(restart);
+        restart
+    }
+
     fn recovery(&self, shard: u32) -> ShardRecovery {
         ShardRecovery {
             shard,
@@ -453,7 +463,6 @@ pub struct Fleet {
     stats: FleetStats,
     trace: Option<(TraceHandle, SpanId)>,
     observer: Option<Observer>,
-    pool: Pool,
     scratch: Vec<(u32, OnlineVerdict)>,
     /// Resolved shard-worker binary (process backend only).
     worker: Option<PathBuf>,
@@ -491,7 +500,6 @@ impl Fleet {
             });
             slots.push(slot);
         }
-        let pool = Pool::new(cfg.restore_workers);
         Ok(Fleet {
             cfg,
             classifier,
@@ -515,7 +523,6 @@ impl Fleet {
             stats: FleetStats::default(),
             trace: None,
             observer: None,
-            pool,
             scratch: Vec::new(),
             worker,
         })
@@ -848,8 +855,6 @@ impl Fleet {
     }
 
     fn kill_shard(&mut self, shard: usize, at: SimTime) {
-        let cfg_base = self.cfg.backoff_base.micros().max(1);
-        let cfg_cap = self.cfg.backoff_cap.micros().max(cfg_base);
         let slot = &mut self.slots[shard];
         let Some(state) = slot.state.take() else {
             return; // already dead: the fault is a no-op
@@ -863,11 +868,8 @@ impl Fleet {
         }
         drop(state); // a process runner's child is SIGKILLed here
         slot.killed_at = at;
-        let exp = slot.backoff_exp.min(20);
-        let delay = cfg_base.saturating_mul(1u64 << exp).min(cfg_cap);
-        slot.backoff_exp = slot.backoff_exp.saturating_add(1);
-        slot.restart_at = Some(SimTime(at.micros() + delay));
-        self.next_due = self.next_due.min(at.micros() + delay);
+        let restart = slot.schedule_restart(at, &self.cfg);
+        self.next_due = self.next_due.min(restart.micros());
         slot.stall_queue.clear();
         slot.stalled_until = SimTime::ZERO;
         self.stats.kills += 1;
@@ -878,7 +880,7 @@ impl Fleet {
                 span,
                 ShardFaultKind::Kill.trace_name(),
                 shard as u64,
-                delay,
+                restart.micros() - at.micros(),
             );
             self.slots[shard].span = span;
         }
@@ -1016,49 +1018,19 @@ impl Fleet {
         }
     }
 
-    /// Restore the given dead shards from their stored checkpoints.
-    /// Two or more simultaneous in-process restores rehydrate in
-    /// parallel on the persistent pool; results merge back in shard
-    /// order, so the outcome is identical to a serial restore. Process
-    /// restores are one IPC exchange each — the heavy rehydration
-    /// happens inside the children, which are their own OS-level
-    /// parallelism.
+    /// Restore the given dead shards from their stored checkpoints:
+    /// rehydrate each latest blob, then settle the outcomes in shard
+    /// order.
     fn restore_shards(&mut self, due: &[usize]) {
-        if due.is_empty() {
-            return;
-        }
-        let mut primary: Vec<Option<Result<ShardRunner, ShardRestoreError>>> =
-            Vec::with_capacity(due.len());
-        if self.worker.is_none() && due.len() >= 2 {
-            let jobs: Vec<(u32, Option<Vec<u8>>)> = due
-                .iter()
-                .map(|&k| (k as u32, self.slots[k].latest.clone()))
-                .collect();
-            let classifier = self.classifier.clone();
-            let graph = self.graph.clone();
-            let decode = self.cfg.decode.clone();
-            let jobs = Arc::new(jobs);
-            primary = self.pool.run(due.len(), move |i| {
-                let (slot, blob) = &jobs[i];
-                blob.as_ref().map(|blob| {
-                    ShardState::restore(
-                        *slot,
-                        blob,
-                        classifier.clone(),
-                        graph.clone(),
-                        decode.clone(),
-                    )
-                    .map(ShardRunner::InProcess)
-                })
-            });
-        } else {
-            for &k in due {
-                let blob = self.slots[k].latest.clone();
-                primary.push(blob.map(|blob| self.restore_runner(k, &blob)));
-            }
-        }
-        for (slot_idx, outcome) in due.iter().zip(primary) {
-            self.finish_restore(*slot_idx, outcome);
+        let primary: Vec<Option<Result<ShardRunner, ShardRestoreError>>> = due
+            .iter()
+            .map(|&k| {
+                let blob = self.slots[k].latest.as_deref();
+                blob.map(|blob| self.restore_runner(k, blob))
+            })
+            .collect();
+        for (&k, outcome) in due.iter().zip(primary) {
+            self.finish_restore(k, outcome);
         }
     }
 
@@ -1110,15 +1082,10 @@ impl Fleet {
                     // Even the replacement worker failed to spawn:
                     // leave the slot dead and retry on the next
                     // backoff step. The restart span stays open.
-                    let base = self.cfg.backoff_base.micros().max(1);
-                    let cap = self.cfg.backoff_cap.micros().max(base);
                     let slot = &mut self.slots[k];
                     slot.restore_failures += 1;
-                    let exp = slot.backoff_exp.min(20);
-                    let delay = base.saturating_mul(1u64 << exp).min(cap);
-                    slot.backoff_exp = slot.backoff_exp.saturating_add(1);
-                    slot.restart_at = Some(SimTime(now.micros() + delay));
-                    self.next_due = self.next_due.min(now.micros() + delay);
+                    let restart = slot.schedule_restart(now, &self.cfg);
+                    self.next_due = self.next_due.min(restart.micros());
                     return;
                 }
             },
@@ -1213,9 +1180,8 @@ impl Fleet {
                 Err(_) => {
                     slot.restore_failures += 1;
                     slot.killed_at = at;
-                    slot.backoff_exp = 1;
-                    slot.restart_at =
-                        Some(SimTime(at.micros() + self.cfg.backoff_base.micros().max(1)));
+                    let restart = slot.schedule_restart(at, &self.cfg);
+                    self.next_due = self.next_due.min(restart.micros());
                 }
             }
             self.slots.push(slot);
@@ -1409,39 +1375,12 @@ impl Fleet {
         }
     }
 
-    /// Deliver collected migrations to their new owners. In-process
-    /// targets rehydrate on the pool when there are several; results
-    /// merge back in the sorted move order, so the outcome is
-    /// byte-identical to a serial resume.
+    /// Deliver collected migrations to their new owners, in the sorted
+    /// move order.
     fn deliver_migrations(&mut self, at: SimTime, moves: Vec<Migration>) {
-        if moves.is_empty() {
-            return;
-        }
-        let mut prebuilt: Vec<Option<Result<OnlineDecoder, CheckpointError>>> =
-            (0..moves.len()).map(|_| None).collect();
-        if self.worker.is_none() && moves.len() >= 2 {
-            let graph = self.graph.clone();
-            let classifier = self.classifier.clone();
-            let cfg = self.cfg.decode.clone();
-            let records: Vec<(u32, SimTime, Vec<u8>)> = moves
-                .iter()
-                .map(|m| (m.victim, m.seen, m.record.clone()))
-                .collect();
-            let records = Arc::new(records);
-            prebuilt = self.pool.run(moves.len(), move |i| {
-                let (victim, seen, bytes) = &records[i];
-                let rec = RecordRef {
-                    victim: *victim,
-                    seen: *seen,
-                    bytes,
-                    offset: 0,
-                };
-                Some(restore_record(&rec, &classifier, &cfg, graph.clone()))
-            });
-        }
-        for (m, pre) in moves.into_iter().zip(prebuilt) {
+        for m in moves {
             let target = self.shard_for(m.victim);
-            let adopted = self.deliver_one(target, &m, pre);
+            let adopted = self.deliver_one(target, &m);
             self.stats.victims_migrated += 1;
             if !adopted {
                 self.stats.migrate_failures += 1;
@@ -1472,12 +1411,7 @@ impl Fleet {
     /// Install one migrant on shard `target`. Returns false when the
     /// record could not be carried over (the victim restarts cold on
     /// its next packet).
-    fn deliver_one(
-        &mut self,
-        target: usize,
-        m: &Migration,
-        prebuilt: Option<Result<OnlineDecoder, CheckpointError>>,
-    ) -> bool {
+    fn deliver_one(&mut self, target: usize, m: &Migration) -> bool {
         let rec = RecordRef {
             victim: m.victim,
             seen: m.seen,
@@ -1486,14 +1420,7 @@ impl Fleet {
         };
         if let Some(runner) = self.slots[target].state.as_mut() {
             let result: Result<bool, WorkerFault> = match runner {
-                ShardRunner::InProcess(state) => Ok(match prebuilt {
-                    Some(Ok(dec)) => {
-                        state.adopt_decoder(m.victim, m.seen, dec);
-                        true
-                    }
-                    Some(Err(_)) => false,
-                    None => state.adopt_victim(&rec).is_ok(),
-                }),
+                ShardRunner::InProcess(state) => Ok(state.adopt_victim(&rec).is_ok()),
                 ShardRunner::Process(p) => p.adopt(m.victim, &m.record),
             };
             match result {

@@ -53,21 +53,17 @@ const HEX: &[u8; 16] = b"0123456789abcdef";
 /// for non-BMP characters are supported because the parser must accept
 /// anything the serializer — or a hand-written test vector — produces.
 pub fn unescape(body: &[u8]) -> Option<String> {
+    // Every byte an escape consumes is ASCII, so one up-front UTF-8
+    // check over the whole body is the same check as validating each
+    // unescaped run.
+    let body = std::str::from_utf8(body).ok()?;
     let mut out = String::with_capacity(body.len());
-    let mut i = 0;
-    while let Some(&b) = body.get(i) {
-        if b != b'\\' {
-            // Validate UTF-8 incrementally by slicing at char boundaries.
-            let rest = std::str::from_utf8(body.get(i..)?).ok()?;
-            let ch = rest.chars().next()?;
-            out.push(ch);
-            i += ch.len_utf8();
-            continue;
-        }
-        i += 1;
-        let esc = *body.get(i)?;
-        i += 1;
-        match esc {
+    let mut rest = body;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(rest.get(..at)?);
+        let bytes = rest.as_bytes();
+        let mut i = at + 2;
+        match *bytes.get(at + 1)? {
             b'"' => out.push('"'),
             b'\\' => out.push('\\'),
             b'/' => out.push('/'),
@@ -77,14 +73,14 @@ pub fn unescape(body: &[u8]) -> Option<String> {
             b'f' => out.push('\u{c}'),
             b'r' => out.push('\r'),
             b'u' => {
-                let hi = parse_hex4(body.get(i..i + 4)?)?;
+                let hi = parse_hex4(bytes.get(i..i + 4)?)?;
                 i += 4;
                 if (0xd800..0xdc00).contains(&hi) {
                     // High surrogate: must be followed by \uXXXX low surrogate.
-                    if body.get(i) != Some(&b'\\') || body.get(i + 1) != Some(&b'u') {
+                    if bytes.get(i) != Some(&b'\\') || bytes.get(i + 1) != Some(&b'u') {
                         return None;
                     }
-                    let lo = parse_hex4(body.get(i + 2..i + 6)?)?;
+                    let lo = parse_hex4(bytes.get(i + 2..i + 6)?)?;
                     i += 6;
                     if !(0xdc00..0xe000).contains(&lo) {
                         return None;
@@ -99,7 +95,9 @@ pub fn unescape(body: &[u8]) -> Option<String> {
             }
             _ => return None,
         }
+        rest = rest.get(i..)?;
     }
+    out.push_str(rest);
     Some(out)
 }
 

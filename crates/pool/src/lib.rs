@@ -23,10 +23,6 @@
 //! `derive_seed(run_seed, index)`-style seeding, which satisfies this
 //! by construction.
 
-pub mod persistent;
-
-pub use persistent::Pool;
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Worker count the pool uses when the caller passes `0` ("auto"):

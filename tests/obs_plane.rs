@@ -7,9 +7,9 @@
 //!   transition CI's obs-smoke job asserts on).
 //! * Every export is byte-deterministic: the streamed series JSONL and
 //!   the Prometheus exposition are identical across shard counts
-//!   (fault-free — placement must not shape observation), and the full
-//!   observer report, trace, and flamegraph are identical across
-//!   restore-pool widths (threading must not shape observation).
+//!   (fault-free — placement must not shape observation), and under a
+//!   fault plan two runs give the identical observer report, trace and
+//!   flamegraph (recovery must not shape observation).
 
 use std::sync::Arc;
 
@@ -65,11 +65,10 @@ fn fixture() -> (IntervalClassifier, Arc<StoryGraph>, Vec<TapPacket>, u64) {
     (classifier, graph, stream, span_us)
 }
 
-fn fleet_cfg(shards: usize, restore_workers: usize, span_us: u64) -> FleetConfig {
+fn fleet_cfg(shards: usize, span_us: u64) -> FleetConfig {
     let mut cfg = FleetConfig::scaled(shards, TS);
     cfg.victim_idle = Duration::from_micros(span_us);
     cfg.max_victims_per_shard = 16;
-    cfg.restore_workers = restore_workers;
     cfg
 }
 
@@ -106,7 +105,7 @@ fn run_observed(
 #[test]
 fn chaos_fleet_recovers_through_degraded_to_healthy() {
     let (classifier, graph, stream, span_us) = fixture();
-    let cfg = fleet_cfg(3, 1, span_us);
+    let cfg = fleet_cfg(3, span_us);
     // Faults confined to the first half of the stream so every killed
     // shard has sim-time left to restore and walk back to Healthy.
     let plan = ShardFaultPlan::generate(0x0B5, 3.0, cfg.shards, Duration::from_micros(span_us / 2));
@@ -143,7 +142,7 @@ fn exports_are_byte_identical_across_shard_counts() {
     let (classifier, graph, stream, span_us) = fixture();
     let mut reference: Option<(String, String)> = None;
     for shards in [1usize, 2, 4] {
-        let cfg = fleet_cfg(shards, 1, span_us);
+        let cfg = fleet_cfg(shards, span_us);
         let (report, _) = run_observed(&cfg, &classifier, &graph, &stream, None);
         let obs = report.obs.expect("observer attached");
         let prom = prometheus_text(&obs.snapshot);
@@ -165,35 +164,26 @@ fn exports_are_byte_identical_across_shard_counts() {
 }
 
 #[test]
-fn observer_report_is_invariant_under_restore_pool_width() {
+fn observer_report_replays_identically_under_faults() {
     let (classifier, graph, stream, span_us) = fixture();
     let plan = ShardFaultPlan::generate(0x0B5, 2.0, 3, Duration::from_micros(span_us / 2));
-    let mut reference: Option<(String, String, String, Vec<TraceEvent>)> = None;
-    for workers in [1usize, 2, 0] {
-        let cfg = fleet_cfg(3, workers, span_us);
+    let cfg = fleet_cfg(3, span_us);
+    let run = || {
         let (report, trace_events) = run_observed(&cfg, &classifier, &graph, &stream, Some(&plan));
         let obs = report.obs.expect("observer attached");
-        let status = obs.status.render();
-        let prom = prometheus_text(&obs.snapshot);
-        let flame = collapse_spans(&trace_events);
-        match &reference {
-            None => reference = Some((obs.series_jsonl, prom, flame, trace_events)),
-            Some((series, prom_ref, flame_ref, events_ref)) => {
-                assert_eq!(
-                    &obs.series_jsonl, series,
-                    "series diverged at {workers} workers"
-                );
-                assert_eq!(&prom, prom_ref, "Prometheus diverged at {workers} workers");
-                assert_eq!(
-                    &flame, flame_ref,
-                    "flamegraph diverged at {workers} workers"
-                );
-                assert_eq!(
-                    &trace_events, events_ref,
-                    "trace diverged at {workers} workers"
-                );
-                let _ = status;
-            }
-        }
-    }
+        (
+            obs.series_jsonl,
+            prometheus_text(&obs.snapshot),
+            collapse_spans(&trace_events),
+            obs.status.render(),
+            trace_events,
+        )
+    };
+    let (series, prom, flame, status, events) = run();
+    let again = run();
+    assert_eq!(series, again.0, "series diverged on the rerun");
+    assert_eq!(prom, again.1, "Prometheus diverged on the rerun");
+    assert_eq!(flame, again.2, "flamegraph diverged on the rerun");
+    assert_eq!(status, again.3, "health status diverged on the rerun");
+    assert_eq!(events, again.4, "trace diverged on the rerun");
 }
