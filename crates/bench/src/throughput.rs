@@ -51,8 +51,10 @@ mod tests {
 
     #[test]
     fn rss_probes_report_plausible_values() {
-        let peak = peak_rss_bytes().expect("VmHWM readable on Linux");
+        // Current first: the peak read after it can only be higher,
+        // whatever the other tests allocate in between.
         let now = current_rss_bytes().expect("VmRSS readable on Linux");
+        let peak = peak_rss_bytes().expect("VmHWM readable on Linux");
         assert!(peak >= now, "peak {peak} < current {now}");
         assert!(now > 1024 * 1024, "current RSS implausibly small: {now}");
     }

@@ -355,7 +355,7 @@ mod tests {
         let mut tap = Tap::new();
         tap.record_segment(SimTime(42), &seg(b"on disk"));
         let trace = tap.into_trace();
-        let dir = std::env::temp_dir().join("wm_capture_test");
+        let dir = std::env::temp_dir().join(format!("wm_capture_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.pcap");
         trace.write_pcap_file(&path).unwrap();

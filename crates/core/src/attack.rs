@@ -467,7 +467,7 @@ mod tests {
             &[Choice::NonDefault, Choice::Default, Choice::NonDefault],
         );
         let attack = WhiteMirror::train(&train.labels, WhiteMirrorConfig::scaled(20)).unwrap();
-        let dir = std::env::temp_dir().join("wm_model_test");
+        let dir = std::env::temp_dir().join(format!("wm_model_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bands.json");
         attack.save_model(&path).unwrap();

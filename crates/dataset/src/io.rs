@@ -221,7 +221,7 @@ mod tests {
         };
         let records = run_dataset(&graph, &spec, &opts);
 
-        let dir = std::env::temp_dir().join("wm_dataset_io_test");
+        let dir = std::env::temp_dir().join(format!("wm_dataset_io_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         save_dataset(&dir, "roundtrip", &records).unwrap();
 
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("wm_dataset_io_bad");
+        let dir = std::env::temp_dir().join(format!("wm_dataset_io_bad_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("manifest.json"), b"{not json").unwrap();
         assert!(load_manifest(&dir).is_err());

@@ -354,6 +354,49 @@ fn process_backend_matches_in_process_fleet_byte_for_byte() {
         in_proc.verdicts, proc.verdicts,
         "child-process shards must reproduce the in-process stream"
     );
+
+    // Faults and a shrink-then-grow resize: both backends run the same
+    // shard dispatch, so every supervisor-visible outcome matches too.
+    // Only the respawn count is backend-specific (process shards
+    // respawn a child on every restart).
+    let stream = victim_stream(4);
+    let end = stream.last().unwrap().0.micros();
+    let mut plan = ShardFaultPlan::generate(0xB4C, 2.0, 4, Duration::from_micros(end));
+    plan.push(SimTime(end / 5), 1, ShardFaultKind::CheckpointCorrupt)
+        .push(SimTime(end / 4), 2, ShardFaultKind::CheckpointTorn)
+        .push(SimTime(end * 3 / 10), 1, ShardFaultKind::Kill)
+        .push(SimTime(end * 7 / 20), 2, ShardFaultKind::Kill)
+        .push(
+            SimTime(end * 3 / 5),
+            0,
+            ShardFaultKind::Stall {
+                stall: Duration::from_millis(400),
+            },
+        );
+    for kind in [
+        ShardFaultKind::Kill,
+        ShardFaultKind::CheckpointCorrupt,
+        ShardFaultKind::CheckpointTorn,
+    ] {
+        assert!(plan.count(|k| *k == kind) > 0, "plan lacks {kind:?}");
+    }
+    assert!(plan.count(|k| matches!(k, ShardFaultKind::Stall { .. })) > 0);
+    assert_eq!(plan.count(|k| *k == ShardFaultKind::ProcessAbort), 0);
+    let resize =
+        ResizeSchedule::new(vec![(SimTime(end * 2 / 5), 2), (SimTime(end * 7 / 10), 5)]).unwrap();
+    let in_proc = run_fleet(fleet_cfg(4), &stream, Some(&plan), Some(&resize));
+    let proc = run_fleet(process_cfg(4), &stream, Some(&plan), Some(&resize));
+    assert!(in_proc.stats.kills > 0 && in_proc.stats.restarts > 0);
+    assert!(in_proc.stats.checkpoints_rejected > 0);
+    assert_eq!(in_proc.stats.resizes, 2);
+    assert!(in_proc.stats.victims_migrated > 0);
+    assert_eq!(in_proc.verdicts, proc.verdicts, "faulted verdicts");
+    assert_eq!(in_proc.loss_windows, proc.loss_windows, "faulted loss windows");
+    assert_eq!(in_proc.migrations, proc.migrations, "faulted migrations");
+    assert!(proc.stats.process_respawns > 0);
+    let mut proc_stats = proc.stats;
+    proc_stats.process_respawns = 0;
+    assert_eq!(in_proc.stats, proc_stats, "faulted stats");
 }
 
 #[test]

@@ -24,7 +24,7 @@ fn full_pipeline_from_disk() {
     let spec = DatasetSpec::generate("pipeline-it", 8, 31_337);
     let records = run_dataset(&graph, &spec, &opts());
 
-    let dir = std::env::temp_dir().join("wm_it_dataset");
+    let dir = std::env::temp_dir().join(format!("wm_it_dataset_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     save_dataset(&dir, "pipeline-it", &records).unwrap();
 
@@ -106,7 +106,7 @@ fn manifest_is_pretty_and_parseable() {
             ..SimOptions::default()
         },
     );
-    let dir = std::env::temp_dir().join("wm_it_pretty");
+    let dir = std::env::temp_dir().join(format!("wm_it_pretty_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     save_dataset(&dir, "pretty-it", &records).unwrap();
     let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();

@@ -52,7 +52,7 @@ fn attack_works_from_a_pcap_file_on_disk() {
     let cfg = fast_cfg(&graph, 9_200, ViewerScript::sample(9_200, 14, 0.4));
     let out = run_session(&cfg).unwrap();
 
-    let dir = std::env::temp_dir().join("wm_e2e_pcap");
+    let dir = std::env::temp_dir().join(format!("wm_e2e_pcap_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("victim.pcap");
     out.trace.write_pcap_file(&path).unwrap();
