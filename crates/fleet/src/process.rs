@@ -1,5 +1,20 @@
-//! Process-shard backend: host a shard in a child OS process so a
-//! shard crash is an *event*, not a supervisor abort.
+//! The shard protocol: one [`Request`]/[`Reply`] interface for both
+//! fleet backends, and the process backend that carries it over a
+//! pipe, so a shard crash is an *event*, not a supervisor abort.
+//!
+//! ## One dispatch
+//!
+//! [`handle`] is the one function that applies a [`Request`] to a
+//! [`ShardState`]. An in-process shard calls it directly, with no
+//! bytes: `Feed`, `Restore` and `Adopt` borrow their bytes from the
+//! caller, verdicts go straight into the caller's buffer, and a
+//! `Verdicts` reply comes back empty ([`Reply::VERDICTS`]) because the
+//! live set and state bytes are read off the shard itself. A process
+//! shard ([`ProcessShard`]) encodes the same request into a frame,
+//! writes it to a child worker ([`shard_worker_main`]) that parses it
+//! and runs the same `handle`, then reads and parses the reply. Both
+//! backends therefore decode identically by construction; only the
+//! transport and the child's lifecycle differ.
 //!
 //! The in-process backend shares an address space with the supervisor:
 //! a decoder bug that panics takes the whole fleet down. The process
@@ -36,12 +51,11 @@
 //! EvictIdle, Drain and Err are fixed little-endian layouts. Every
 //! payload is byte-deterministic by construction.
 //!
-//! Each `Verdicts` reply carries the worker's *full* live-victim set
-//! and resident state bytes, so the supervisor's routing cache is
+//! Each `Verdicts` frame carries the worker's *full* live-victim set
+//! and resident state bytes, so the supervisor's cache is
 //! self-healing: one reply after a respawn and the parent's picture of
 //! the child is exact again.
 
-use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -60,9 +74,7 @@ use wm_online::{
 };
 use wm_story::{Choice, ChoicePointId, StoryGraph};
 
-use crate::shard::{
-    one_record, parse_envelope, ShardRestoreError, ShardRestoreErrorKind, ShardState, WorkerFault,
-};
+use crate::shard::{one_record, ShardRestoreErrorKind, ShardState, WorkerFault};
 
 /// Hard cap on one frame's length field (opcode + payload), 64 MiB.
 /// Far above any real shard checkpoint; a corrupt prefix claiming more
@@ -174,9 +186,10 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
 // ---------------------------------------------------------------------
 // typed request / reply layers
 
-/// A parsed supervisor → worker request.
+/// A supervisor → shard request. The byte-carrying requests borrow
+/// their bytes: from the caller in process, from the frame in a worker.
 #[derive(Debug, Clone)]
-pub enum Request {
+pub enum Request<'a> {
     /// Configure the worker's shard. Must precede everything else.
     Init {
         shard: u32,
@@ -185,13 +198,13 @@ pub enum Request {
         graph: Arc<StoryGraph>,
     },
     /// Replace the shard state from a checkpoint blob.
-    Restore(Vec<u8>),
+    Restore(&'a [u8]),
     /// Route one captured frame to a victim's decoder.
     Feed {
         time: SimTime,
         victim: u32,
         max_victims: u32,
-        frame: Vec<u8>,
+        frame: &'a [u8],
     },
     /// Serialize the whole shard to a checkpoint blob.
     Checkpoint { taken: SimTime },
@@ -202,7 +215,7 @@ pub enum Request {
     /// Pull the listed victims out as migration units.
     Drain(Vec<u32>),
     /// Install one migrated victim from its framed record.
-    Adopt(Vec<u8>),
+    Adopt(&'a [u8]),
     /// Exit cleanly.
     Shutdown,
 }
@@ -223,12 +236,12 @@ fn u32_at(payload: &[u8], off: usize, what: &'static str) -> Result<u32, FrameEr
     Ok(u32::from_le_bytes(bytes))
 }
 
-impl Request {
+impl<'a> Request<'a> {
     /// Parse a request from a decoded frame's opcode and payload.
-    pub fn parse(opcode: u8, payload: &[u8]) -> Result<Request, FrameError> {
+    pub fn parse(opcode: u8, payload: &'a [u8]) -> Result<Request<'a>, FrameError> {
         match opcode {
             OP_INIT => {
-                let init = || -> Result<Request, CheckpointError> {
+                let init = || -> Result<Request<'a>, CheckpointError> {
                     let (blob, topology) = Blob::parse_prefix(payload)?;
                     let graph = read_graph(topology)?;
                     blob.header.check_graph(&graph)?;
@@ -244,7 +257,7 @@ impl Request {
                 };
                 init().map_err(|_| FrameError::Malformed("init"))
             }
-            OP_RESTORE => Ok(Request::Restore(payload.to_vec())),
+            OP_RESTORE => Ok(Request::Restore(payload)),
             OP_FEED => {
                 let time = SimTime(u64_at(payload, 0, "feed")?);
                 let victim = u32_at(payload, 8, "feed")?;
@@ -253,7 +266,7 @@ impl Request {
                     time,
                     victim,
                     max_victims,
-                    frame: payload[16..].to_vec(),
+                    frame: &payload[16..],
                 })
             }
             OP_CHECKPOINT => Ok(Request::Checkpoint {
@@ -276,7 +289,7 @@ impl Request {
             }
             OP_ADOPT => {
                 one_record(payload).map_err(|_| FrameError::Malformed("adopt"))?;
-                Ok(Request::Adopt(payload.to_vec()))
+                Ok(Request::Adopt(payload))
             }
             OP_SHUTDOWN => Ok(Request::Shutdown),
             other => Err(FrameError::UnknownOpcode(other)),
@@ -373,6 +386,18 @@ pub enum Reply {
 }
 
 impl Reply {
+    /// A `Verdicts` reply once its fields are consumed: what [`handle`]
+    /// returns, having appended the verdicts to the caller's buffer,
+    /// and what a [`ProcessShard::call`] leaves after moving them there
+    /// and caching the live set and state bytes. On either backend the
+    /// live set and state bytes are read off the runner, never carried
+    /// in memory.
+    pub const VERDICTS: Reply = Reply::Verdicts {
+        verdicts: Vec::new(),
+        live: Vec::new(),
+        state_bytes: 0,
+    };
+
     /// Parse a reply from a decoded frame's opcode and payload.
     pub fn parse(opcode: u8, payload: &[u8]) -> Result<Reply, FrameError> {
         match opcode {
@@ -422,18 +447,7 @@ impl Reply {
                 verdicts,
                 live,
                 state_bytes,
-            } => {
-                let mut payload = Vec::new();
-                // The walk takes its fields mutably, so it walks copies;
-                // the writer never fails.
-                let _ = verdicts_payload(
-                    &mut Writer(&mut payload),
-                    &mut verdicts.clone(),
-                    &mut live.clone(),
-                    &mut state_bytes.clone(),
-                );
-                encode_frame(OP_VERDICTS, &payload, out);
-            }
+            } => encode_verdicts(&mut verdicts.clone(), &mut live.clone(), *state_bytes, out),
             Reply::Blob(blob) => encode_frame(OP_BLOB, blob, out),
             Reply::Drained(entries) => {
                 let records: Vec<u8> = entries.iter().flat_map(|e| e.2.iter().copied()).collect();
@@ -508,6 +522,19 @@ fn verdicts_payload<'a, P: Pass<'a>>(
     p.int(state_bytes, "state_bytes")
 }
 
+/// Append a `Verdicts` frame. The walk takes its fields mutably but
+/// the writer never changes them, and never fails.
+fn encode_verdicts(
+    verdicts: &mut Vec<(u32, OnlineVerdict)>,
+    live: &mut Vec<u32>,
+    mut state_bytes: u64,
+    out: &mut Vec<u8>,
+) {
+    let mut payload = Vec::new();
+    let _ = verdicts_payload(&mut Writer(&mut payload), verdicts, live, &mut state_bytes);
+    encode_frame(OP_VERDICTS, &payload, out);
+}
+
 /// One [`OnlineVerdict`]. The confidence is the only float in the
 /// whole decode pipeline; it crosses the pipe as its IEEE-754 bit
 /// pattern, so the round trip is exact.
@@ -560,31 +587,27 @@ pub fn resolve_worker(explicit: Option<&Path>) -> Option<PathBuf> {
         .find(|candidate| candidate.is_file())
 }
 
-/// Supervisor-side handle to one shard hosted in a child process.
-///
-/// Mirrors the [`ShardState`] surface, but every call can fail with a
-/// [`WorkerFault`] — the child may have been `kill -9`'d between any
-/// two frames. The handle keeps a cached live-victim set and state
-/// size, refreshed wholesale from every `Verdicts` reply.
+/// Supervisor-side handle to one shard hosted in a child process: the
+/// transport half of the process backend. [`ProcessShard::call`]
+/// sends one [`Request`] and returns the worker's [`Reply`], which
+/// [`handle`] computed on the far side of the pipe; any exchange can
+/// fail with a [`WorkerFault`], since the child may have been
+/// `kill -9`'d between any two frames. The handle caches the worker's
+/// live-victim set and state size, so loss accounting still knows
+/// which victims a dead child held.
 pub struct ProcessShard {
     child: Child,
     stdin: ChildStdin,
     stdout: ChildStdout,
-    shard: u32,
-    live: BTreeSet<u32>,
+    /// Ascending, like the worker's resident table.
+    live: Vec<u32>,
     state_bytes: usize,
     buf: Vec<u8>,
 }
 
 impl ProcessShard {
-    /// Spawn a worker and initialize it for `shard`.
-    pub fn spawn(
-        worker: &Path,
-        shard: u32,
-        classifier: &IntervalClassifier,
-        graph: &Arc<StoryGraph>,
-        cfg: &OnlineConfig,
-    ) -> Result<Self, WorkerFault> {
+    /// Spawn a worker. It holds no shard until it is sent `Init`.
+    pub fn spawn(worker: &Path) -> Result<Self, WorkerFault> {
         let mut child = Command::new(worker)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -593,29 +616,14 @@ impl ProcessShard {
             .map_err(|_| WorkerFault::Spawn)?;
         let stdin = child.stdin.take().ok_or(WorkerFault::Spawn)?;
         let stdout = child.stdout.take().ok_or(WorkerFault::Spawn)?;
-        let mut p = ProcessShard {
+        Ok(ProcessShard {
             child,
             stdin,
             stdout,
-            shard,
-            live: BTreeSet::new(),
+            live: Vec::new(),
             state_bytes: 0,
             buf: Vec::new(),
-        };
-        match p.call(&Request::Init {
-            shard,
-            cfg: cfg.clone(),
-            classifier: classifier.clone(),
-            graph: graph.clone(),
-        })? {
-            Reply::Ok => Ok(p),
-            Reply::Err(_) => Err(WorkerFault::Remote),
-            _ => Err(WorkerFault::Protocol),
-        }
-    }
-
-    pub fn shard(&self) -> u32 {
-        self.shard
+        })
     }
 
     /// The child's OS pid (tests `kill -9` it to prove absorption).
@@ -623,6 +631,8 @@ impl ProcessShard {
         self.child.id()
     }
 
+    /// Live victims as of the last exchange (survives the child's
+    /// death).
     pub fn live_victims(&self) -> impl Iterator<Item = u32> + '_ {
         self.live.iter().copied()
     }
@@ -636,16 +646,24 @@ impl ProcessShard {
         self.state_bytes
     }
 
-    /// One request/reply exchange. Any transport failure — the write,
-    /// the read, or undecodable reply bytes — is a [`WorkerFault`];
-    /// the caller treats it like a crash and respawns.
-    fn call(&mut self, req: &Request) -> Result<Reply, WorkerFault> {
+    /// One request/reply exchange: encode the frame, write it, read and
+    /// parse the reply, then update the cached live set. A `Verdicts`
+    /// reply's verdicts are appended to `out` and it comes back as
+    /// [`Reply::VERDICTS`], as [`handle`] returns it in process. Any
+    /// transport failure — the write, the read, or undecodable reply
+    /// bytes — is a [`WorkerFault`]; the caller treats it like a crash
+    /// and respawns.
+    pub fn call(
+        &mut self,
+        req: &Request<'_>,
+        out: &mut Vec<(u32, OnlineVerdict)>,
+    ) -> Result<Reply, WorkerFault> {
         self.buf.clear();
         req.encode(&mut self.buf);
-        let frame = std::mem::take(&mut self.buf);
-        self.stdin.write_all(&frame).map_err(|_| WorkerFault::Io)?;
+        self.stdin
+            .write_all(&self.buf)
+            .map_err(|_| WorkerFault::Io)?;
         self.stdin.flush().map_err(|_| WorkerFault::Io)?;
-        self.buf = frame;
         let mut header = [0u8; 4];
         self.stdout
             .read_exact(&mut header)
@@ -654,132 +672,53 @@ impl ProcessShard {
         if len == 0 || len > MAX_FRAME {
             return Err(WorkerFault::Protocol);
         }
-        let mut body = vec![0u8; len as usize];
+        self.buf.clear();
+        self.buf.resize(len as usize, 0);
         self.stdout
-            .read_exact(&mut body)
+            .read_exact(&mut self.buf)
             .map_err(|_| WorkerFault::Io)?;
-        Reply::parse(body[0], &body[1..]).map_err(|_| WorkerFault::Protocol)
-    }
-
-    fn verdicts_reply(&mut self, req: &Request) -> Result<Vec<(u32, OnlineVerdict)>, WorkerFault> {
-        match self.call(req)? {
-            Reply::Verdicts {
-                verdicts,
-                live,
-                state_bytes,
-            } => {
-                self.live = live.into_iter().collect();
+        let reply = Reply::parse(self.buf[0], &self.buf[1..]).map_err(|_| WorkerFault::Protocol)?;
+        // The one place the cached live set changes.
+        match (req, reply) {
+            (
+                _,
+                Reply::Verdicts {
+                    mut verdicts,
+                    live,
+                    state_bytes,
+                },
+            ) => {
+                out.append(&mut verdicts);
+                self.live = live;
                 self.state_bytes = state_bytes as usize;
-                Ok(verdicts)
+                Ok(Reply::VERDICTS)
             }
-            Reply::Err(_) => Err(WorkerFault::Remote),
-            _ => Err(WorkerFault::Protocol),
-        }
-    }
-
-    /// See [`ShardState::feed`]; verdicts come back in the reply.
-    pub fn feed(
-        &mut self,
-        victim: u32,
-        time: SimTime,
-        frame: &[u8],
-        max_victims: usize,
-    ) -> Result<Vec<(u32, OnlineVerdict)>, WorkerFault> {
-        self.verdicts_reply(&Request::Feed {
-            time,
-            victim,
-            max_victims: max_victims as u32,
-            frame: frame.to_vec(),
-        })
-    }
-
-    /// See [`ShardState::evict_idle`].
-    pub fn evict_idle(
-        &mut self,
-        now: SimTime,
-        idle: Duration,
-    ) -> Result<Vec<(u32, OnlineVerdict)>, WorkerFault> {
-        self.verdicts_reply(&Request::EvictIdle { now, idle })
-    }
-
-    /// See [`ShardState::finish_all`].
-    pub fn finish_all(&mut self) -> Result<Vec<(u32, OnlineVerdict)>, WorkerFault> {
-        self.verdicts_reply(&Request::FinishAll)
-    }
-
-    /// See [`ShardState::checkpoint`].
-    pub fn checkpoint(&mut self, taken: SimTime) -> Result<Vec<u8>, WorkerFault> {
-        match self.call(&Request::Checkpoint { taken })? {
-            Reply::Blob(blob) => Ok(blob),
-            Reply::Err(_) => Err(WorkerFault::Remote),
-            _ => Err(WorkerFault::Protocol),
-        }
-    }
-
-    /// Replace the worker's state from a checkpoint blob. Blob-level
-    /// rejections come back typed and attributed to `slot`; transport
-    /// failures surface as [`ShardRestoreErrorKind::Worker`].
-    pub fn restore(&mut self, slot: u32, blob: &[u8]) -> Result<(), ShardRestoreError> {
-        use wm_online::CheckpointError;
-        let worker = |w: WorkerFault| ShardRestoreError {
-            shard: slot,
-            kind: ShardRestoreErrorKind::Worker(w),
-        };
-        match self
-            .call(&Request::Restore(blob.to_vec()))
-            .map_err(worker)?
-        {
-            Reply::Ok => {
-                // Seed the parent-side live cache from the blob we just
-                // handed over, so loss accounting after a post-restore
-                // crash knows which victims were resident.
-                let env = parse_envelope(slot, blob)?;
-                self.live = env.records.iter().map(|r| r.victim).collect();
-                Ok(())
+            (Request::Init { .. }, Reply::Ok) => {
+                self.live.clear();
+                self.state_bytes = 0;
+                Ok(Reply::Ok)
             }
-            Reply::Err(RemoteError::Envelope) => Err(ShardRestoreError {
-                shard: slot,
-                kind: ShardRestoreErrorKind::Envelope(CheckpointError::Malformed("remote")),
-            }),
-            Reply::Err(RemoteError::Victim(v)) => Err(ShardRestoreError {
-                shard: slot,
-                kind: ShardRestoreErrorKind::Victim(v, CheckpointError::Malformed("remote")),
-            }),
-            Reply::Err(RemoteError::Internal) => Err(worker(WorkerFault::Remote)),
-            _ => Err(worker(WorkerFault::Protocol)),
-        }
-    }
-
-    /// See [`ShardState::drain_victims`].
-    pub fn drain_victims(
-        &mut self,
-        victims: &[u32],
-    ) -> Result<Vec<(u32, SimTime, Vec<u8>)>, WorkerFault> {
-        match self.call(&Request::Drain(victims.to_vec()))? {
-            Reply::Drained(entries) => {
-                for v in victims {
-                    self.live.remove(v);
+            // The restored victims are the blob's, which the worker
+            // just accepted.
+            (Request::Restore(blob), Reply::Ok) => {
+                let blob = Blob::parse(blob).map_err(|_| WorkerFault::Protocol)?;
+                self.live = blob.records.iter().map(|r| r.victim).collect();
+                Ok(Reply::Ok)
+            }
+            (Request::Adopt(record), Reply::Ok) => {
+                let victim = one_record(record)
+                    .map_err(|_| WorkerFault::Protocol)?
+                    .victim;
+                if let Err(i) = self.live.binary_search(&victim) {
+                    self.live.insert(i, victim);
                 }
-                Ok(entries)
+                Ok(Reply::Ok)
             }
-            Reply::Err(_) => Err(WorkerFault::Remote),
-            _ => Err(WorkerFault::Protocol),
-        }
-    }
-
-    /// See [`ShardState::adopt_victim`]: `record` is `victim`'s framed
-    /// record. `Ok(true)` means adopted; `Ok(false)` means the worker
-    /// rejected the record (the victim will start cold) — the
-    /// transport is fine either way.
-    pub fn adopt(&mut self, victim: u32, record: &[u8]) -> Result<bool, WorkerFault> {
-        match self.call(&Request::Adopt(record.to_vec()))? {
-            Reply::Ok => {
-                self.live.insert(victim);
-                Ok(true)
+            (Request::Drain(victims), Reply::Drained(entries)) => {
+                self.live.retain(|v| !victims.contains(v));
+                Ok(Reply::Drained(entries))
             }
-            Reply::Err(RemoteError::Victim(_)) => Ok(false),
-            Reply::Err(_) => Err(WorkerFault::Remote),
-            _ => Err(WorkerFault::Protocol),
+            (_, reply) => Ok(reply),
         }
     }
 
@@ -798,109 +737,97 @@ impl Drop for ProcessShard {
 }
 
 // ---------------------------------------------------------------------
-// worker side
+// the shard dispatch
 
-struct WorkerState {
-    classifier: IntervalClassifier,
-    graph: Arc<StoryGraph>,
-    cfg: OnlineConfig,
-    state: ShardState,
-}
-
-fn handle(req: Request, worker: &mut Option<WorkerState>) -> Reply {
-    match req {
-        Request::Init {
-            shard,
-            cfg,
-            classifier,
-            graph,
-        } => {
-            *worker = Some(WorkerState {
-                classifier: classifier.clone(),
-                graph: graph.clone(),
-                cfg: cfg.clone(),
-                state: ShardState::new(shard, classifier, graph, cfg),
-            });
-            Reply::Ok
-        }
+/// Apply one request to a shard — the one definition of what every
+/// request does. The in-process backend calls it directly; a worker
+/// process calls it on each parsed frame. `shard` is `None` until
+/// `Init`. Verdicts are appended to `out`, and their reply is
+/// [`Reply::VERDICTS`]: the live set and state bytes stay on the
+/// shard, for whoever needs them to read.
+pub fn handle(
+    req: &Request<'_>,
+    shard: &mut Option<ShardState>,
+    out: &mut Vec<(u32, OnlineVerdict)>,
+) -> Reply {
+    if let Request::Init {
+        shard: id,
+        cfg,
+        classifier,
+        graph,
+    } = req
+    {
+        *shard = Some(ShardState::new(
+            *id,
+            classifier.clone(),
+            graph.clone(),
+            cfg.clone(),
+        ));
+        return Reply::Ok;
+    }
+    let Some(state) = shard.as_mut() else {
+        return match req {
+            Request::Shutdown => Reply::Ok,
+            _ => Reply::Err(RemoteError::Internal),
+        };
+    };
+    match *req {
+        Request::Init { .. } => unreachable!("handled above"),
         Request::Shutdown => Reply::Ok,
-        other => {
-            let Some(w) = worker.as_mut() else {
-                return Reply::Err(RemoteError::Internal);
-            };
-            match other {
-                Request::Restore(blob) => match ShardState::restore(
-                    w.state.shard(),
-                    &blob,
-                    w.classifier.clone(),
-                    w.graph.clone(),
-                    w.cfg.clone(),
-                ) {
-                    Ok(state) => {
-                        w.state = state;
-                        Reply::Ok
-                    }
-                    Err(e) => Reply::Err(match e.kind {
-                        ShardRestoreErrorKind::Envelope(_) => RemoteError::Envelope,
-                        ShardRestoreErrorKind::Victim(v, _) => RemoteError::Victim(v),
-                        ShardRestoreErrorKind::Worker(_) => RemoteError::Internal,
-                    }),
-                },
-                Request::Feed {
-                    time,
-                    victim,
-                    max_victims,
-                    frame,
-                } => {
-                    let mut out = Vec::new();
-                    w.state
-                        .feed(victim, time, &frame, max_victims as usize, &mut out);
-                    verdicts_of(&w.state, out)
-                }
-                Request::EvictIdle { now, idle } => {
-                    let mut out = Vec::new();
-                    w.state.evict_idle(now, idle, &mut out);
-                    verdicts_of(&w.state, out)
-                }
-                Request::FinishAll => {
-                    let mut out = Vec::new();
-                    w.state.finish_all(&mut out);
-                    verdicts_of(&w.state, out)
-                }
-                Request::Checkpoint { taken } => Reply::Blob(w.state.checkpoint(taken)),
-                Request::Drain(victims) => Reply::Drained(w.state.drain_victims(&victims)),
-                Request::Adopt(record) => match one_record(&record) {
-                    Ok(rec) => match w.state.adopt_victim(&rec) {
-                        Ok(()) => Reply::Ok,
-                        Err(_) => Reply::Err(RemoteError::Victim(rec.victim)),
-                    },
-                    Err(_) => Reply::Err(RemoteError::Internal),
-                },
-                Request::Init { .. } | Request::Shutdown => unreachable!("handled above"),
-            }
+        Request::Restore(blob) => match state.reload(state.shard(), blob) {
+            Ok(()) => Reply::Ok,
+            Err(e) => Reply::Err(match e.kind {
+                ShardRestoreErrorKind::Envelope(_) => RemoteError::Envelope,
+                ShardRestoreErrorKind::Victim(v, _) => RemoteError::Victim(v),
+                ShardRestoreErrorKind::Worker(_) => RemoteError::Internal,
+            }),
+        },
+        Request::Feed {
+            time,
+            victim,
+            max_victims,
+            frame,
+        } => {
+            state.feed(victim, time, frame, max_victims as usize, out);
+            Reply::VERDICTS
         }
+        Request::EvictIdle { now, idle } => {
+            state.evict_idle(now, idle, out);
+            Reply::VERDICTS
+        }
+        Request::FinishAll => {
+            state.finish_all(out);
+            Reply::VERDICTS
+        }
+        Request::Checkpoint { taken } => Reply::Blob(state.checkpoint(taken)),
+        Request::Drain(ref victims) => Reply::Drained(state.drain_victims(victims)),
+        Request::Adopt(record) => match one_record(record) {
+            Ok(rec) => match state.adopt_victim(&rec) {
+                Ok(()) => Reply::Ok,
+                Err(_) => Reply::Err(RemoteError::Victim(rec.victim)),
+            },
+            Err(_) => Reply::Err(RemoteError::Internal),
+        },
     }
 }
 
-fn verdicts_of(state: &ShardState, verdicts: Vec<(u32, OnlineVerdict)>) -> Reply {
-    Reply::Verdicts {
-        verdicts,
-        live: state.live_victims().collect(),
-        state_bytes: state.state_bytes() as u64,
-    }
-}
+// ---------------------------------------------------------------------
+// worker side
 
 /// The shard-worker process body: serve protocol frames on
 /// stdin/stdout until EOF (clean supervisor exit), `Shutdown`, or a
 /// protocol violation (reply `Err`, exit nonzero — the supervisor
-/// respawns). Returns the process exit code.
+/// respawns). Each frame goes through [`handle`]; a `Verdicts` reply
+/// is encoded with the shard's live set and state bytes. Returns the
+/// process exit code.
 pub fn shard_worker_main() -> i32 {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut input = stdin.lock();
     let mut output = stdout.lock();
-    let mut worker: Option<WorkerState> = None;
-    let mut out = Vec::new();
+    let mut shard: Option<ShardState> = None;
+    let (mut body, mut frame) = (Vec::new(), Vec::new());
+    let (mut verdicts, mut live) = (Vec::new(), Vec::new());
     loop {
         let mut header = [0u8; 4];
         match input.read_exact(&mut header) {
@@ -912,7 +839,8 @@ pub fn shard_worker_main() -> i32 {
         if len == 0 || len > MAX_FRAME {
             return reply_and_exit(&mut output, Reply::Err(RemoteError::Internal));
         }
-        let mut body = vec![0u8; len as usize];
+        body.clear();
+        body.resize(len as usize, 0);
         if input.read_exact(&mut body).is_err() {
             return 1;
         }
@@ -921,10 +849,18 @@ pub fn shard_worker_main() -> i32 {
             Err(_) => return reply_and_exit(&mut output, Reply::Err(RemoteError::Internal)),
         };
         let shutdown = matches!(req, Request::Shutdown);
-        let reply = handle(req, &mut worker);
-        out.clear();
-        reply.encode(&mut out);
-        if output.write_all(&out).is_err() || output.flush().is_err() {
+        frame.clear();
+        match (handle(&req, &mut shard, &mut verdicts), &shard) {
+            (Reply::Verdicts { .. }, Some(state)) => {
+                live.clear();
+                live.extend(state.live_victims());
+                let state_bytes = state.state_bytes() as u64;
+                encode_verdicts(&mut verdicts, &mut live, state_bytes, &mut frame);
+                verdicts.clear();
+            }
+            (reply, _) => reply.encode(&mut frame),
+        }
+        if output.write_all(&frame).is_err() || output.flush().is_err() {
             return 1;
         }
         if shutdown {
@@ -979,7 +915,7 @@ mod tests {
                 time: SimTime(123_456),
                 victim: 7,
                 max_victims: 64,
-                frame: vec![0xde, 0xad],
+                frame: &[0xde, 0xad],
             },
             Request::Checkpoint {
                 taken: SimTime(999),

@@ -353,24 +353,43 @@ impl ShardState {
         graph: Arc<StoryGraph>,
         cfg: OnlineConfig,
     ) -> Result<Self, ShardRestoreError> {
+        let mut state = ShardState::new(slot, classifier, graph, cfg);
+        state.reload(slot, bytes)?;
+        Ok(state)
+    }
+
+    /// Replace this shard's victims with a blob's, rebuilding them on
+    /// this shard's own graph and keeping its classifier, config and
+    /// telemetry registry; the shard takes the blob's shard id. Errors
+    /// are attributed to `slot`, and leave the shard as it was.
+    pub fn reload(&mut self, slot: u32, bytes: &[u8]) -> Result<(), ShardRestoreError> {
         let envelope = parse_envelope(slot, bytes)?;
         let header = &envelope.header;
-        let mut state = ShardState::new(header.shard, classifier, graph, cfg);
-        if header.graph_fp != state.graph_fp {
+        if header.graph_fp != self.graph_fp {
             return Err(ShardRestoreError {
                 shard: slot,
                 kind: ShardRestoreErrorKind::Envelope(CheckpointError::GraphMismatch),
             });
         }
+        let mut decoders = Vec::with_capacity(envelope.records.len());
         for rec in &envelope.records {
-            let dec = restore_record(rec, &header.classifier, &header.cfg, state.graph.clone())
+            let mut dec = restore_record(rec, &header.classifier, &header.cfg, self.graph.clone())
                 .map_err(|e| ShardRestoreError {
                     shard: slot,
                     kind: ShardRestoreErrorKind::Victim(rec.victim, e),
                 })?;
-            state.install(rec.victim, rec.seen, dec);
+            if let Some(reg) = &self.registry {
+                dec.attach_telemetry(reg);
+            }
+            decoders.push((rec.victim, rec.seen, dec));
         }
-        Ok(state)
+        self.shard = header.shard;
+        self.ids.clear();
+        self.residents.clear();
+        for (victim, seen, dec) in decoders {
+            self.install(victim, seen, dec);
+        }
+        Ok(())
     }
 
     // -- live resharding ----------------------------------------------

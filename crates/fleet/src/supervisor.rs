@@ -22,11 +22,16 @@
 //!
 //! Shards run in-process by default ([`ShardBackend::InProcess`]).
 //! With [`ShardBackend::Process`] each shard lives in a child OS
-//! process behind the [`crate::process`] protocol: a crashed child
-//! (real `kill -9`, or the chaos plan's `ProcessAbort`) surfaces as a
-//! [`WorkerFault`] on the next exchange and is absorbed exactly like a
-//! kill fault — loss window opened at the last checkpoint, respawn
-//! with backoff, supervisor never exits.
+//! process. Either way the supervisor drives a shard with one
+//! [`crate::process::Request`] at a time through `ShardRunner::call`,
+//! and [`crate::process::handle`] applies it: directly in process, or
+//! inside the child after the request crosses the pipe as a frame. A
+//! runner is built the same way on both backends — spawn (or start
+//! empty) and `Init`, plus `Restore` when it resumes from a blob. A
+//! crashed child (real `kill -9`, or the chaos plan's `ProcessAbort`)
+//! surfaces as a [`WorkerFault`] on the next exchange and is absorbed
+//! exactly like a kill fault — loss window opened at the last
+//! checkpoint, respawn with backoff, supervisor never exits.
 //!
 //! # Loss accounting
 //!
@@ -44,20 +49,22 @@
 //! reported window.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{corrupt_blob, tear_blob, ShardFault, ShardFaultKind, ShardFaultPlan};
 use wm_core::IntervalClassifier;
 use wm_obs::{FleetStatus, SeriesPoint, SeriesRing, ShardVitals, SloThresholds, Watchdog};
-use wm_online::{graph_fingerprint, BlobHeader, BlobWriter, OnlineVerdict, RecordRef};
+use wm_online::{
+    graph_fingerprint, BlobHeader, BlobWriter, CheckpointError, OnlineVerdict, RecordRef,
+};
 use wm_story::StoryGraph;
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{DeltaTracker, Registry, Snapshot};
 
 use crate::dedup::VerdictDedup;
-use crate::process::{resolve_worker, ProcessShard};
+use crate::process::{handle, resolve_worker, ProcessShard, RemoteError, Reply, Request};
 use crate::resize::{MigrationWindow, ResizeSchedule, ResizeStep};
 use crate::ring::HashRing;
 use crate::shard::{
@@ -212,25 +219,55 @@ struct Observer {
 
 /// Where one slot's decoders actually live: in this address space, or
 /// behind a child process speaking the [`crate::process`] protocol.
-/// Every in-process operation is infallible; every process operation
-/// can surface a [`WorkerFault`], which the supervisor absorbs as a
-/// crash.
+/// Either way the supervisor drives the slot through one
+/// [`ShardRunner::call`], and [`handle`] applies the request to the
+/// shard's state — here directly, there inside the worker. Only the
+/// process arm can fail, with a [`WorkerFault`] the supervisor absorbs
+/// as a crash.
 enum ShardRunner {
-    InProcess(ShardState),
+    /// `None` until `Init`, like a worker's shard.
+    InProcess(Option<ShardState>),
     Process(ProcessShard),
 }
 
 impl ShardRunner {
+    /// An empty runner on the configured backend: a fresh in-process
+    /// slot, or a spawned worker. It holds no shard until `Init`.
+    fn spawn(worker: Option<&Path>) -> Result<Self, WorkerFault> {
+        Ok(match worker {
+            None => ShardRunner::InProcess(None),
+            Some(path) => ShardRunner::Process(ProcessShard::spawn(path)?),
+        })
+    }
+
+    /// Apply one request: [`handle`] in process; encode, pipe and
+    /// parse for a worker. Verdicts are appended to `out`. A worker's
+    /// untyped `Err` reply is a [`WorkerFault::Remote`].
+    fn call(
+        &mut self,
+        req: &Request<'_>,
+        out: &mut Vec<(u32, OnlineVerdict)>,
+    ) -> Result<Reply, WorkerFault> {
+        let reply = match self {
+            ShardRunner::InProcess(state) => handle(req, state, out),
+            ShardRunner::Process(p) => p.call(req, out)?,
+        };
+        match reply {
+            Reply::Err(RemoteError::Internal) => Err(WorkerFault::Remote),
+            reply => Ok(reply),
+        }
+    }
+
     fn set_registry(&mut self, registry: Arc<Registry>) {
         // Process workers keep decoder metrics child-side; the
         // observer still sees supervisor-level vitals for them.
-        if let ShardRunner::InProcess(state) = self {
+        if let ShardRunner::InProcess(Some(state)) = self {
             state.set_registry(registry);
         }
     }
 
     fn flush_telemetry(&mut self) {
-        if let ShardRunner::InProcess(state) = self {
+        if let ShardRunner::InProcess(Some(state)) = self {
             state.flush_telemetry();
         }
     }
@@ -240,79 +277,22 @@ impl ShardRunner {
     /// needs).
     fn live_victims(&self) -> Vec<u32> {
         match self {
-            ShardRunner::InProcess(s) => s.live_victims().collect(),
+            ShardRunner::InProcess(s) => s.iter().flat_map(ShardState::live_victims).collect(),
             ShardRunner::Process(p) => p.live_victims().collect(),
+        }
+    }
+
+    fn live_victim_count(&self) -> usize {
+        match self {
+            ShardRunner::InProcess(s) => s.as_ref().map_or(0, ShardState::live_victim_count),
+            ShardRunner::Process(p) => p.live_victim_count(),
         }
     }
 
     fn state_bytes(&self) -> usize {
         match self {
-            ShardRunner::InProcess(s) => s.state_bytes(),
+            ShardRunner::InProcess(s) => s.as_ref().map_or(0, ShardState::state_bytes),
             ShardRunner::Process(p) => p.state_bytes(),
-        }
-    }
-
-    fn feed(
-        &mut self,
-        victim: u32,
-        time: SimTime,
-        frame: &[u8],
-        max_victims: usize,
-        out: &mut Vec<(u32, OnlineVerdict)>,
-    ) -> Result<(), WorkerFault> {
-        match self {
-            ShardRunner::InProcess(s) => {
-                s.feed(victim, time, frame, max_victims, out);
-                Ok(())
-            }
-            ShardRunner::Process(p) => {
-                out.extend(p.feed(victim, time, frame, max_victims)?);
-                Ok(())
-            }
-        }
-    }
-
-    fn evict_idle(
-        &mut self,
-        now: SimTime,
-        idle: Duration,
-        out: &mut Vec<(u32, OnlineVerdict)>,
-    ) -> Result<u64, WorkerFault> {
-        match self {
-            ShardRunner::InProcess(s) => Ok(s.evict_idle(now, idle, out).len() as u64),
-            ShardRunner::Process(p) => {
-                let before = p.live_victim_count();
-                out.extend(p.evict_idle(now, idle)?);
-                Ok(before.saturating_sub(p.live_victim_count()) as u64)
-            }
-        }
-    }
-
-    fn finish_all(&mut self, out: &mut Vec<(u32, OnlineVerdict)>) -> Result<u64, WorkerFault> {
-        match self {
-            ShardRunner::InProcess(s) => Ok(s.finish_all(out).len() as u64),
-            ShardRunner::Process(p) => {
-                let before = p.live_victim_count();
-                out.extend(p.finish_all()?);
-                Ok(before.saturating_sub(p.live_victim_count()) as u64)
-            }
-        }
-    }
-
-    fn checkpoint(&mut self, taken: SimTime) -> Result<Vec<u8>, WorkerFault> {
-        match self {
-            ShardRunner::InProcess(s) => Ok(s.checkpoint(taken)),
-            ShardRunner::Process(p) => p.checkpoint(taken),
-        }
-    }
-
-    fn drain_victims(
-        &mut self,
-        victims: &[u32],
-    ) -> Result<Vec<(u32, SimTime, Vec<u8>)>, WorkerFault> {
-        match self {
-            ShardRunner::InProcess(s) => Ok(s.drain_victims(victims)),
-            ShardRunner::Process(p) => p.drain_victims(victims),
         }
     }
 
@@ -322,6 +302,28 @@ impl ShardRunner {
         if let ShardRunner::Process(p) = self {
             p.kill();
         }
+    }
+}
+
+/// The worker fault a reply of the wrong kind stands for.
+fn unexpected(reply: Reply) -> WorkerFault {
+    match reply {
+        Reply::Err(_) => WorkerFault::Remote,
+        _ => WorkerFault::Protocol,
+    }
+}
+
+/// Victims a verdict-producing request took off `runner`, or the fault
+/// that ended the exchange.
+fn evicted(
+    runner: &mut ShardRunner,
+    req: &Request<'_>,
+    out: &mut Vec<(u32, OnlineVerdict)>,
+) -> Result<u64, WorkerFault> {
+    let before = runner.live_victim_count();
+    match runner.call(req, out)? {
+        Reply::Verdicts { .. } => Ok(before.saturating_sub(runner.live_victim_count()) as u64),
+        other => Err(unexpected(other)),
     }
 }
 
@@ -483,24 +485,8 @@ impl Fleet {
         };
         let ring = HashRing::new(cfg.ring_seed, cfg.shards, cfg.vnodes_per_shard);
         let first = SimTime(cfg.checkpoint_every.micros());
-        let mut slots = Vec::with_capacity(cfg.shards);
-        for k in 0..cfg.shards {
-            let mut slot = ShardSlot::new(first);
-            slot.state = Some(match &worker {
-                None => ShardRunner::InProcess(ShardState::new(
-                    k as u32,
-                    classifier.clone(),
-                    graph.clone(),
-                    cfg.decode.clone(),
-                )),
-                Some(path) => ShardRunner::Process(
-                    ProcessShard::spawn(path, k as u32, &classifier, &graph, &cfg.decode)
-                        .map_err(|_| FleetConfigError::Worker)?,
-                ),
-            });
-            slots.push(slot);
-        }
-        Ok(Fleet {
+        let slots = (0..cfg.shards).map(|_| ShardSlot::new(first)).collect();
+        let mut fleet = Fleet {
             cfg,
             classifier,
             graph_fp: graph_fingerprint(&graph),
@@ -525,7 +511,12 @@ impl Fleet {
             observer: None,
             scratch: Vec::new(),
             worker,
-        })
+        };
+        for k in 0..fleet.slots.len() {
+            let runner = fleet.cold_runner(k).map_err(|_| FleetConfigError::Worker)?;
+            fleet.slots[k].state = Some(runner);
+        }
+        Ok(fleet)
     }
 
     /// Arm a fault plan. Must be called before the first packet.
@@ -686,7 +677,7 @@ impl Fleet {
             }
             let mut out = Vec::new();
             let finished = match self.slots[k].state.as_mut() {
-                Some(state) => state.finish_all(&mut out),
+                Some(runner) => evicted(runner, &Request::FinishAll, &mut out),
                 None => Ok(0),
             };
             let evicted = match finished {
@@ -700,7 +691,7 @@ impl Fleet {
                     self.absorb_worker_fault(k, fault);
                     self.restore_shards(&[k]);
                     match self.slots[k].state.as_mut() {
-                        Some(state) => state.finish_all(&mut out).unwrap_or(0),
+                        Some(runner) => evicted(runner, &Request::FinishAll, &mut out).unwrap_or(0),
                         None => 0,
                     }
                 }
@@ -765,10 +756,19 @@ impl Fleet {
     }
 
     fn feed_shard(&mut self, shard: usize, time: SimTime, victim: u32, frame: &[u8]) {
-        let max_victims = self.cfg.max_victims_per_shard;
+        let req = Request::Feed {
+            time,
+            victim,
+            max_victims: self.cfg.max_victims_per_shard as u32,
+            frame,
+        };
         let mut out = std::mem::take(&mut self.scratch);
         let result = match self.slots[shard].state.as_mut() {
-            Some(state) => state.feed(victim, time, frame, max_victims, &mut out),
+            Some(runner) => match runner.call(&req, &mut out) {
+                Ok(Reply::Verdicts { .. }) => Ok(()),
+                Ok(other) => Err(unexpected(other)),
+                Err(fault) => Err(fault),
+            },
             None => Ok(()),
         };
         self.emit(&out);
@@ -968,53 +968,43 @@ impl Fleet {
         self.restore_shards(&due);
     }
 
-    /// A fresh, empty runner for slot `k` (cold start / grown shard).
+    /// A fresh, empty runner for slot `k` (cold start / grown shard):
+    /// spawn, then `Init`.
     fn cold_runner(&self, k: usize) -> Result<ShardRunner, WorkerFault> {
-        match &self.worker {
-            None => Ok(ShardRunner::InProcess(ShardState::new(
-                k as u32,
-                self.classifier.clone(),
-                self.graph.clone(),
-                self.cfg.decode.clone(),
-            ))),
-            Some(path) => Ok(ShardRunner::Process(ProcessShard::spawn(
-                path,
-                k as u32,
-                &self.classifier,
-                &self.graph,
-                &self.cfg.decode,
-            )?)),
+        let mut runner = ShardRunner::spawn(self.worker.as_deref())?;
+        let init = Request::Init {
+            shard: k as u32,
+            cfg: self.cfg.decode.clone(),
+            classifier: self.classifier.clone(),
+            graph: self.graph.clone(),
+        };
+        match runner.call(&init, &mut Vec::new())? {
+            Reply::Ok => Ok(runner),
+            other => Err(unexpected(other)),
         }
     }
 
-    /// Restore slot `k` from a checkpoint blob on the configured
-    /// backend (in-process resume, or spawn-a-child-and-Restore).
+    /// Restore slot `k` from a checkpoint blob: a cold runner, then
+    /// `Restore`.
     fn restore_runner(&self, k: usize, blob: &[u8]) -> Result<ShardRunner, ShardRestoreError> {
-        match &self.worker {
-            None => ShardState::restore(
-                k as u32,
-                blob,
-                self.classifier.clone(),
-                self.graph.clone(),
-                self.cfg.decode.clone(),
-            )
-            .map(ShardRunner::InProcess),
-            Some(path) => {
-                let worker_err = |w: WorkerFault| ShardRestoreError {
-                    shard: k as u32,
-                    kind: ShardRestoreErrorKind::Worker(w),
-                };
-                let mut p = ProcessShard::spawn(
-                    path,
-                    k as u32,
-                    &self.classifier,
-                    &self.graph,
-                    &self.cfg.decode,
-                )
-                .map_err(worker_err)?;
-                p.restore(k as u32, blob)?;
-                Ok(ShardRunner::Process(p))
+        let fail = |kind| ShardRestoreError {
+            shard: k as u32,
+            kind,
+        };
+        let worker = |w| fail(ShardRestoreErrorKind::Worker(w));
+        // A rejection crosses the protocol as its kind alone.
+        let rejected = CheckpointError::Malformed("restore");
+        let mut runner = self.cold_runner(k).map_err(worker)?;
+        match runner.call(&Request::Restore(blob), &mut Vec::new()) {
+            Ok(Reply::Ok) => Ok(runner),
+            Ok(Reply::Err(RemoteError::Envelope)) => {
+                Err(fail(ShardRestoreErrorKind::Envelope(rejected)))
             }
+            Ok(Reply::Err(RemoteError::Victim(v))) => {
+                Err(fail(ShardRestoreErrorKind::Victim(v, rejected)))
+            }
+            Ok(other) => Err(worker(unexpected(other))),
+            Err(w) => Err(worker(w)),
         }
     }
 
@@ -1219,10 +1209,10 @@ impl Fleet {
                         // Buffered event counts belong to the shard
                         // the events happened on.
                         runner.flush_telemetry();
-                        runner.drain_victims(&candidates)
+                        runner.call(&Request::Drain(candidates), &mut Vec::new())
                     };
                     match drained {
-                        Ok(entries) => {
+                        Ok(Reply::Drained(entries)) => {
                             for (victim, seen, record) in entries {
                                 // Any stall-overflow loss this victim
                                 // accrued here ends with the move.
@@ -1239,6 +1229,7 @@ impl Fleet {
                                 });
                             }
                         }
+                        Ok(other) => self.absorb_worker_fault(k, unexpected(other)),
                         Err(fault) => self.absorb_worker_fault(k, fault),
                     }
                 }
@@ -1419,17 +1410,17 @@ impl Fleet {
             offset: 0,
         };
         if let Some(runner) = self.slots[target].state.as_mut() {
-            let result: Result<bool, WorkerFault> = match runner {
-                ShardRunner::InProcess(state) => Ok(state.adopt_victim(&rec).is_ok()),
-                ShardRunner::Process(p) => p.adopt(m.victim, &m.record),
+            // A rejected record leaves the victim to start cold.
+            let fault = match runner.call(&Request::Adopt(&m.record), &mut Vec::new()) {
+                Ok(Reply::Ok) => return true,
+                Ok(Reply::Err(RemoteError::Victim(_))) => return false,
+                Ok(other) => unexpected(other),
+                Err(fault) => fault,
             };
-            match result {
-                Ok(adopted) => return adopted,
-                // The target's child died under the adopt: absorb the
-                // crash and fall through to the dead-target path so
-                // the migrant's state still survives in a blob.
-                Err(fault) => self.absorb_worker_fault(target, fault),
-            }
+            // The target's child died under the adopt: absorb the
+            // crash and fall through to the dead-target path so the
+            // migrant's state still survives in a blob.
+            self.absorb_worker_fault(target, fault);
         }
         // Dead target: splice the migrant's record into the blob(s)
         // its restart will restore from, so the migrated state
@@ -1505,7 +1496,7 @@ impl Fleet {
             let mut out = Vec::new();
             let evicted = {
                 let runner = self.slots[k].state.as_mut().expect("checked live above");
-                runner.evict_idle(now, idle, &mut out)
+                evicted(runner, &Request::EvictIdle { now, idle }, &mut out)
             };
             self.emit(&out);
             let evicted = match evicted {
@@ -1518,9 +1509,11 @@ impl Fleet {
             self.stats.victims_evicted += evicted;
             let ckpt = {
                 let runner = self.slots[k].state.as_mut().expect("checked live above");
-                runner
-                    .checkpoint(now)
-                    .map(|blob| (blob, runner.state_bytes()))
+                match runner.call(&Request::Checkpoint { taken: now }, &mut out) {
+                    Ok(Reply::Blob(blob)) => Ok((blob, runner.state_bytes())),
+                    Ok(other) => Err(unexpected(other)),
+                    Err(fault) => Err(fault),
+                }
             };
             let (blob, state_bytes) = match ckpt {
                 Ok(pair) => pair,

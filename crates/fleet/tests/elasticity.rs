@@ -391,7 +391,10 @@ fn process_backend_matches_in_process_fleet_byte_for_byte() {
     assert_eq!(in_proc.stats.resizes, 2);
     assert!(in_proc.stats.victims_migrated > 0);
     assert_eq!(in_proc.verdicts, proc.verdicts, "faulted verdicts");
-    assert_eq!(in_proc.loss_windows, proc.loss_windows, "faulted loss windows");
+    assert_eq!(
+        in_proc.loss_windows, proc.loss_windows,
+        "faulted loss windows"
+    );
     assert_eq!(in_proc.migrations, proc.migrations, "faulted migrations");
     assert!(proc.stats.process_respawns > 0);
     let mut proc_stats = proc.stats;

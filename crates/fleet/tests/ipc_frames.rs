@@ -38,7 +38,7 @@ fn sample_record(victim: u32) -> Vec<u8> {
     record
 }
 
-fn init(graph: StoryGraph) -> Request {
+fn init(graph: StoryGraph) -> Request<'static> {
     Request::Init {
         shard: 3,
         cfg: OnlineConfig::scaled(20),
@@ -94,14 +94,15 @@ fn payload_of(encode: impl FnOnce(&mut Vec<u8>)) -> (u8, Vec<u8>) {
 
 /// One encoded frame per request/reply shape the protocol can carry.
 fn sample_frames() -> Vec<Vec<u8>> {
+    let record = sample_record(7);
     let requests = vec![
         init(tiny_film()),
-        Request::Restore(vec![0xDE, 0xAD, 0xBE, 0xEF]),
+        Request::Restore(&[0xDE, 0xAD, 0xBE, 0xEF]),
         Request::Feed {
             time: SimTime(1_234_567),
             victim: 42,
             max_victims: 256,
-            frame: vec![0x17; 64],
+            frame: &[0x17; 64],
         },
         Request::Checkpoint {
             taken: SimTime(9_999),
@@ -112,7 +113,7 @@ fn sample_frames() -> Vec<Vec<u8>> {
         },
         Request::FinishAll,
         Request::Drain(vec![1, 2, 3, 40_000]),
-        Request::Adopt(sample_record(7)),
+        Request::Adopt(&record),
         Request::Shutdown,
     ];
     let replies = vec![
