@@ -386,12 +386,9 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// A `Verdicts` reply once its fields are consumed: what [`handle`]
-    /// returns, having appended the verdicts to the caller's buffer,
-    /// and what a [`ProcessShard::call`] leaves after moving them there
-    /// and caching the live set and state bytes. On either backend the
-    /// live set and state bytes are read off the runner, never carried
-    /// in memory.
+    /// A `Verdicts` reply with its fields consumed, as [`handle`] and
+    /// [`ProcessShard::call`] return it: the verdicts are in the
+    /// caller's buffer, the live set and state bytes on the runner.
     pub const VERDICTS: Reply = Reply::Verdicts {
         verdicts: Vec::new(),
         live: Vec::new(),
