@@ -22,14 +22,8 @@ use wm_telemetry::{Counter, Histogram, Registry};
 /// Attack configuration.
 #[derive(Debug, Clone)]
 pub struct WhiteMirrorConfig {
-    /// Band widening applied by the interval classifier.
-    pub slack: u16,
     /// Decoder settings (window, time-awareness, time scale).
     pub decoder: DecoderConfig,
-    /// Hypotheses the path decoder tracks jointly (1 = greedy
-    /// decoding; wider survives corrupted reports without cascading —
-    /// see `crate::decode`).
-    pub beam_width: usize,
 }
 
 impl WhiteMirrorConfig {
@@ -40,21 +34,22 @@ impl WhiteMirrorConfig {
     /// type-2 band — so ±8 widens safely.
     pub const DEFAULT_SLACK: u16 = 8;
 
-    /// Real-time defaults: ±8 bytes of band slack, time-aware decoding.
+    /// Hypotheses the path decoder tracks jointly (1 = greedy
+    /// decoding; wider survives corrupted reports without cascading —
+    /// see `crate::decode`).
+    const BEAM_WIDTH: usize = 8;
+
+    /// Real-time defaults: time-aware decoding at scale 1.
     pub fn realtime() -> Self {
         WhiteMirrorConfig {
-            slack: Self::DEFAULT_SLACK,
             decoder: DecoderConfig::realtime(),
-            beam_width: 8,
         }
     }
 
     /// Defaults for a session simulated at `time_scale`.
     pub fn scaled(time_scale: u32) -> Self {
         WhiteMirrorConfig {
-            slack: Self::DEFAULT_SLACK,
             decoder: DecoderConfig::scaled(time_scale),
-            beam_width: 8,
         }
     }
 }
@@ -159,7 +154,7 @@ impl WhiteMirror {
     ///
     /// Returns `None` when the training data lacks report examples.
     pub fn train(labels: &[LabeledRecord], cfg: WhiteMirrorConfig) -> Option<Self> {
-        let classifier = IntervalClassifier::train(labels, cfg.slack)?;
+        let classifier = IntervalClassifier::train(labels, WhiteMirrorConfig::DEFAULT_SLACK)?;
         Some(WhiteMirror {
             classifier,
             cfg,
@@ -282,7 +277,7 @@ impl WhiteMirror {
 
     fn run_decoder(&self, features: &ClientFeatures, graph: &StoryGraph) -> Vec<DecodedChoice> {
         let cfg = self.cfg.decoder.clone();
-        ChoiceDecoder::new(&self.classifier, graph, cfg, self.cfg.beam_width)
+        ChoiceDecoder::new(&self.classifier, graph, cfg, WhiteMirrorConfig::BEAM_WIDTH)
             .decode(&features.records)
     }
 

@@ -56,7 +56,7 @@ pub use supervisor::{
 };
 // Health-plane vocabulary, re-exported so fleet consumers don't need a
 // direct wm-obs dependency to read a `fleet_status` report.
-pub use wm_obs::{FleetStatus, HealthState, HealthTransition, ShardVitals, SloThresholds};
+pub use wm_obs::{FleetStatus, HealthState, HealthTransition, ShardVitals};
 
 use wm_capture::time::{Duration, SimTime};
 use wm_online::{IngestLimitsError, OnlineConfig};
@@ -66,14 +66,8 @@ use wm_online::{IngestLimitsError, OnlineConfig};
 pub enum FleetConfigError {
     /// `shards` must be ≥ 1.
     ZeroShards,
-    /// `vnodes_per_shard` must be ≥ 1.
-    ZeroVnodes,
     /// `checkpoint_every` must be a positive sim-time interval.
     ZeroCheckpointCadence,
-    /// `backoff_base`/`backoff_cap` must be positive with base ≤ cap.
-    BadBackoff,
-    /// `stall_queue_packets` must be ≥ 1.
-    ZeroStallQueue,
     /// `max_victims_per_shard` must be ≥ 1.
     ZeroVictims,
     /// The process backend was requested but no shard-worker binary
@@ -88,17 +82,8 @@ impl std::fmt::Display for FleetConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FleetConfigError::ZeroShards => write!(f, "fleet needs at least one shard"),
-            FleetConfigError::ZeroVnodes => {
-                write!(f, "each shard needs at least one ring point")
-            }
             FleetConfigError::ZeroCheckpointCadence => {
                 write!(f, "checkpoint cadence must be a positive sim-time interval")
-            }
-            FleetConfigError::BadBackoff => {
-                write!(f, "restart backoff must satisfy 0 < base <= cap")
-            }
-            FleetConfigError::ZeroStallQueue => {
-                write!(f, "stall queue must hold at least one packet")
             }
             FleetConfigError::ZeroVictims => {
                 write!(f, "each shard must admit at least one victim")
@@ -141,19 +126,8 @@ pub enum ShardBackend {
 pub struct FleetConfig {
     /// Number of decoder shards.
     pub shards: usize,
-    /// Seed for the consistent-hash ring and derived damage seeds.
-    pub ring_seed: u64,
-    /// Virtual nodes per shard on the ring.
-    pub vnodes_per_shard: usize,
     /// Per-shard checkpoint cadence.
     pub checkpoint_every: Duration,
-    /// Restart backoff: first retry after `backoff_base`, doubling per
-    /// consecutive kill, capped at `backoff_cap`. Reset when the shard
-    /// survives to a checkpoint.
-    pub backoff_base: Duration,
-    pub backoff_cap: Duration,
-    /// Packets a stalled shard may queue before dropping.
-    pub stall_queue_packets: usize,
     /// Evict a victim idle for longer than this (checked at
     /// checkpoint boundaries).
     pub victim_idle: Duration,
@@ -174,12 +148,7 @@ impl FleetConfig {
         let ts = time_scale.max(1) as f64;
         FleetConfig {
             shards,
-            ring_seed: 0xF1EE7,
-            vnodes_per_shard: 16,
             checkpoint_every: Duration::from_secs_f64(30.0 / ts),
-            backoff_base: Duration::from_secs_f64(2.0 / ts),
-            backoff_cap: Duration::from_secs_f64(60.0 / ts),
-            stall_queue_packets: 4096,
             victim_idle: Duration::from_secs_f64(600.0 / ts),
             max_victims_per_shard: 64,
             backend: ShardBackend::InProcess,
@@ -191,18 +160,8 @@ impl FleetConfig {
         if self.shards == 0 {
             return Err(FleetConfigError::ZeroShards);
         }
-        if self.vnodes_per_shard == 0 {
-            return Err(FleetConfigError::ZeroVnodes);
-        }
         if self.checkpoint_every.micros() == 0 {
             return Err(FleetConfigError::ZeroCheckpointCadence);
-        }
-        if self.backoff_base.micros() == 0 || self.backoff_cap.micros() < self.backoff_base.micros()
-        {
-            return Err(FleetConfigError::BadBackoff);
-        }
-        if self.stall_queue_packets == 0 {
-            return Err(FleetConfigError::ZeroStallQueue);
         }
         if self.max_victims_per_shard == 0 {
             return Err(FleetConfigError::ZeroVictims);
@@ -250,18 +209,8 @@ mod tests {
         c.shards = 0;
         assert_eq!(c.validate(), Err(FleetConfigError::ZeroShards));
         let mut c = good.clone();
-        c.vnodes_per_shard = 0;
-        assert_eq!(c.validate(), Err(FleetConfigError::ZeroVnodes));
-        let mut c = good.clone();
         c.checkpoint_every = Duration::ZERO;
         assert_eq!(c.validate(), Err(FleetConfigError::ZeroCheckpointCadence));
-        let mut c = good.clone();
-        c.backoff_cap = Duration::from_micros(1);
-        c.backoff_base = Duration::from_micros(2);
-        assert_eq!(c.validate(), Err(FleetConfigError::BadBackoff));
-        let mut c = good.clone();
-        c.stall_queue_packets = 0;
-        assert_eq!(c.validate(), Err(FleetConfigError::ZeroStallQueue));
         let mut c = good.clone();
         c.max_victims_per_shard = 0;
         assert_eq!(c.validate(), Err(FleetConfigError::ZeroVictims));

@@ -30,6 +30,11 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Seed of the fleet's demux ring and of its checkpoint-damage seeds.
+pub const RING_SEED: u64 = 0xF1EE7;
+/// Ring points per shard in the fleet's demux ring.
+pub const VNODES_PER_SHARD: usize = 16;
+
 /// Domain-separated seed for checkpoint-damage injection: the same
 /// FNV folding as the demux keys, scoped by a label so damage seeds
 /// never collide with ring points.

@@ -55,7 +55,7 @@ use std::sync::Arc;
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{corrupt_blob, tear_blob, ShardFault, ShardFaultKind, ShardFaultPlan};
 use wm_core::IntervalClassifier;
-use wm_obs::{FleetStatus, SeriesPoint, SeriesRing, ShardVitals, SloThresholds, Watchdog};
+use wm_obs::{FleetStatus, SeriesPoint, SeriesRing, ShardVitals, Watchdog};
 use wm_online::{
     graph_fingerprint, BlobHeader, BlobWriter, CheckpointError, OnlineVerdict, RecordRef,
 };
@@ -66,7 +66,7 @@ use wm_telemetry::{DeltaTracker, Registry, Snapshot};
 use crate::dedup::VerdictDedup;
 use crate::process::{handle, resolve_worker, ProcessShard, RemoteError, Reply, Request};
 use crate::resize::{MigrationWindow, ResizeSchedule, ResizeStep};
-use crate::ring::HashRing;
+use crate::ring::{damage_seed, HashRing, RING_SEED, VNODES_PER_SHARD};
 use crate::shard::{
     parse_envelope, ShardRestoreError, ShardRestoreErrorKind, ShardState, WorkerFault,
 };
@@ -107,7 +107,9 @@ pub struct FleetStats {
     pub checkpoints_rejected: u64,
     /// Packets dropped while a shard was dead or its stall queue full.
     pub packets_lost: u64,
-    /// Victims evicted for idleness or shard-capacity pressure.
+    /// Victims taken off a shard by `EvictIdle` at a checkpoint
+    /// boundary or by `FinishAll` at the end of input. Victims a full
+    /// shard evicts to admit a new one are not counted.
     pub victims_evicted: u64,
     /// Sim-time between each kill and the matching restore, summed
     /// (µs). Mean recovery latency = this / `restarts`.
@@ -163,29 +165,18 @@ pub struct FleetReport {
     pub obs: Option<ObsReport>,
 }
 
-/// How the observability plane watches a fleet.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// How the observability plane watches a fleet. The watchdog scores
+/// against the SLO constants in `wm_obs::health`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObserverConfig {
     /// Sim-time observation cadence, µs. 0 ⇒ the checkpoint cadence.
     pub cadence_us: u64,
-    /// Time-series points retained (bounded ring).
-    pub series_capacity: usize,
-    /// Health transitions retained in the alert stream.
-    pub transition_capacity: usize,
-    /// SLO thresholds for the watchdog.
-    pub slo: SloThresholds,
 }
 
-impl Default for ObserverConfig {
-    fn default() -> Self {
-        ObserverConfig {
-            cadence_us: 0,
-            series_capacity: 4_096,
-            transition_capacity: 4_096,
-            slo: SloThresholds::default(),
-        }
-    }
-}
+/// Time-series points the observer retains (bounded ring).
+const SERIES_CAPACITY: usize = 4_096;
+/// Health transitions retained in the alert stream.
+const TRANSITION_CAPACITY: usize = 4_096;
 
 /// What the observer hands back in the final [`FleetReport`].
 #[derive(Debug)]
@@ -392,16 +383,14 @@ impl ShardSlot {
         }
     }
 
-    /// Schedule the next restart attempt one backoff step after `at`:
-    /// `backoff_base`, doubling per consecutive failure, capped at
-    /// `backoff_cap`. Returns the restart time; the caller lowers the
-    /// fleet's `next_due` to it.
-    fn schedule_restart(&mut self, at: SimTime, cfg: &FleetConfig) -> SimTime {
-        let base = cfg.backoff_base.micros().max(1);
-        let cap = cfg.backoff_cap.micros().max(base);
-        let delay = base
+    /// Schedule the next restart attempt one backoff step after `at`.
+    /// Returns the restart time; the caller lowers the fleet's
+    /// `next_due` to it.
+    fn schedule_restart(&mut self, at: SimTime, backoff: Backoff) -> SimTime {
+        let delay = backoff
+            .base_us
             .saturating_mul(1u64 << self.backoff_exp.min(20))
-            .min(cap);
+            .min(backoff.cap_us);
         self.backoff_exp = self.backoff_exp.saturating_add(1);
         let restart = SimTime(at.micros() + delay);
         self.restart_at = Some(restart);
@@ -417,6 +406,41 @@ impl ShardSlot {
             recovery_latency_us: self.recovery_latency_us,
         }
     }
+}
+
+/// Packets a stalled shard may queue before dropping.
+const STALL_QUEUE_PACKETS: usize = 4096;
+
+/// Restart backoff: the first retry after 2 s of content time, doubling
+/// per consecutive kill, capped at 60 s, both at the decoder's time
+/// scale. Reset when the shard survives to a checkpoint.
+#[derive(Debug, Clone, Copy)]
+struct Backoff {
+    base_us: u64,
+    cap_us: u64,
+}
+
+impl Backoff {
+    const BASE_SECS: f64 = 2.0;
+    const CAP_SECS: f64 = 60.0;
+
+    fn scaled(time_scale: u32) -> Self {
+        let ts = time_scale.max(1) as f64;
+        let base_us = Duration::from_secs_f64(Self::BASE_SECS / ts)
+            .micros()
+            .max(1);
+        let cap_us = Duration::from_secs_f64(Self::CAP_SECS / ts)
+            .micros()
+            .max(base_us);
+        Backoff { base_us, cap_us }
+    }
+}
+
+/// The end of a loss window that a restore at `at` rolled back to a
+/// checkpoint: the restored decoder replays the span from the window's
+/// start to the kill, so the window runs that long past `at`.
+fn replay_end(killed_at: SimTime, at: SimTime) -> impl Fn(SimTime) -> SimTime {
+    move |from| SimTime(at.micros() + killed_at.micros().saturating_sub(from.micros()))
 }
 
 /// One victim in flight between shards during a resize step.
@@ -437,6 +461,7 @@ struct Migration {
 /// [`FleetReport`] with [`Fleet::finish`].
 pub struct Fleet {
     cfg: FleetConfig,
+    backoff: Backoff,
     classifier: IntervalClassifier,
     graph: Arc<StoryGraph>,
     graph_fp: u64,
@@ -483,10 +508,11 @@ impl Fleet {
                 Some(resolve_worker(worker.as_deref()).ok_or(FleetConfigError::Worker)?)
             }
         };
-        let ring = HashRing::new(cfg.ring_seed, cfg.shards, cfg.vnodes_per_shard);
+        let ring = HashRing::new(RING_SEED, cfg.shards, VNODES_PER_SHARD);
         let first = SimTime(cfg.checkpoint_every.micros());
         let slots = (0..cfg.shards).map(|_| ShardSlot::new(first)).collect();
         let mut fleet = Fleet {
+            backoff: Backoff::scaled(cfg.decode.time_scale),
             cfg,
             classifier,
             graph_fp: graph_fingerprint(&graph),
@@ -563,8 +589,8 @@ impl Fleet {
             registries,
             trackers: (0..shards).map(|_| DeltaTracker::new()).collect(),
             retired: Vec::new(),
-            series: SeriesRing::new(cfg.series_capacity),
-            watchdog: Watchdog::new(shards, cfg.slo, cfg.transition_capacity),
+            series: SeriesRing::new(SERIES_CAPACITY),
+            watchdog: Watchdog::new(shards, TRANSITION_CAPACITY),
             next_tick: first_tick,
             every,
         });
@@ -664,10 +690,11 @@ impl Fleet {
         // Any shard still dead gets one final restore attempt so the
         // verdicts sealed inside its last good checkpoint are not
         // silently discarded with it.
-        let due: Vec<usize> = (0..self.slots.len())
-            .filter(|&k| self.slots[k].state.is_none() && self.slots[k].restart_at.is_some())
-            .collect();
-        self.restore_shards(&due);
+        for k in 0..self.slots.len() {
+            if self.slots[k].state.is_none() && self.slots[k].restart_at.is_some() {
+                self.restore_shard(k);
+            }
+        }
         for k in 0..self.slots.len() {
             let slot = &mut self.slots[k];
             slot.stalled_until = SimTime::ZERO;
@@ -689,7 +716,7 @@ impl Fleet {
                     self.emit(&out);
                     out.clear();
                     self.absorb_worker_fault(k, fault);
-                    self.restore_shards(&[k]);
+                    self.restore_shard(k);
                     match self.slots[k].state.as_mut() {
                         Some(runner) => evicted(runner, &Request::FinishAll, &mut out).unwrap_or(0),
                         None => 0,
@@ -699,12 +726,7 @@ impl Fleet {
             self.stats.victims_evicted += evicted;
             self.emit(&out);
             let end = self.now;
-            let slot = &mut self.slots[k];
-            let opened: Vec<(u32, SimTime)> =
-                std::mem::take(&mut slot.open_loss).into_iter().collect();
-            for (victim, from) in opened {
-                self.close_loss(k, victim, from, end);
-            }
+            self.close_open_losses(k, |_| end);
         }
         let obs = self.observer_finalize();
         let mut verdicts = std::mem::take(&mut self.verdicts);
@@ -744,7 +766,7 @@ impl Fleet {
             return;
         }
         if self.now.micros() < slot.stalled_until.micros() {
-            if slot.stall_queue.len() < self.cfg.stall_queue_packets {
+            if slot.stall_queue.len() < STALL_QUEUE_PACKETS {
                 slot.stall_queue.push((time, victim, frame.to_vec()));
             } else {
                 slot.open_loss.entry(victim).or_insert(time);
@@ -805,6 +827,14 @@ impl Fleet {
             from,
             to,
         });
+    }
+
+    /// Close every open loss window of slot `k` in ascending victim
+    /// order, each ending at `end(from)`.
+    fn close_open_losses(&mut self, k: usize, end: impl Fn(SimTime) -> SimTime) {
+        for (victim, from) in std::mem::take(&mut self.slots[k].open_loss) {
+            self.close_loss(k, victim, from, end(from));
+        }
     }
 
     // -- fault injection ----------------------------------------------
@@ -868,7 +898,7 @@ impl Fleet {
         }
         drop(state); // a process runner's child is SIGKILLed here
         slot.killed_at = at;
-        let restart = slot.schedule_restart(at, &self.cfg);
+        let restart = slot.schedule_restart(at, self.backoff);
         self.next_due = self.next_due.min(restart.micros());
         slot.stall_queue.clear();
         slot.stalled_until = SimTime::ZERO;
@@ -945,27 +975,19 @@ impl Fleet {
             // Stall-overflow loss ends when the queue drains: the
             // shard is consuming live input again.
             let end = self.now;
-            let opened: Vec<(u32, SimTime)> = std::mem::take(&mut self.slots[k].open_loss)
-                .into_iter()
-                .collect();
-            for (victim, from) in opened {
-                self.close_loss(k, victim, from, end);
-            }
+            self.close_open_losses(k, |_| end);
         }
     }
 
     // -- restart / restore --------------------------------------------
 
     fn apply_due_restarts(&mut self) {
-        let due: Vec<usize> = (0..self.slots.len())
-            .filter(|&k| {
-                self.slots[k].state.is_none()
-                    && self.slots[k]
-                        .restart_at
-                        .is_some_and(|t| t.micros() <= self.now.micros())
-            })
-            .collect();
-        self.restore_shards(&due);
+        for k in 0..self.slots.len() {
+            let slot = &self.slots[k];
+            if slot.state.is_none() && slot.restart_at.is_some_and(|t| t <= self.now) {
+                self.restore_shard(k);
+            }
+        }
     }
 
     /// A fresh, empty runner for slot `k` (cold start / grown shard):
@@ -1008,31 +1030,15 @@ impl Fleet {
         }
     }
 
-    /// Restore the given dead shards from their stored checkpoints:
-    /// rehydrate each latest blob, then settle the outcomes in shard
-    /// order.
-    fn restore_shards(&mut self, due: &[usize]) {
-        let primary: Vec<Option<Result<ShardRunner, ShardRestoreError>>> = due
-            .iter()
-            .map(|&k| {
-                let blob = self.slots[k].latest.as_deref();
-                blob.map(|blob| self.restore_runner(k, blob))
-            })
-            .collect();
-        for (&k, outcome) in due.iter().zip(primary) {
-            self.finish_restore(k, outcome);
-        }
-    }
-
-    fn finish_restore(
-        &mut self,
-        k: usize,
-        primary: Option<Result<ShardRunner, ShardRestoreError>>,
-    ) {
+    /// Restore dead slot `k` from its latest checkpoint, falling back
+    /// to the previous one, else starting cold; then settle the slot's
+    /// stats, loss windows and restart span.
+    fn restore_shard(&mut self, k: usize) {
         let now = self.now;
-        let mut cold = false;
-        let state = match primary {
-            Some(Ok(state)) => Some(state),
+        let latest = self.slots[k].latest.as_deref();
+        let restored = match latest.map(|blob| self.restore_runner(k, blob)) {
+            None => None,
+            Some(Ok(runner)) => Some(runner),
             Some(Err(e)) => {
                 // Latest blob is damaged (the error names this slot:
                 // e.shard == k): count it against the shard, fall back
@@ -1040,31 +1046,19 @@ impl Fleet {
                 debug_assert_eq!(e.shard, k as u32);
                 self.stats.checkpoints_rejected += 1;
                 self.slots[k].restore_failures += 1;
-                let prev = self.slots[k].prev.clone();
-                let fallback = match prev {
-                    Some(blob) => match self.restore_runner(k, &blob) {
-                        Ok(state) => Some(state),
-                        Err(_) => {
-                            self.slots[k].restore_failures += 1;
-                            None
-                        }
-                    },
-                    None => None,
-                };
-                match fallback {
-                    Some(state) => Some(state),
-                    None => {
-                        cold = true;
+                let prev = self.slots[k].prev.as_deref();
+                match prev.map(|blob| self.restore_runner(k, blob)) {
+                    Some(Ok(runner)) => Some(runner),
+                    Some(Err(_)) => {
+                        self.slots[k].restore_failures += 1;
                         None
                     }
+                    None => None,
                 }
             }
-            None => {
-                cold = true;
-                None
-            }
         };
-        let mut state = match state {
+        let cold = restored.is_none();
+        let mut state = match restored {
             Some(state) => state,
             None => match self.cold_runner(k) {
                 Ok(state) => state,
@@ -1074,7 +1068,7 @@ impl Fleet {
                     // backoff step. The restart span stays open.
                     let slot = &mut self.slots[k];
                     slot.restore_failures += 1;
-                    let restart = slot.schedule_restart(now, &self.cfg);
+                    let restart = slot.schedule_restart(now, self.backoff);
                     self.next_due = self.next_due.min(restart.micros());
                     return;
                 }
@@ -1113,14 +1107,7 @@ impl Fleet {
         // (the bounded-loss half of the contract). Extend the window
         // past the restore by that replay span so every such drop is
         // covered by the report.
-        let killed_at = self.slots[k].killed_at;
-        let opened: Vec<(u32, SimTime)> = std::mem::take(&mut self.slots[k].open_loss)
-            .into_iter()
-            .collect();
-        for (victim, from) in opened {
-            let replay = killed_at.micros().saturating_sub(from.micros());
-            self.close_loss(k, victim, from, SimTime(now.micros() + replay));
-        }
+        self.close_open_losses(k, replay_end(self.slots[k].killed_at, now));
         let span = self.slots[k].span;
         if span != SpanId::NONE {
             if let Some((handle, _)) = &self.trace {
@@ -1170,7 +1157,7 @@ impl Fleet {
                 Err(_) => {
                     slot.restore_failures += 1;
                     slot.killed_at = at;
-                    let restart = slot.schedule_restart(at, &self.cfg);
+                    let restart = slot.schedule_restart(at, self.backoff);
                     self.next_due = self.next_due.min(restart.micros());
                 }
             }
@@ -1187,7 +1174,7 @@ impl Fleet {
         // Collect every migration: victims whose new-ring owner is not
         // their current shard (all victims of a removed shard, by
         // construction — the ring no longer has its arcs).
-        let new_ring = HashRing::new(self.cfg.ring_seed, new_count, self.cfg.vnodes_per_shard);
+        let new_ring = HashRing::new(RING_SEED, new_count, VNODES_PER_SHARD);
         let mut moves: Vec<Migration> = Vec::new();
         let mut requeue: Vec<(SimTime, u32, Vec<u8>)> = Vec::new();
         {
@@ -1303,66 +1290,54 @@ impl Fleet {
         owns: &dyn Fn(u32) -> usize,
         moves: &mut Vec<Migration>,
     ) {
-        let mut to_close: Vec<(u32, SimTime, SimTime)> = Vec::new();
-        {
-            let slot = &mut self.slots[k];
-            let killed_at = slot.killed_at;
-            let last_ckpt = slot.last_checkpoint_at;
-            let migrates = |victim: u32| removed || owns(victim) != k;
-            let latest = slot
-                .latest
-                .as_deref()
-                .and_then(|b| parse_envelope(k as u32, b).ok());
-            let prev = slot
-                .prev
-                .as_deref()
-                .and_then(|b| parse_envelope(k as u32, b).ok());
-            // Moves come from the blob the restore path would pick:
-            // latest if parseable, else prev.
-            let mut migrated: Vec<u32> = Vec::new();
-            if let Some(env) = latest.as_ref().or(prev.as_ref()) {
-                for rec in env.records.iter().filter(|r| migrates(r.victim)) {
-                    migrated.push(rec.victim);
-                    let from = slot.open_loss.remove(&rec.victim).unwrap_or(last_ckpt);
-                    let replay = killed_at.micros().saturating_sub(from.micros());
-                    moves.push(Migration {
-                        victim: rec.victim,
-                        from_shard: k as u32,
-                        seen: rec.seen,
-                        record: rec.bytes.to_vec(),
-                        from,
-                        to: SimTime(at.micros() + replay),
-                    });
-                }
-            }
-            // Scrub the migrants out of BOTH stored blobs: after the
-            // ring swap this shard no longer owns them, and restoring
-            // them here would make two shards emit for one victim.
-            if !migrated.is_empty() {
-                let keep = |victim: u32| !migrated.contains(&victim);
-                let latest = latest.map(|env| env.reseal(keep, None));
-                let prev = prev.map(|env| env.reseal(keep, None));
-                if latest.is_some() {
-                    slot.latest = latest;
-                }
-                if prev.is_some() {
-                    slot.prev = prev;
-                }
-            }
-            // A removed dead shard takes any unparseable remainder
-            // with it: close the leftover windows with the kill-style
-            // replay bound, because that state is now gone for good.
-            if removed {
-                let opened: Vec<(u32, SimTime)> =
-                    std::mem::take(&mut slot.open_loss).into_iter().collect();
-                for (victim, from) in opened {
-                    let replay = killed_at.micros().saturating_sub(from.micros());
-                    to_close.push((victim, from, SimTime(at.micros() + replay)));
-                }
+        let roll_back = replay_end(self.slots[k].killed_at, at);
+        let slot = &mut self.slots[k];
+        let last_ckpt = slot.last_checkpoint_at;
+        let migrates = |victim: u32| removed || owns(victim) != k;
+        let latest = slot
+            .latest
+            .as_deref()
+            .and_then(|b| parse_envelope(k as u32, b).ok());
+        let prev = slot
+            .prev
+            .as_deref()
+            .and_then(|b| parse_envelope(k as u32, b).ok());
+        // Moves come from the blob the restore path would pick:
+        // latest if parseable, else prev.
+        let mut migrated: Vec<u32> = Vec::new();
+        if let Some(env) = latest.as_ref().or(prev.as_ref()) {
+            for rec in env.records.iter().filter(|r| migrates(r.victim)) {
+                migrated.push(rec.victim);
+                let from = slot.open_loss.remove(&rec.victim).unwrap_or(last_ckpt);
+                moves.push(Migration {
+                    victim: rec.victim,
+                    from_shard: k as u32,
+                    seen: rec.seen,
+                    record: rec.bytes.to_vec(),
+                    from,
+                    to: roll_back(from),
+                });
             }
         }
-        for (victim, from, to) in to_close {
-            self.close_loss(k, victim, from, to);
+        // Scrub the migrants out of BOTH stored blobs: after the
+        // ring swap this shard no longer owns them, and restoring
+        // them here would make two shards emit for one victim.
+        if !migrated.is_empty() {
+            let keep = |victim: u32| !migrated.contains(&victim);
+            let latest = latest.map(|env| env.reseal(keep, None));
+            let prev = prev.map(|env| env.reseal(keep, None));
+            if latest.is_some() {
+                slot.latest = latest;
+            }
+            if prev.is_some() {
+                slot.prev = prev;
+            }
+        }
+        // A removed dead shard takes any unparseable remainder with it:
+        // close the leftover windows with the kill-style replay bound,
+        // because that state is now gone for good.
+        if removed {
+            self.close_open_losses(k, roll_back);
         }
     }
 
@@ -1651,7 +1626,7 @@ impl Fleet {
 
     fn next_damage_seed(&mut self) -> u64 {
         self.damage_seq += 1;
-        crate::ring::damage_seed(self.cfg.ring_seed, self.damage_seq)
+        damage_seed(RING_SEED, self.damage_seq)
     }
 
     fn trace_instant(&self, at: SimTime, name: &'static str, a: u64, b: u64) {

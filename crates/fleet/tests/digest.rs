@@ -25,6 +25,7 @@ use std::sync::Arc;
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{ShardFaultKind, ShardFaultPlan};
 use wm_core::{IntervalClassifier, WhiteMirrorConfig};
+use wm_fleet::ring::{RING_SEED, VNODES_PER_SHARD};
 use wm_fleet::{
     merge_taps, victim_key, Fleet, FleetConfig, FleetReport, HashRing, ObserverConfig,
     ResizeSchedule, ShardBackend, ShardState, TapPacket,
@@ -139,7 +140,7 @@ fn run_fleet(
 /// and seal a blob.
 fn digest_shards(h: &mut Fnv, stream: &[TapPacket], clf: &IntervalClassifier) {
     let cfg = fleet_cfg(3);
-    let ring = HashRing::new(cfg.ring_seed, cfg.shards, cfg.vnodes_per_shard);
+    let ring = HashRing::new(RING_SEED, cfg.shards, VNODES_PER_SHARD);
     let graph = Arc::new(tiny_film());
     let mut shards: Vec<ShardState> = (0..cfg.shards as u32)
         .map(|k| ShardState::new(k, clf.clone(), graph.clone(), cfg.decode.clone()))
@@ -148,7 +149,7 @@ fn digest_shards(h: &mut Fnv, stream: &[TapPacket], clf: &IntervalClassifier) {
     let mut next = vec![every; shards.len()];
     let mut out = Vec::new();
     for (t, v, frame) in stream {
-        let k = ring.shard_of(victim_key(cfg.ring_seed, *v));
+        let k = ring.shard_of(victim_key(RING_SEED, *v));
         shards[k].feed(*v, *t, frame, cfg.max_victims_per_shard, &mut out);
         for (k, shard) in shards.iter_mut().enumerate() {
             if t.micros() < next[k] {

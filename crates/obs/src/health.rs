@@ -4,7 +4,7 @@
 //! The supervisor samples [`ShardVitals`] on its observation cadence
 //! and feeds them to a [`Watchdog`]. Raw scores degrade *immediately*
 //! (an operator should never learn late that a shard died) but recover
-//! one level at a time only after `recover_ticks` consecutive clean
+//! one level at a time only after `RECOVER_TICKS` consecutive clean
 //! observations, so a shard flapping around a threshold cannot spam
 //! the alert stream. Every state change is a [`HealthTransition`] in
 //! sim time — a deterministic alert stream the supervisor also mirrors
@@ -55,34 +55,20 @@ impl HealthState {
     }
 }
 
-/// Thresholds the raw health score is judged against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SloThresholds {
-    /// Checkpoint age beyond `factor × cadence` counts as stale.
-    pub staleness_factor: u64,
-    /// State-bound utilization (percent) at which a shard degrades.
-    pub util_degraded_pct: u64,
-    /// Utilization at which a shard is critical (about to shed state).
-    pub util_critical_pct: u64,
-    /// Backoff exponent at which a dead shard counts as a restart
-    /// storm (kills faster than it can recover).
-    pub storm_backoff_exp: u32,
-    /// Consecutive clean observations required to step one level
-    /// toward `Healthy` (hysteresis).
-    pub recover_ticks: u32,
-}
+// The SLO the raw health score is judged against.
 
-impl Default for SloThresholds {
-    fn default() -> Self {
-        SloThresholds {
-            staleness_factor: 2,
-            util_degraded_pct: 70,
-            util_critical_pct: 95,
-            storm_backoff_exp: 2,
-            recover_ticks: 2,
-        }
-    }
-}
+/// Checkpoint age beyond `STALENESS_FACTOR × cadence` counts as stale.
+const STALENESS_FACTOR: u64 = 2;
+/// State-bound utilization (percent) at which a shard degrades.
+const UTIL_DEGRADED_PCT: u64 = 70;
+/// Utilization at which a shard is critical (about to shed state).
+const UTIL_CRITICAL_PCT: u64 = 95;
+/// Backoff exponent at which a dead shard counts as a restart storm
+/// (kills faster than it can recover).
+const STORM_BACKOFF_EXP: u32 = 2;
+/// Consecutive clean observations required to step one level toward
+/// `Healthy` (hysteresis).
+const RECOVER_TICKS: u32 = 2;
 
 /// One shard's vital signs at an observation tick. Everything here is
 /// simulation state, so the scored health stream replays per seed.
@@ -130,16 +116,16 @@ impl ShardVitals {
     }
 
     /// Memoryless severity score; the [`Watchdog`] adds hysteresis.
-    pub fn raw_health(&self, slo: &SloThresholds) -> HealthState {
-        if !self.alive || self.util_pct() >= slo.util_critical_pct {
+    pub fn raw_health(&self) -> HealthState {
+        if !self.alive || self.util_pct() >= UTIL_CRITICAL_PCT {
             return HealthState::Critical;
         }
         let stale = self.checkpoint_cadence_us > 0
-            && self.checkpoint_age_us > slo.staleness_factor * self.checkpoint_cadence_us;
+            && self.checkpoint_age_us > STALENESS_FACTOR * self.checkpoint_cadence_us;
         if self.stalled
             || self.open_loss_windows > 0
-            || self.backoff_exp >= slo.storm_backoff_exp
-            || self.util_pct() >= slo.util_degraded_pct
+            || self.backoff_exp >= STORM_BACKOFF_EXP
+            || self.util_pct() >= UTIL_DEGRADED_PCT
             || stale
         {
             return HealthState::Degraded;
@@ -207,7 +193,6 @@ impl FleetStatus {
 /// Hysteresis-scored health tracker for a fixed shard count.
 #[derive(Debug)]
 pub struct Watchdog {
-    slo: SloThresholds,
     states: Vec<HealthState>,
     clean_streak: Vec<u32>,
     transitions: Vec<HealthTransition>,
@@ -217,9 +202,8 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    pub fn new(shards: usize, slo: SloThresholds, transition_capacity: usize) -> Self {
+    pub fn new(shards: usize, transition_capacity: usize) -> Self {
         Watchdog {
-            slo,
             states: vec![HealthState::Healthy; shards],
             clean_streak: vec![0; shards],
             transitions: Vec::new(),
@@ -238,7 +222,7 @@ impl Watchdog {
         self.last_tick_us = t_us;
         let mut fired = Vec::new();
         for (i, v) in vitals.iter().enumerate() {
-            let raw = v.raw_health(&self.slo);
+            let raw = v.raw_health();
             let cur = self.states[i];
             let next = if raw > cur {
                 // Degrade immediately.
@@ -247,7 +231,7 @@ impl Watchdog {
             } else if raw < cur {
                 // Recover one level only after a clean streak.
                 self.clean_streak[i] += 1;
-                if self.clean_streak[i] >= self.slo.recover_ticks {
+                if self.clean_streak[i] >= RECOVER_TICKS {
                     self.clean_streak[i] = 0;
                     cur.one_step_toward_healthy()
                 } else {
@@ -324,7 +308,7 @@ mod tests {
 
     #[test]
     fn dead_shard_is_critical_and_recovers_through_degraded() {
-        let mut dog = Watchdog::new(1, SloThresholds::default(), 64);
+        let mut dog = Watchdog::new(1, 64);
         let mut v = healthy(0);
         assert!(dog.observe(1, &[v]).is_empty());
 
@@ -347,11 +331,7 @@ mod tests {
 
     #[test]
     fn flapping_resets_the_clean_streak() {
-        let slo = SloThresholds {
-            recover_ticks: 2,
-            ..SloThresholds::default()
-        };
-        let mut dog = Watchdog::new(1, slo, 64);
+        let mut dog = Watchdog::new(1, 64);
         let mut v = healthy(0);
         v.stalled = true;
         dog.observe(1, &[v]);
@@ -373,32 +353,31 @@ mod tests {
 
     #[test]
     fn raw_score_covers_every_vital() {
-        let slo = SloThresholds::default();
         let base = healthy(0);
-        assert_eq!(base.raw_health(&slo), HealthState::Healthy);
+        assert_eq!(base.raw_health(), HealthState::Healthy);
 
         let mut v = base;
         v.open_loss_windows = 1;
-        assert_eq!(v.raw_health(&slo), HealthState::Degraded);
+        assert_eq!(v.raw_health(), HealthState::Degraded);
 
         let mut v = base;
         v.checkpoint_age_us = 2_001; // > 2 × 1000 cadence
-        assert_eq!(v.raw_health(&slo), HealthState::Degraded);
+        assert_eq!(v.raw_health(), HealthState::Degraded);
 
         let mut v = base;
         v.state_bytes = 700_000;
-        assert_eq!(v.raw_health(&slo), HealthState::Degraded);
+        assert_eq!(v.raw_health(), HealthState::Degraded);
         v.state_bytes = 950_000;
-        assert_eq!(v.raw_health(&slo), HealthState::Critical);
+        assert_eq!(v.raw_health(), HealthState::Critical);
 
         let mut v = base;
-        v.backoff_exp = slo.storm_backoff_exp;
-        assert_eq!(v.raw_health(&slo), HealthState::Degraded);
+        v.backoff_exp = STORM_BACKOFF_EXP;
+        assert_eq!(v.raw_health(), HealthState::Degraded);
     }
 
     #[test]
     fn resize_grows_and_shrinks_the_scoreboard() {
-        let mut dog = Watchdog::new(2, SloThresholds::default(), 64);
+        let mut dog = Watchdog::new(2, 64);
         let mut sick = healthy(1);
         sick.alive = false;
         dog.observe(1, &[healthy(0), sick]);
@@ -422,14 +401,12 @@ mod tests {
 
     #[test]
     fn alert_stream_is_bounded() {
-        let slo = SloThresholds {
-            recover_ticks: 1,
-            ..SloThresholds::default()
-        };
-        let mut dog = Watchdog::new(1, slo, 2);
+        let mut dog = Watchdog::new(1, 2);
         let mut v = healthy(0);
+        // One stalled tick, then the RECOVER_TICKS clean ones that
+        // bring the shard back.
         for t in 0..10u64 {
-            v.stalled = t % 2 == 0;
+            v.stalled = t % (RECOVER_TICKS as u64 + 1) == 0;
             dog.observe(t, &[v]);
         }
         assert_eq!(dog.transitions().len(), 2);

@@ -35,8 +35,6 @@ pub mod series;
 
 pub use diff::{bench_diff, Band, BenchDoc, DiffReport, MetricDiff};
 pub use export::{prometheus_text, sanitize_metric_name};
-pub use health::{
-    FleetStatus, HealthState, HealthTransition, ShardVitals, SloThresholds, Watchdog,
-};
+pub use health::{FleetStatus, HealthState, HealthTransition, ShardVitals, Watchdog};
 pub use profile::{collapse_jsonl, collapse_spans};
 pub use series::{SeriesPoint, SeriesRing};

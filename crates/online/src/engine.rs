@@ -76,11 +76,6 @@ pub struct OnlineConfig {
 }
 
 impl OnlineConfig {
-    /// Real-time capture (scale 1).
-    pub fn realtime() -> Self {
-        Self::scaled(1)
-    }
-
     /// Configuration for a session simulated at `time_scale`.
     pub fn scaled(time_scale: u32) -> Self {
         let ts = time_scale.max(1);

@@ -186,27 +186,18 @@ pub enum PlayerPhase {
     Finished,
 }
 
-/// Tunables (time-scale, pacing, background traffic).
+/// Tunables (time-scale, client noise, dummy reports). Pacing and
+/// background-traffic periods are the constants beside
+/// `CHOICE_WINDOW_SECS`.
 #[derive(Debug, Clone)]
 pub struct PlayerConfig {
     /// Divides all content durations: a time_scale of 10 plays the film
     /// ten times faster (timing *structure* is preserved; only the sim
     /// wall-clock shrinks). The choice window scales identically.
     pub time_scale: u32,
-    /// Buffer target in content seconds.
-    pub buffer_target_secs: u32,
-    /// Maximum default-branch chunks prefetched during a choice window.
-    pub prefetch_limit: u32,
-    /// ABR safety factor and initial ladder rung.
-    pub abr_safety: f64,
-    pub abr_start_rung: usize,
     /// Added to the profile's header/body flush-split probability
     /// (network conditions raise it).
     pub split_flush_extra: f64,
-    /// Background traffic periods, in content seconds.
-    pub telemetry_period_secs: u32,
-    pub heartbeat_period_secs: u32,
-    pub diag_period_secs: u32,
     /// Probability a telemetry report lands in the heavy tail that
     /// collides with the type-2 length band (false-positive source).
     pub telemetry_tail_prob: f64,
@@ -220,14 +211,7 @@ impl Default for PlayerConfig {
     fn default() -> Self {
         PlayerConfig {
             time_scale: 1,
-            buffer_target_secs: 30,
-            prefetch_limit: 6,
-            abr_safety: 0.8,
-            abr_start_rung: 2,
             split_flush_extra: 0.0,
-            telemetry_period_secs: 60,
-            heartbeat_period_secs: 25,
-            diag_period_secs: 300,
             telemetry_tail_prob: 0.01,
             dummy_reports: false,
         }
@@ -236,6 +220,18 @@ impl Default for PlayerConfig {
 
 /// The choice window is ten seconds of content time (the film's timer).
 const CHOICE_WINDOW_SECS: f64 = 10.0;
+
+/// Buffer target in content seconds.
+const BUFFER_TARGET_SECS: i64 = 30;
+/// Maximum default-branch chunks prefetched during a choice window.
+const PREFETCH_LIMIT: u32 = 6;
+/// ABR safety factor and initial ladder rung.
+const ABR_SAFETY: f64 = 0.8;
+const ABR_START_RUNG: usize = 2;
+/// Background traffic periods, in content seconds.
+const TELEMETRY_PERIOD_SECS: f64 = 60.0;
+const HEARTBEAT_PERIOD_SECS: f64 = 25.0;
+const DIAG_PERIOD_SECS: f64 = 300.0;
 
 /// Ack timeout for a state report, in content seconds (scaled like all
 /// content durations). Far above any sane round trip, so clean sessions
@@ -446,17 +442,16 @@ impl Player {
         self.push_request(&mut actions, now, req, RequestKind::Manifest);
         let jitter = self.rng.uniform_f64(0.0, 5.0);
         actions.timers.push((
-            now + self.scaled_secs(self.cfg.telemetry_period_secs as f64 + jitter),
+            now + self.scaled_secs(TELEMETRY_PERIOD_SECS + jitter),
             timer_kinds::TELEMETRY,
         ));
         actions.timers.push((
-            now + self.scaled_secs(self.cfg.heartbeat_period_secs as f64),
+            now + self.scaled_secs(HEARTBEAT_PERIOD_SECS),
             timer_kinds::HEARTBEAT,
         ));
-        actions.timers.push((
-            now + self.scaled_secs(self.cfg.diag_period_secs as f64),
-            timer_kinds::DIAG,
-        ));
+        actions
+            .timers
+            .push((now + self.scaled_secs(DIAG_PERIOD_SECS), timer_kinds::DIAG));
         actions
     }
 
@@ -473,8 +468,7 @@ impl Player {
             RequestKind::Manifest => {
                 let doc = wm_json::parse(&resp.body).expect("manifest must parse");
                 let manifest = Manifest::from_json(&doc).expect("manifest schema");
-                self.bitrate =
-                    manifest.ladder[self.cfg.abr_start_rung.min(manifest.ladder.len() - 1)];
+                self.bitrate = manifest.ladder[ABR_START_RUNG.min(manifest.ladder.len() - 1)];
                 self.manifest = Some(manifest);
                 self.phase = PlayerPhase::Streaming;
                 self.begin_segment(now, self.graph.start(), &mut actions);
@@ -490,9 +484,7 @@ impl Player {
                 self.est
                     .record(resp.body.len(), now.since(sent_at).micros());
                 let m = self.manifest.as_ref().expect("streaming implies manifest");
-                self.bitrate =
-                    self.est
-                        .select(&m.ladder, self.cfg.abr_start_rung, self.cfg.abr_safety);
+                self.bitrate = self.est.select(&m.ladder, ABR_START_RUNG, ABR_SAFETY);
                 if prefetch {
                     self.prefetch_received += 1;
                 } else {
@@ -537,23 +529,22 @@ impl Player {
                 self.send_telemetry(now, &mut actions);
                 let jitter = self.rng.uniform_f64(-5.0, 5.0);
                 actions.timers.push((
-                    now + self.scaled_secs(self.cfg.telemetry_period_secs as f64 + jitter),
+                    now + self.scaled_secs(TELEMETRY_PERIOD_SECS + jitter),
                     timer_kinds::TELEMETRY,
                 ));
             }
             timer_kinds::HEARTBEAT => {
                 self.send_heartbeat(now, &mut actions);
                 actions.timers.push((
-                    now + self.scaled_secs(self.cfg.heartbeat_period_secs as f64),
+                    now + self.scaled_secs(HEARTBEAT_PERIOD_SECS),
                     timer_kinds::HEARTBEAT,
                 ));
             }
             timer_kinds::DIAG => {
                 self.send_diag(now, &mut actions);
-                actions.timers.push((
-                    now + self.scaled_secs(self.cfg.diag_period_secs as f64),
-                    timer_kinds::DIAG,
-                ));
+                actions
+                    .timers
+                    .push((now + self.scaled_secs(DIAG_PERIOD_SECS), timer_kinds::DIAG));
             }
             timer_kinds::STATE_RETRY => self.retry_front(now, &mut actions),
             timer_kinds::STATE_TIMEOUT => self.check_state_timeout(now, &mut actions),
@@ -629,7 +620,7 @@ impl Player {
         let default_target = cp.default_target();
         let m = self.manifest.as_ref().expect("choice implies manifest");
         let count = m.chunk_count(self.graph.segment(default_target).duration_secs);
-        let planned = count.min(self.cfg.prefetch_limit);
+        let planned = count.min(PREFETCH_LIMIT);
         for idx in 0..planned {
             self.dl_queue.push_back(QueuedChunk {
                 segment: default_target,
@@ -851,7 +842,7 @@ impl Player {
             // Pace committed downloads to the buffer target.
             let elapsed_content_ms = self.elapsed_content_ms(now);
             let ahead_ms = self.downloaded_content_ms - elapsed_content_ms;
-            let target_ms = self.cfg.buffer_target_secs as i64 * 1000;
+            let target_ms = BUFFER_TARGET_SECS * 1000;
             if ahead_ms > target_ms {
                 let wait = self.scaled_secs((ahead_ms - target_ms) as f64 / 1000.0);
                 actions.timers.push((now + wait, timer_kinds::BUFFER));

@@ -91,7 +91,6 @@ fn run_observed(
     // 100 ms cadence so kill/restore intervals land on ticks.
     fleet.attach_observer(ObserverConfig {
         cadence_us: 100_000,
-        ..ObserverConfig::default()
     });
     for (t, victim, frame) in stream {
         fleet.push(*t, *victim, frame);
