@@ -68,10 +68,9 @@ impl ShardFaultKind {
 }
 
 /// Why an explicit shard-fault event list was rejected at
-/// construction. Mirrors the `IngestLimits` validate-on-construction
-/// idiom: a plan that would silently reorder under the hood is a
-/// latent replay-divergence bug, so [`ShardFaultPlan::validated`]
-/// refuses it instead.
+/// construction. A plan that would silently reorder under the hood
+/// is a latent replay-divergence bug, so [`ShardFaultPlan::from_events`]
+/// refuses it instead: a bad list never becomes a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOrderError {
     /// Events are not in non-decreasing time order.

@@ -22,7 +22,7 @@ use wm_telemetry::{Counter, Histogram, Registry};
 /// Attack configuration.
 #[derive(Debug, Clone)]
 pub struct WhiteMirrorConfig {
-    /// Decoder settings (window, time-awareness, time scale).
+    /// Decoder settings (time-awareness, time scale).
     pub decoder: DecoderConfig,
 }
 
@@ -231,17 +231,20 @@ impl WhiteMirror {
                 }
             }
             t.sessions_decoded.inc();
-            let choices = self.run_decoder(&features, graph);
-            return self.finish(choices, features);
+            return self.decode_features(features, graph);
         }
-        let choices = self.run_decoder(&features, graph);
-        self.finish(choices, features)
+        self.decode_features(features, graph)
     }
 
-    /// Shared decode tail: gap-aware confidence, provenance
-    /// reconstruction and (when attached) trace emission.
-    fn finish(&self, mut choices: Vec<DecodedChoice>, features: ClientFeatures) -> DecodedSession {
-        let window = self.cfg.decoder.window;
+    /// Shared decode path: the path decoder at the beam width, then
+    /// gap-aware confidence, provenance reconstruction and (when
+    /// attached) trace emission.
+    fn decode_features(&self, features: ClientFeatures, graph: &StoryGraph) -> DecodedSession {
+        let cfg = self.cfg.decoder.clone();
+        let decoder =
+            ChoiceDecoder::new(&self.classifier, graph, cfg, WhiteMirrorConfig::BEAM_WIDTH);
+        let mut choices = decoder.decode(&features.records);
+        let window = decoder.timing().window;
         let provenance = build_provenance(&choices, &features, &self.classifier, window);
         for d in &mut choices {
             grade(d, features.gap_times.iter().copied(), window);
@@ -273,12 +276,6 @@ impl WhiteMirror {
             provenance,
             features,
         }
-    }
-
-    fn run_decoder(&self, features: &ClientFeatures, graph: &StoryGraph) -> Vec<DecodedChoice> {
-        let cfg = self.cfg.decoder.clone();
-        ChoiceDecoder::new(&self.classifier, graph, cfg, WhiteMirrorConfig::BEAM_WIDTH)
-            .decode(&features.records)
     }
 
     /// Decode and score against ground truth.

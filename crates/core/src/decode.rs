@@ -54,8 +54,6 @@ pub const WINDOW_SECS: f64 = 10.0;
 /// Decoder tunables.
 #[derive(Debug, Clone)]
 pub struct DecoderConfig {
-    /// The (possibly time-scaled) choice window.
-    pub window: Duration,
     /// Time-aware mode: use segment durations to detect missed
     /// questions (recommended; `false` gives the naive event decoder).
     pub time_aware: bool,
@@ -65,7 +63,7 @@ pub struct DecoderConfig {
 }
 
 impl DecoderConfig {
-    /// Real-time configuration (10 s window).
+    /// Real-time configuration.
     pub fn realtime() -> Self {
         Self::scaled(1)
     }
@@ -73,7 +71,6 @@ impl DecoderConfig {
     /// Configuration for a session simulated at `time_scale`.
     pub fn scaled(time_scale: u32) -> Self {
         DecoderConfig {
-            window: Duration::from_secs_f64(WINDOW_SECS / time_scale.max(1) as f64),
             time_aware: true,
             time_scale: time_scale.max(1),
         }
@@ -665,7 +662,7 @@ impl<'a, C: RecordClassifier + ?Sized> ChoiceDecoder<'a, C> {
             let mut choice = Choice::Default;
             let mut probe = cursor;
             while let Some(e) = events.get(probe) {
-                if e.time.since(t1_time) > self.cfg.window {
+                if e.time.since(t1_time) > self.timing.window {
                     break;
                 }
                 match e.class {
@@ -822,7 +819,6 @@ mod tests {
 
     fn naive_cfg() -> DecoderConfig {
         DecoderConfig {
-            window: Duration::from_secs(10),
             time_aware: false,
             time_scale: 1,
         }

@@ -59,7 +59,7 @@ pub use supervisor::{
 pub use wm_obs::{FleetStatus, HealthState, HealthTransition, ShardVitals};
 
 use wm_capture::time::{Duration, SimTime};
-use wm_online::{IngestLimitsError, OnlineConfig};
+use wm_online::OnlineConfig;
 
 /// Why a [`FleetConfig`] is unusable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +74,6 @@ pub enum FleetConfigError {
     /// could be resolved (config path, `WM_SHARD_WORKER`, or a
     /// `shard_worker` next to the current executable) or spawned.
     Worker,
-    /// The embedded decoder config failed its own validation.
-    Ingest(IngestLimitsError),
 }
 
 impl std::fmt::Display for FleetConfigError {
@@ -91,18 +89,11 @@ impl std::fmt::Display for FleetConfigError {
             FleetConfigError::Worker => {
                 write!(f, "process backend: no shard-worker binary available")
             }
-            FleetConfigError::Ingest(e) => write!(f, "decoder config: {e}"),
         }
     }
 }
 
 impl std::error::Error for FleetConfigError {}
-
-impl From<IngestLimitsError> for FleetConfigError {
-    fn from(e: IngestLimitsError) -> Self {
-        FleetConfigError::Ingest(e)
-    }
-}
 
 /// Where each shard's decoders live.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -166,16 +157,15 @@ impl FleetConfig {
         if self.max_victims_per_shard == 0 {
             return Err(FleetConfigError::ZeroVictims);
         }
-        self.decode.validate()?;
         Ok(())
     }
 
-    /// Upper bound on one shard's resident decoder state, derived from
-    /// the same [`wm_online::IngestLimits`] arithmetic the decoder's
-    /// own bound uses — the single source of truth for every memory
-    /// assertion in the fleet tests, soak, and bench.
+    /// Upper bound on one shard's resident decoder state: the victim
+    /// cap times the decoder's own bound, [`wm_online::STATE_BOUND`] —
+    /// the single source of truth for every memory assertion in the
+    /// fleet tests, soak, and bench.
     pub fn per_shard_state_bound(&self) -> usize {
-        self.max_victims_per_shard * self.decode.state_bound()
+        self.max_victims_per_shard * wm_online::STATE_BOUND
     }
 }
 
@@ -211,26 +201,23 @@ mod tests {
         let mut c = good.clone();
         c.checkpoint_every = Duration::ZERO;
         assert_eq!(c.validate(), Err(FleetConfigError::ZeroCheckpointCadence));
-        let mut c = good.clone();
+        let mut c = good;
         c.max_victims_per_shard = 0;
         assert_eq!(c.validate(), Err(FleetConfigError::ZeroVictims));
-        let mut c = good;
-        c.decode.ingest.max_carry_bytes = 0;
-        assert!(matches!(c.validate(), Err(FleetConfigError::Ingest(_))));
     }
 
     #[test]
-    fn shard_bound_scales_with_ingest_limits() {
+    fn shard_bound_scales_with_the_victim_cap() {
         let small = FleetConfig::scaled(2, 20);
         let mut big = small.clone();
-        big.decode.ingest.max_carry_bytes *= 4;
+        big.max_victims_per_shard *= 4;
         assert!(
             big.per_shard_state_bound() > small.per_shard_state_bound(),
-            "the shard bound must be derived from IngestLimits, not a constant"
+            "the shard bound must scale with the victims it holds"
         );
         assert_eq!(
             small.per_shard_state_bound(),
-            small.max_victims_per_shard * small.decode.state_bound()
+            small.max_victims_per_shard * wm_online::STATE_BOUND
         );
     }
 

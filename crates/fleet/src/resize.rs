@@ -40,9 +40,9 @@ pub struct ResizeStep {
     pub shards: usize,
 }
 
-/// Why a [`ResizeSchedule`] was rejected at construction. Matches the
-/// `IngestLimits` validate-on-construction idiom: an unusable schedule
-/// never becomes a value.
+/// Why a [`ResizeSchedule`] was rejected at construction: validation
+/// happens on construction, so an unusable schedule never becomes a
+/// value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResizeScheduleError {
     /// Steps must be in strictly increasing time order.

@@ -579,7 +579,7 @@ fn bounded_buffer_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
         // deliberately expose differently-named admission methods
         // (`put`/`admit`/`admit_evict`/`absorb`/`park`), so any raw
         // growth verb here is a buffer whose size session length — not
-        // configuration — controls.
+        // a fixed budget — controls.
         if i > 0 && is_punct(tokens.get(i - 1), '.') {
             out.push(Finding {
                 rule: BOUNDED_BUFFER,
@@ -588,7 +588,7 @@ fn bounded_buffer_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
                 message: format!(
                     "`.{name}(…)` grows a buffer without a capacity bound; online ingest \
                      paths must use the `wm_online::bounded` admission APIs so memory is \
-                     bounded by configuration, not session length"
+                     bounded by fixed budgets, not session length"
                 ),
             });
         }

@@ -2,7 +2,7 @@
 //!
 //! The online attacker runs for the length of a viewing session — hours
 //! of wall clock against a live tap — so every buffer it grows must be
-//! bounded by *configuration*, never by session length. Each container
+//! bounded by a constant budget, never by session length. Each container
 //! here enforces a hard capacity fixed at construction and makes the
 //! overflow policy explicit at the call site: `admit` refuses,
 //! `admit_evict` drops the oldest, `park` refuses against a byte *and*
@@ -180,16 +180,6 @@ impl ByteCarry {
             bytes: Vec::new(),
             head: 0,
             cap: cap.max(1),
-        }
-    }
-
-    pub(crate) fn from_vec(mut bytes: Vec<u8>, cap: usize) -> Self {
-        let cap = cap.max(1);
-        bytes.truncate(cap);
-        ByteCarry {
-            bytes,
-            head: 0,
-            cap,
         }
     }
 

@@ -23,9 +23,13 @@
 //!
 //! `length` is the whole blob, CRC included. The header carries what
 //! every record shares — the story-graph fingerprint, the
-//! [`OnlineConfig`] and the classifier — once. Records are in
-//! strictly ascending victim order, so a blob can be split or spliced
-//! by copying record byte ranges and re-sealing ([`BlobWriter`]).
+//! [`OnlineConfig`] and the classifier — once. The config words are
+//! [`OnlineConfig::to_words`]: the time scale, then what it derives and
+//! the decoder's budget constants; a header whose words are not
+//! exactly what its time scale derives is `Malformed("config")`.
+//! Records are in strictly ascending victim order, so a blob can be
+//! split or spliced by copying record byte ranges and re-sealing
+//! ([`BlobWriter`]).
 //! `state` is the decoder's fields in a fixed order: fixed-width
 //! integers, a one-byte tag before each optional value, a `u32` count
 //! before each list, and carry and parked bytes copied as they are.
@@ -50,13 +54,15 @@
 //! flip and every error burst up to 32 bits long, so a torn or flipped
 //! blob is rejected with a typed [`CheckpointError`] instead of
 //! restoring altered state. A blob taken against a different film is
-//! rejected by its graph fingerprint.
+//! rejected by its graph fingerprint. A CRC-valid record holding more
+//! than a buffer's cap is `Malformed` at that field, never restored
+//! truncated.
 
 use std::sync::Arc;
 
-use crate::bounded::{BoundedVec, ByteCarry};
+use crate::bounded::BoundedVec;
 use crate::crc::crc32;
-use crate::engine::{OnlineConfig, OnlineDecoder, PendingEvent};
+use crate::engine::{OnlineConfig, OnlineDecoder, PendingEvent, MAX_FLOWS};
 use crate::ingest::FlowIngest;
 use wm_capture::headers::FlowId;
 use wm_capture::time::SimTime;
@@ -642,8 +648,6 @@ pub fn restore_record(
     cfg: &OnlineConfig,
     graph: Arc<StoryGraph>,
 ) -> Result<OnlineDecoder, CheckpointError> {
-    cfg.validate()
-        .map_err(|_| CheckpointError::Malformed("config"))?;
     let body = rec.bytes.get(RECORD_PREFIX..).unwrap_or(&[]);
     let mut r = Reader::new(body, rec.offset + RECORD_PREFIX);
     let mut decoder = OnlineDecoder::new(classifier.clone(), graph, cfg.clone());
@@ -735,7 +739,8 @@ fn opt_time<'a>(p: &mut impl Pass<'a>, t: &mut Option<SimTime>, near: &'static s
 }
 
 /// A `u32` count, then the items: walked when writing, admitted into
-/// the (fresh, empty) bounded list when reading.
+/// the (fresh, empty) bounded list when reading. More items than the
+/// list's cap is a malformed record, never a truncated restore.
 fn list<'a, P: Pass<'a>, T: Copy>(
     p: &mut P,
     v: &mut BoundedVec<T>,
@@ -749,7 +754,9 @@ fn list<'a, P: Pass<'a>, T: Copy>(
         for _ in 0..n {
             let mut x = blank;
             item(p, &mut x)?;
-            v.admit(x);
+            if !v.admit(x) {
+                return Err(CheckpointError::Malformed(near));
+            }
         }
     } else {
         for x in v.iter() {
@@ -809,7 +816,7 @@ fn state<'a, P: Pass<'a>>(p: &mut P, d: &mut OnlineDecoder) -> Step {
     p.int(&mut flows, "flows")?;
     if P::READS {
         for _ in 0..flows {
-            if d.flows.len() >= d.cfg.max_flows.max(1) {
+            if d.flows.len() >= MAX_FLOWS {
                 return Err(CheckpointError::Malformed("flows"));
             }
             let mut id = FlowId {
@@ -818,7 +825,7 @@ fn state<'a, P: Pass<'a>>(p: &mut P, d: &mut OnlineDecoder) -> Step {
                 dst_ip: [0; 4],
                 dst_port: 0,
             };
-            let mut ingest = FlowIngest::new(d.cfg.ingest);
+            let mut ingest = FlowIngest::new();
             flow(p, &mut id, &mut ingest)?;
             d.flows.insert(id, ingest);
         }
@@ -917,8 +924,10 @@ fn flow<'a, P: Pass<'a>>(p: &mut P, id: &mut FlowId, f: &mut FlowIngest) -> Step
     p.int(&mut f.last_rel, "last_rel")?;
     p.int(&mut f.carry_start, "carry_start")?;
     let carry = p.bytes(f.carry.as_slice(), "carry")?;
-    if P::READS {
-        f.carry = ByteCarry::from_vec(carry.to_vec(), f.limits.max_carry_bytes);
+    // A fresh flow's carry is empty, so `absorb` refuses exactly the
+    // carries longer than the budget.
+    if P::READS && !f.carry.absorb(carry) {
+        return Err(CheckpointError::Malformed("carry"));
     }
     list(p, &mut f.marks, (0, SimTime::ZERO), "marks", |p, m| {
         p.int(&mut m.0, "marks")?;
@@ -927,11 +936,16 @@ fn flow<'a, P: Pass<'a>>(p: &mut P, id: &mut FlowId, f: &mut FlowIngest) -> Step
     let mut parked = f.parked.len() as u32;
     p.int(&mut parked, "parked")?;
     if P::READS {
-        for _ in 0..parked {
+        for n in 1..=parked as usize {
             let (mut off, mut t) = (0i64, SimTime::ZERO);
             p.int(&mut off, "parked")?;
             time(p, &mut t, "parked")?;
-            f.parked.park(off, t, p.bytes(&[], "parked")?);
+            // Refused (over budget) or folded into an earlier copy of
+            // the same offset: either way the state would not be the
+            // one written.
+            if !f.parked.park(off, t, p.bytes(&[], "parked")?) || f.parked.len() != n {
+                return Err(CheckpointError::Malformed("parked"));
+            }
         }
     } else {
         for (mut off, mut t, data) in f.parked.iter() {
@@ -1083,6 +1097,43 @@ mod tests {
         )
     }
 
+    /// Recompute a patched blob's CRC, then restore it.
+    fn resume_resealed(mut blob: Vec<u8>) -> Result<OnlineDecoder, CheckpointError> {
+        let body = blob.len() - CRC_LEN;
+        let crc = crc32(&blob[..body]);
+        blob[body..].copy_from_slice(&crc.to_le_bytes());
+        OnlineDecoder::resume_from_checkpoint(&blob, Arc::new(tiny_film()))
+    }
+
+    /// The checkpoint of a fresh decoder after `patch`.
+    fn fresh_with(patch: impl FnOnce(&mut OnlineDecoder)) -> Vec<u8> {
+        let mut dec = fresh();
+        patch(&mut dec);
+        dec.checkpoint()
+    }
+
+    /// [`fresh_with`], restored.
+    fn restore_patched(
+        patch: impl FnOnce(&mut OnlineDecoder),
+    ) -> Result<OnlineDecoder, CheckpointError> {
+        OnlineDecoder::resume_from_checkpoint(&fresh_with(patch), Arc::new(tiny_film()))
+    }
+
+    /// A patch that gives the decoder one flow, set up by `setup`.
+    fn with_flow(setup: impl FnOnce(&mut FlowIngest)) -> impl FnOnce(&mut OnlineDecoder) {
+        move |d| {
+            let mut flow = FlowIngest::new();
+            setup(&mut flow);
+            let id = FlowId {
+                src_ip: [10, 0, 0, 1],
+                src_port: 50_000,
+                dst_ip: [10, 0, 0, 2],
+                dst_port: 443,
+            };
+            d.flows.insert(id, flow);
+        }
+    }
+
     #[test]
     fn checkpoint_is_deterministic() {
         let mut a = fresh();
@@ -1157,10 +1208,7 @@ mod tests {
             blob[at] = tag;
             blob[at + 1..at + 3].copy_from_slice(&seg.to_le_bytes());
             blob[at + 3..at + 5].copy_from_slice(&choice.to_le_bytes());
-            let body = blob.len() - CRC_LEN;
-            let crc = crc32(&blob[..body]);
-            blob[body..].copy_from_slice(&crc.to_le_bytes());
-            OnlineDecoder::resume_from_checkpoint(&blob, Arc::new(tiny_film()))
+            resume_resealed(blob)
         };
         // tiny_film: segment 1 asks cp 1; segment 7 is an ending.
         for (tag, seg, choice) in [
@@ -1182,6 +1230,129 @@ mod tests {
             let mut dec = patched(tag, 1, 1).expect("segment 1 asks cp 1");
             assert_eq!(dec.finish().len(), 2, "tag {tag}: cp 1 and cp 2 remain");
         }
+    }
+
+    #[test]
+    fn config_words_must_be_what_the_time_scale_derives() {
+        // The config words follow magic, version, length, shard, taken
+        // and the graph fingerprint.
+        const CONFIG_AT: usize = 4 + 2 + 4 + 4 + 8 + 8;
+        let cp = fresh().checkpoint();
+        let words = OnlineConfig::scaled(20).to_words();
+        let with_words = |patch: &[(usize, u64)]| {
+            let mut blob = cp.clone();
+            for &(i, x) in patch {
+                let at = CONFIG_AT + 8 * i;
+                blob[at..at + 8].copy_from_slice(&x.to_le_bytes());
+            }
+            resume_resealed(blob)
+        };
+        for (i, &word) in words.iter().enumerate() {
+            let at = CONFIG_AT + 8 * i;
+            assert_eq!(cp[at..at + 8], word.to_le_bytes(), "word {i}");
+        }
+        assert!(with_words(&[]).is_ok());
+        // A zero or out-of-range time scale, a scale the other words
+        // were not derived from, and one changed budget word each fail.
+        for (i, x) in [
+            (0, 0),
+            (0, u64::MAX),
+            (0, 40),
+            (1, words[1] + 1),
+            (3, 8),
+            (13, 512),
+        ] {
+            assert_eq!(
+                with_words(&[(i, x)]).err(),
+                Some(CheckpointError::Malformed("config")),
+                "word {i} = {x}"
+            );
+        }
+        // A whole header written for another scale restores at it.
+        let other: Vec<_> = OnlineConfig::scaled(40)
+            .to_words()
+            .into_iter()
+            .enumerate()
+            .collect();
+        let dec = with_words(&other).expect("a consistent header restores");
+        assert_eq!(dec.cfg, OnlineConfig::scaled(40));
+    }
+
+    #[test]
+    fn state_past_its_caps_is_malformed_not_truncated() {
+        use crate::bounded::{ByteCarry, ParkedSegments};
+        use crate::ingest::{MAX_CARRY_BYTES, MAX_PARKED_BYTES, MAX_PARKED_SEGMENTS};
+        // The writer walks whatever the decoder holds, so a buffer
+        // given a wider cap writes a CRC-valid record with more items
+        // than a restored decoder can hold. At the cap it restores.
+        let pending = |n: usize| {
+            move |d: &mut OnlineDecoder| {
+                d.pending = BoundedVec::new(n);
+                for seq in 0..n as u64 {
+                    let time = SimTime(seq);
+                    let class = RecordClass::Other;
+                    let event = PendingEvent {
+                        time,
+                        seq,
+                        length: 100,
+                        class,
+                    };
+                    assert!(d.pending.admit(event));
+                }
+            }
+        };
+        let cap = fresh().pending.cap();
+        assert!(restore_patched(pending(cap)).is_ok());
+        assert_eq!(
+            restore_patched(pending(cap + 1)).err(),
+            Some(CheckpointError::Malformed("pending"))
+        );
+
+        let carry = |n: usize| {
+            with_flow(move |f| {
+                f.carry = ByteCarry::new(n);
+                assert!(f.carry.absorb(&vec![0xab; n]));
+            })
+        };
+        assert!(restore_patched(carry(MAX_CARRY_BYTES)).is_ok());
+        assert_eq!(
+            restore_patched(carry(MAX_CARRY_BYTES + 1)).err(),
+            Some(CheckpointError::Malformed("carry"))
+        );
+
+        let parked = |n: usize| {
+            with_flow(move |f| {
+                f.parked = ParkedSegments::new(MAX_PARKED_BYTES, n);
+                for k in 0..n as i64 {
+                    assert!(f.parked.park(100 + 10 * k, SimTime(1), &[1; 5]));
+                }
+            })
+        };
+        assert!(restore_patched(parked(MAX_PARKED_SEGMENTS)).is_ok());
+        assert_eq!(
+            restore_patched(parked(MAX_PARKED_SEGMENTS + 1)).err(),
+            Some(CheckpointError::Malformed("parked"))
+        );
+
+        // Two parked segments at one offset: restoring would keep one.
+        let mut blob = fresh_with(parked(2));
+        let segment = |off: i64| {
+            let mut bytes = off.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            bytes.extend_from_slice(&5u32.to_le_bytes());
+            bytes.extend_from_slice(&[1; 5]);
+            bytes
+        };
+        let second = segment(110);
+        let at = blob
+            .windows(second.len())
+            .position(|w| w == second.as_slice())
+            .expect("the second parked segment is in the record");
+        blob[at..at + 8].copy_from_slice(&100i64.to_le_bytes());
+        assert_eq!(
+            resume_resealed(blob).err(),
+            Some(CheckpointError::Malformed("parked"))
+        );
     }
 
     #[test]

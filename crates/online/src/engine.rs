@@ -5,9 +5,9 @@
 //! ([`wm_core::PathDecoder`], width 1) — the same timing model,
 //! duplicate suppression and confidence grading the offline greedy
 //! decode uses — incrementally, against packets as the tap delivers
-//! them, in memory bounded by configuration rather than session
-//! length. On a clean in-order capture its verdict stream is
-//! byte-for-byte the offline greedy decode.
+//! them, in memory bounded by constant budgets ([`STATE_BOUND`])
+//! rather than session length. On a clean in-order capture its verdict
+//! stream is byte-for-byte the offline greedy decode.
 //!
 //! The central discipline is a **watermark**: the capture time below
 //! which the event stream is *final*. It trails the newest packet by
@@ -23,7 +23,7 @@
 //! Crash recovery: [`OnlineDecoder::checkpoint`] serializes the whole
 //! decoder — ingest carries, pending/ready events, the path frontier,
 //! classifier calibration — into a compact, versioned, CRC-sealed
-//! binary blob on a configurable record cadence, and
+//! binary blob on a fixed record cadence, and
 //! [`OnlineDecoder::resume_from_checkpoint`] restores it. Replaying
 //! the packets after the checkpoint yields the uninterrupted verdict
 //! stream with zero duplicates; packets lost between checkpoint and
@@ -33,7 +33,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::bounded::{Batch, BoundedVec};
-use crate::ingest::{ExtractedRecord, FlowIngest, GapEvent, IngestLimits};
+use crate::ingest::{
+    ExtractedRecord, FlowIngest, GapEvent, MAX_CARRY_BYTES, MAX_MARKS, MAX_PARKED_BYTES,
+    MAX_PARKED_SEGMENTS, PER_FLOW_STATE_BOUND,
+};
 use wm_capture::headers::{parse_frame_lossy, FlowId};
 use wm_capture::time::{Duration, SimTime};
 use wm_capture::{ContentType, RecordClass};
@@ -44,125 +47,97 @@ use wm_story::{Choice, StoryGraph};
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
 
-/// Tunables for the online decoder. All buffers it ever grows are
-/// sized by these fields, so resident memory is a constant of the
-/// configuration, independent of session length.
+/// The online decoder's one setting: the time scale the session plays
+/// at, which an attacker reads off the chunk cadence. Every window,
+/// gap and slack follows from it; every buffer the decoder grows has a
+/// constant cap, so resident memory stays under [`STATE_BOUND`]
+/// whatever the session length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OnlineConfig {
     /// Time scale the session plays at (1 = real time).
     pub time_scale: u32,
-    /// How far the watermark trails the newest packet: the reorder
-    /// window the capture path may shuffle packets within.
-    pub reorder_lag: Duration,
-    /// How long a reassembly hole may stall a flow before it is
-    /// declared lost and decoding resumes past it.
-    pub gap_patience: Duration,
-    /// Checkpoint cadence, in extracted TLS records.
-    pub checkpoint_every_records: u64,
-    /// Concurrent upstream flows tracked (new flows drop beyond this).
-    pub max_flows: usize,
-    /// Classified events awaiting watermark finality.
-    pub max_pending_events: usize,
-    /// Finalized report events awaiting the path decoder.
-    pub max_ready_events: usize,
-    /// Recent application records kept for anchor provenance.
-    pub max_recent_apps: usize,
-    /// Capture-gap markers kept for confidence discounting.
-    pub max_gap_times: usize,
-    /// Loss windows retained for reporting.
-    pub max_loss_windows: usize,
-    /// Per-flow reassembly budgets.
-    pub ingest: IngestLimits,
 }
+
+/// Checkpoint cadence, in extracted TLS records.
+const CHECKPOINT_EVERY_RECORDS: u64 = 64;
+/// Concurrent upstream flows tracked (new flows drop beyond this).
+pub(crate) const MAX_FLOWS: usize = 8;
+/// Classified events awaiting watermark finality.
+const MAX_PENDING_EVENTS: usize = 512;
+/// Finalized report events awaiting the path decoder.
+const MAX_READY_EVENTS: usize = 256;
+/// Recent application records kept for anchor provenance.
+const MAX_RECENT_APPS: usize = 32;
+/// Capture-gap markers kept for confidence discounting.
+const MAX_GAP_TIMES: usize = 64;
+/// Loss windows retained for reporting.
+const MAX_LOSS_WINDOWS: usize = 64;
+
+/// Upper bound on [`OnlineDecoder::state_bytes`]: the per-flow
+/// reassembly budgets plus every event cap, with generous per-entry
+/// allowances. Deliberately loose — its value is that it is a constant
+/// while traffic volume is unbounded. The soak suite, the kill/resume
+/// tests and the fleet supervisor all budget against it.
+pub const STATE_BOUND: usize = MAX_FLOWS * PER_FLOW_STATE_BOUND
+    + (MAX_PENDING_EVENTS + MAX_READY_EVENTS + MAX_RECENT_APPS + MAX_GAP_TIMES + MAX_LOSS_WINDOWS)
+        * 256
+    + 64 * 1024;
+
+/// What [`OnlineDecoder::state_bytes`] counts for the decoder's own
+/// fields: a fixed allowance, so the figure (which fleet stats report
+/// and pin) does not move with the struct's layout. A unit test keeps
+/// it at or above the real size.
+const DECODER_FIXED_BYTES: usize = 1032;
 
 impl OnlineConfig {
     /// Configuration for a session simulated at `time_scale`.
     pub fn scaled(time_scale: u32) -> Self {
-        let ts = time_scale.max(1);
         OnlineConfig {
-            time_scale: ts,
-            reorder_lag: Duration::from_secs_f64(0.25 / ts as f64),
-            gap_patience: Duration::from_secs_f64(0.5 / ts as f64),
-            checkpoint_every_records: 64,
-            max_flows: 8,
-            max_pending_events: 512,
-            max_ready_events: 256,
-            max_recent_apps: 32,
-            max_gap_times: 64,
-            max_loss_windows: 64,
-            ingest: IngestLimits::default(),
+            time_scale: time_scale.max(1),
         }
     }
 
-    /// Configured upper bound on [`OnlineDecoder::state_bytes`]: the
-    /// per-flow reassembly budgets plus every event cap, with generous
-    /// per-entry allowances. Deliberately loose — the value of the
-    /// bound is that it is a *constant of the configuration* while
-    /// traffic volume is unbounded. The soak suite, the kill/resume
-    /// tests and the fleet supervisor all budget against this one
-    /// helper instead of each deriving their own arithmetic.
-    pub fn state_bound(&self) -> usize {
-        let events = (self.max_pending_events
-            + self.max_ready_events
-            + self.max_recent_apps
-            + self.max_gap_times
-            + self.max_loss_windows)
-            * 256;
-        self.max_flows * self.ingest.per_flow_state_bound() + events + 64 * 1024
+    /// How far the watermark trails the newest packet: the reorder
+    /// window the capture path may shuffle packets within.
+    fn reorder_lag(&self) -> Duration {
+        Duration::from_secs_f64(0.25 / self.time_scale.max(1) as f64)
     }
 
-    /// Check the configuration for budgets a decoder cannot run under.
-    /// Today this is exactly the ingest-limit validation; event caps
-    /// of zero degrade gracefully (the engine clamps to one).
-    pub fn validate(&self) -> Result<(), crate::ingest::IngestLimitsError> {
-        self.ingest.validate()
+    /// How long a reassembly hole may stall a flow before it is
+    /// declared lost and decoding resumes past it.
+    fn gap_patience(&self) -> Duration {
+        Duration::from_secs_f64(0.5 / self.time_scale.max(1) as f64)
     }
 
-    /// Every knob as one integer, in a fixed order: the form both the
-    /// checkpoint header and the process-shard `Init` payload carry.
+    /// The time scale, the two durations derived from it and every
+    /// budget constant, as integers in a fixed order: the config words
+    /// of a checkpoint header.
     pub fn to_words(&self) -> [u64; 14] {
         [
             self.time_scale as u64,
-            self.reorder_lag.micros(),
-            self.gap_patience.micros(),
-            self.checkpoint_every_records,
-            self.max_flows as u64,
-            self.max_pending_events as u64,
-            self.max_ready_events as u64,
-            self.max_recent_apps as u64,
-            self.max_gap_times as u64,
-            self.max_loss_windows as u64,
-            self.ingest.max_carry_bytes as u64,
-            self.ingest.max_parked_bytes as u64,
-            self.ingest.max_parked_segments as u64,
-            self.ingest.max_marks as u64,
+            self.reorder_lag().micros(),
+            self.gap_patience().micros(),
+            CHECKPOINT_EVERY_RECORDS,
+            MAX_FLOWS as u64,
+            MAX_PENDING_EVENTS as u64,
+            MAX_READY_EVENTS as u64,
+            MAX_RECENT_APPS as u64,
+            MAX_GAP_TIMES as u64,
+            MAX_LOSS_WINDOWS as u64,
+            MAX_CARRY_BYTES as u64,
+            MAX_PARKED_BYTES as u64,
+            MAX_PARKED_SEGMENTS as u64,
+            MAX_MARKS as u64,
         ]
     }
 
-    /// The inverse of [`OnlineConfig::to_words`]; `None` when a word
-    /// does not fit its field.
+    /// The inverse of [`OnlineConfig::to_words`]: word 0 is the time
+    /// scale, and the rest must be what that scale derives. `None`
+    /// otherwise.
     pub fn from_words(words: [u64; 14]) -> Option<Self> {
-        let [scale, lag, patience, every, sizes @ ..] = words;
-        let [flows, pending, ready, recent, gaps, losses, carry, parked, segs, marks] =
-            sizes.map(|x| usize::try_from(x).ok());
-        Some(OnlineConfig {
-            time_scale: u32::try_from(scale).ok()?,
-            reorder_lag: Duration(lag),
-            gap_patience: Duration(patience),
-            checkpoint_every_records: every,
-            max_flows: flows?,
-            max_pending_events: pending?,
-            max_ready_events: ready?,
-            max_recent_apps: recent?,
-            max_gap_times: gaps?,
-            max_loss_windows: losses?,
-            ingest: IngestLimits {
-                max_carry_bytes: carry?,
-                max_parked_bytes: parked?,
-                max_parked_segments: segs?,
-                max_marks: marks?,
-            },
-        })
+        let [scale, ..] = words;
+        let cfg = OnlineConfig::scaled(u32::try_from(scale).ok()?);
+        (cfg.to_words() == words).then_some(cfg)
     }
 }
 
@@ -263,6 +238,9 @@ impl OnlineTelemetry {
 /// resolves whatever the end of the capture leaves open.
 pub struct OnlineDecoder {
     pub(crate) cfg: OnlineConfig,
+    /// [`OnlineConfig`]'s reorder lag and gap patience, derived once.
+    reorder_lag: Duration,
+    gap_patience: Duration,
     pub(crate) graph: Arc<StoryGraph>,
     pub(crate) classifier: IntervalClassifier,
 
@@ -313,23 +291,25 @@ impl OnlineDecoder {
         let path = PathDecoder::new(&graph, Timing::new(&graph, cfg.time_scale), 1);
         OnlineDecoder {
             path,
+            reorder_lag: cfg.reorder_lag(),
+            gap_patience: cfg.gap_patience(),
             classifier,
             max_seen: SimTime::ZERO,
             watermark: SimTime::ZERO,
             finishing: false,
             flows: BTreeMap::new(),
             admit_seq: 0,
-            pending: BoundedVec::new(cfg.max_pending_events),
-            ready: BoundedVec::new(cfg.max_ready_events),
+            pending: BoundedVec::new(MAX_PENDING_EVENTS),
+            ready: BoundedVec::new(MAX_READY_EVENTS),
             app_count: 0,
             app_first: None,
             app_second: None,
             first_type1: None,
             last_kept_t1: None,
             last_kept_t2: None,
-            recent_apps: BoundedVec::new(cfg.max_recent_apps),
-            gap_times: BoundedVec::new(cfg.max_gap_times),
-            loss_windows: BoundedVec::new(cfg.max_loss_windows),
+            recent_apps: BoundedVec::new(MAX_RECENT_APPS),
+            gap_times: BoundedVec::new(MAX_GAP_TIMES),
+            loss_windows: BoundedVec::new(MAX_LOSS_WINDOWS),
             emitted: 0,
             records_seen: 0,
             records_at_checkpoint: 0,
@@ -377,10 +357,6 @@ impl OnlineDecoder {
         self.trace = Some((handle, parent));
     }
 
-    pub fn config(&self) -> &OnlineConfig {
-        &self.cfg
-    }
-
     pub fn stats(&self) -> OnlineStats {
         self.stats
     }
@@ -406,12 +382,11 @@ impl OnlineDecoder {
     /// True when the record cadence since the last checkpoint has been
     /// reached — callers own checkpoint scheduling and persistence.
     pub fn checkpoint_due(&self) -> bool {
-        self.records_seen.saturating_sub(self.records_at_checkpoint)
-            >= self.cfg.checkpoint_every_records.max(1)
+        self.records_seen.saturating_sub(self.records_at_checkpoint) >= CHECKPOINT_EVERY_RECORDS
     }
 
     /// Approximate resident state in bytes (buffers + fixed fields).
-    /// Bounded by configuration: independent of how much traffic has
+    /// Bounded by [`STATE_BOUND`]: independent of how much traffic has
     /// been pushed.
     pub fn state_bytes(&self) -> usize {
         let flows: usize = self.flows.values().map(|f| f.state_bytes()).sum();
@@ -421,7 +396,7 @@ impl OnlineDecoder {
             + self.recent_apps.len() * std::mem::size_of::<(u64, SimTime, u16)>()
             + self.gap_times.len() * std::mem::size_of::<SimTime>()
             + self.loss_windows.len() * std::mem::size_of::<(SimTime, SimTime)>()
-            + std::mem::size_of::<Self>()
+            + DECODER_FIXED_BYTES
     }
 
     /// Feed one captured frame. Returns the verdicts this packet made
@@ -439,12 +414,8 @@ impl OnlineDecoder {
                 if missing > 0 {
                     self.stats.truncated_segments = self.stats.truncated_segments.saturating_add(1);
                 }
-                let limits = self.cfg.ingest;
-                if self.flows.contains_key(&flow) || self.flows.len() < self.cfg.max_flows.max(1) {
-                    let ingest = self
-                        .flows
-                        .entry(flow)
-                        .or_insert_with(|| FlowIngest::new(limits));
+                if self.flows.contains_key(&flow) || self.flows.len() < MAX_FLOWS {
+                    let ingest = self.flows.entry(flow).or_default();
                     ingest.accept_segment(time, tcp.seq, payload, &mut recs, &mut gaps);
                     self.stats.flows = self.flows.len() as u64;
                 } else {
@@ -455,7 +426,7 @@ impl OnlineDecoder {
         }
         // Age out reassembly holes across all flows.
         let now = self.max_seen;
-        let patience = self.cfg.gap_patience;
+        let patience = self.gap_patience;
         for ingest in self.flows.values_mut() {
             ingest.flush(now, patience, &mut recs, &mut gaps);
         }
@@ -606,17 +577,12 @@ impl OnlineDecoder {
         //    the reorder allowance, but never pass a flow still
         //    holding bytes of an unfinished record (unless it has
         //    stalled past any plausible recovery).
-        let lagged = SimTime(
-            self.max_seen
-                .0
-                .saturating_sub(self.cfg.reorder_lag.micros()),
-        );
+        let lagged = SimTime(self.max_seen.0.saturating_sub(self.reorder_lag.micros()));
         let mut target = lagged;
         let stall = Duration(
-            self.cfg
-                .gap_patience
+            self.gap_patience
                 .micros()
-                .saturating_add(self.cfg.reorder_lag.micros()),
+                .saturating_add(self.reorder_lag.micros()),
         );
         for ingest in self.flows.values() {
             if let Some(f) = ingest.frontier() {
@@ -773,7 +739,7 @@ impl OnlineDecoder {
     /// deterministic per seed (unlike the `*_ns` timing histograms).
     fn record_checkpoint_gauges(&self) {
         let Some(t) = &self.telemetry else { return };
-        let bound = self.cfg.state_bound().max(1) as u64;
+        let bound = STATE_BOUND as u64;
         t.checkpoint_state_util_pct
             .record(self.state_bytes() as u64 * 100 / bound);
         t.checkpoint_staleness_records
@@ -802,5 +768,15 @@ impl OnlineDecoder {
         graph: Arc<StoryGraph>,
     ) -> Result<Self, crate::checkpoint::CheckpointError> {
         crate::checkpoint::decode(bytes, graph)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fixed_allowance_covers_the_struct() {
+        assert!(std::mem::size_of::<OnlineDecoder>() <= DECODER_FIXED_BYTES);
     }
 }

@@ -13,13 +13,13 @@
 //!   decoder ([`wm_core::PathDecoder`], width 1) over them and emits
 //!   per-choice [`engine::OnlineVerdict`]s (same confidence grading
 //!   and provenance tiers as the offline pipeline) the moment each
-//!   choice becomes decidable. Memory is bounded by configuration, not
-//!   by session length.
+//!   choice becomes decidable. Memory is bounded by constant budgets
+//!   ([`STATE_BOUND`]), not by session length.
 //! * [`ingest::FlowIngest`] — per-flow streaming reassembly under hard
 //!   byte budgets, tolerant of reordering, truncation, duplicates and
 //!   mid-session tap attach.
 //! * [`checkpoint`] — compact, versioned, CRC-sealed binary decoder
-//!   snapshots on a configurable record cadence, in the one layout a
+//!   snapshots on a fixed record cadence, in the one layout a
 //!   fleet shard also uses for many decoders;
 //!   [`engine::OnlineDecoder::resume_from_checkpoint`] restores one
 //!   after a process kill with zero duplicated verdicts and explicit
@@ -46,8 +46,6 @@ pub use checkpoint::{
     graph_fingerprint, restore_record, split_records, Blob, BlobHeader, BlobWriter,
     CheckpointError, RecordRef, CHECKPOINT_VERSION,
 };
-pub use engine::{OnlineConfig, OnlineDecoder, OnlineStats, OnlineVerdict};
-pub use ingest::{
-    ExtractedRecord, FlowIngest, GapEvent, IngestLimits, IngestLimitsError, IngestStats,
-};
+pub use engine::{OnlineConfig, OnlineDecoder, OnlineStats, OnlineVerdict, STATE_BOUND};
+pub use ingest::{ExtractedRecord, FlowIngest, GapEvent, IngestStats};
 pub use shard::{decode_sessions_sharded, replay_session, CapturedPacket, SessionDecode};

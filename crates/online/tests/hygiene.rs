@@ -14,7 +14,7 @@
 use wm_capture::time::{Duration, SimTime};
 use wm_net::rng::SimRng;
 use wm_online::bounded::Batch;
-use wm_online::{ExtractedRecord, FlowIngest, GapEvent, IngestLimits};
+use wm_online::{ExtractedRecord, FlowIngest, GapEvent};
 
 /// Build a plausible upstream TLS byte stream: `n` application-data
 /// records with pseudo-random lengths and bodies.
@@ -70,7 +70,7 @@ struct IngestRun {
 }
 
 fn drive(recycling: bool, segs: &[(SimTime, u32, Vec<u8>)], patience: Duration) -> IngestRun {
-    let mut ingest = FlowIngest::new(IngestLimits::default());
+    let mut ingest = FlowIngest::new();
     ingest.set_buffer_recycling(recycling);
     let mut records: Batch<ExtractedRecord> = Batch::new();
     let mut gaps: Batch<GapEvent> = Batch::new();

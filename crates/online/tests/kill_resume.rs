@@ -11,7 +11,7 @@ use wm_core::{
     client_app_records, ChoiceDecoder, DecodedChoice, DecoderConfig, IntervalClassifier,
     WhiteMirrorConfig,
 };
-use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
+use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict, STATE_BOUND};
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::{bandersnatch, tiny_film};
 use wm_story::{Choice, StoryGraph, ViewerScript};
@@ -49,6 +49,35 @@ fn feed_all(dec: &mut OnlineDecoder, packets: &[TapPacket]) -> Vec<OnlineVerdict
     out
 }
 
+/// Records between the kill/resume tests' checkpoints: tighter than
+/// the decoder's own cadence, so a checkpoint lands before each seeded
+/// kill index.
+const CHECKPOINT_RECORDS: u64 = 8;
+
+/// (packets fed, verdicts already emitted, blob) at checkpoint time.
+type Checkpoint = (usize, usize, Vec<u8>);
+
+/// Feed `packets` — everything before the kill — checkpointing every
+/// [`CHECKPOINT_RECORDS`] records; returns the verdicts emitted and
+/// the last checkpoint taken. The decoder is consumed: it dies here.
+fn feed_until_kill(
+    mut dying: OnlineDecoder,
+    packets: &[TapPacket],
+) -> (Vec<OnlineVerdict>, Option<Checkpoint>) {
+    let mut pre: Vec<OnlineVerdict> = Vec::new();
+    let mut checkpoint = None;
+    let mut records_at_checkpoint = 0;
+    for (i, (t, frame)) in packets.iter().enumerate() {
+        pre.extend(dying.push_packet(SimTime(*t), frame));
+        let records = dying.stats().records;
+        if records - records_at_checkpoint >= CHECKPOINT_RECORDS {
+            records_at_checkpoint = records;
+            checkpoint = Some((i + 1, pre.len(), dying.checkpoint()));
+        }
+    }
+    (pre, checkpoint)
+}
+
 /// The offline greedy reference: `ChoiceDecoder` + `build_provenance`
 /// over the full capture (what `wm_core` computes post-hoc).
 fn offline_reference(
@@ -60,10 +89,9 @@ fn offline_reference(
     Vec<wm_core::provenance::ChoiceProvenance>,
 ) {
     let features = client_app_records(&out.trace);
-    let cfg = DecoderConfig::scaled(TS);
-    let window = cfg.window;
-    let choices = ChoiceDecoder::new(clf, graph, cfg, 1).decode(&features.records);
-    let provenance = build_provenance(&choices, &features, clf, window);
+    let decoder = ChoiceDecoder::new(clf, graph, DecoderConfig::scaled(TS), 1);
+    let choices = decoder.decode(&features.records);
+    let provenance = build_provenance(&choices, &features, clf, decoder.timing().window);
     (choices, provenance)
 }
 
@@ -133,8 +161,7 @@ fn kill_and_resume_with_full_replay_is_byte_identical() {
         &[Choice::Default, Choice::NonDefault, Choice::NonDefault],
     );
     let packets = tap_packets(&out);
-    let mut cfg = OnlineConfig::scaled(TS);
-    cfg.checkpoint_every_records = 8;
+    let cfg = OnlineConfig::scaled(TS);
 
     let mut base = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
     let baseline = feed_all(&mut base, &packets);
@@ -142,17 +169,9 @@ fn kill_and_resume_with_full_replay_is_byte_identical() {
 
     // The attacker process dies at a seeded packet index…
     let kill = kill_index(0xDEAD_BEEF, packets.len());
-    let mut dying = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
-    let mut pre: Vec<OnlineVerdict> = Vec::new();
-    // (packets fed, verdicts already emitted, blob) at checkpoint time.
-    let mut checkpoint: Option<(usize, usize, Vec<u8>)> = None;
-    for (i, (t, frame)) in packets.iter().enumerate().take(kill) {
-        pre.extend(dying.push_packet(SimTime(*t), frame));
-        if dying.checkpoint_due() {
-            checkpoint = Some((i + 1, pre.len(), dying.checkpoint()));
-        }
-    }
-    drop(dying); // the crash: everything since the checkpoint is gone
+    let dying = OnlineDecoder::new(clf.clone(), graph.clone(), cfg);
+    // The crash: everything since the checkpoint is gone.
+    let (pre, checkpoint) = feed_until_kill(dying, &packets[..kill]);
     let (resume_at, delivered, blob) =
         checkpoint.expect("checkpoint cadence must fire before the kill index");
 
@@ -186,22 +205,14 @@ fn crash_gap_is_reported_and_decoding_recovers() {
         &[Choice::NonDefault, Choice::NonDefault, Choice::Default],
     );
     let packets = tap_packets(&out);
-    let mut cfg = OnlineConfig::scaled(TS);
-    cfg.checkpoint_every_records = 8;
+    let cfg = OnlineConfig::scaled(TS);
 
     let mut base = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
     let baseline = feed_all(&mut base, &packets);
 
     let kill = kill_index(0xFEED, packets.len());
-    let mut dying = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
-    let mut checkpoint: Option<(usize, usize, Vec<u8>)> = None;
-    let mut pre: Vec<OnlineVerdict> = Vec::new();
-    for (i, (t, frame)) in packets.iter().enumerate().take(kill) {
-        pre.extend(dying.push_packet(SimTime(*t), frame));
-        if dying.checkpoint_due() {
-            checkpoint = Some((i + 1, pre.len(), dying.checkpoint()));
-        }
-    }
+    let dying = OnlineDecoder::new(clf.clone(), graph.clone(), cfg);
+    let (pre, checkpoint) = feed_until_kill(dying, &packets[..kill]);
     let (cp_at, delivered, blob) = checkpoint.expect("checkpoint before kill");
     assert!(
         cp_at < kill,
@@ -259,9 +270,9 @@ fn crash_gap_is_reported_and_decoding_recovers() {
 fn memory_stays_bounded_by_configuration() {
     // Feed a *much* longer session (the full Bandersnatch graph) and a
     // short one through identically-configured decoders: peak resident
-    // state must stay under the same configuration-derived constant.
+    // state must stay under the decoder's constant state bound.
     let cfg = OnlineConfig::scaled(TS);
-    let bound = cfg.state_bound();
+    let bound = STATE_BOUND;
 
     let graph = Arc::new(bandersnatch());
     let script = ViewerScript::sample(41, 32, 0.5);
@@ -279,7 +290,7 @@ fn memory_stays_bounded_by_configuration() {
     peak = peak.max(dec.state_bytes());
     assert!(
         peak <= bound,
-        "peak state {peak} exceeded configured bound {bound} over {} packets",
+        "peak state {peak} exceeded the state bound {bound} over {} packets",
         packets.len()
     );
     assert!(dec.stats().verdicts > 0, "the long session must decode");

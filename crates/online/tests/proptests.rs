@@ -350,38 +350,3 @@ fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
         }
     }
 }
-
-#[test]
-fn ingest_limits_reject_zero_and_contradictory_budgets() {
-    use wm_online::{IngestLimits, IngestLimitsError};
-    assert!(IngestLimits::default().validate().is_ok());
-    assert!(IngestLimits::new(96 * 1024, 64 * 1024, 64, 256).is_ok());
-    assert_eq!(
-        IngestLimits::new(0, 64, 4, 16).err(),
-        Some(IngestLimitsError::ZeroBudget("max_carry_bytes"))
-    );
-    assert!(matches!(
-        IngestLimits::new(3, 64, 4, 16).err(),
-        Some(IngestLimitsError::CarryTooSmall { .. })
-    ));
-    assert_eq!(
-        IngestLimits::new(4096, 64, 4, 0).err(),
-        Some(IngestLimitsError::ZeroBudget("max_marks"))
-    );
-    assert!(matches!(
-        IngestLimits::new(4096, 64, 0, 16).err(),
-        Some(IngestLimitsError::ContradictoryParking { .. })
-    ));
-    assert!(matches!(
-        IngestLimits::new(4096, 0, 4, 16).err(),
-        Some(IngestLimitsError::ContradictoryParking { .. })
-    ));
-    // Parking disabled entirely is a policy, not a contradiction.
-    assert!(IngestLimits::new(4096, 0, 0, 16).is_ok());
-    // The shared bound is monotone in every budget.
-    let a = IngestLimits::default().per_flow_state_bound();
-    let b = IngestLimits::new(128 * 1024, 64 * 1024, 64, 256)
-        .unwrap()
-        .per_flow_state_bound();
-    assert!(b > a);
-}

@@ -9,11 +9,11 @@
 //! through one supervised [`white_mirror::fleet::Fleet`] under an
 //! active shard-fault plan, and pins the long-haul invariants:
 //!
-//! * **Per-shard memory is bounded by configuration.** At every
-//!   sampled point each shard's resident decoder state stays under
-//!   [`FleetConfig::per_shard_state_bound`] — the bound derived from
-//!   `IngestLimits`, not an ad-hoc constant — and process RSS stays
-//!   flat once warm.
+//! * **Per-shard memory is bounded.** At every sampled point each
+//!   shard's resident decoder state stays under
+//!   [`FleetConfig::per_shard_state_bound`] — the victim cap times the
+//!   decoder's own `STATE_BOUND`, not an ad-hoc constant — and process
+//!   RSS stays flat once warm.
 //! * **Zero duplicated, bounded lost verdicts.** The drained stream
 //!   never exceeds the per-victim expectation, and under the injected
 //!   fault intensity delivers at least 85% of it.
@@ -183,7 +183,7 @@ fn hundred_thousand_sessions_supervised_flat_memory_bounded_loss() {
             shard_peak = shard_peak.max(per_shard);
             assert!(
                 per_shard <= shard_bound,
-                "mean shard state {per_shard} exceeded configured bound {shard_bound} \
+                "mean shard state {per_shard} exceeded the shard bound {shard_bound} \
                  after {pushed} packets ({finished} sessions)"
             );
             let rss = vm_rss_bytes();

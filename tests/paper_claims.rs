@@ -61,9 +61,10 @@ fn claim_binary_choices_and_ten_second_window() {
     for cp in graph.choice_points() {
         assert_eq!(cp.options.len(), 2, "choices are binary");
     }
-    // The window constant is encoded in the decoder configuration.
+    // The window constant is encoded in the decoder's timing model.
     let cfg = white_mirror::core::DecoderConfig::realtime();
-    assert_eq!(cfg.window.micros(), 10_000_000);
+    let timing = white_mirror::core::Timing::new(&graph, cfg.time_scale);
+    assert_eq!(timing.window.micros(), 10_000_000);
 }
 
 /// §III: "Netflix considers one of the choices to be the default

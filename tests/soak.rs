@@ -9,11 +9,11 @@
 //! simulated captures, and pins the throughput engine's two long-haul
 //! invariants:
 //!
-//! * **Memory is bounded by configuration, not by session count.**
-//!   `OnlineDecoder::state_bytes()` never exceeds the bound implied by
-//!   [`OnlineConfig`]/[`IngestLimits`] at any sampled point, and
-//!   process RSS stays flat once warm (growth under a fixed budget
-//!   while the workload repeats).
+//! * **Memory is bounded by constant budgets, not by session count.**
+//!   `OnlineDecoder::state_bytes()` never exceeds the decoder's
+//!   [`STATE_BOUND`] at any sampled point, and process RSS stays flat
+//!   once warm (growth under a fixed budget while the workload
+//!   repeats).
 //! * **Zero lost, zero duplicated verdicts.** Every replay yields a
 //!   contiguous 0-based verdict index stream of exactly the length its
 //!   first decode produced.
@@ -23,7 +23,7 @@
 use std::sync::Arc;
 use white_mirror::capture::time::{Duration, SimTime};
 use white_mirror::core::{IntervalClassifier, WhiteMirrorConfig};
-use white_mirror::online::{OnlineConfig, OnlineDecoder};
+use white_mirror::online::{OnlineConfig, OnlineDecoder, STATE_BOUND};
 use white_mirror::prelude::*;
 
 /// Steady-state RSS growth beyond this means a leak.
@@ -43,14 +43,6 @@ fn fast_cfg(seed: u64) -> SessionConfig {
         Duration::from_millis(900),
     );
     SessionConfig::fast(graph, seed, script)
-}
-
-/// Configured upper bound on `OnlineDecoder::state_bytes()`: the
-/// shared `OnlineConfig::state_bound` helper, so this suite, the
-/// kill/resume tests and the fleet supervisor all budget against the
-/// same configuration-derived constant.
-fn state_bound(cfg: &OnlineConfig) -> usize {
-    cfg.state_bound()
 }
 
 fn vm_rss_bytes() -> u64 {
@@ -73,7 +65,9 @@ fn fifty_thousand_sessions_flat_memory_exact_verdicts() {
     let classifier =
         IntervalClassifier::train(&train.labels, WhiteMirrorConfig::DEFAULT_SLACK).expect("bands");
     let cfg = OnlineConfig::scaled(20);
-    let bound = state_bound(&cfg);
+    // The one bound this suite, the kill/resume tests and the fleet
+    // supervisor all budget against.
+    let bound = STATE_BOUND;
 
     // Small capture pool, cycled for the whole soak.
     let pool: Vec<Vec<(SimTime, Vec<u8>)>> = (0..8u64)
@@ -101,7 +95,7 @@ fn fifty_thousand_sessions_flat_memory_exact_verdicts() {
                 let state = dec.state_bytes();
                 assert!(
                     state <= bound,
-                    "state_bytes {state} exceeded configured bound {bound}"
+                    "state_bytes {state} exceeded the state bound {bound}"
                 );
             }
         }
