@@ -22,7 +22,7 @@
 //! cargo run --release -p wm-bench --bin elasticity [-- --smoke]
 //! ```
 //!
-//! `--smoke` (or `WM_ELASTICITY_SMOKE=1`) shrinks the run for CI; the
+//! `--smoke` shrinks the run for CI; the
 //! committed `baselines/BENCH_elasticity.json` is a smoke-mode
 //! artifact.
 //!
@@ -32,29 +32,21 @@
 
 use std::time::Instant;
 
-use wm_bench::elasticity::{validate_elasticity_json, ElasticityRow};
+use wm_bench::elasticity::{ElasticityRow, REQUIRED_METRICS};
+use wm_bench::fleet::{resident_config, run_fleet, victim_stream};
 use wm_bench::throughput::peak_rss_bytes;
-use wm_bench::{
-    graph, sample_behavior, train_attack_for, viewer_cfg, write_bench_json, TraceTally, TIME_SCALE,
-};
+use wm_bench::{capture_pool, graph, publish, smoke, train_attack_for, TraceTally};
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{ShardFaultKind, ShardFaultPlan};
-use wm_dataset::{OperationalConditions, ViewerSpec};
-use wm_fleet::{
-    merge_taps, Fleet, FleetConfig, FleetReport, ObserverConfig, ResizeSchedule, ShardBackend,
-    TapPacket,
-};
-use wm_online::CapturedPacket;
-use wm_telemetry::trace::{SpanId, TraceEvent, TraceHandle};
+use wm_dataset::OperationalConditions;
+use wm_fleet::{ResizeSchedule, ShardBackend};
 use wm_telemetry::Snapshot;
 
 const SHARDS: usize = 4;
 const INTENSITIES: [f64; 3] = [0.0, 1.0, 2.0];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke")
-        || std::env::var("WM_ELASTICITY_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke();
 
     let graph = graph();
     let cond = OperationalConditions::grid()[0];
@@ -69,41 +61,14 @@ fn main() {
     let mut telemetry = Snapshot::default();
     let mut tally = TraceTally::default();
     let gen_start = Instant::now();
-    let mut pool: Vec<Vec<CapturedPacket>> = Vec::new();
-    for v in 0..pool_n {
-        let seed = 85_000 + v;
-        let viewer = ViewerSpec {
-            id: v as u32,
-            seed,
-            behavior: sample_behavior(seed),
-            operational: cond,
-        };
-        let out = wm_sim::run_session(&viewer_cfg(&graph, &viewer)).expect("victim session");
-        telemetry.merge(&out.telemetry);
-        tally.observe(&out.trace_events);
-        pool.push(
-            out.trace
-                .packets
-                .iter()
-                .map(|p| (SimTime(p.time.micros()), p.frame.clone()))
-                .collect(),
-        );
-    }
-    let taps: Vec<Vec<TapPacket>> = (0..victims)
-        .map(|v| {
-            let offset = v as u64 * 250_000;
-            pool[v % pool.len()]
-                .iter()
-                .map(|(t, frame)| (SimTime(t.micros() + offset), v as u32, frame.clone()))
-                .collect()
-        })
-        .collect();
-    let stream = merge_taps(&taps);
-    let span_us = stream
-        .last()
-        .map(|(t, _, _)| t.micros())
-        .unwrap_or(1)
-        .max(1);
+    let pool = capture_pool(
+        &graph,
+        cond,
+        85_000..85_000 + pool_n,
+        &mut telemetry,
+        &mut tally,
+    );
+    let (stream, span_us) = victim_stream(&pool, victims);
     println!(
         "  capture pool: {pool_n} sessions, {victims} victims, {} packets, {:.1}s sim-time \
          (generated in {:.2}s)",
@@ -112,9 +77,7 @@ fn main() {
         gen_start.elapsed().as_secs_f64()
     );
 
-    let mut cfg = FleetConfig::scaled(SHARDS, TIME_SCALE);
-    cfg.victim_idle = Duration::from_micros(span_us);
-    cfg.max_victims_per_shard = victims.max(1);
+    let cfg = resident_config(SHARDS, victims, span_us);
 
     // Shrink below the starting count, then grow past it: both steps
     // force migrations, and the shrink exercises slot retirement.
@@ -249,53 +212,5 @@ fn main() {
         metrics.push((format!("loss_window_us_i{i}"), row.loss_window_us as f64));
         metrics.push((format!("respawns_i{i}"), row.respawns as f64));
     }
-    let metric_refs: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    write_bench_json("elasticity", &metric_refs, &telemetry, &tally);
-
-    // Self-check the artifact CI uploads and gates on.
-    let json =
-        std::fs::read_to_string("BENCH_elasticity.json").expect("bench artifact just written");
-    if let Err(e) = validate_elasticity_json(&json) {
-        eprintln!("BENCH_elasticity.json failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    println!("  BENCH_elasticity.json schema: ok");
-}
-
-fn run_fleet(
-    cfg: &FleetConfig,
-    classifier: &wm_core::IntervalClassifier,
-    graph: &std::sync::Arc<wm_story::StoryGraph>,
-    stream: &[TapPacket],
-    plan: Option<&ShardFaultPlan>,
-    schedule: Option<&ResizeSchedule>,
-) -> (FleetReport, Vec<TraceEvent>) {
-    let mut fleet = match Fleet::new(cfg.clone(), classifier.clone(), graph.clone()) {
-        Ok(fleet) => fleet,
-        Err(e) => {
-            eprintln!(
-                "cannot construct fleet: {e}\n\
-                 (process backend? build the worker first: \
-                 cargo build --release -p wm-fleet)"
-            );
-            std::process::exit(1);
-        }
-    };
-    if let Some(plan) = plan {
-        fleet.inject(plan);
-    }
-    if let Some(schedule) = schedule {
-        fleet.schedule_resize(schedule);
-    }
-    let trace = TraceHandle::new();
-    let root = trace.span_start_at(0, "fleet.run", SpanId::NONE);
-    fleet.attach_trace(trace.clone(), root);
-    fleet.attach_observer(ObserverConfig::default());
-    for (t, victim, frame) in stream {
-        fleet.push(*t, *victim, frame);
-    }
-    let end = stream.last().map(|(t, _, _)| t.micros()).unwrap_or(0);
-    let report = fleet.finish();
-    trace.span_end_at(end, root, "fleet.run");
-    (report, trace.snapshot())
+    publish("elasticity", &metrics, REQUIRED_METRICS, &telemetry, &tally);
 }

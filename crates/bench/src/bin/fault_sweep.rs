@@ -11,28 +11,24 @@
 //! cargo run --release -p wm-bench --bin fault_sweep [-- --smoke]
 //! ```
 //!
-//! `--smoke` (or `WM_FAULT_SWEEP_SMOKE=1`) shrinks the matrix for CI.
+//! `--smoke` shrinks the matrix for CI.
 
 use wm_bench::{
-    bench_json, graph, sample_behavior, train_attack_for, validate_bench_json, viewer_cfg,
-    write_bench_json, TraceTally,
+    graph, publish, sweep_grid, sweep_metric_names, train_attack_for, viewer, viewer_cfg,
+    ConfidenceMean, TraceTally,
 };
 use wm_chaos::FaultPlan;
 use wm_core::ChoiceAccuracy;
-use wm_dataset::{OperationalConditions, ViewerSpec};
+use wm_dataset::OperationalConditions;
 use wm_net::time::Duration;
 use wm_sim::{run_session, run_session_lossy};
 use wm_telemetry::Snapshot;
 
+/// The per-intensity columns of `BENCH_fault_sweep.json`.
+const STEMS: [&str; 4] = ["accuracy", "confidence", "failed", "reconnects"];
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("WM_FAULT_SWEEP_SMOKE").is_ok_and(|v| v == "1");
-    let intensities: &[f64] = if smoke {
-        &[0.0, 1.0]
-    } else {
-        &[0.0, 0.5, 1.0, 2.0, 4.0]
-    };
-    let victims: u64 = if smoke { 2 } else { 6 };
+    let (intensities, victims) = sweep_grid();
 
     let graph = graph();
     let cond = OperationalConditions::grid()[0];
@@ -40,12 +36,7 @@ fn main() {
 
     // Fault horizon: how long a clean victim session actually runs, so
     // generated faults land mid-stream at every intensity.
-    let probe = ViewerSpec {
-        id: u32::MAX,
-        seed: 70_100,
-        behavior: sample_behavior(70_100),
-        operational: cond,
-    };
+    let probe = viewer(u32::MAX, 70_100, cond);
     let probe_out = run_session(&viewer_cfg(&graph, &probe)).expect("probe session");
     let horizon = Duration(probe_out.stats.duration.0);
 
@@ -60,20 +51,13 @@ fn main() {
     let mut metrics: Vec<(String, f64)> = Vec::new();
     for &intensity in intensities {
         let mut acc = ChoiceAccuracy::default();
-        let mut conf_sum = 0.0f64;
-        let mut conf_n = 0u64;
+        let mut confidence = ConfidenceMean::default();
         let mut reconnects = 0u64;
         let mut tap_drops = 0u64;
         let mut failed = 0u64;
         for v in 0..victims {
             let seed = 71_000 + v;
-            let viewer = ViewerSpec {
-                id: v as u32,
-                seed,
-                behavior: sample_behavior(seed),
-                operational: cond,
-            };
-            let mut cfg = viewer_cfg(&graph, &viewer);
+            let mut cfg = viewer_cfg(&graph, &viewer(v as u32, seed, cond));
             cfg.chaos = if intensity > 0.0 {
                 FaultPlan::generate(seed, intensity, horizon)
             } else {
@@ -91,15 +75,10 @@ fn main() {
                 continue;
             }
             let (decoded, a) = attack.evaluate(&out.trace, &graph, &out.decisions);
-            conf_sum += decoded.mean_confidence();
-            conf_n += 1;
+            confidence.add(&decoded.choices);
             acc.merge(&a);
         }
-        let confidence = if conf_n > 0 {
-            conf_sum / conf_n as f64
-        } else {
-            0.0
-        };
+        let confidence = confidence.mean();
         println!(
             "{:>9.2} {:>9.1}% {:>12.3} {:>11} {:>10} {:>8}",
             intensity,
@@ -109,28 +88,14 @@ fn main() {
             tap_drops,
             failed
         );
-        let key = format!("{intensity:.2}").replace('.', "_");
-        metrics.push((format!("accuracy_i{key}"), acc.accuracy()));
-        metrics.push((format!("confidence_i{key}"), confidence));
-        metrics.push((format!("failed_i{key}"), failed as f64));
-        metrics.push((format!("reconnects_i{key}"), reconnects as f64));
+        let values = [acc.accuracy(), confidence, failed as f64, reconnects as f64];
+        metrics.extend(
+            sweep_metric_names(&[intensity], &STEMS)
+                .into_iter()
+                .zip(values),
+        );
     }
 
-    // Required keys are the full per-intensity grid this run swept, so
-    // a dropped column fails the schema gate before CI ever sees it.
-    let required: Vec<String> = intensities
-        .iter()
-        .flat_map(|intensity| {
-            let key = format!("{intensity:.2}").replace('.', "_");
-            ["accuracy", "confidence", "failed", "reconnects"].map(|stem| format!("{stem}_i{key}"))
-        })
-        .collect();
-    let borrowed: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let json = bench_json("fault_sweep", &borrowed, &telemetry, &tally);
-    if let Err(e) = validate_bench_json(&json, "fault_sweep", &required) {
-        eprintln!("BENCH_fault_sweep.json failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    write_bench_json("fault_sweep", &borrowed, &telemetry, &tally);
-    println!("  BENCH_fault_sweep.json schema: ok");
+    let required = sweep_metric_names(intensities, &STEMS);
+    publish("fault_sweep", &metrics, &required, &telemetry, &tally);
 }

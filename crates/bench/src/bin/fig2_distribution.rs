@@ -5,9 +5,9 @@
 //! cargo run --release -p wm-bench --bin fig2_distribution
 //! ```
 
-use wm_bench::{bar, graph, run_viewer, sample_behavior, TIME_SCALE};
+use wm_bench::{bar, graph, run_viewer, viewer, TIME_SCALE};
 use wm_capture::labels::RecordClass;
-use wm_dataset::{OperationalConditions, ViewerSpec};
+use wm_dataset::OperationalConditions;
 use wm_net::conditions::{ConnectionType, LinkConditions, TimeOfDay};
 use wm_player::Profile;
 
@@ -60,16 +60,11 @@ fn main() {
         // Collect labelled client records for this condition.
         let mut by_class: [Vec<u16>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         for seed in 0..SESSIONS_PER_CONDITION {
-            let viewer = ViewerSpec {
-                id: seed as u32,
-                seed: 31_000 + seed,
-                behavior: sample_behavior(31_000 + seed),
-                operational: OperationalConditions {
-                    profile: panel.profile,
-                    link: LinkConditions::new(ConnectionType::Wired, TimeOfDay::Morning),
-                },
+            let cond = OperationalConditions {
+                profile: panel.profile,
+                link: LinkConditions::new(ConnectionType::Wired, TimeOfDay::Morning),
             };
-            let out = run_viewer(&graph, &viewer);
+            let out = run_viewer(&graph, &viewer(seed as u32, 31_000 + seed, cond));
             for l in &out.labels {
                 let idx = match l.class {
                     RecordClass::Type1 => 0,

@@ -13,7 +13,7 @@
 //! cargo run --release -p wm-bench --bin fleet_recovery [-- --smoke]
 //! ```
 //!
-//! `--smoke` (or `WM_FLEET_SMOKE=1`) shrinks the sweep for CI.
+//! `--smoke` shrinks the sweep for CI.
 //!
 //! The intensity-0 run doubles as an equivalence gate: with no faults
 //! injected, the supervised fleet must deliver exactly the per-victim
@@ -21,27 +21,22 @@
 
 use std::time::Instant;
 
-use wm_bench::fleet::{validate_fleet_json, IntensityRow};
+use wm_bench::fleet::{resident_config, run_fleet, victim_stream, IntensityRow, REQUIRED_METRICS};
 use wm_bench::throughput::peak_rss_bytes;
-use wm_bench::{
-    graph, sample_behavior, train_attack_for, viewer_cfg, write_bench_json, TraceTally, TIME_SCALE,
-};
-use wm_capture::time::{Duration, SimTime};
+use wm_bench::{capture_pool, graph, publish, smoke, train_attack_for, TraceTally};
+use wm_capture::time::Duration;
 use wm_chaos::ShardFaultPlan;
-use wm_dataset::{OperationalConditions, ViewerSpec};
-use wm_fleet::{merge_taps, Fleet, FleetConfig, FleetReport, ObserverConfig, TapPacket};
+use wm_dataset::OperationalConditions;
+use wm_fleet::FleetReport;
 use wm_obs::collapse_spans;
 use wm_online::{decode_sessions_sharded, CapturedPacket};
-use wm_telemetry::trace::{SpanId, TraceEvent, TraceHandle};
 use wm_telemetry::Snapshot;
 
 const SHARDS: usize = 4;
 const INTENSITIES: [f64; 5] = [0.0, 1.0, 2.0, 3.0, 4.0];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke")
-        || std::env::var("WM_FLEET_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke();
 
     let graph = graph();
     let cond = OperationalConditions::grid()[0];
@@ -55,26 +50,13 @@ fn main() {
     let mut telemetry = Snapshot::default();
     let mut tally = TraceTally::default();
     let gen_start = Instant::now();
-    let mut pool: Vec<Vec<CapturedPacket>> = Vec::new();
-    for v in 0..pool_n {
-        let seed = 83_000 + v;
-        let viewer = ViewerSpec {
-            id: v as u32,
-            seed,
-            behavior: sample_behavior(seed),
-            operational: cond,
-        };
-        let out = run_viewer_session(&graph, &viewer);
-        telemetry.merge(&out.telemetry);
-        tally.observe(&out.trace_events);
-        pool.push(
-            out.trace
-                .packets
-                .iter()
-                .map(|p| (SimTime(p.time.micros()), p.frame.clone()))
-                .collect(),
-        );
-    }
+    let pool = capture_pool(
+        &graph,
+        cond,
+        83_000..83_000 + pool_n,
+        &mut telemetry,
+        &mut tally,
+    );
     println!(
         "  capture pool: {pool_n} sessions simulated in {:.2}s",
         gen_start.elapsed().as_secs_f64()
@@ -84,31 +66,8 @@ fn main() {
     let victims: usize = if smoke { 8 } else { 48 };
     let batch: Vec<Vec<CapturedPacket>> =
         (0..victims).map(|v| pool[v % pool.len()].clone()).collect();
-    // One tap per victim, starts staggered 250 ms apart, merged into
-    // the single time-ordered stream the supervisor ingests.
-    let taps: Vec<Vec<TapPacket>> = batch
-        .iter()
-        .enumerate()
-        .map(|(v, packets)| {
-            let offset = v as u64 * 250_000;
-            packets
-                .iter()
-                .map(|(t, frame)| (SimTime(t.micros() + offset), v as u32, frame.clone()))
-                .collect()
-        })
-        .collect();
-    let stream = merge_taps(&taps);
-    let span_us = stream
-        .last()
-        .map(|(t, _, _)| t.micros())
-        .unwrap_or(1)
-        .max(1);
-
-    let mut cfg = FleetConfig::scaled(SHARDS, TIME_SCALE);
-    // Sessions overlap for the whole sweep; keep every victim resident
-    // so the intensity-0 run is packet-for-packet the baseline decode.
-    cfg.victim_idle = Duration::from_micros(span_us);
-    cfg.max_victims_per_shard = victims.max(1);
+    let (stream, span_us) = victim_stream(&pool, victims);
+    let cfg = resident_config(SHARDS, victims, span_us);
 
     // ---- baseline: unsupervised sharded decode ----------------------
     let t = Instant::now();
@@ -132,7 +91,8 @@ fn main() {
             Duration::from_micros(span_us),
         );
         let t = Instant::now();
-        let (report, trace_events) = run_fleet(&cfg, &classifier, &graph, &stream, &plan);
+        let (report, trace_events) =
+            run_fleet(&cfg, &classifier, &graph, &stream, Some(&plan), None);
         let secs = t.elapsed().as_secs_f64();
         if intensity == 0.0 {
             fleet_sessions_per_sec = victims as f64 / secs;
@@ -221,46 +181,7 @@ fn main() {
     for (intensity, n) in &alerts {
         metrics.push((format!("alerts_i{intensity}"), *n as f64));
     }
-    let metric_refs: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    write_bench_json("fleet", &metric_refs, &telemetry, &tally);
-
-    // Self-check the artifact CI uploads and gates on.
-    let json = std::fs::read_to_string("BENCH_fleet.json").expect("bench artifact just written");
-    if let Err(e) = validate_fleet_json(&json) {
-        eprintln!("BENCH_fleet.json failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    println!("  BENCH_fleet.json schema: ok");
-}
-
-fn run_viewer_session(
-    graph: &std::sync::Arc<wm_story::StoryGraph>,
-    viewer: &ViewerSpec,
-) -> wm_sim::SessionOutput {
-    wm_sim::run_session(&viewer_cfg(graph, viewer)).expect("victim session")
-}
-
-fn run_fleet(
-    cfg: &FleetConfig,
-    classifier: &wm_core::IntervalClassifier,
-    graph: &std::sync::Arc<wm_story::StoryGraph>,
-    stream: &[TapPacket],
-    plan: &ShardFaultPlan,
-) -> (FleetReport, Vec<TraceEvent>) {
-    let mut fleet =
-        Fleet::new(cfg.clone(), classifier.clone(), graph.clone()).expect("valid fleet config");
-    fleet.inject(plan);
-    let trace = TraceHandle::new();
-    let root = trace.span_start_at(0, "fleet.run", SpanId::NONE);
-    fleet.attach_trace(trace.clone(), root);
-    fleet.attach_observer(ObserverConfig::default());
-    for (t, victim, frame) in stream {
-        fleet.push(*t, *victim, frame);
-    }
-    let end = stream.last().map(|(t, _, _)| t.micros()).unwrap_or(0);
-    let report = fleet.finish();
-    trace.span_end_at(end, root, "fleet.run");
-    (report, trace.snapshot())
+    publish("fleet", &metrics, REQUIRED_METRICS, &telemetry, &tally);
 }
 
 fn write_artifact(path: &str, contents: &str) {

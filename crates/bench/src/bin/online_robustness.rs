@@ -15,31 +15,31 @@
 //! cargo run --release -p wm-bench --bin online_robustness [-- --smoke]
 //! ```
 //!
-//! `--smoke` (or `WM_ONLINE_ROBUSTNESS_SMOKE=1`) shrinks the matrix
-//! for CI.
+//! `--smoke` shrinks the matrix for CI.
 
 use wm_bench::{
-    bench_json, graph, sample_behavior, train_attack_for, validate_bench_json, viewer_cfg,
-    write_bench_json, TraceTally, TIME_SCALE,
+    graph, publish, run_viewer, sweep_grid, sweep_metric_names, train_attack_for, viewer,
+    ConfidenceMean, TraceTally, TIME_SCALE,
 };
 use wm_capture::time::SimTime;
 use wm_chaos::{impair_capture, kill_index, CaptureImpairment, TapPacket};
 use wm_core::{choice_accuracy, ChoiceAccuracy, DecodedChoice};
-use wm_dataset::{OperationalConditions, ViewerSpec};
+use wm_dataset::OperationalConditions;
 use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
-use wm_sim::run_session;
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Registry, Snapshot};
 
+/// The per-intensity columns of `BENCH_online_robustness.json`.
+const STEMS: [&str; 5] = [
+    "accuracy",
+    "confidence",
+    "loss_windows",
+    "late_events",
+    "resumes",
+];
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("WM_ONLINE_ROBUSTNESS_SMOKE").is_ok_and(|v| v == "1");
-    let intensities: &[f64] = if smoke {
-        &[0.0, 1.0]
-    } else {
-        &[0.0, 0.5, 1.0, 2.0, 4.0]
-    };
-    let victims: u64 = if smoke { 2 } else { 6 };
+    let (intensities, victims) = sweep_grid();
 
     let graph = graph();
     let cond = OperationalConditions::grid()[0];
@@ -57,21 +57,14 @@ fn main() {
     let mut metrics: Vec<(String, f64)> = Vec::new();
     for &intensity in intensities {
         let mut acc = ChoiceAccuracy::default();
-        let mut conf_sum = 0.0f64;
-        let mut conf_n = 0u64;
+        let mut confidence = ConfidenceMean::default();
         let mut losses = 0u64;
         let mut late = 0u64;
         let mut gaps = 0u64;
         let mut resumes = 0u64;
         for v in 0..victims {
             let seed = 72_000 + v;
-            let viewer = ViewerSpec {
-                id: v as u32,
-                seed,
-                behavior: sample_behavior(seed),
-                operational: cond,
-            };
-            let out = run_session(&viewer_cfg(&graph, &viewer)).expect("victim session");
+            let out = run_viewer(&graph, &viewer(v as u32, seed, cond));
             let clean: Vec<TapPacket> = out
                 .trace
                 .packets
@@ -133,11 +126,7 @@ fn main() {
 
             let choices: Vec<DecodedChoice> = verdicts.iter().map(|v| v.choice).collect();
             acc.merge(&choice_accuracy(&choices, &out.decisions));
-            if !choices.is_empty() {
-                conf_sum +=
-                    choices.iter().map(|c| c.confidence).sum::<f64>() / choices.len() as f64;
-                conf_n += 1;
-            }
+            confidence.add(&choices);
             let stats = dec.stats();
             losses += dec.loss_windows().len() as u64;
             late += stats.late_events;
@@ -146,11 +135,7 @@ fn main() {
             telemetry.merge(&registry.snapshot());
             tally.observe(&trace.snapshot());
         }
-        let confidence = if conf_n > 0 {
-            conf_sum / conf_n as f64
-        } else {
-            0.0
-        };
+        let confidence = confidence.mean();
         println!(
             "{:>9.2} {:>9.1}% {:>12.3} {:>8} {:>10} {:>8} {:>8}",
             intensity,
@@ -161,36 +146,20 @@ fn main() {
             gaps,
             resumes
         );
-        let key = format!("{intensity:.2}").replace('.', "_");
-        metrics.push((format!("accuracy_i{key}"), acc.accuracy()));
-        metrics.push((format!("confidence_i{key}"), confidence));
-        metrics.push((format!("loss_windows_i{key}"), losses as f64));
-        metrics.push((format!("late_events_i{key}"), late as f64));
-        metrics.push((format!("resumes_i{key}"), resumes as f64));
+        let values = [
+            acc.accuracy(),
+            confidence,
+            losses as f64,
+            late as f64,
+            resumes as f64,
+        ];
+        metrics.extend(
+            sweep_metric_names(&[intensity], &STEMS)
+                .into_iter()
+                .zip(values),
+        );
     }
 
-    // Required keys are the full per-intensity grid this run swept, so
-    // a dropped column fails the schema gate before CI ever sees it.
-    let required: Vec<String> = intensities
-        .iter()
-        .flat_map(|intensity| {
-            let key = format!("{intensity:.2}").replace('.', "_");
-            [
-                "accuracy",
-                "confidence",
-                "loss_windows",
-                "late_events",
-                "resumes",
-            ]
-            .map(|stem| format!("{stem}_i{key}"))
-        })
-        .collect();
-    let borrowed: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let json = bench_json("online_robustness", &borrowed, &telemetry, &tally);
-    if let Err(e) = validate_bench_json(&json, "online_robustness", &required) {
-        eprintln!("BENCH_online_robustness.json failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    write_bench_json("online_robustness", &borrowed, &telemetry, &tally);
-    println!("  BENCH_online_robustness.json schema: ok");
+    let required = sweep_metric_names(intensities, &STEMS);
+    publish("online_robustness", &metrics, &required, &telemetry, &tally);
 }

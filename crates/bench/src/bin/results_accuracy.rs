@@ -11,14 +11,14 @@
 //! ```
 
 use wm_bench::{
-    compare_line, graph, run_viewer, sample_behavior, train_attack_for, write_bench_json,
-    TraceTally, TIME_SCALE,
+    compare_line, graph, run_viewer, train_attack_for, viewer, write_bench_json, TraceTally,
+    TIME_SCALE,
 };
 use wm_core::{
     choice_accuracy, client_app_records, AttackTelemetry, ChoiceAccuracy, ChoiceDecoder,
     DecoderConfig,
 };
-use wm_dataset::{OperationalConditions, ViewerSpec};
+use wm_dataset::OperationalConditions;
 use wm_telemetry::{Registry, Snapshot};
 
 /// Sessions per condition used to evaluate (the paper used one viewing
@@ -61,13 +61,7 @@ fn main() {
         let mut per_session = Vec::new();
         for v in 0..VICTIMS_PER_CONDITION {
             let seed = 50_000 + (i as u64) * 100 + v;
-            let viewer = ViewerSpec {
-                id: v as u32,
-                seed,
-                behavior: sample_behavior(seed),
-                operational: **cond,
-            };
-            let out = run_viewer(&graph, &viewer);
+            let out = run_viewer(&graph, &viewer(v as u32, seed, **cond));
             telemetry.merge(&out.telemetry);
             tally.observe(&out.trace_events);
             let (_, acc) = attack.evaluate(&out.trace, &graph, &out.decisions);

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 use wm_bench::{
-    graph, run_viewer, sample_behavior, train_attack_for, viewer_cfg, write_bench_json, TraceTally,
+    graph, run_viewer, train_attack_for, viewer, viewer_cfg, write_bench_json, TraceTally,
     TIME_SCALE,
 };
 use wm_core::classify::{HistogramClassifier, KnnClassifier, RecordClassifier};
@@ -21,7 +21,7 @@ use wm_core::{
     choice_accuracy, client_app_records, ChoiceAccuracy, ChoiceDecoder, DecoderConfig,
     IntervalClassifier, WhiteMirrorConfig,
 };
-use wm_dataset::{OperationalConditions, ViewerSpec};
+use wm_dataset::OperationalConditions;
 use wm_net::conditions::{ConnectionType, TimeOfDay};
 use wm_player::{Browser, DeviceForm, Os, Profile};
 use wm_sim::run_session;
@@ -56,13 +56,7 @@ fn main() {
             let mut resyncs = 0usize;
             for v in 0..VICTIMS {
                 let seed = 61_000 + v;
-                let viewer = ViewerSpec {
-                    id: v as u32,
-                    seed,
-                    behavior: sample_behavior(seed),
-                    operational: cond,
-                };
-                let out = run_viewer(&graph, &viewer);
+                let out = run_viewer(&graph, &viewer(v as u32, seed, cond));
                 telemetry.merge(&out.telemetry);
                 tally.observe(&out.trace_events);
                 let (decoded, a) = attack.evaluate(&out.trace, &graph, &out.decisions);
@@ -97,13 +91,7 @@ fn main() {
             let mut acc = ChoiceAccuracy::default();
             for v in 0..VICTIMS {
                 let seed = 63_000 + v;
-                let viewer = ViewerSpec {
-                    id: v as u32,
-                    seed,
-                    behavior: sample_behavior(seed),
-                    operational: cond,
-                };
-                let out = run_viewer(&graph, &viewer);
+                let out = run_viewer(&graph, &viewer(v as u32, seed, cond));
                 telemetry.merge(&out.telemetry);
                 tally.observe(&out.trace_events);
                 let (_, a) = attack.evaluate(&out.trace, &graph, &out.decisions);
@@ -135,13 +123,7 @@ fn main() {
         };
         let mut labels = Vec::new();
         for seed in [64_001u64, 64_002] {
-            let viewer = ViewerSpec {
-                id: 0,
-                seed,
-                behavior: sample_behavior(seed),
-                operational: cond,
-            };
-            let mut cfg = viewer_cfg(&graph, &viewer);
+            let mut cfg = viewer_cfg(&graph, &viewer(0, seed, cond));
             cfg.suite = suite;
             labels.extend(run_session(&cfg).expect("train").labels);
         }
@@ -150,13 +132,7 @@ fn main() {
         let mut acc = ChoiceAccuracy::default();
         for v in 0..VICTIMS {
             let seed = 65_000 + v;
-            let viewer = ViewerSpec {
-                id: 0,
-                seed,
-                behavior: sample_behavior(seed),
-                operational: cond,
-            };
-            let mut cfg = viewer_cfg(&graph, &viewer);
+            let mut cfg = viewer_cfg(&graph, &viewer(0, seed, cond));
             cfg.suite = suite;
             let out = run_session(&cfg).expect("victim");
             telemetry.merge(&out.telemetry);
@@ -189,13 +165,7 @@ fn ablation(graph: &Arc<StoryGraph>) -> Snapshot {
     // Shared training data.
     let mut labels = Vec::new();
     for seed in [66_001u64, 66_002, 66_003] {
-        let viewer = ViewerSpec {
-            id: 0,
-            seed,
-            behavior: sample_behavior(seed),
-            operational: cond,
-        };
-        labels.extend(run_viewer(graph, &viewer).labels);
+        labels.extend(run_viewer(graph, &viewer(0, seed, cond)).labels);
     }
     let interval =
         IntervalClassifier::train(&labels, WhiteMirrorConfig::DEFAULT_SLACK).expect("train");
@@ -206,13 +176,7 @@ fn ablation(graph: &Arc<StoryGraph>) -> Snapshot {
     let victims: Vec<_> = (0..VICTIMS)
         .map(|v| {
             let seed = 67_000 + v;
-            let viewer = ViewerSpec {
-                id: 0,
-                seed,
-                behavior: sample_behavior(seed),
-                operational: cond,
-            };
-            run_viewer(graph, &viewer)
+            run_viewer(graph, &viewer(0, seed, cond))
         })
         .collect();
     let telemetry = Snapshot::merged(victims.iter().map(|o| &o.telemetry));

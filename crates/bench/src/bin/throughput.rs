@@ -12,25 +12,21 @@
 //! cargo run --release -p wm-bench --bin throughput [-- --smoke] [-- --soak [N]]
 //! ```
 //!
-//! `--smoke` (or `WM_THROUGHPUT_SMOKE=1`) shrinks the fleet for CI.
-//! `--soak [N]` (or `WM_THROUGHPUT_SOAK=N`) additionally replays N
-//! sessions (default 1,000,000) through one process, cycling the
-//! capture pool, and fails unless memory stays flat and every replay
-//! yields exactly the expected verdicts — zero lost, zero duplicated.
+//! `--smoke` shrinks the fleet for CI. `--soak [N]` additionally
+//! replays N sessions (default 1,000,000) through one process, cycling
+//! the capture pool, and fails unless memory stays flat and every
+//! replay yields exactly the expected verdicts — zero lost, zero
+//! duplicated.
 
 use std::time::Instant;
-use wm_bench::throughput::{current_rss_bytes, peak_rss_bytes, validate_throughput_json};
-use wm_bench::{
-    graph, sample_behavior, train_attack_for, viewer_cfg, write_bench_json, TraceTally, TIME_SCALE,
-};
-use wm_capture::time::SimTime;
+use wm_bench::throughput::{current_rss_bytes, peak_rss_bytes, REQUIRED_METRICS};
+use wm_bench::{capture_pool, graph, publish, smoke, train_attack_for, TraceTally, TIME_SCALE};
 use wm_core::IntervalClassifier;
-use wm_dataset::{OperationalConditions, ViewerSpec};
+use wm_dataset::OperationalConditions;
 use wm_obs::{SeriesPoint, SeriesRing};
 use wm_online::{
     decode_sessions_sharded, replay_session, CapturedPacket, OnlineConfig, OnlineDecoder,
 };
-use wm_sim::run_session;
 use wm_story::StoryGraph;
 use wm_telemetry::{DeltaTracker, Registry, Snapshot};
 
@@ -39,10 +35,8 @@ use wm_telemetry::{DeltaTracker, Registry, Snapshot};
 const SOAK_RSS_BUDGET: u64 = 64 * 1024 * 1024;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke")
-        || std::env::var("WM_THROUGHPUT_SMOKE").is_ok_and(|v| v == "1");
-    let soak_sessions: Option<u64> = soak_request(&args);
+    let smoke = smoke();
+    let soak_sessions = soak_request();
 
     let graph = graph();
     let cond = OperationalConditions::grid()[0];
@@ -58,26 +52,13 @@ fn main() {
     let mut telemetry = Snapshot::default();
     let mut tally = TraceTally::default();
     let gen_start = Instant::now();
-    let mut pool: Vec<Vec<CapturedPacket>> = Vec::new();
-    for v in 0..pool_n {
-        let seed = 81_000 + v;
-        let viewer = ViewerSpec {
-            id: v as u32,
-            seed,
-            behavior: sample_behavior(seed),
-            operational: cond,
-        };
-        let out = run_session(&viewer_cfg(&graph, &viewer)).expect("victim session");
-        telemetry.merge(&out.telemetry);
-        tally.observe(&out.trace_events);
-        pool.push(
-            out.trace
-                .packets
-                .iter()
-                .map(|p| (SimTime(p.time.micros()), p.frame.clone()))
-                .collect(),
-        );
-    }
+    let pool = capture_pool(
+        &graph,
+        cond,
+        81_000..81_000 + pool_n,
+        &mut telemetry,
+        &mut tally,
+    );
     let gen_secs = gen_start.elapsed().as_secs_f64();
     println!(
         "  capture pool: {pool_n} sessions simulated in {gen_secs:.2}s ({:.1}/s)",
@@ -204,16 +185,7 @@ fn main() {
         metrics.push(("soak_rss_growth_bytes", growth as f64));
     }
 
-    write_bench_json("throughput", &metrics, &telemetry, &tally);
-
-    // Self-check the artifact CI uploads and gates on.
-    let json =
-        std::fs::read_to_string("BENCH_throughput.json").expect("bench artifact just written");
-    if let Err(e) = validate_throughput_json(&json) {
-        eprintln!("BENCH_throughput.json failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    println!("  BENCH_throughput.json schema: ok");
+    publish("throughput", &metrics, REQUIRED_METRICS, &telemetry, &tally);
 }
 
 /// Replay one capture serially, optionally with a telemetry registry
@@ -295,16 +267,13 @@ fn soak(
     (n, growth)
 }
 
-/// `--soak [N]` / `WM_THROUGHPUT_SOAK=N`; bare `--soak` means 1M.
-fn soak_request(args: &[String]) -> Option<u64> {
-    if let Some(pos) = args.iter().position(|a| a == "--soak") {
-        let n = args
-            .get(pos + 1)
+/// `--soak [N]`; bare `--soak` means 1M.
+fn soak_request() -> Option<u64> {
+    let mut args = std::env::args().skip_while(|a| a != "--soak");
+    args.next()?;
+    Some(
+        args.next()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(1_000_000);
-        return Some(n);
-    }
-    std::env::var("WM_THROUGHPUT_SOAK")
-        .ok()
-        .and_then(|v| v.parse().ok())
+            .unwrap_or(1_000_000),
+    )
 }

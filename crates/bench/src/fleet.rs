@@ -1,12 +1,28 @@
-//! Fleet-recovery measurement helpers (used by `bin/fleet_recovery.rs`).
+//! The fleet harness E12 (`bin/fleet_recovery.rs`) and E14
+//! (`bin/elasticity.rs`) share, and E12's measurement helpers.
 //!
-//! The binary sweeps shard-fault intensity 0–4 over a supervised
+//! Both benches feed a staggered multi-victim stream
+//! ([`victim_stream`]) to a fleet that keeps every victim resident
+//! ([`resident_config`]), one fresh fleet per run ([`run_fleet`]).
+//! E12 sweeps shard-fault intensity 0–4 over a supervised
 //! [`wm_fleet::Fleet`] and compares its throughput against the
 //! unsupervised [`wm_online::decode_sessions_sharded`] baseline; this
-//! module holds the per-intensity summary arithmetic and the schema
+//! module holds its per-intensity summary arithmetic and the schema
 //! check CI runs against the emitted `BENCH_fleet.json`.
 
-use wm_fleet::FleetReport;
+use std::sync::Arc;
+
+use wm_capture::time::{Duration, SimTime};
+use wm_chaos::ShardFaultPlan;
+use wm_core::IntervalClassifier;
+use wm_fleet::{
+    merge_taps, Fleet, FleetConfig, FleetReport, ObserverConfig, ResizeSchedule, TapPacket,
+};
+use wm_online::CapturedPacket;
+use wm_story::StoryGraph;
+use wm_telemetry::trace::{SpanId, TraceEvent, TraceHandle};
+
+use crate::TIME_SCALE;
 
 /// Every metric `BENCH_fleet.json` must carry. The headline trio pins
 /// the supervision overhead story; the per-intensity rows pin the
@@ -108,6 +124,81 @@ impl IntensityRow {
 /// [`crate::schema::validate_bench_json`] gate.
 pub fn validate_fleet_json(json: &str) -> Result<(), String> {
     crate::schema::validate_bench_json(json, "fleet", REQUIRED_METRICS)
+}
+
+/// The stream a fleet ingests: `victims` taps cycling through `pool`,
+/// victim `v` starting `v` × 250 ms in, merged into one time-ordered
+/// stream. Returns it with its sim-time span in µs (at least 1).
+pub fn victim_stream(pool: &[Vec<CapturedPacket>], victims: usize) -> (Vec<TapPacket>, u64) {
+    let taps: Vec<Vec<TapPacket>> = (0..victims)
+        .map(|v| {
+            let offset = v as u64 * 250_000;
+            pool[v % pool.len()]
+                .iter()
+                .map(|(t, frame)| (SimTime(t.micros() + offset), v as u32, frame.clone()))
+                .collect()
+        })
+        .collect();
+    let stream = merge_taps(&taps);
+    let span_us = stream
+        .last()
+        .map(|(t, _, _)| t.micros())
+        .unwrap_or(1)
+        .max(1);
+    (stream, span_us)
+}
+
+/// A fleet of `shards` that keeps all `victims` resident for a stream
+/// spanning `span_us`: sessions overlap for the whole run, so nothing
+/// is evicted and a fault-free run decodes each victim packet for
+/// packet as the unsupervised baseline does.
+pub fn resident_config(shards: usize, victims: usize, span_us: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::scaled(shards, TIME_SCALE);
+    cfg.victim_idle = Duration::from_micros(span_us);
+    cfg.max_victims_per_shard = victims.max(1);
+    cfg
+}
+
+/// Push `stream` through a fresh traced, observed fleet, with the
+/// shard faults of `plan` and the resizes of `schedule` when given.
+/// Returns the fleet's report and its trace. Exits 1 when the fleet
+/// cannot be built (a process backend without its worker binary).
+pub fn run_fleet(
+    cfg: &FleetConfig,
+    classifier: &IntervalClassifier,
+    graph: &Arc<StoryGraph>,
+    stream: &[TapPacket],
+    plan: Option<&ShardFaultPlan>,
+    schedule: Option<&ResizeSchedule>,
+) -> (FleetReport, Vec<TraceEvent>) {
+    let mut fleet = match Fleet::new(cfg.clone(), classifier.clone(), graph.clone()) {
+        Ok(fleet) => fleet,
+        Err(e) => {
+            eprintln!(
+                "cannot construct fleet: {e}\n\
+                 (process backend? build the worker first: \
+                 cargo build --release -p wm-fleet)"
+            );
+            std::process::exit(1);
+        }
+    };
+    if let Some(plan) = plan {
+        fleet.inject(plan);
+    }
+    if let Some(schedule) = schedule {
+        fleet.schedule_resize(schedule);
+    }
+    let trace = TraceHandle::new();
+    let root = trace.span_start_at(0, "fleet.run", SpanId::NONE);
+    fleet.attach_trace(trace.clone(), root);
+    fleet.attach_observer(ObserverConfig::default());
+    for (t, victim, frame) in stream {
+        fleet.push(*t, *victim, frame);
+    }
+    let end = stream.last().map(|(t, _, _)| t.micros()).unwrap_or(0);
+    let report = fleet.finish();
+    trace.span_end_at(end, root, "fleet.run");
+    (report, trace.snapshot())
 }
 
 #[cfg(test)]

@@ -21,23 +21,32 @@
 //! | `elasticity` | live resharding + process-shard backend under chaos (E14) |
 //!
 //! Run any of them with `cargo run --release -p wm-bench --bin <name>`.
+//! `--smoke` shrinks the E9–E14 runs for CI (see [`smoke`]); it and
+//! `throughput`'s `--soak [N]` are the only switches.
+//!
+//! The harness itself lives here, once: [`viewer`] builds a victim,
+//! [`capture_pool`] simulates the captures the streaming benches
+//! replay, [`fleet`] builds and runs the victim stream a fleet ingests,
+//! and [`schema::publish`] writes and checks the report.
 
 pub mod elasticity;
 pub mod fleet;
 pub mod schema;
 pub mod throughput;
 
-pub use schema::{bench_json, validate_bench_json, write_bench_json};
+pub use schema::{bench_json, publish, validate_bench_json, write_bench_json};
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wm_capture::labels::LabeledRecord;
-use wm_core::{WhiteMirror, WhiteMirrorConfig};
+use wm_core::{DecodedChoice, WhiteMirror, WhiteMirrorConfig};
 use wm_dataset::{OperationalConditions, SimOptions, ViewerSpec};
+use wm_online::CapturedPacket;
 use wm_player::ViewerScript;
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::StoryGraph;
 use wm_telemetry::trace::{counts_by_name, TraceEvent};
+use wm_telemetry::Snapshot;
 
 /// The time scale every harness runs at (playback 40× so a full
 /// Bandersnatch session simulates in well under a second).
@@ -49,6 +58,12 @@ pub const MEDIA_SCALE: u32 = 1024;
 /// The shared Bandersnatch graph.
 pub fn graph() -> Arc<StoryGraph> {
     Arc::new(wm_story::bandersnatch::bandersnatch())
+}
+
+/// Whether the run asked for `--smoke`: the reduced matrix CI runs and
+/// the committed `baselines/` pin.
+pub fn smoke() -> bool {
+    std::env::args().any(|a| a == "--smoke")
 }
 
 /// A harness session config at the standard scales.
@@ -81,13 +96,8 @@ pub fn train_attack_for(
 ) -> (WhiteMirror, Vec<LabeledRecord>) {
     let mut labels = Vec::new();
     for &seed in seeds {
-        let viewer = ViewerSpec {
-            id: u32::MAX,
-            seed,
-            behavior: sample_behavior(seed),
-            operational: *operational,
-        };
-        let out = run_session(&viewer_cfg(graph, &viewer)).expect("training session");
+        let out = run_session(&viewer_cfg(graph, &viewer(u32::MAX, seed, *operational)))
+            .expect("training session");
         labels.extend(out.labels);
     }
     let attack = WhiteMirror::train(&labels, WhiteMirrorConfig::scaled(TIME_SCALE))
@@ -101,9 +111,98 @@ pub fn sample_behavior(seed: u64) -> wm_behavior::BehaviorAttributes {
     wm_behavior::BehaviorAttributes::sample(&mut rng)
 }
 
+/// A harness viewer: `seed` drives the session and samples its
+/// behaviour. The session never reads `id`.
+pub fn viewer(id: u32, seed: u64, operational: OperationalConditions) -> ViewerSpec {
+    ViewerSpec {
+        id,
+        seed,
+        behavior: sample_behavior(seed),
+        operational,
+    }
+}
+
 /// Run one session for a viewer spec.
 pub fn run_viewer(graph: &Arc<StoryGraph>, viewer: &ViewerSpec) -> SessionOutput {
     run_session(&viewer_cfg(graph, viewer)).expect("harness session")
+}
+
+/// Simulate one victim per seed under `cond` and return their
+/// captures, in seed order, as the packet lists the streaming decoder
+/// and the fleet replay. Each session's telemetry and trace counts
+/// fold into `telemetry` and `tally`.
+pub fn capture_pool(
+    graph: &Arc<StoryGraph>,
+    cond: OperationalConditions,
+    seeds: impl IntoIterator<Item = u64>,
+    telemetry: &mut Snapshot,
+    tally: &mut TraceTally,
+) -> Vec<Vec<CapturedPacket>> {
+    seeds
+        .into_iter()
+        .enumerate()
+        .map(|(v, seed)| {
+            let out = run_viewer(graph, &viewer(v as u32, seed, cond));
+            telemetry.merge(&out.telemetry);
+            tally.observe(&out.trace_events);
+            out.trace
+                .packets
+                .into_iter()
+                .map(|p| (p.time, p.frame))
+                .collect()
+        })
+        .collect()
+}
+
+/// The E9/E10 sweep grid: fault intensities, and victims per
+/// intensity. `--smoke` runs two points over two victims.
+pub fn sweep_grid() -> (&'static [f64], u64) {
+    if smoke() {
+        (&[0.0, 1.0], 2)
+    } else {
+        (&[0.0, 0.5, 1.0, 2.0, 4.0], 6)
+    }
+}
+
+/// The sweep's metric names, `<stem>_i<intensity>` with the intensity
+/// to two places (`accuracy_i1_50` at 1.5), for every intensity and
+/// stem in order: one row's names, or with the whole grid the names a
+/// report must carry, so a dropped column fails the schema gate.
+pub fn sweep_metric_names(intensities: &[f64], stems: &[&str]) -> Vec<String> {
+    intensities
+        .iter()
+        .flat_map(|i| {
+            let key = format!("{i:.2}").replace('.', "_");
+            stems.iter().map(move |stem| format!("{stem}_i{key}"))
+        })
+        .collect()
+}
+
+/// Mean over victims of each victim's mean per-choice confidence. A
+/// victim that decoded no choice has no confidence and is skipped; no
+/// victim at all reads 0.
+#[derive(Default)]
+pub struct ConfidenceMean {
+    sum: f64,
+    victims: u64,
+}
+
+impl ConfidenceMean {
+    /// Fold in one victim's decoded choices.
+    pub fn add(&mut self, choices: &[DecodedChoice]) {
+        if !choices.is_empty() {
+            self.sum += choices.iter().map(|c| c.confidence).sum::<f64>() / choices.len() as f64;
+            self.victims += 1;
+        }
+    }
+
+    pub fn mean(&self) -> f64 {
+        if self.victims > 0 {
+            self.sum / self.victims as f64
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Render a percentage bar for terminal reports.
@@ -140,7 +239,6 @@ impl TraceTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wm_telemetry::Snapshot;
 
     #[test]
     fn bar_rendering() {

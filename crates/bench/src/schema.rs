@@ -29,13 +29,13 @@ use crate::TraceTally;
 /// key), the merged telemetry snapshot (per-stage span timings,
 /// per-class record counters, …) and the trace-event summary counts,
 /// aggregated across every session the harness ran.
-pub fn bench_json(
+pub fn bench_json<K: AsRef<str>>(
     name: &str,
-    metrics: &[(&str, f64)],
+    metrics: &[(K, f64)],
     telemetry: &Snapshot,
     trace: &TraceTally,
 ) -> String {
-    let sorted: BTreeMap<&str, f64> = metrics.iter().copied().collect();
+    let sorted: BTreeMap<&str, f64> = metrics.iter().map(|(k, v)| (k.as_ref(), *v)).collect();
     let mut s = String::with_capacity(512);
     let _ = write!(s, "{{\"bench\":\"{name}\",\"metrics\":{{");
     for (i, (k, v)) in sorted.iter().enumerate() {
@@ -58,17 +58,47 @@ pub fn bench_json(
 }
 
 /// Write `BENCH_<name>.json` in the working directory and report where.
-pub fn write_bench_json(
+pub fn write_bench_json<K: AsRef<str>>(
     name: &str,
-    metrics: &[(&str, f64)],
+    metrics: &[(K, f64)],
     telemetry: &Snapshot,
     trace: &TraceTally,
 ) {
-    let path = std::path::PathBuf::from(format!("BENCH_{name}.json"));
-    match std::fs::write(&path, bench_json(name, metrics, telemetry, trace)) {
-        Ok(()) => println!("\n  wrote {}", path.display()),
-        Err(e) => eprintln!("\n  could not write {}: {e}", path.display()),
+    write_report(name, &bench_json(name, metrics, telemetry, trace));
+}
+
+/// Write `BENCH_<name>.json` in the working directory and check the
+/// bytes written against the schema gate CI runs: the bench name, and
+/// every `required` metric present, finite and non-negative. Exits 1
+/// when the file cannot be written or fails the check.
+pub fn publish<K: AsRef<str>, R: AsRef<str>>(
+    name: &str,
+    metrics: &[(K, f64)],
+    required: &[R],
+    telemetry: &Snapshot,
+    trace: &TraceTally,
+) {
+    let json = bench_json(name, metrics, telemetry, trace);
+    if !write_report(name, &json) {
+        std::process::exit(1);
     }
+    if let Err(e) = validate_bench_json(&json, name, required) {
+        eprintln!("BENCH_{name}.json failed schema validation: {e}");
+        std::process::exit(1);
+    }
+    println!("  BENCH_{name}.json schema: ok");
+}
+
+/// Write a report document to `BENCH_<name>.json`, saying where or why
+/// not; whether it was written.
+fn write_report(name: &str, json: &str) -> bool {
+    let path = format!("BENCH_{name}.json");
+    let written = std::fs::write(&path, json);
+    match &written {
+        Ok(()) => println!("\n  wrote {path}"),
+        Err(e) => eprintln!("\n  could not write {path}: {e}"),
+    }
+    written.is_ok()
 }
 
 /// Validate a bench document: right bench name, and every `required`

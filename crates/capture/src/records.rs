@@ -158,7 +158,7 @@ fn drain_records(
 ///
 /// Public so the streaming (online) extractor can reuse the exact same
 /// resynchronization heuristic as the batch path: accepts an offset
-/// where [`RESYNC_CHAIN`] headers chain, or at least one complete
+/// where `RESYNC_CHAIN` headers chain, or at least one complete
 /// header whose final record extends past the buffer edge.
 pub fn find_resync(data: &[u8]) -> Option<usize> {
     'outer: for start in 0..data.len().saturating_sub(RECORD_HEADER_LEN) {

@@ -98,11 +98,6 @@ impl DecodedSession {
         Some(self.choices.iter().map(|d| d.confidence).sum::<f64>() / self.choices.len() as f64)
     }
 
-    /// The evidence behind choice `i`, if decoded.
-    pub fn provenance_of(&self, i: usize) -> Option<&ChoiceProvenance> {
-        self.provenance.get(i)
-    }
-
     /// Multi-line "why" report: one line of evidence per decision.
     pub fn why_report(&self) -> String {
         self.choices
@@ -181,16 +176,6 @@ impl WhiteMirror {
     /// The learned classifier.
     pub fn classifier(&self) -> &IntervalClassifier {
         &self.classifier
-    }
-
-    /// Reconstruct an attack from a previously saved classifier.
-    pub fn from_classifier(classifier: IntervalClassifier, cfg: WhiteMirrorConfig) -> Self {
-        WhiteMirror {
-            classifier,
-            cfg,
-            telemetry: None,
-            trace: None,
-        }
     }
 
     /// Persist the trained model to a JSON file.

@@ -20,11 +20,12 @@
 //!   dead window's packets are gone), the re-emission can cite record
 //!   numbers past the old evidence mark, so the index check is the
 //!   authoritative "this slot was already delivered" key.
-//! * the **[`ChoiceProvenance`] record indices** the verdict cites —
-//!   a fresh-looking slot derived entirely from evidence at or below
-//!   the record mark is a re-derivation (e.g. a cold-started decoder
-//!   re-reading mid-stream) and is dropped. Blind verdicts cite
-//!   nothing and are keyed by slot alone.
+//! * the **[`ChoiceProvenance`](wm_core::ChoiceProvenance) record
+//!   indices** the verdict cites — a fresh-looking slot derived
+//!   entirely from evidence at or below the record mark is a
+//!   re-derivation (e.g. a cold-started decoder re-reading mid-stream)
+//!   and is dropped. Blind verdicts cite nothing and are keyed by slot
+//!   alone.
 //!
 //! Both checks only ever *drop*: the invariant is **zero duplicates,
 //! bounded loss** — a fresh verdict can be sacrificed in the replayed

@@ -350,7 +350,7 @@ impl<'a> Reader<'a> {
 }
 
 /// One walk over a decoder's fields in layout order. [`Writer`] and
-/// [`Reader`] both implement it, so [`state`] — the single field list —
+/// [`Reader`] both implement it, so `state` — the single field list —
 /// both encodes and decodes, and the two directions cannot drift.
 pub trait Pass<'a> {
     /// The reader: lists are rebuilt instead of walked.

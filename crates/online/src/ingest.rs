@@ -231,11 +231,6 @@ impl FlowIngest {
         self.parked.first_time()
     }
 
-    /// When the oldest outstanding hole appeared (for staleness checks).
-    pub fn hole_age_start(&self) -> Option<SimTime> {
-        self.hole_since
-    }
-
     pub fn stats(&self) -> IngestStats {
         self.stats
     }
