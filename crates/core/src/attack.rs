@@ -10,7 +10,7 @@ use crate::classify::{IntervalClassifier, RecordClassifier};
 use crate::decode::{ChoiceDecoder, DecodedChoice, DecoderConfig};
 use crate::features::{client_app_records, ClientFeatures};
 use crate::metrics::{choice_accuracy, ChoiceAccuracy, ConfusionMatrix};
-use crate::provenance::{build_provenance, grade, ChoiceProvenance};
+use crate::provenance::ChoiceProvenance;
 use std::sync::Arc;
 use wm_capture::labels::LabeledRecord;
 use wm_capture::tap::Trace;
@@ -19,11 +19,12 @@ use wm_story::{Choice, ChoicePointId, StoryGraph};
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
 
-/// Attack configuration.
+/// Attack configuration. The attack always runs the time-aware path
+/// decoder at its beam width, so its one setting is the time scale.
 #[derive(Debug, Clone)]
 pub struct WhiteMirrorConfig {
-    /// Decoder settings (time-awareness, time scale).
-    pub decoder: DecoderConfig,
+    /// The time scale the session was simulated at (1 for real time).
+    pub time_scale: u32,
 }
 
 impl WhiteMirrorConfig {
@@ -39,17 +40,10 @@ impl WhiteMirrorConfig {
     /// see `crate::decode`).
     const BEAM_WIDTH: usize = 8;
 
-    /// Real-time defaults: time-aware decoding at scale 1.
-    pub fn realtime() -> Self {
-        WhiteMirrorConfig {
-            decoder: DecoderConfig::realtime(),
-        }
-    }
-
     /// Defaults for a session simulated at `time_scale`.
     pub fn scaled(time_scale: u32) -> Self {
         WhiteMirrorConfig {
-            decoder: DecoderConfig::scaled(time_scale),
+            time_scale: time_scale.max(1),
         }
     }
 }
@@ -221,19 +215,14 @@ impl WhiteMirror {
         self.decode_features(features, graph)
     }
 
-    /// Shared decode path: the path decoder at the beam width, then
-    /// gap-aware confidence, provenance reconstruction and (when
-    /// attached) trace emission.
+    /// Shared decode path: the path decoder at the beam width, each
+    /// decision resolved into its graded choice and provenance, and
+    /// (when attached) trace emission.
     fn decode_features(&self, features: ClientFeatures, graph: &StoryGraph) -> DecodedSession {
-        let cfg = self.cfg.decoder.clone();
+        let cfg = DecoderConfig::scaled(self.cfg.time_scale);
         let decoder =
             ChoiceDecoder::new(&self.classifier, graph, cfg, WhiteMirrorConfig::BEAM_WIDTH);
-        let mut choices = decoder.decode(&features.records);
-        let window = decoder.timing().window;
-        let provenance = build_provenance(&choices, &features, &self.classifier, window);
-        for d in &mut choices {
-            grade(d, features.gap_times.iter().copied(), window);
-        }
+        let (choices, provenance) = decoder.decode_with_provenance(&features);
         if let Some((h, parent)) = &self.trace {
             let start = features.records.first().map_or(0, |r| r.time.micros());
             let end = choices
@@ -434,7 +423,7 @@ mod tests {
             length: 500,
             class: RecordClass::Other,
         }];
-        assert!(WhiteMirror::train(&labels, WhiteMirrorConfig::realtime()).is_none());
+        assert!(WhiteMirror::train(&labels, WhiteMirrorConfig::scaled(1)).is_none());
     }
 
     #[test]

@@ -42,6 +42,8 @@
 //! at width 1 as its watermark advances.
 
 use crate::classify::RecordClassifier;
+use crate::features::ClientFeatures;
+use crate::provenance::{resolve, ChoiceProvenance};
 use wm_capture::labels::RecordClass;
 use wm_capture::records::TimedRecord;
 use wm_capture::time::{Duration, SimTime};
@@ -63,11 +65,6 @@ pub struct DecoderConfig {
 }
 
 impl DecoderConfig {
-    /// Real-time configuration.
-    pub fn realtime() -> Self {
-        Self::scaled(1)
-    }
-
     /// Configuration for a session simulated at `time_scale`.
     pub fn scaled(time_scale: u32) -> Self {
         DecoderConfig {
@@ -90,7 +87,7 @@ pub struct DecodedChoice {
     /// How much the evidence supports this decision, in `[0, 1]`.
     /// Observed reports decode at full confidence; inferred decisions
     /// start lower, and capture gaps overlapping the choice window
-    /// downgrade it further (see [`crate::provenance::grade`]).
+    /// downgrade it further (see [`crate::provenance::resolve`]).
     pub confidence: f64,
 }
 
@@ -162,41 +159,6 @@ impl Timing {
         }
     }
 
-    /// Duplicate suppression: a report within the dedup window of the
-    /// last *kept* report of its class is that report sent again (a
-    /// browser retry or an injected duplicate), which would otherwise
-    /// open a phantom choice or mask a type-2 behind a repeated type-1.
-    /// Returns whether to keep the report at `time`, updating
-    /// `last_kept` when it does.
-    pub fn keep_report(&self, time: SimTime, last_kept: &mut Option<SimTime>) -> bool {
-        if last_kept.is_some_and(|prev| time.since(prev) <= self.dedup) {
-            return false;
-        }
-        *last_kept = Some(time);
-        true
-    }
-
-    /// Where the first question is expected. Playback begins when the
-    /// manifest response lands, which is when the player issues its
-    /// first chunk request — the second application record, `apps[1]`
-    /// (the first is the manifest GET); the opening segment chain is
-    /// public. A capture with one application record falls back to it,
-    /// one with none to its first type-1 report, then to time zero.
-    /// `None` until `horizon` (`None`: the stream is final) decides.
-    pub fn anchor(
-        &self,
-        apps: [Option<SimTime>; 2],
-        first_type1: Option<SimTime>,
-        horizon: Option<SimTime>,
-    ) -> Option<SimTime> {
-        match (apps, horizon) {
-            ([_, Some(second)], _) if past(horizon, second) => Some(second + self.initial_gap),
-            (_, Some(_)) => None,
-            ([Some(first), _], None) => Some(first + self.initial_gap),
-            _ => Some(first_type1.unwrap_or(SimTime::ZERO)),
-        }
-    }
-
     /// The choice window of the question shown while `seg` plays: its
     /// lead on the segment boundary, min(10, duration / 2).
     fn question_window(&self, graph: &StoryGraph, seg: SegmentId) -> Duration {
@@ -213,6 +175,86 @@ impl Timing {
         choice: Choice,
     ) -> Duration {
         Duration::from_secs_f64(question_gap_secs(graph, seg, cp, choice) / self.scale)
+    }
+}
+
+/// The report stream: what a decoder keeps while it admits a capture's
+/// application records in order — the record numbering provenance
+/// cites, the times the first question's anchor hangs off, and the
+/// last kept report of each class duplicate suppression compares
+/// against. The offline and the streaming decoder both fold over it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReportStream {
+    /// Application records admitted: the next one's index.
+    pub records: u64,
+    /// The first application record's time.
+    pub first_app: Option<SimTime>,
+    /// The second application record's time.
+    pub second_app: Option<SimTime>,
+    /// The first kept type-1 report's time.
+    pub first_type1: Option<SimTime>,
+    /// The last kept type-1 report's time.
+    pub last_type1: Option<SimTime>,
+    /// The last kept type-2 report's time.
+    pub last_type2: Option<SimTime>,
+}
+
+impl ReportStream {
+    /// Admit the next application record, classified as `class`.
+    /// Returns its index and, when it is a report that is not a
+    /// duplicate, the report event. A report within the dedup window of
+    /// the last kept report of its class is that report sent again (a
+    /// browser retry or an injected duplicate), which would otherwise
+    /// open a phantom choice or mask a type-2 behind a repeated type-1.
+    pub fn admit(
+        &mut self,
+        timing: &Timing,
+        time: SimTime,
+        length: u16,
+        class: RecordClass,
+    ) -> (u64, Option<ReportEvent>) {
+        let index = self.records;
+        self.records = self.records.saturating_add(1);
+        if self.first_app.is_none() {
+            self.first_app = Some(time);
+        } else if self.second_app.is_none() {
+            self.second_app = Some(time);
+        }
+        let last_kept = match class {
+            RecordClass::Type1 => &mut self.last_type1,
+            RecordClass::Type2 => &mut self.last_type2,
+            RecordClass::Other => return (index, None),
+        };
+        if last_kept.is_some_and(|prev| time.since(prev) <= timing.dedup) {
+            return (index, None);
+        }
+        *last_kept = Some(time);
+        if class == RecordClass::Type1 && self.first_type1.is_none() {
+            self.first_type1 = Some(time);
+        }
+        let event = ReportEvent {
+            time,
+            index,
+            length,
+            class,
+        };
+        (index, Some(event))
+    }
+
+    /// Where the first question is expected. Playback begins when the
+    /// manifest response lands, which is when the player issues its
+    /// first chunk request — the second application record (the first
+    /// is the manifest GET); the opening segment chain is public. A
+    /// capture with one application record falls back to it, one with
+    /// none to its first type-1 report, then to time zero. `None` until
+    /// `horizon` (`None`: the stream is final) decides.
+    pub fn anchor(&self, timing: &Timing, horizon: Option<SimTime>) -> Option<SimTime> {
+        match (self.first_app, self.second_app, horizon) {
+            (_, Some(second), _) if past(horizon, second) => Some(second + timing.initial_gap),
+            (_, _, Some(_)) => None,
+            (Some(first), _, None) => Some(first + timing.initial_gap),
+            _ => Some(self.first_type1.unwrap_or(SimTime::ZERO)),
+        }
     }
 }
 
@@ -358,9 +400,9 @@ impl PathDecoder {
 
     /// Step every live hypothesis as far as `events` and `horizon`
     /// (`None`: the stream is final) decide, pruning to the best
-    /// `width` after each round. `anchor` is [`Timing::anchor`] at the
-    /// same horizon. Width 1 returns each decision as it commits, one
-    /// per call; wider decoders commit at [`PathDecoder::finish`].
+    /// `width` after each round. `anchor` is [`ReportStream::anchor`]
+    /// at the same horizon. Width 1 returns each decision as it commits,
+    /// one per call; wider decoders commit at [`PathDecoder::finish`].
     /// `None` once nothing more is decidable.
     pub fn step(
         &mut self,
@@ -593,45 +635,62 @@ impl<'a, C: RecordClassifier + ?Sized> ChoiceDecoder<'a, C> {
         &self.timing
     }
 
+    /// Admit the capture's application records, in order, to a report
+    /// stream: its final state and the report events it kept.
+    fn stream(&self, records: &[TimedRecord]) -> (ReportStream, Vec<ReportEvent>) {
+        let mut stream = ReportStream::default();
+        let events = apps(records)
+            .filter_map(|r| {
+                let class = self.classifier.classify(r.record.length);
+                stream.admit(&self.timing, r.time, r.record.length, class).1
+            })
+            .collect();
+        (stream, events)
+    }
+
     /// The capture's report events: application records classified as
-    /// type-1 or type-2, duplicates collapsed ([`Timing::keep_report`]).
+    /// type-1 or type-2, duplicates collapsed ([`ReportStream::admit`]).
     pub fn report_events(&self, records: &[TimedRecord]) -> Vec<ReportEvent> {
-        let (mut last_t1, mut last_t2) = (None, None);
-        let mut out = Vec::new();
-        for (index, r) in records.iter().filter(|r| is_app(r)).enumerate() {
-            let class = self.classifier.classify(r.record.length);
-            let last_kept = match class {
-                RecordClass::Type1 => &mut last_t1,
-                RecordClass::Type2 => &mut last_t2,
-                RecordClass::Other => continue,
-            };
-            if self.timing.keep_report(r.time, last_kept) {
-                out.push(ReportEvent {
-                    time: r.time,
-                    index: index as u64,
-                    length: r.record.length,
-                    class,
-                });
-            }
-        }
-        out
+        self.stream(records).1
+    }
+
+    /// The path decoder's decisions over the capture at this decoder's
+    /// width, each with the report events it rests on. Time-aware even
+    /// when `cfg.time_aware` is off: only [`ChoiceDecoder::decode`]
+    /// reads that switch.
+    pub fn decisions(&self, records: &[TimedRecord]) -> Vec<Decision> {
+        let (stream, events) = self.stream(records);
+        let anchor = stream.anchor(&self.timing, None);
+        PathDecoder::new(self.graph, self.timing, self.width).finish(self.graph, &events, anchor)
+    }
+
+    /// Decode a capture's records at this decoder's width and resolve
+    /// each decision ([`crate::provenance::resolve`]) against its gaps,
+    /// with every application record an anchor candidate, numbered as
+    /// the report stream numbers them.
+    pub fn decode_with_provenance(
+        &self,
+        features: &ClientFeatures,
+    ) -> (Vec<DecodedChoice>, Vec<ChoiceProvenance>) {
+        let records = &features.records;
+        let gaps = &features.gap_times;
+        self.decisions(records)
+            .iter()
+            .map(|d| {
+                let candidates = (0u64..)
+                    .zip(apps(records))
+                    .map(|(i, r)| (i, r.time, r.record.length));
+                resolve(d, gaps.iter().copied(), self.timing.window, candidates)
+            })
+            .unzip()
     }
 
     /// Decode the choice sequence from client application records.
     pub fn decode(&self, records: &[TimedRecord]) -> Vec<DecodedChoice> {
-        let events = self.report_events(records);
         if !self.cfg.time_aware {
-            return self.decode_naive(&events);
+            return self.decode_naive(&self.report_events(records));
         }
-        let mut apps = records.iter().filter(|r| is_app(r)).map(|r| r.time);
-        let first_type1 = events.iter().find(|e| e.class == RecordClass::Type1);
-        let anchor = self.timing.anchor(
-            [apps.next(), apps.next()],
-            first_type1.map(|e| e.time),
-            None,
-        );
-        PathDecoder::new(self.graph, self.timing, self.width)
-            .finish(self.graph, &events, anchor)
+        self.decisions(records)
             .into_iter()
             .map(|d| d.choice)
             .collect()
@@ -698,8 +757,11 @@ impl<'a, C: RecordClassifier + ?Sized> ChoiceDecoder<'a, C> {
     }
 }
 
-fn is_app(r: &TimedRecord) -> bool {
-    r.record.content_type == ContentType::ApplicationData
+/// A capture's application records, in order.
+fn apps(records: &[TimedRecord]) -> impl Iterator<Item = &TimedRecord> {
+    records
+        .iter()
+        .filter(|r| r.record.content_type == ContentType::ApplicationData)
 }
 
 /// Content seconds from the question at `cp` (shown while `seg` plays)
@@ -985,14 +1047,18 @@ mod tests {
     #[test]
     fn dedup_keeps_distinct_questions() {
         let timing = Timing::new(&tiny_film(), 1);
-        let mut last = None;
+        let mut stream = ReportStream::default();
+        let mut admit =
+            |ms: u64| stream.admit(&timing, SimTime(ms * 1000), 2212, RecordClass::Type1);
         // Two genuine type-1s a real question gap apart both survive
         // the dedup pass…
-        assert!(timing.keep_report(SimTime(4_000_000), &mut last));
-        assert!(timing.keep_report(SimTime(10_000_000), &mut last));
-        // …but a copy inside the window is dropped.
-        assert!(!timing.keep_report(SimTime(10_100_000), &mut last));
-        assert_eq!(last, Some(SimTime(10_000_000)));
+        assert!(admit(4_000).1.is_some());
+        assert!(admit(10_000).1.is_some());
+        // …but a copy inside the window is dropped, though it still
+        // takes the next record index.
+        assert_eq!(admit(10_100), (2, None));
+        assert_eq!(stream.last_type1, Some(SimTime(10_000_000)));
+        assert_eq!(stream.first_type1, Some(SimTime(4_000_000)));
     }
 
     #[test]
@@ -1055,20 +1121,20 @@ mod tests {
             rec(10_000, 2212),
         ];
         let decoder = ChoiceDecoder::new(&c, &g, aware_cfg(), 1);
-        let events = decoder.report_events(&records);
+        let (stream, events) = decoder.stream(&records);
         let timing = decoder.timing();
-        let apps = [Some(SimTime(0)), Some(SimTime(1_000_000))];
         let mut path = PathDecoder::new(&g, *timing, 1);
         // Before the horizon passes the second app record, the first
         // question has no anchor to hang off.
         let early = Some(SimTime(500_000));
-        let anchor = timing.anchor(apps, None, early);
+        let anchor = stream.anchor(timing, early);
         assert_eq!(anchor, None);
         assert_eq!(path.step(&g, &events, anchor, early), None);
         // With q0's type-1 in hand, q0's window is still open until
         // q1's type-1 closes it.
         let horizon = Some(SimTime(5_000_000));
-        let anchor = timing.anchor(apps, None, horizon);
+        let anchor = stream.anchor(timing, horizon);
+        assert_eq!(anchor, Some(SimTime(1_000_000) + timing.initial_gap));
         let head = events.get(..1).unwrap();
         assert_eq!(path.step(&g, head, anchor, horizon), None);
         let d = path.step(&g, &events, anchor, horizon).unwrap();
@@ -1077,9 +1143,10 @@ mod tests {
             (ChoicePointId(0), Choice::Default)
         );
         assert_eq!(d.type1, events.first().copied());
+        assert_eq!(d.type1.map(|e| e.index), Some(2));
         assert!(!path.is_done());
         // The stream ends: q2's report never came, so it is inferred.
-        let rest = path.finish(&g, &events, timing.anchor(apps, None, None));
+        let rest = path.finish(&g, &events, stream.anchor(timing, None));
         assert_eq!(rest.len(), 2);
         assert!(rest[0].choice.observed && !rest[1].choice.observed);
         assert!(path.is_done());

@@ -16,7 +16,9 @@
 //!    pick. One incremental path decoder predicts question times from
 //!    segment durations to survive missed reports, keeping one
 //!    hypothesis (greedy) or several (beam); the offline attack, the
-//!    ablations and the streaming attacker (`wm-online`) all run it;
+//!    ablations and the streaming attacker (`wm-online`) all run it,
+//!    admit records through one [`ReportStream`] and cite evidence
+//!    through one [`provenance::resolve`];
 //! 4. [`metrics`] — per-record confusion matrices and per-choice
 //!    accuracy, including the worst-case accounting behind the paper's
 //!    headline "96% of the time in the worst case".
@@ -38,13 +40,12 @@ pub mod report;
 pub use attack::{AttackTelemetry, DecodedSession, WhiteMirror, WhiteMirrorConfig};
 pub use classify::{HistogramClassifier, IntervalClassifier, KnnClassifier, RecordClassifier};
 pub use decode::{
-    ChoiceDecoder, Decision, DecodedChoice, DecoderConfig, PathDecoder, ReportEvent, Timing,
-    CONFIDENCE_BLIND, CONFIDENCE_INFERRED, CONFIDENCE_OBSERVED, WINDOW_SECS,
+    ChoiceDecoder, Decision, DecodedChoice, DecoderConfig, PathDecoder, ReportEvent, ReportStream,
+    Timing, CONFIDENCE_BLIND, CONFIDENCE_INFERRED, CONFIDENCE_OBSERVED, WINDOW_SECS,
 };
 pub use features::{client_app_records, ClientFeatures};
 pub use metrics::{choice_accuracy, ChoiceAccuracy, ConfusionMatrix};
 pub use provenance::{
-    build_provenance, grade, ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole,
-    GAP_CONFIDENCE_FACTOR,
+    resolve, ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole, GAP_CONFIDENCE_FACTOR,
 };
 pub use report::session_report;

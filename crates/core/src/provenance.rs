@@ -1,17 +1,20 @@
 //! Decode provenance: which captured records produced each decision.
 //!
 //! Every decoded choice carries a [`ChoiceProvenance`] naming the
-//! captured TLS records (by index into [`ClientFeatures::records`],
-//! with their times and lengths) that the decoder leaned on, the
-//! matched JSON report type, a confidence tier and whether a capture
+//! captured TLS records (by index into the capture's application
+//! records, with their times and lengths) that the decoder leaned on,
+//! the matched JSON report type, a confidence tier and whether a capture
 //! gap sat near the choice window. The attack's output stops being a
 //! bare "DNND…" string: an analyst can ask *why* the pipeline decoded
 //! each decision and get the wire evidence back.
+//!
+//! The evidence is the path decoder's own: [`resolve`] turns each
+//! [`Decision`] into its graded choice and the records it rests on. The
+//! offline attack and the streaming decoder both call it, so offline
+//! provenance, `why_report` and the fleet's dedup marks cite one
+//! numbering.
 
-use crate::classify::RecordClassifier;
-use crate::decode::{DecodedChoice, CONFIDENCE_BLIND};
-use crate::features::ClientFeatures;
-use wm_capture::labels::RecordClass;
+use crate::decode::{Decision, DecodedChoice, CONFIDENCE_BLIND};
 use wm_capture::time::{Duration, SimTime};
 use wm_story::Choice;
 
@@ -40,7 +43,8 @@ impl RecordRole {
 /// One captured record cited as evidence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProvenanceRecord {
-    /// Index into [`ClientFeatures::records`].
+    /// Index into the capture's application records
+    /// ([`crate::ClientFeatures::records`] offline).
     pub index: usize,
     /// Capture timestamp of the record.
     pub time: SimTime,
@@ -117,12 +121,63 @@ impl ChoiceProvenance {
 /// flip the decision.
 pub const GAP_CONFIDENCE_FACTOR: f64 = 0.5;
 
-/// Grade one decision against the capture's gaps: when a gap lies
-/// within `window` of its question, discount its confidence by
-/// [`GAP_CONFIDENCE_FACTOR`]. Returns the decision's evidence tier and
-/// whether a gap was near. The one grading rule of the offline attack,
-/// its provenance and the streaming decoder.
-pub fn grade(
+/// Resolve one of the path decoder's decisions into the choice it
+/// reports and the evidence behind it — the one grading and citation
+/// rule of the offline attack and the streaming decoder.
+///
+/// Grading: when a capture gap in `gaps` lies within `window` of the
+/// question, the confidence is discounted by [`GAP_CONFIDENCE_FACTOR`].
+///
+/// Citation: the decision's type-1 report, then its type-2 report; a
+/// decision that rests on neither cites the `candidates` record (index,
+/// time, length) nearest its question time as its timing anchor, the
+/// earlier on a tie. So [`ChoiceProvenance::records`] holds at most two
+/// entries: a type-1 and a type-2 report, or one anchor.
+pub fn resolve(
+    d: &Decision,
+    gaps: impl IntoIterator<Item = SimTime>,
+    window: Duration,
+    candidates: impl IntoIterator<Item = (u64, SimTime, u16)>,
+) -> (DecodedChoice, ChoiceProvenance) {
+    let mut choice = d.choice;
+    let (tier, near_gap) = grade(&mut choice, gaps, window);
+    let mut records = Vec::with_capacity(2);
+    for (ev, role) in [
+        (d.type1, RecordRole::Type1Report),
+        (d.type2, RecordRole::Type2Report),
+    ] {
+        if let Some(ev) = ev {
+            records.push(cite((ev.index, ev.time, ev.length), role));
+        }
+    }
+    if records.is_empty() {
+        // `min_by_key` keeps the first of equally near candidates.
+        let t = choice.time.micros();
+        let nearest = candidates
+            .into_iter()
+            .min_by_key(|&(_, time, _)| time.micros().abs_diff(t));
+        records.extend(nearest.map(|c| cite(c, RecordRole::Anchor)));
+    }
+    let provenance = ChoiceProvenance {
+        records,
+        tier,
+        near_gap,
+    };
+    (choice, provenance)
+}
+
+fn cite((index, time, length): (u64, SimTime, u16), role: RecordRole) -> ProvenanceRecord {
+    ProvenanceRecord {
+        index: index as usize,
+        time,
+        length,
+        role,
+    }
+}
+
+/// Discount `d`'s confidence when a gap lies within `window` of its
+/// question. Returns its evidence tier and whether a gap was near.
+fn grade(
     d: &mut DecodedChoice,
     gaps: impl IntoIterator<Item = SimTime>,
     window: Duration,
@@ -141,89 +196,6 @@ pub fn grade(
         ConfidenceTier::Blind
     };
     (tier, near_gap)
-}
-
-/// Build per-choice provenance after decoding.
-///
-/// Pure post-hoc reconstruction over the same classified record stream
-/// the decoder consumed, for `choices` as the decoder emitted them
-/// (before [`grade`]): an observed decision cites its type-1 record
-/// (exact time match) plus any type-2 inside the window; an inferred or
-/// blind decision cites the record nearest its predicted question time
-/// as the timing anchor.
-pub fn build_provenance<C: RecordClassifier + ?Sized>(
-    choices: &[DecodedChoice],
-    features: &ClientFeatures,
-    classifier: &C,
-    window: Duration,
-) -> Vec<ChoiceProvenance> {
-    let classified: Vec<(usize, SimTime, u16, RecordClass)> = features
-        .records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            (
-                i,
-                r.time,
-                r.record.length,
-                classifier.classify(r.record.length),
-            )
-        })
-        .collect();
-
-    choices
-        .iter()
-        .map(|d| {
-            let (tier, near_gap) =
-                grade(&mut d.clone(), features.gap_times.iter().copied(), window);
-            let mut records = Vec::new();
-            if d.observed {
-                if let Some(&(i, t, len, _)) = classified
-                    .iter()
-                    .find(|(_, t, _, c)| *t == d.time && *c == RecordClass::Type1)
-                {
-                    records.push(ProvenanceRecord {
-                        index: i,
-                        time: t,
-                        length: len,
-                        role: RecordRole::Type1Report,
-                    });
-                }
-            }
-            if d.choice == Choice::NonDefault {
-                if let Some(&(i, t, len, _)) = classified.iter().find(|(_, t, _, c)| {
-                    *c == RecordClass::Type2 && *t >= d.time && t.since(d.time) <= window
-                }) {
-                    records.push(ProvenanceRecord {
-                        index: i,
-                        time: t,
-                        length: len,
-                        role: RecordRole::Type2Report,
-                    });
-                }
-            }
-            if records.is_empty() {
-                // Timing-only decision: cite the nearest record as the
-                // anchor the prediction hangs off.
-                if let Some(&(i, t, len, _)) = classified
-                    .iter()
-                    .min_by_key(|(_, t, _, _)| t.micros().abs_diff(d.time.micros()))
-                {
-                    records.push(ProvenanceRecord {
-                        index: i,
-                        time: t,
-                        length: len,
-                        role: RecordRole::Anchor,
-                    });
-                }
-            }
-            ChoiceProvenance {
-                records,
-                tier,
-                near_gap,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -309,6 +281,41 @@ mod tests {
             if p.near_gap && p.tier == ConfidenceTier::Observed {
                 assert!(d.confidence < 1.0);
             }
+        }
+    }
+
+    #[test]
+    fn timing_only_decision_cites_the_earlier_of_two_equidistant_records() {
+        // Forty application records a second apart; the question falls
+        // half-way between records 35 and 36.
+        let records: Vec<(u64, SimTime, u16)> = (0u64..40)
+            .map(|i| (i, SimTime(i * 1_000_000), 500 + i as u16))
+            .collect();
+        let d = Decision {
+            choice: DecodedChoice {
+                cp: wm_story::ChoicePointId(3),
+                choice: Choice::Default,
+                time: SimTime(35_500_000),
+                observed: false,
+                confidence: crate::decode::CONFIDENCE_INFERRED,
+            },
+            type1: None,
+            type2: None,
+        };
+        let window = Duration::from_secs_f64(0.25);
+        // The whole capture (offline) and a ring-sized suffix of it (the
+        // streaming decoder's recent records) cite the same record.
+        for candidates in [&records[..], &records[records.len() - 32..]] {
+            let (choice, p) = resolve(&d, [], window, candidates.iter().copied());
+            assert_eq!(choice, d.choice);
+            assert_eq!(p.tier, ConfidenceTier::Inferred);
+            let anchor = ProvenanceRecord {
+                index: 35,
+                time: SimTime(35_000_000),
+                length: 535,
+                role: RecordRole::Anchor,
+            };
+            assert_eq!(p.records, [anchor], "{} candidates", candidates.len());
         }
     }
 

@@ -11,7 +11,7 @@ use wm_capture::ContentType;
 use wm_capture::ObservedRecord;
 use wm_core::classify::{HistogramClassifier, IntervalClassifier, KnnClassifier, RecordClassifier};
 use wm_core::metrics::{choice_accuracy, ConfusionMatrix};
-use wm_core::{ChoiceDecoder, DecodedChoice, DecoderConfig, PathDecoder};
+use wm_core::{ChoiceDecoder, DecodedChoice, DecoderConfig, PathDecoder, ReportStream, Timing};
 use wm_story::bandersnatch::tiny_film;
 use wm_story::{Choice, ChoicePointId};
 
@@ -184,33 +184,31 @@ fn choice_accuracy_bounds() {
     }
 }
 
-/// Decode `records` as a stream: report events arrive one at a time,
-/// the horizon rising to each next event's time (everything below it
-/// is final), then the stream ends.
+/// Decode `records` as a stream, the way the streaming decoder does:
+/// records are admitted to a report stream one at a time, the horizon
+/// rising to each next record's time (everything below it is final),
+/// then the stream ends.
 fn streamed(
     classifier: &IntervalClassifier,
     graph: &wm_story::StoryGraph,
     records: &[TimedRecord],
     width: usize,
 ) -> Vec<DecodedChoice> {
-    let decoder = ChoiceDecoder::new(classifier, graph, DecoderConfig::scaled(1), width);
-    let events = decoder.report_events(records);
-    let timing = *decoder.timing();
-    let apps = [records.first(), records.get(1)].map(|r| r.map(|r| r.time));
-    let first_type1 = events
-        .iter()
-        .find(|e| e.class == RecordClass::Type1)
-        .map(|e| e.time);
+    let timing = Timing::new(graph, 1);
+    let mut stream = ReportStream::default();
+    let mut events = Vec::new();
     let mut path = PathDecoder::new(graph, timing, width);
     let mut out = Vec::new();
-    for (n, next) in events.iter().enumerate() {
-        let horizon = Some(next.time);
-        let anchor = timing.anchor(apps, first_type1, horizon);
-        while let Some(d) = path.step(graph, &events[..n], anchor, horizon) {
+    for r in records {
+        let horizon = Some(r.time);
+        let anchor = stream.anchor(&timing, horizon);
+        while let Some(d) = path.step(graph, &events, anchor, horizon) {
             out.push(d.choice);
         }
+        let class = classifier.classify(r.record.length);
+        events.extend(stream.admit(&timing, r.time, r.record.length, class).1);
     }
-    let anchor = timing.anchor(apps, first_type1, None);
+    let anchor = stream.anchor(&timing, None);
     out.extend(path.finish(graph, &events, anchor).iter().map(|d| d.choice));
     out
 }

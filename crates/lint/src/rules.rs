@@ -206,13 +206,16 @@ pub fn trace_sim_time_applies(rel_path: &str) -> bool {
 }
 
 /// Attacker-facing parse paths: every byte they consume is
-/// adversary-controlled, so the panic family applies.
+/// adversary-controlled, so the panic family applies. The streaming
+/// decoder's verdict path runs through wm-core's path decoder and its
+/// evidence resolver, so those two files are in too.
 pub fn panic_rules_apply(rel_path: &str) -> bool {
     rel_path.starts_with("crates/json/src/")
         || rel_path.starts_with("crates/http/src/")
         || rel_path.starts_with("crates/capture/src/")
         || rel_path.starts_with("crates/online/src/")
         || rel_path == "crates/core/src/decode.rs"
+        || rel_path == "crates/core/src/provenance.rs"
 }
 
 /// The online decoder's ingest paths: long-running, fed by an
@@ -1229,12 +1232,10 @@ mod tests {
 
     #[test]
     fn path_decoder_is_under_the_panic_family() {
-        let f = check_source(
-            "wm-core",
-            "crates/core/src/decode.rs",
-            "let v = x.unwrap();",
-        );
-        assert_eq!(rules_of(&f), [PANIC_UNWRAP]);
+        for path in ["crates/core/src/decode.rs", "crates/core/src/provenance.rs"] {
+            let f = check_source("wm-core", path, "let v = x.unwrap();");
+            assert_eq!(rules_of(&f), [PANIC_UNWRAP], "{path}");
+        }
     }
 
     #[test]

@@ -859,12 +859,13 @@ fn state<'a, P: Pass<'a>>(p: &mut P, d: &mut OnlineDecoder) -> Step {
     let mut cursor = head.cursor as u64;
     p.int(&mut cursor, "cursor")?;
     head.cursor = usize::try_from(cursor).map_err(|_| CheckpointError::Malformed("cursor"))?;
-    p.int(&mut d.app_count, "app_count")?;
-    opt_time(p, &mut d.app_first, "app_first")?;
-    opt_time(p, &mut d.app_second, "app_second")?;
-    opt_time(p, &mut d.first_type1, "first_type1")?;
-    opt_time(p, &mut d.last_kept_t1, "last_kept_t1")?;
-    opt_time(p, &mut d.last_kept_t2, "last_kept_t2")?;
+    let r = &mut d.reports;
+    p.int(&mut r.records, "app_count")?;
+    opt_time(p, &mut r.first_app, "app_first")?;
+    opt_time(p, &mut r.second_app, "app_second")?;
+    opt_time(p, &mut r.first_type1, "first_type1")?;
+    opt_time(p, &mut r.last_type1, "last_kept_t1")?;
+    opt_time(p, &mut r.last_type2, "last_kept_t2")?;
     let blank = (0, SimTime::ZERO, 0);
     list(p, &mut d.recent_apps, blank, "recent_apps", |p, r| {
         p.int(&mut r.0, "recent_apps")?;

@@ -2,12 +2,14 @@
 //!
 //! The offline attack ([`wm_core`]) decodes a finished capture in one
 //! pass. [`OnlineDecoder`] drives wm-core's path decoder
-//! ([`wm_core::PathDecoder`], width 1) — the same timing model,
-//! duplicate suppression and confidence grading the offline greedy
-//! decode uses — incrementally, against packets as the tap delivers
-//! them, in memory bounded by constant budgets ([`STATE_BOUND`])
-//! rather than session length. On a clean in-order capture its verdict
-//! stream is byte-for-byte the offline greedy decode.
+//! ([`wm_core::PathDecoder`], width 1) — the same timing model, report
+//! stream ([`wm_core::ReportStream`]: record numbering, duplicate
+//! suppression, anchor) and evidence resolver
+//! ([`wm_core::provenance::resolve`]) the offline greedy decode uses —
+//! incrementally, against packets as the tap delivers them, in memory
+//! bounded by constant budgets ([`STATE_BOUND`]) rather than session
+//! length. On a clean in-order capture its verdict stream is
+//! byte-for-byte the offline greedy decode.
 //!
 //! The central discipline is a **watermark**: the capture time below
 //! which the event stream is *final*. It trails the newest packet by
@@ -41,8 +43,10 @@ use wm_capture::headers::{parse_frame_lossy, FlowId};
 use wm_capture::time::{Duration, SimTime};
 use wm_capture::{ContentType, RecordClass};
 use wm_core::classify::RecordClassifier;
-use wm_core::provenance::{grade, ChoiceProvenance, ProvenanceRecord, RecordRole};
-use wm_core::{Decision, DecodedChoice, IntervalClassifier, PathDecoder, ReportEvent, Timing};
+use wm_core::provenance::{resolve, ChoiceProvenance};
+use wm_core::{
+    Decision, DecodedChoice, IntervalClassifier, PathDecoder, ReportEvent, ReportStream, Timing,
+};
 use wm_story::{Choice, StoryGraph};
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
@@ -256,12 +260,7 @@ pub struct OnlineDecoder {
     pub(crate) admit_seq: u64,
     pub(crate) pending: BoundedVec<PendingEvent>,
     pub(crate) ready: BoundedVec<ReportEvent>,
-    pub(crate) app_count: u64,
-    pub(crate) app_first: Option<SimTime>,
-    pub(crate) app_second: Option<SimTime>,
-    pub(crate) first_type1: Option<SimTime>,
-    pub(crate) last_kept_t1: Option<SimTime>,
-    pub(crate) last_kept_t2: Option<SimTime>,
+    pub(crate) reports: ReportStream,
     pub(crate) recent_apps: BoundedVec<(u64, SimTime, u16)>,
     pub(crate) gap_times: BoundedVec<SimTime>,
     pub(crate) loss_windows: BoundedVec<(SimTime, SimTime)>,
@@ -301,12 +300,7 @@ impl OnlineDecoder {
             admit_seq: 0,
             pending: BoundedVec::new(MAX_PENDING_EVENTS),
             ready: BoundedVec::new(MAX_READY_EVENTS),
-            app_count: 0,
-            app_first: None,
-            app_second: None,
-            first_type1: None,
-            last_kept_t1: None,
-            last_kept_t2: None,
+            reports: ReportStream::default(),
             recent_apps: BoundedVec::new(MAX_RECENT_APPS),
             gap_times: BoundedVec::new(MAX_GAP_TIMES),
             loss_windows: BoundedVec::new(MAX_LOSS_WINDOWS),
@@ -530,31 +524,21 @@ impl OnlineDecoder {
         self.class_scratch = classes;
     }
 
-    /// An event's timestamp became final: assign its application-record
-    /// index, update the anchor estimate, dedup, and queue reports for
-    /// the path decoder.
+    /// An event's timestamp became final: admit it to the report
+    /// stream (its application-record index, the anchor estimate,
+    /// dedup), and queue a kept report for the path decoder.
     fn finalize(&mut self, e: PendingEvent) {
-        let index = self.app_count;
-        self.app_count = self.app_count.saturating_add(1);
-        if self.app_first.is_none() {
-            self.app_first = Some(e.time);
-        } else if self.app_second.is_none() {
-            self.app_second = Some(e.time);
-        }
+        let timing = self.path.timing();
+        let (index, kept) = self.reports.admit(timing, e.time, e.length, e.class);
         self.recent_apps.admit_evict((index, e.time, e.length));
-        let last_kept = match e.class {
-            RecordClass::Other => return,
-            RecordClass::Type1 => &mut self.last_kept_t1,
-            RecordClass::Type2 => &mut self.last_kept_t2,
-        };
-        self.stats.report_events = self.stats.report_events.saturating_add(1);
-        if !self.path.timing().keep_report(e.time, last_kept) {
-            self.stats.deduped_events = self.stats.deduped_events.saturating_add(1);
+        if e.class == RecordClass::Other {
             return;
         }
-        if e.class == RecordClass::Type1 && self.first_type1.is_none() {
-            self.first_type1 = Some(e.time);
-        }
+        self.stats.report_events = self.stats.report_events.saturating_add(1);
+        let Some(event) = kept else {
+            self.stats.deduped_events = self.stats.deduped_events.saturating_add(1);
+            return;
+        };
         if self.ready.len() >= self.ready.cap() {
             // The path decoder is far behind the event stream; shed
             // the oldest (it is the least likely to still be wanted).
@@ -562,12 +546,7 @@ impl OnlineDecoder {
             self.path.rebase(1);
             self.stats.ready_evictions = self.stats.ready_evictions.saturating_add(1);
         }
-        self.ready.admit(ReportEvent {
-            time: e.time,
-            index,
-            length: e.length,
-            class: e.class,
-        });
+        self.ready.admit(event);
     }
 
     // -- the decode loop ----------------------------------------------
@@ -606,8 +585,7 @@ impl OnlineDecoder {
         }
         // 3. Step the path decoder until the evidence stops deciding.
         let horizon = (!self.finishing).then_some(self.watermark);
-        let apps = [self.app_first, self.app_second];
-        let anchor = self.path.timing().anchor(apps, self.first_type1, horizon);
+        let anchor = self.reports.anchor(self.path.timing(), horizon);
         while let Some(d) = self
             .path
             .step(&self.graph, self.ready.as_slice(), anchor, horizon)
@@ -627,55 +605,17 @@ impl OnlineDecoder {
         }
     }
 
-    /// Resolve one choice: confidence grading, provenance citation
-    /// and emission — the online equivalent of the offline
-    /// `decode_trace` + `build_provenance` pair.
+    /// Resolve one choice ([`wm_core::provenance::resolve`], the rule
+    /// the offline attack uses, with the recent application records as
+    /// anchor candidates) and emit it.
     fn emit(&mut self, out: &mut Batch<OnlineVerdict>, d: Decision) {
-        let mut choice = d.choice;
-        let window = self.path.timing().window;
-        let (tier, near_gap) = grade(&mut choice, self.gap_times.iter().copied(), window);
+        let (choice, provenance) = resolve(
+            &d,
+            self.gap_times.iter().copied(),
+            self.path.timing().window,
+            self.recent_apps.iter().copied(),
+        );
         let t1 = choice.time;
-        let mut cited: Batch<ProvenanceRecord> = Batch::new();
-        for (ev, role) in [
-            (d.type1, RecordRole::Type1Report),
-            (d.type2, RecordRole::Type2Report),
-        ] {
-            if let Some(ev) = ev {
-                cited.put(ProvenanceRecord {
-                    index: ev.index as usize,
-                    time: ev.time,
-                    length: ev.length,
-                    role,
-                });
-            }
-        }
-        if cited.is_empty() {
-            // Timing-only decision: cite the nearest application
-            // record as the anchor (over the bounded recency ring —
-            // identical to offline whenever the true nearest record is
-            // recent, which it is on any capture dense enough to
-            // decode).
-            let mut best: Option<(u64, u64, SimTime, u16)> = None;
-            for &(index, time, length) in self.recent_apps.iter() {
-                let dist = time.micros().abs_diff(t1.micros());
-                if best.is_none_or(|(d, ..)| dist < d) {
-                    best = Some((dist, index, time, length));
-                }
-            }
-            if let Some((_, index, time, length)) = best {
-                cited.put(ProvenanceRecord {
-                    index: index as usize,
-                    time,
-                    length,
-                    role: RecordRole::Anchor,
-                });
-            }
-        }
-        let provenance = ChoiceProvenance {
-            records: cited.into_vec(),
-            tier,
-            near_gap,
-        };
         if let Some((h, parent)) = &self.trace {
             h.instant_at(
                 t1.micros(),

@@ -30,8 +30,8 @@
 //!
 //! On a clean, in-order capture the online verdict stream is
 //! byte-for-byte the offline greedy decode (`wm_core::ChoiceDecoder`
-//! at width 1 + `build_provenance`); the equivalence is enforced by
-//! tests. Under
+//! at width 1, each decision through `wm_core::provenance::resolve`);
+//! the equivalence is enforced by tests. Under
 //! impairment the two may diverge only around the impaired spans,
 //! which the decoder reports as loss windows.
 

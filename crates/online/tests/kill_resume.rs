@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{impair_capture, kill_index, CaptureImpairment, TapPacket};
-use wm_core::provenance::build_provenance;
+use wm_core::provenance::ChoiceProvenance;
 use wm_core::{
     client_app_records, ChoiceDecoder, DecodedChoice, DecoderConfig, IntervalClassifier,
     WhiteMirrorConfig,
@@ -78,21 +78,16 @@ fn feed_until_kill(
     (pre, checkpoint)
 }
 
-/// The offline greedy reference: `ChoiceDecoder` + `build_provenance`
-/// over the full capture (what `wm_core` computes post-hoc).
+/// The offline greedy reference: `ChoiceDecoder` at width 1 over the
+/// full capture, each decision resolved with every application record
+/// as an anchor candidate.
 fn offline_reference(
     out: &SessionOutput,
     graph: &StoryGraph,
     clf: &IntervalClassifier,
-) -> (
-    Vec<DecodedChoice>,
-    Vec<wm_core::provenance::ChoiceProvenance>,
-) {
+) -> (Vec<DecodedChoice>, Vec<ChoiceProvenance>) {
     let features = client_app_records(&out.trace);
-    let decoder = ChoiceDecoder::new(clf, graph, DecoderConfig::scaled(TS), 1);
-    let choices = decoder.decode(&features.records);
-    let provenance = build_provenance(&choices, &features, clf, decoder.timing().window);
-    (choices, provenance)
+    ChoiceDecoder::new(clf, graph, DecoderConfig::scaled(TS), 1).decode_with_provenance(&features)
 }
 
 #[test]

@@ -62,7 +62,7 @@ fn claim_binary_choices_and_ten_second_window() {
         assert_eq!(cp.options.len(), 2, "choices are binary");
     }
     // The window constant is encoded in the decoder's timing model.
-    let cfg = white_mirror::core::DecoderConfig::realtime();
+    let cfg = white_mirror::core::DecoderConfig::scaled(1);
     let timing = white_mirror::core::Timing::new(&graph, cfg.time_scale);
     assert_eq!(timing.window.micros(), 10_000_000);
 }

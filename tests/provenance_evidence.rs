@@ -1,10 +1,10 @@
-//! Offline provenance cites the evidence the decoder used.
+//! Provenance cites the evidence the decoder used.
 //!
-//! `build_provenance` reconstructs each decision's evidence after the
-//! fact, by searching the classified record stream again. This test
-//! derives the same evidence independently, from the `Decision`s
-//! `PathDecoder::finish` returns — the type-1 and type-2 report events
-//! each decision was actually read off — and checks that the two agree:
+//! `wm_core::provenance::resolve` cites each decision's evidence from
+//! the `Decision` the path decoder hands back. This test derives the
+//! same evidence independently, with its own oracle over the
+//! `Decision`s `ChoiceDecoder::decisions` returns and the capture's
+//! records, and checks that the two agree:
 //!
 //! * an observed decision cites the type-1 report its question was
 //!   placed on;
@@ -12,19 +12,17 @@
 //! * a decision that rests on no report cites the record nearest its
 //!   question time as its timing anchor.
 //!
-//! It also checks that the decisions' choices are what
-//! `ChoiceDecoder::decode` returns, and that at the attack's beam width
-//! the provenance is what `WhiteMirror::decode_trace` reports. It runs
-//! at width 1 (greedy) and 8 (beam), over a slice with a wireless
-//! night, a tap gap, a duplicated state post and a capture run through
-//! `impair_capture`.
+//! It checks `WhiteMirror::decode_trace`'s provenance (the beam decode,
+//! width 8) and the resolved width-1 (greedy) decisions, over a slice
+//! with a clean capture, a wireless night, a tap gap, a duplicated
+//! state post and a capture run through `impair_capture`.
 
 use std::sync::Arc;
 use white_mirror::capture::{CapturedPacket, TimedRecord};
 use white_mirror::chaos::{impair_capture, CaptureImpairment};
 use white_mirror::core::{
-    build_provenance, client_app_records, ChoiceDecoder, ConfidenceTier, Decision, DecoderConfig,
-    PathDecoder, ProvenanceRecord, RecordRole, ReportEvent,
+    client_app_records, ChoiceDecoder, ConfidenceTier, Decision, DecoderConfig, ProvenanceRecord,
+    RecordRole, ReportEvent,
 };
 use white_mirror::net::time::{Duration, SimTime};
 use white_mirror::prelude::*;
@@ -141,23 +139,11 @@ fn provenance_cites_the_decisions_evidence() {
         for width in [1, 8] {
             let decoder =
                 ChoiceDecoder::new(classifier, &graph, DecoderConfig::scaled(TIME_SCALE), width);
-            let timing = *decoder.timing();
-            let events = decoder.report_events(records);
-            let first_type1 = events.iter().find(|e| e.class == RecordClass::Type1);
-            let anchor = timing.anchor(
-                [records.first(), records.get(1)].map(|r| r.map(|r| r.time)),
-                first_type1.map(|e| e.time),
-                None,
-            );
-            let path = PathDecoder::new(&graph, timing, width).finish(&graph, &events, anchor);
-
-            let choices: Vec<_> = path.iter().map(|d| d.choice).collect();
-            assert_eq!(
-                choices,
-                decoder.decode(records),
-                "capture {n}, width {width}: the path decoder is the offline decoder"
-            );
-            let provenance = build_provenance(&choices, &features, classifier, timing.window);
+            let path = decoder.decisions(records);
+            let provenance = match width {
+                8 => attack.decode_trace(trace, &graph).provenance,
+                _ => decoder.decode_with_provenance(&features).1,
+            };
             assert_eq!(provenance.len(), path.len());
             for (i, (d, p)) in path.iter().zip(&provenance).enumerate() {
                 assert_eq!(
@@ -174,13 +160,6 @@ fn provenance_cites_the_decisions_evidence() {
                 type2 += d.type2.is_some() as usize;
                 anchors += (d.type1.is_none() && d.type2.is_none()) as usize;
                 decisions += 1;
-            }
-            if width == 8 {
-                assert_eq!(
-                    attack.decode_trace(trace, &graph).provenance,
-                    provenance,
-                    "capture {n}: the attack's provenance is the beam decode's"
-                );
             }
         }
     }
