@@ -11,8 +11,8 @@
 //! cargo run --release -p wm-bench --bin baseline_comparison
 //! ```
 
-use wm_baselines::{BitrateBaseline, BurstKnnBaseline, LabeledWindow, MajorityBaseline};
-use wm_bench::{graph, harness_cfg, write_bench_json, TraceTally, TIME_SCALE};
+use wm_bench::{graph, harness_cfg, publish, TraceTally, TIME_SCALE};
+use wm_core::baselines::{BitrateBaseline, BurstKnnBaseline, LabeledWindow, MajorityBaseline};
 use wm_core::{choice_accuracy, ChoiceAccuracy, DecodedChoice, WhiteMirror, WhiteMirrorConfig};
 use wm_net::time::{Duration, SimTime};
 use wm_player::{TruthEvent, ViewerScript};
@@ -140,15 +140,18 @@ fn main() {
         telemetry.merge(&s.telemetry);
         tally.observe(&s.trace_events);
     }
-    write_bench_json(
+    let metrics = [
+        ("white_mirror_accuracy", wm_acc.accuracy()),
+        ("bitrate_accuracy", bitrate_acc.accuracy()),
+        ("burst_knn_accuracy", burst_acc.accuracy()),
+        ("majority_accuracy", majority_acc.accuracy()),
+        ("choices_total", wm_acc.total as f64),
+    ];
+    let required = metrics.map(|(k, _)| k);
+    publish(
         "baseline_comparison",
-        &[
-            ("white_mirror_accuracy", wm_acc.accuracy()),
-            ("bitrate_accuracy", bitrate_acc.accuracy()),
-            ("burst_knn_accuracy", burst_acc.accuracy()),
-            ("majority_accuracy", majority_acc.accuracy()),
-            ("choices_total", wm_acc.total as f64),
-        ],
+        &metrics,
+        &required,
         &telemetry,
         &tally,
     );

@@ -11,7 +11,7 @@
 //! cargo run --release -p wm-bench --bin countermeasures
 //! ```
 
-use wm_bench::{graph, harness_cfg, write_bench_json, TraceTally, TIME_SCALE};
+use wm_bench::{graph, harness_cfg, publish, TraceTally, TIME_SCALE};
 use wm_capture::records::TimedRecord;
 use wm_core::{
     choice_accuracy, client_app_records, AttackTelemetry, ChoiceAccuracy, DecodedChoice,
@@ -140,8 +140,8 @@ fn main() {
     println!("all-default floor.");
 
     telemetry.merge(&attack_registry.snapshot());
-    let metric_refs: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    write_bench_json("countermeasures", &metric_refs, &telemetry, &tally);
+    let required: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
+    publish("countermeasures", &metrics, &required, &telemetry, &tally);
 }
 
 /// Burst-total bands learned from training sessions. Split posts carry

@@ -3,7 +3,7 @@
 //! Sweeps shard-fault intensity 0–4 over a supervised
 //! [`wm_fleet::Fleet`] fed one merged multi-victim stream, and
 //! compares its fault-free throughput against the unsupervised
-//! [`wm_online::decode_sessions_sharded`] baseline. Reported per
+//! [`wm_core::online::decode_sessions_sharded`] baseline. Reported per
 //! intensity: kills, delivered verdicts, total loss-window sim-time
 //! and mean recovery latency; headline: fleet vs baseline sessions/sec
 //! and the supervision overhead ratio, written to `BENCH_fleet.json`
@@ -26,10 +26,10 @@ use wm_bench::throughput::peak_rss_bytes;
 use wm_bench::{capture_pool, graph, publish, smoke, train_attack_for, TraceTally};
 use wm_capture::time::Duration;
 use wm_chaos::ShardFaultPlan;
+use wm_core::online::{decode_sessions_sharded, CapturedPacket, SessionDecode};
 use wm_dataset::OperationalConditions;
 use wm_fleet::FleetReport;
 use wm_obs::collapse_spans;
-use wm_online::{decode_sessions_sharded, CapturedPacket};
 use wm_telemetry::Snapshot;
 
 const SHARDS: usize = 4;
@@ -193,7 +193,7 @@ fn write_artifact(path: &str, contents: &str) {
 
 /// With no faults the supervised fleet must deliver exactly what the
 /// unsupervised baseline decodes, victim for victim.
-fn assert_intensity0_matches_baseline(report: &FleetReport, baseline: &[wm_online::SessionDecode]) {
+fn assert_intensity0_matches_baseline(report: &FleetReport, baseline: &[SessionDecode]) {
     assert_eq!(report.stats.kills, 0, "intensity 0 must inject nothing");
     assert!(
         report.loss_windows.is_empty(),

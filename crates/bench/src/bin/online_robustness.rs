@@ -3,7 +3,7 @@
 //! Sweeps `wm-chaos` *capture-side* impairments (reordering, snaplen
 //! truncation, duplication) of growing intensity over victim sessions
 //! and feeds the impaired tap stream to the streaming decoder
-//! ([`wm_online::OnlineDecoder`]) packet by packet — including one
+//! ([`wm_core::online::OnlineDecoder`]) packet by packet — including one
 //! checkpoint/kill/resume cycle per session, so every point on the
 //! curve also exercises crash recovery. Reported per intensity: choice
 //! accuracy, mean verdict confidence, reported loss windows, and
@@ -23,9 +23,9 @@ use wm_bench::{
 };
 use wm_capture::time::SimTime;
 use wm_chaos::{impair_capture, kill_index, CaptureImpairment, TapPacket};
+use wm_core::online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
 use wm_core::{choice_accuracy, ChoiceAccuracy, DecodedChoice};
 use wm_dataset::OperationalConditions;
-use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Registry, Snapshot};
 

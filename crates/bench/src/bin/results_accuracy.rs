@@ -11,8 +11,7 @@
 //! ```
 
 use wm_bench::{
-    compare_line, graph, run_viewer, train_attack_for, viewer, write_bench_json, TraceTally,
-    TIME_SCALE,
+    compare_line, graph, publish, run_viewer, train_attack_for, viewer, TraceTally, TIME_SCALE,
 };
 use wm_core::{
     choice_accuracy, client_app_records, AttackTelemetry, ChoiceAccuracy, ChoiceDecoder,
@@ -147,16 +146,13 @@ fn main() {
     );
 
     telemetry.merge(&attack_registry.snapshot());
-    write_bench_json(
-        "results_accuracy",
-        &[
-            ("mean_accuracy_beam", overall.accuracy()),
-            ("mean_accuracy_greedy", overall_greedy.accuracy()),
-            ("worst_case_beam", worst.1.accuracy()),
-            ("worst_case_greedy", worst_greedy.2.accuracy()),
-            ("choices_total", overall.total as f64),
-        ],
-        &telemetry,
-        &tally,
-    );
+    let metrics = [
+        ("mean_accuracy_beam", overall.accuracy()),
+        ("mean_accuracy_greedy", overall_greedy.accuracy()),
+        ("worst_case_beam", worst.1.accuracy()),
+        ("worst_case_greedy", worst_greedy.2.accuracy()),
+        ("choices_total", overall.total as f64),
+    ];
+    let required = metrics.map(|(k, _)| k);
+    publish("results_accuracy", &metrics, &required, &telemetry, &tally);
 }

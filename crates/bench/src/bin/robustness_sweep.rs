@@ -13,8 +13,7 @@
 
 use std::sync::Arc;
 use wm_bench::{
-    graph, run_viewer, train_attack_for, viewer, viewer_cfg, write_bench_json, TraceTally,
-    TIME_SCALE,
+    graph, publish, run_viewer, train_attack_for, viewer, viewer_cfg, TraceTally, TIME_SCALE,
 };
 use wm_core::classify::{HistogramClassifier, KnnClassifier, RecordClassifier};
 use wm_core::{
@@ -146,15 +145,12 @@ fn main() {
     println!("disjoint, so the attack survives the suite family — as the paper's");
     println!("\"consistent across operating conditions\" observation implies.");
 
-    write_bench_json(
-        "robustness_sweep",
-        &[
-            ("link_sweep_accuracy", link_acc.accuracy()),
-            ("platform_sweep_accuracy", platform_acc.accuracy()),
-        ],
-        &telemetry,
-        &tally,
-    );
+    let metrics = [
+        ("link_sweep_accuracy", link_acc.accuracy()),
+        ("platform_sweep_accuracy", platform_acc.accuracy()),
+    ];
+    let required = metrics.map(|(k, _)| k);
+    publish("robustness_sweep", &metrics, &required, &telemetry, &tally);
 }
 
 fn ablation(graph: &Arc<StoryGraph>) -> Snapshot {

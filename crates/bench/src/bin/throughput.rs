@@ -1,7 +1,7 @@
 //! E11: million-session throughput engine.
 //!
 //! Measures the sharded streaming-decode engine
-//! ([`wm_online::decode_sessions_sharded`]) end to end: a pool of
+//! ([`wm_core::online::decode_sessions_sharded`]) end to end: a pool of
 //! simulated victim captures is decoded as a fleet under the
 //! work-stealing scheduler. Reported: sessions/sec, records/sec
 //! decoded, bytes/sec ingested and peak RSS, written to
@@ -21,12 +21,12 @@
 use std::time::Instant;
 use wm_bench::throughput::{current_rss_bytes, peak_rss_bytes, REQUIRED_METRICS};
 use wm_bench::{capture_pool, graph, publish, smoke, train_attack_for, TraceTally, TIME_SCALE};
+use wm_core::online::{
+    decode_sessions_sharded, replay_session, CapturedPacket, OnlineConfig, OnlineDecoder,
+};
 use wm_core::IntervalClassifier;
 use wm_dataset::OperationalConditions;
 use wm_obs::{SeriesPoint, SeriesRing};
-use wm_online::{
-    decode_sessions_sharded, replay_session, CapturedPacket, OnlineConfig, OnlineDecoder,
-};
 use wm_story::StoryGraph;
 use wm_telemetry::{DeltaTracker, Registry, Snapshot};
 

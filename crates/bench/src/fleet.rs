@@ -6,7 +6,7 @@
 //! ([`resident_config`]), one fresh fleet per run ([`run_fleet`]).
 //! E12 sweeps shard-fault intensity 0–4 over a supervised
 //! [`wm_fleet::Fleet`] and compares its throughput against the
-//! unsupervised [`wm_online::decode_sessions_sharded`] baseline; this
+//! unsupervised [`wm_core::online::decode_sessions_sharded`] baseline; this
 //! module holds its per-intensity summary arithmetic and the schema
 //! check CI runs against the emitted `BENCH_fleet.json`.
 
@@ -14,11 +14,11 @@ use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::ShardFaultPlan;
+use wm_core::online::CapturedPacket;
 use wm_core::IntervalClassifier;
 use wm_fleet::{
     merge_taps, Fleet, FleetConfig, FleetReport, ObserverConfig, ResizeSchedule, TapPacket,
 };
-use wm_online::CapturedPacket;
 use wm_story::StoryGraph;
 use wm_telemetry::trace::{SpanId, TraceEvent, TraceHandle};
 

@@ -34,14 +34,14 @@ pub mod fleet;
 pub mod schema;
 pub mod throughput;
 
-pub use schema::{bench_json, publish, validate_bench_json, write_bench_json};
+pub use schema::{bench_json, publish, validate_bench_json};
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wm_capture::labels::LabeledRecord;
+use wm_core::online::CapturedPacket;
 use wm_core::{DecodedChoice, WhiteMirror, WhiteMirrorConfig};
 use wm_dataset::{OperationalConditions, SimOptions, ViewerSpec};
-use wm_online::CapturedPacket;
 use wm_player::ViewerScript;
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::StoryGraph;

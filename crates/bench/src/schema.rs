@@ -57,16 +57,6 @@ pub fn bench_json<K: AsRef<str>>(
     s
 }
 
-/// Write `BENCH_<name>.json` in the working directory and report where.
-pub fn write_bench_json<K: AsRef<str>>(
-    name: &str,
-    metrics: &[(K, f64)],
-    telemetry: &Snapshot,
-    trace: &TraceTally,
-) {
-    write_report(name, &bench_json(name, metrics, telemetry, trace));
-}
-
 /// Write `BENCH_<name>.json` in the working directory and check the
 /// bytes written against the schema gate CI runs: the bench name, and
 /// every `required` metric present, finite and non-negative. Exits 1

@@ -40,7 +40,7 @@ pub use tap::{CapturedPacket, Tap, Trace, TraceSummary};
 // The attacker's window onto the wire.
 //
 // The layering lint (`wm-lint`) forbids attacker-side crates
-// (`wm-core`, `wm-baselines`, `wm-behavior`) from depending on the
+// (`wm-core`, `wm-behavior`, `wm-fleet`, `wm-obs`) from depending on the
 // victim-side simulation crates (`wm-net`, `wm-tls`, `wm-player`,
 // `wm-netflix`): an on-path adversary never sees victim internals, only
 // what crosses the wire. Everything such an observer legitimately has —

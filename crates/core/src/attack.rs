@@ -14,7 +14,6 @@ use crate::provenance::ChoiceProvenance;
 use std::sync::Arc;
 use wm_capture::labels::LabeledRecord;
 use wm_capture::tap::Trace;
-use wm_capture::RecordClass;
 use wm_story::{Choice, ChoicePointId, StoryGraph};
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
@@ -103,28 +102,24 @@ impl DecodedSession {
     }
 }
 
-/// Attack-side telemetry handles (see `wm-telemetry`): wall-clock
-/// timings of the classify and decode stages plus per-class record
-/// counts as seen by the trained classifier.
+/// Attack-side telemetry handles (see `wm-telemetry`): the decode's
+/// wall-clock timing plus per-class record counts as seen by the
+/// trained classifier.
 pub struct AttackTelemetry {
-    classify_ns: Arc<Histogram>,
     decode_ns: Arc<Histogram>,
     sessions_decoded: Arc<Counter>,
-    records_type1: Arc<Counter>,
-    records_type2: Arc<Counter>,
-    records_other: Arc<Counter>,
+    /// `core.records.{type1,type2,other}`, in `RecordClass::ALL` order.
+    records: [Arc<Counter>; 3],
 }
 
 impl AttackTelemetry {
     /// Register the attack's metrics under `core.*`.
     pub fn register(registry: &Registry) -> Self {
         AttackTelemetry {
-            classify_ns: registry.histogram("core.classify_ns"),
             decode_ns: registry.histogram("core.decode_ns"),
             sessions_decoded: registry.counter("core.sessions_decoded"),
-            records_type1: registry.counter("core.records.type1"),
-            records_type2: registry.counter("core.records.type2"),
-            records_other: registry.counter("core.records.other"),
+            records: ["type1", "type2", "other"]
+                .map(|class| registry.counter(&format!("core.records.{class}"))),
         }
     }
 }
@@ -192,37 +187,22 @@ impl WhiteMirror {
         })
     }
 
-    /// Decode the viewer's choices from a raw capture.
+    /// Decode the viewer's choices from a raw capture: the path decoder
+    /// at the beam width, each decision resolved into its graded choice
+    /// and provenance, and (when attached) telemetry and trace emission.
     pub fn decode_trace(&self, trace: &Trace, graph: &StoryGraph) -> DecodedSession {
         let features = client_app_records(trace);
-        if let Some(t) = &self.telemetry {
-            // Classify pass: count the capture's records by learned
-            // class and time the sweep.
-            let _span = t.decode_ns.span();
-            {
-                let _span = t.classify_ns.span();
-                for r in &features.records {
-                    match self.classifier.classify(r.record.length) {
-                        RecordClass::Type1 => t.records_type1.inc(),
-                        RecordClass::Type2 => t.records_type2.inc(),
-                        RecordClass::Other => t.records_other.inc(),
-                    }
-                }
-            }
-            t.sessions_decoded.inc();
-            return self.decode_features(features, graph);
-        }
-        self.decode_features(features, graph)
-    }
-
-    /// Shared decode path: the path decoder at the beam width, each
-    /// decision resolved into its graded choice and provenance, and
-    /// (when attached) trace emission.
-    fn decode_features(&self, features: ClientFeatures, graph: &StoryGraph) -> DecodedSession {
+        let _span = self.telemetry.as_ref().map(|t| t.decode_ns.span());
         let cfg = DecoderConfig::scaled(self.cfg.time_scale);
         let decoder =
             ChoiceDecoder::new(&self.classifier, graph, cfg, WhiteMirrorConfig::BEAM_WIDTH);
-        let (choices, provenance) = decoder.decode_with_provenance(&features);
+        let (choices, provenance, classes) = decoder.decode_with_provenance(&features);
+        if let Some(t) = &self.telemetry {
+            for (counter, n) in t.records.iter().zip(classes) {
+                counter.add(n);
+            }
+            t.sessions_decoded.inc();
+        }
         if let Some((h, parent)) = &self.trace {
             let start = features.records.first().map_or(0, |r| r.time.micros());
             let end = choices

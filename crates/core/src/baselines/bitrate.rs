@@ -8,7 +8,7 @@
 //! stream on the same ladder, the class-conditional distributions
 //! overlap almost completely and accuracy sits near the majority floor.
 
-use crate::features::{downstream_bytes_in, LabeledWindow};
+use super::features::{downstream_bytes_in, LabeledWindow};
 use std::collections::BTreeMap;
 use wm_capture::tap::Trace;
 use wm_capture::time::{Duration, SimTime};

@@ -10,7 +10,7 @@
 //! rather than the branch content, so the neighbours are a near-coin-
 //! flip between the branches.
 
-use crate::features::{burst_vector, l2, LabeledWindow};
+use super::features::{burst_vector, l2, LabeledWindow};
 use std::collections::BTreeMap;
 use wm_capture::tap::Trace;
 use wm_capture::time::{Duration, SimTime};

@@ -1,10 +1,10 @@
-//! # wm-baselines — prior-work techniques, re-implemented
+//! Prior-work techniques, re-implemented (E7's comparators).
 //!
 //! §II of the paper argues that existing encrypted-video fingerprinting
 //! cannot read *intra-video* choices: "inter-video features cannot be
 //! used to differentiate between segments from the same video", because
 //! every branch of one title streams on the same bitrate ladder. This
-//! crate makes that argument executable by re-implementing the prior
+//! module makes that argument executable by re-implementing the prior
 //! techniques' feature sets as *choice decoders* and measuring them on
 //! the same captures White Mirror reads:
 //!

@@ -11,11 +11,11 @@
 //! * a type-2 event inside the window resolves it non-default;
 //! * the window closing (the next type-1, or timeout) resolves default.
 //!
-//! The [`PathDecoder`] additionally predicts when each question should
-//! appear — the story graph's segment durations are public, and the
-//! question always precedes a segment boundary by the fixed window —
-//! and places a question on timing alone when its type-1 report was
-//! lost (tap loss or a flush split). Without that, one missed report
+//! The path decoder (`PathDecoder`) additionally predicts when each
+//! question should appear — the story graph's segment durations are
+//! public, and the question always precedes a segment boundary by the
+//! fixed window — and places a question on timing alone when its
+//! type-1 report was lost (tap loss or a flush split). Without that, one missed report
 //! desynchronizes every later decision.
 //!
 //! The path decoder keeps `width` hypotheses: paths through the graph,
@@ -38,8 +38,8 @@
 //! The decoder reads a caller-owned slice of [`ReportEvent`]s up to a
 //! horizon below which the slice is final, and steps a hypothesis past
 //! a question only once the events or the horizon decide it. The
-//! offline attack hands it a finished capture; `wm-online` drives it
-//! at width 1 as its watermark advances.
+//! offline attack hands it a finished capture; the streaming decoder
+//! ([`crate::online`]) drives it at width 1 as its watermark advances.
 
 use crate::classify::RecordClassifier;
 use crate::features::ClientFeatures;
@@ -87,7 +87,7 @@ pub struct DecodedChoice {
     /// How much the evidence supports this decision, in `[0, 1]`.
     /// Observed reports decode at full confidence; inferred decisions
     /// start lower, and capture gaps overlapping the choice window
-    /// downgrade it further (see [`crate::provenance::resolve`]).
+    /// downgrade it further (see `provenance::resolve`).
     pub confidence: f64,
 }
 
@@ -184,7 +184,7 @@ impl Timing {
 /// last kept report of each class duplicate suppression compares
 /// against. The offline and the streaming decoder both fold over it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReportStream {
+pub(crate) struct ReportStream {
     /// Application records admitted: the next one's index.
     pub records: u64,
     /// The first application record's time.
@@ -266,7 +266,7 @@ fn past(horizon: Option<SimTime>, t: SimTime) -> bool {
 
 /// Where a hypothesis stands in its walk of the story graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Frontier {
+pub(crate) enum Frontier {
     /// Seeking the type-1 report of the question at `cp`, shown while
     /// `seg` plays.
     Seek { seg: SegmentId, cp: ChoicePointId },
@@ -312,7 +312,7 @@ impl Frontier {
 
 /// One path through the graph, as far as it has stepped.
 #[derive(Debug, Clone, Copy)]
-pub struct Hypothesis {
+pub(crate) struct Hypothesis {
     pub frontier: Frontier,
     /// When the next question should appear; `None` before the first,
     /// which hangs off the playback anchor.
@@ -336,7 +336,7 @@ pub struct Decision {
 
 /// The incremental k-hypothesis path decoder (see the module docs).
 #[derive(Debug, Clone)]
-pub struct PathDecoder {
+pub(crate) struct PathDecoder {
     timing: Timing,
     width: usize,
     /// This round's hypotheses, best first.
@@ -636,20 +636,25 @@ impl<'a, C: RecordClassifier + ?Sized> ChoiceDecoder<'a, C> {
     }
 
     /// Admit the capture's application records, in order, to a report
-    /// stream: its final state and the report events it kept.
-    fn stream(&self, records: &[TimedRecord]) -> (ReportStream, Vec<ReportEvent>) {
+    /// stream: its final state, the report events it kept and how many
+    /// records it admitted of each class (in `RecordClass::ALL` order).
+    fn stream(&self, records: &[TimedRecord]) -> (ReportStream, Vec<ReportEvent>, [u64; 3]) {
         let mut stream = ReportStream::default();
+        let mut classes = [0; 3];
         let events = apps(records)
             .filter_map(|r| {
                 let class = self.classifier.classify(r.record.length);
+                if let Some(n) = classes.get_mut(class as usize) {
+                    *n += 1;
+                }
                 stream.admit(&self.timing, r.time, r.record.length, class).1
             })
             .collect();
-        (stream, events)
+        (stream, events, classes)
     }
 
     /// The capture's report events: application records classified as
-    /// type-1 or type-2, duplicates collapsed ([`ReportStream::admit`]).
+    /// type-1 or type-2, duplicates collapsed (`ReportStream::admit`).
     pub fn report_events(&self, records: &[TimedRecord]) -> Vec<ReportEvent> {
         self.stream(records).1
     }
@@ -659,22 +664,30 @@ impl<'a, C: RecordClassifier + ?Sized> ChoiceDecoder<'a, C> {
     /// when `cfg.time_aware` is off: only [`ChoiceDecoder::decode`]
     /// reads that switch.
     pub fn decisions(&self, records: &[TimedRecord]) -> Vec<Decision> {
-        let (stream, events) = self.stream(records);
+        self.decide(records).0
+    }
+
+    /// [`ChoiceDecoder::decisions`], with the records' class counts.
+    fn decide(&self, records: &[TimedRecord]) -> (Vec<Decision>, [u64; 3]) {
+        let (stream, events, classes) = self.stream(records);
         let anchor = stream.anchor(&self.timing, None);
-        PathDecoder::new(self.graph, self.timing, self.width).finish(self.graph, &events, anchor)
+        let mut path = PathDecoder::new(self.graph, self.timing, self.width);
+        (path.finish(self.graph, &events, anchor), classes)
     }
 
     /// Decode a capture's records at this decoder's width and resolve
-    /// each decision ([`crate::provenance::resolve`]) against its gaps,
+    /// each decision (`provenance::resolve`) against its gaps,
     /// with every application record an anchor candidate, numbered as
-    /// the report stream numbers them.
+    /// the report stream numbers them; also how many records it read as
+    /// each class (in `RecordClass::ALL` order).
     pub fn decode_with_provenance(
         &self,
         features: &ClientFeatures,
-    ) -> (Vec<DecodedChoice>, Vec<ChoiceProvenance>) {
+    ) -> (Vec<DecodedChoice>, Vec<ChoiceProvenance>, [u64; 3]) {
         let records = &features.records;
         let gaps = &features.gap_times;
-        self.decisions(records)
+        let (decisions, classes) = self.decide(records);
+        let (choices, provenance) = decisions
             .iter()
             .map(|d| {
                 let candidates = (0u64..)
@@ -682,7 +695,8 @@ impl<'a, C: RecordClassifier + ?Sized> ChoiceDecoder<'a, C> {
                     .map(|(i, r)| (i, r.time, r.record.length));
                 resolve(d, gaps.iter().copied(), self.timing.window, candidates)
             })
-            .unzip()
+            .unzip();
+        (choices, provenance, classes)
     }
 
     /// Decode the choice sequence from client application records.
@@ -1121,7 +1135,8 @@ mod tests {
             rec(10_000, 2212),
         ];
         let decoder = ChoiceDecoder::new(&c, &g, aware_cfg(), 1);
-        let (stream, events) = decoder.stream(&records);
+        let (stream, events, classes) = decoder.stream(&records);
+        assert_eq!(classes, [2, 0, 2], "type-1, type-2, other");
         let timing = decoder.timing();
         let mut path = PathDecoder::new(&g, *timing, 1);
         // Before the horizon passes the second app record, the first
@@ -1150,5 +1165,207 @@ mod tests {
         assert_eq!(rest.len(), 2);
         assert!(rest[0].choice.observed && !rest[1].choice.observed);
         assert!(path.is_done());
+    }
+}
+
+/// Seeded sweeps over the path decoder: on arbitrary and on clean
+/// classified event streams, every decoder traces a real path, and the
+/// path decoder fed a stream record by record decodes exactly as it
+/// decodes the whole capture. Hand-rolled: each property runs over
+/// cases drawn from a local splitmix64 driver, and failures print the
+/// case number for replay.
+#[cfg(test)]
+mod props {
+    use super::*;
+    use crate::classify::IntervalClassifier;
+    use wm_capture::labels::LabeledRecord;
+    use wm_capture::ObservedRecord;
+    use wm_story::bandersnatch::tiny_film;
+
+    /// Minimal splitmix64 case generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    fn labelled(length: u16, class: RecordClass) -> LabeledRecord {
+        LabeledRecord {
+            time: SimTime::ZERO,
+            length,
+            class,
+        }
+    }
+
+    /// Decode `records` as a stream, the way the streaming decoder does:
+    /// records are admitted to a report stream one at a time, the horizon
+    /// rising to each next record's time (everything below it is final),
+    /// then the stream ends.
+    fn streamed(
+        classifier: &IntervalClassifier,
+        graph: &wm_story::StoryGraph,
+        records: &[TimedRecord],
+        width: usize,
+    ) -> Vec<DecodedChoice> {
+        let timing = Timing::new(graph, 1);
+        let mut stream = ReportStream::default();
+        let mut events = Vec::new();
+        let mut path = PathDecoder::new(graph, timing, width);
+        let mut out = Vec::new();
+        for r in records {
+            let horizon = Some(r.time);
+            let anchor = stream.anchor(&timing, horizon);
+            while let Some(d) = path.step(graph, &events, anchor, horizon) {
+                out.push(d.choice);
+            }
+            let class = classifier.classify(r.record.length);
+            events.extend(stream.admit(&timing, r.time, r.record.length, class).1);
+        }
+        let anchor = stream.anchor(&timing, None);
+        out.extend(path.finish(graph, &events, anchor).iter().map(|d| d.choice));
+        out
+    }
+
+    /// Decoders always emit one decision per choice point on the walked
+    /// path and never panic, for arbitrary classified event streams; the
+    /// path decoder decodes a stream exactly as it decodes the whole.
+    #[test]
+    fn decoders_total_and_path_consistent() {
+        let graph = tiny_film();
+        let training = vec![
+            labelled(2211, RecordClass::Type1),
+            labelled(2213, RecordClass::Type1),
+            labelled(2992, RecordClass::Type2),
+            labelled(3017, RecordClass::Type2),
+        ];
+        let classifier = IntervalClassifier::train(&training, 0).expect("train");
+        for case in 0..100u64 {
+            let mut rng = Rng(0xC0_4000 + case);
+            let n = rng.below(40);
+            // Map class index to a length inside/outside the bands.
+            let mut records: Vec<TimedRecord> = (0..n)
+                .map(|_| TimedRecord {
+                    time: SimTime(rng.below(60_000) as u64 * 1000),
+                    record: ObservedRecord {
+                        stream_offset: 0,
+                        content_type: ContentType::ApplicationData,
+                        version: (3, 3),
+                        length: match rng.below(3) {
+                            0 => 2212,
+                            1 => 3000,
+                            _ => 700,
+                        },
+                    },
+                })
+                .collect();
+            records.sort_by_key(|r| r.time);
+            for (time_aware, width) in [(false, 1), (true, 1), (true, 8)] {
+                let cfg = DecoderConfig {
+                    time_aware,
+                    ..DecoderConfig::scaled(1)
+                };
+                let decoded = ChoiceDecoder::new(&classifier, &graph, cfg, width).decode(&records);
+                // The decode must trace a real path: its cp sequence equals
+                // the walk induced by its own choices.
+                let seq = wm_story::ChoiceSequence(decoded.iter().map(|d| d.choice).collect());
+                let walk = wm_story::path::walk(&graph, &seq);
+                assert_eq!(decoded.len(), walk.encountered.len(), "case {case}");
+                for (d, cp) in decoded.iter().zip(walk.encountered.iter()) {
+                    assert_eq!(d.cp, *cp, "case {case}");
+                }
+                if time_aware {
+                    let stream = streamed(&classifier, &graph, &records, width);
+                    assert_eq!(stream, decoded, "case {case}: width {width} streamed");
+                }
+            }
+        }
+    }
+
+    /// On a *clean* event stream generated from a true path (correct
+    /// question times, no noise), every decoder recovers the path
+    /// exactly.
+    #[test]
+    fn decoders_exact_on_clean_streams() {
+        let graph = tiny_film();
+        let training = vec![
+            labelled(2211, RecordClass::Type1),
+            labelled(2213, RecordClass::Type1),
+            labelled(2992, RecordClass::Type2),
+            labelled(3017, RecordClass::Type2),
+        ];
+        let classifier = IntervalClassifier::train(&training, 0).expect("train");
+        // All 8 combinations of 3 binary choices.
+        for case in 0..8u64 {
+            let truth: Vec<Choice> = (0..3)
+                .map(|i| {
+                    if (case >> i) & 1 == 1 {
+                        Choice::NonDefault
+                    } else {
+                        Choice::Default
+                    }
+                })
+                .collect();
+            // tiny_film question times (content secs): 4, 10, 14 when every
+            // branch is 4 s — true for all paths in tiny_film's first two
+            // levels; the third question time depends only on segment
+            // durations of level-2 branches, all 4 s.
+            let q_times = [4_000u64, 10_000, 14_000];
+            let mut records = vec![TimedRecord {
+                time: SimTime(0),
+                record: ObservedRecord {
+                    stream_offset: 0,
+                    content_type: ContentType::ApplicationData,
+                    version: (3, 3),
+                    length: 700, // playback-start marker (manifest fetch)
+                },
+            }];
+            for (i, &q) in q_times.iter().enumerate() {
+                records.push(TimedRecord {
+                    time: SimTime(q * 1000),
+                    record: ObservedRecord {
+                        stream_offset: 0,
+                        content_type: ContentType::ApplicationData,
+                        version: (3, 3),
+                        length: 2212,
+                    },
+                });
+                if truth[i] == Choice::NonDefault {
+                    records.push(TimedRecord {
+                        time: SimTime((q + 1200) * 1000),
+                        record: ObservedRecord {
+                            stream_offset: 0,
+                            content_type: ContentType::ApplicationData,
+                            version: (3, 3),
+                            length: 3000,
+                        },
+                    });
+                }
+            }
+            for (time_aware, width) in [(false, 1), (true, 1), (true, 8)] {
+                let cfg = DecoderConfig {
+                    time_aware,
+                    ..DecoderConfig::scaled(1)
+                };
+                let decoded = ChoiceDecoder::new(&classifier, &graph, cfg, width).decode(&records);
+                let picks: Vec<Choice> = decoded.iter().map(|d| d.choice).collect();
+                assert_eq!(
+                    &picks, &truth,
+                    "case {case}: time_aware={time_aware} width {width}"
+                );
+                if time_aware {
+                    let stream = streamed(&classifier, &graph, &records, width);
+                    assert_eq!(stream, decoded, "case {case}: width {width} streamed");
+                }
+            }
+        }
     }
 }

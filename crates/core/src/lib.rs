@@ -16,36 +16,42 @@
 //!    pick. One incremental path decoder predicts question times from
 //!    segment durations to survive missed reports, keeping one
 //!    hypothesis (greedy) or several (beam); the offline attack, the
-//!    ablations and the streaming attacker (`wm-online`) all run it,
-//!    admit records through one [`ReportStream`] and cite evidence
-//!    through one [`provenance::resolve`];
+//!    ablations and the streaming attacker ([`online`]) all run it,
+//!    admit records through one report stream and cite evidence
+//!    through one resolver ([`provenance`]);
 //! 4. [`metrics`] — per-record confusion matrices and per-choice
 //!    accuracy, including the worst-case accounting behind the paper's
 //!    headline "96% of the time in the worst case".
 //!
 //! [`attack::WhiteMirror`] bundles the pipeline end-to-end: train on
-//! labelled sessions, decode raw pcaps.
+//! labelled sessions, decode raw pcaps. [`online`] is the same attack
+//! run while the victim watches: it decodes packet by packet in bounded
+//! memory and survives a crash through checkpoints. [`baselines`]
+//! re-implements the prior-work fingerprinting techniques the paper
+//! argues cannot read intra-video choices (E7's comparators).
 //!
 //! Nothing in this crate ever sees plaintext or keys — inputs are
 //! captures (`wm_capture::Trace`) and the public story graph.
 
 pub mod attack;
+pub mod baselines;
 pub mod classify;
 pub mod decode;
 pub mod features;
 pub mod metrics;
+pub mod online;
 pub mod provenance;
 pub mod report;
 
 pub use attack::{AttackTelemetry, DecodedSession, WhiteMirror, WhiteMirrorConfig};
 pub use classify::{HistogramClassifier, IntervalClassifier, KnnClassifier, RecordClassifier};
 pub use decode::{
-    ChoiceDecoder, Decision, DecodedChoice, DecoderConfig, PathDecoder, ReportEvent, ReportStream,
-    Timing, CONFIDENCE_BLIND, CONFIDENCE_INFERRED, CONFIDENCE_OBSERVED, WINDOW_SECS,
+    ChoiceDecoder, Decision, DecodedChoice, DecoderConfig, ReportEvent, Timing, CONFIDENCE_BLIND,
+    CONFIDENCE_INFERRED, CONFIDENCE_OBSERVED, WINDOW_SECS,
 };
 pub use features::{client_app_records, ClientFeatures};
 pub use metrics::{choice_accuracy, ChoiceAccuracy, ConfusionMatrix};
 pub use provenance::{
-    resolve, ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole, GAP_CONFIDENCE_FACTOR,
+    ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole, GAP_CONFIDENCE_FACTOR,
 };
 pub use report::session_report;

@@ -60,15 +60,15 @@
 
 use std::sync::Arc;
 
-use crate::bounded::BoundedVec;
-use crate::crc::crc32;
-use crate::engine::{OnlineConfig, OnlineDecoder, PendingEvent, MAX_FLOWS};
-use crate::ingest::FlowIngest;
+use crate::decode::Frontier;
+use crate::online::bounded::BoundedVec;
+use crate::online::crc::crc32;
+use crate::online::engine::{OnlineConfig, OnlineDecoder, PendingEvent, MAX_FLOWS};
+use crate::online::ingest::FlowIngest;
+use crate::{IntervalClassifier, ReportEvent};
 use wm_capture::headers::FlowId;
 use wm_capture::time::SimTime;
 use wm_capture::RecordClass;
-use wm_core::decode::Frontier;
-use wm_core::{IntervalClassifier, ReportEvent};
 use wm_story::{
     ChoiceOption, ChoicePoint, ChoicePointId, Segment, SegmentEnd, SegmentId, StoryGraph,
 };
@@ -1281,8 +1281,8 @@ mod tests {
 
     #[test]
     fn state_past_its_caps_is_malformed_not_truncated() {
-        use crate::bounded::{ByteCarry, ParkedSegments};
-        use crate::ingest::{MAX_CARRY_BYTES, MAX_PARKED_BYTES, MAX_PARKED_SEGMENTS};
+        use crate::online::bounded::{ByteCarry, ParkedSegments};
+        use crate::online::ingest::{MAX_CARRY_BYTES, MAX_PARKED_BYTES, MAX_PARKED_SEGMENTS};
         // The writer walks whatever the decoder holds, so a buffer
         // given a wider cap writes a CRC-valid record with more items
         // than a restored decoder can hold. At the cap it restores.

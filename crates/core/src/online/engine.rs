@@ -1,11 +1,11 @@
 //! The streaming (online) White Mirror decoder.
 //!
-//! The offline attack ([`wm_core`]) decodes a finished capture in one
-//! pass. [`OnlineDecoder`] drives wm-core's path decoder
-//! ([`wm_core::PathDecoder`], width 1) — the same timing model, report
-//! stream ([`wm_core::ReportStream`]: record numbering, duplicate
-//! suppression, anchor) and evidence resolver
-//! ([`wm_core::provenance::resolve`]) the offline greedy decode uses —
+//! The offline attack ([`crate::WhiteMirror`]) decodes a finished
+//! capture in one pass. [`OnlineDecoder`] drives the crate's path
+//! decoder (`decode::PathDecoder`, width 1) — the same timing model,
+//! report stream (`decode::ReportStream`: record numbering, duplicate
+//! suppression, anchor) and evidence resolver (`provenance::resolve`)
+//! the offline greedy decode uses —
 //! incrementally, against packets as the tap delivers them, in memory
 //! bounded by constant budgets ([`STATE_BOUND`]) rather than session
 //! length. On a clean in-order capture its verdict stream is
@@ -34,19 +34,18 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::bounded::{Batch, BoundedVec};
-use crate::ingest::{
+use crate::classify::RecordClassifier;
+use crate::decode::{PathDecoder, ReportStream};
+use crate::online::bounded::{Batch, BoundedVec};
+use crate::online::ingest::{
     ExtractedRecord, FlowIngest, GapEvent, MAX_CARRY_BYTES, MAX_MARKS, MAX_PARKED_BYTES,
     MAX_PARKED_SEGMENTS, PER_FLOW_STATE_BOUND,
 };
+use crate::provenance::{resolve, ChoiceProvenance};
+use crate::{Decision, DecodedChoice, IntervalClassifier, ReportEvent, Timing};
 use wm_capture::headers::{parse_frame_lossy, FlowId};
 use wm_capture::time::{Duration, SimTime};
 use wm_capture::{ContentType, RecordClass};
-use wm_core::classify::RecordClassifier;
-use wm_core::provenance::{resolve, ChoiceProvenance};
-use wm_core::{
-    Decision, DecodedChoice, IntervalClassifier, PathDecoder, ReportEvent, ReportStream, Timing,
-};
 use wm_story::{Choice, StoryGraph};
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
@@ -605,7 +604,7 @@ impl OnlineDecoder {
         }
     }
 
-    /// Resolve one choice ([`wm_core::provenance::resolve`], the rule
+    /// Resolve one choice ([`crate::provenance::resolve`], the rule
     /// the offline attack uses, with the recent application records as
     /// anchor candidates) and emit it.
     fn emit(&mut self, out: &mut Batch<OnlineVerdict>, d: Decision) {
@@ -640,16 +639,16 @@ impl OnlineDecoder {
 
     /// Serialize the full decoder state into a compact, versioned,
     /// checksummed blob: the one-record form of the shard checkpoint
-    /// layout (see [`crate::checkpoint`]). Resets the cadence clock.
+    /// layout (see [`crate::online::checkpoint`]). Resets the cadence clock.
     pub fn checkpoint(&mut self) -> Vec<u8> {
-        let header = crate::checkpoint::BlobHeader {
+        let header = crate::online::checkpoint::BlobHeader {
             shard: 0,
             taken: SimTime::ZERO,
-            graph_fp: crate::checkpoint::graph_fingerprint(&self.graph),
+            graph_fp: crate::online::checkpoint::graph_fingerprint(&self.graph),
             cfg: self.cfg.clone(),
             classifier: self.classifier.clone(),
         };
-        let mut blob = crate::checkpoint::BlobWriter::new(&header);
+        let mut blob = crate::online::checkpoint::BlobWriter::new(&header);
         blob.push_decoder(0, SimTime::ZERO, self);
         blob.finish()
     }
@@ -663,14 +662,14 @@ impl OnlineDecoder {
         self.records_at_checkpoint = self.records_seen;
         self.stats.checkpoints = self.stats.checkpoints.saturating_add(1);
         self.flush_telemetry();
-        crate::checkpoint::encode_record(self, victim, seen, out);
+        crate::online::checkpoint::encode_record(self, victim, seen, out);
     }
 
     /// [`OnlineDecoder::checkpoint`] carried as a base64 string inside
     /// a [`wm_json::Value`], for callers that move checkpoints through
     /// JSON documents. The blob is the only codec; this only wraps it.
     pub fn checkpoint_value(&mut self) -> wm_json::Value {
-        wm_json::Value::from(crate::checkpoint::to_base64(&self.checkpoint()))
+        wm_json::Value::from(crate::online::checkpoint::to_base64(&self.checkpoint()))
     }
 
     /// Health gauges observed at every checkpoint, before the cadence
@@ -691,11 +690,13 @@ impl OnlineDecoder {
     pub fn resume_from_value(
         value: &wm_json::Value,
         graph: Arc<StoryGraph>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
+    ) -> Result<Self, crate::online::checkpoint::CheckpointError> {
         let text = value
             .as_str()
-            .ok_or(crate::checkpoint::CheckpointError::Malformed("value"))?;
-        Self::resume_from_checkpoint(&crate::checkpoint::from_base64(text)?, graph)
+            .ok_or(crate::online::checkpoint::CheckpointError::Malformed(
+                "value",
+            ))?;
+        Self::resume_from_checkpoint(&crate::online::checkpoint::from_base64(text)?, graph)
     }
 
     /// Restore a decoder from a checkpoint taken by
@@ -706,8 +707,8 @@ impl OnlineDecoder {
     pub fn resume_from_checkpoint(
         bytes: &[u8],
         graph: Arc<StoryGraph>,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        crate::checkpoint::decode(bytes, graph)
+    ) -> Result<Self, crate::online::checkpoint::CheckpointError> {
+        crate::online::checkpoint::decode(bytes, graph)
     }
 }
 

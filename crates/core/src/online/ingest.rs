@@ -27,7 +27,7 @@
 //! stamped with the capture time of the segment carrying its first
 //! byte), same lengths, same order.
 
-use crate::bounded::{Batch, BoundedVec, ByteCarry, ParkedSegments};
+use crate::online::bounded::{Batch, BoundedVec, ByteCarry, ParkedSegments};
 use wm_capture::time::{Duration, SimTime};
 use wm_capture::{find_resync, ContentType, RecordHeader, RECORD_HEADER_LEN};
 
@@ -47,7 +47,7 @@ pub(crate) const MAX_MARKS: usize = 256;
 /// Upper bound on one flow's [`FlowIngest::state_bytes`], with
 /// generous per-entry allowances (carry + recycled spares, parked
 /// bytes + poison-filled free list, marks, fixed overhead). The shared
-/// half of [`crate::STATE_BOUND`].
+/// half of [`crate::online::STATE_BOUND`].
 pub(crate) const PER_FLOW_STATE_BOUND: usize =
     2 * MAX_CARRY_BYTES + 3 * MAX_PARKED_BYTES + 256 * MAX_MARKS + 4096;
 

@@ -10,10 +10,10 @@
 //! never *what* it decodes. The determinism suite pins this for worker
 //! counts 1, 2, 8 and `available_parallelism`.
 
-use crate::engine::{OnlineConfig, OnlineDecoder, OnlineStats, OnlineVerdict};
+use crate::online::engine::{OnlineConfig, OnlineDecoder, OnlineStats, OnlineVerdict};
+use crate::IntervalClassifier;
 use std::sync::Arc;
 use wm_capture::time::SimTime;
-use wm_core::IntervalClassifier;
 use wm_story::StoryGraph;
 
 /// One captured packet: capture time plus raw frame bytes.
@@ -73,8 +73,8 @@ pub fn decode_sessions_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WhiteMirrorConfig;
     use wm_capture::time::Duration;
-    use wm_core::WhiteMirrorConfig;
     use wm_sim::{run_session, SessionConfig};
     use wm_story::bandersnatch::tiny_film;
     use wm_story::{Choice, ViewerScript};

@@ -8,7 +8,7 @@
 //! bare "DNND…" string: an analyst can ask *why* the pipeline decoded
 //! each decision and get the wire evidence back.
 //!
-//! The evidence is the path decoder's own: [`resolve`] turns each
+//! The evidence is the path decoder's own: `resolve` turns each
 //! [`Decision`] into its graded choice and the records it rests on. The
 //! offline attack and the streaming decoder both call it, so offline
 //! provenance, `why_report` and the fleet's dedup marks cite one
@@ -133,7 +133,7 @@ pub const GAP_CONFIDENCE_FACTOR: f64 = 0.5;
 /// time, length) nearest its question time as its timing anchor, the
 /// earlier on a tie. So [`ChoiceProvenance::records`] holds at most two
 /// entries: a type-1 and a type-2 report, or one anchor.
-pub fn resolve(
+pub(crate) fn resolve(
     d: &Decision,
     gaps: impl IntoIterator<Item = SimTime>,
     window: Duration,

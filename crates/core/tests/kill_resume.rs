@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{impair_capture, kill_index, CaptureImpairment, TapPacket};
+use wm_core::online::{OnlineConfig, OnlineDecoder, OnlineVerdict, STATE_BOUND};
 use wm_core::provenance::ChoiceProvenance;
 use wm_core::{
     client_app_records, ChoiceDecoder, DecodedChoice, DecoderConfig, IntervalClassifier,
     WhiteMirrorConfig,
 };
-use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict, STATE_BOUND};
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::{bandersnatch, tiny_film};
 use wm_story::{Choice, StoryGraph, ViewerScript};
@@ -87,7 +87,9 @@ fn offline_reference(
     clf: &IntervalClassifier,
 ) -> (Vec<DecodedChoice>, Vec<ChoiceProvenance>) {
     let features = client_app_records(&out.trace);
-    ChoiceDecoder::new(clf, graph, DecoderConfig::scaled(TS), 1).decode_with_provenance(&features)
+    let decoder = ChoiceDecoder::new(clf, graph, DecoderConfig::scaled(TS), 1);
+    let (choices, provenance, _) = decoder.decode_with_provenance(&features);
+    (choices, provenance)
 }
 
 #[test]

@@ -12,9 +12,9 @@
 //! record streams, gap windows and counters.
 
 use wm_capture::time::{Duration, SimTime};
+use wm_core::online::bounded::Batch;
+use wm_core::online::{ExtractedRecord, FlowIngest, GapEvent};
 use wm_net::rng::SimRng;
-use wm_online::bounded::Batch;
-use wm_online::{ExtractedRecord, FlowIngest, GapEvent};
 
 /// Build a plausible upstream TLS byte stream: `n` application-data
 /// records with pseudo-random lengths and bodies.
@@ -66,7 +66,7 @@ fn impaired_segments(rng: &mut SimRng, wire: &[u8]) -> Vec<(SimTime, u32, Vec<u8
 struct IngestRun {
     records: Vec<ExtractedRecord>,
     gaps: Vec<GapEvent>,
-    stats: wm_online::IngestStats,
+    stats: wm_core::online::IngestStats,
 }
 
 fn drive(recycling: bool, segs: &[(SimTime, u32, Vec<u8>)], patience: Duration) -> IngestRun {

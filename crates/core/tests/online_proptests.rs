@@ -12,11 +12,11 @@ use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{impair_capture, CaptureImpairment, TapPacket};
-use wm_core::{IntervalClassifier, WhiteMirrorConfig};
-use wm_online::{
+use wm_core::online::{
     graph_fingerprint, restore_record, Blob, BlobHeader, BlobWriter, CheckpointError, OnlineConfig,
     OnlineDecoder, OnlineVerdict,
 };
+use wm_core::{IntervalClassifier, WhiteMirrorConfig};
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::tiny_film;
 use wm_story::{Choice, ViewerScript};

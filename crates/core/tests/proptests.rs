@@ -5,14 +5,10 @@
 //! driver. Failures print the case number for replay.
 
 use wm_capture::labels::{LabeledRecord, RecordClass};
-use wm_capture::records::TimedRecord;
 use wm_capture::time::SimTime;
-use wm_capture::ContentType;
-use wm_capture::ObservedRecord;
 use wm_core::classify::{HistogramClassifier, IntervalClassifier, KnnClassifier, RecordClassifier};
 use wm_core::metrics::{choice_accuracy, ConfusionMatrix};
-use wm_core::{ChoiceDecoder, DecodedChoice, DecoderConfig, PathDecoder, ReportStream, Timing};
-use wm_story::bandersnatch::tiny_film;
+use wm_core::DecodedChoice;
 use wm_story::{Choice, ChoicePointId};
 
 /// Minimal splitmix64 case generator.
@@ -181,168 +177,5 @@ fn choice_accuracy_bounds() {
         );
         assert!(acc.correct <= acc.total, "case {case}");
         assert!((0.0..=1.0).contains(&acc.accuracy()), "case {case}");
-    }
-}
-
-/// Decode `records` as a stream, the way the streaming decoder does:
-/// records are admitted to a report stream one at a time, the horizon
-/// rising to each next record's time (everything below it is final),
-/// then the stream ends.
-fn streamed(
-    classifier: &IntervalClassifier,
-    graph: &wm_story::StoryGraph,
-    records: &[TimedRecord],
-    width: usize,
-) -> Vec<DecodedChoice> {
-    let timing = Timing::new(graph, 1);
-    let mut stream = ReportStream::default();
-    let mut events = Vec::new();
-    let mut path = PathDecoder::new(graph, timing, width);
-    let mut out = Vec::new();
-    for r in records {
-        let horizon = Some(r.time);
-        let anchor = stream.anchor(&timing, horizon);
-        while let Some(d) = path.step(graph, &events, anchor, horizon) {
-            out.push(d.choice);
-        }
-        let class = classifier.classify(r.record.length);
-        events.extend(stream.admit(&timing, r.time, r.record.length, class).1);
-    }
-    let anchor = stream.anchor(&timing, None);
-    out.extend(path.finish(graph, &events, anchor).iter().map(|d| d.choice));
-    out
-}
-
-/// Decoders always emit one decision per choice point on the walked
-/// path and never panic, for arbitrary classified event streams; the
-/// path decoder decodes a stream exactly as it decodes the whole.
-#[test]
-fn decoders_total_and_path_consistent() {
-    let graph = tiny_film();
-    let training = vec![
-        labelled(2211, RecordClass::Type1),
-        labelled(2213, RecordClass::Type1),
-        labelled(2992, RecordClass::Type2),
-        labelled(3017, RecordClass::Type2),
-    ];
-    let classifier = IntervalClassifier::train(&training, 0).expect("train");
-    for case in 0..100u64 {
-        let mut rng = Rng(0xC0_4000 + case);
-        let n = rng.below(40);
-        // Map class index to a length inside/outside the bands.
-        let mut records: Vec<TimedRecord> = (0..n)
-            .map(|_| TimedRecord {
-                time: SimTime(rng.below(60_000) as u64 * 1000),
-                record: ObservedRecord {
-                    stream_offset: 0,
-                    content_type: ContentType::ApplicationData,
-                    version: (3, 3),
-                    length: match rng.below(3) {
-                        0 => 2212,
-                        1 => 3000,
-                        _ => 700,
-                    },
-                },
-            })
-            .collect();
-        records.sort_by_key(|r| r.time);
-        for (time_aware, width) in [(false, 1), (true, 1), (true, 8)] {
-            let cfg = DecoderConfig {
-                time_aware,
-                ..DecoderConfig::scaled(1)
-            };
-            let decoded = ChoiceDecoder::new(&classifier, &graph, cfg, width).decode(&records);
-            // The decode must trace a real path: its cp sequence equals
-            // the walk induced by its own choices.
-            let seq = wm_story::ChoiceSequence(decoded.iter().map(|d| d.choice).collect());
-            let walk = wm_story::path::walk(&graph, &seq);
-            assert_eq!(decoded.len(), walk.encountered.len(), "case {case}");
-            for (d, cp) in decoded.iter().zip(walk.encountered.iter()) {
-                assert_eq!(d.cp, *cp, "case {case}");
-            }
-            if time_aware {
-                let stream = streamed(&classifier, &graph, &records, width);
-                assert_eq!(stream, decoded, "case {case}: width {width} streamed");
-            }
-        }
-    }
-}
-
-/// On a *clean* event stream generated from a true path (correct
-/// question times, no noise), every decoder recovers the path
-/// exactly.
-#[test]
-fn decoders_exact_on_clean_streams() {
-    let graph = tiny_film();
-    let training = vec![
-        labelled(2211, RecordClass::Type1),
-        labelled(2213, RecordClass::Type1),
-        labelled(2992, RecordClass::Type2),
-        labelled(3017, RecordClass::Type2),
-    ];
-    let classifier = IntervalClassifier::train(&training, 0).expect("train");
-    // All 8 combinations of 3 binary choices.
-    for case in 0..8u64 {
-        let truth: Vec<Choice> = (0..3)
-            .map(|i| {
-                if (case >> i) & 1 == 1 {
-                    Choice::NonDefault
-                } else {
-                    Choice::Default
-                }
-            })
-            .collect();
-        // tiny_film question times (content secs): 4, 10, 14 when every
-        // branch is 4 s — true for all paths in tiny_film's first two
-        // levels; the third question time depends only on segment
-        // durations of level-2 branches, all 4 s.
-        let q_times = [4_000u64, 10_000, 14_000];
-        let mut records = vec![TimedRecord {
-            time: SimTime(0),
-            record: ObservedRecord {
-                stream_offset: 0,
-                content_type: ContentType::ApplicationData,
-                version: (3, 3),
-                length: 700, // playback-start marker (manifest fetch)
-            },
-        }];
-        for (i, &q) in q_times.iter().enumerate() {
-            records.push(TimedRecord {
-                time: SimTime(q * 1000),
-                record: ObservedRecord {
-                    stream_offset: 0,
-                    content_type: ContentType::ApplicationData,
-                    version: (3, 3),
-                    length: 2212,
-                },
-            });
-            if truth[i] == Choice::NonDefault {
-                records.push(TimedRecord {
-                    time: SimTime((q + 1200) * 1000),
-                    record: ObservedRecord {
-                        stream_offset: 0,
-                        content_type: ContentType::ApplicationData,
-                        version: (3, 3),
-                        length: 3000,
-                    },
-                });
-            }
-        }
-        for (time_aware, width) in [(false, 1), (true, 1), (true, 8)] {
-            let cfg = DecoderConfig {
-                time_aware,
-                ..DecoderConfig::scaled(1)
-            };
-            let decoded = ChoiceDecoder::new(&classifier, &graph, cfg, width).decode(&records);
-            let picks: Vec<Choice> = decoded.iter().map(|d| d.choice).collect();
-            assert_eq!(
-                &picks, &truth,
-                "case {case}: time_aware={time_aware} width {width}"
-            );
-            if time_aware {
-                let stream = streamed(&classifier, &graph, &records, width);
-                assert_eq!(stream, decoded, "case {case}: width {width} streamed");
-            }
-        }
     }
 }

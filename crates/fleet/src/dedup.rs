@@ -40,7 +40,7 @@
 //! retained marks drop the slots it re-derives.
 
 use std::collections::BTreeMap;
-use wm_online::OnlineVerdict;
+use wm_core::online::OnlineVerdict;
 
 /// Per-victim dedup state: two high-water marks.
 #[derive(Debug, Clone, Copy, Default)]

@@ -1,6 +1,7 @@
 //! # wm-fleet — supervised sharded attacker fleet
 //!
-//! `wm-online` decodes one victim's session from a live packet feed.
+//! [`wm_core::online`] decodes one victim's session from a live packet
+//! feed.
 //! The paper's threat model, though, is an ISP- or IXP-level observer
 //! watching *many* subscribers at once, for hours, on infrastructure
 //! that fails: decoder processes get OOM-killed, taps hiccup, and
@@ -12,7 +13,7 @@
 //!   victim (by tap attribution, never flow identity, so reconnects
 //!   colocate) onto one of N decoder shards, stable under resize.
 //! * **Shards** ([`shard`]): each shard owns per-victim
-//!   [`wm_online::OnlineDecoder`]s and serializes them all into one
+//!   [`wm_core::online::OnlineDecoder`]s and serializes them all into one
 //!   byte-deterministic binary checkpoint blob — a header written
 //!   once, one length-prefixed record per victim, a trailing CRC-32 —
 //!   that migrations split and splice by byte range.
@@ -59,7 +60,7 @@ pub use supervisor::{
 pub use wm_obs::{FleetStatus, HealthState, HealthTransition, ShardVitals};
 
 use wm_capture::time::{Duration, SimTime};
-use wm_online::OnlineConfig;
+use wm_core::online::OnlineConfig;
 
 /// Why a [`FleetConfig`] is unusable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,11 +162,11 @@ impl FleetConfig {
     }
 
     /// Upper bound on one shard's resident decoder state: the victim
-    /// cap times the decoder's own bound, [`wm_online::STATE_BOUND`] —
+    /// cap times the decoder's own bound, [`wm_core::online::STATE_BOUND`] —
     /// the single source of truth for every memory assertion in the
     /// fleet tests, soak, and bench.
     pub fn per_shard_state_bound(&self) -> usize {
-        self.max_victims_per_shard * wm_online::STATE_BOUND
+        self.max_victims_per_shard * wm_core::online::STATE_BOUND
     }
 }
 
@@ -217,7 +218,7 @@ mod tests {
         );
         assert_eq!(
             small.per_shard_state_bound(),
-            small.max_victims_per_shard * wm_online::STATE_BOUND
+            small.max_victims_per_shard * wm_core::online::STATE_BOUND
         );
     }
 

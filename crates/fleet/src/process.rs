@@ -40,7 +40,7 @@
 //! Drain, `0x08` Adopt, `0x09` Shutdown. Replies (worker →
 //! supervisor): `0x80` Ok, `0x81` Verdicts, `0x82` Blob, `0x83`
 //! Drained, `0xFF` Err. Every payload is binary, built from the
-//! primitives of [`wm_online::checkpoint`]: `Restore` and `Blob` carry
+//! primitives of [`wm_core::online::checkpoint`]: `Restore` and `Blob` carry
 //! a sealed shard blob verbatim, `Drained` the drained victims' framed
 //! records back to back, and `Adopt` one such record — the same bytes
 //! a shard blob holds. `Init` is a sealed zero-record blob, whose
@@ -62,16 +62,16 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
-use wm_core::provenance::{ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole};
-use wm_core::DecodedChoice;
-use wm_core::IntervalClassifier;
-use wm_online::checkpoint::{
+use wm_core::online::checkpoint::{
     flag, read_graph, seq, time, variant, write_graph, Pass, Reader, Step, Writer,
 };
-use wm_online::{
+use wm_core::online::{
     graph_fingerprint, split_records, Blob, BlobHeader, BlobWriter, CheckpointError, OnlineConfig,
     OnlineVerdict,
 };
+use wm_core::provenance::{ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole};
+use wm_core::DecodedChoice;
+use wm_core::IntervalClassifier;
 use wm_story::{Choice, ChoicePointId, StoryGraph};
 
 use crate::shard::{one_record, ShardRestoreErrorKind, ShardState, WorkerFault};

@@ -16,10 +16,10 @@
 //! and every walk — blob records, eviction, `finish_all` — runs in
 //! ascending victim order.
 //!
-//! A shard checkpoint is one `wm-online` checkpoint blob (see
-//! [`wm_online::checkpoint`]): the header — graph fingerprint, decoder
-//! config, classifier — once, then one length-prefixed record per live
-//! decoder in victim-id order, sealed by a CRC-32. It is
+//! A shard checkpoint is one streaming-decoder checkpoint blob (see
+//! [`wm_core::online::checkpoint`]): the header — graph fingerprint,
+//! decoder config, classifier — once, then one length-prefixed record
+//! per live decoder in victim-id order, sealed by a CRC-32. It is
 //! byte-deterministic and restorable as a unit. A [`ShardEnvelope`]
 //! borrows the records straight from the blob, so a resize can split
 //! or splice victims by copying byte ranges and re-sealing. Restore
@@ -29,11 +29,11 @@
 use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
-use wm_core::IntervalClassifier;
-use wm_online::{
+use wm_core::online::{
     graph_fingerprint, restore_record, split_records, Blob, BlobHeader, BlobWriter,
     CheckpointError, OnlineConfig, OnlineDecoder, OnlineVerdict, RecordRef,
 };
+use wm_core::IntervalClassifier;
 use wm_story::StoryGraph;
 use wm_telemetry::Registry;
 

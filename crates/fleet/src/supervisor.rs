@@ -54,11 +54,11 @@ use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{corrupt_blob, tear_blob, ShardFault, ShardFaultKind, ShardFaultPlan};
-use wm_core::IntervalClassifier;
-use wm_obs::{FleetStatus, SeriesPoint, SeriesRing, ShardVitals, Watchdog};
-use wm_online::{
+use wm_core::online::{
     graph_fingerprint, BlobHeader, BlobWriter, CheckpointError, OnlineVerdict, RecordRef,
 };
+use wm_core::IntervalClassifier;
+use wm_obs::{FleetStatus, SeriesPoint, SeriesRing, ShardVitals, Watchdog};
 use wm_story::StoryGraph;
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{DeltaTracker, Registry, Snapshot};

@@ -11,12 +11,12 @@ use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{ShardFaultKind, ShardFaultPlan};
+use wm_core::online::OnlineVerdict;
 use wm_core::{IntervalClassifier, WhiteMirrorConfig};
 use wm_fleet::{
     merge_taps, victim_key, Fleet, FleetConfig, FleetReport, HashRing, ResizeSchedule,
     ShardBackend, TapPacket,
 };
-use wm_online::OnlineVerdict;
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::tiny_film;
 use wm_story::{Choice, ViewerScript};

@@ -10,11 +10,11 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
+use wm_core::online::checkpoint::write_graph;
+use wm_core::online::{graph_fingerprint, Blob, OnlineConfig, OnlineDecoder, OnlineVerdict};
 use wm_core::provenance::{ChoiceProvenance, ConfidenceTier, ProvenanceRecord, RecordRole};
 use wm_core::{DecodedChoice, IntervalClassifier};
 use wm_fleet::{decode_frame, encode_frame, FrameError, RemoteError, Reply, Request, MAX_FRAME};
-use wm_online::checkpoint::write_graph;
-use wm_online::{graph_fingerprint, Blob, OnlineConfig, OnlineDecoder, OnlineVerdict};
 use wm_story::bandersnatch::{bandersnatch, tiny_film};
 use wm_story::{Choice, ChoicePointId, StoryGraph};
 

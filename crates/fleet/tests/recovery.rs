@@ -8,11 +8,11 @@ use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{ShardFault, ShardFaultKind, ShardFaultPlan};
+use wm_core::online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
 use wm_core::{IntervalClassifier, WhiteMirrorConfig};
 use wm_fleet::{
     merge_taps, Fleet, FleetConfig, FleetReport, ShardRestoreErrorKind, ShardState, TapPacket,
 };
-use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::tiny_film;
 use wm_story::{Choice, ViewerScript};

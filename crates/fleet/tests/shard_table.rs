@@ -14,12 +14,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
-use wm_core::{IntervalClassifier, WhiteMirrorConfig};
-use wm_fleet::{one_record, parse_envelope, ShardState};
-use wm_online::{
+use wm_core::online::{
     graph_fingerprint, restore_record, BlobHeader, BlobWriter, OnlineConfig, OnlineDecoder,
     OnlineVerdict,
 };
+use wm_core::{IntervalClassifier, WhiteMirrorConfig};
+use wm_fleet::{one_record, parse_envelope, ShardState};
 use wm_sim::{run_session, SessionConfig};
 use wm_story::bandersnatch::tiny_film;
 use wm_story::{Choice, StoryGraph, ViewerScript};

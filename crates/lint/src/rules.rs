@@ -21,7 +21,7 @@
 //!   observing it.
 //! * **bounded** — the online decoder's ingest paths run for the length
 //!   of a viewing session against adversarial streams, so every buffer
-//!   there must grow through the capacity-enforcing `wm_online::bounded`
+//!   there must grow through the capacity-enforcing `wm_core::online::bounded`
 //!   API. Raw `Vec::push`-style growth is forbidden in those files.
 //!
 //! Findings may be silenced with an inline
@@ -113,24 +113,17 @@ pub const BYTE_PRODUCING_CRATES: &[&str] = &[
 /// pool (`wm-pool`, pure scheduling over indexed tasks) are inert
 /// utilities. Other attacker crates are also fine (the pipeline layers
 /// internally). `[dev-dependencies]` are exempt — integration tests
-/// legitimately stand up a simulated victim.
-pub const ATTACKER_CRATES: &[&str] = &[
-    "wm-baselines",
-    "wm-behavior",
-    "wm-core",
-    "wm-fleet",
-    "wm-obs",
-    "wm-online",
-];
+/// legitimately stand up a simulated victim. `wm-online` is only the
+/// old name of `wm_core::online`, kept for the benchmark's imports: it
+/// is checked as an attacker crate, and no crate may depend on it.
+pub const ATTACKER_CRATES: &[&str] = &["wm-behavior", "wm-core", "wm-fleet", "wm-obs", "wm-online"];
 pub const ATTACKER_ALLOWED_DEPS: &[&str] = &[
-    "wm-baselines",
     "wm-behavior",
     "wm-capture",
     "wm-core",
     "wm-fleet",
     "wm-json",
     "wm-obs",
-    "wm-online",
     "wm-pool",
     "wm-story",
     "wm-telemetry",
@@ -148,7 +141,15 @@ pub const ATTACKER_EXTRA_ALLOWED: &[(&str, &[&str])] = &[("wm-fleet", &["wm-chao
 /// service cannot be shaped by the attack observing it, and the
 /// "attack works from ciphertext alone" claim dies the moment victim
 /// code links the decoder.
-pub const VICTIM_CRATES: &[&str] = &["wm-cipher", "wm-http", "wm-netflix", "wm-player", "wm-tls"];
+pub const VICTIM_CRATES: &[&str] = &[
+    "wm-cipher",
+    "wm-defense",
+    "wm-http",
+    "wm-netflix",
+    "wm-player",
+    "wm-sim",
+    "wm-tls",
+];
 
 /// Is `dep` a legal `[dependencies]` entry for attacker crate `name`?
 pub fn attacker_dep_allowed(name: &str, dep: &str) -> bool {
@@ -206,25 +207,26 @@ pub fn trace_sim_time_applies(rel_path: &str) -> bool {
 }
 
 /// Attacker-facing parse paths: every byte they consume is
-/// adversary-controlled, so the panic family applies. The streaming
-/// decoder's verdict path runs through wm-core's path decoder and its
-/// evidence resolver, so those two files are in too.
+/// adversary-controlled, so the panic family applies: the parsers and
+/// the whole streaming decoder (`crates/core/src/online/`). Its verdict
+/// path runs through the path decoder and the evidence resolver, so
+/// those two files are in too.
 pub fn panic_rules_apply(rel_path: &str) -> bool {
     rel_path.starts_with("crates/json/src/")
         || rel_path.starts_with("crates/http/src/")
         || rel_path.starts_with("crates/capture/src/")
-        || rel_path.starts_with("crates/online/src/")
+        || rel_path.starts_with("crates/core/src/online/")
         || rel_path == "crates/core/src/decode.rs"
         || rel_path == "crates/core/src/provenance.rs"
 }
 
 /// The online decoder's ingest paths: long-running, fed by an
 /// adversarial stream, and required to hold memory bounded by
-/// *configuration*. All growth must flow through `wm_online::bounded`;
+/// *configuration*. All growth must flow through `wm_core::online::bounded`;
 /// `bounded.rs` itself (and the checkpoint codec, which materializes
 /// decoded state of already-bounded size) may use the raw APIs.
 pub fn bounded_rules_apply(rel_path: &str) -> bool {
-    rel_path == "crates/online/src/ingest.rs" || rel_path == "crates/online/src/engine.rs"
+    rel_path == "crates/core/src/online/ingest.rs" || rel_path == "crates/core/src/online/engine.rs"
 }
 
 const KEYWORDS: &[&str] = &[
@@ -590,7 +592,7 @@ fn bounded_buffer_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
                 line: t.line,
                 message: format!(
                     "`.{name}(…)` grows a buffer without a capacity bound; online ingest \
-                     paths must use the `wm_online::bounded` admission APIs so memory is \
+                     paths must use the `wm_core::online::bounded` admission APIs so memory is \
                      bounded by fixed budgets, not session length"
                 ),
             });
@@ -839,8 +841,8 @@ mod tests {
     #[test]
     fn process_spawn_fires_outside_the_fleet() {
         let f = check_source(
-            "wm-online",
-            "crates/online/src/engine.rs",
+            "wm-core",
+            "crates/core/src/online/engine.rs",
             "let c = std::process::Command::new(\"worker\").spawn();",
         );
         assert_eq!(rules_of(&f), [PROCESS_SPAWN]);
@@ -1175,8 +1177,11 @@ mod tests {
             "a.append(&mut b);",
             "map.insert(k, v);",
         ] {
-            for path in ["crates/online/src/ingest.rs", "crates/online/src/engine.rs"] {
-                let f = check_source("wm-online", path, src);
+            for path in [
+                "crates/core/src/online/ingest.rs",
+                "crates/core/src/online/engine.rs",
+            ] {
+                let f = check_source("wm-core", path, src);
                 assert!(
                     f.iter().any(|f| f.rule == BOUNDED_BUFFER),
                     "expected bounded/unbounded-buffer for {src} in {path}: {f:?}"
@@ -1196,7 +1201,7 @@ mod tests {
             "let e = self.flows.entry(id).or_insert_with(f);",
             "fn push(x: u8) {} push(1);", // bare call, not method position
         ] {
-            let f = check_source("wm-online", "crates/online/src/ingest.rs", src);
+            let f = check_source("wm-core", "crates/core/src/online/ingest.rs", src);
             assert!(
                 f.iter().all(|f| f.rule != BOUNDED_BUFFER),
                 "false positive for {src}: {f:?}"
@@ -1208,11 +1213,11 @@ mod tests {
     fn bounded_buffer_is_scoped_to_ingest_paths() {
         let src = "v.push(x);";
         for path in [
-            "crates/online/src/bounded.rs",
-            "crates/online/src/checkpoint.rs",
+            "crates/core/src/online/bounded.rs",
+            "crates/core/src/online/checkpoint.rs",
             "crates/core/src/decode.rs",
         ] {
-            let f = check_source("wm-online", path, src);
+            let f = check_source("wm-core", path, src);
             assert!(
                 f.iter().all(|f| f.rule != BOUNDED_BUFFER),
                 "rule must not apply to {path}: {f:?}"
@@ -1223,9 +1228,9 @@ mod tests {
     #[test]
     fn bounded_buffer_suppressible_with_reason_only() {
         let ok = "v.push(x); // wm-lint: allow(bounded/unbounded-buffer, reason = \"drained same call\")";
-        assert!(check_source("wm-online", "crates/online/src/ingest.rs", ok).is_empty());
+        assert!(check_source("wm-core", "crates/core/src/online/ingest.rs", ok).is_empty());
         let bare = "// wm-lint: allow(bounded/unbounded-buffer)\nv.push(x);";
-        let f = check_source("wm-online", "crates/online/src/ingest.rs", bare);
+        let f = check_source("wm-core", "crates/core/src/online/ingest.rs", bare);
         assert!(rules_of(&f).contains(&MISSING_REASON));
         assert!(rules_of(&f).contains(&BOUNDED_BUFFER));
     }
@@ -1241,8 +1246,8 @@ mod tests {
     #[test]
     fn online_panic_rules_apply_to_all_sources() {
         let f = check_source(
-            "wm-online",
-            "crates/online/src/engine.rs",
+            "wm-core",
+            "crates/core/src/online/engine.rs",
             "let v = x.unwrap();",
         );
         assert_eq!(rules_of(&f), [PANIC_UNWRAP]);
@@ -1324,13 +1329,19 @@ mod tests {
 
     #[test]
     fn layering_flags_attacker_dep_in_victim_crate() {
-        let m = crate::manifest::parse(
-            "[package]\nname = \"wm-player\"\n[dependencies]\nwm-fleet.workspace = true\nwm-tls.workspace = true\n",
-        );
-        let f = check_manifest("crates/player/Cargo.toml", &m);
-        assert_eq!(rules_of(&f), [LAYERING]);
-        assert!(f[0].message.contains("wm-fleet"));
-        assert!(f[0].message.contains("victim crate"));
+        for (victim, attacker) in [
+            ("wm-player", "wm-fleet"),
+            ("wm-defense", "wm-core"),
+            ("wm-sim", "wm-core"),
+        ] {
+            let m = crate::manifest::parse(&format!(
+                "[package]\nname = \"{victim}\"\n[dependencies]\n{attacker}.workspace = true\nwm-tls.workspace = true\n",
+            ));
+            let f = check_manifest("crates/victim/Cargo.toml", &m);
+            assert_eq!(rules_of(&f), [LAYERING], "{victim}");
+            assert!(f[0].message.contains(attacker));
+            assert!(f[0].message.contains("victim crate"));
+        }
     }
 
     #[test]
@@ -1358,7 +1369,7 @@ mod tests {
     fn fleet_chaos_allowance_is_scoped_to_the_fleet() {
         // wm-fleet may absorb chaos fault plans…
         let fleet = crate::manifest::parse(
-            "[package]\nname = \"wm-fleet\"\n[dependencies]\nwm-chaos.workspace = true\nwm-online.workspace = true\nwm-pool.workspace = true\nwm-telemetry.workspace = true\n",
+            "[package]\nname = \"wm-fleet\"\n[dependencies]\nwm-chaos.workspace = true\nwm-core.workspace = true\nwm-pool.workspace = true\nwm-telemetry.workspace = true\n",
         );
         assert!(check_manifest("crates/fleet/Cargo.toml", &fleet).is_empty());
         // …but victim internals stay off-limits to it…

@@ -93,7 +93,7 @@ pub const EXPECTED_HOTPATH_ROOTS: &[&str] = &[
     "wm_sim::drain_records_reused",
     "wm_tls::RecordEngine::seal_payload_into",
     "wm_tls::RecordEngine::next_record_into",
-    "wm_online::FlowIngest::accept_segment",
+    "wm_core::FlowIngest::accept_segment",
     "wm_core::IntervalClassifier::classify_lengths",
     "wm_net::TcpEndpoint::on_segment",
     "wm_http::Accumulator::feed",

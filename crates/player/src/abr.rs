@@ -5,7 +5,7 @@
 //! safety factor, snapped down to the ladder. The paper's point is that
 //! ABR makes *inter-video* bitrate fingerprinting useless intra-video
 //! (all branches of one title share the ladder), and the baselines in
-//! `wm-baselines` demonstrate exactly that; the player still runs real
+//! `wm_core::baselines` demonstrate exactly that; the player still runs real
 //! ABR so chunk sizes respond to the condition grid.
 
 /// Sliding-window throughput estimator (harmonic mean).

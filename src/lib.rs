@@ -44,12 +44,12 @@
 //! assert_eq!(decoded.choices.len(), session.decisions.len());
 //! ```
 
-pub use wm_baselines as baselines;
 pub use wm_behavior as behavior;
 pub use wm_capture as capture;
 pub use wm_chaos as chaos;
 pub use wm_cipher as cipher;
 pub use wm_core as core;
+pub use wm_core::{baselines, online};
 pub use wm_dataset as dataset;
 pub use wm_defense as defense;
 pub use wm_fleet as fleet;
@@ -58,7 +58,6 @@ pub use wm_json as json;
 pub use wm_net as net;
 pub use wm_netflix as netflix;
 pub use wm_obs as obs;
-pub use wm_online as online;
 pub use wm_player as player;
 pub use wm_sim as sim;
 pub use wm_story as story;
@@ -70,12 +69,12 @@ pub use wm_tls as tls;
 pub mod prelude {
     pub use wm_capture::{RecordClass, Trace};
     pub use wm_chaos::{FaultEvent, FaultKind, FaultPlan, ShardFaultPlan};
+    pub use wm_core::online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
     pub use wm_core::{WhiteMirror, WhiteMirrorConfig};
     pub use wm_dataset::{run_dataset, try_run_dataset, DatasetSpec, SimOptions};
     pub use wm_defense::Defense;
     pub use wm_fleet::{Fleet, FleetConfig, FleetReport};
     pub use wm_net::conditions::{ConnectionType, LinkConditions, TimeOfDay};
-    pub use wm_online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
     pub use wm_player::{Profile, ViewerScript};
     pub use wm_sim::{run_session, run_session_lossy, SessionConfig, SessionError, SessionOutput};
     pub use wm_story::{self as story, Choice, StoryGraph};
