@@ -266,6 +266,7 @@ pub struct LossyPcap {
 /// [`PcapReader::read_all_lossy`]). Global-header problems (bad magic,
 /// unsupported linktype) are still hard errors — there is nothing to
 /// salvage from a file that was never a pcap.
+// wm-lint: parse-root
 pub fn read_pcap_lossy(bytes: &[u8]) -> Result<LossyPcap, PcapError> {
     Ok(PcapReader::new(bytes)?.read_all_lossy())
 }

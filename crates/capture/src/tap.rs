@@ -103,6 +103,7 @@ impl Trace {
     }
 
     /// Read from a pcap file on disk.
+    // wm-lint: parse-root
     pub fn read_pcap_file(path: &std::path::Path) -> std::io::Result<Self> {
         let bytes = std::fs::read(path)?;
         Trace::from_pcap_bytes(&bytes)

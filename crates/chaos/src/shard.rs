@@ -164,11 +164,12 @@ impl ShardFaultPlan {
     /// [`ShardFaultPlan::generate`] are sorted by construction, so
     /// this only ever fires on hand-assembled event lists.
     pub fn validate(&self) -> Result<(), PlanOrderError> {
-        for (i, w) in self.events.windows(2).enumerate() {
-            if w[1].at.micros() < w[0].at.micros() {
+        for (i, pair) in self.events.windows(2).enumerate() {
+            let [prev, next] = pair else { continue };
+            if next.at.micros() < prev.at.micros() {
                 return Err(PlanOrderError::Unsorted { index: i + 1 });
             }
-            if w[1] == w[0] {
+            if next == prev {
                 return Err(PlanOrderError::Duplicate { index: i + 1 });
             }
         }
@@ -289,7 +290,9 @@ pub fn corrupt_blob(seed: u64, blob: &[u8]) -> Vec<u8> {
     for _ in 0..flips {
         let pos = rng.uniform_u64(0, out.len() as u64 - 1) as usize;
         let mask = (rng.uniform_u64(1, 255) & 0xff) as u8;
-        out[pos] ^= mask.max(1);
+        if let Some(byte) = out.get_mut(pos) {
+            *byte ^= mask.max(1);
+        }
     }
     out
 }
@@ -303,7 +306,7 @@ pub fn tear_blob(seed: u64, blob: &[u8]) -> Vec<u8> {
     }
     let mut rng = SimRng::new(derive_seed(seed, "checkpoint tear"));
     let keep = rng.uniform_u64(0, blob.len() as u64 - 1) as usize;
-    blob[..keep].to_vec()
+    blob.get(..keep).unwrap_or_default().to_vec()
 }
 
 #[cfg(test)]

@@ -173,6 +173,7 @@ impl WhiteMirror {
     }
 
     /// Load a trained model from a JSON file.
+    // wm-lint: parse-root
     pub fn load_model(path: &std::path::Path, cfg: WhiteMirrorConfig) -> std::io::Result<Self> {
         let bytes = std::fs::read(path)?;
         let doc = wm_json::parse(&bytes)
@@ -190,6 +191,7 @@ impl WhiteMirror {
     /// Decode the viewer's choices from a raw capture: the path decoder
     /// at the beam width, each decision resolved into its graded choice
     /// and provenance, and (when attached) telemetry and trace emission.
+    // wm-lint: parse-root
     pub fn decode_trace(&self, trace: &Trace, graph: &StoryGraph) -> DecodedSession {
         let features = client_app_records(trace);
         let _span = self.telemetry.as_ref().map(|t| t.decode_ns.span());

@@ -59,13 +59,7 @@ impl IntervalClassifier {
                 .filter(|r| r.class == class)
                 .map(|r| r.length)
                 .collect();
-            if lens.is_empty() {
-                return None;
-            }
-            Some((
-                *lens.iter().min().expect("non-empty"),
-                *lens.iter().max().expect("non-empty"),
-            ))
+            Some((*lens.iter().min()?, *lens.iter().max()?))
         };
         Some(IntervalClassifier {
             type1: band(RecordClass::Type1)?,
@@ -155,7 +149,10 @@ impl RecordClassifier for IntervalClassifier {
         for &length in lengths {
             let m1 = usize::from(length.wrapping_sub(lo1) <= w1);
             let m2 = usize::from(length.wrapping_sub(lo2) <= w2);
-            out.push(BAND_LUT[m1 | (m2 << 1)]);
+            // The index is below 4, so `get` never misses and compiles
+            // to the same load as indexing.
+            let class = BAND_LUT.get(m1 | (m2 << 1)).copied();
+            out.push(class.unwrap_or(RecordClass::Other));
         }
     }
 
@@ -181,9 +178,8 @@ impl HistogramClassifier {
         let mut totals = [0u32; 3];
         for r in records {
             let b = r.length / bin_width;
-            let idx = class_index(r.class);
-            bins.entry(b).or_default()[idx] += 1;
-            totals[idx] += 1;
+            *slot(bins.entry(b).or_default(), r.class) += 1;
+            *slot(&mut totals, r.class) += 1;
         }
         HistogramClassifier {
             bin_width,
@@ -204,11 +200,9 @@ impl RecordClassifier for HistogramClassifier {
         }
         let mut best = RecordClass::Other;
         let mut best_score = f64::MIN;
-        for class in RecordClass::ALL {
-            let i = class_index(class);
-            let prior =
-                (self.totals[i] as f64 + 1.0) / (self.totals.iter().sum::<u32>() as f64 + 3.0);
-            let likelihood = (counts[i] as f64 + 0.1) / (self.totals[i] as f64 + 1.0);
+        for ((class, total), count) in RecordClass::ALL.into_iter().zip(self.totals).zip(counts) {
+            let prior = (total as f64 + 1.0) / (self.totals.iter().sum::<u32>() as f64 + 3.0);
+            let likelihood = (count as f64 + 0.1) / (total as f64 + 1.0);
             let score = prior.ln() + likelihood.ln();
             if score > best_score {
                 best_score = score;
@@ -253,28 +247,20 @@ impl RecordClassifier for KnnClassifier {
         let mut lo = pos;
         let mut hi = pos;
         let mut neighbours: Vec<(u16, RecordClass)> = Vec::with_capacity(self.k);
-        while neighbours.len() < self.k && (lo > 0 || hi < self.points.len()) {
-            let left_d = if lo > 0 {
-                Some(length.abs_diff(self.points[lo - 1].0))
-            } else {
-                None
-            };
-            let right_d = if hi < self.points.len() {
-                Some(length.abs_diff(self.points[hi].0))
-            } else {
-                None
-            };
-            match (left_d, right_d) {
-                (Some(l), Some(r)) if l <= r => {
+        while neighbours.len() < self.k {
+            let left = lo.checked_sub(1).and_then(|i| self.points.get(i));
+            let right = self.points.get(hi);
+            match (left, right) {
+                (Some(&l), Some(r)) if length.abs_diff(l.0) <= length.abs_diff(r.0) => {
                     lo -= 1;
-                    neighbours.push(self.points[lo]);
+                    neighbours.push(l);
                 }
-                (Some(_), None) => {
+                (Some(&l), None) => {
                     lo -= 1;
-                    neighbours.push(self.points[lo]);
+                    neighbours.push(l);
                 }
-                (_, Some(_)) => {
-                    neighbours.push(self.points[hi]);
+                (_, Some(&r)) => {
+                    neighbours.push(r);
                     hi += 1;
                 }
                 (None, None) => break,
@@ -282,10 +268,14 @@ impl RecordClassifier for KnnClassifier {
         }
         let mut votes = [0u32; 3];
         for (_, class) in neighbours {
-            votes[class_index(class)] += 1;
+            *slot(&mut votes, class) += 1;
         }
-        let best = (0..3).max_by_key(|&i| votes[i]).expect("three classes");
-        class_from_index(best)
+        // The last of equal maxima wins, as `Iterator::max_by_key` picks.
+        RecordClass::ALL
+            .into_iter()
+            .zip(votes)
+            .max_by_key(|&(_, v)| v)
+            .map_or(RecordClass::Other, |(class, _)| class)
     }
 
     fn name(&self) -> &'static str {
@@ -293,19 +283,14 @@ impl RecordClassifier for KnnClassifier {
     }
 }
 
-fn class_index(c: RecordClass) -> usize {
-    match c {
-        RecordClass::Type1 => 0,
-        RecordClass::Type2 => 1,
-        RecordClass::Other => 2,
-    }
-}
-
-fn class_from_index(i: usize) -> RecordClass {
-    match i {
-        0 => RecordClass::Type1,
-        1 => RecordClass::Type2,
-        _ => RecordClass::Other,
+/// `class`'s slot in per-class counts kept in [`RecordClass::ALL`]
+/// order.
+fn slot(counts: &mut [u32; 3], class: RecordClass) -> &mut u32 {
+    let [type1, type2, other] = counts;
+    match class {
+        RecordClass::Type1 => type1,
+        RecordClass::Type2 => type2,
+        RecordClass::Other => other,
     }
 }
 

@@ -236,6 +236,7 @@ pub fn write_graph(graph: &StoryGraph, out: &mut Vec<u8>) {
 }
 
 /// Rebuild a graph from exactly the bytes [`write_graph`] appended.
+// wm-lint: parse-root
 pub fn read_graph(bytes: &[u8]) -> Result<StoryGraph, CheckpointError> {
     let mut r = Reader::new(bytes, 0);
     let (mut start, mut segments, mut cps) = (SegmentId(0), Vec::new(), Vec::new());
@@ -477,6 +478,7 @@ pub struct Blob<'a> {
 impl<'a> Blob<'a> {
     /// Verify framing and CRC, then parse the header and frame the
     /// records. Record contents are decoded only on restore.
+    // wm-lint: parse-root
     pub fn parse(bytes: &'a [u8]) -> Result<Self, CheckpointError> {
         match Self::parse_prefix(bytes)? {
             (blob, []) => Ok(blob),
@@ -489,6 +491,7 @@ impl<'a> Blob<'a> {
 
     /// [`Blob::parse`] the blob at the front of `bytes`, whose header
     /// declares its length, and return it with the bytes after it.
+    // wm-lint: parse-root
     pub fn parse_prefix(bytes: &'a [u8]) -> Result<(Self, &'a [u8]), CheckpointError> {
         let mut r = Reader::new(bytes, 0);
         if r.slice(4, "magic")? != MAGIC {
@@ -561,6 +564,7 @@ fn truncation(bytes: &[u8], length: usize) -> CheckpointError {
 
 /// Frame a run of records (`[u32 len]` each, ascending victims) that
 /// starts at absolute offset `base`.
+// wm-lint: parse-root
 pub fn split_records(bytes: &[u8], base: usize) -> Result<Vec<RecordRef<'_>>, CheckpointError> {
     let mut r = Reader::new(bytes, base);
     let mut out: Vec<RecordRef<'_>> = Vec::new();
@@ -642,6 +646,7 @@ pub(crate) fn encode_record(
 /// Rebuild a decoder from one record. `classifier` and `cfg` come
 /// from the enclosing blob's header (or, for a migrated record, from
 /// the adopting shard, which shares its fleet's configuration).
+// wm-lint: parse-root
 pub fn restore_record(
     rec: &RecordRef<'_>,
     classifier: &IntervalClassifier,

@@ -394,6 +394,7 @@ impl OnlineDecoder {
 
     /// Feed one captured frame. Returns the verdicts this packet made
     /// decidable (usually none; one or more around choice windows).
+    // wm-lint: parse-root
     pub fn push_packet(&mut self, time: SimTime, frame: &[u8]) -> Vec<OnlineVerdict> {
         self.stats.packets = self.stats.packets.saturating_add(1);
         if time > self.max_seen {
@@ -704,6 +705,7 @@ impl OnlineDecoder {
     /// checkpointed decoder walked (validated by fingerprint).
     /// Telemetry/trace attachments do not survive; re-attach after
     /// resuming.
+    // wm-lint: parse-root
     pub fn resume_from_checkpoint(
         bytes: &[u8],
         graph: Arc<StoryGraph>,

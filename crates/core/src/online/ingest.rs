@@ -150,6 +150,7 @@ impl FlowIngest {
     /// Feed one upstream TCP segment; completed records and declared
     /// loss windows land in the output batches.
     // wm-lint: hotpath
+    // wm-lint: parse-root
     pub fn accept_segment(
         &mut self,
         time: SimTime,

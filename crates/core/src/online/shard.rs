@@ -31,6 +31,7 @@ pub struct SessionDecode {
 /// packet, and collect the complete verdict stream (including the
 /// end-of-capture flush). Pure in its inputs: equal captures and
 /// configuration produce equal output.
+// wm-lint: parse-root
 pub fn replay_session(
     classifier: &IntervalClassifier,
     graph: &Arc<StoryGraph>,
@@ -57,6 +58,7 @@ pub fn replay_session(
 /// not serialize the sessions that happen to sit after it the way a
 /// fixed contiguous sharding would — and the output is still invariant
 /// under the worker count.
+// wm-lint: parse-root
 pub fn decode_sessions_sharded(
     classifier: &IntervalClassifier,
     graph: &Arc<StoryGraph>,

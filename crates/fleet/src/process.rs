@@ -157,13 +157,14 @@ pub fn encode_frame(opcode: u8, payload: &[u8], out: &mut Vec<u8>) {
 
 /// Decode the frame at the front of `bytes`. Pure: no IO, no
 /// allocation, total over arbitrary input.
+// wm-lint: parse-root
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
-    if bytes.len() < 4 {
+    let Some((&header, body)) = bytes.split_first_chunk::<4>() else {
         return Err(FrameError::Incomplete {
             need: 4 - bytes.len(),
         });
-    }
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    };
+    let len = u32::from_le_bytes(header);
     if len == 0 {
         return Err(FrameError::Empty);
     }
@@ -171,14 +172,14 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
         return Err(FrameError::Oversize { len });
     }
     let total = 4 + len as usize;
-    if bytes.len() < total {
+    let Some((&opcode, payload)) = body.get(..len as usize).and_then(<[u8]>::split_first) else {
         return Err(FrameError::Incomplete {
             need: total - bytes.len(),
         });
-    }
+    };
     Ok(Frame {
-        opcode: bytes[4],
-        payload: &bytes[5..total],
+        opcode,
+        payload,
         consumed: total,
     })
 }
@@ -238,6 +239,7 @@ fn u32_at(payload: &[u8], off: usize, what: &'static str) -> Result<u32, FrameEr
 
 impl<'a> Request<'a> {
     /// Parse a request from a decoded frame's opcode and payload.
+    // wm-lint: parse-root
     pub fn parse(opcode: u8, payload: &'a [u8]) -> Result<Request<'a>, FrameError> {
         match opcode {
             OP_INIT => {
@@ -266,7 +268,7 @@ impl<'a> Request<'a> {
                     time,
                     victim,
                     max_victims,
-                    frame: &payload[16..],
+                    frame: payload.get(16..).ok_or(FrameError::Malformed("feed"))?,
                 })
             }
             OP_CHECKPOINT => Ok(Request::Checkpoint {
@@ -334,10 +336,8 @@ impl<'a> Request<'a> {
                 encode_frame(OP_CHECKPOINT, &taken.micros().to_le_bytes(), out)
             }
             Request::EvictIdle { now, idle } => {
-                let mut payload = [0u8; 16];
-                payload[..8].copy_from_slice(&now.micros().to_le_bytes());
-                payload[8..].copy_from_slice(&idle.micros().to_le_bytes());
-                encode_frame(OP_EVICT_IDLE, &payload, out);
+                let payload = [now.micros().to_le_bytes(), idle.micros().to_le_bytes()];
+                encode_frame(OP_EVICT_IDLE, payload.as_flattened(), out);
             }
             Request::FinishAll => encode_frame(OP_FINISH_ALL, &[], out),
             Request::Drain(victims) => {
@@ -396,6 +396,7 @@ impl Reply {
     };
 
     /// Parse a reply from a decoded frame's opcode and payload.
+    // wm-lint: parse-root
     pub fn parse(opcode: u8, payload: &[u8]) -> Result<Reply, FrameError> {
         match opcode {
             OP_OK => Ok(Reply::Ok),
@@ -456,10 +457,8 @@ impl Reply {
                     RemoteError::Victim(v) => (ERR_VICTIM, *v),
                     RemoteError::Internal => (ERR_INTERNAL, 0),
                 };
-                let mut payload = [0u8; 5];
-                payload[0] = code;
-                payload[1..].copy_from_slice(&victim.to_le_bytes());
-                encode_frame(OP_ERR, &payload, out);
+                let [v0, v1, v2, v3] = victim.to_le_bytes();
+                encode_frame(OP_ERR, &[code, v0, v1, v2, v3], out);
             }
         }
     }
@@ -674,7 +673,8 @@ impl ProcessShard {
         self.stdout
             .read_exact(&mut self.buf)
             .map_err(|_| WorkerFault::Io)?;
-        let reply = Reply::parse(self.buf[0], &self.buf[1..]).map_err(|_| WorkerFault::Protocol)?;
+        let (&opcode, payload) = self.buf.split_first().ok_or(WorkerFault::Protocol)?;
+        let reply = Reply::parse(opcode, payload).map_err(|_| WorkerFault::Protocol)?;
         // The one place the cached live set changes.
         match (req, reply) {
             (
@@ -747,31 +747,27 @@ pub fn handle(
     shard: &mut Option<ShardState>,
     out: &mut Vec<(u32, OnlineVerdict)>,
 ) -> Reply {
-    if let Request::Init {
-        shard: id,
-        cfg,
-        classifier,
-        graph,
-    } = req
-    {
-        *shard = Some(ShardState::new(
-            *id,
-            classifier.clone(),
-            graph.clone(),
-            cfg.clone(),
-        ));
-        return Reply::Ok;
-    }
-    let Some(state) = shard.as_mut() else {
-        return match req {
-            Request::Shutdown => Reply::Ok,
-            _ => Reply::Err(RemoteError::Internal),
-        };
-    };
-    match *req {
-        Request::Init { .. } => unreachable!("handled above"),
-        Request::Shutdown => Reply::Ok,
-        Request::Restore(blob) => match state.reload(state.shard(), blob) {
+    match (req, shard) {
+        (
+            Request::Init {
+                shard: id,
+                cfg,
+                classifier,
+                graph,
+            },
+            shard,
+        ) => {
+            *shard = Some(ShardState::new(
+                *id,
+                classifier.clone(),
+                graph.clone(),
+                cfg.clone(),
+            ));
+            Reply::Ok
+        }
+        (Request::Shutdown, _) => Reply::Ok,
+        (_, None) => Reply::Err(RemoteError::Internal),
+        (&Request::Restore(blob), Some(state)) => match state.reload(state.shard(), blob) {
             Ok(()) => Reply::Ok,
             Err(e) => Reply::Err(match e.kind {
                 ShardRestoreErrorKind::Envelope(_) => RemoteError::Envelope,
@@ -779,26 +775,29 @@ pub fn handle(
                 ShardRestoreErrorKind::Worker(_) => RemoteError::Internal,
             }),
         },
-        Request::Feed {
-            time,
-            victim,
-            max_victims,
-            frame,
-        } => {
+        (
+            &Request::Feed {
+                time,
+                victim,
+                max_victims,
+                frame,
+            },
+            Some(state),
+        ) => {
             state.feed(victim, time, frame, max_victims as usize, out);
             Reply::VERDICTS
         }
-        Request::EvictIdle { now, idle } => {
+        (&Request::EvictIdle { now, idle }, Some(state)) => {
             state.evict_idle(now, idle, out);
             Reply::VERDICTS
         }
-        Request::FinishAll => {
+        (Request::FinishAll, Some(state)) => {
             state.finish_all(out);
             Reply::VERDICTS
         }
-        Request::Checkpoint { taken } => Reply::Blob(state.checkpoint(taken)),
-        Request::Drain(ref victims) => Reply::Drained(state.drain_victims(victims)),
-        Request::Adopt(record) => match one_record(record) {
+        (&Request::Checkpoint { taken }, Some(state)) => Reply::Blob(state.checkpoint(taken)),
+        (Request::Drain(victims), Some(state)) => Reply::Drained(state.drain_victims(victims)),
+        (&Request::Adopt(record), Some(state)) => match one_record(record) {
             Ok(rec) => match state.adopt_victim(&rec) {
                 Ok(()) => Reply::Ok,
                 Err(_) => Reply::Err(RemoteError::Victim(rec.victim)),
@@ -841,9 +840,11 @@ pub fn shard_worker_main() -> i32 {
         if input.read_exact(&mut body).is_err() {
             return 1;
         }
-        let req = match Request::parse(body[0], &body[1..]) {
-            Ok(req) => req,
-            Err(_) => return reply_and_exit(&mut output, Reply::Err(RemoteError::Internal)),
+        let parsed = body
+            .split_first()
+            .and_then(|(&opcode, payload)| Request::parse(opcode, payload).ok());
+        let Some(req) = parsed else {
+            return reply_and_exit(&mut output, Reply::Err(RemoteError::Internal));
         };
         let shutdown = matches!(req, Request::Shutdown);
         frame.clear();

@@ -120,8 +120,8 @@ impl ResizeSchedule {
             if step.shards == 0 {
                 return Err(ResizeScheduleError::ZeroShards { index });
             }
-            if index > 0 {
-                let prev = self.steps[index - 1].at;
+            let prev = index.checked_sub(1).and_then(|i| self.steps.get(i));
+            if let Some(prev) = prev.map(|s| s.at) {
                 if step.at.micros() < prev.micros() {
                     return Err(ResizeScheduleError::Unsorted { index });
                 }

@@ -221,7 +221,9 @@ impl ShardState {
             Ok(i) => i,
             Err(_) => self.admit(victim, max_victims, out),
         };
-        let r = &mut self.residents[i];
+        let Some(r) = self.residents.get_mut(i) else {
+            return;
+        };
         r.seen = time;
         for v in r.decoder.push_packet(time, frame) {
             out.push((victim, v));
@@ -238,9 +240,15 @@ impl ShardState {
         out: &mut Vec<(u32, OnlineVerdict)>,
     ) -> usize {
         while self.ids.len() >= max_victims.max(1) {
-            let stalest = (0..self.ids.len())
-                .min_by_key(|&i| (self.residents[i].seen, self.ids[i]))
-                .expect("table is non-empty");
+            let Some((stalest, _)) = self
+                .residents
+                .iter()
+                .zip(&self.ids)
+                .enumerate()
+                .min_by_key(|(_, (r, &id))| (r.seen, id))
+            else {
+                break;
+            };
             self.evict_at(stalest, out);
         }
         let mut dec = OnlineDecoder::new(
@@ -263,7 +271,9 @@ impl ShardState {
         };
         match self.resident(victim) {
             Ok(i) => {
-                self.residents[i] = resident;
+                if let Some(slot) = self.residents.get_mut(i) {
+                    *slot = resident;
+                }
                 i
             }
             Err(i) => {
@@ -285,9 +295,9 @@ impl ShardState {
         let cutoff = now.micros().saturating_sub(idle.micros());
         let mut stale = Vec::new();
         let mut i = 0;
-        while i < self.ids.len() {
-            if self.residents[i].seen.micros() < cutoff {
-                stale.push(self.ids[i]);
+        while let (Some(r), Some(&id)) = (self.residents.get(i), self.ids.get(i)) {
+            if r.seen.micros() < cutoff {
+                stale.push(id);
                 self.evict_at(i, out);
             } else {
                 i += 1;
@@ -440,6 +450,7 @@ pub type ShardEnvelope<'a> = Blob<'a>;
 
 /// Parse a shard checkpoint blob into its envelope, attributing any
 /// damage to supervisor slot `slot`.
+// wm-lint: parse-root
 pub fn parse_envelope(slot: u32, bytes: &[u8]) -> Result<ShardEnvelope<'_>, ShardRestoreError> {
     Blob::parse(bytes).map_err(|e| ShardRestoreError {
         shard: slot,
@@ -448,6 +459,7 @@ pub fn parse_envelope(slot: u32, bytes: &[u8]) -> Result<ShardEnvelope<'_>, Shar
 }
 
 /// Frame exactly one migrated record (a `Drained`/`Adopt` unit).
+// wm-lint: parse-root
 pub fn one_record(bytes: &[u8]) -> Result<RecordRef<'_>, CheckpointError> {
     match split_records(bytes, 0)?.as_slice() {
         [rec] => Ok(*rec),

@@ -310,6 +310,7 @@ impl RequestParser {
     }
 
     /// Feed stream bytes; returns the requests completed by this feed.
+    // wm-lint: parse-root
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Request>, ParseError> {
         let mut out = Vec::new();
         self.acc.feed(bytes, &mut out)?;
@@ -340,6 +341,7 @@ impl ResponseParser {
     }
 
     /// Feed stream bytes; returns the responses completed by this feed.
+    // wm-lint: parse-root
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Response>, ParseError> {
         let mut out = Vec::new();
         self.acc.feed(bytes, &mut out)?;

@@ -37,6 +37,7 @@ impl std::error::Error for ParseError {}
 /// Parse a complete JSON document from `input`.
 ///
 /// Trailing whitespace is allowed; any other trailing bytes are an error.
+// wm-lint: parse-root
 pub fn parse(input: &[u8]) -> Result<Value, ParseError> {
     let mut p = Parser {
         input,

@@ -28,12 +28,15 @@ use std::ops::Range;
 /// * `// wm-lint: quantizer(reason = "...")` — the next fn is an
 ///   approved pad/bucket length quantizer; taint traversal stops at
 ///   it. The reason is mandatory (approval must be argued).
+/// * `// wm-lint: parse-root` — the next fn takes attacker- or
+///   disk-supplied bytes; it roots the `panic/*` family's scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Annotation {
     Hotpath,
     AllocOk,
     ResponsePath,
     Quantizer,
+    ParseRoot,
 }
 
 impl Annotation {
@@ -44,6 +47,7 @@ impl Annotation {
             Annotation::AllocOk => "alloc-ok",
             Annotation::ResponsePath => "response-path",
             Annotation::Quantizer => "quantizer",
+            Annotation::ParseRoot => "parse-root",
         }
     }
 
@@ -54,11 +58,12 @@ impl Annotation {
         matches!(self, Annotation::AllocOk | Annotation::Quantizer)
     }
 
-    const ALL: [Annotation; 4] = [
+    pub(crate) const ALL: [Annotation; 5] = [
         Annotation::Hotpath,
         Annotation::AllocOk,
         Annotation::ResponsePath,
         Annotation::Quantizer,
+        Annotation::ParseRoot,
     ];
 }
 

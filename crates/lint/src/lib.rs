@@ -8,20 +8,23 @@
 //!    byte-producing crates must not read wall clocks or iterate
 //!    randomized hash collections, and nothing may draw unseeded
 //!    entropy.
-//! 2. **Panic-safety.** Attacker-facing parse paths (pcap, TLS record
-//!    reassembly, HTTP heads, JSON) consume adversarial bytes and must
-//!    return typed errors rather than panic.
+//! 2. **Panic-safety.** Code that parses attacker- or disk-supplied
+//!    bytes must return typed errors rather than panic. Its entry points
+//!    are marked `// wm-lint: parse-root`, and the rule covers every
+//!    file holding code the call graph reaches from one.
 //! 3. **Layering.** Attacker crates model an on-path observer; their
 //!    declared dependencies are confined to the capture window and
 //!    public vocabulary so the attack cannot quietly cheat by reaching
 //!    into victim internals.
 //!
 //! `wm-lint` enforces all three with a lightweight Rust lexer
-//! ([`lexer`]), a token-pattern rule engine ([`rules`]), and a minimal
-//! manifest reader ([`manifest`]). It walks every `crates/*/src` file
-//! plus each crate's `Cargo.toml`, skips `#[cfg(test)]` items, honours
-//! inline `// wm-lint: allow(<rule>, reason = "...")` suppressions, and
-//! can emit a machine-readable JSON report ([`report`]). The binary's
+//! ([`lexer`]), a token-pattern rule engine ([`rules`]), a call graph
+//! over an item view ([`callgraph`], [`items`]) for the rules that
+//! reach across files ([`rules_v2`]), and a minimal manifest reader
+//! ([`manifest`]). It walks every `crates/*/src` file plus each crate's
+//! `Cargo.toml`, skips `#[cfg(test)]` items, honours inline
+//! `// wm-lint: allow(<rule>, reason = "...")` suppressions, and can
+//! emit a machine-readable JSON report ([`report`]). The binary's
 //! `--deny` mode (exit 1 on any finding) is wired into CI.
 
 pub mod callgraph;

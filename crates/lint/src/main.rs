@@ -104,13 +104,15 @@ fn main() -> ExitCode {
     println!("wm-lint: families: {}", by_family.join(" "));
     println!(
         "wm-lint: call graph: {} fns, {} edges; hotpath roots={} reachable={}; \
-         response roots={} taint-checked={}; unsafe uses={}",
+         response roots={} taint-checked={}; parse roots={} panic-scope fns={}; unsafe uses={}",
         result.v2.graph_fns,
         result.v2.graph_edges,
         result.v2.hotpath_roots,
         result.v2.hotpath_reachable,
         result.v2.response_roots,
         result.v2.taint_reachable,
+        result.v2.parse_roots,
+        result.v2.panic_scope_fns,
         result.v2.unsafe_uses,
     );
     println!(
@@ -122,7 +124,7 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &args.json {
-        let bytes = wm_lint::report::to_json(&result.findings, result.files_scanned);
+        let bytes = wm_lint::report::to_json(&result);
         if let Err(e) = std::fs::write(path, bytes) {
             eprintln!(
                 "wm-lint: failed to write report to `{}`: {e}",

@@ -2,14 +2,17 @@
 //!
 //! The JSON report is built with the workspace's own `wm-json` so the
 //! lint stays std-only, and is what CI uploads as an artifact: a stable
-//! schema with per-rule counts (every known rule appears, zero or not)
-//! plus the full finding list.
+//! schema with per-rule counts (every known rule appears, zero or not),
+//! the call-graph pass's summary (roots and the scope each family
+//! covers) and the full finding list.
 
-use crate::rules::{Finding, ALL_RULES};
+use crate::rules::ALL_RULES;
+use crate::ScanResult;
 use wm_json::{to_pretty_bytes, Value};
 
-/// Render findings as a pretty-printed JSON document.
-pub fn to_json(findings: &[Finding], files_scanned: usize) -> Vec<u8> {
+/// Render a scan as a pretty-printed JSON document.
+pub fn to_json(result: &ScanResult) -> Vec<u8> {
+    let findings = &result.findings;
     let counts: Vec<(String, Value)> = ALL_RULES
         .iter()
         .map(|rule| {
@@ -28,11 +31,30 @@ pub fn to_json(findings: &[Finding], files_scanned: usize) -> Vec<u8> {
             ])
         })
         .collect();
+    let v2 = &result.v2;
+    let summary: Vec<(String, Value)> = [
+        ("graph_fns", v2.graph_fns),
+        ("graph_edges", v2.graph_edges),
+        ("hotpath_roots", v2.hotpath_roots),
+        ("hotpath_reachable", v2.hotpath_reachable),
+        ("response_roots", v2.response_roots),
+        ("taint_reachable", v2.taint_reachable),
+        ("parse_roots", v2.parse_roots),
+        ("panic_scope_fns", v2.panic_scope_fns),
+        ("unsafe_uses", v2.unsafe_uses),
+    ]
+    .into_iter()
+    .map(|(name, n)| (name.to_string(), Value::from(n as i64)))
+    .collect();
     let doc = Value::object(vec![
         ("tool".into(), Value::from("wm-lint")),
-        ("files_scanned".into(), Value::from(files_scanned as i64)),
+        (
+            "files_scanned".into(),
+            Value::from(result.files_scanned as i64),
+        ),
         ("total_findings".into(), Value::from(findings.len() as i64)),
         ("counts".into(), Value::object(counts)),
+        ("v2".into(), Value::object(summary)),
         ("findings".into(), Value::array(items)),
     ]);
     to_pretty_bytes(&doc)
@@ -41,27 +63,36 @@ pub fn to_json(findings: &[Finding], files_scanned: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Finding, V2Summary};
 
-    fn sample() -> Vec<Finding> {
-        vec![
-            Finding {
-                rule: crate::rules::PANIC_INDEX,
-                file: "crates/capture/src/pcap.rs".into(),
-                line: 12,
-                message: "unchecked indexing".into(),
+    fn sample() -> ScanResult {
+        ScanResult {
+            findings: vec![
+                Finding {
+                    rule: crate::rules_v2::PANIC_INDEX,
+                    file: "crates/capture/src/pcap.rs".into(),
+                    line: 12,
+                    message: "unchecked indexing".into(),
+                },
+                Finding {
+                    rule: crate::rules_v2::PANIC_INDEX,
+                    file: "crates/json/src/de.rs".into(),
+                    line: 3,
+                    message: "unchecked indexing".into(),
+                },
+            ],
+            files_scanned: 42,
+            v2: V2Summary {
+                parse_roots: 26,
+                panic_scope_fns: 580,
+                ..V2Summary::default()
             },
-            Finding {
-                rule: crate::rules::PANIC_INDEX,
-                file: "crates/json/src/de.rs".into(),
-                line: 3,
-                message: "unchecked indexing".into(),
-            },
-        ]
+        }
     }
 
     #[test]
     fn report_parses_and_counts() {
-        let bytes = to_json(&sample(), 42);
+        let bytes = to_json(&sample());
         let doc = wm_json::parse(&bytes).expect("report must be valid JSON");
         assert_eq!(doc.get("tool").and_then(Value::as_str), Some("wm-lint"));
         assert_eq!(doc.get("files_scanned").and_then(Value::as_i64), Some(42));
@@ -83,11 +114,15 @@ mod tests {
             Some("crates/capture/src/pcap.rs")
         );
         assert_eq!(items[0].get("line").and_then(Value::as_i64), Some(12));
+        let v2 = doc.get("v2").expect("v2 summary");
+        assert_eq!(v2.get("parse_roots").and_then(Value::as_i64), Some(26));
+        assert_eq!(v2.get("panic_scope_fns").and_then(Value::as_i64), Some(580));
+        assert_eq!(v2.get("unsafe_uses").and_then(Value::as_i64), Some(0));
     }
 
     #[test]
     fn empty_report_is_valid() {
-        let bytes = to_json(&[], 0);
+        let bytes = to_json(&ScanResult::default());
         let doc = wm_json::parse(&bytes).expect("valid");
         assert_eq!(doc.get("total_findings").and_then(Value::as_i64), Some(0));
     }

@@ -1,16 +1,18 @@
 //! The rule engine.
 //!
-//! Three rule families guard the invariants the traffic-analysis
+//! Rule families guard the invariants the traffic-analysis
 //! pipeline depends on:
 //!
 //! * **determinism** — byte-producing crates must not consult wall
 //!   clocks or iterate randomized hash collections, and nothing in the
 //!   workspace may draw unseeded randomness. Golden-trace tests only
 //!   mean something if the same seed always yields the same bytes.
-//! * **panic** — attacker-facing parse paths consume adversarial bytes
-//!   (pcap frames, TLS records, HTTP heads, JSON blobs) and must return
-//!   errors, never panic: no `unwrap`/`expect`, no panicking macros, no
-//!   unchecked indexing.
+//! * **panic** — code that parses attacker- or disk-supplied bytes must
+//!   return errors, never panic: no `unwrap`/`expect`, no panicking
+//!   macros, no unchecked indexing. Its scope is not a path list: the
+//!   code marks its entry points `// wm-lint: parse-root`, and the
+//!   workspace pass ([`crate::rules_v2`]) applies the family to every
+//!   file holding a function the call graph reaches from one.
 //! * **layering** — attacker crates may only see what an on-path
 //!   observer sees. Their declared dependencies are restricted to the
 //!   capture window and public vocabulary crates; reaching into victim
@@ -28,6 +30,7 @@
 //! `// wm-lint: allow(<rule>, reason = "...")` comment on the offending
 //! line or the line above; the reason is mandatory.
 
+use crate::items::Annotation;
 use crate::lexer::{lex, Comment, Tok, Token};
 use crate::manifest::Manifest;
 
@@ -58,9 +61,6 @@ pub const WALL_CLOCK: &str = "determinism/wall-clock";
 pub const TRACE_SIM_TIME: &str = "determinism/trace-sim-time";
 pub const HASH_COLLECTIONS: &str = "determinism/hash-collections";
 pub const UNSEEDED_RNG: &str = "determinism/unseeded-rng";
-pub const PANIC_UNWRAP: &str = "panic/unwrap";
-pub const PANIC_MACRO: &str = "panic/macro";
-pub const PANIC_INDEX: &str = "panic/index";
 pub const LAYERING: &str = "layering/dependency";
 pub const LAYERING_EXTERNAL: &str = "layering/external-dependency";
 pub const PROCESS_SPAWN: &str = "layering/process-spawn";
@@ -74,9 +74,10 @@ pub const ALL_RULES: &[&str] = &[
     TRACE_SIM_TIME,
     HASH_COLLECTIONS,
     UNSEEDED_RNG,
-    PANIC_UNWRAP,
-    PANIC_MACRO,
-    PANIC_INDEX,
+    crate::rules_v2::PANIC_UNWRAP,
+    crate::rules_v2::PANIC_MACRO,
+    crate::rules_v2::PANIC_INDEX,
+    crate::rules_v2::PANIC_MISSING_ROOT,
     LAYERING,
     LAYERING_EXTERNAL,
     PROCESS_SPAWN,
@@ -206,20 +207,6 @@ pub fn trace_sim_time_applies(rel_path: &str) -> bool {
     rel_path.starts_with("crates/telemetry/src/trace/") || rel_path.starts_with("crates/obs/src/")
 }
 
-/// Attacker-facing parse paths: every byte they consume is
-/// adversary-controlled, so the panic family applies: the parsers and
-/// the whole streaming decoder (`crates/core/src/online/`). Its verdict
-/// path runs through the path decoder and the evidence resolver, so
-/// those two files are in too.
-pub fn panic_rules_apply(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/json/src/")
-        || rel_path.starts_with("crates/http/src/")
-        || rel_path.starts_with("crates/capture/src/")
-        || rel_path.starts_with("crates/core/src/online/")
-        || rel_path == "crates/core/src/decode.rs"
-        || rel_path == "crates/core/src/provenance.rs"
-}
-
 /// The online decoder's ingest paths: long-running, fed by an
 /// adversarial stream, and required to hold memory bounded by
 /// *configuration*. All growth must flow through `wm_core::online::bounded`;
@@ -228,13 +215,6 @@ pub fn panic_rules_apply(rel_path: &str) -> bool {
 pub fn bounded_rules_apply(rel_path: &str) -> bool {
     rel_path == "crates/core/src/online/ingest.rs" || rel_path == "crates/core/src/online/engine.rs"
 }
-
-const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
-    "ref", "return", "self", "Self", "static", "struct", "super", "trait", "type", "union",
-    "unsafe", "use", "where", "while", "yield",
-];
 
 /// Lint one Rust source file. `rel_path` is workspace-relative with
 /// `/` separators (it selects path-scoped rules and labels findings).
@@ -255,11 +235,6 @@ pub fn check_source(crate_name: &str, rel_path: &str, src: &str) -> Vec<Finding>
     unseeded_rng_rule(&tokens, rel_path, &mut findings);
     if process_spawn_applies(crate_name) {
         process_spawn_rule(&tokens, rel_path, &mut findings);
-    }
-    if panic_rules_apply(rel_path) {
-        panic_unwrap_rule(&tokens, rel_path, &mut findings);
-        panic_macro_rule(&tokens, rel_path, &mut findings);
-        panic_index_rule(&tokens, rel_path, &mut findings);
     }
     if bounded_rules_apply(rel_path) {
         bounded_buffer_rule(&tokens, rel_path, &mut findings);
@@ -346,14 +321,14 @@ pub fn check_manifest(rel_path: &str, m: &Manifest) -> Vec<Finding> {
 // Token rules
 // ---------------------------------------------------------------------
 
-fn ident(t: &Token) -> Option<&str> {
+pub(crate) fn ident(t: &Token) -> Option<&str> {
     match &t.tok {
         Tok::Ident(s) => Some(s),
         _ => None,
     }
 }
 
-fn is_punct(t: Option<&Token>, c: char) -> bool {
+pub(crate) fn is_punct(t: Option<&Token>, c: char) -> bool {
     matches!(t, Some(Token { tok: Tok::Punct(p), .. }) if *p == c)
 }
 
@@ -478,88 +453,6 @@ fn unseeded_rng_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
                     "`{name}` draws OS entropy; all randomness must flow from an explicit \
                      seed (`SimRng`) so runs are reproducible"
                 ),
-            });
-        }
-    }
-}
-
-fn panic_unwrap_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = ident(t) else { continue };
-        if !matches!(name, "unwrap" | "expect") {
-            continue;
-        }
-        // `.unwrap()` / `.expect("…")` method calls, and
-        // `Result::unwrap` style paths passed as functions — both panic
-        // on Err. Bare identifiers named `unwrap` (e.g. a local) are
-        // left alone.
-        let method = i > 0 && is_punct(tokens.get(i - 1), '.');
-        let path = i > 0 && is_punct(tokens.get(i - 1), ':');
-        if method || path {
-            out.push(Finding {
-                rule: PANIC_UNWRAP,
-                file: file.to_string(),
-                line: t.line,
-                message: format!(
-                    "`.{name}()` panics on malformed input; attacker-facing parse paths must \
-                     propagate a typed error instead"
-                ),
-            });
-        }
-    }
-}
-
-fn panic_macro_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = ident(t) else { continue };
-        if !matches!(
-            name,
-            "panic"
-                | "unreachable"
-                | "todo"
-                | "unimplemented"
-                | "assert"
-                | "assert_eq"
-                | "assert_ne"
-        ) {
-            continue;
-        }
-        if is_punct(tokens.get(i + 1), '!') {
-            out.push(Finding {
-                rule: PANIC_MACRO,
-                file: file.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{name}!` aborts on adversarial input; return an error (debug_assert! is \
-                     permitted for internal invariants)"
-                ),
-            });
-        }
-    }
-}
-
-fn panic_index_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if !matches!(t.tok, Tok::Punct('[')) || i == 0 {
-            continue;
-        }
-        // `expr[...]` indexing: the `[` directly follows a value — an
-        // identifier (not a keyword), a call/paren close, or a prior
-        // index close. Attributes (`#[`), macros (`vec![`), slice
-        // patterns and array literals/types all follow other tokens.
-        let indexing = match &tokens[i - 1].tok {
-            Tok::Ident(name) => !KEYWORDS.contains(&name.as_str()),
-            Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('?') => true,
-            _ => false,
-        };
-        if indexing {
-            out.push(Finding {
-                rule: PANIC_INDEX,
-                file: file.to_string(),
-                line: t.line,
-                message: "unchecked indexing panics out of bounds; use `.get(..)` and handle \
-                          `None`"
-                    .to_string(),
             });
         }
     }
@@ -700,21 +593,19 @@ impl Suppression {
     }
 }
 
-/// Item annotation directives (`wm-lint: hotpath`, `alloc-ok(..)`,
-/// `response-path`, `quantizer(..)`) are parsed and validated by the
-/// v2 pass ([`crate::items`]); the suppression collector must not
-/// report them as unrecognized.
+/// Item annotation directives ([`Annotation`]: `wm-lint: hotpath`,
+/// `parse-root`, …) are parsed and validated by the v2 pass
+/// ([`crate::items`]); the suppression collector must not report them
+/// as unrecognized.
 fn is_annotation_directive(rest: &str) -> bool {
-    ["hotpath", "alloc-ok", "response-path", "quantizer"]
-        .iter()
-        .any(|kw| {
-            rest.strip_prefix(kw).is_some_and(|after| {
-                after
-                    .chars()
-                    .next()
-                    .is_none_or(|ch| !ch.is_alphanumeric() && ch != '-' && ch != '_')
-            })
+    Annotation::ALL.iter().any(|a| {
+        rest.strip_prefix(a.keyword()).is_some_and(|after| {
+            after
+                .chars()
+                .next()
+                .is_none_or(|ch| !ch.is_alphanumeric() && ch != '-' && ch != '_')
         })
+    })
 }
 
 /// Parse `wm-lint: allow(rule, reason = "...")` directives out of the
@@ -737,7 +628,7 @@ fn parse_suppressions(
                 c.line,
                 "unrecognized wm-lint directive; expected \
                  `wm-lint: allow(<rule>, reason = \"...\")` or an item annotation \
-                 (`hotpath`, `alloc-ok(..)`, `response-path`, `quantizer(..)`)"
+                 (`hotpath`, `alloc-ok(..)`, `response-path`, `quantizer(..)`, `parse-root`)"
                     .to_string(),
             );
             continue;
@@ -805,21 +696,20 @@ mod tests {
         findings.iter().map(|f| f.rule).collect()
     }
 
-    // Paths chosen so the path-scoped panic family is active/inactive.
-    const PARSE_PATH: &str = "crates/json/src/fixture.rs";
-    const NON_PARSE_PATH: &str = "crates/netflix/src/fixture.rs";
+    // A path outside every path-scoped rule.
+    const FIXTURE_PATH: &str = "crates/netflix/src/fixture.rs";
 
     #[test]
     fn wall_clock_fires_in_byte_producing_crate() {
         let f = check_source(
             "wm-player",
-            NON_PARSE_PATH,
+            FIXTURE_PATH,
             "fn t() -> Instant { Instant::now() }",
         );
         assert_eq!(rules_of(&f), [WALL_CLOCK]);
         let f = check_source(
             "wm-net",
-            NON_PARSE_PATH,
+            FIXTURE_PATH,
             "fn t() -> u64 { SystemTime::now().elapsed() }",
         );
         assert_eq!(rules_of(&f), [WALL_CLOCK]);
@@ -827,7 +717,7 @@ mod tests {
 
     #[test]
     fn wall_clock_exempts_bench() {
-        let f = check_source("wm-bench", NON_PARSE_PATH, "let t = Instant::now();");
+        let f = check_source("wm-bench", FIXTURE_PATH, "let t = Instant::now();");
         assert!(f.is_empty());
     }
 
@@ -835,7 +725,7 @@ mod tests {
     fn instant_in_string_or_comment_is_fine() {
         let src = r#"// Instant::now() is forbidden here
             let s = "Instant::now()";"#;
-        assert!(check_source("wm-sim", NON_PARSE_PATH, src).is_empty());
+        assert!(check_source("wm-sim", FIXTURE_PATH, src).is_empty());
     }
 
     #[test]
@@ -848,7 +738,7 @@ mod tests {
         assert_eq!(rules_of(&f), [PROCESS_SPAWN]);
         let f = check_source(
             "wm-netflix",
-            NON_PARSE_PATH,
+            FIXTURE_PATH,
             "use std::process::{Command, Stdio};",
         );
         assert_eq!(rules_of(&f), [PROCESS_SPAWN]);
@@ -868,13 +758,13 @@ mod tests {
     fn process_exit_and_local_command_types_are_fine() {
         // `std::process::exit` is the ordinary way for a binary to set
         // its exit code; only the `Command` type is the spawn surface.
-        let f = check_source("wm-bench", NON_PARSE_PATH, "std::process::exit(1);");
+        let f = check_source("wm-bench", FIXTURE_PATH, "std::process::exit(1);");
         assert!(f.is_empty(), "{f:?}");
         // A crate-local `Command` used as a bare name (no path, not via
         // the process module) stays legal.
         let f = check_source(
             "wm-player",
-            NON_PARSE_PATH,
+            FIXTURE_PATH,
             "enum Command { Play, Pause } fn f(c: Command) {}",
         );
         assert!(f.is_empty(), "{f:?}");
@@ -968,7 +858,7 @@ mod tests {
     #[test]
     fn hash_collections_fire_only_in_byte_producing_crates() {
         let src = "use std::collections::HashMap; fn f() { let m: HashMap<u8, u8>; }";
-        let f = check_source("wm-tls", NON_PARSE_PATH, src);
+        let f = check_source("wm-tls", FIXTURE_PATH, src);
         assert!(f.iter().all(|f| f.rule == HASH_COLLECTIONS));
         assert_eq!(f.len(), 2);
         // Attacker/utility crates may hash internally (they emit no bytes).
@@ -979,7 +869,7 @@ mod tests {
     fn randomstate_and_hashset_fire() {
         let f = check_source(
             "wm-story",
-            NON_PARSE_PATH,
+            FIXTURE_PATH,
             "let s: HashSet<u8> = HashSet::default(); let r = RandomState::new();",
         );
         assert_eq!(f.len(), 3);
@@ -988,91 +878,11 @@ mod tests {
     #[test]
     fn unseeded_rng_fires_everywhere() {
         for krate in ["wm-core", "wm-sim", "wm-bench"] {
-            let f = check_source(krate, NON_PARSE_PATH, "let mut rng = thread_rng();");
+            let f = check_source(krate, FIXTURE_PATH, "let mut rng = thread_rng();");
             assert_eq!(rules_of(&f), [UNSEEDED_RNG], "{krate}");
         }
-        let f = check_source("wm-json", NON_PARSE_PATH, "let r = OsRng.next_u64();");
+        let f = check_source("wm-json", FIXTURE_PATH, "let r = OsRng.next_u64();");
         assert_eq!(rules_of(&f), [UNSEEDED_RNG]);
-    }
-
-    #[test]
-    fn unwrap_and_expect_fire_on_parse_paths() {
-        let f = check_source("wm-json", PARSE_PATH, "let v = parse(b).unwrap();");
-        assert_eq!(rules_of(&f), [PANIC_UNWRAP]);
-        let f = check_source("wm-json", PARSE_PATH, "let v = parse(b).expect(\"ok\");");
-        assert_eq!(rules_of(&f), [PANIC_UNWRAP]);
-        let f = check_source("wm-json", PARSE_PATH, "xs.map(Result::unwrap)");
-        assert_eq!(rules_of(&f), [PANIC_UNWRAP]);
-    }
-
-    #[test]
-    fn unwrap_outside_parse_paths_is_fine() {
-        let f = check_source("wm-netflix", NON_PARSE_PATH, "let v = parse(b).unwrap();");
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_variants_are_fine() {
-        let src =
-            "let v = x.unwrap_or_default(); let w = y.unwrap_or(0); let z = z.unwrap_or_else(f);";
-        assert!(check_source("wm-json", PARSE_PATH, src).is_empty());
-    }
-
-    #[test]
-    fn panic_macros_fire_on_parse_paths() {
-        for src in [
-            "panic!(\"boom\")",
-            "unreachable!()",
-            "todo!()",
-            "unimplemented!()",
-            "assert!(x > 0);",
-            "assert_eq!(a, b);",
-            "assert_ne!(a, b);",
-        ] {
-            let f = check_source("wm-http", "crates/http/src/parse.rs", src);
-            assert_eq!(rules_of(&f), [PANIC_MACRO], "{src}");
-        }
-    }
-
-    #[test]
-    fn debug_assert_is_permitted() {
-        let f = check_source("wm-http", "crates/http/src/parse.rs", "debug_assert!(ok);");
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn indexing_fires_on_parse_paths() {
-        for src in [
-            "let b = buf[0];",
-            "let s = &buf[1..4];",
-            "let x = f()[0];",
-            "let y = grid[i][j];",
-        ] {
-            let f = check_source("wm-capture", "crates/capture/src/pcap.rs", src);
-            assert!(
-                f.iter().any(|f| f.rule == PANIC_INDEX),
-                "expected panic/index for {src}: {f:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn non_indexing_brackets_are_fine() {
-        for src in [
-            "#[derive(Debug)] struct S;",
-            "let v = vec![1, 2, 3];",
-            "let a = [0u8; 4];",
-            "let t: [u8; 4] = x;",
-            "let [a, b] = pair;",
-            "if let [x, ..] = slice {}",
-            "fn f() -> [u8; 2] { y }",
-        ] {
-            let f = check_source("wm-capture", "crates/capture/src/pcap.rs", src);
-            assert!(
-                f.iter().all(|f| f.rule != PANIC_INDEX),
-                "false positive for {src}: {f:?}"
-            );
-        }
     }
 
     #[test]
@@ -1092,75 +902,97 @@ mod tests {
             }
         "#;
         assert!(check_source("wm-sim", "crates/sim/src/x.rs", src).is_empty());
-        assert!(check_source("wm-json", PARSE_PATH, src).is_empty());
+        assert!(check_source("wm-tls", FIXTURE_PATH, src).is_empty());
     }
 
     #[test]
     fn cfg_all_test_is_also_stripped() {
-        let src = "#[cfg(all(test, feature = \"x\"))] mod t { fn f() { x.unwrap() } }";
-        assert!(check_source("wm-json", PARSE_PATH, src).is_empty());
+        let src = "#[cfg(all(test, feature = \"x\"))] mod t { fn f() { let m: HashMap<u8, u8>; } }";
+        assert!(check_source("wm-tls", FIXTURE_PATH, src).is_empty());
     }
 
     #[test]
     fn code_after_test_mod_is_still_checked() {
-        let src = "#[cfg(test)] mod t { fn f() { a.unwrap() } }\npub fn g() { b.unwrap(); }";
-        let f = check_source("wm-json", PARSE_PATH, src);
-        assert_eq!(rules_of(&f), [PANIC_UNWRAP]);
+        let src = "#[cfg(test)] mod t { fn f() { let m: HashMap<u8, u8>; } }\n\
+                   pub fn g() { let s: HashSet<u8>; }";
+        let f = check_source("wm-tls", FIXTURE_PATH, src);
+        assert_eq!(rules_of(&f), [HASH_COLLECTIONS]);
         assert_eq!(f[0].line, 2);
     }
 
+    // The suppression fixtures use a hash collection in a byte-producing
+    // crate: a per-file rule that fires on one token.
+    const HASHED: &str = "let m: HashSet<u8>;";
+
     #[test]
     fn suppression_with_reason_silences_same_line() {
-        let src = "let b = buf[0]; // wm-lint: allow(panic/index, reason = \"len checked above\")";
-        assert!(check_source("wm-capture", "crates/capture/src/x.rs", src).is_empty());
+        let src = format!(
+            "{HASHED} // wm-lint: allow(determinism/hash-collections, reason = \"never iterated\")"
+        );
+        assert!(check_source("wm-tls", FIXTURE_PATH, &src).is_empty());
     }
 
     #[test]
     fn suppression_with_reason_silences_next_line() {
-        let src = "// wm-lint: allow(panic/index, reason = \"len checked above\")\nlet b = buf[0];";
-        assert!(check_source("wm-capture", "crates/capture/src/x.rs", src).is_empty());
+        let src = format!(
+            "// wm-lint: allow(determinism/hash-collections, reason = \"never iterated\")\n{HASHED}"
+        );
+        assert!(check_source("wm-tls", FIXTURE_PATH, &src).is_empty());
     }
 
     #[test]
     fn suppression_does_not_reach_two_lines_down() {
-        let src =
-            "// wm-lint: allow(panic/index, reason = \"only covers next line\")\nlet a = 1;\nlet b = buf[0];";
-        let f = check_source("wm-capture", "crates/capture/src/x.rs", src);
-        assert_eq!(rules_of(&f), [PANIC_INDEX]);
+        let src = format!(
+            "// wm-lint: allow(determinism/hash-collections, reason = \"only covers next line\")\n\
+             let a = 1;\n{HASHED}"
+        );
+        let f = check_source("wm-tls", FIXTURE_PATH, &src);
+        assert_eq!(rules_of(&f), [HASH_COLLECTIONS]);
     }
 
     #[test]
     fn suppression_of_other_rule_does_not_silence() {
-        let src = "// wm-lint: allow(determinism/wall-clock, reason = \"n/a\")\nlet b = buf[0];";
-        let f = check_source("wm-capture", "crates/capture/src/x.rs", src);
-        assert_eq!(rules_of(&f), [PANIC_INDEX]);
+        let src = format!("// wm-lint: allow(determinism/wall-clock, reason = \"n/a\")\n{HASHED}");
+        let f = check_source("wm-tls", FIXTURE_PATH, &src);
+        assert_eq!(rules_of(&f), [HASH_COLLECTIONS]);
     }
 
     #[test]
     fn family_suppression_covers_members() {
-        let src = "// wm-lint: allow(panic, reason = \"fixture\")\nlet b = buf[0].unwrap();";
-        assert!(check_source("wm-capture", "crates/capture/src/x.rs", src).is_empty());
+        let src = format!(
+            "// wm-lint: allow(determinism, reason = \"fixture\")\n{HASHED} let t = Instant::now();"
+        );
+        assert!(check_source("wm-tls", FIXTURE_PATH, &src).is_empty());
     }
 
     #[test]
     fn suppression_without_reason_is_reported_and_inert() {
-        let src = "// wm-lint: allow(panic/index)\nlet b = buf[0];";
-        let f = check_source("wm-capture", "crates/capture/src/x.rs", src);
-        assert_eq!(rules_of(&f), [MISSING_REASON, PANIC_INDEX]);
+        let src = format!("// wm-lint: allow(determinism/hash-collections)\n{HASHED}");
+        let f = check_source("wm-tls", FIXTURE_PATH, &src);
+        assert_eq!(rules_of(&f), [MISSING_REASON, HASH_COLLECTIONS]);
     }
 
     #[test]
     fn suppression_with_empty_reason_is_reported() {
-        let src = "// wm-lint: allow(panic/index, reason = \"  \")\nlet b = buf[0];";
-        let f = check_source("wm-capture", "crates/capture/src/x.rs", src);
+        let src =
+            format!("// wm-lint: allow(determinism/hash-collections, reason = \"  \")\n{HASHED}");
+        let f = check_source("wm-tls", FIXTURE_PATH, &src);
         assert!(rules_of(&f).contains(&MISSING_REASON));
+    }
+
+    #[test]
+    fn item_annotations_are_not_unrecognized_directives() {
+        for kw in ["hotpath", "response-path", "parse-root"] {
+            let src = format!("// wm-lint: {kw}\npub fn f() {{}}");
+            assert!(check_source("wm-a", FIXTURE_PATH, &src).is_empty(), "{kw}");
+        }
     }
 
     #[test]
     fn malformed_directive_is_reported() {
         let f = check_source(
             "wm-json",
-            NON_PARSE_PATH,
+            FIXTURE_PATH,
             "// wm-lint: disable-everything\nlet x = 1;",
         );
         assert_eq!(rules_of(&f), [MISSING_REASON]);
@@ -1233,24 +1065,6 @@ mod tests {
         let f = check_source("wm-core", "crates/core/src/online/ingest.rs", bare);
         assert!(rules_of(&f).contains(&MISSING_REASON));
         assert!(rules_of(&f).contains(&BOUNDED_BUFFER));
-    }
-
-    #[test]
-    fn path_decoder_is_under_the_panic_family() {
-        for path in ["crates/core/src/decode.rs", "crates/core/src/provenance.rs"] {
-            let f = check_source("wm-core", path, "let v = x.unwrap();");
-            assert_eq!(rules_of(&f), [PANIC_UNWRAP], "{path}");
-        }
-    }
-
-    #[test]
-    fn online_panic_rules_apply_to_all_sources() {
-        let f = check_source(
-            "wm-core",
-            "crates/core/src/online/engine.rs",
-            "let v = x.unwrap();",
-        );
-        assert_eq!(rules_of(&f), [PANIC_UNWRAP]);
     }
 
     #[test]
@@ -1388,8 +1202,10 @@ mod tests {
 
     #[test]
     fn findings_sort_by_line() {
-        let src = "let a = buf[0];\nlet b = parse(x).unwrap();";
-        let f = check_source("wm-json", PARSE_PATH, src);
-        assert_eq!(rules_of(&f), [PANIC_INDEX, PANIC_UNWRAP]);
+        // The wall-clock rule runs first, but its line-2 finding sorts
+        // after the hash-collection finding on line 1.
+        let src = format!("{HASHED}\nlet t = Instant::now();");
+        let f = check_source("wm-tls", FIXTURE_PATH, &src);
+        assert_eq!(rules_of(&f), [HASH_COLLECTIONS, WALL_CLOCK]);
     }
 }

@@ -28,6 +28,15 @@
 //!   secret-dependent plaintext lengths must not flow to the wire
 //!   unquantized.
 //!
+//! * **panic** — functions annotated `// wm-lint: parse-root` take
+//!   attacker- or disk-supplied bytes: captured frames, pcap files,
+//!   checkpoint blobs, IPC frames, JSON. Every file that holds a
+//!   function reachable from a parse root is in scope, and there
+//!   `unwrap`/`expect`, panicking macros and unchecked indexing are
+//!   flagged. Scoping by file rather than by reached function keeps a
+//!   parser's siblings (the serializer beside it, a helper the
+//!   name-based resolution misses) under the same rule.
+//!
 //! Root sets are pinned in [`V2Config`] so deleting an annotation (or
 //! renaming a root) surfaces as a `*/missing-root` finding instead of
 //! silently disabling a family.
@@ -35,7 +44,10 @@
 use crate::callgraph::{CallGraph, FileItems, Reachability};
 use crate::items::{parse_items, Annotation, Call};
 use crate::lexer::{lex, Comment, Tok, Token};
-use crate::rules::{collect_suppressions_quiet, strip_test_items, Finding, MISSING_REASON};
+use crate::rules::{
+    collect_suppressions_quiet, ident, is_punct, strip_test_items, Finding, Suppression,
+    MISSING_REASON,
+};
 use std::collections::BTreeMap;
 
 pub const HOTPATH_ALLOC: &str = "hotpath/alloc";
@@ -46,17 +58,10 @@ pub const CONC_UNSAFE_BUDGET: &str = "concurrency/unsafe-budget";
 pub const LENGTH_TAINT: &str = "defense/length-taint";
 pub const TAINT_MISSING_ROOT: &str = "defense/missing-root";
 pub const ANNOTATION_DANGLING: &str = "annotation/dangling";
-
-pub const V2_RULES: &[&str] = &[
-    HOTPATH_ALLOC,
-    HOTPATH_MISSING_ROOT,
-    CONC_STATIC_MUT,
-    CONC_POOL_LOCK,
-    CONC_UNSAFE_BUDGET,
-    LENGTH_TAINT,
-    TAINT_MISSING_ROOT,
-    ANNOTATION_DANGLING,
-];
+pub const PANIC_UNWRAP: &str = "panic/unwrap";
+pub const PANIC_MACRO: &str = "panic/macro";
+pub const PANIC_INDEX: &str = "panic/index";
+pub const PANIC_MISSING_ROOT: &str = "panic/missing-root";
 
 /// One workspace source file handed to the v2 pass.
 pub struct WorkspaceFile {
@@ -76,6 +81,9 @@ pub struct V2Config {
     /// Qualified names that must exist and carry
     /// `// wm-lint: response-path`.
     pub expected_response_roots: &'static [&'static str],
+    /// Qualified names that must exist and carry
+    /// `// wm-lint: parse-root`.
+    pub expected_parse_roots: &'static [&'static str],
     /// Per-crate `unsafe` allowance; crates not listed get zero.
     pub unsafe_budget: &'static [(&'static str, usize)],
 }
@@ -108,11 +116,46 @@ pub const EXPECTED_RESPONSE_ROOTS: &[&str] = &[
     "wm_netflix::NetflixServer::handle",
 ];
 
+/// Every function that takes attacker- or disk-supplied bytes: the
+/// frame parsers and pcap readers the capture and the streaming decoder
+/// run on every packet, the drivers that feed captured packets to the
+/// decoder, the checkpoint codec, the process-shard IPC codec, JSON and
+/// the HTTP parsers, and the operator tools' document readers.
+pub const EXPECTED_PARSE_ROOTS: &[&str] = &[
+    "wm_net::parse_frame",
+    "wm_net::parse_frame_lossy",
+    "wm_capture::read_pcap_lossy",
+    "wm_capture::Trace::read_pcap_file",
+    "wm_core::FlowIngest::accept_segment",
+    "wm_core::OnlineDecoder::push_packet",
+    "wm_core::OnlineDecoder::resume_from_checkpoint",
+    "wm_core::Blob::parse",
+    "wm_core::Blob::parse_prefix",
+    "wm_core::read_graph",
+    "wm_core::split_records",
+    "wm_core::restore_record",
+    "wm_core::replay_session",
+    "wm_core::decode_sessions_sharded",
+    "wm_core::WhiteMirror::decode_trace",
+    "wm_core::WhiteMirror::load_model",
+    "wm_fleet::decode_frame",
+    "wm_fleet::Request::parse",
+    "wm_fleet::Reply::parse",
+    "wm_fleet::parse_envelope",
+    "wm_fleet::one_record",
+    "wm_json::parse",
+    "wm_obs::BenchDoc::parse",
+    "wm_obs::collapse_jsonl",
+    "wm_http::RequestParser::feed",
+    "wm_http::ResponseParser::feed",
+];
+
 impl Default for V2Config {
     fn default() -> Self {
         V2Config {
             expected_hotpath_roots: EXPECTED_HOTPATH_ROOTS,
             expected_response_roots: EXPECTED_RESPONSE_ROOTS,
+            expected_parse_roots: EXPECTED_PARSE_ROOTS,
             unsafe_budget: &[],
         }
     }
@@ -159,6 +202,11 @@ pub struct V2Summary {
     pub response_roots: usize,
     /// Functions reachable from those roots (taint-checked).
     pub taint_reachable: usize,
+    /// Annotated parse roots found.
+    pub parse_roots: usize,
+    /// Functions in the files the panic family covers: every file
+    /// holding a function reachable from a parse root.
+    pub panic_scope_fns: usize,
     /// Call-graph size.
     pub graph_fns: usize,
     pub graph_edges: usize,
@@ -231,20 +279,27 @@ pub fn check_workspace(
     hotpath_family(&graph, &analyzed, config, &mut findings, &mut summary);
     concurrency_family(files, &analyzed, config, &mut findings, &mut summary);
     taint_family(&graph, &analyzed, config, &mut findings, &mut summary);
+    panic_family(
+        &graph,
+        files,
+        &analyzed,
+        config,
+        &mut findings,
+        &mut summary,
+    );
 
     // Apply inline suppressions: same line or the line above, matching
     // rule or family prefix, reason mandatory (reason-less directives
     // were already reported by the per-file pass).
-    let by_file: BTreeMap<&str, usize> = files
+    let by_file: BTreeMap<&str, Vec<Suppression>> = files
         .iter()
-        .enumerate()
-        .map(|(i, f)| (f.rel_path.as_str(), i))
+        .zip(&analyzed)
+        .map(|(f, a)| (f.rel_path.as_str(), collect_suppressions_quiet(&a.comments)))
         .collect();
     findings.retain(|f| {
-        let Some(&ix) = by_file.get(f.file.as_str()) else {
+        let Some(sups) = by_file.get(f.file.as_str()) else {
             return true;
         };
-        let sups = collect_suppressions_quiet(&analyzed[ix].comments);
         !sups
             .iter()
             .any(|s| s.matches(f.rule) && (f.line == s.line || f.line == s.line + 1))
@@ -550,6 +605,149 @@ fn taint_family(
     }
 }
 
+// ---------------------------------------------------------------------
+// panic/*
+// ---------------------------------------------------------------------
+
+fn panic_family(
+    graph: &CallGraph,
+    files: &[WorkspaceFile],
+    analyzed: &[AnalyzedFile],
+    config: &V2Config,
+    findings: &mut Vec<Finding>,
+    summary: &mut V2Summary,
+) {
+    let roots: Vec<usize> = (0..graph.nodes.len())
+        .filter(|&i| graph.nodes[i].has_annotation(Annotation::ParseRoot))
+        .collect();
+    summary.parse_roots = roots.len();
+
+    check_expected_roots(
+        graph,
+        config.expected_parse_roots,
+        Annotation::ParseRoot,
+        PANIC_MISSING_ROOT,
+        "parse-root",
+        findings,
+    );
+
+    let reach = graph.reach(&roots, |_| false);
+    let mut in_scope = vec![false; analyzed.len()];
+    for &id in &reach.order {
+        in_scope[graph.nodes[id].file_index] = true;
+    }
+    summary.panic_scope_fns = graph
+        .nodes
+        .iter()
+        .filter(|n| in_scope[n.file_index])
+        .count();
+
+    for (file_index, (f, a)) in files.iter().zip(analyzed).enumerate() {
+        if !in_scope[file_index] {
+            continue;
+        }
+        let file_fns: Vec<usize> = (0..graph.nodes.len())
+            .filter(|&id| graph.nodes[id].file_index == file_index)
+            .collect();
+        let shared = file_fns
+            .iter()
+            .find(|&&id| reach.contains(id))
+            .map_or("", |&id| graph.nodes[id].qualified.as_str());
+        for i in 0..a.tokens.len() {
+            let Some((rule, what)) = panic_site(&a.tokens, i) else {
+                continue;
+            };
+            // Name the innermost fn around the site: its call chain
+            // when a root reaches it, else the reached code it shares
+            // a file with.
+            let enclosing = file_fns
+                .iter()
+                .copied()
+                .filter(|&id| graph.nodes[id].item.body.contains(&i))
+                .min_by_key(|&id| graph.nodes[id].item.body.len());
+            let scope = match enclosing {
+                Some(id) if reach.contains(id) => format!("reached: {}", reach.chain(graph, id)),
+                _ => format!("in a file with parse-reachable `{shared}`"),
+            };
+            findings.push(Finding {
+                rule,
+                file: f.rel_path.clone(),
+                line: a.tokens[i].line,
+                message: format!("{what} ({scope})"),
+            });
+        }
+    }
+}
+
+const KEYWORDS: &[&str] = &[
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "extern", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
+    "ref", "return", "self", "Self", "static", "struct", "super", "trait", "type", "union",
+    "unsafe", "use", "where", "while", "yield",
+];
+
+/// Does `tokens[i]` start a panic site? Returns its rule and what is
+/// wrong with it.
+fn panic_site(tokens: &[Token], i: usize) -> Option<(&'static str, String)> {
+    let t = &tokens[i];
+    if let Some(name) = ident(t) {
+        // `.unwrap()` / `.expect("…")` method calls, and
+        // `Result::unwrap` style paths passed as functions — both panic
+        // on Err. Bare identifiers named `unwrap` (e.g. a local) are
+        // left alone.
+        if matches!(name, "unwrap" | "expect")
+            && i > 0
+            && (is_punct(tokens.get(i - 1), '.') || is_punct(tokens.get(i - 1), ':'))
+        {
+            return Some((
+                PANIC_UNWRAP,
+                format!(
+                    "`.{name}()` panics on malformed input; code that parses outside bytes must \
+                     propagate a typed error instead"
+                ),
+            ));
+        }
+        if matches!(
+            name,
+            "panic"
+                | "unreachable"
+                | "todo"
+                | "unimplemented"
+                | "assert"
+                | "assert_eq"
+                | "assert_ne"
+        ) && is_punct(tokens.get(i + 1), '!')
+        {
+            return Some((
+                PANIC_MACRO,
+                format!(
+                    "`{name}!` aborts on adversarial input; return an error (debug_assert! is \
+                     permitted for internal invariants)"
+                ),
+            ));
+        }
+        return None;
+    }
+    // `expr[...]` indexing: the `[` directly follows a value — an
+    // identifier (not a keyword), a call/paren close, or a prior index
+    // close. Attributes (`#[`), macros (`vec![`), slice patterns and
+    // array literals/types all follow other tokens.
+    if !matches!(t.tok, Tok::Punct('[')) || i == 0 {
+        return None;
+    }
+    let indexing = match &tokens[i - 1].tok {
+        Tok::Ident(name) => !KEYWORDS.contains(&name.as_str()),
+        Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('?') => true,
+        _ => false,
+    };
+    indexing.then(|| {
+        (
+            PANIC_INDEX,
+            "unchecked indexing panics out of bounds; use `.get(..)` and handle `None`".to_string(),
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +763,7 @@ mod tests {
     const EMPTY_CONFIG: V2Config = V2Config {
         expected_hotpath_roots: &[],
         expected_response_roots: &[],
+        expected_parse_roots: &[],
         unsafe_budget: &[],
     };
 
@@ -687,6 +886,7 @@ mod tests {
         const CFG: V2Config = V2Config {
             expected_hotpath_roots: &["wm_a::drive", "wm_a::gone"],
             expected_response_roots: &[],
+            expected_parse_roots: &[],
             unsafe_budget: &[],
         };
         // `drive` exists but is unannotated; `gone` does not exist.
@@ -764,6 +964,7 @@ mod tests {
         const CFG: V2Config = V2Config {
             expected_hotpath_roots: &[],
             expected_response_roots: &[],
+            expected_parse_roots: &[],
             unsafe_budget: &[("wm-a", 1)],
         };
         let (f, s) = run_with(&[wf("wm-a", "crates/a/src/lib.rs", src)], &CFG);
@@ -841,6 +1042,246 @@ mod tests {
              pub fn handle(doc: &Doc) -> u64 { doc.serialized_len() as u64 }",
         )]);
         assert_eq!(rules_of(&f), [LENGTH_TAINT], "{f:?}");
+    }
+
+    // -- panic --------------------------------------------------------
+
+    /// Panic findings for `body` placed inside a parse root.
+    fn rooted(body: &str) -> Vec<Finding> {
+        let src = format!("// wm-lint: parse-root\npub fn root(b: &[u8]) {{\n{body}\n}}");
+        let (f, _) = run(&[wf("wm-a", "crates/a/src/lib.rs", &src)]);
+        f.into_iter()
+            .filter(|f| f.rule.starts_with("panic/"))
+            .collect()
+    }
+
+    #[test]
+    fn unwrap_and_expect_fire_under_a_parse_root() {
+        for src in [
+            "let v = parse(b).unwrap();",
+            "let v = parse(b).expect(\"ok\");",
+            "xs.map(Result::unwrap)",
+        ] {
+            assert_eq!(rules_of(&rooted(src)), [PANIC_UNWRAP], "{src}");
+        }
+    }
+
+    #[test]
+    fn unwrap_or_variants_are_fine() {
+        let src =
+            "let v = x.unwrap_or_default(); let w = y.unwrap_or(0); let z = z.unwrap_or_else(f);";
+        assert!(rooted(src).is_empty());
+    }
+
+    #[test]
+    fn panic_macros_fire_under_a_parse_root() {
+        for src in [
+            "panic!(\"boom\")",
+            "unreachable!()",
+            "todo!()",
+            "unimplemented!()",
+            "assert!(x > 0);",
+            "assert_eq!(a, b);",
+            "assert_ne!(a, b);",
+        ] {
+            assert_eq!(rules_of(&rooted(src)), [PANIC_MACRO], "{src}");
+        }
+    }
+
+    #[test]
+    fn debug_assert_is_permitted() {
+        assert!(rooted("debug_assert!(ok);").is_empty());
+    }
+
+    #[test]
+    fn indexing_fires_under_a_parse_root() {
+        for src in [
+            "let b = buf[0];",
+            "let s = &buf[1..4];",
+            "let x = f()[0];",
+            "let y = grid[i][j];",
+        ] {
+            let f = rooted(src);
+            assert!(
+                f.iter().any(|f| f.rule == PANIC_INDEX),
+                "expected panic/index for {src}: {f:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_indexing_brackets_are_fine() {
+        for src in [
+            "#[derive(Debug)] struct S;",
+            "let v = vec![1, 2, 3];",
+            "let a = [0u8; 4];",
+            "let t: [u8; 4] = x;",
+            "let [a, b] = pair;",
+            "if let [x, ..] = slice {}",
+            "fn f() -> [u8; 2] { y }",
+        ] {
+            let f = rooted(src);
+            assert!(
+                f.iter().all(|f| f.rule != PANIC_INDEX),
+                "false positive for {src}: {f:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn panic_test_code_is_exempt() {
+        let (f, _) = run(&[wf(
+            "wm-a",
+            "crates/a/src/lib.rs",
+            "// wm-lint: parse-root\n\
+             pub fn root(b: &[u8]) -> u8 { 0 }\n\
+             #[cfg(test)]\n\
+             mod tests { fn t() { let v = parse(b\"x\").unwrap(); let b = buf[0]; panic!(); } }",
+        )]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn panic_suppression_needs_its_rule_or_family() {
+        let f = rooted(
+            "let a = buf[0]; // wm-lint: allow(panic/index, reason = \"len checked above\")\n\
+             // wm-lint: allow(panic, reason = \"fixture\")\n\
+             let b = buf[1].unwrap();\n\
+             // wm-lint: allow(panic/unwrap, reason = \"other rule\")\n\
+             let c = buf[2];",
+        );
+        assert_eq!(rules_of(&f), [PANIC_INDEX], "{f:?}");
+        assert_eq!(f[0].line, 7);
+    }
+
+    /// The deliberate mutation fixture: the root itself is clean, and
+    /// the `unwrap` sits in another crate's helper that only the root
+    /// reaches. The finding names the whole chain.
+    #[test]
+    fn unwrap_in_a_helper_reached_only_through_a_parse_root_fires() {
+        let (f, s) = run(&[
+            wf(
+                "wm-net",
+                "crates/net/src/headers.rs",
+                "// wm-lint: parse-root\n\
+                 pub fn parse_frame_lossy(frame: &[u8]) -> Option<u8> { header(frame) }\n\
+                 fn header(frame: &[u8]) -> Option<u8> { wm_b::first(frame) }",
+            ),
+            wf(
+                "wm-b",
+                "crates/b/src/bytes.rs",
+                "pub fn first(b: &[u8]) -> Option<u8> { Some(*b.first().unwrap()) }",
+            ),
+        ]);
+        assert_eq!(rules_of(&f), [PANIC_UNWRAP], "{f:?}");
+        assert_eq!(f[0].file, "crates/b/src/bytes.rs");
+        assert!(
+            f[0].message
+                .contains("wm_net::parse_frame_lossy -> wm_net::header -> wm_b::first"),
+            "{f:?}"
+        );
+        assert_eq!((s.parse_roots, s.panic_scope_fns), (1, 3));
+    }
+
+    #[test]
+    fn every_fn_in_a_reached_file_is_in_scope() {
+        // The online decoder's root reaches the path decoder and the
+        // evidence resolver, so both files are in scope; the serializer
+        // beside the root is covered although nothing calls it.
+        let (f, s) = run(&[
+            wf(
+                "wm-core",
+                "crates/core/src/online/engine.rs",
+                "impl OnlineDecoder {\n\
+                 // wm-lint: parse-root\n\
+                 pub fn push_packet(&mut self, frame: &[u8]) { step(); resolve(); }\n\
+                 pub fn checkpoint(&self) -> u8 { self.buf[0] }\n\
+                 }",
+            ),
+            wf(
+                "wm-core",
+                "crates/core/src/decode.rs",
+                "pub fn step() { let d = next().unwrap(); }",
+            ),
+            wf(
+                "wm-core",
+                "crates/core/src/provenance.rs",
+                "pub fn resolve() { let e = cite().expect(\"cited\"); }",
+            ),
+        ]);
+        let sites: Vec<(&str, &str)> = f.iter().map(|f| (f.file.as_str(), f.rule)).collect();
+        assert_eq!(
+            sites,
+            [
+                ("crates/core/src/online/engine.rs", PANIC_INDEX),
+                ("crates/core/src/decode.rs", PANIC_UNWRAP),
+                ("crates/core/src/provenance.rs", PANIC_UNWRAP),
+            ],
+            "{f:?}"
+        );
+        assert!(f[0]
+            .message
+            .contains("parse-reachable `wm_core::OnlineDecoder::push_packet`"));
+        assert_eq!(s.panic_scope_fns, 4);
+    }
+
+    #[test]
+    fn a_file_holding_no_reached_fn_stays_quiet() {
+        let (f, s) = run(&[
+            wf(
+                "wm-a",
+                "crates/a/src/parse.rs",
+                "// wm-lint: parse-root\npub fn parse(b: &[u8]) -> Option<&u8> { b.first() }",
+            ),
+            wf(
+                "wm-a",
+                "crates/a/src/report.rs",
+                "pub fn render(xs: &[u8]) -> u8 { xs[0] + xs.first().copied().unwrap() }",
+            ),
+        ]);
+        assert!(f.is_empty(), "{f:?}");
+        assert_eq!((s.parse_roots, s.panic_scope_fns), (1, 1));
+    }
+
+    #[test]
+    fn no_parse_root_means_no_panic_scope() {
+        let (f, s) = run(&[wf(
+            "wm-a",
+            "crates/a/src/lib.rs",
+            "pub fn parse(b: &[u8]) -> u8 { b[0] }",
+        )]);
+        assert!(f.is_empty(), "{f:?}");
+        assert_eq!((s.parse_roots, s.panic_scope_fns), (0, 0));
+    }
+
+    #[test]
+    fn missing_expected_parse_root_fires() {
+        const CFG: V2Config = V2Config {
+            expected_hotpath_roots: &[],
+            expected_response_roots: &[],
+            expected_parse_roots: &["wm_net::parse_frame_lossy", "wm_net::gone"],
+            unsafe_budget: &[],
+        };
+        // The root exists but lost its annotation, and `gone` does not
+        // exist: both fire, and the panic scope is empty.
+        let (f, s) = run_with(
+            &[wf(
+                "wm-net",
+                "crates/net/src/headers.rs",
+                "pub fn parse_frame_lossy(frame: &[u8]) -> u8 { frame[0] }",
+            )],
+            &CFG,
+        );
+        assert_eq!(
+            rules_of(&f),
+            [PANIC_MISSING_ROOT, PANIC_MISSING_ROOT],
+            "{f:?}"
+        );
+        assert!(f
+            .iter()
+            .any(|x| x.message.contains("must carry `// wm-lint: parse-root`")));
+        assert!(f.iter().any(|x| x.message.contains("does not exist")));
+        assert_eq!(s.panic_scope_fns, 0);
     }
 
     // -- annotations --------------------------------------------------

@@ -3,13 +3,13 @@
 //! Two halves: the real workspace must be clean (this is the same gate
 //! CI runs via `wm-lint --deny`), and a synthetic workspace seeded with
 //! one violation per rule family must light every rule up — proving the
-//! walker, crate classification and path scoping all work outside unit
-//! tests.
+//! walker, crate classification and parse-root scoping all work outside
+//! unit tests.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use wm_lint::rules;
+use wm_lint::{rules, rules_v2};
 
 fn workspace_root() -> PathBuf {
     // crates/lint → crates → workspace root
@@ -49,8 +49,8 @@ fn scan_is_deterministic() {
     let b = wm_lint::scan_workspace(&root).expect("scan b");
     assert_eq!(a.findings, b.findings);
     assert_eq!(a.files_scanned, b.files_scanned);
-    let ra = wm_lint::report::to_json(&a.findings, a.files_scanned);
-    let rb = wm_lint::report::to_json(&b.findings, b.files_scanned);
+    let ra = wm_lint::report::to_json(&a);
+    let rb = wm_lint::report::to_json(&b);
     assert_eq!(ra, rb, "JSON report must be byte-identical across runs");
 }
 
@@ -77,19 +77,22 @@ fn seeded_violations_all_fire() {
          let r = thread_rng().next_u64();\n\
          0\n}\n",
     );
-    // An attacker parse path with panic violations.
+    // A parse root with panic violations. None of the workspace's
+    // pinned parse roots exist here, so each is a missing root too.
     mk("crates/json/Cargo.toml", "[package]\nname = \"wm-json\"\n");
     mk(
         "crates/json/src/de.rs",
-        "pub fn de(b: &[u8]) -> u8 {\n\
+        "// wm-lint: parse-root\n\
+         pub fn de(b: &[u8]) -> u8 {\n\
          let first = b[0];\n\
          let v = std::str::from_utf8(b).unwrap();\n\
-         panic!(\"bad\");\n}\n",
+         panic!(\"bad\");\n\
+         lenient(b)\n}\n",
     );
-    // A suppression without a reason.
+    // A suppression without a reason, in a helper the root reaches.
     mk(
         "crates/json/src/lenient.rs",
-        "// wm-lint: allow(panic/index)\npub fn f(b: &[u8]) -> u8 { b[1] }\n",
+        "// wm-lint: allow(panic/index)\npub fn lenient(b: &[u8]) -> u8 { b[1] }\n",
     );
     // An attacker crate reaching into the victim stack.
     mk(
@@ -107,9 +110,10 @@ fn seeded_violations_all_fire() {
         rules::WALL_CLOCK,
         rules::HASH_COLLECTIONS,
         rules::UNSEEDED_RNG,
-        rules::PANIC_INDEX,
-        rules::PANIC_UNWRAP,
-        rules::PANIC_MACRO,
+        rules_v2::PANIC_INDEX,
+        rules_v2::PANIC_UNWRAP,
+        rules_v2::PANIC_MACRO,
+        rules_v2::PANIC_MISSING_ROOT,
         rules::MISSING_REASON,
         rules::LAYERING,
         rules::PROCESS_SPAWN,
@@ -124,7 +128,7 @@ fn seeded_violations_all_fire() {
         result
             .findings
             .iter()
-            .any(|f| f.rule == rules::PANIC_INDEX && f.file.ends_with("lenient.rs")),
+            .any(|f| f.rule == rules_v2::PANIC_INDEX && f.file.ends_with("lenient.rs")),
         "reason-less suppression should be inert"
     );
 

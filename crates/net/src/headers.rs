@@ -133,42 +133,45 @@ pub struct Ipv4Header {
 impl Ipv4Header {
     /// Serialize with a valid header checksum.
     pub fn to_bytes(&self) -> [u8; IPV4_HEADER_LEN] {
-        let mut b = [0u8; IPV4_HEADER_LEN];
-        b[0] = 0x45; // version 4, IHL 5
-        b[1] = 0x00; // DSCP/ECN
-        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
-        b[4..6].copy_from_slice(&self.identification.to_be_bytes());
-        b[6] = 0x40; // don't fragment
-        b[7] = 0x00;
-        b[8] = self.ttl;
-        b[9] = IPPROTO_TCP;
-        // checksum at [10..12], zero during computation
-        b[12..16].copy_from_slice(&self.src);
-        b[16..20].copy_from_slice(&self.dst);
-        let csum = internet_checksum(&b);
-        b[10..12].copy_from_slice(&csum.to_be_bytes());
-        b
+        // The checksum is computed with its own field zeroed.
+        let header = |checksum: [u8; 2]| {
+            concat(&[
+                &[0x45, 0x00], // version 4, IHL 5; DSCP/ECN
+                &self.total_len.to_be_bytes(),
+                &self.identification.to_be_bytes(),
+                &[0x40, 0x00, self.ttl, IPPROTO_TCP], // don't fragment
+                &checksum,
+                &self.src,
+                &self.dst,
+            ])
+        };
+        header(internet_checksum(&header([0, 0])).to_be_bytes())
     }
 
     /// Parse and verify structure (checksum verified separately by
     /// [`verify_ipv4_checksum`] where tests need it).
     pub fn parse(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < IPV4_HEADER_LEN || bytes[0] != 0x45 || bytes[9] != IPPROTO_TCP {
+        let (header, _) = bytes.split_first_chunk::<IPV4_HEADER_LEN>()?;
+        let [ver_ihl, _, l0, l1, i0, i1, _, _, ttl, proto, _, _, s0, s1, s2, s3, d0, d1, d2, d3] =
+            *header;
+        if ver_ihl != 0x45 || proto != IPPROTO_TCP {
             return None;
         }
         Some(Ipv4Header {
-            src: bytes[12..16].try_into().ok()?,
-            dst: bytes[16..20].try_into().ok()?,
-            total_len: u16::from_be_bytes([bytes[2], bytes[3]]),
-            identification: u16::from_be_bytes([bytes[4], bytes[5]]),
-            ttl: bytes[8],
+            src: [s0, s1, s2, s3],
+            dst: [d0, d1, d2, d3],
+            total_len: u16::from_be_bytes([l0, l1]),
+            identification: u16::from_be_bytes([i0, i1]),
+            ttl,
         })
     }
 }
 
 /// Verify the checksum of a serialized IPv4 header.
 pub fn verify_ipv4_checksum(bytes: &[u8]) -> bool {
-    bytes.len() >= IPV4_HEADER_LEN && internet_checksum(&bytes[..IPV4_HEADER_LEN]) == 0
+    bytes
+        .get(..IPV4_HEADER_LEN)
+        .is_some_and(|header| internet_checksum(header) == 0)
 }
 
 /// TCP header with a 12-byte timestamp-option block (the dominant shape
@@ -190,46 +193,44 @@ impl TcpHeader {
     /// Serialize (checksum field left zero: valid for analysis tooling,
     /// and offloading makes zero checksums common in real captures).
     pub fn to_bytes(&self) -> [u8; TCP_HEADER_LEN] {
-        let mut b = [0u8; TCP_HEADER_LEN];
-        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        b[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        b[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        b[12] = 0x80; // data offset 8 words (32 bytes)
-        b[13] = self.flags.to_byte();
-        b[14..16].copy_from_slice(&self.window.to_be_bytes());
-        // [16..18] checksum = 0, [18..20] urgent = 0
-        // Options: NOP NOP Timestamp(10 bytes)
-        b[20] = 0x01;
-        b[21] = 0x01;
-        b[22] = 0x08;
-        b[23] = 0x0a;
-        b[24..28].copy_from_slice(&self.ts_val.to_be_bytes());
-        b[28..32].copy_from_slice(&self.ts_ecr.to_be_bytes());
-        b
+        concat(&[
+            &self.src_port.to_be_bytes(),
+            &self.dst_port.to_be_bytes(),
+            &self.seq.to_be_bytes(),
+            &self.ack.to_be_bytes(),
+            &[0x80, self.flags.to_byte()], // data offset 8 words (32 bytes)
+            &self.window.to_be_bytes(),
+            &[0, 0, 0, 0],             // checksum = 0, urgent = 0
+            &[0x01, 0x01, 0x08, 0x0a], // options: NOP NOP Timestamp(10 bytes)
+            &self.ts_val.to_be_bytes(),
+            &self.ts_ecr.to_be_bytes(),
+        ])
     }
 
     /// Parse a header serialized by [`TcpHeader::to_bytes`] (or any
     /// header with data offset ≥ 5; options other than timestamps are
     /// skipped). Returns the header and its length in bytes.
     pub fn parse(bytes: &[u8]) -> Option<(Self, usize)> {
-        if bytes.len() < 20 {
-            return None;
-        }
-        let data_offset = ((bytes[12] >> 4) as usize) * 4;
+        let (fixed, _) = bytes.split_first_chunk::<20>()?;
+        let [sp0, sp1, dp0, dp1, q0, q1, q2, q3, a0, a1, a2, a3, offset, flags, w0, w1, ..] =
+            *fixed;
+        let data_offset = ((offset >> 4) as usize) * 4;
         if data_offset < 20 || bytes.len() < data_offset {
             return None;
         }
+        let word = |at: usize| -> Option<u32> {
+            Some(u32::from_be_bytes(*bytes.get(at..)?.first_chunk::<4>()?))
+        };
         let mut ts_val = 0;
         let mut ts_ecr = 0;
         let mut i = 20;
         while i < data_offset {
-            match bytes[i] {
+            match *bytes.get(i)? {
                 0x00 => break,  // end of options
                 0x01 => i += 1, // NOP
                 0x08 if i + 10 <= data_offset => {
-                    ts_val = u32::from_be_bytes(bytes[i + 2..i + 6].try_into().ok()?);
-                    ts_ecr = u32::from_be_bytes(bytes[i + 6..i + 10].try_into().ok()?);
+                    ts_val = word(i + 2)?;
+                    ts_ecr = word(i + 6)?;
                     i += 10;
                 }
                 _ => {
@@ -244,12 +245,12 @@ impl TcpHeader {
         }
         Some((
             TcpHeader {
-                src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
-                dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
-                seq: u32::from_be_bytes(bytes[4..8].try_into().ok()?),
-                ack: u32::from_be_bytes(bytes[8..12].try_into().ok()?),
-                flags: TcpFlags::from_byte(bytes[13]),
-                window: u16::from_be_bytes([bytes[14], bytes[15]]),
+                src_port: u16::from_be_bytes([sp0, sp1]),
+                dst_port: u16::from_be_bytes([dp0, dp1]),
+                seq: u32::from_be_bytes([q0, q1, q2, q3]),
+                ack: u32::from_be_bytes([a0, a1, a2, a3]),
+                flags: TcpFlags::from_byte(flags),
+                window: u16::from_be_bytes([w0, w1]),
                 ts_val,
                 ts_ecr,
             },
@@ -299,30 +300,14 @@ pub fn build_frame(
 }
 
 /// Parse a frame built by [`build_frame`] back into
-/// `(flow, tcp_header, payload)`.
+/// `(flow, tcp_header, payload)`: [`parse_frame_lossy`] for a frame
+/// whose tail is intact, `None` for a clipped one.
+// wm-lint: parse-root
 pub fn parse_frame(frame: &[u8]) -> Option<(FlowId, TcpHeader, &[u8])> {
-    if frame.len() < ETH_HEADER_LEN + IPV4_HEADER_LEN + 20 {
-        return None;
+    match parse_frame_lossy(frame)? {
+        (flow, tcp, payload, 0) => Some((flow, tcp, payload)),
+        _ => None,
     }
-    let ethertype = u16::from_be_bytes([frame[12], frame[13]]);
-    if ethertype != ETHERTYPE_IPV4 {
-        return None;
-    }
-    let ip = Ipv4Header::parse(&frame[ETH_HEADER_LEN..])?;
-    let tcp_start = ETH_HEADER_LEN + IPV4_HEADER_LEN;
-    let (tcp, tcp_len) = TcpHeader::parse(&frame[tcp_start..])?;
-    let payload_start = tcp_start + tcp_len;
-    let ip_payload_end = ETH_HEADER_LEN + ip.total_len as usize;
-    if ip_payload_end > frame.len() || payload_start > ip_payload_end {
-        return None;
-    }
-    let flow = FlowId {
-        src_ip: ip.src,
-        src_port: tcp.src_port,
-        dst_ip: ip.dst,
-        dst_port: tcp.dst_port,
-    };
-    Some((flow, tcp, &frame[payload_start..ip_payload_end]))
 }
 
 /// Like [`parse_frame`], but tolerant of frames whose tail was clipped
@@ -332,17 +317,21 @@ pub fn parse_frame(frame: &[u8]) -> Option<(FlowId, TcpHeader, &[u8])> {
 /// frame with an intact tail parses identically to [`parse_frame`]
 /// with `missing == 0`. Returns `None` only when the headers
 /// themselves are incomplete or malformed.
+// wm-lint: parse-root
 pub fn parse_frame_lossy(frame: &[u8]) -> Option<(FlowId, TcpHeader, &[u8], usize)> {
+    // Redundant with the header parsers' own checks, but made once up
+    // front it lets the compiler drop theirs on this per-packet path.
     if frame.len() < ETH_HEADER_LEN + IPV4_HEADER_LEN + 20 {
         return None;
     }
-    let ethertype = u16::from_be_bytes([frame[12], frame[13]]);
-    if ethertype != ETHERTYPE_IPV4 {
+    let (eth, rest) = frame.split_first_chunk::<ETH_HEADER_LEN>()?;
+    let [.., t0, t1] = *eth;
+    if u16::from_be_bytes([t0, t1]) != ETHERTYPE_IPV4 {
         return None;
     }
-    let ip = Ipv4Header::parse(&frame[ETH_HEADER_LEN..])?;
+    let ip = Ipv4Header::parse(rest)?;
     let tcp_start = ETH_HEADER_LEN + IPV4_HEADER_LEN;
-    let (tcp, tcp_len) = TcpHeader::parse(&frame[tcp_start..])?;
+    let (tcp, tcp_len) = TcpHeader::parse(frame.get(tcp_start..)?)?;
     let payload_start = tcp_start + tcp_len;
     let ip_payload_end = ETH_HEADER_LEN + ip.total_len as usize;
     if payload_start > ip_payload_end {
@@ -359,18 +348,33 @@ pub fn parse_frame_lossy(frame: &[u8]) -> Option<(FlowId, TcpHeader, &[u8], usiz
     Some((flow, tcp, payload, ip_payload_end - avail_end))
 }
 
-fn mac_for(ip: &[u8; 4]) -> [u8; 6] {
-    [0x02, 0x00, ip[0], ip[1], ip[2], ip[3]]
+/// `fields` back to back in a fixed-size header. Slice copies, not a
+/// byte iterator: the frame builder runs once per simulated packet.
+fn concat<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let mut rest = out.as_mut_slice();
+    for field in fields {
+        let Some((head, tail)) = rest.split_at_mut_checked(field.len()) else {
+            break;
+        };
+        head.copy_from_slice(field);
+        rest = tail;
+    }
+    out
+}
+
+fn mac_for(&[a, b, c, d]: &[u8; 4]) -> [u8; 6] {
+    [0x02, 0x00, a, b, c, d]
 }
 
 /// RFC 1071 internet checksum.
 fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+    let (pairs, rest) = data.as_chunks::<2>();
+    for &pair in pairs {
+        sum += u32::from(u16::from_be_bytes(pair));
     }
-    if let [last] = chunks.remainder() {
+    if let [last] = rest {
         sum += u32::from(u16::from_be_bytes([*last, 0]));
     }
     while sum > 0xffff {

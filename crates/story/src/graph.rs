@@ -114,8 +114,8 @@ impl StoryGraph {
         match self.segment(id).end {
             SegmentEnd::Continue(next) => vec![next],
             SegmentEnd::Choice(cp) => {
-                let cp = self.choice_point(cp);
-                vec![cp.options[0].target, cp.options[1].target]
+                let [default, other] = &self.choice_point(cp).options;
+                vec![default.target, other.target]
             }
             SegmentEnd::Ending => vec![],
         }
@@ -124,14 +124,12 @@ impl StoryGraph {
     fn check_reachability(&self) -> Result<(), GraphError> {
         let mut seen = vec![false; self.segments.len()];
         let mut queue = VecDeque::from([self.start]);
-        seen[self.start.0 as usize] = true;
         while let Some(id) = queue.pop_front() {
-            for next in self.successors(id) {
-                if !seen[next.0 as usize] {
-                    seen[next.0 as usize] = true;
-                    queue.push_back(next);
-                }
+            match seen.get_mut(id.0 as usize) {
+                Some(s) if !*s => *s = true,
+                _ => continue,
             }
+            queue.extend(self.successors(id));
         }
         match seen.iter().position(|s| !s) {
             Some(i) => Err(GraphError::Unreachable(i as u16)),
@@ -145,15 +143,19 @@ impl StoryGraph {
         let mut indegree = vec![0usize; n];
         for s in &self.segments {
             for next in self.successors(s.id) {
-                indegree[next.0 as usize] += 1;
+                if let Some(d) = indegree.get_mut(next.0 as usize) {
+                    *d += 1;
+                }
             }
         }
-        let mut queue: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut queue: VecDeque<usize> = (0..n).filter(|&i| indegree.get(i) == Some(&0)).collect();
         let mut visited = 0;
         while let Some(i) = queue.pop_front() {
             visited += 1;
             for next in self.successors(SegmentId(i as u16)) {
-                let d = &mut indegree[next.0 as usize];
+                let Some(d) = indegree.get_mut(next.0 as usize) else {
+                    continue;
+                };
                 *d -= 1;
                 if *d == 0 {
                     queue.push_back(next.0 as usize);
@@ -179,11 +181,13 @@ impl StoryGraph {
 
     /// Segment lookup (ids are validated at construction).
     pub fn segment(&self, id: SegmentId) -> &Segment {
+        // wm-lint: allow(panic/index, reason = "`new` rejects every dangling segment id in the graph, and a restored checkpoint's ids pass `Frontier::fits` first")
         &self.segments[id.0 as usize]
     }
 
     /// Choice point lookup.
     pub fn choice_point(&self, id: ChoicePointId) -> &ChoicePoint {
+        // wm-lint: allow(panic/index, reason = "`new` rejects every dangling choice-point id in the graph, and a restored checkpoint's ids pass `Frontier::fits` first")
         &self.choice_points[id.0 as usize]
     }
 
@@ -211,7 +215,7 @@ impl StoryGraph {
     pub fn max_choices_on_path(&self) -> usize {
         // DFS with memoization; the graph is a DAG.
         fn depth(g: &StoryGraph, id: SegmentId, memo: &mut [Option<usize>]) -> usize {
-            if let Some(d) = memo[id.0 as usize] {
+            if let Some(&Some(d)) = memo.get(id.0 as usize) {
                 return d;
             }
             let d = match g.segment(id).end {
@@ -227,7 +231,9 @@ impl StoryGraph {
                         .unwrap_or(0)
                 }
             };
-            memo[id.0 as usize] = Some(d);
+            if let Some(slot) = memo.get_mut(id.0 as usize) {
+                *slot = Some(d);
+            }
             d
         }
         let mut memo = vec![None; self.segments.len()];

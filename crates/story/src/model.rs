@@ -136,12 +136,16 @@ pub struct ChoicePoint {
 impl ChoicePoint {
     /// The option a [`Choice`] refers to.
     pub fn option(&self, choice: Choice) -> &ChoiceOption {
-        &self.options[choice.index()]
+        let [default, other] = &self.options;
+        match choice {
+            Choice::Default => default,
+            Choice::NonDefault => other,
+        }
     }
 
     /// The prefetched branch target.
     pub fn default_target(&self) -> SegmentId {
-        self.options[0].target
+        self.option(Choice::Default).target
     }
 }
 

@@ -75,10 +75,10 @@ impl Histogram {
 
     /// Inclusive `[lo, hi]` value range of bucket `i`.
     pub fn bucket_bounds(i: usize) -> (u64, u64) {
-        assert!(i < BUCKETS);
+        debug_assert!(i < BUCKETS);
         if i == 0 {
             (0, 0)
-        } else if i == 64 {
+        } else if i >= 64 {
             (1 << 63, u64::MAX)
         } else {
             (1 << (i - 1), (1 << i) - 1)
@@ -87,7 +87,9 @@ impl Histogram {
 
     /// Record one observation.
     pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        if let Some(bucket) = self.buckets.get(Self::bucket_index(value)) {
+            bucket.fetch_add(1, Ordering::Relaxed);
+        }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
@@ -124,7 +126,7 @@ impl Histogram {
 
     /// Per-bucket counts (index = bit length of the value).
     pub fn bucket_counts(&self) -> [u64; BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+        self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed))
     }
 
     /// Start a span whose elapsed nanoseconds are recorded on drop.

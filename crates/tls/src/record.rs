@@ -79,12 +79,13 @@ impl RecordHeader {
     /// Returns `None` for unknown content types or absurd versions —
     /// the observer uses this to detect desynchronization.
     pub fn parse(bytes: &[u8; RECORD_HEADER_LEN]) -> Option<Self> {
-        let content_type = ContentType::from_byte(bytes[0])?;
-        let version = (bytes[1], bytes[2]);
+        let [content_type, major, minor, l0, l1] = *bytes;
+        let content_type = ContentType::from_byte(content_type)?;
+        let version = (major, minor);
         if version.0 != 3 || version.1 > 4 {
             return None;
         }
-        let length = u16::from_be_bytes([bytes[3], bytes[4]]);
+        let length = u16::from_be_bytes([l0, l1]);
         if length as usize > MAX_CIPHERTEXT {
             return None;
         }

@@ -2,9 +2,9 @@
 //! `wm-lint` rule fires, mirroring the `wm-lint --deny` step CI runs.
 //!
 //! Keeping this in the root suite means a developer cannot land a
-//! wall-clock read in a byte-producing crate, a panicking parse path,
-//! or an attacker→victim dependency without `cargo test` going red
-//! locally — no CI round-trip needed.
+//! wall-clock read in a byte-producing crate, a panic reachable from a
+//! parse root, or an attacker→victim dependency without `cargo test`
+//! going red locally — no CI round-trip needed.
 
 #[test]
 fn workspace_passes_wm_lint_deny() {
@@ -56,6 +56,18 @@ fn workspace_v2_analysis_is_live() {
         v2.taint_reachable >= 20,
         "length-taint envelope collapsed: {} fns",
         v2.taint_reachable
+    );
+    assert_eq!(
+        v2.parse_roots, 26,
+        "parse roots drifted from the declared set"
+    );
+    // The bound sits well above the 320 functions (item-parser count)
+    // that the panic family's old path list covered, so the scope
+    // cannot shrink back to that size unnoticed.
+    assert!(
+        v2.panic_scope_fns >= 500,
+        "panic-family scope collapsed: {} fns",
+        v2.panic_scope_fns
     );
     assert_eq!(v2.unsafe_uses, 0, "the workspace is supposed to be safe");
 }
