@@ -1,22 +1,24 @@
-//! Pinned fleet digest.
+//! Pinned fleet digests.
 //!
-//! One FNV-1a digest over everything the supervised fleet derives from
-//! a small fixed victim stream: a fault-free 4-shard in-process run
+//! Two FNV-1a digests over everything the supervised fleet derives
+//! from a small fixed victim stream. The decisions digest covers a fault-free 4-shard in-process run
 //! (with idle and capacity eviction), a run under a shard fault plan
 //! with a shrink-then-grow resize and an attached observer, and a
 //! fault-free process-backend run — each contributing its merged
 //! verdicts, `FleetStats`, loss windows, migrations and per-shard
-//! recovery — plus every blob and verdict a bare `ShardState` produces
-//! when driven through a `HashRing` at the fleet's checkpoint cadence,
-//! and the ring owner of victims 0–4095 over a grid of shard and
-//! virtual-node counts.
+//! recovery — plus every eviction and verdict a bare `ShardState`
+//! produces when driven through a `HashRing` at the fleet's checkpoint
+//! cadence, and the ring owner of victims 0–4095 over a grid of shard
+//! and virtual-node counts. The blob digest covers the checkpoint bytes
+//! those bare shards seal, so a checkpoint layout change moves it
+//! alone.
 //!
 //! The other fleet suites compare runs with each other (shard counts,
 //! resize schedules, backends); none pins the bytes themselves, so a
 //! rewrite of the demux, the shard table or the tick scheduling could
 //! move a verdict, an eviction or a checkpoint unnoticed as long as
-//! every configuration moved together. This test notices: the digest
-//! was computed once and must never change unless fleet output is
+//! every configuration moved together. This test notices: both digests
+//! were computed once and must never change unless fleet output is
 //! meant to change (say why in the commit).
 
 use std::path::PathBuf;
@@ -34,8 +36,10 @@ use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::tiny_film;
 use wm_story::{Choice, ViewerScript};
 
-/// The digest of the runs below; see the module docs before changing it.
-const PINNED: u64 = 0xca71_c594_b0be_c74d;
+/// The digests of the runs below; see the module docs before changing
+/// either.
+const PINNED_DECISIONS: u64 = 0x1a2c_1c39_1af2_ad8f;
+const PINNED_BLOBS: u64 = 0xed12_ea40_0402_eb69;
 
 const TS: u32 = 20;
 const VICTIMS: u32 = 6;
@@ -137,8 +141,8 @@ fn run_fleet(
 
 /// Bare shards behind a ring, run the way the supervisor runs them:
 /// feed the owner, then at each checkpoint boundary evict idle victims
-/// and seal a blob.
-fn digest_shards(h: &mut Fnv, stream: &[TapPacket], clf: &IntervalClassifier) {
+/// and seal a blob. Blobs go into `b`, everything else into `h`.
+fn digest_shards(h: &mut Fnv, b: &mut Fnv, stream: &[TapPacket], clf: &IntervalClassifier) {
     let cfg = fleet_cfg(3);
     let ring = HashRing::new(RING_SEED, cfg.shards, VNODES_PER_SHARD);
     let graph = Arc::new(tiny_film());
@@ -156,7 +160,7 @@ fn digest_shards(h: &mut Fnv, stream: &[TapPacket], clf: &IntervalClassifier) {
                 continue;
             }
             h.debug(&shard.evict_idle(*t, cfg.victim_idle, &mut out));
-            h.field(&shard.checkpoint(*t));
+            b.field(&shard.checkpoint(*t));
             h.debug(&shard.live_victims().collect::<Vec<_>>());
             while next[k] <= t.micros() {
                 next[k] += every;
@@ -186,7 +190,7 @@ fn fleet_output_matches_pinned_digest() {
     let stream = victim_stream();
     let clf = trained_classifier();
     let end = stream.last().unwrap().0.micros();
-    let mut h = Fnv::new();
+    let (mut h, mut b) = (Fnv::new(), Fnv::new());
 
     // 1. Fault-free, in-process, static.
     let clean = run_fleet(fleet_cfg(4), &stream, &clf, |_| {});
@@ -231,12 +235,17 @@ fn fleet_output_matches_pinned_digest() {
     digest_report(&mut h, &process);
 
     // 4. Bare shards at the fleet cadence; 5. ring ownership.
-    digest_shards(&mut h, &stream, &clf);
+    digest_shards(&mut h, &mut b, &stream, &clf);
     digest_ring(&mut h);
 
     assert_eq!(
-        h.0, PINNED,
-        "fleet digest moved: {:#018x} (see the module docs)",
+        h.0, PINNED_DECISIONS,
+        "fleet decisions moved: {:#018x} (see the module docs)",
         h.0
+    );
+    assert_eq!(
+        b.0, PINNED_BLOBS,
+        "fleet checkpoint bytes moved: {:#018x} (see the module docs)",
+        b.0
     );
 }

@@ -1,16 +1,19 @@
-//! Pinned decode digest.
+//! Pinned decode digests.
 //!
-//! One FNV-1a digest over everything the attacker side derives from a
-//! small fixed slice of captures: the offline beam decode and its
-//! provenance, the greedy and naive ablation decodes, the streaming
-//! verdict stream, every checkpoint blob the streaming decoder takes
-//! at its cadence, and the verdicts a decoder resumed mid-stream from
-//! one of those blobs emits. `golden_trace` only counts evidence
-//! records per verdict and nothing else pins checkpoint bytes, so a
-//! rewrite of the decoders could move a confidence, a provenance
-//! citation or a checkpoint field unnoticed. This test notices: the
-//! digest was computed once and must never change unless decoder
-//! output is meant to change (say why in the PR).
+//! Two FNV-1a digests over everything the attacker side derives from a
+//! small fixed slice of captures. The decisions digest covers the
+//! offline beam decode and its provenance, the greedy and naive
+//! ablation decodes, the streaming verdict stream, and the verdicts a
+//! decoder resumed mid-stream from one of its checkpoints emits. The
+//! blob digest covers the checkpoint bytes themselves: every blob the
+//! streaming decoder takes at its cadence and the final one.
+//! `golden_trace` only counts evidence records per verdict and nothing
+//! else pins checkpoint bytes, so a rewrite of the decoders could move
+//! a confidence, a provenance citation or a checkpoint field
+//! unnoticed. This test notices: both digests were computed once and
+//! must never change unless decoder output is meant to change (say why
+//! in the commit). A checkpoint layout change moves only the blob digest;
+//! if the decisions digest moves with it, the decoder's behaviour did.
 //!
 //! The slice covers a wireless night (the condition where greedy and
 //! beam decoding disagree most), a chaos plan whose tap gap and
@@ -25,8 +28,10 @@ use white_mirror::net::time::{Duration, SimTime};
 use white_mirror::online::OnlineVerdict;
 use white_mirror::prelude::*;
 
-/// The digest of the slice below; see the module docs before changing it.
-const PINNED: u64 = 0x1f5d_fb5b_c99e_6490;
+/// The digests of the slice below; see the module docs before changing
+/// either.
+const PINNED_DECISIONS: u64 = 0x5b75_1453_76f4_05a6;
+const PINNED_BLOBS: u64 = 0x4f47_a128_d66e_a4df;
 
 const TIME_SCALE: u32 = 40;
 
@@ -126,10 +131,11 @@ fn ablation(
     )
 }
 
-/// Stream `trace` through an online decoder, hashing every checkpoint
-/// blob the cadence asks for; then resume from the middle blob, replay
-/// the rest of the capture and hash what the resumed decoder emits.
-fn stream(h: &mut Fnv, attack: &WhiteMirror, graph: &Arc<StoryGraph>, trace: &Trace) {
+/// Stream `trace` through an online decoder, hashing its verdicts into
+/// `h` and every checkpoint blob the cadence asks for into `b`; then
+/// resume from the middle blob, replay the rest of the capture and
+/// hash what the resumed decoder emits into `h`.
+fn stream(h: &mut Fnv, b: &mut Fnv, attack: &WhiteMirror, graph: &Arc<StoryGraph>, trace: &Trace) {
     let cfg = OnlineConfig::scaled(TIME_SCALE);
     let mut dec = OnlineDecoder::new(attack.classifier().clone(), graph.clone(), cfg);
     let mut verdicts: Vec<OnlineVerdict> = Vec::new();
@@ -139,13 +145,13 @@ fn stream(h: &mut Fnv, attack: &WhiteMirror, graph: &Arc<StoryGraph>, trace: &Tr
         verdicts.extend(dec.push_packet(p.time, &p.frame));
         if dec.checkpoint_due() {
             let blob = dec.checkpoint();
-            h.field(&blob);
+            b.field(&blob);
             blobs.push((i + 1, verdicts.len(), blob));
         }
     }
     verdicts.extend(dec.finish());
     h.debug(&verdicts);
-    h.field(&dec.checkpoint());
+    b.field(&dec.checkpoint());
 
     assert!(blobs.len() >= 2, "the cadence must fire mid-stream");
     let (fed, delivered, blob) = &blobs[blobs.len() / 2];
@@ -172,7 +178,7 @@ fn decode_digest_is_pinned() {
     }
     let attack = WhiteMirror::train(&labels, WhiteMirrorConfig::scaled(TIME_SCALE)).expect("train");
 
-    let mut h = Fnv::new();
+    let (mut h, mut b) = (Fnv::new(), Fnv::new());
     let (mut disagree, mut near_gap, mut inferred) = (false, false, false);
     for trace in slice(&graph) {
         let offline = attack.decode_trace(&trace, &graph);
@@ -185,7 +191,7 @@ fn decode_digest_is_pinned() {
         disagree |= picks(&offline.choices) != picks(&greedy);
         near_gap |= offline.provenance.iter().any(|p| p.near_gap);
         inferred |= offline.choices.iter().any(|d| !d.observed);
-        stream(&mut h, &attack, &graph, &trace);
+        stream(&mut h, &mut b, &attack, &graph, &trace);
     }
 
     // The slice must really reach the corners it claims to cover.
@@ -194,7 +200,13 @@ fn decode_digest_is_pinned() {
     assert!(inferred, "no decision was inferred from timing");
 
     assert_eq!(
-        h.0, PINNED,
-        "decoder output moved: a decode, provenance, verdict or checkpoint blob differs"
+        h.0, PINNED_DECISIONS,
+        "decoder output moved: a decode, provenance or verdict differs ({:#018x})",
+        h.0
+    );
+    assert_eq!(
+        b.0, PINNED_BLOBS,
+        "checkpoint bytes moved: a blob differs ({:#018x})",
+        b.0
     );
 }
