@@ -191,8 +191,6 @@ pub(crate) struct ReportStream {
     pub first_app: Option<SimTime>,
     /// The second application record's time.
     pub second_app: Option<SimTime>,
-    /// The first kept type-1 report's time.
-    pub first_type1: Option<SimTime>,
     /// The last kept type-1 report's time.
     pub last_type1: Option<SimTime>,
     /// The last kept type-2 report's time.
@@ -229,9 +227,6 @@ impl ReportStream {
             return (index, None);
         }
         *last_kept = Some(time);
-        if class == RecordClass::Type1 && self.first_type1.is_none() {
-            self.first_type1 = Some(time);
-        }
         let event = ReportEvent {
             time,
             index,
@@ -246,14 +241,14 @@ impl ReportStream {
     /// first chunk request — the second application record (the first
     /// is the manifest GET); the opening segment chain is public. A
     /// capture with one application record falls back to it, one with
-    /// none to its first type-1 report, then to time zero. `None` until
-    /// `horizon` (`None`: the stream is final) decides.
+    /// none to time zero. `None` until `horizon` (`None`: the stream is
+    /// final) decides.
     pub fn anchor(&self, timing: &Timing, horizon: Option<SimTime>) -> Option<SimTime> {
         match (self.first_app, self.second_app, horizon) {
             (_, Some(second), _) if past(horizon, second) => Some(second + timing.initial_gap),
             (_, _, Some(_)) => None,
             (Some(first), _, None) => Some(first + timing.initial_gap),
-            _ => Some(self.first_type1.unwrap_or(SimTime::ZERO)),
+            _ => Some(SimTime::ZERO),
         }
     }
 }
@@ -1072,7 +1067,6 @@ mod tests {
         // takes the next record index.
         assert_eq!(admit(10_100), (2, None));
         assert_eq!(stream.last_type1, Some(SimTime(10_000_000)));
-        assert_eq!(stream.first_type1, Some(SimTime(4_000_000)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Versioned, checksummed binary decoder checkpoints.
 //!
 //! A checkpoint is the *entire* [`OnlineDecoder`] minus its
-//! attachments: configuration, classifier calibration, the watermark
+//! attachments: the time scale, classifier calibration, the watermark
 //! clock, every flow's reassembly state (carry bytes, parked segments,
 //! timing marks), the pending/ready event queues, the path decoder's
 //! frontier in the graph walk, and all counters. Restoring it and
@@ -16,17 +16,18 @@
 //! ```text
 //! blob   = header record* crc
 //! header = "WMCK" version:u16 length:u32 shard:u32 taken_us:u64
-//!          graph_fp:u64 config:14×u64 classifier:5×u16   (152 bytes)
+//!          graph_fp:u64 time_scale:u32 classifier:5×u16  (44 bytes)
 //! record = len:u32 victim:u32 last_seen_us:u64 state      (len counts what follows it)
 //! crc    = CRC-32 (IEEE) of every byte before it
 //! ```
 //!
 //! `length` is the whole blob, CRC included. The header carries what
 //! every record shares — the story-graph fingerprint, the
-//! [`OnlineConfig`] and the classifier — once. The config words are
-//! [`OnlineConfig::to_words`]: the time scale, then what it derives and
-//! the decoder's budget constants; a header whose words are not
-//! exactly what its time scale derives is `Malformed("config")`.
+//! [`OnlineConfig`] and the classifier — once. The config is its time
+//! scale alone: every window, gap and slack is derived from it on
+//! resume, and the buffer caps are constants a restore checks field by
+//! field, so neither is stored. A time scale of 0 is
+//! `Malformed("config")`.
 //! Records are in strictly ascending victim order, so a blob can be
 //! split or spliced by copying record byte ranges and re-sealing
 //! ([`BlobWriter`]).
@@ -74,14 +75,14 @@ use wm_story::{
 };
 
 /// Checkpoint format version. Bump on any layout change.
-pub const CHECKPOINT_VERSION: u16 = 2;
+pub const CHECKPOINT_VERSION: u16 = 3;
 
 const MAGIC: [u8; 4] = *b"WMCK";
 /// Byte offset of the `length` field.
 const LENGTH_AT: usize = 6;
 /// Fixed header size: magic, version, length, shard, taken, graph
-/// fingerprint, 14 config words, 5 classifier words.
-const HEADER_LEN: usize = 4 + 2 + 4 + 4 + 8 + 8 + 14 * 8 + 5 * 2;
+/// fingerprint, time scale, 5 classifier words.
+const HEADER_LEN: usize = 4 + 2 + 4 + 4 + 8 + 8 + 4 + 5 * 2;
 const CRC_LEN: usize = 4;
 /// Bytes of a record before its decoder state: len, victim, last_seen.
 const RECORD_PREFIX: usize = 4 + 4 + 8;
@@ -414,14 +415,13 @@ impl BlobHeader {
     }
 
     fn write(&self, w: &mut Writer<'_>) {
-        let c = &self.cfg;
         let k = &self.classifier;
         w.0.extend_from_slice(&MAGIC);
         w.emit(CHECKPOINT_VERSION);
         w.emit(0u32); // length, patched by `BlobWriter::finish`
         w.emit(self.shard);
         w.emit_all(&[self.taken.micros(), self.graph_fp]);
-        w.emit_all(&c.to_words());
+        w.emit(self.cfg.time_scale);
         w.emit_all(&[k.type1.0, k.type1.1, k.type2.0, k.type2.1, k.slack]);
     }
 
@@ -430,8 +430,10 @@ impl BlobHeader {
         let shard = r.num("shard")?;
         let taken = SimTime(r.num("taken")?);
         let graph_fp = r.num("graph_fp")?;
-        let cfg = OnlineConfig::from_words(r.array("config")?)
-            .ok_or(CheckpointError::Malformed("config"))?;
+        let cfg = match r.num("config")? {
+            0 => return Err(CheckpointError::Malformed("config")),
+            time_scale => OnlineConfig { time_scale },
+        };
         let [lo1, hi1, lo2, hi2, slack] = r.array("classifier")?;
         if lo1 > hi1 || lo2 > hi2 {
             return Err(CheckpointError::Classifier);
@@ -868,7 +870,6 @@ fn state<'a, P: Pass<'a>>(p: &mut P, d: &mut OnlineDecoder) -> Step {
     p.int(&mut r.records, "app_count")?;
     opt_time(p, &mut r.first_app, "app_first")?;
     opt_time(p, &mut r.second_app, "app_second")?;
-    opt_time(p, &mut r.first_type1, "first_type1")?;
     opt_time(p, &mut r.last_type1, "last_kept_t1")?;
     opt_time(p, &mut r.last_type2, "last_kept_t2")?;
     let blank = (0, SimTime::ZERO, 0);
@@ -1164,11 +1165,23 @@ mod tests {
             OnlineDecoder::resume_from_checkpoint(b"not a blob", film()).err(),
             Some(CheckpointError::Magic)
         );
-        let mut bumped = cp.clone();
-        bumped[4] = 99;
+        for version in [2u16, 99] {
+            let mut bumped = cp.clone();
+            bumped[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                OnlineDecoder::resume_from_checkpoint(&bumped, film()).err(),
+                Some(CheckpointError::Version(version))
+            );
+        }
+        // The time scale follows magic, version, length, shard, taken
+        // and the graph fingerprint; 0 is no scale at all.
+        const SCALE_AT: usize = 4 + 2 + 4 + 4 + 8 + 8;
+        assert_eq!(cp[SCALE_AT..SCALE_AT + 4], 20u32.to_le_bytes());
+        let mut unscaled = cp.clone();
+        unscaled[SCALE_AT..SCALE_AT + 4].fill(0);
         assert_eq!(
-            OnlineDecoder::resume_from_checkpoint(&bumped, film()).err(),
-            Some(CheckpointError::Version(99))
+            resume_resealed(unscaled).err(),
+            Some(CheckpointError::Malformed("config"))
         );
         let mut longer = cp.clone();
         longer.push(0);
@@ -1236,52 +1249,6 @@ mod tests {
             let mut dec = patched(tag, 1, 1).expect("segment 1 asks cp 1");
             assert_eq!(dec.finish().len(), 2, "tag {tag}: cp 1 and cp 2 remain");
         }
-    }
-
-    #[test]
-    fn config_words_must_be_what_the_time_scale_derives() {
-        // The config words follow magic, version, length, shard, taken
-        // and the graph fingerprint.
-        const CONFIG_AT: usize = 4 + 2 + 4 + 4 + 8 + 8;
-        let cp = fresh().checkpoint();
-        let words = OnlineConfig::scaled(20).to_words();
-        let with_words = |patch: &[(usize, u64)]| {
-            let mut blob = cp.clone();
-            for &(i, x) in patch {
-                let at = CONFIG_AT + 8 * i;
-                blob[at..at + 8].copy_from_slice(&x.to_le_bytes());
-            }
-            resume_resealed(blob)
-        };
-        for (i, &word) in words.iter().enumerate() {
-            let at = CONFIG_AT + 8 * i;
-            assert_eq!(cp[at..at + 8], word.to_le_bytes(), "word {i}");
-        }
-        assert!(with_words(&[]).is_ok());
-        // A zero or out-of-range time scale, a scale the other words
-        // were not derived from, and one changed budget word each fail.
-        for (i, x) in [
-            (0, 0),
-            (0, u64::MAX),
-            (0, 40),
-            (1, words[1] + 1),
-            (3, 8),
-            (13, 512),
-        ] {
-            assert_eq!(
-                with_words(&[(i, x)]).err(),
-                Some(CheckpointError::Malformed("config")),
-                "word {i} = {x}"
-            );
-        }
-        // A whole header written for another scale restores at it.
-        let other: Vec<_> = OnlineConfig::scaled(40)
-            .to_words()
-            .into_iter()
-            .enumerate()
-            .collect();
-        let dec = with_words(&other).expect("a consistent header restores");
-        assert_eq!(dec.cfg, OnlineConfig::scaled(40));
     }
 
     #[test]
@@ -1371,6 +1338,8 @@ mod tests {
             cfg: OnlineConfig::scaled(20),
             classifier: classifier(),
         };
+        let empty = BlobWriter::new(&header).finish();
+        assert_eq!(empty.len(), 44 + CRC_LEN, "a 44-byte header, then the CRC");
         let mut w = BlobWriter::new(&header);
         for victim in [2u32, 5, 9] {
             w.push_decoder(victim, SimTime(victim as u64 * 10), &mut fresh());

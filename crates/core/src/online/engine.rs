@@ -37,10 +37,7 @@ use std::sync::Arc;
 use crate::classify::RecordClassifier;
 use crate::decode::{PathDecoder, ReportStream};
 use crate::online::bounded::{Batch, BoundedVec};
-use crate::online::ingest::{
-    ExtractedRecord, FlowIngest, GapEvent, MAX_CARRY_BYTES, MAX_MARKS, MAX_PARKED_BYTES,
-    MAX_PARKED_SEGMENTS, PER_FLOW_STATE_BOUND,
-};
+use crate::online::ingest::{ExtractedRecord, FlowIngest, GapEvent, PER_FLOW_STATE_BOUND};
 use crate::provenance::{resolve, ChoiceProvenance};
 use crate::{Decision, DecodedChoice, IntervalClassifier, ReportEvent, Timing};
 use wm_capture::headers::{parse_frame_lossy, FlowId};
@@ -110,37 +107,6 @@ impl OnlineConfig {
     /// declared lost and decoding resumes past it.
     fn gap_patience(&self) -> Duration {
         Duration::from_secs_f64(0.5 / self.time_scale.max(1) as f64)
-    }
-
-    /// The time scale, the two durations derived from it and every
-    /// budget constant, as integers in a fixed order: the config words
-    /// of a checkpoint header.
-    pub fn to_words(&self) -> [u64; 14] {
-        [
-            self.time_scale as u64,
-            self.reorder_lag().micros(),
-            self.gap_patience().micros(),
-            CHECKPOINT_EVERY_RECORDS,
-            MAX_FLOWS as u64,
-            MAX_PENDING_EVENTS as u64,
-            MAX_READY_EVENTS as u64,
-            MAX_RECENT_APPS as u64,
-            MAX_GAP_TIMES as u64,
-            MAX_LOSS_WINDOWS as u64,
-            MAX_CARRY_BYTES as u64,
-            MAX_PARKED_BYTES as u64,
-            MAX_PARKED_SEGMENTS as u64,
-            MAX_MARKS as u64,
-        ]
-    }
-
-    /// The inverse of [`OnlineConfig::to_words`]: word 0 is the time
-    /// scale, and the rest must be what that scale derives. `None`
-    /// otherwise.
-    pub fn from_words(words: [u64; 14]) -> Option<Self> {
-        let [scale, ..] = words;
-        let cfg = OnlineConfig::scaled(u32::try_from(scale).ok()?);
-        (cfg.to_words() == words).then_some(cfg)
     }
 }
 

@@ -42,7 +42,7 @@ pub(crate) const MAX_PARKED_BYTES: usize = 64 * 1024;
 /// Count of parked out-of-order segments.
 pub(crate) const MAX_PARKED_SEGMENTS: usize = 64;
 /// Offset→time marks retained for record timestamping.
-pub(crate) const MAX_MARKS: usize = 256;
+const MAX_MARKS: usize = 256;
 
 /// Upper bound on one flow's [`FlowIngest::state_bytes`], with
 /// generous per-entry allowances (carry + recycled spares, parked

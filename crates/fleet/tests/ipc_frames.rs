@@ -386,6 +386,18 @@ fn worker_process_rejects_garbage_and_exits() {
             "unknown opcode",
             true,
         ),
+        // An Init whose blob header is an older layout version.
+        (
+            {
+                let (op, mut payload) = payload_of(|buf| init(tiny_film()).encode(buf));
+                payload[4..6].copy_from_slice(&2u16.to_le_bytes());
+                let mut b = Vec::new();
+                encode_frame(op, &payload, &mut b);
+                b
+            },
+            "init with a v2 header",
+            true,
+        ),
         // Request before Init: a protocol-order violation the worker
         // answers with a typed Err, then keeps serving (it exits 0 on
         // the EOF that follows).

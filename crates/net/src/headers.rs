@@ -221,11 +221,12 @@ impl TcpHeader {
         let word = |at: usize| -> Option<u32> {
             Some(u32::from_be_bytes(*bytes.get(at..)?.first_chunk::<4>()?))
         };
+        let options = bytes.get(..data_offset)?;
         let mut ts_val = 0;
         let mut ts_ecr = 0;
         let mut i = 20;
         while i < data_offset {
-            match *bytes.get(i)? {
+            match *options.get(i)? {
                 0x00 => break,  // end of options
                 0x01 => i += 1, // NOP
                 0x08 if i + 10 <= data_offset => {
@@ -234,9 +235,10 @@ impl TcpHeader {
                     i += 10;
                 }
                 _ => {
-                    // kind, len, payload — skip
-                    let len = *bytes.get(i + 1)? as usize;
-                    if len < 2 {
+                    // kind, len, payload — skip; the length byte and
+                    // the whole option lie inside the option block
+                    let len = *options.get(i + 1)? as usize;
+                    if len < 2 || i + len > data_offset {
                         return None;
                     }
                     i += len;

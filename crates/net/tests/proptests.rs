@@ -71,7 +71,9 @@ const TCP_OPTIONS: usize = ETH_HEADER_LEN + IPV4_HEADER_LEN + 20;
 /// `frame` plus copies of it with hostile header fields: IPv4 total
 /// lengths below, around and beyond the frame; every TCP data offset;
 /// and TCP options whose length undershoots, overruns the option block,
-/// or lies past it.
+/// or lies past it. The last [`BARE_LAST_OPTION`] variants are eleven
+/// NOPs and a bare option kind in the block's last byte, followed by
+/// payloads whose first bytes differ.
 fn hostile_variants(frame: &[u8]) -> Vec<Vec<u8>> {
     let with = |at: usize, bytes: &[u8]| {
         let mut f = frame.to_vec();
@@ -102,8 +104,17 @@ fn hostile_variants(frame: &[u8]) -> Vec<Vec<u8>> {
     ] {
         out.push(with(TCP_OPTIONS + at, &[kind, len]));
     }
+    for first in [0, 1, 5] {
+        out.push(with(
+            TCP_OPTIONS,
+            &[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, first],
+        ));
+    }
     out
 }
+
+/// How many variants end [`hostile_variants`] with a bare last option.
+const BARE_LAST_OPTION: usize = 3;
 
 /// Both frame parsers on one input: neither panics, `parse_frame` is
 /// `parse_frame_lossy` with nothing clipped, and a payload lies inside
@@ -134,7 +145,14 @@ fn frame_parser_total() {
         let flow = arb_flow(&mut rng);
         let payload = arb_bytes(&mut rng, 199);
         let frame = build_frame(&flow, 1, 2, TcpFlags::ACK, 3, 4, 5, &payload);
-        for variant in hostile_variants(&frame) {
+        let variants = hostile_variants(&frame);
+        // A bare option kind has no length byte inside the header, so
+        // the payload's first byte must not decide the parse.
+        let bare = &variants[variants.len() - BARE_LAST_OPTION..];
+        for variant in bare {
+            assert_eq!(parse_frame_lossy(variant), None, "case {case}");
+        }
+        for variant in variants {
             for cut in 0..=variant.len() {
                 check_frame(&variant[..cut], case);
             }
