@@ -1,17 +1,17 @@
 //! Pinned fleet digests.
 //!
 //! Two FNV-1a digests over everything the supervised fleet derives
-//! from a small fixed victim stream. The decisions digest covers a fault-free 4-shard in-process run
-//! (with idle and capacity eviction), a run under a shard fault plan
-//! with a shrink-then-grow resize and an attached observer, and a
-//! fault-free process-backend run — each contributing its merged
-//! verdicts, `FleetStats`, loss windows, migrations and per-shard
-//! recovery — plus every eviction and verdict a bare `ShardState`
-//! produces when driven through a `HashRing` at the fleet's checkpoint
-//! cadence, and the ring owner of victims 0–4095 over a grid of shard
-//! and virtual-node counts. The blob digest covers the checkpoint bytes
-//! those bare shards seal, so a checkpoint layout change moves it
-//! alone.
+//! from a small fixed victim stream. The decisions digest covers a
+//! fault-free 4-shard in-process run (with idle and capacity
+//! eviction), a run under a shard fault plan with a shrink-then-grow
+//! resize and an attached observer, and a fault-free process-backend
+//! run — each contributing its merged verdicts, `FleetStats`, loss
+//! windows, migrations and per-shard recovery — plus every eviction
+//! and verdict a bare `ShardState` produces when driven through a
+//! `HashRing` at the fleet's checkpoint cadence, and the ring owner of
+//! victims 0–4095 over a grid of shard and virtual-node counts. The
+//! blob digest covers the checkpoint bytes those bare shards seal, so
+//! a checkpoint layout change moves it alone.
 //!
 //! The other fleet suites compare runs with each other (shard counts,
 //! resize schedules, backends); none pins the bytes themselves, so a
