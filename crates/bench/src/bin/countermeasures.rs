@@ -128,6 +128,9 @@ fn main() {
             metrics.push((format!("length_accuracy.{key}"), length_acc.accuracy()));
         }
         metrics.push((format!("burst_accuracy.{key}"), burst_acc.accuracy()));
+        if defense.constant_size().is_some() {
+            metrics.push((format!("timing_accuracy.{key}"), timing_acc.accuracy()));
+        }
     }
     println!("\n* constant decoder output (every question shows two identical posts):");
     println!("  the score is the class base rate — zero information extracted.");

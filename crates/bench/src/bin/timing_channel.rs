@@ -9,19 +9,23 @@
 //! cargo run --release -p wm-bench --bin timing_channel
 //! ```
 
-use wm_bench::{graph, harness_cfg, TIME_SCALE};
+use wm_bench::{graph, harness_cfg, publish, TraceTally, TIME_SCALE};
 use wm_core::{choice_accuracy, client_app_records, ChoiceAccuracy, DecodedChoice};
 use wm_defense::{Defense, TimingDecoder, TimingDecoderConfig};
 use wm_net::conditions::{ConnectionType, LinkConditions, TimeOfDay};
 use wm_net::time::{Duration, SimTime};
 use wm_player::ViewerScript;
 use wm_sim::run_session;
+use wm_telemetry::Snapshot;
 
 const VICTIMS: u64 = 5;
 
 fn main() {
     let graph = graph();
     println!("=== §VI timing channel (E6): choices from report patterns alone ===\n");
+    let mut telemetry = Snapshot::default();
+    let mut tally = TraceTally::default();
+    let mut metrics: Vec<(String, f64)> = Vec::new();
 
     println!("pad-size sweep (Ethernet/Morning):");
     println!(
@@ -33,6 +37,8 @@ fn main() {
             &graph,
             pad,
             LinkConditions::new(ConnectionType::Wired, TimeOfDay::Morning),
+            &mut telemetry,
+            &mut tally,
         );
         println!(
             "  {:<14} {:>11.1}% {:>22.1}",
@@ -40,6 +46,8 @@ fn main() {
             100.0 * acc.accuracy(),
             posts
         );
+        metrics.push((format!("accuracy.pad_{pad}"), acc.accuracy()));
+        metrics.push((format!("posts_per_session.pad_{pad}"), posts));
     }
 
     println!("\ncondition sweep (pad 4096):");
@@ -47,20 +55,27 @@ fn main() {
     for conn in ConnectionType::ALL {
         for tod in TimeOfDay::ALL {
             let cond = LinkConditions::new(conn, tod);
-            let (acc, _) = measure(&graph, 4096, cond);
+            let (acc, _) = measure(&graph, 4096, cond, &mut telemetry, &mut tally);
             println!("  {:<22} {:>11.1}%", cond.label(), 100.0 * acc.accuracy());
+            let key = format!("accuracy.{}_{}", conn.label(), tod.label());
+            metrics.push((key, acc.accuracy()));
         }
     }
 
     println!("\npaper: the fix \"could\" leave timing side-channels — confirmed: with every");
     println!("state report padded to one constant size, the extra-report *pattern* of a");
     println!("non-default pick still reveals the choice sequence.");
+
+    let required: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
+    publish("timing_channel", &metrics, &required, &telemetry, &tally);
 }
 
 fn measure(
     graph: &std::sync::Arc<wm_story::StoryGraph>,
     pad: usize,
     cond: LinkConditions,
+    telemetry: &mut Snapshot,
+    tally: &mut TraceTally,
 ) -> (ChoiceAccuracy, f64) {
     let mut agg = ChoiceAccuracy::default();
     let mut posts = 0usize;
@@ -70,6 +85,8 @@ fn measure(
         cfg.defense = Defense::PadToConstant { size: pad };
         cfg.conditions = cond;
         let out = run_session(&cfg).expect("padded session");
+        telemetry.merge(&out.telemetry);
+        tally.observe(&out.trace_events);
 
         let features = client_app_records(&out.trace);
         let mut tcfg = TimingDecoderConfig::new(Duration::from_secs_f64(10.0 / TIME_SCALE as f64));
