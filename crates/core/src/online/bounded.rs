@@ -238,16 +238,7 @@ pub struct ParkedSegments {
     bytes: usize,
     max_bytes: usize,
     max_segs: usize,
-    /// Retired segment buffers awaiting reuse (poison-filled on
-    /// return). Bounded by `max_segs`; empty when recycling is off.
-    spare: Vec<Vec<u8>>,
-    recycle_enabled: bool,
 }
-
-/// Byte recycled buffers are filled with before reuse, so any read of
-/// stale contents shows up as an obviously wrong pattern instead of a
-/// silent replay of a previous segment's bytes.
-pub const RECYCLE_POISON: u8 = 0xa5;
 
 impl ParkedSegments {
     pub fn new(max_bytes: usize, max_segs: usize) -> Self {
@@ -256,31 +247,7 @@ impl ParkedSegments {
             bytes: 0,
             max_bytes: max_bytes.max(1),
             max_segs: max_segs.max(1),
-            spare: Vec::new(),
-            recycle_enabled: true,
         }
-    }
-
-    /// Toggle buffer recycling. Off means every parked segment gets a
-    /// fresh allocation — the oracle the hygiene tests compare against.
-    pub fn set_recycling(&mut self, on: bool) {
-        self.recycle_enabled = on;
-        if !on {
-            self.spare.clear();
-        }
-    }
-
-    /// Return a retired segment buffer to the free list, poison-filled.
-    /// Dropped (freed) when recycling is off or the list is full.
-    pub fn recycle(&mut self, mut buf: Vec<u8>) {
-        if !self.recycle_enabled || self.spare.len() >= self.max_segs {
-            return;
-        }
-        for b in buf.iter_mut() {
-            *b = RECYCLE_POISON;
-        }
-        buf.clear();
-        self.spare.push(buf);
     }
 
     pub fn len(&self) -> usize {
@@ -298,6 +265,7 @@ impl ParkedSegments {
     /// Park a segment at `off`. A duplicate offset keeps the existing
     /// (earliest) copy and reports success; `false` means the budgets
     /// are exhausted and the segment was *not* stored.
+    // wm-lint: alloc-ok(reason = "one buffer per out-of-order segment, at most max_segs held; in-order segments never park")
     pub fn park(&mut self, off: i64, time: SimTime, data: &[u8]) -> bool {
         if self.segs.contains_key(&off) {
             return true;
@@ -307,9 +275,7 @@ impl ParkedSegments {
         {
             return false;
         }
-        let mut buf = self.spare.pop().unwrap_or_default();
-        buf.extend_from_slice(data);
-        self.segs.insert(off, (time, buf));
+        self.segs.insert(off, (time, data.to_vec()));
         self.bytes = self.bytes.saturating_add(data.len());
         true
     }
@@ -335,11 +301,6 @@ impl ParkedSegments {
     /// Iterate parked segments in offset order (for checkpointing).
     pub fn iter(&self) -> impl Iterator<Item = (i64, SimTime, &[u8])> {
         self.segs.iter().map(|(&o, (t, d))| (o, *t, d.as_slice()))
-    }
-
-    pub fn clear(&mut self) {
-        self.segs.clear();
-        self.bytes = 0;
     }
 }
 
@@ -401,25 +362,6 @@ mod tests {
         // Cap applies to live bytes, not consumed history.
         assert!(c.absorb(&[0; 12]));
         assert!(!c.absorb(&[0]));
-    }
-
-    #[test]
-    fn recycled_parked_buffers_replay_only_new_bytes() {
-        let mut p = ParkedSegments::new(64, 4);
-        assert!(p.park(0, SimTime(1), &[1, 2, 3, 4, 5]));
-        let (_, _, data) = p.take_first().unwrap();
-        p.recycle(data);
-        // A shorter segment reusing the buffer must not drag the old
-        // tail along.
-        assert!(p.park(9, SimTime(2), &[7, 8]));
-        let (off, t, reused) = p.take_first().unwrap();
-        assert_eq!((off, t, reused.as_slice()), (9, SimTime(2), &[7u8, 8][..]));
-        // Recycling off: the free list empties and stays empty.
-        p.recycle(reused);
-        p.set_recycling(false);
-        assert!(p.park(20, SimTime(3), &[6]));
-        let (_, _, fresh) = p.take_first().unwrap();
-        assert_eq!(fresh, vec![6]);
     }
 
     #[test]

@@ -45,9 +45,12 @@ pub(crate) const MAX_PARKED_SEGMENTS: usize = 64;
 const MAX_MARKS: usize = 256;
 
 /// Upper bound on one flow's [`FlowIngest::state_bytes`], with
-/// generous per-entry allowances (carry + recycled spares, parked
-/// bytes + poison-filled free list, marks, fixed overhead). The shared
-/// half of [`crate::online::STATE_BOUND`].
+/// generous per-entry allowances (twice the carry, three times the
+/// parked bytes, 256 bytes per mark, fixed overhead). It is looser than
+/// the sum `state_bytes` counts, and stays so: the
+/// `online.checkpoint.state_util_pct` histogram is a share of it, and
+/// the fleet observer's series, which the fleet digest pins, carries
+/// that histogram. The shared half of [`crate::online::STATE_BOUND`].
 pub(crate) const PER_FLOW_STATE_BOUND: usize =
     2 * MAX_CARRY_BYTES + 3 * MAX_PARKED_BYTES + 256 * MAX_MARKS + 4096;
 
@@ -236,14 +239,6 @@ impl FlowIngest {
         self.stats
     }
 
-    /// Toggle parked-segment buffer recycling (on by default). Turning
-    /// it off makes every park a fresh allocation — the oracle the
-    /// buffer-hygiene tests compare the recycling path against; the
-    /// record/gap output must be identical either way.
-    pub fn set_buffer_recycling(&mut self, on: bool) {
-        self.parked.set_recycling(on);
-    }
-
     /// Bytes of state this flow currently holds (memory accounting).
     pub fn state_bytes(&self) -> usize {
         self.carry.len()
@@ -301,7 +296,6 @@ impl FlowIngest {
         self.note_gap(time, gaps);
         self.reset_carry_to(off);
         self.absorb_at(off, time, &data);
-        self.parked.recycle(data);
         self.absorb_parked_chain();
         true
     }
@@ -347,12 +341,10 @@ impl FlowIngest {
             if end <= appended_end {
                 self.stats.duplicate_bytes =
                     self.stats.duplicate_bytes.saturating_add(data.len() as u64);
-                self.parked.recycle(data);
                 continue;
             }
             let skip = (appended_end - o) as usize;
             self.absorb_at(appended_end, t, data.get(skip..).unwrap_or_default());
-            self.parked.recycle(data);
         }
         if self.parked.is_empty() {
             self.hole_since = None;
