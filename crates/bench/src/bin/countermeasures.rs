@@ -13,11 +13,12 @@
 
 use wm_bench::{graph, harness_cfg, publish, TraceTally, TIME_SCALE};
 use wm_capture::records::TimedRecord;
+use wm_core::baselines::TimingDecoder;
 use wm_core::{
     choice_accuracy, client_app_records, AttackTelemetry, ChoiceAccuracy, DecodedChoice,
     WhiteMirror, WhiteMirrorConfig,
 };
-use wm_defense::{Defense, TimingDecoder, TimingDecoderConfig};
+use wm_defense::Defense;
 use wm_net::time::{Duration, SimTime};
 use wm_player::ViewerScript;
 use wm_sim::{run_session, SessionOutput};
@@ -301,12 +302,8 @@ fn burst_total_decode(
 
 fn timing_decode(out: &SessionOutput, defense: Defense) -> Vec<Choice> {
     let features = client_app_records(&out.trace);
-    let mut cfg = TimingDecoderConfig::new(Duration::from_secs_f64(10.0 / TIME_SCALE as f64));
-    cfg.burst_gap = Duration::from_secs_f64(0.5 / TIME_SCALE as f64);
-    if let Some(size) = defense.constant_size() {
-        cfg.exact_post_len = Some(size as u16 + 16);
-    }
-    TimingDecoder::new(cfg)
+    let exact_post_len = defense.constant_size().map(|size| size as u16 + 16);
+    TimingDecoder::new(TIME_SCALE, exact_post_len)
         .decode(&features.records)
         .into_iter()
         .map(|e| e.choice)

@@ -10,10 +10,10 @@
 //! ```
 
 use wm_bench::{graph, harness_cfg, publish, TraceTally, TIME_SCALE};
+use wm_core::baselines::TimingDecoder;
 use wm_core::{choice_accuracy, client_app_records, ChoiceAccuracy, DecodedChoice};
-use wm_defense::{Defense, TimingDecoder, TimingDecoderConfig};
+use wm_defense::Defense;
 use wm_net::conditions::{ConnectionType, LinkConditions, TimeOfDay};
-use wm_net::time::{Duration, SimTime};
 use wm_player::ViewerScript;
 use wm_sim::run_session;
 use wm_telemetry::Snapshot;
@@ -89,10 +89,7 @@ fn measure(
         tally.observe(&out.trace_events);
 
         let features = client_app_records(&out.trace);
-        let mut tcfg = TimingDecoderConfig::new(Duration::from_secs_f64(10.0 / TIME_SCALE as f64));
-        tcfg.burst_gap = Duration::from_secs_f64(0.5 / TIME_SCALE as f64);
-        tcfg.exact_post_len = Some(pad as u16 + 16);
-        let decoder = TimingDecoder::new(tcfg);
+        let decoder = TimingDecoder::new(TIME_SCALE, Some(pad as u16 + 16));
         posts += decoder.detect_posts(&features.records).len();
         let events = decoder.decode(&features.records);
         let decoded: Vec<DecodedChoice> = events
@@ -108,6 +105,5 @@ fn measure(
             .collect();
         agg.merge(&choice_accuracy(&decoded, &out.decisions));
     }
-    let _ = SimTime::ZERO;
     (agg, posts as f64 / VICTIMS as f64)
 }

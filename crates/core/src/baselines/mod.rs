@@ -1,4 +1,5 @@
-//! Prior-work techniques, re-implemented (E7's comparators).
+//! Prior-work techniques, re-implemented (E7's comparators), and the
+//! timing attack that survives the length fixes (E5, E6).
 //!
 //! §II of the paper argues that existing encrypted-video fingerprinting
 //! cannot read *intra-video* choices: "inter-video features cannot be
@@ -22,11 +23,18 @@
 //! paper's point. Silhouette-style ADU features (Li et al.) identify
 //! video *flows*, not intra-flow branches, and degenerate to the same
 //! downstream-volume features `burst` already covers — see DESIGN.md.
+//!
+//! [`timing::TimingDecoder`] is §VI's residual channel: it reads
+//! choices from the count and timing of upstream state posts alone, so
+//! it still works when a defense pads every post to one size. Unlike
+//! the comparators above it finds the questions itself.
 
 pub mod bitrate;
 pub mod burst;
 pub mod features;
+pub mod timing;
 
 pub use bitrate::{BitrateBaseline, MajorityBaseline};
 pub use burst::BurstKnnBaseline;
 pub use features::{downstream_bytes_in, LabeledWindow};
+pub use timing::TimingDecoder;

@@ -8,52 +8,31 @@
 //! signature bands.
 //!
 //! It is deliberately noisier than the record-length decoder in
-//! `wm-core`: background telemetry can masquerade as a second post.
-//! When the defense pads state posts to an exact size, passing that
-//! size as [`TimingDecoderConfig::exact_post_len`] filters the
-//! impostors out — demonstrating the paper's point that padding alone
-//! does not close the channel.
+//! [`crate::decode`]: background telemetry can masquerade as a second
+//! post. When the defense pads state posts to an exact size, passing
+//! that size to [`TimingDecoder::new`] filters the impostors out —
+//! demonstrating the paper's point that padding alone does not close
+//! the channel.
 
+use crate::decode::WINDOW_SECS;
 use wm_capture::records::TimedRecord;
-use wm_net::time::{Duration, SimTime};
+use wm_capture::time::{Duration, SimTime};
+use wm_capture::ContentType;
 use wm_story::Choice;
-use wm_tls::ContentType;
 
-/// Decoder tunables.
-#[derive(Debug, Clone)]
-pub struct TimingDecoderConfig {
-    /// Records shorter than this are never part of a post
-    /// (chunk GETs, heartbeats).
-    pub min_record_len: u16,
-    /// Records in one burst are separated by at most this much.
-    pub burst_gap: Duration,
-    /// A burst qualifies as a state post if its total sealed bytes meet
-    /// this floor.
-    pub min_post_total: usize,
-    /// Bursts containing a record at least this long are diagnostics
-    /// uploads, not posts.
-    pub max_record_len: u16,
-    /// The (scaled) choice window: a second post within this span of a
-    /// first post signals a non-default pick.
-    pub window: Duration,
-    /// With a constant-size padding defense, the exact sealed record
-    /// length of every state post — filters telemetry impostors.
-    pub exact_post_len: Option<u16>,
-}
-
-impl TimingDecoderConfig {
-    /// Defaults for an unscaled session (10 s window).
-    pub fn new(window: Duration) -> Self {
-        TimingDecoderConfig {
-            min_record_len: 600,
-            burst_gap: Duration::from_millis(200),
-            min_post_total: 1800,
-            max_record_len: 4000,
-            window,
-            exact_post_len: None,
-        }
-    }
-}
+/// Records shorter than this are never part of a post (chunk GETs,
+/// heartbeats).
+const MIN_RECORD_LEN: u16 = 600;
+/// A burst qualifies as a state post if its total sealed bytes meet
+/// this floor.
+const MIN_POST_TOTAL: usize = 1800;
+/// Bursts containing a record at least this long are diagnostics
+/// uploads, not posts.
+const MAX_RECORD_LEN: u16 = 4000;
+/// Records in one burst are separated by at most this much (unscaled
+/// seconds): shorter than any human reaction time, so a type-1 and the
+/// type-2 that follows it never merge into one burst.
+const BURST_GAP_SECS: f64 = 0.5;
 
 /// A detected state post (burst of one or more records).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,12 +53,26 @@ pub struct TimingEvent {
 
 /// Timing-only choice decoder.
 pub struct TimingDecoder {
-    cfg: TimingDecoderConfig,
+    /// Records in one burst are separated by at most this much.
+    burst_gap: Duration,
+    /// The scaled choice window: a second post within this span of a
+    /// first post signals a non-default pick.
+    window: Duration,
+    /// With a constant-size padding defense, the exact sealed record
+    /// length of every state post — filters telemetry impostors.
+    exact_post_len: Option<u16>,
 }
 
 impl TimingDecoder {
-    pub fn new(cfg: TimingDecoderConfig) -> Self {
-        TimingDecoder { cfg }
+    /// A decoder for sessions played at `time_scale` (1 = real time):
+    /// the choice window and the burst gap shrink with it.
+    pub fn new(time_scale: u32, exact_post_len: Option<u16>) -> Self {
+        let ts = time_scale as f64;
+        TimingDecoder {
+            burst_gap: Duration::from_secs_f64(BURST_GAP_SECS / ts),
+            window: Duration::from_secs_f64(WINDOW_SECS / ts),
+            exact_post_len,
+        }
     }
 
     /// Find state-post bursts among upstream application records.
@@ -88,7 +81,7 @@ impl TimingDecoder {
             .iter()
             .filter(|r| {
                 r.record.content_type == ContentType::ApplicationData
-                    && r.record.length >= self.cfg.min_record_len
+                    && r.record.length >= MIN_RECORD_LEN
             })
             .collect();
         let mut posts = Vec::new();
@@ -99,19 +92,19 @@ impl TimingDecoder {
             let mut biggest = candidates[i].record.length;
             let mut last = start;
             let mut j = i + 1;
-            while j < candidates.len() && candidates[j].time.since(last) <= self.cfg.burst_gap {
+            while j < candidates.len() && candidates[j].time.since(last) <= self.burst_gap {
                 total += candidates[j].record.length as usize;
                 biggest = biggest.max(candidates[j].record.length);
                 last = candidates[j].time;
                 j += 1;
             }
-            let qualifies = total >= self.cfg.min_post_total
-                && match self.cfg.exact_post_len {
+            let qualifies = total >= MIN_POST_TOTAL
+                && match self.exact_post_len {
                     // Padded posts: every post is exactly the padded
                     // size (or, split, a multiple of it) — the diag
                     // bound does not apply since sizes are known.
                     Some(exact) => biggest == exact || total.is_multiple_of(exact as usize),
-                    None => biggest < self.cfg.max_record_len,
+                    None => biggest < MAX_RECORD_LEN,
                 };
             if qualifies {
                 posts.push(DetectedPost {
@@ -133,7 +126,7 @@ impl TimingDecoder {
             let anchor = posts[i];
             let mut n = 1;
             let mut j = i + 1;
-            while j < posts.len() && posts[j].time.since(anchor.time) <= self.cfg.window {
+            while j < posts.len() && posts[j].time.since(anchor.time) <= self.window {
                 n += 1;
                 j += 1;
             }
@@ -155,7 +148,7 @@ impl TimingDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wm_tls::observer::ObservedRecord;
+    use wm_capture::ObservedRecord;
 
     fn rec(time_ms: u64, length: u16) -> TimedRecord {
         TimedRecord {
@@ -169,14 +162,15 @@ mod tests {
         }
     }
 
-    fn decoder(window_ms: u64) -> TimingDecoder {
-        TimingDecoder::new(TimingDecoderConfig::new(Duration::from_millis(window_ms)))
+    /// Real time: a 10 s window and a 500 ms burst gap.
+    fn decoder() -> TimingDecoder {
+        TimingDecoder::new(1, None)
     }
 
     #[test]
     fn single_post_is_default() {
         let records = vec![rec(1000, 2212), rec(30_000, 2209)];
-        let events = decoder(10_000).decode(&records);
+        let events = decoder().decode(&records);
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| e.choice == Choice::Default));
     }
@@ -185,7 +179,7 @@ mod tests {
     fn paired_posts_are_nondefault() {
         // Question post, then the type-2 3.4 s later (inside the window).
         let records = vec![rec(1000, 2212), rec(4400, 3005)];
-        let events = decoder(10_000).decode(&records);
+        let events = decoder().decode(&records);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].posts, 2);
         assert_eq!(events[0].choice, Choice::NonDefault);
@@ -194,7 +188,7 @@ mod tests {
     #[test]
     fn posts_outside_window_are_separate_events() {
         let records = vec![rec(1000, 2212), rec(20_000, 2212)];
-        let events = decoder(10_000).decode(&records);
+        let events = decoder().decode(&records);
         assert_eq!(events.len(), 2);
     }
 
@@ -208,7 +202,7 @@ mod tests {
             rec(2000, 870),
             rec(30_000, 2212),
         ];
-        let events = decoder(10_000).decode(&records);
+        let events = decoder().decode(&records);
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| e.posts == 1));
     }
@@ -216,7 +210,7 @@ mod tests {
     #[test]
     fn diagnostics_burst_excluded() {
         let records = vec![rec(1000, 2212), rec(3000, 8800)];
-        let events = decoder(10_000).decode(&records);
+        let events = decoder().decode(&records);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].posts, 1, "the 8.8 kB diag is not a post");
     }
@@ -234,30 +228,24 @@ mod tests {
             rec(5004, 700),
             rec(5009, 700),
             rec(5013, 700),
-            rec(5018, 420),
+            rec(5018, 620),
         ];
-        let mut cfg = TimingDecoderConfig::new(Duration::from_millis(10_000));
-        cfg.min_record_len = 400;
-        let events = TimingDecoder::new(cfg).decode(&records);
+        let events = decoder().decode(&records);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].choice, Choice::NonDefault);
     }
 
     #[test]
     fn exact_len_filter_drops_telemetry() {
-        // Padded posts are exactly 4112; telemetry (2650) sneaks into
-        // the window and would fake a non-default without the filter.
-        let records = vec![rec(1000, 4112), rec(4000, 2650), rec(40_000, 4112)];
-        let mut cfg = TimingDecoderConfig::new(Duration::from_millis(10_000));
-        cfg.exact_post_len = Some(4112);
-        let events = TimingDecoder::new(cfg).decode(&records);
+        // Padded posts are exactly 3616 (pad 3600); telemetry (2650)
+        // sneaks into the window and would fake a non-default without
+        // the filter.
+        let records = vec![rec(1000, 3616), rec(4000, 2650), rec(40_000, 3616)];
+        let events = TimingDecoder::new(1, Some(3616)).decode(&records);
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| e.choice == Choice::Default));
-        // Without the filter (but with a diag bound that admits the
-        // padded posts), the telemetry record fakes a pair.
-        let mut naive_cfg = TimingDecoderConfig::new(Duration::from_millis(10_000));
-        naive_cfg.max_record_len = 4200;
-        let naive = TimingDecoder::new(naive_cfg).decode(&records);
+        // Without the filter the telemetry record fakes a pair.
+        let naive = decoder().decode(&records);
         assert_eq!(naive[0].choice, Choice::NonDefault);
     }
 
@@ -265,6 +253,6 @@ mod tests {
     fn handshake_records_ignored() {
         let mut records = vec![rec(1000, 2212)];
         records[0].record.content_type = ContentType::Handshake;
-        assert!(decoder(10_000).decode(&records).is_empty());
+        assert!(decoder().decode(&records).is_empty());
     }
 }

@@ -10,9 +10,8 @@
 //! predicts survives the fixes.
 
 use std::sync::Arc;
+use white_mirror::core::baselines::TimingDecoder;
 use white_mirror::core::{choice_accuracy, client_app_records};
-use white_mirror::defense::{TimingDecoder, TimingDecoderConfig};
-use white_mirror::net::time::Duration;
 use white_mirror::prelude::*;
 
 const TIME_SCALE: u32 = 40;
@@ -64,19 +63,13 @@ fn main() {
         // known-constant (padding); without that hint, background
         // telemetry swamps the event stream, so we report it only for
         // the padded condition.
-        let features = client_app_records(&victim.trace);
-        let mut tcfg = TimingDecoderConfig::new(Duration::from_secs_f64(10.0 / TIME_SCALE as f64));
-        // A burst gap shorter than any scaled human reaction time, so
-        // the type-1 and a following type-2 never merge into one burst.
-        tcfg.burst_gap = Duration::from_secs_f64(0.5 / TIME_SCALE as f64);
-        if let Defense::PadToConstant { size } = defense {
-            tcfg.exact_post_len = Some(size as u16 + 16);
-        }
-        if !matches!(defense, Defense::PadToConstant { .. }) {
+        let Defense::PadToConstant { size } = defense else {
             println!("{:<18} {} {:>14}", defense.label(), length_acc, "—");
             continue;
-        }
-        let events = TimingDecoder::new(tcfg).decode(&features.records);
+        };
+        let features = client_app_records(&victim.trace);
+        let events =
+            TimingDecoder::new(TIME_SCALE, Some(size as u16 + 16)).decode(&features.records);
         // Score the timing decoder positionally against the truth.
         let decoded: Vec<white_mirror::core::DecodedChoice> = events
             .iter()

@@ -274,12 +274,8 @@ fn claim_fixes_leave_residual_channels() {
     assert_eq!(report_lens.len(), 1, "padding must equalize report lengths");
     // …but the report *pattern* still reveals every non-default pick.
     let features = white_mirror::core::client_app_records(&out.trace);
-    let mut tcfg = white_mirror::defense::TimingDecoderConfig::new(
-        white_mirror::net::time::Duration::from_secs_f64(10.0 / TIME_SCALE as f64),
-    );
-    tcfg.burst_gap = white_mirror::net::time::Duration::from_secs_f64(0.5 / TIME_SCALE as f64);
-    tcfg.exact_post_len = Some(4096 + 16);
-    let events = white_mirror::defense::TimingDecoder::new(tcfg).decode(&features.records);
+    let events = white_mirror::core::baselines::TimingDecoder::new(TIME_SCALE, Some(4096 + 16))
+        .decode(&features.records);
     let decoded: Vec<white_mirror::core::DecodedChoice> = events
         .iter()
         .zip(out.decisions.iter())
