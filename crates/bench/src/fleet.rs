@@ -16,9 +16,7 @@ use wm_capture::time::{Duration, SimTime};
 use wm_chaos::ShardFaultPlan;
 use wm_core::online::CapturedPacket;
 use wm_core::IntervalClassifier;
-use wm_fleet::{
-    merge_taps, Fleet, FleetConfig, FleetReport, ObserverConfig, ResizeSchedule, TapPacket,
-};
+use wm_fleet::{merge_taps, Fleet, FleetConfig, FleetReport, ResizeSchedule, TapPacket};
 use wm_story::StoryGraph;
 use wm_telemetry::trace::{SpanId, TraceEvent, TraceHandle};
 
@@ -191,7 +189,7 @@ pub fn run_fleet(
     let trace = TraceHandle::new();
     let root = trace.span_start_at(0, "fleet.run", SpanId::NONE);
     fleet.attach_trace(trace.clone(), root);
-    fleet.attach_observer(ObserverConfig::default());
+    fleet.attach_observer();
     for (t, victim, frame) in stream {
         fleet.push(*t, *victim, frame);
     }

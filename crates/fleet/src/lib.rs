@@ -52,9 +52,7 @@ pub use shard::{
     one_record, parse_envelope, ShardEnvelope, ShardRestoreError, ShardRestoreErrorKind,
     ShardState, WorkerFault,
 };
-pub use supervisor::{
-    Fleet, FleetReport, FleetStats, LossWindow, ObsReport, ObserverConfig, ShardRecovery,
-};
+pub use supervisor::{Fleet, FleetReport, FleetStats, LossWindow, ObsReport, ShardRecovery};
 // Health-plane vocabulary, re-exported so fleet consumers don't need a
 // direct wm-obs dependency to read a `fleet_status` report.
 pub use wm_obs::{FleetStatus, HealthState, HealthTransition, ShardVitals};

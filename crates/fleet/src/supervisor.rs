@@ -165,14 +165,6 @@ pub struct FleetReport {
     pub obs: Option<ObsReport>,
 }
 
-/// How the observability plane watches a fleet. The watchdog scores
-/// against the SLO constants in `wm_obs::health`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObserverConfig {
-    /// Sim-time observation cadence, µs. 0 ⇒ the checkpoint cadence.
-    pub cadence_us: u64,
-}
-
 /// Time-series points the observer retains (bounded ring).
 const SERIES_CAPACITY: usize = 4_096;
 /// Health transitions retained in the alert stream.
@@ -566,11 +558,12 @@ impl Fleet {
 
     /// Attach the observability plane: one registry per shard (every
     /// decoder's `online.*` metrics, surviving kill/restore), a
-    /// bounded time-series ring fed on the observation cadence, and
-    /// the SLO watchdog scoring per-shard vitals into health states.
-    /// Health transitions are mirrored as `obs.health.*` trace
-    /// instants when a trace is attached.
-    pub fn attach_observer(&mut self, cfg: ObserverConfig) {
+    /// bounded time-series ring fed on the checkpoint cadence, and
+    /// the SLO watchdog (the constants in `wm_obs::health`) scoring
+    /// per-shard vitals into health states. Health transitions are
+    /// mirrored as `obs.health.*` trace instants when a trace is
+    /// attached.
+    pub fn attach_observer(&mut self) {
         let shards = self.slots.len();
         let registries: Vec<Arc<Registry>> =
             (0..shards).map(|_| Arc::new(Registry::new())).collect();
@@ -579,11 +572,7 @@ impl Fleet {
                 state.set_registry(reg.clone());
             }
         }
-        let every = if cfg.cadence_us == 0 {
-            self.cfg.checkpoint_every
-        } else {
-            Duration::from_micros(cfg.cadence_us)
-        };
+        let every = self.cfg.checkpoint_every;
         let first_tick = SimTime(every.micros().max(1));
         self.observer = Some(Observer {
             registries,

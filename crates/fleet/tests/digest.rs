@@ -29,8 +29,8 @@ use wm_chaos::{ShardFaultKind, ShardFaultPlan};
 use wm_core::{IntervalClassifier, WhiteMirrorConfig};
 use wm_fleet::ring::{RING_SEED, VNODES_PER_SHARD};
 use wm_fleet::{
-    merge_taps, victim_key, Fleet, FleetConfig, FleetReport, HashRing, ObserverConfig,
-    ResizeSchedule, ShardBackend, ShardState, TapPacket,
+    merge_taps, victim_key, Fleet, FleetConfig, FleetReport, HashRing, ResizeSchedule,
+    ShardBackend, ShardState, TapPacket,
 };
 use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::tiny_film;
@@ -218,7 +218,7 @@ fn fleet_output_matches_pinned_digest() {
     let chaotic = run_fleet(fleet_cfg(4), &stream, &clf, |fleet| {
         fleet.inject(&plan);
         fleet.schedule_resize(&resize);
-        fleet.attach_observer(ObserverConfig::default());
+        fleet.attach_observer();
     });
     assert!(chaotic.stats.kills > 0 && chaotic.stats.resizes == 2);
     digest_report(&mut h, &chaotic);

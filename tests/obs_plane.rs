@@ -16,9 +16,7 @@ use std::sync::Arc;
 use white_mirror::capture::time::{Duration, SimTime};
 use white_mirror::chaos::ShardFaultPlan;
 use white_mirror::core::{IntervalClassifier, WhiteMirrorConfig};
-use white_mirror::fleet::{
-    merge_taps, Fleet, FleetConfig, FleetReport, HealthState, ObserverConfig, TapPacket,
-};
+use white_mirror::fleet::{merge_taps, Fleet, FleetConfig, FleetReport, HealthState, TapPacket};
 use white_mirror::obs::{collapse_spans, prometheus_text};
 use white_mirror::prelude::*;
 use white_mirror::trace::{SpanId, TraceEvent, TraceHandle};
@@ -69,6 +67,10 @@ fn fleet_cfg(shards: usize, span_us: u64) -> FleetConfig {
     let mut cfg = FleetConfig::scaled(shards, TS);
     cfg.victim_idle = Duration::from_micros(span_us);
     cfg.max_victims_per_shard = 16;
+    // The fixture stream spans only a few sim-seconds; checkpoint, and
+    // so observe, on a 100 ms cadence so kill/restore intervals land
+    // on ticks.
+    cfg.checkpoint_every = Duration::from_millis(100);
     cfg
 }
 
@@ -87,11 +89,7 @@ fn run_observed(
     let trace = TraceHandle::new();
     let root = trace.span_start_at(0, "fleet.run", SpanId::NONE);
     fleet.attach_trace(trace.clone(), root);
-    // The fixture stream spans only a few sim-seconds; observe on a
-    // 100 ms cadence so kill/restore intervals land on ticks.
-    fleet.attach_observer(ObserverConfig {
-        cadence_us: 100_000,
-    });
+    fleet.attach_observer();
     for (t, victim, frame) in stream {
         fleet.push(*t, *victim, frame);
     }
