@@ -530,7 +530,15 @@ impl Blob<'_> {
     /// order, replacing any record for the same victim. Copies record
     /// byte ranges; decodes nothing.
     pub fn reseal(&self, keep: impl Fn(u32) -> bool, splice: Option<RecordRef<'_>>) -> Vec<u8> {
-        let mut blob = BlobWriter::new(&self.header);
+        let spliced = |victim| splice.is_some_and(|new| new.victim == victim);
+        let kept: usize = self
+            .records
+            .iter()
+            .filter(|rec| keep(rec.victim) && !spliced(rec.victim))
+            .map(|rec| rec.bytes.len())
+            .sum();
+        let records = kept + splice.map_or(0, |new| new.bytes.len());
+        let mut blob = BlobWriter::new(&self.header, records);
         let mut pending = splice;
         for rec in &self.records {
             if let Some(new) = pending.filter(|new| new.victim <= rec.victim) {
@@ -597,8 +605,11 @@ pub struct BlobWriter {
 }
 
 impl BlobWriter {
-    pub fn new(header: &BlobHeader) -> Self {
-        let mut buf = Vec::with_capacity(HEADER_LEN + CRC_LEN);
+    /// Start a blob under `header`, reserving room for the header, the
+    /// CRC and `record_bytes`: the caller's estimate of the records it
+    /// will push, so that pushing them does not regrow the buffer.
+    pub fn new(header: &BlobHeader, record_bytes: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN + record_bytes + CRC_LEN);
         header.write(&mut Writer(&mut buf));
         BlobWriter { buf }
     }
@@ -1338,9 +1349,9 @@ mod tests {
             cfg: OnlineConfig::scaled(20),
             classifier: classifier(),
         };
-        let empty = BlobWriter::new(&header).finish();
+        let empty = BlobWriter::new(&header, 0).finish();
         assert_eq!(empty.len(), 44 + CRC_LEN, "a 44-byte header, then the CRC");
-        let mut w = BlobWriter::new(&header);
+        let mut w = BlobWriter::new(&header, 0);
         for victim in [2u32, 5, 9] {
             w.push_decoder(victim, SimTime(victim as u64 * 10), &mut fresh());
         }
@@ -1364,7 +1375,7 @@ mod tests {
         let dec = restore_record(&spliced.records[2], &header.classifier, &header.cfg, graph);
         assert_eq!(dec.unwrap().stats().resumes, 1);
         // Out-of-order records are rejected.
-        let mut w = BlobWriter::new(&header);
+        let mut w = BlobWriter::new(&header, 0);
         w.push_record(parsed.records[1].bytes);
         w.push_record(parsed.records[0].bytes);
         assert_eq!(

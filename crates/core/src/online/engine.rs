@@ -615,7 +615,9 @@ impl OnlineDecoder {
             cfg: self.cfg.clone(),
             classifier: self.classifier.clone(),
         };
-        let mut blob = crate::online::checkpoint::BlobWriter::new(&header);
+        // `state_bytes` runs two to three times the sealed record, so
+        // pushing the record does not regrow the buffer.
+        let mut blob = crate::online::checkpoint::BlobWriter::new(&header, self.state_bytes());
         blob.push_decoder(0, SimTime::ZERO, self);
         blob.finish()
     }

@@ -332,7 +332,7 @@ fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
         cfg: cfg.clone(),
         classifier: clf.clone(),
     };
-    let mut writer = BlobWriter::new(&header);
+    let mut writer = BlobWriter::new(&header, 0);
     for (victim, seed) in [(3u32, 941u64), (8, 942), (21, 943)] {
         let mut dec = mid_stream(
             seed,

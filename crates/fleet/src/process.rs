@@ -314,7 +314,7 @@ impl<'a> Request<'a> {
                     cfg: cfg.clone(),
                     classifier: classifier.clone(),
                 };
-                let mut payload = BlobWriter::new(&header).finish();
+                let mut payload = BlobWriter::new(&header, 0).finish();
                 write_graph(graph, &mut payload);
                 encode_frame(OP_INIT, &payload, out);
             }

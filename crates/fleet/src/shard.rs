@@ -138,6 +138,9 @@ pub struct ShardState {
     /// checkpoint (observation never feeds simulated state), so the
     /// supervisor re-attaches after a restore.
     registry: Option<Arc<Registry>>,
+    /// Length of the last blob this shard wrote: the next one's
+    /// record reserve (its header and CRC included, a few bytes over).
+    blob_len: usize,
 }
 
 impl ShardState {
@@ -156,6 +159,7 @@ impl ShardState {
             ids: Vec::new(),
             residents: Vec::new(),
             registry: None,
+            blob_len: 0,
         }
     }
 
@@ -346,11 +350,13 @@ impl ShardState {
     /// Serialize the whole shard into one checkpoint blob. Resets each
     /// decoder's cadence clock, like the per-decoder API.
     pub fn checkpoint(&mut self, taken: SimTime) -> Vec<u8> {
-        let mut blob = BlobWriter::new(&self.header(taken));
+        let mut blob = BlobWriter::new(&self.header(taken), self.blob_len);
         for (&id, r) in self.ids.iter().zip(&mut self.residents) {
             blob.push_decoder(id, r.seen, &mut r.decoder);
         }
-        blob.finish()
+        let sealed = blob.finish();
+        self.blob_len = sealed.len();
+        sealed
     }
 
     /// Restore a shard from a blob written by [`ShardState::checkpoint`].

@@ -1398,7 +1398,7 @@ impl Fleet {
         let latest = match slot.latest.as_deref() {
             Some(stored) => splice(Some(stored)),
             None => {
-                let mut blob = BlobWriter::new(&header);
+                let mut blob = BlobWriter::new(&header, m.record.len());
                 blob.push_record(&m.record);
                 Some(blob.finish())
             }

@@ -109,13 +109,14 @@ impl Model {
     }
 
     fn checkpoint(&mut self, taken: SimTime) -> Vec<u8> {
-        let mut blob = BlobWriter::new(&BlobHeader {
+        let header = BlobHeader {
             shard: SHARD,
             taken,
             graph_fp: graph_fingerprint(&self.graph),
             cfg: self.cfg.clone(),
             classifier: self.classifier.clone(),
-        });
+        };
+        let mut blob = BlobWriter::new(&header, 0);
         for (id, dec) in self.decoders.iter_mut() {
             blob.push_decoder(*id, self.last_seen[id], dec);
         }
