@@ -96,18 +96,10 @@ impl ElasticityRow {
     }
 }
 
-/// Validate a `BENCH_elasticity.json` document: right bench name, and
-/// every [`REQUIRED_METRICS`] entry present as a finite, non-negative
-/// number. A thin wrapper over the shared
-/// [`crate::schema::validate_bench_json`] gate.
-pub fn validate_elasticity_json(json: &str) -> Result<(), String> {
-    crate::schema::validate_bench_json(json, "elasticity", REQUIRED_METRICS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_json, TraceTally};
+    use crate::{bench_json, validate_bench_json, TraceTally};
     use wm_telemetry::Snapshot;
 
     fn full_metrics() -> Vec<(&'static str, f64)> {
@@ -122,7 +114,8 @@ mod tests {
             &Snapshot::default(),
             &TraceTally::default(),
         );
-        validate_elasticity_json(&json).expect("complete report validates");
+        validate_bench_json(&json, "elasticity", REQUIRED_METRICS)
+            .expect("complete report validates");
     }
 
     #[test]
@@ -133,7 +126,7 @@ mod tests {
             &Snapshot::default(),
             &TraceTally::default(),
         );
-        assert!(validate_elasticity_json(&wrong).is_err());
+        assert!(validate_bench_json(&wrong, "elasticity", REQUIRED_METRICS).is_err());
         for skip in REQUIRED_METRICS {
             let partial: Vec<(&str, f64)> = full_metrics()
                 .into_iter()
@@ -145,7 +138,8 @@ mod tests {
                 &Snapshot::default(),
                 &TraceTally::default(),
             );
-            let err = validate_elasticity_json(&json).expect_err("missing metric must fail");
+            let err = validate_bench_json(&json, "elasticity", REQUIRED_METRICS)
+                .expect_err("missing metric must fail");
             assert!(err.contains(skip), "error {err:?} must name {skip:?}");
         }
     }

@@ -116,14 +116,6 @@ impl IntensityRow {
     }
 }
 
-/// Validate a `BENCH_fleet.json` document: right bench name, and every
-/// [`REQUIRED_METRICS`] entry present as a finite, non-negative
-/// number. A thin wrapper over the shared
-/// [`crate::schema::validate_bench_json`] gate.
-pub fn validate_fleet_json(json: &str) -> Result<(), String> {
-    crate::schema::validate_bench_json(json, "fleet", REQUIRED_METRICS)
-}
-
 /// The stream a fleet ingests: `victims` taps cycling through `pool`,
 /// victim `v` starting `v` × 250 ms in, merged into one time-ordered
 /// stream. Returns it with its sim-time span in µs (at least 1).
@@ -202,7 +194,7 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_json, TraceTally};
+    use crate::{bench_json, validate_bench_json, TraceTally};
     use wm_telemetry::Snapshot;
 
     fn full_metrics() -> Vec<(&'static str, f64)> {
@@ -217,7 +209,7 @@ mod tests {
             &Snapshot::default(),
             &TraceTally::default(),
         );
-        validate_fleet_json(&json).expect("complete report validates");
+        validate_bench_json(&json, "fleet", REQUIRED_METRICS).expect("complete report validates");
     }
 
     #[test]
@@ -228,7 +220,7 @@ mod tests {
             &Snapshot::default(),
             &TraceTally::default(),
         );
-        assert!(validate_fleet_json(&wrong).is_err());
+        assert!(validate_bench_json(&wrong, "fleet", REQUIRED_METRICS).is_err());
         for skip in REQUIRED_METRICS {
             let partial: Vec<(&str, f64)> = full_metrics()
                 .into_iter()
@@ -240,7 +232,8 @@ mod tests {
                 &Snapshot::default(),
                 &TraceTally::default(),
             );
-            let err = validate_fleet_json(&json).expect_err("missing metric must fail");
+            let err = validate_bench_json(&json, "fleet", REQUIRED_METRICS)
+                .expect_err("missing metric must fail");
             assert!(err.contains(skip), "error {err:?} must name {skip:?}");
         }
     }
@@ -255,6 +248,6 @@ mod tests {
             &Snapshot::default(),
             &TraceTally::default(),
         );
-        assert!(validate_fleet_json(&json).is_err());
+        assert!(validate_bench_json(&json, "fleet", REQUIRED_METRICS).is_err());
     }
 }

@@ -35,18 +35,10 @@ fn proc_status_kb(field: &str) -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Validate a `BENCH_throughput.json` document: right bench name, and
-/// every [`REQUIRED_METRICS`] entry present as a finite, non-negative
-/// number. A thin wrapper over the shared
-/// [`crate::schema::validate_bench_json`] gate.
-pub fn validate_throughput_json(json: &str) -> Result<(), String> {
-    crate::schema::validate_bench_json(json, "throughput", REQUIRED_METRICS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_json, TraceTally};
+    use crate::{bench_json, validate_bench_json, TraceTally};
     use wm_telemetry::Snapshot;
 
     #[test]
@@ -68,7 +60,8 @@ mod tests {
             &Snapshot::default(),
             &TraceTally::default(),
         );
-        validate_throughput_json(&json).expect("complete report validates");
+        validate_bench_json(&json, "throughput", REQUIRED_METRICS)
+            .expect("complete report validates");
     }
 
     #[test]
@@ -78,13 +71,14 @@ mod tests {
         let tally = TraceTally::default();
 
         let wrong_name = bench_json("other", &all, &tele, &tally);
-        assert!(validate_throughput_json(&wrong_name).is_err());
+        assert!(validate_bench_json(&wrong_name, "throughput", REQUIRED_METRICS).is_err());
 
         for dropped in REQUIRED_METRICS {
             let partial: Vec<(&str, f64)> =
                 all.iter().filter(|(k, _)| k != dropped).copied().collect();
             let json = bench_json("throughput", &partial, &tele, &tally);
-            let err = validate_throughput_json(&json).expect_err("missing metric must fail");
+            let err = validate_bench_json(&json, "throughput", REQUIRED_METRICS)
+                .expect_err("missing metric must fail");
             assert!(
                 err.contains(dropped),
                 "error {err:?} names the missing metric"
@@ -94,6 +88,6 @@ mod tests {
         let mut negative = all.clone();
         negative[0].1 = -1.0;
         let json = bench_json("throughput", &negative, &tele, &tally);
-        assert!(validate_throughput_json(&json).is_err());
+        assert!(validate_bench_json(&json, "throughput", REQUIRED_METRICS).is_err());
     }
 }

@@ -145,11 +145,6 @@ pub fn fragments(payload: &[u8]) -> Fragments<'_> {
     }
 }
 
-/// [`fragments`], collected (kept for callers that want a `Vec`).
-pub fn fragment(payload: &[u8]) -> Vec<&[u8]> {
-    fragments(payload).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,15 +196,15 @@ mod tests {
     #[test]
     fn fragmentation() {
         let small = vec![0u8; 100];
-        assert_eq!(fragment(&small).len(), 1);
+        assert_eq!(fragments(&small).count(), 1);
         let exact = vec![0u8; MAX_FRAGMENT];
-        assert_eq!(fragment(&exact).len(), 1);
+        assert_eq!(fragments(&exact).count(), 1);
         let big = vec![0u8; MAX_FRAGMENT + 1];
-        let frags = fragment(&big);
+        let frags: Vec<&[u8]> = fragments(&big).collect();
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0].len(), MAX_FRAGMENT);
         assert_eq!(frags[1].len(), 1);
         let empty: Vec<u8> = vec![];
-        assert_eq!(fragment(&empty), vec![&[] as &[u8]]);
+        assert_eq!(fragments(&empty).collect::<Vec<_>>(), vec![&[] as &[u8]]);
     }
 }
