@@ -197,7 +197,6 @@ struct Observer {
     series: SeriesRing,
     watchdog: Watchdog,
     next_tick: SimTime,
-    every: Duration,
 }
 
 /// Where one slot's decoders actually live: in this address space, or
@@ -572,8 +571,7 @@ impl Fleet {
                 state.set_registry(reg.clone());
             }
         }
-        let every = self.cfg.checkpoint_every;
-        let first_tick = SimTime(every.micros().max(1));
+        let first_tick = SimTime(self.cfg.checkpoint_every.micros().max(1));
         self.observer = Some(Observer {
             registries,
             trackers: (0..shards).map(|_| DeltaTracker::new()).collect(),
@@ -581,7 +579,6 @@ impl Fleet {
             series: SeriesRing::new(SERIES_CAPACITY),
             watchdog: Watchdog::new(shards, TRANSITION_CAPACITY),
             next_tick: first_tick,
-            every,
         });
         self.lower_next_tick(first_tick);
     }
@@ -1518,15 +1515,15 @@ impl Fleet {
     // -- observation cadence ------------------------------------------
 
     /// Run every observation tick the stream time has passed. Ticks
-    /// are aligned sim-time multiples of the cadence, so the series is
-    /// a function of the packet stream — never of arrival batching —
-    /// and each point merges the per-shard registry deltas, which is
-    /// partition-invariant across shard and worker counts.
+    /// are aligned sim-time multiples of the checkpoint cadence, so the
+    /// series is a function of the packet stream — never of arrival
+    /// batching — and each point merges the per-shard registry deltas,
+    /// which is partition-invariant across shard and worker counts.
     fn observer_tick(&mut self) {
         let Some(mut obs) = self.observer.take() else {
             return;
         };
-        let every = obs.every.micros().max(1);
+        let every = self.cfg.checkpoint_every.micros().max(1);
         while obs.next_tick.micros() <= self.now.micros() {
             let t = obs.next_tick;
             self.observe_point(&mut obs, t);
