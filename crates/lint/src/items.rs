@@ -58,13 +58,26 @@ impl Annotation {
         matches!(self, Annotation::AllocOk | Annotation::Quantizer)
     }
 
-    pub(crate) const ALL: [Annotation; 5] = [
+    const ALL: [Annotation; 5] = [
         Annotation::Hotpath,
         Annotation::AllocOk,
         Annotation::ResponsePath,
         Annotation::Quantizer,
         Annotation::ParseRoot,
     ];
+
+    /// The annotation a directive body starts with, and the text after
+    /// its keyword. Prefixes of longer words (`hotpathX`) do not count.
+    pub(crate) fn parse_directive(rest: &str) -> Option<(Annotation, &str)> {
+        Annotation::ALL.iter().find_map(|a| {
+            let after = rest.strip_prefix(a.keyword())?;
+            after
+                .chars()
+                .next()
+                .is_none_or(|ch| !ch.is_alphanumeric() && ch != '-' && ch != '_')
+                .then_some((*a, after))
+        })
+    }
 }
 
 /// One parsed annotation directive.
@@ -536,18 +549,7 @@ fn attach_annotations(out: &mut SourceItems, comments: &[Comment]) {
         let Some(rest) = directive_body(c) else {
             continue;
         };
-        let Some((kind, body)) = Annotation::ALL.iter().find_map(|a| {
-            rest.strip_prefix(a.keyword()).and_then(|after| {
-                // Reject prefixes of longer words (`hotpathX`).
-                match after.chars().next() {
-                    None => Some((*a, "")),
-                    Some(ch) if !ch.is_alphanumeric() && ch != '-' && ch != '_' => {
-                        Some((*a, after))
-                    }
-                    _ => None,
-                }
-            })
-        }) else {
+        let Some((kind, body)) = Annotation::parse_directive(rest) else {
             continue; // `allow(...)` and malformed directives are rules.rs's business
         };
         let has_reason = extract_reason(body).is_some_and(|r| !r.trim().is_empty());
@@ -574,8 +576,8 @@ fn attach_annotations(out: &mut SourceItems, comments: &[Comment]) {
     }
 }
 
-/// From `(reason = "why")` (or similar), pull out `why`.
-fn extract_reason(s: &str) -> Option<&str> {
+/// From `(reason = "why")` or `, reason = "why"`, pull out `why`.
+pub(crate) fn extract_reason(s: &str) -> Option<&str> {
     let after = s.split_once("reason")?.1.trim_start();
     let after = after.strip_prefix('=')?.trim_start();
     let after = after.strip_prefix('"')?;

@@ -18,12 +18,14 @@
 //!    into victim internals.
 //!
 //! `wm-lint` enforces all three with a lightweight Rust lexer
-//! ([`lexer`]), a token-pattern rule engine ([`rules`]), a call graph
-//! over an item view ([`callgraph`], [`items`]) for the rules that
-//! reach across files ([`rules_v2`]), and a minimal manifest reader
-//! ([`manifest`]). It walks every `crates/*/src` file plus each crate's
-//! `Cargo.toml`, skips `#[cfg(test)]` items, honours inline
-//! `// wm-lint: allow(<rule>, reason = "...")` suppressions, and can
+//! ([`lexer`]), a table of token rules and the policy lists
+//! ([`rules`]), a call graph over an item view ([`callgraph`],
+//! [`items`]) for the rules that reach across files, and a minimal
+//! manifest reader ([`manifest`]). It walks every `crates/*/src` file
+//! plus each crate's `Cargo.toml`. One pass ([`rules_v2`]) lexes each
+//! source once, skips `#[cfg(test)]` items, runs the token rules and
+//! the call-graph families, and honours inline
+//! `// wm-lint: allow(<rule>, reason = "...")` suppressions. It can
 //! emit a machine-readable JSON report ([`report`]). The binary's
 //! `--deny` mode (exit 1 on any finding) is wired into CI.
 
@@ -56,8 +58,8 @@ pub struct ScanResult {
 
 /// Scan the workspace rooted at `root` (the directory containing
 /// `crates/`). The walk order is sorted, so output is deterministic.
-/// Runs the per-file token rules ([`rules`]) on every source, then the
-/// workspace-wide call-graph families ([`rules_v2`]) over all of them.
+/// Checks each manifest as it is read, then runs the one lint pass
+/// ([`rules_v2::check_workspace`]) over every source.
 pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
@@ -132,9 +134,6 @@ fn scan_crate(
         let bytes = fs::read(&path)?;
         let src = String::from_utf8_lossy(&bytes);
         result.files_scanned += 1;
-        result
-            .findings
-            .extend(rules::check_source(&crate_name, &rel(root, &path), &src));
         sources_out.push(rules_v2::WorkspaceFile {
             crate_name: crate_name.clone(),
             rel_path: rel(root, &path),

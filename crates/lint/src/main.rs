@@ -18,7 +18,8 @@ struct Args {
 }
 
 const USAGE: &str = "\
-wm-lint: workspace invariant checker (determinism, panic-safety, layering)
+wm-lint: workspace invariant checker (determinism, panic, layering, bounded,
+suppression, hotpath, concurrency, defense and annotation rule families)
 
 USAGE:
     wm-lint [--root <dir>] [--json <path>] [--deny]

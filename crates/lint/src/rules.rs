@@ -1,4 +1,4 @@
-//! The rule engine.
+//! Rule policy and the per-file token rules.
 //!
 //! Rule families guard the invariants the traffic-analysis
 //! pipeline depends on:
@@ -11,8 +11,8 @@
 //!   return errors, never panic: no `unwrap`/`expect`, no panicking
 //!   macros, no unchecked indexing. Its scope is not a path list: the
 //!   code marks its entry points `// wm-lint: parse-root`, and the
-//!   workspace pass ([`crate::rules_v2`]) applies the family to every
-//!   file holding a function the call graph reaches from one.
+//!   call-graph families ([`crate::rules_v2`]) apply it to every file
+//!   holding a function the call graph reaches from one.
 //! * **layering** — attacker crates may only see what an on-path
 //!   observer sees. Their declared dependencies are restricted to the
 //!   capture window and public vocabulary crates; reaching into victim
@@ -26,12 +26,19 @@
 //!   there must grow through the capacity-enforcing `wm_core::online::bounded`
 //!   API. Raw `Vec::push`-style growth is forbidden in those files.
 //!
+//! This module holds the policy lists, the manifest check, and the
+//! token rules: one table whose rows each pair a rule id with the
+//! identifiers it matches, where they must sit, the files it covers and
+//! its message. The one workspace pass ([`crate::rules_v2`]) lexes and
+//! strips each file once and scans its tokens against the table beside
+//! the call-graph families.
+//!
 //! Findings may be silenced with an inline
 //! `// wm-lint: allow(<rule>, reason = "...")` comment on the offending
 //! line or the line above; the reason is mandatory.
 
-use crate::items::Annotation;
-use crate::lexer::{lex, Comment, Tok, Token};
+use crate::items::{directive_body, extract_reason, Annotation};
+use crate::lexer::{Comment, Tok, Token};
 use crate::manifest::Manifest;
 
 /// A single rule violation.
@@ -67,8 +74,9 @@ pub const PROCESS_SPAWN: &str = "layering/process-spawn";
 pub const BOUNDED_BUFFER: &str = "bounded/unbounded-buffer";
 pub const MISSING_REASON: &str = "suppression/missing-reason";
 
-/// Every rule the engine can emit (v1 token rules plus the
-/// call-graph-based v2 families), for `--help` and the report header.
+/// Every rule the engine can emit (token, manifest and call-graph
+/// rules), for `--help` and the report header; the order sets the
+/// report's key order.
 pub const ALL_RULES: &[&str] = &[
     WALL_CLOCK,
     TRACE_SIM_TIME,
@@ -160,97 +168,6 @@ pub fn attacker_dep_allowed(name: &str, dep: &str) -> bool {
             .any(|(c, extra)| *c == name && extra.contains(&dep))
 }
 
-/// Crates allowed to spawn OS processes: the fleet supervisor hosts
-/// shards in child worker processes by design (the `ProcessShard`
-/// backend), and that capability must stay inside the attacker-side
-/// supervisor. Any other crate reaching for `std::process::Command`
-/// is either a victim crate growing an escape hatch or an attacker
-/// crate bypassing the supervisor's respawn/checkpoint accounting —
-/// both are layering bugs. (`std::process::exit` is fine everywhere;
-/// the rule matches the `Command` type, not the module.)
-const PROCESS_SPAWN_EXEMPT: &[&str] = &["wm-fleet"];
-
-/// Does the process-spawn rule apply to this crate?
-pub fn process_spawn_applies(crate_name: &str) -> bool {
-    !PROCESS_SPAWN_EXEMPT.contains(&crate_name)
-}
-
-/// Crates allowed to read wall clocks: the benchmark harness times real
-/// executions by definition. Everything else must justify a clock with
-/// a suppression (telemetry's span timers do exactly that).
-const WALL_CLOCK_EXEMPT: &[&str] = &["wm-bench"];
-
-/// Does the wall-clock rule apply to this crate?
-pub fn wall_clock_applies(crate_name: &str) -> bool {
-    !WALL_CLOCK_EXEMPT.contains(&crate_name)
-}
-
-/// Does the hash-collection rule apply to this crate?
-pub fn hash_collections_apply(crate_name: &str) -> bool {
-    BYTE_PRODUCING_CRATES.contains(&crate_name)
-}
-
-/// Trace emit paths: anything in `crates/telemetry/src/trace/` sits
-/// between an emitter and the recorder, so any wall-clock reachability
-/// there — `Instant::<anything>` in path position, or `SystemTime` even
-/// as a bare type — can leak nondeterminism into event timestamps. Golden
-/// traces and `trace_diff` gates only hold if every `TraceEvent` is
-/// stamped with sim time. (Bare `Instant` is exempt: it is also the
-/// module's own `EventKind::Instant` variant.) The rest of
-/// `wm-telemetry` stays outside: its `Span` timer measures wall time
-/// by design and never stamps a trace event. The observability
-/// plane's emit/export paths (`crates/obs/src/`) get the same
-/// treatment: alert events, time-series points and flamegraph stacks
-/// all claim byte-determinism, which a wall clock anywhere in the
-/// crate would silently break.
-pub fn trace_sim_time_applies(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/telemetry/src/trace/") || rel_path.starts_with("crates/obs/src/")
-}
-
-/// The online decoder's ingest paths: long-running, fed by an
-/// adversarial stream, and required to hold memory bounded by
-/// *configuration*. All growth must flow through `wm_core::online::bounded`;
-/// `bounded.rs` itself (and the checkpoint codec, which materializes
-/// decoded state of already-bounded size) may use the raw APIs.
-pub fn bounded_rules_apply(rel_path: &str) -> bool {
-    rel_path == "crates/core/src/online/ingest.rs" || rel_path == "crates/core/src/online/engine.rs"
-}
-
-/// Lint one Rust source file. `rel_path` is workspace-relative with
-/// `/` separators (it selects path-scoped rules and labels findings).
-pub fn check_source(crate_name: &str, rel_path: &str, src: &str) -> Vec<Finding> {
-    let lexed = lex(src);
-    let tokens = strip_test_items(&lexed.tokens);
-    let mut findings = Vec::new();
-
-    if wall_clock_applies(crate_name) {
-        wall_clock_rule(&tokens, rel_path, &mut findings);
-    }
-    if trace_sim_time_applies(rel_path) {
-        trace_sim_time_rule(&tokens, rel_path, &mut findings);
-    }
-    if hash_collections_apply(crate_name) {
-        hash_collections_rule(&tokens, rel_path, &mut findings);
-    }
-    unseeded_rng_rule(&tokens, rel_path, &mut findings);
-    if process_spawn_applies(crate_name) {
-        process_spawn_rule(&tokens, rel_path, &mut findings);
-    }
-    if bounded_rules_apply(rel_path) {
-        bounded_buffer_rule(&tokens, rel_path, &mut findings);
-    }
-
-    let suppressions = collect_suppressions(&lexed.comments, rel_path, &mut findings);
-    findings.retain(|f| {
-        f.rule == MISSING_REASON
-            || !suppressions
-                .iter()
-                .any(|s| s.matches(f.rule) && (f.line == s.line || f.line == s.line + 1))
-    });
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    findings
-}
-
 /// Lint one `Cargo.toml`. Only the layering family applies.
 pub fn check_manifest(rel_path: &str, m: &Manifest) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -332,163 +249,229 @@ pub(crate) fn is_punct(t: Option<&Token>, c: char) -> bool {
     matches!(t, Some(Token { tok: Tok::Punct(p), .. }) if *p == c)
 }
 
-fn wall_clock_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
+/// The files a token rule covers.
+enum Scope {
+    /// Every crate except these.
+    CratesExcept(&'static [&'static str]),
+    /// Only these crates.
+    Crates(&'static [&'static str]),
+    /// Files under these path prefixes.
+    PathPrefixes(&'static [&'static str]),
+    /// Exactly these files.
+    Files(&'static [&'static str]),
+}
+
+impl Scope {
+    fn covers(&self, crate_name: &str, rel_path: &str) -> bool {
+        match self {
+            Scope::CratesExcept(crates) => !crates.contains(&crate_name),
+            Scope::Crates(crates) => crates.contains(&crate_name),
+            Scope::PathPrefixes(prefixes) => prefixes.iter().any(|p| rel_path.starts_with(p)),
+            Scope::Files(files) => files.contains(&rel_path),
+        }
+    }
+}
+
+/// Where a matched identifier must sit for its row to fire.
+enum Position {
+    Anywhere,
+    /// Path head: `Name::…`.
+    Path,
+    /// `Name::now`.
+    NowCall,
+    /// Method position: `.name`.
+    Method,
+    /// Path head, or named through the process module:
+    /// `std::process::Name`, or any name in a `use std::process::{…}`
+    /// group. A bare name elsewhere is left alone so a crate-local
+    /// type of that name can exist.
+    PathOrProcessImport,
+}
+
+impl Position {
+    fn holds(&self, tokens: &[Token], i: usize) -> bool {
+        let path = is_punct(tokens.get(i + 1), ':') && is_punct(tokens.get(i + 2), ':');
+        match self {
+            Position::Anywhere => true,
+            Position::Path => path,
+            Position::NowCall => path && tokens.get(i + 3).and_then(ident) == Some("now"),
+            Position::Method => i > 0 && is_punct(tokens.get(i - 1), '.'),
+            Position::PathOrProcessImport => path || via_process_module(tokens, i),
+        }
+    }
+}
+
+/// Is `tokens[i]` named through `process::`, directly or as a member
+/// of a `{A, B, …}` import group?
+fn via_process_module(tokens: &[Token], i: usize) -> bool {
+    // Walk back over the group so every name in it is anchored to the
+    // module path.
+    let mut j = i;
+    while j >= 1
+        && (is_punct(tokens.get(j - 1), ',') || tokens.get(j - 1).and_then(ident).is_some())
+    {
+        j -= 1;
+    }
+    let group_start = if j >= 1 && is_punct(tokens.get(j - 1), '{') {
+        j - 1
+    } else {
+        i
+    };
+    group_start >= 3
+        && is_punct(tokens.get(group_start - 1), ':')
+        && is_punct(tokens.get(group_start - 2), ':')
+        && tokens.get(group_start - 3).and_then(ident) == Some("process")
+}
+
+/// One row of the token-rule table: an identifier in `idents`, at
+/// `position`, in a file `scope` covers, fires `rule`.
+struct TokenRule {
+    rule: &'static str,
+    idents: &'static [&'static str],
+    position: Position,
+    scope: Scope,
+    /// `{name}` stands for the matched identifier.
+    message: &'static str,
+}
+
+/// Trace emit paths: anything in `crates/telemetry/src/trace/` sits
+/// between an emitter and the recorder, so any wall-clock reachability
+/// there can leak nondeterminism into event timestamps. Golden traces
+/// and `trace_diff` gates only hold if every `TraceEvent` is stamped
+/// with sim time. The rest of `wm-telemetry` stays outside: its `Span`
+/// timer measures wall time by design and never stamps a trace event.
+/// The observability plane's emit/export paths (`crates/obs/src/`) get
+/// the same treatment: alert events, time-series points and flamegraph
+/// stacks all claim byte-determinism, which a wall clock anywhere in
+/// the crate would silently break.
+const TRACE_PATHS: Scope = Scope::PathPrefixes(&["crates/telemetry/src/trace/", "crates/obs/src/"]);
+
+const TRACE_SIM_TIME_MESSAGE: &str =
+    "`{name}` is a wall-clock source; trace events must be stamped with the \
+     recorder's sim-time clock (`set_now` / `*_at`) so exports are \
+     byte-deterministic per seed";
+
+/// Every token rule. The workspace pass scans each file's test-stripped
+/// tokens once, trying the rows whose scope covers the file.
+const TOKEN_RULES: &[TokenRule] = &[
+    // The benchmark harness times real executions by definition; every
+    // other crate must justify a clock with a suppression (telemetry's
+    // span timers do exactly that).
+    TokenRule {
+        rule: WALL_CLOCK,
+        idents: &["Instant", "SystemTime"],
+        position: Position::NowCall,
+        scope: Scope::CratesExcept(&["wm-bench"]),
+        message: "`{name}::now()` reads the wall clock; byte-producing code must use \
+                  simulated time (`wm_net::time`) so traces are reproducible",
+    },
+    // `SystemTime` anywhere, even as a bare type; `Instant` only in
+    // path position (`Instant::…`), since the bare word is also the
+    // trace module's own `EventKind::Instant` variant.
+    TokenRule {
+        rule: TRACE_SIM_TIME,
+        idents: &["SystemTime"],
+        position: Position::Anywhere,
+        scope: TRACE_PATHS,
+        message: TRACE_SIM_TIME_MESSAGE,
+    },
+    TokenRule {
+        rule: TRACE_SIM_TIME,
+        idents: &["Instant"],
+        position: Position::Path,
+        scope: TRACE_PATHS,
+        message: TRACE_SIM_TIME_MESSAGE,
+    },
+    TokenRule {
+        rule: HASH_COLLECTIONS,
+        idents: &["HashMap", "HashSet", "RandomState"],
+        position: Position::Anywhere,
+        scope: Scope::Crates(BYTE_PRODUCING_CRATES),
+        message: "`{name}` has randomized iteration order; use `BTreeMap`/`BTreeSet` or a \
+                  sorted `Vec` so emitted bytes are deterministic",
+    },
+    TokenRule {
+        rule: UNSEEDED_RNG,
+        idents: &[
+            "thread_rng",
+            "ThreadRng",
+            "OsRng",
+            "from_entropy",
+            "getrandom",
+        ],
+        position: Position::Anywhere,
+        scope: Scope::CratesExcept(&[]),
+        message: "`{name}` draws OS entropy; all randomness must flow from an explicit \
+                  seed (`SimRng`) so runs are reproducible",
+    },
+    // The fleet supervisor hosts shards in child worker processes by
+    // design (the `ProcessShard` backend), and that capability must
+    // stay inside it. Any other crate reaching for `Command` is either a
+    // victim crate growing an escape hatch or an attacker crate
+    // bypassing the supervisor's respawn/checkpoint accounting — both
+    // are layering bugs. (`std::process::exit` is fine everywhere: the
+    // row matches the `Command` type, not the module.)
+    TokenRule {
+        rule: PROCESS_SPAWN,
+        idents: &["Command"],
+        position: Position::PathOrProcessImport,
+        scope: Scope::CratesExcept(&["wm-fleet"]),
+        message: "`std::process::Command` spawns OS processes; the process-shard \
+                  runner must stay inside the fleet supervisor (`wm-fleet`), which \
+                  owns respawn and checkpoint accounting for child workers",
+    },
+    // The online decoder's ingest paths: long-running, fed by an
+    // adversarial stream, and required to hold memory bounded by
+    // configuration. All growth flows through `wm_core::online::bounded`
+    // (whose differently-named admission methods `put`/`admit`/
+    // `admit_evict`/`absorb`/`park` never match here); `bounded.rs`
+    // itself and the checkpoint codec, which materializes decoded state
+    // of already-bounded size, may use the raw APIs.
+    TokenRule {
+        rule: BOUNDED_BUFFER,
+        idents: &[
+            "push",
+            "push_back",
+            "push_front",
+            "extend",
+            "extend_from_slice",
+            "append",
+            "insert",
+        ],
+        position: Position::Method,
+        scope: Scope::Files(&[
+            "crates/core/src/online/ingest.rs",
+            "crates/core/src/online/engine.rs",
+        ]),
+        message: "`.{name}(…)` grows a buffer without a capacity bound; online ingest \
+                  paths must use the `wm_core::online::bounded` admission APIs so memory is \
+                  bounded by fixed budgets, not session length",
+    },
+];
+
+/// Run the token rules over one file's test-stripped tokens, in token
+/// order.
+pub(crate) fn token_rules(
+    crate_name: &str,
+    rel_path: &str,
+    tokens: &[Token],
+    out: &mut Vec<Finding>,
+) {
+    let rows: Vec<&TokenRule> = TOKEN_RULES
+        .iter()
+        .filter(|r| r.scope.covers(crate_name, rel_path))
+        .collect();
     for (i, t) in tokens.iter().enumerate() {
         let Some(name) = ident(t) else { continue };
-        if !matches!(name, "Instant" | "SystemTime") {
-            continue;
-        }
-        if is_punct(tokens.get(i + 1), ':')
-            && is_punct(tokens.get(i + 2), ':')
-            && tokens.get(i + 3).and_then(ident) == Some("now")
-        {
-            out.push(Finding {
-                rule: WALL_CLOCK,
-                file: file.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{name}::now()` reads the wall clock; byte-producing code must use \
-                     simulated time (`wm_net::time`) so traces are reproducible"
-                ),
-            });
-        }
-    }
-}
-
-fn process_spawn_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if ident(t) != Some("Command") {
-            continue;
-        }
-        // Path position (`Command::new(..)`) or imported/named through
-        // the process module (`std::process::Command`, `use
-        // std::process::{Command, ..}`). A bare `Command` elsewhere is
-        // left alone so a crate-local type of that name can exist.
-        let in_path = is_punct(tokens.get(i + 1), ':') && is_punct(tokens.get(i + 2), ':');
-        // Walk back over a `{A, B, …}` import group so every name in
-        // `std::process::{…}` is anchored to the module path.
-        let mut j = i;
-        while j >= 1
-            && (is_punct(tokens.get(j - 1), ',') || tokens.get(j - 1).and_then(ident).is_some())
-        {
-            j -= 1;
-        }
-        let group_start = if j >= 1 && is_punct(tokens.get(j - 1), '{') {
-            j - 1
-        } else {
-            i
-        };
-        let via_process = group_start >= 3
-            && is_punct(tokens.get(group_start - 1), ':')
-            && is_punct(tokens.get(group_start - 2), ':')
-            && tokens.get(group_start - 3).and_then(ident) == Some("process");
-        if in_path || via_process {
-            out.push(Finding {
-                rule: PROCESS_SPAWN,
-                file: file.to_string(),
-                line: t.line,
-                message: "`std::process::Command` spawns OS processes; the process-shard \
-                          runner must stay inside the fleet supervisor (`wm-fleet`), which \
-                          owns respawn and checkpoint accounting for child workers"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-fn trace_sim_time_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = ident(t) else { continue };
-        // `SystemTime` anywhere; `Instant` only in path position
-        // (`Instant::…`) — the bare word is also the legitimate
-        // `EventKind::Instant` variant of the trace module.
-        let wall_clock = name == "SystemTime"
-            || (name == "Instant"
-                && is_punct(tokens.get(i + 1), ':')
-                && is_punct(tokens.get(i + 2), ':'));
-        if wall_clock {
-            out.push(Finding {
-                rule: TRACE_SIM_TIME,
-                file: file.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{name}` is a wall-clock source; trace events must be stamped with the \
-                     recorder's sim-time clock (`set_now` / `*_at`) so exports are \
-                     byte-deterministic per seed"
-                ),
-            });
-        }
-    }
-}
-
-fn hash_collections_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
-    for t in tokens {
-        let Some(name) = ident(t) else { continue };
-        if matches!(name, "HashMap" | "HashSet" | "RandomState") {
-            out.push(Finding {
-                rule: HASH_COLLECTIONS,
-                file: file.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{name}` has randomized iteration order; use `BTreeMap`/`BTreeSet` or a \
-                     sorted `Vec` so emitted bytes are deterministic"
-                ),
-            });
-        }
-    }
-}
-
-fn unseeded_rng_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
-    for t in tokens {
-        let Some(name) = ident(t) else { continue };
-        if matches!(
-            name,
-            "thread_rng" | "ThreadRng" | "OsRng" | "from_entropy" | "getrandom"
-        ) {
-            out.push(Finding {
-                rule: UNSEEDED_RNG,
-                file: file.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{name}` draws OS entropy; all randomness must flow from an explicit \
-                     seed (`SimRng`) so runs are reproducible"
-                ),
-            });
-        }
-    }
-}
-
-fn bounded_buffer_rule(tokens: &[Token], file: &str, out: &mut Vec<Finding>) {
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = ident(t) else { continue };
-        if !matches!(
-            name,
-            "push"
-                | "push_back"
-                | "push_front"
-                | "extend"
-                | "extend_from_slice"
-                | "append"
-                | "insert"
-        ) {
-            continue;
-        }
-        // Method position only (`.push(…)`): the bounded containers
-        // deliberately expose differently-named admission methods
-        // (`put`/`admit`/`admit_evict`/`absorb`/`park`), so any raw
-        // growth verb here is a buffer whose size session length — not
-        // a fixed budget — controls.
-        if i > 0 && is_punct(tokens.get(i - 1), '.') {
-            out.push(Finding {
-                rule: BOUNDED_BUFFER,
-                file: file.to_string(),
-                line: t.line,
-                message: format!(
-                    "`.{name}(…)` grows a buffer without a capacity bound; online ingest \
-                     paths must use the `wm_core::online::bounded` admission APIs so memory is \
-                     bounded by fixed budgets, not session length"
-                ),
-            });
+        for row in &rows {
+            if row.idents.contains(&name) && row.position.holds(tokens, i) {
+                out.push(Finding {
+                    rule: row.rule,
+                    file: rel_path.to_string(),
+                    line: t.line,
+                    message: row.message.replace("{name}", name),
+                });
+            }
         }
     }
 }
@@ -579,48 +562,47 @@ fn matching(tokens: &[Token], open: usize, open_c: char, close_c: char) -> Optio
 
 pub(crate) struct Suppression {
     rule: String,
-    pub(crate) line: u32,
+    line: u32,
 }
 
 impl Suppression {
-    /// A suppression matches its exact rule or a whole family
-    /// (`allow(panic, ...)` silences every `panic/*` rule).
-    pub(crate) fn matches(&self, rule: &str) -> bool {
-        rule == self.rule
-            || (rule.len() > self.rule.len()
-                && rule.starts_with(&self.rule)
-                && rule.as_bytes().get(self.rule.len()) == Some(&b'/'))
+    /// A suppression covers its own line and the next, and matches its
+    /// exact rule or a whole family (`allow(panic, ...)` silences every
+    /// `panic/*` rule).
+    pub(crate) fn silences(&self, f: &Finding) -> bool {
+        let rule = f.rule;
+        (f.line == self.line || f.line == self.line + 1)
+            && (rule == self.rule
+                || (rule.len() > self.rule.len()
+                    && rule.starts_with(&self.rule)
+                    && rule.as_bytes().get(self.rule.len()) == Some(&b'/')))
     }
-}
-
-/// Item annotation directives ([`Annotation`]: `wm-lint: hotpath`,
-/// `parse-root`, …) are parsed and validated by the v2 pass
-/// ([`crate::items`]); the suppression collector must not report them
-/// as unrecognized.
-fn is_annotation_directive(rest: &str) -> bool {
-    Annotation::ALL.iter().any(|a| {
-        rest.strip_prefix(a.keyword()).is_some_and(|after| {
-            after
-                .chars()
-                .next()
-                .is_none_or(|ch| !ch.is_alphanumeric() && ch != '-' && ch != '_')
-        })
-    })
 }
 
 /// Parse `wm-lint: allow(rule, reason = "...")` directives out of the
 /// comment stream. Directives without a non-empty reason do not
-/// suppress anything and are themselves reported via `report`.
-fn parse_suppressions(
+/// suppress anything; each is reported once into `findings`. Item
+/// annotations (`wm-lint: hotpath`, `parse-root`, …) are the item
+/// parser's ([`crate::items`]) and are skipped here.
+pub(crate) fn parse_suppressions(
     comments: &[Comment],
-    mut report: impl FnMut(u32, String),
+    file: &str,
+    findings: &mut Vec<Finding>,
 ) -> Vec<Suppression> {
+    let mut report = |line, message| {
+        findings.push(Finding {
+            rule: MISSING_REASON,
+            file: file.to_string(),
+            line,
+            message,
+        })
+    };
     let mut out = Vec::new();
     for c in comments {
-        let Some(rest) = crate::items::directive_body(c) else {
+        let Some(rest) = directive_body(c) else {
             continue;
         };
-        if is_annotation_directive(rest) {
+        if Annotation::parse_directive(rest).is_some() {
             continue;
         }
         let Some(body) = rest.strip_prefix("allow") else {
@@ -658,39 +640,18 @@ fn parse_suppressions(
     out
 }
 
-fn collect_suppressions(
-    comments: &[Comment],
-    file: &str,
-    findings: &mut Vec<Finding>,
-) -> Vec<Suppression> {
-    parse_suppressions(comments, |line, message| {
-        findings.push(Finding {
-            rule: MISSING_REASON,
-            file: file.to_string(),
-            line,
-            message,
-        })
-    })
-}
-
-/// Suppressions only, no malformed-directive findings — for the v2
-/// workspace pass, which runs after the per-file pass has already
-/// reported them.
-pub(crate) fn collect_suppressions_quiet(comments: &[Comment]) -> Vec<Suppression> {
-    parse_suppressions(comments, |_, _| {})
-}
-
-/// From `, reason = "why"` (or similar), pull out `why`.
-fn extract_reason(s: &str) -> Option<&str> {
-    let after = s.split_once("reason")?.1.trim_start();
-    let after = after.strip_prefix('=')?.trim_start();
-    let after = after.strip_prefix('"')?;
-    after.split_once('"').map(|(reason, _)| reason)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules_v2::tests::{run, wf};
+
+    /// One in-memory file through the one lint pass with no pinned
+    /// roots, its findings in (line, rule) order.
+    fn lint(crate_name: &str, rel_path: &str, src: &str) -> Vec<Finding> {
+        let (mut findings, _) = run(&[wf(crate_name, rel_path, src)]);
+        findings.sort_by_key(|f| (f.line, f.rule));
+        findings
+    }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
@@ -701,13 +662,13 @@ mod tests {
 
     #[test]
     fn wall_clock_fires_in_byte_producing_crate() {
-        let f = check_source(
+        let f = lint(
             "wm-player",
             FIXTURE_PATH,
             "fn t() -> Instant { Instant::now() }",
         );
         assert_eq!(rules_of(&f), [WALL_CLOCK]);
-        let f = check_source(
+        let f = lint(
             "wm-net",
             FIXTURE_PATH,
             "fn t() -> u64 { SystemTime::now().elapsed() }",
@@ -717,7 +678,7 @@ mod tests {
 
     #[test]
     fn wall_clock_exempts_bench() {
-        let f = check_source("wm-bench", FIXTURE_PATH, "let t = Instant::now();");
+        let f = lint("wm-bench", FIXTURE_PATH, "let t = Instant::now();");
         assert!(f.is_empty());
     }
 
@@ -725,18 +686,18 @@ mod tests {
     fn instant_in_string_or_comment_is_fine() {
         let src = r#"// Instant::now() is forbidden here
             let s = "Instant::now()";"#;
-        assert!(check_source("wm-sim", FIXTURE_PATH, src).is_empty());
+        assert!(lint("wm-sim", FIXTURE_PATH, src).is_empty());
     }
 
     #[test]
     fn process_spawn_fires_outside_the_fleet() {
-        let f = check_source(
+        let f = lint(
             "wm-core",
             "crates/core/src/online/engine.rs",
             "let c = std::process::Command::new(\"worker\").spawn();",
         );
         assert_eq!(rules_of(&f), [PROCESS_SPAWN]);
-        let f = check_source(
+        let f = lint(
             "wm-netflix",
             FIXTURE_PATH,
             "use std::process::{Command, Stdio};",
@@ -746,7 +707,7 @@ mod tests {
 
     #[test]
     fn process_spawn_exempts_the_fleet_supervisor() {
-        let f = check_source(
+        let f = lint(
             "wm-fleet",
             "crates/fleet/src/process.rs",
             "let c = Command::new(worker).spawn();",
@@ -758,11 +719,11 @@ mod tests {
     fn process_exit_and_local_command_types_are_fine() {
         // `std::process::exit` is the ordinary way for a binary to set
         // its exit code; only the `Command` type is the spawn surface.
-        let f = check_source("wm-bench", FIXTURE_PATH, "std::process::exit(1);");
+        let f = lint("wm-bench", FIXTURE_PATH, "std::process::exit(1);");
         assert!(f.is_empty(), "{f:?}");
         // A crate-local `Command` used as a bare name (no path, not via
         // the process module) stays legal.
-        let f = check_source(
+        let f = lint(
             "wm-player",
             FIXTURE_PATH,
             "enum Command { Play, Pause } fn f(c: Command) {}",
@@ -774,7 +735,7 @@ mod tests {
     fn trace_sim_time_fires_on_wall_clock_in_trace_module() {
         // `Instant::now()` trips both the generic wall-clock rule and
         // the stricter trace rule.
-        let f = check_source(
+        let f = lint(
             "wm-telemetry",
             "crates/telemetry/src/trace/recorder.rs",
             "let t = Instant::now();",
@@ -784,13 +745,13 @@ mod tests {
         // Any path through `Instant`, and any mention of `SystemTime`
         // (even a field/signature without `::now()`), fires the trace
         // rule — timestamps must arrive as sim-time integers.
-        let f = check_source(
+        let f = lint(
             "wm-telemetry",
             "crates/telemetry/src/trace/recorder.rs",
             "let e = start.elapsed(); let z = Instant::from_micros(0);",
         );
         assert_eq!(rules_of(&f), [TRACE_SIM_TIME]);
-        let f = check_source(
+        let f = lint(
             "wm-telemetry",
             "crates/telemetry/src/trace/event.rs",
             "struct E { at: SystemTime }",
@@ -803,22 +764,20 @@ mod tests {
         // `EventKind::Instant` is the trace module's own variant, not a
         // wall-clock type; the bare ident must not fire.
         let src = "match k { EventKind::Instant => \"n\", _ => \"b\" }";
-        assert!(
-            check_source("wm-telemetry", "crates/telemetry/src/trace/export.rs", src).is_empty()
-        );
+        assert!(lint("wm-telemetry", "crates/telemetry/src/trace/export.rs", src).is_empty());
     }
 
     #[test]
     fn trace_sim_time_is_scoped_to_trace_sources() {
         let src = "struct S { at: SystemTime }";
-        let f = check_source("wm-player", "crates/player/src/player.rs", src);
+        let f = lint("wm-player", "crates/player/src/player.rs", src);
         assert!(rules_of(&f).iter().all(|r| *r != TRACE_SIM_TIME), "{f:?}");
         // Within wm-telemetry only the trace module is in scope: the
         // metric `Span` timer's wall clock never stamps a trace event.
         let src = "let t = Instant::now();";
-        let f = check_source("wm-telemetry", "crates/telemetry/src/metric.rs", src);
+        let f = lint("wm-telemetry", "crates/telemetry/src/metric.rs", src);
         assert!(rules_of(&f).iter().all(|r| *r != TRACE_SIM_TIME), "{f:?}");
-        let f = check_source(
+        let f = lint(
             "wm-telemetry",
             "crates/telemetry/src/trace/recorder.rs",
             src,
@@ -831,13 +790,13 @@ mod tests {
         // The observability plane emits byte-deterministic exports and
         // sim-time alerts; a wall clock anywhere in its sources is the
         // same determinism bug as one in the trace recorder.
-        let f = check_source(
+        let f = lint(
             "wm-obs",
             "crates/obs/src/export.rs",
             "let stamp = SystemTime::now();",
         );
         assert!(rules_of(&f).contains(&TRACE_SIM_TIME), "{f:?}");
-        let f = check_source(
+        let f = lint(
             "wm-obs",
             "crates/obs/src/health.rs",
             "let t = Instant::now();",
@@ -848,9 +807,9 @@ mod tests {
     #[test]
     fn trace_sim_time_suppressible_with_reason_only() {
         let ok = "struct E { at: SystemTime } // wm-lint: allow(determinism/trace-sim-time, reason = \"doc example\")";
-        assert!(check_source("wm-telemetry", "crates/telemetry/src/trace/mod.rs", ok).is_empty());
+        assert!(lint("wm-telemetry", "crates/telemetry/src/trace/mod.rs", ok).is_empty());
         let bare = "// wm-lint: allow(determinism/trace-sim-time)\nstruct E { at: SystemTime }";
-        let f = check_source("wm-telemetry", "crates/telemetry/src/trace/mod.rs", bare);
+        let f = lint("wm-telemetry", "crates/telemetry/src/trace/mod.rs", bare);
         assert!(rules_of(&f).contains(&MISSING_REASON));
         assert!(rules_of(&f).contains(&TRACE_SIM_TIME));
     }
@@ -858,16 +817,16 @@ mod tests {
     #[test]
     fn hash_collections_fire_only_in_byte_producing_crates() {
         let src = "use std::collections::HashMap; fn f() { let m: HashMap<u8, u8>; }";
-        let f = check_source("wm-tls", FIXTURE_PATH, src);
+        let f = lint("wm-tls", FIXTURE_PATH, src);
         assert!(f.iter().all(|f| f.rule == HASH_COLLECTIONS));
         assert_eq!(f.len(), 2);
         // Attacker/utility crates may hash internally (they emit no bytes).
-        assert!(check_source("wm-telemetry", "crates/telemetry/src/x.rs", src).is_empty());
+        assert!(lint("wm-telemetry", "crates/telemetry/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn randomstate_and_hashset_fire() {
-        let f = check_source(
+        let f = lint(
             "wm-story",
             FIXTURE_PATH,
             "let s: HashSet<u8> = HashSet::default(); let r = RandomState::new();",
@@ -878,10 +837,10 @@ mod tests {
     #[test]
     fn unseeded_rng_fires_everywhere() {
         for krate in ["wm-core", "wm-sim", "wm-bench"] {
-            let f = check_source(krate, FIXTURE_PATH, "let mut rng = thread_rng();");
+            let f = lint(krate, FIXTURE_PATH, "let mut rng = thread_rng();");
             assert_eq!(rules_of(&f), [UNSEEDED_RNG], "{krate}");
         }
-        let f = check_source("wm-json", FIXTURE_PATH, "let r = OsRng.next_u64();");
+        let f = lint("wm-json", FIXTURE_PATH, "let r = OsRng.next_u64();");
         assert_eq!(rules_of(&f), [UNSEEDED_RNG]);
     }
 
@@ -901,21 +860,21 @@ mod tests {
                 }
             }
         "#;
-        assert!(check_source("wm-sim", "crates/sim/src/x.rs", src).is_empty());
-        assert!(check_source("wm-tls", FIXTURE_PATH, src).is_empty());
+        assert!(lint("wm-sim", "crates/sim/src/x.rs", src).is_empty());
+        assert!(lint("wm-tls", FIXTURE_PATH, src).is_empty());
     }
 
     #[test]
     fn cfg_all_test_is_also_stripped() {
         let src = "#[cfg(all(test, feature = \"x\"))] mod t { fn f() { let m: HashMap<u8, u8>; } }";
-        assert!(check_source("wm-tls", FIXTURE_PATH, src).is_empty());
+        assert!(lint("wm-tls", FIXTURE_PATH, src).is_empty());
     }
 
     #[test]
     fn code_after_test_mod_is_still_checked() {
         let src = "#[cfg(test)] mod t { fn f() { let m: HashMap<u8, u8>; } }\n\
                    pub fn g() { let s: HashSet<u8>; }";
-        let f = check_source("wm-tls", FIXTURE_PATH, src);
+        let f = lint("wm-tls", FIXTURE_PATH, src);
         assert_eq!(rules_of(&f), [HASH_COLLECTIONS]);
         assert_eq!(f[0].line, 2);
     }
@@ -929,7 +888,7 @@ mod tests {
         let src = format!(
             "{HASHED} // wm-lint: allow(determinism/hash-collections, reason = \"never iterated\")"
         );
-        assert!(check_source("wm-tls", FIXTURE_PATH, &src).is_empty());
+        assert!(lint("wm-tls", FIXTURE_PATH, &src).is_empty());
     }
 
     #[test]
@@ -937,7 +896,7 @@ mod tests {
         let src = format!(
             "// wm-lint: allow(determinism/hash-collections, reason = \"never iterated\")\n{HASHED}"
         );
-        assert!(check_source("wm-tls", FIXTURE_PATH, &src).is_empty());
+        assert!(lint("wm-tls", FIXTURE_PATH, &src).is_empty());
     }
 
     #[test]
@@ -946,14 +905,14 @@ mod tests {
             "// wm-lint: allow(determinism/hash-collections, reason = \"only covers next line\")\n\
              let a = 1;\n{HASHED}"
         );
-        let f = check_source("wm-tls", FIXTURE_PATH, &src);
+        let f = lint("wm-tls", FIXTURE_PATH, &src);
         assert_eq!(rules_of(&f), [HASH_COLLECTIONS]);
     }
 
     #[test]
     fn suppression_of_other_rule_does_not_silence() {
         let src = format!("// wm-lint: allow(determinism/wall-clock, reason = \"n/a\")\n{HASHED}");
-        let f = check_source("wm-tls", FIXTURE_PATH, &src);
+        let f = lint("wm-tls", FIXTURE_PATH, &src);
         assert_eq!(rules_of(&f), [HASH_COLLECTIONS]);
     }
 
@@ -962,13 +921,13 @@ mod tests {
         let src = format!(
             "// wm-lint: allow(determinism, reason = \"fixture\")\n{HASHED} let t = Instant::now();"
         );
-        assert!(check_source("wm-tls", FIXTURE_PATH, &src).is_empty());
+        assert!(lint("wm-tls", FIXTURE_PATH, &src).is_empty());
     }
 
     #[test]
     fn suppression_without_reason_is_reported_and_inert() {
         let src = format!("// wm-lint: allow(determinism/hash-collections)\n{HASHED}");
-        let f = check_source("wm-tls", FIXTURE_PATH, &src);
+        let f = lint("wm-tls", FIXTURE_PATH, &src);
         assert_eq!(rules_of(&f), [MISSING_REASON, HASH_COLLECTIONS]);
     }
 
@@ -976,7 +935,7 @@ mod tests {
     fn suppression_with_empty_reason_is_reported() {
         let src =
             format!("// wm-lint: allow(determinism/hash-collections, reason = \"  \")\n{HASHED}");
-        let f = check_source("wm-tls", FIXTURE_PATH, &src);
+        let f = lint("wm-tls", FIXTURE_PATH, &src);
         assert!(rules_of(&f).contains(&MISSING_REASON));
     }
 
@@ -984,13 +943,13 @@ mod tests {
     fn item_annotations_are_not_unrecognized_directives() {
         for kw in ["hotpath", "response-path", "parse-root"] {
             let src = format!("// wm-lint: {kw}\npub fn f() {{}}");
-            assert!(check_source("wm-a", FIXTURE_PATH, &src).is_empty(), "{kw}");
+            assert!(lint("wm-a", FIXTURE_PATH, &src).is_empty(), "{kw}");
         }
     }
 
     #[test]
     fn malformed_directive_is_reported() {
-        let f = check_source(
+        let f = lint(
             "wm-json",
             FIXTURE_PATH,
             "// wm-lint: disable-everything\nlet x = 1;",
@@ -1013,7 +972,7 @@ mod tests {
                 "crates/core/src/online/ingest.rs",
                 "crates/core/src/online/engine.rs",
             ] {
-                let f = check_source("wm-core", path, src);
+                let f = lint("wm-core", path, src);
                 assert!(
                     f.iter().any(|f| f.rule == BOUNDED_BUFFER),
                     "expected bounded/unbounded-buffer for {src} in {path}: {f:?}"
@@ -1033,7 +992,7 @@ mod tests {
             "let e = self.flows.entry(id).or_insert_with(f);",
             "fn push(x: u8) {} push(1);", // bare call, not method position
         ] {
-            let f = check_source("wm-core", "crates/core/src/online/ingest.rs", src);
+            let f = lint("wm-core", "crates/core/src/online/ingest.rs", src);
             assert!(
                 f.iter().all(|f| f.rule != BOUNDED_BUFFER),
                 "false positive for {src}: {f:?}"
@@ -1049,7 +1008,7 @@ mod tests {
             "crates/core/src/online/checkpoint.rs",
             "crates/core/src/decode.rs",
         ] {
-            let f = check_source("wm-core", path, src);
+            let f = lint("wm-core", path, src);
             assert!(
                 f.iter().all(|f| f.rule != BOUNDED_BUFFER),
                 "rule must not apply to {path}: {f:?}"
@@ -1060,9 +1019,9 @@ mod tests {
     #[test]
     fn bounded_buffer_suppressible_with_reason_only() {
         let ok = "v.push(x); // wm-lint: allow(bounded/unbounded-buffer, reason = \"drained same call\")";
-        assert!(check_source("wm-core", "crates/core/src/online/ingest.rs", ok).is_empty());
+        assert!(lint("wm-core", "crates/core/src/online/ingest.rs", ok).is_empty());
         let bare = "// wm-lint: allow(bounded/unbounded-buffer)\nv.push(x);";
-        let f = check_source("wm-core", "crates/core/src/online/ingest.rs", bare);
+        let f = lint("wm-core", "crates/core/src/online/ingest.rs", bare);
         assert!(rules_of(&f).contains(&MISSING_REASON));
         assert!(rules_of(&f).contains(&BOUNDED_BUFFER));
     }
@@ -1202,10 +1161,10 @@ mod tests {
 
     #[test]
     fn findings_sort_by_line() {
-        // The wall-clock rule runs first, but its line-2 finding sorts
-        // after the hash-collection finding on line 1.
+        // The line-2 wall-clock finding sorts after the line-1
+        // hash-collection finding.
         let src = format!("{HASHED}\nlet t = Instant::now();");
-        let f = check_source("wm-tls", FIXTURE_PATH, &src);
+        let f = lint("wm-tls", FIXTURE_PATH, &src);
         assert_eq!(rules_of(&f), [HASH_COLLECTIONS, WALL_CLOCK]);
     }
 }

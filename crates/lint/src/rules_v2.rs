@@ -1,8 +1,11 @@
-//! Workspace-wide (v2) rule families.
+//! The one lint pass over every workspace source, and its call-graph
+//! (v2) rule families.
 //!
-//! Where [`crate::rules`] pattern-matches tokens one file at a time,
-//! the v2 families reason over the cross-crate call graph
-//! ([`crate::callgraph`]) built from the item view ([`crate::items`]):
+//! [`check_workspace`] lexes each file, strips its `#[cfg(test)]` items
+//! and collects its suppressions once. The token rules
+//! ([`crate::rules`]) match each file's tokens alone; the families
+//! below reason over the cross-crate call graph ([`crate::callgraph`])
+//! built from the item view ([`crate::items`]):
 //!
 //! * **hotpath** — functions annotated `// wm-lint: hotpath` are roots
 //!   of the per-record hot loops PR 6 made allocation-free. Nothing
@@ -43,10 +46,9 @@
 
 use crate::callgraph::{CallGraph, FileItems, Reachability};
 use crate::items::{parse_items, Annotation, Call};
-use crate::lexer::{lex, Comment, Tok, Token};
+use crate::lexer::{lex, Tok, Token};
 use crate::rules::{
-    collect_suppressions_quiet, ident, is_punct, strip_test_items, Finding, Suppression,
-    MISSING_REASON,
+    ident, is_punct, parse_suppressions, strip_test_items, token_rules, Finding, MISSING_REASON,
 };
 use std::collections::BTreeMap;
 
@@ -214,14 +216,13 @@ pub struct V2Summary {
     pub unsafe_uses: usize,
 }
 
-struct AnalyzedFile {
-    tokens: Vec<Token>,
-    comments: Vec<Comment>,
-}
-
-/// Run every v2 family over the workspace. `deps` maps crate name to
-/// declared dependency names (scoping call resolution; dev-deps should
-/// be excluded since test items are stripped).
+/// The one lint pass. Each file is lexed, stripped of `#[cfg(test)]`
+/// items and parsed for suppressions once; its tokens go through the
+/// token rules ([`crate::rules`]) and the item parser, and then the
+/// call-graph families run over every file. One suppression filter
+/// ends the pass. `deps` maps crate name to declared dependency names
+/// (scoping call resolution; dev-deps should be excluded since test
+/// items are stripped).
 pub fn check_workspace(
     files: &[WorkspaceFile],
     deps: &BTreeMap<String, Vec<String>>,
@@ -230,12 +231,18 @@ pub fn check_workspace(
     let mut findings = Vec::new();
     let mut summary = V2Summary::default();
 
-    let mut analyzed = Vec::with_capacity(files.len());
+    let mut tokens = Vec::with_capacity(files.len());
     let mut file_items = Vec::with_capacity(files.len());
+    let mut suppressions = BTreeMap::new();
     for f in files {
         let lexed = lex(&f.src);
-        let tokens = strip_test_items(&lexed.tokens);
-        let items = parse_items(&tokens, &lexed.comments);
+        let file_tokens = strip_test_items(&lexed.tokens);
+        token_rules(&f.crate_name, &f.rel_path, &file_tokens, &mut findings);
+        suppressions.insert(
+            f.rel_path.as_str(),
+            parse_suppressions(&lexed.comments, &f.rel_path, &mut findings),
+        );
+        let items = parse_items(&file_tokens, &lexed.comments);
         for site in &items.dangling {
             findings.push(Finding {
                 rule: ANNOTATION_DANGLING,
@@ -266,43 +273,26 @@ pub fn check_workspace(
             rel_path: f.rel_path.clone(),
             items,
         });
-        analyzed.push(AnalyzedFile {
-            tokens,
-            comments: lexed.comments,
-        });
+        tokens.push(file_tokens);
     }
 
     let graph = CallGraph::build(&file_items, deps);
     summary.graph_fns = graph.nodes.len();
     summary.graph_edges = graph.edge_count();
 
-    hotpath_family(&graph, &analyzed, config, &mut findings, &mut summary);
-    concurrency_family(files, &analyzed, config, &mut findings, &mut summary);
-    taint_family(&graph, &analyzed, config, &mut findings, &mut summary);
-    panic_family(
-        &graph,
-        files,
-        &analyzed,
-        config,
-        &mut findings,
-        &mut summary,
-    );
+    hotpath_family(&graph, &tokens, config, &mut findings, &mut summary);
+    concurrency_family(files, &tokens, config, &mut findings, &mut summary);
+    taint_family(&graph, &tokens, config, &mut findings, &mut summary);
+    panic_family(&graph, files, &tokens, config, &mut findings, &mut summary);
 
-    // Apply inline suppressions: same line or the line above, matching
-    // rule or family prefix, reason mandatory (reason-less directives
-    // were already reported by the per-file pass).
-    let by_file: BTreeMap<&str, Vec<Suppression>> = files
-        .iter()
-        .zip(&analyzed)
-        .map(|(f, a)| (f.rel_path.as_str(), collect_suppressions_quiet(&a.comments)))
-        .collect();
+    // Inline suppressions: same line or the line above, matching rule
+    // or family prefix, reason mandatory. A missing reason is never
+    // suppressible.
     findings.retain(|f| {
-        let Some(sups) = by_file.get(f.file.as_str()) else {
-            return true;
-        };
-        !sups
-            .iter()
-            .any(|s| s.matches(f.rule) && (f.line == s.line || f.line == s.line + 1))
+        f.rule == MISSING_REASON
+            || !suppressions
+                .get(f.file.as_str())
+                .is_some_and(|sups| sups.iter().any(|s| s.silences(f)))
     });
 
     (findings, summary)
@@ -314,7 +304,7 @@ pub fn check_workspace(
 
 fn hotpath_family(
     graph: &CallGraph,
-    analyzed: &[AnalyzedFile],
+    tokens: &[Vec<Token>],
     config: &V2Config,
     findings: &mut Vec<Finding>,
     summary: &mut V2Summary,
@@ -340,7 +330,7 @@ fn hotpath_family(
 
     for &id in &reach.order {
         let node = &graph.nodes[id];
-        let tokens = &analyzed[node.file_index].tokens;
+        let tokens = &tokens[node.file_index];
 
         // Allocating constructor paths and method verbs, from the
         // resolved call-site list (reasons about `Type::new` even when
@@ -448,7 +438,7 @@ fn check_expected_roots(
 
 fn concurrency_family(
     files: &[WorkspaceFile],
-    analyzed: &[AnalyzedFile],
+    tokens: &[Vec<Token>],
     config: &V2Config,
     findings: &mut Vec<Finding>,
     summary: &mut V2Summary,
@@ -456,14 +446,14 @@ fn concurrency_family(
     // Per-crate unsafe occurrences: (file, line) sites.
     let mut unsafe_sites: BTreeMap<&str, Vec<(&str, u32)>> = BTreeMap::new();
 
-    for (f, a) in files.iter().zip(analyzed) {
+    for (f, file_tokens) in files.iter().zip(tokens) {
         let in_pool = f.rel_path.starts_with("crates/pool/src/");
-        for (i, t) in a.tokens.iter().enumerate() {
+        for (i, t) in file_tokens.iter().enumerate() {
             let Tok::Ident(name) = &t.tok else { continue };
             match name.as_str() {
                 "static"
                     if matches!(
-                        a.tokens.get(i + 1).map(|t| &t.tok),
+                        file_tokens.get(i + 1).map(|t| &t.tok),
                         Some(Tok::Ident(next)) if next == "mut"
                     ) =>
                 {
@@ -536,7 +526,7 @@ const LENGTH_VERBS: &[&str] = &["len", "serialized_len"];
 
 fn taint_family(
     graph: &CallGraph,
-    analyzed: &[AnalyzedFile],
+    tokens: &[Vec<Token>],
     config: &V2Config,
     findings: &mut Vec<Finding>,
     summary: &mut V2Summary,
@@ -563,7 +553,7 @@ fn taint_family(
         if !TAINT_CRATES.contains(&node.crate_name.as_str()) {
             continue;
         }
-        let tokens = &analyzed[node.file_index].tokens;
+        let tokens = &tokens[node.file_index];
         let body = node.item.body.clone();
         for i in body.clone() {
             let Tok::Ident(name) = &tokens[i].tok else {
@@ -612,7 +602,7 @@ fn taint_family(
 fn panic_family(
     graph: &CallGraph,
     files: &[WorkspaceFile],
-    analyzed: &[AnalyzedFile],
+    tokens: &[Vec<Token>],
     config: &V2Config,
     findings: &mut Vec<Finding>,
     summary: &mut V2Summary,
@@ -632,7 +622,7 @@ fn panic_family(
     );
 
     let reach = graph.reach(&roots, |_| false);
-    let mut in_scope = vec![false; analyzed.len()];
+    let mut in_scope = vec![false; tokens.len()];
     for &id in &reach.order {
         in_scope[graph.nodes[id].file_index] = true;
     }
@@ -642,7 +632,7 @@ fn panic_family(
         .filter(|n| in_scope[n.file_index])
         .count();
 
-    for (file_index, (f, a)) in files.iter().zip(analyzed).enumerate() {
+    for (file_index, (f, file_tokens)) in files.iter().zip(tokens).enumerate() {
         if !in_scope[file_index] {
             continue;
         }
@@ -653,8 +643,8 @@ fn panic_family(
             .iter()
             .find(|&&id| reach.contains(id))
             .map_or("", |&id| graph.nodes[id].qualified.as_str());
-        for i in 0..a.tokens.len() {
-            let Some((rule, what)) = panic_site(&a.tokens, i) else {
+        for i in 0..file_tokens.len() {
+            let Some((rule, what)) = panic_site(file_tokens, i) else {
                 continue;
             };
             // Name the innermost fn around the site: its call chain
@@ -672,7 +662,7 @@ fn panic_family(
             findings.push(Finding {
                 rule,
                 file: f.rel_path.clone(),
-                line: a.tokens[i].line,
+                line: file_tokens[i].line,
                 message: format!("{what} ({scope})"),
             });
         }
@@ -749,10 +739,10 @@ fn panic_site(tokens: &[Token], i: usize) -> Option<(&'static str, String)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn wf(crate_name: &str, rel_path: &str, src: &str) -> WorkspaceFile {
+    pub(crate) fn wf(crate_name: &str, rel_path: &str, src: &str) -> WorkspaceFile {
         WorkspaceFile {
             crate_name: crate_name.to_string(),
             rel_path: rel_path.to_string(),
@@ -767,7 +757,7 @@ mod tests {
         unsafe_budget: &[],
     };
 
-    fn run(files: &[WorkspaceFile]) -> (Vec<Finding>, V2Summary) {
+    pub(crate) fn run(files: &[WorkspaceFile]) -> (Vec<Finding>, V2Summary) {
         run_with(files, &EMPTY_CONFIG)
     }
 
