@@ -104,10 +104,38 @@ fn seeded_violations_all_fire() {
         "pub fn attack() { let _ = std::process::Command::new(\"sh\").spawn(); }\n",
     );
 
+    // A wall-clock type on a trace emit path, even without `::now()`.
+    mk(
+        "crates/telemetry/Cargo.toml",
+        "[package]\nname = \"wm-telemetry\"\n",
+    );
+    mk(
+        "crates/telemetry/src/trace/clock.rs",
+        "pub struct Stamp {\n    pub at: SystemTime,\n}\n",
+    );
+    // Raw growth on an online ingest path, beside an allocation
+    // exemption that gives no reason.
+    mk(
+        "crates/core/src/online/ingest.rs",
+        "pub fn accept(queue: &mut Vec<u8>, b: u8) {\n    queue.push(b);\n}\n\
+         // wm-lint: alloc-ok\n\
+         pub fn setup() -> Vec<u8> {\n    Vec::new()\n}\n",
+    );
+    // A reasoned suppression silences the hash collection on its line.
+    mk(
+        "crates/tls/src/quiet.rs",
+        "pub fn quiet() {\n\
+         let s: HashSet<u8> = HashSet::new(); \
+         // wm-lint: allow(determinism/hash-collections, reason = \"never iterated\")\n\
+         }\n",
+    );
+
     let result = wm_lint::scan_workspace(&dir).expect("scan fixture");
     let fired: Vec<&str> = result.findings.iter().map(|f| f.rule).collect();
     for rule in [
         rules::WALL_CLOCK,
+        rules::TRACE_SIM_TIME,
+        rules::BOUNDED_BUFFER,
         rules::HASH_COLLECTIONS,
         rules::UNSEEDED_RNG,
         rules_v2::PANIC_INDEX,
@@ -130,6 +158,52 @@ fn seeded_violations_all_fire() {
             .iter()
             .any(|f| f.rule == rules_v2::PANIC_INDEX && f.file.ends_with("lenient.rs")),
         "reason-less suppression should be inert"
+    );
+    let at = |rule: &str, file: &str, line: u32| {
+        result
+            .findings
+            .iter()
+            .filter(|f| f.rule == rule && f.file == file && f.line == line)
+            .count()
+    };
+    assert_eq!(
+        at(
+            rules::TRACE_SIM_TIME,
+            "crates/telemetry/src/trace/clock.rs",
+            2
+        ),
+        1
+    );
+    assert_eq!(
+        at(rules::BOUNDED_BUFFER, "crates/core/src/online/ingest.rs", 2),
+        1
+    );
+    // Each reason-less directive is reported exactly once: the `allow`
+    // and the `alloc-ok` annotation.
+    assert_eq!(
+        at(rules::MISSING_REASON, "crates/json/src/lenient.rs", 1),
+        1
+    );
+    assert_eq!(
+        at(rules::MISSING_REASON, "crates/core/src/online/ingest.rs", 4),
+        1
+    );
+    assert_eq!(
+        fired
+            .iter()
+            .filter(|&&r| r == rules::MISSING_REASON)
+            .count(),
+        2
+    );
+    // The reasoned suppression silences its line and nothing else fires
+    // in that file.
+    assert!(
+        result
+            .findings
+            .iter()
+            .all(|f| f.file != "crates/tls/src/quiet.rs"),
+        "reasoned suppression should silence its line: {:?}",
+        result.findings
     );
 
     let _ = fs::remove_dir_all(&dir);
