@@ -90,8 +90,9 @@ fn measure(
 
         let features = client_app_records(&out.trace);
         let decoder = TimingDecoder::new(TIME_SCALE, Some(pad as u16 + 16));
-        posts += decoder.detect_posts(&features.records).len();
         let events = decoder.decode(&features.records);
+        // Decoding groups every detected post into exactly one event.
+        posts += events.iter().map(|e| e.posts).sum::<usize>();
         let decoded: Vec<DecodedChoice> = events
             .iter()
             .zip(out.decisions.iter())

@@ -34,13 +34,6 @@ const MAX_RECORD_LEN: u16 = 4000;
 /// type-2 that follows it never merge into one burst.
 const BURST_GAP_SECS: f64 = 0.5;
 
-/// A detected state post (burst of one or more records).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetectedPost {
-    pub time: SimTime,
-    pub total_len: usize,
-}
-
 /// One decoded choice event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingEvent {
@@ -75,8 +68,9 @@ impl TimingDecoder {
         }
     }
 
-    /// Find state-post bursts among upstream application records.
-    pub fn detect_posts(&self, upstream: &[TimedRecord]) -> Vec<DetectedPost> {
+    /// Find state-post bursts (of one or more records) among upstream
+    /// application records; each is its first record's time.
+    fn detect_posts(&self, upstream: &[TimedRecord]) -> Vec<SimTime> {
         let candidates: Vec<&TimedRecord> = upstream
             .iter()
             .filter(|r| {
@@ -107,10 +101,7 @@ impl TimingDecoder {
                     None => biggest < MAX_RECORD_LEN,
                 };
             if qualifies {
-                posts.push(DetectedPost {
-                    time: start,
-                    total_len: total,
-                });
+                posts.push(start);
             }
             i = j;
         }
@@ -126,12 +117,12 @@ impl TimingDecoder {
             let anchor = posts[i];
             let mut n = 1;
             let mut j = i + 1;
-            while j < posts.len() && posts[j].time.since(anchor.time) <= self.window {
+            while j < posts.len() && posts[j].since(anchor) <= self.window {
                 n += 1;
                 j += 1;
             }
             events.push(TimingEvent {
-                time: anchor.time,
+                time: anchor,
                 posts: n,
                 choice: if n >= 2 {
                     Choice::NonDefault
