@@ -49,40 +49,6 @@ impl AttributePosterior {
             })
             .collect()
     }
-
-    /// Marginal posterior of each political alignment.
-    pub fn political_marginals(&self) -> Vec<(PoliticalAlignment, f64)> {
-        PoliticalAlignment::ALL
-            .iter()
-            .map(|&v| {
-                (
-                    v,
-                    self.cells
-                        .iter()
-                        .filter(|(a, _)| a.political == v)
-                        .map(|(_, p)| p)
-                        .sum(),
-                )
-            })
-            .collect()
-    }
-
-    /// Marginal posterior of each age group.
-    pub fn age_marginals(&self) -> Vec<(AgeGroup, f64)> {
-        AgeGroup::ALL
-            .iter()
-            .map(|&v| {
-                (
-                    v,
-                    self.cells
-                        .iter()
-                        .filter(|(a, _)| a.age == v)
-                        .map(|(_, p)| p)
-                        .sum(),
-                )
-            })
-            .collect()
-    }
 }
 
 /// Compute the exact posterior over all attribute combinations given a

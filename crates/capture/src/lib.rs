@@ -7,7 +7,10 @@
 //!
 //! * [`pcap`] — the libpcap file format (magic `0xa1b2c3d4`, µs
 //!   timestamps, Ethernet linktype): traces round-trip through standard
-//!   tooling;
+//!   tooling. There is one reader, [`PcapReader::next_packet`], looped
+//!   by [`Trace::from_pcap_bytes`]; a file cut mid-packet is an error
+//!   ([`PcapError::Truncated`], and `InvalidData` from
+//!   [`Trace::read_pcap_file`]), not a partial trace;
 //! * [`tap`] — the capture point used during simulation: records real
 //!   Ethernet/IPv4/TCP frames with timestamps (and drops packets with
 //!   the tap-loss probability of the link model — monitor ports miss
@@ -30,9 +33,7 @@ pub mod tap;
 
 pub use flow::{Direction, FlowReassembler, FlowStreams, StreamChunk, StreamView};
 pub use labels::{LabeledRecord, RecordClass};
-pub use pcap::{
-    read_pcap_lossy, LossyPcap, PcapError, PcapPacket, PcapReader, PcapTruncation, PcapWriter,
-};
+pub use pcap::{PcapError, PcapPacket, PcapReader, PcapWriter};
 pub use records::{extract_records, find_resync, ExtractStats, Extraction, TimedRecord};
 pub use tap::{CapturedPacket, Tap, Trace, TraceSummary};
 

@@ -187,88 +187,6 @@ impl<'a> PcapReader<'a> {
             data,
         }))
     }
-
-    /// Read all remaining packets.
-    pub fn read_all(&mut self) -> Result<Vec<PcapPacket>, PcapError> {
-        let mut out = Vec::new();
-        while let Some(p) = self.next_packet()? {
-            out.push(p);
-        }
-        Ok(out)
-    }
-
-    /// Read all remaining packets, tolerating a cut tail.
-    ///
-    /// Real captures end mid-write when the capture process dies or the
-    /// disk fills: the last packet header may be incomplete, or its
-    /// `incl_len` may point past the end of the file (including the
-    /// out-of-range values a corrupted snaplen field produces). The
-    /// strict [`PcapReader::read_all`] throws the *whole file* away in
-    /// that case; this reader keeps every packet that parsed and
-    /// reports the damage as a typed [`PcapTruncation`] instead of an
-    /// error.
-    pub fn read_all_lossy(&mut self) -> LossyPcap {
-        let mut packets = Vec::new();
-        loop {
-            let at = self.pos;
-            match self.next_packet() {
-                Ok(Some(p)) => packets.push(p),
-                Ok(None) => {
-                    return LossyPcap {
-                        packets,
-                        truncation: None,
-                    }
-                }
-                Err(_) => {
-                    // A complete per-packet header whose incl_len runs
-                    // past the buffer is the snaplen-gone-wrong case;
-                    // otherwise the cut fell inside the header itself.
-                    let claimed_len = (at + PACKET_HEADER_LEN <= self.bytes.len())
-                        .then(|| self.read_u32(at + 8).ok())
-                        .flatten();
-                    return LossyPcap {
-                        packets,
-                        truncation: Some(PcapTruncation {
-                            offset: at,
-                            trailing_bytes: self.bytes.len().saturating_sub(at),
-                            claimed_len,
-                        }),
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// Where and why a lossy pcap read stopped before the end of the file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PcapTruncation {
-    /// Byte offset of the first structure that failed to parse.
-    pub offset: usize,
-    /// Unparseable bytes from `offset` to the end of the buffer.
-    pub trailing_bytes: usize,
-    /// The `incl_len` the unparsed packet header claimed, when the
-    /// header itself was complete — an out-of-range value here means
-    /// the stored snaplen points past the end of the capture. `None`
-    /// when the cut fell inside the 16-byte packet header.
-    pub claimed_len: Option<u32>,
-}
-
-/// Result of a tolerant pcap read: every packet that parsed, plus a
-/// typed truncation marker when the file ended mid-structure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LossyPcap {
-    pub packets: Vec<PcapPacket>,
-    pub truncation: Option<PcapTruncation>,
-}
-
-/// Parse a pcap byte buffer tolerantly (see
-/// [`PcapReader::read_all_lossy`]). Global-header problems (bad magic,
-/// unsupported linktype) are still hard errors — there is nothing to
-/// salvage from a file that was never a pcap.
-// wm-lint: parse-root
-pub fn read_pcap_lossy(bytes: &[u8]) -> Result<LossyPcap, PcapError> {
-    Ok(PcapReader::new(bytes)?.read_all_lossy())
 }
 
 /// Read 4 bytes at `off` in the file's byte order, or `Truncated` if
@@ -298,7 +216,10 @@ mod tests {
         assert!(!w.is_empty());
         let bytes = w.into_bytes();
         let mut r = PcapReader::new(&bytes).unwrap();
-        let all = r.read_all().unwrap();
+        let mut all = Vec::new();
+        while let Some(p) = r.next_packet().unwrap() {
+            all.push(p);
+        }
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].data, b"frame-one");
         assert_eq!(all[0].timestamp_micros(), 1_500_000);
@@ -350,60 +271,6 @@ mod tests {
         let cut = &bytes[..bytes.len() - 3];
         let mut r = PcapReader::new(cut).unwrap();
         assert_eq!(r.next_packet().err(), Some(PcapError::Truncated));
-    }
-
-    #[test]
-    fn lossy_read_salvages_cut_tail() {
-        let mut w = PcapWriter::new();
-        w.write_packet(1, 0, b"first frame bytes");
-        w.write_packet(2, 0, b"second frame bytes");
-        let bytes = w.into_bytes();
-        // Cut inside the second packet's data: strict read fails, the
-        // lossy read keeps the first packet and types the damage.
-        let cut = &bytes[..bytes.len() - 5];
-        assert!(PcapReader::new(cut).unwrap().read_all().is_err());
-        let lossy = read_pcap_lossy(cut).unwrap();
-        assert_eq!(lossy.packets.len(), 1);
-        assert_eq!(lossy.packets[0].data, b"first frame bytes");
-        let t = lossy.truncation.unwrap();
-        assert_eq!(t.offset, GLOBAL_HEADER_LEN + PACKET_HEADER_LEN + 17);
-        assert_eq!(t.trailing_bytes, PACKET_HEADER_LEN + 13);
-        assert_eq!(t.claimed_len, Some(18));
-        // Cut inside the packet header: no claimed length to report.
-        let cut2 = &bytes[..GLOBAL_HEADER_LEN + 7];
-        let lossy2 = read_pcap_lossy(cut2).unwrap();
-        assert!(lossy2.packets.is_empty());
-        assert_eq!(lossy2.truncation.unwrap().claimed_len, None);
-    }
-
-    #[test]
-    fn lossy_read_types_out_of_range_snaplen() {
-        let mut w = PcapWriter::new();
-        w.write_packet(1, 0, b"good");
-        let mut bytes = w.into_bytes();
-        // Append a header claiming a wildly out-of-range incl_len.
-        bytes.extend_from_slice(&9u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&0xffff_fff0u32.to_le_bytes());
-        bytes.extend_from_slice(&64u32.to_le_bytes());
-        bytes.extend_from_slice(b"xx");
-        let lossy = read_pcap_lossy(&bytes).unwrap();
-        assert_eq!(lossy.packets.len(), 1);
-        let t = lossy.truncation.unwrap();
-        assert_eq!(t.claimed_len, Some(0xffff_fff0));
-        assert_eq!(t.trailing_bytes, PACKET_HEADER_LEN + 2);
-    }
-
-    #[test]
-    fn lossy_read_clean_file_reports_no_truncation() {
-        let mut w = PcapWriter::new();
-        w.write_packet(1, 2, b"abc");
-        let bytes = w.into_bytes();
-        let lossy = read_pcap_lossy(&bytes).unwrap();
-        assert_eq!(lossy.packets.len(), 1);
-        assert_eq!(lossy.truncation, None);
-        // Global-header damage is still a hard error.
-        assert!(read_pcap_lossy(b"junk").is_err());
     }
 
     #[test]

@@ -75,28 +75,6 @@ impl Trace {
         Ok(Trace { packets })
     }
 
-    /// Parse a pcap file image tolerantly: packets up to any cut tail
-    /// become the trace, and the damage (if any) is reported as a typed
-    /// [`PcapTruncation`](crate::pcap::PcapTruncation) instead of
-    /// silently dropping the tail or failing the whole parse. This is
-    /// the entry point for captures that ended mid-write — an attacker
-    /// process killed while flushing, a disk that filled, a snaplen
-    /// field gone out of range.
-    pub fn from_pcap_bytes_lossy(
-        bytes: &[u8],
-    ) -> Result<(Self, Option<crate::pcap::PcapTruncation>), crate::pcap::PcapError> {
-        let lossy = crate::pcap::read_pcap_lossy(bytes)?;
-        let packets = lossy
-            .packets
-            .into_iter()
-            .map(|p| CapturedPacket {
-                time: SimTime(p.timestamp_micros()),
-                frame: p.data,
-            })
-            .collect();
-        Ok((Trace { packets }, lossy.truncation))
-    }
-
     /// Write to a pcap file on disk.
     pub fn write_pcap_file(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_pcap_bytes())
@@ -321,25 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_trace_parse_survives_cut_pcap() {
-        let mut tap = Tap::new();
-        for i in 0..4u8 {
-            tap.record_segment(SimTime(i as u64 * 1_000), &seg(&[i; 32]));
-        }
-        let trace = tap.into_trace();
-        let bytes = trace.to_pcap_bytes();
-        let cut = &bytes[..bytes.len() - 10];
-        assert!(Trace::from_pcap_bytes(cut).is_err());
-        let (back, trunc) = Trace::from_pcap_bytes_lossy(cut).unwrap();
-        assert_eq!(back.packets, trace.packets[..3]);
-        assert!(trunc.is_some(), "cut tail must surface as truncation");
-        // Clean image: identical trace, no truncation.
-        let (clean, t2) = Trace::from_pcap_bytes_lossy(&bytes).unwrap();
-        assert_eq!(clean.packets, trace.packets);
-        assert_eq!(t2, None);
-    }
-
-    #[test]
     fn trace_pcap_roundtrip() {
         let mut tap = Tap::new();
         for i in 0..5u8 {
@@ -362,6 +321,24 @@ mod tests {
         trace.write_pcap_file(&path).unwrap();
         let back = Trace::read_pcap_file(&path).unwrap();
         assert_eq!(back.packets, trace.packets);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn cut_pcap_file_is_invalid_data() {
+        let mut tap = Tap::new();
+        for i in 0..4u8 {
+            tap.record_segment(SimTime(i as u64 * 1_000), &seg(&[i; 32]));
+        }
+        let bytes = tap.into_trace().to_pcap_bytes();
+        let cut = &bytes[..bytes.len() - 10];
+        assert!(Trace::from_pcap_bytes(cut).is_err());
+        let dir = std::env::temp_dir().join(format!("wm_capture_cut_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cut.pcap");
+        std::fs::write(&path, cut).unwrap();
+        let err = Trace::read_pcap_file(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

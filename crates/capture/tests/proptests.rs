@@ -81,7 +81,10 @@ fn pcap_roundtrip() {
         }
         let bytes = w.into_bytes();
         let mut r = PcapReader::new(&bytes).expect("own file");
-        let back = r.read_all().expect("own file");
+        let mut back = Vec::new();
+        while let Some(p) = r.next_packet().expect("own file") {
+            back.push(p);
+        }
         assert_eq!(back.len(), packets.len(), "case {case}");
         for (p, (s, us, data)) in back.iter().zip(packets.iter()) {
             assert_eq!(p.ts_sec, *s, "case {case}");
@@ -91,15 +94,17 @@ fn pcap_roundtrip() {
     }
 }
 
-/// The pcap reader never panics on arbitrary bytes.
+/// The pcap reader never panics on arbitrary bytes, either as a whole
+/// file or as the packet records after a valid global header.
 #[test]
 fn pcap_reader_total() {
     for case in 0..300u64 {
         let mut rng = Rng(0xCA_1000 + case);
         let bytes = rng.bytes(511);
-        if let Ok(mut r) = PcapReader::new(&bytes) {
-            let _ = r.read_all();
-        }
+        let _ = Trace::from_pcap_bytes(&bytes);
+        let mut file = PcapWriter::new().into_bytes();
+        file.extend_from_slice(&bytes);
+        let _ = Trace::from_pcap_bytes(&file);
     }
 }
 

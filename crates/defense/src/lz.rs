@@ -15,6 +15,7 @@
 
 /// Compress `input`.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    // wm-lint: allow(defense/length-taint, reason = "output capacity hint; the emitted bytes do not depend on it")
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     let mut literals: Vec<u8> = Vec::new();
     let mut i = 0;
@@ -23,6 +24,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     const HASH_BITS: usize = 13;
     const WINDOW: usize = 1 << 15;
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
+    // wm-lint: allow(defense/length-taint, reason = "sizes the hash-chain table, which is never emitted")
     let mut prev = vec![usize::MAX; input.len().max(1)];
 
     let hash4 = |b: &[u8]| -> usize {
@@ -38,6 +40,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             let mut cand = head[h];
             let mut tries = 16;
             while cand != usize::MAX && tries > 0 && i - cand <= WINDOW {
+                // wm-lint: allow(defense/length-taint, reason = "bounds a match inside the input; the compress defense emits the true compressed size by design (the residual leak E5 measures)")
                 let max_len = (input.len() - i).min(255);
                 let mut l = 0;
                 while l < max_len && input[cand + l] == input[i + l] {
@@ -85,6 +88,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 fn flush_literals(out: &mut Vec<u8>, literals: &mut Vec<u8>) {
     if !literals.is_empty() {
         out.push(0x00);
+        // wm-lint: allow(defense/length-taint, reason = "a literal run's length in the codec's own framing; the compress defense emits the true compressed size by design (the residual leak E5 measures)")
         out.push(literals.len() as u8);
         out.extend_from_slice(literals);
         literals.clear();

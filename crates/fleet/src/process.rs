@@ -34,6 +34,10 @@
 //! [`Request::parse`] / [`Reply::parse`]) so the protocol is testable
 //! byte-by-byte without spawning anything: every truncation or garbage
 //! mutation yields a typed [`FrameError`], never a panic or a hang.
+//! Both pipe ends read through it: the supervisor's reply read and the
+//! worker loop share one frame reader, which reads the header, lets
+//! `decode_frame` reject an empty or oversize length, then reads
+//! exactly the bytes it reports missing into one reused buffer.
 //!
 //! Requests (supervisor → worker): `0x01` Init, `0x02` Restore, `0x03`
 //! Feed, `0x04` Checkpoint, `0x05` EvictIdle, `0x06` FinishAll, `0x07`
@@ -182,6 +186,48 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
         payload,
         consumed: total,
     })
+}
+
+/// Why [`read_frame`] returned no frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReadError {
+    /// The stream failed or ended before a whole header arrived.
+    Header,
+    /// The stream failed or ended inside the frame.
+    Body,
+    /// The header or frame does not decode.
+    Frame(FrameError),
+}
+
+impl ReadError {
+    /// The supervisor's view: a failed read is [`WorkerFault::Io`], an
+    /// undecodable frame [`WorkerFault::Protocol`].
+    fn fault(self) -> WorkerFault {
+        match self {
+            ReadError::Header | ReadError::Body => WorkerFault::Io,
+            ReadError::Frame(_) => WorkerFault::Protocol,
+        }
+    }
+}
+
+/// Read one frame from `reader` into `buf` (reused, cleared first)
+/// through [`decode_frame`]: the 4-byte header first, so an empty or
+/// oversize length is rejected before the body is allocated, then
+/// exactly the bytes `decode_frame` reports missing.
+fn read_frame<'b>(reader: &mut impl Read, buf: &'b mut Vec<u8>) -> Result<Frame<'b>, ReadError> {
+    buf.clear();
+    buf.resize(4, 0);
+    reader.read_exact(buf).map_err(|_| ReadError::Header)?;
+    let need = match decode_frame(buf) {
+        Err(FrameError::Incomplete { need }) => need,
+        Err(e) => return Err(ReadError::Frame(e)),
+        Ok(_) => 0,
+    };
+    buf.resize(4 + need, 0);
+    reader
+        .read_exact(buf.get_mut(4..).unwrap_or_default())
+        .map_err(|_| ReadError::Body)?;
+    decode_frame(buf).map_err(ReadError::Frame)
 }
 
 // ---------------------------------------------------------------------
@@ -660,21 +706,8 @@ impl ProcessShard {
             .write_all(&self.buf)
             .map_err(|_| WorkerFault::Io)?;
         self.stdin.flush().map_err(|_| WorkerFault::Io)?;
-        let mut header = [0u8; 4];
-        self.stdout
-            .read_exact(&mut header)
-            .map_err(|_| WorkerFault::Io)?;
-        let len = u32::from_le_bytes(header);
-        if len == 0 || len > MAX_FRAME {
-            return Err(WorkerFault::Protocol);
-        }
-        self.buf.clear();
-        self.buf.resize(len as usize, 0);
-        self.stdout
-            .read_exact(&mut self.buf)
-            .map_err(|_| WorkerFault::Io)?;
-        let (&opcode, payload) = self.buf.split_first().ok_or(WorkerFault::Protocol)?;
-        let reply = Reply::parse(opcode, payload).map_err(|_| WorkerFault::Protocol)?;
+        let frame = read_frame(&mut self.stdout, &mut self.buf).map_err(ReadError::fault)?;
+        let reply = Reply::parse(frame.opcode, frame.payload).map_err(|_| WorkerFault::Protocol)?;
         // The one place the cached live set changes.
         match (req, reply) {
             (
@@ -825,26 +858,12 @@ pub fn shard_worker_main() -> i32 {
     let (mut body, mut frame) = (Vec::new(), Vec::new());
     let (mut verdicts, mut live) = (Vec::new(), Vec::new());
     loop {
-        let mut header = [0u8; 4];
-        match input.read_exact(&mut header) {
-            Ok(()) => {}
-            // EOF between frames: the supervisor dropped the pipe.
-            Err(_) => return 0,
-        }
-        let len = u32::from_le_bytes(header);
-        if len == 0 || len > MAX_FRAME {
-            return reply_and_exit(&mut output, Reply::Err(RemoteError::Internal));
-        }
-        body.clear();
-        body.resize(len as usize, 0);
-        if input.read_exact(&mut body).is_err() {
-            return 1;
-        }
-        let parsed = body
-            .split_first()
-            .and_then(|(&opcode, payload)| Request::parse(opcode, payload).ok());
-        let Some(req) = parsed else {
-            return reply_and_exit(&mut output, Reply::Err(RemoteError::Internal));
+        let parsed = read_frame(&mut input, &mut body).and_then(|frame| {
+            Request::parse(frame.opcode, frame.payload).map_err(ReadError::Frame)
+        });
+        let req = match parsed {
+            Ok(req) => req,
+            Err(e) => return worker_exit(&mut output, e),
         };
         let shutdown = matches!(req, Request::Shutdown);
         frame.clear();
@@ -867,12 +886,22 @@ pub fn shard_worker_main() -> i32 {
     }
 }
 
-fn reply_and_exit(output: &mut impl Write, reply: Reply) -> i32 {
-    let mut out = Vec::new();
-    reply.encode(&mut out);
-    let _ = output.write_all(&out);
-    let _ = output.flush();
-    1
+/// How the worker ends on a frame it cannot serve: a clean exit at
+/// EOF between frames (the supervisor dropped the pipe), exit 1 on a
+/// short body, and an `Err` reply then exit 1 on a frame that does not
+/// decode.
+fn worker_exit(output: &mut impl Write, e: ReadError) -> i32 {
+    match e {
+        ReadError::Header => 0,
+        ReadError::Body => 1,
+        ReadError::Frame(_) => {
+            let mut out = Vec::new();
+            Reply::Err(RemoteError::Internal).encode(&mut out);
+            let _ = output.write_all(&out);
+            let _ = output.flush();
+            1
+        }
+    }
 }
 
 #[cfg(test)]
@@ -904,6 +933,69 @@ mod tests {
             decode_frame(&u32::MAX.to_le_bytes()),
             Err(FrameError::Oversize { len: u32::MAX })
         );
+    }
+
+    /// Every way a pipe can hand `read_frame` a frame or fail to, and
+    /// what each pipe end makes of it: the supervisor's fault, the
+    /// worker's exit code, and whether the worker replies `Err` first.
+    #[test]
+    fn read_frame_outcomes_on_both_pipe_ends() {
+        let mut feed = Vec::new();
+        Request::Feed {
+            time: SimTime(5),
+            victim: 3,
+            max_victims: 8,
+            frame: &[1, 2, 3],
+        }
+        .encode(&mut feed);
+        // The frame's size, or (supervisor fault, worker exit code,
+        // worker replied `Err`).
+        type Outcome = Result<usize, (WorkerFault, i32, bool)>;
+        const EOF: Outcome = Err((WorkerFault::Io, 0, false));
+        const SHORT: Outcome = Err((WorkerFault::Io, 1, false));
+        const BAD: Outcome = Err((WorkerFault::Protocol, 1, true));
+        let mut cases: Vec<(Vec<u8>, Outcome)> = (0..=feed.len())
+            .map(|cut| {
+                let want = match cut {
+                    0..4 => EOF,
+                    c if c < feed.len() => SHORT,
+                    c => Ok(c),
+                };
+                (feed[..cut].to_vec(), want)
+            })
+            .collect();
+        cases.push((Vec::new(), EOF));
+        for len in [0, MAX_FRAME + 1, u32::MAX] {
+            cases.push((len.to_le_bytes().to_vec(), BAD));
+        }
+
+        let mut buf = Vec::new();
+        for (bytes, want) in cases {
+            let got = match read_frame(&mut &bytes[..], &mut buf) {
+                Ok(frame) => {
+                    assert!(matches!(
+                        Request::parse(frame.opcode, frame.payload),
+                        Ok(Request::Feed { victim: 3, .. })
+                    ));
+                    Ok(frame.consumed)
+                }
+                Err(e) => {
+                    let mut reply = Vec::new();
+                    let exit = worker_exit(&mut reply, e);
+                    if let ReadError::Frame(_) = e {
+                        // Rejected from the header alone.
+                        assert_eq!(buf.len(), 4, "{bytes:?}");
+                        let frame = decode_frame(&reply).unwrap();
+                        assert!(matches!(
+                            Reply::parse(frame.opcode, frame.payload),
+                            Ok(Reply::Err(RemoteError::Internal))
+                        ));
+                    }
+                    Err((e.fault(), exit, !reply.is_empty()))
+                }
+            };
+            assert_eq!(got, want, "{bytes:?}");
+        }
     }
 
     #[test]

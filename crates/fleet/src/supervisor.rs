@@ -583,13 +583,6 @@ impl Fleet {
         self.lower_next_tick(first_tick);
     }
 
-    /// The current `fleet_status` report: per-shard health as of the
-    /// last observation tick, plus the retained alert stream. `None`
-    /// until an observer is attached.
-    pub fn fleet_status(&self) -> Option<FleetStatus> {
-        self.observer.as_ref().map(|o| o.watchdog.status())
-    }
-
     pub fn stats(&self) -> FleetStats {
         self.stats
     }

@@ -165,6 +165,15 @@ impl CallGraph {
     }
 }
 
+/// `segs` without its leading `crate`/`self`/`super` keywords.
+fn strip_keywords(segs: &[String]) -> &[String] {
+    let n = segs
+        .iter()
+        .take_while(|s| matches!(s.as_str(), "crate" | "self" | "super"))
+        .count();
+    &segs[n..]
+}
+
 /// The calling crate plus its direct workspace dependencies.
 fn visible_crates(crate_name: &str, deps: &BTreeMap<String, Vec<String>>) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
@@ -240,7 +249,7 @@ impl NameIndex {
                     );
                 }
             }
-            Call::Path(segs) => self.resolve_path(segs, caller, file, visible, out, 0),
+            Call::Path(segs) => self.resolve_path(segs, caller, file, visible, out),
         }
     }
 
@@ -262,38 +271,27 @@ impl NameIndex {
         file: &SourceItems,
         visible: &BTreeSet<String>,
         out: &mut BTreeSet<usize>,
-        depth: usize,
     ) {
-        // Alias expansion can cycle (`use crate::foo;` expands `foo`
-        // back to itself after keyword stripping); one extra hop is all
-        // legitimate imports need.
-        if depth > 2 {
-            return;
-        }
-        let mut segs: Vec<String> = segs.to_vec();
-        while segs
-            .first()
-            .is_some_and(|s| s == "crate" || s == "self" || s == "super")
-        {
-            segs.remove(0);
-        }
+        let segs = strip_keywords(segs);
         let Some(first) = segs.first().cloned() else {
             return;
         };
 
         // `use` alias expansion (only when it lengthens the path —
         // `use wm_tls::Connection` then `Connection::new` becomes
-        // `wm_tls::Connection::new`).
+        // `wm_tls::Connection::new`). Lengths compare after keyword
+        // stripping, so `use crate::lz;` leaves `lz::compress` to local
+        // resolution, and an expanded path (three or more segments) is
+        // never expanded again.
         if segs.len() <= 2 {
             if let Some(u) = file.uses.iter().find(|u| u.alias == first) {
-                let expanded: Vec<String> = u
-                    .path
+                let expanded: Vec<String> = strip_keywords(&u.path)
                     .iter()
+                    .chain(&segs[1..])
                     .cloned()
-                    .chain(segs.iter().skip(1).cloned())
                     .collect();
                 if expanded.len() > segs.len() {
-                    self.resolve_path(&expanded, caller, file, visible, out, depth + 1);
+                    self.resolve_path(&expanded, caller, file, visible, out);
                     return;
                 }
             }
@@ -447,6 +445,22 @@ mod tests {
             &deps(&[("wm-a", &["wm-b"])]),
         );
         assert!(edge(&g, "wm_a::top", "wm_b::Connection::new"));
+    }
+
+    #[test]
+    fn use_of_an_own_module_resolves_locally() {
+        let g = CallGraph::build(
+            &[
+                file(
+                    "wm-a",
+                    "crates/a/src/lib.rs",
+                    "use crate::m; fn top() { m::f(); }",
+                ),
+                file("wm-a", "crates/a/src/m.rs", "pub fn f() {}"),
+            ],
+            &deps(&[]),
+        );
+        assert!(edge(&g, "wm_a::top", "wm_a::f"));
     }
 
     #[test]

@@ -54,6 +54,18 @@ pub struct ScanResult {
     pub files_scanned: usize,
     /// Headline numbers from the call-graph (v2) pass.
     pub v2: V2Summary,
+    /// Rust lines in the whole tree, not only the linted sources.
+    pub rust_lines: RustLines,
+}
+
+/// Rust line counts over every `.rs` file under the root, outside
+/// `target/`, `pipeline_ledger/` and hidden directories. A file under a
+/// `tests/` directory is test code, and so is everything from a file's
+/// first line that reads `#[cfg(test)]`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RustLines {
+    pub non_test: usize,
+    pub test: usize,
 }
 
 /// Scan the workspace rooted at `root` (the directory containing
@@ -81,6 +93,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
         rules_v2::check_workspace(&sources, &deps, &rules_v2::V2Config::default());
     result.findings.extend(v2_findings);
     result.v2 = v2_summary;
+    result.rust_lines = rust_lines(root)?;
 
     result
         .findings
@@ -143,7 +156,35 @@ fn scan_crate(
     Ok(())
 }
 
-/// Recursively collect `.rs` files under `dir`, sorted at every level.
+fn rust_lines(root: &Path) -> io::Result<RustLines> {
+    let mut files = Vec::new();
+    collect_rs(root, &mut files)?;
+    let mut lines = RustLines::default();
+    for path in files {
+        let bytes = fs::read(&path)?;
+        let src = String::from_utf8_lossy(&bytes);
+        let total = src.lines().count();
+        let in_tests = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .components()
+            .any(|c| c.as_os_str() == "tests");
+        let non_test = if in_tests {
+            0
+        } else {
+            src.lines()
+                .position(|l| l.trim() == "#[cfg(test)]")
+                .unwrap_or(total)
+        };
+        lines.non_test += non_test;
+        lines.test += total - non_test;
+    }
+    Ok(lines)
+}
+
+/// Recursively collect `.rs` files under `dir`, sorted at every level,
+/// skipping build output (`target/`), the benchmark's own workspace
+/// (`pipeline_ledger/`) and hidden directories.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .collect::<Result<Vec<_>, _>>()?
@@ -153,7 +194,10 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            collect_rs(&path, out)?;
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if name != "target" && name != "pipeline_ledger" && !name.starts_with('.') {
+                collect_rs(&path, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
@@ -168,4 +212,40 @@ fn rel(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rust_lines_split_test_code_and_skip_build_output() {
+        let root = std::env::temp_dir().join(format!("wm_lint_lines_{}", std::process::id()));
+        let files = [
+            (
+                "crates/a/src/lib.rs",
+                "fn a() {}\n\n#[cfg(test)]\nmod t {}\n",
+            ),
+            ("crates/a/tests/t.rs", "#[test]\nfn t() {}\n"),
+            ("src/main.rs", "fn main() {}\n"),
+            ("target/gen.rs", "fn skipped() {}\n"),
+            ("pipeline_ledger/src/main.rs", "fn skipped() {}\n"),
+            (".hidden/x.rs", "fn skipped() {}\n"),
+            ("crates/a/README.md", "not rust\n"),
+        ];
+        for (rel, src) in files {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, src).unwrap();
+        }
+        let lines = rust_lines(&root).unwrap();
+        fs::remove_dir_all(&root).ok();
+        assert_eq!(
+            lines,
+            RustLines {
+                non_test: 3,
+                test: 4
+            }
+        );
+    }
 }

@@ -117,6 +117,10 @@ fn main() -> ExitCode {
         result.v2.unsafe_uses,
     );
     println!(
+        "wm-lint: rust lines: non-test={} test={}",
+        result.rust_lines.non_test, result.rust_lines.test
+    );
+    println!(
         "wm-lint: {} finding{} across {} file{}",
         result.findings.len(),
         if result.findings.len() == 1 { "" } else { "s" },

@@ -87,6 +87,7 @@ mod tests {
                 panic_scope_fns: 580,
                 ..V2Summary::default()
             },
+            rust_lines: Default::default(),
         }
     }
 

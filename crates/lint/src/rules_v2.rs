@@ -126,7 +126,6 @@ pub const EXPECTED_RESPONSE_ROOTS: &[&str] = &[
 pub const EXPECTED_PARSE_ROOTS: &[&str] = &[
     "wm_net::parse_frame",
     "wm_net::parse_frame_lossy",
-    "wm_capture::read_pcap_lossy",
     "wm_capture::Trace::read_pcap_file",
     "wm_core::FlowIngest::accept_segment",
     "wm_core::OnlineDecoder::push_packet",

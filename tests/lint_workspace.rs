@@ -58,7 +58,7 @@ fn workspace_v2_analysis_is_live() {
         v2.taint_reachable
     );
     assert_eq!(
-        v2.parse_roots, 26,
+        v2.parse_roots, 25,
         "parse roots drifted from the declared set"
     );
     // The bound sits well above the 320 functions (item-parser count)
