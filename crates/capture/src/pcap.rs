@@ -274,6 +274,26 @@ mod tests {
     }
 
     #[test]
+    fn reader_rejects_cut_header_and_out_of_range_length() {
+        let mut w = PcapWriter::new();
+        w.write_packet(1, 0, b"good");
+        let bytes = w.into_bytes();
+        // Cut inside the packet header.
+        let cut = &bytes[..GLOBAL_HEADER_LEN + 7];
+        let mut r = PcapReader::new(cut).unwrap();
+        assert_eq!(r.next_packet().err(), Some(PcapError::Truncated));
+        // A header whose incl_len points far past the end of the file.
+        let mut bad = bytes.clone();
+        for field in [9, 0, 0xffff_fff0, 64u32] {
+            bad.extend_from_slice(&field.to_le_bytes());
+        }
+        bad.extend_from_slice(b"xx");
+        let mut r = PcapReader::new(&bad).unwrap();
+        assert_eq!(r.next_packet().unwrap().unwrap().data, b"good");
+        assert_eq!(r.next_packet().err(), Some(PcapError::Truncated));
+    }
+
+    #[test]
     fn reads_big_endian_files() {
         // Hand-build a big-endian file with one packet.
         let mut buf = Vec::new();
