@@ -99,26 +99,6 @@ pub fn infer_attributes(
     AttributePosterior { cells }
 }
 
-/// Tag-exposure profile of a choice sequence: how many picked options
-/// carry each tag (the raw material of behavioural profiling).
-pub fn tag_exposure(
-    graph: &StoryGraph,
-    choices: &[(ChoicePointId, Choice)],
-) -> Vec<(wm_story::ChoiceTag, u32)> {
-    let mut counts: Vec<(wm_story::ChoiceTag, u32)> =
-        wm_story::ChoiceTag::ALL.iter().map(|&t| (t, 0)).collect();
-    for (cp, choice) in choices {
-        for tag in graph.choice_point(*cp).option(*choice).tags {
-            let entry = counts
-                .iter_mut()
-                .find(|(t, _)| t == tag)
-                .expect("ALL covers every tag");
-            entry.1 += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,24 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn exposure_counts_tagged_picks() {
-        let g = bandersnatch();
-        // Pick "Attack" at cp12 (Violence) and "Chop it up" at cp14
-        // (Violence + Risk).
-        let choices = vec![
-            (ChoicePointId(12), Choice::NonDefault),
-            (ChoicePointId(14), Choice::NonDefault),
-        ];
-        let exposure = tag_exposure(&g, &choices);
-        let violence = exposure
-            .iter()
-            .find(|(t, _)| *t == wm_story::ChoiceTag::Violence)
-            .expect("tag present")
-            .1;
-        assert_eq!(violence, 2);
-    }
-
-    #[test]
     fn empty_choices_give_uniform_posterior() {
         let g = bandersnatch();
         let post = infer_attributes(&g, &[]);
@@ -248,7 +210,10 @@ mod tests {
             }
             for (i, (_, c)) in choices.iter_mut().enumerate() {
                 if (seed as usize + i).is_multiple_of(7) {
-                    *c = c.flipped();
+                    *c = match c {
+                        Choice::Default => Choice::NonDefault,
+                        Choice::NonDefault => Choice::Default,
+                    };
                 }
             }
             let post = infer_attributes(&g, &choices);

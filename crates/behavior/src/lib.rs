@@ -21,5 +21,5 @@ pub mod infer;
 pub mod model;
 
 pub use attributes::{AgeGroup, BehaviorAttributes, Gender, PoliticalAlignment, StateOfMind};
-pub use infer::{infer_attributes, tag_exposure, AttributePosterior};
+pub use infer::{infer_attributes, AttributePosterior};
 pub use model::{script_for, tag_affinity, BehaviorModel};

@@ -41,29 +41,6 @@ pub struct StreamView {
 }
 
 impl StreamView {
-    /// Total reassembled payload bytes.
-    pub fn data_bytes(&self) -> u64 {
-        self.chunks.iter().map(|c| c.data.len() as u64).sum()
-    }
-
-    /// Total bytes lost in gaps between chunks.
-    pub fn gap_bytes(&self) -> u64 {
-        self.chunks
-            .windows(2)
-            .map(|w| match w {
-                [a, b] => b
-                    .start_offset
-                    .saturating_sub(a.start_offset + a.data.len() as u64),
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Number of gaps.
-    pub fn gap_count(&self) -> usize {
-        self.chunks.len().saturating_sub(1)
-    }
-
     /// Capture time of the segment containing `offset`, if known.
     pub fn time_at(&self, offset: u64) -> Option<SimTime> {
         for c in &self.chunks {
@@ -251,7 +228,6 @@ mod tests {
         let up = &flows[0].upstream;
         assert_eq!(up.chunks.len(), 1);
         assert_eq!(up.chunks[0].data, b"hello world");
-        assert_eq!(up.gap_count(), 0);
         assert_eq!(up.time_at(0), Some(SimTime(1)));
         assert_eq!(up.time_at(8), Some(SimTime(2)));
     }
@@ -290,9 +266,14 @@ mod tests {
         let flows = FlowReassembler::reassemble(&tap.into_trace());
         let up = &flows[0].upstream;
         assert_eq!(up.chunks.len(), 2);
-        assert_eq!(up.gap_count(), 1);
-        assert_eq!(up.gap_bytes(), 6);
-        assert_eq!(up.data_bytes(), 8);
+        assert_eq!(
+            (up.chunks[0].start_offset, &up.chunks[0].data[..]),
+            (0, &b"aaaa"[..])
+        );
+        assert_eq!(
+            (up.chunks[1].start_offset, &up.chunks[1].data[..]),
+            (10, &b"bbbb"[..])
+        );
         assert_eq!(up.time_at(5), None, "no time inside a gap");
     }
 

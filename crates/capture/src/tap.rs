@@ -5,7 +5,7 @@
 //! [`Trace`]. Traces serialize to real pcap files and are the only
 //! artifact the attack pipeline consumes.
 
-use crate::pcap::{PcapPacket, PcapReader, PcapWriter};
+use crate::pcap::{PcapReader, PcapWriter};
 use std::sync::Arc;
 use wm_net::headers::{build_frame, parse_frame, FlowId, TcpFlags};
 use wm_net::tcp::TcpSegment;
@@ -60,16 +60,10 @@ impl Trace {
     pub fn from_pcap_bytes(bytes: &[u8]) -> Result<Self, crate::pcap::PcapError> {
         let mut r = PcapReader::new(bytes)?;
         let mut packets = Vec::new();
-        while let Some(PcapPacket {
-            ts_sec,
-            ts_usec,
-            data,
-            ..
-        }) = r.next_packet()?
-        {
+        while let Some(p) = r.next_packet()? {
             packets.push(CapturedPacket {
-                time: SimTime(ts_sec as u64 * 1_000_000 + ts_usec as u64),
-                frame: data,
+                time: SimTime(p.timestamp_micros()),
+                frame: p.data,
             });
         }
         Ok(Trace { packets })

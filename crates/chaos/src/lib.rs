@@ -38,9 +38,7 @@ pub mod capture;
 pub mod shard;
 
 pub use capture::{impair_capture, kill_index, CaptureImpairment, ImpairStats, TapPacket};
-pub use shard::{
-    corrupt_blob, tear_blob, PlanOrderError, ShardFault, ShardFaultKind, ShardFaultPlan,
-};
+pub use shard::{corrupt_blob, tear_blob, ShardFault, ShardFaultKind, ShardFaultPlan};
 
 use wm_cipher::kdf::derive_seed;
 use wm_net::rng::SimRng;
@@ -132,12 +130,6 @@ impl FaultPlan {
         self.events.push(FaultEvent { at, kind });
         self.events.sort_by_key(|e| e.at);
         self
-    }
-
-    /// Build a plan from explicit events.
-    pub fn from_events(mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by_key(|e| e.at);
-        FaultPlan { events }
     }
 
     /// Generate a random plan over `[10%, 90%]` of `horizon`, with

@@ -67,41 +67,6 @@ impl ShardFaultKind {
     }
 }
 
-/// Why an explicit shard-fault event list was rejected at
-/// construction. A plan that would silently reorder under the hood
-/// is a latent replay-divergence bug, so [`ShardFaultPlan::from_events`]
-/// refuses it instead: a bad list never becomes a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanOrderError {
-    /// Events are not in non-decreasing time order.
-    Unsorted { index: usize },
-    /// Two events are byte-identical; a duplicated fault is always a
-    /// schedule bug (the second kill of an already-dead shard is a
-    /// no-op and the second stall extends nothing deterministically).
-    Duplicate { index: usize },
-}
-
-impl std::fmt::Display for PlanOrderError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanOrderError::Unsorted { index } => {
-                write!(
-                    f,
-                    "shard fault plan event {index} is earlier than its predecessor"
-                )
-            }
-            PlanOrderError::Duplicate { index } => {
-                write!(
-                    f,
-                    "shard fault plan event {index} duplicates its predecessor"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanOrderError {}
-
 /// A shard fault scheduled at a simulation time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardFault {
@@ -146,34 +111,6 @@ impl ShardFaultPlan {
         self.events.push(ShardFault { at, shard, kind });
         self.events.sort_by_key(|e| e.at);
         self
-    }
-
-    /// Build a plan from explicit events, validating order on
-    /// construction: events must be in non-decreasing time order with
-    /// no byte-identical duplicates. A silently re-sorted plan would
-    /// fire equal-time faults in a different order than the caller
-    /// wrote them, so the constructor refuses rather than repairs.
-    pub fn from_events(events: Vec<ShardFault>) -> Result<Self, PlanOrderError> {
-        let plan = ShardFaultPlan { events };
-        plan.validate()?;
-        Ok(plan)
-    }
-
-    /// Check the ordering invariant [`ShardFaultPlan::from_events`]
-    /// enforces. Plans built through [`ShardFaultPlan::push`] or
-    /// [`ShardFaultPlan::generate`] are sorted by construction, so
-    /// this only ever fires on hand-assembled event lists.
-    pub fn validate(&self) -> Result<(), PlanOrderError> {
-        for (i, pair) in self.events.windows(2).enumerate() {
-            let [prev, next] = pair else { continue };
-            if next.at.micros() < prev.at.micros() {
-                return Err(PlanOrderError::Unsorted { index: i + 1 });
-            }
-            if next == prev {
-                return Err(PlanOrderError::Duplicate { index: i + 1 });
-            }
-        }
-        Ok(())
     }
 
     /// Generate a random plan over `[10%, 90%]` of `horizon` against a
@@ -362,39 +299,12 @@ mod tests {
     }
 
     #[test]
-    fn from_events_validates_order_on_construction() {
-        let kill = |at: u64, shard: usize| ShardFault {
-            at: SimTime(at),
-            shard,
-            kind: ShardFaultKind::Kill,
-        };
-        assert!(ShardFaultPlan::from_events(vec![kill(10, 0), kill(10, 1), kill(20, 0)]).is_ok());
-        assert_eq!(
-            ShardFaultPlan::from_events(vec![kill(20, 0), kill(10, 1)]).err(),
-            Some(PlanOrderError::Unsorted { index: 1 })
-        );
-        assert_eq!(
-            ShardFaultPlan::from_events(vec![kill(10, 0), kill(10, 0)]).err(),
-            Some(PlanOrderError::Duplicate { index: 1 })
-        );
-        // Plans assembled through push() are sorted by construction
-        // and must always validate.
-        let mut plan = ShardFaultPlan::none();
-        plan.push(SimTime(30), 1, ShardFaultKind::Kill).push(
-            SimTime(10),
-            0,
-            ShardFaultKind::CheckpointTorn,
-        );
-        assert!(plan.validate().is_ok());
-    }
-
-    #[test]
     fn abort_generation_extends_without_perturbing_the_base_plan() {
         let h = Duration::from_secs(200);
         for seed in 0..10u64 {
             let base = ShardFaultPlan::generate(seed, 2.0, 4, h);
             let with = ShardFaultPlan::generate_with_aborts(seed, 2.0, 4, h);
-            assert!(with.validate().is_ok());
+            assert!(with.events().windows(2).all(|w| w[0].at <= w[1].at));
             // Every base event survives verbatim: aborts are appended
             // from their own labelled RNG, never interleaved into the
             // base generator's draw sequence.

@@ -56,15 +56,8 @@ pub fn seal_into(key: &Key, nonce: &Nonce, aad: &[u8], plaintext: &[u8], out: &m
     out.extend_from_slice(&tag);
 }
 
-/// Decrypt and verify a `seal` output.
-pub fn open(key: &Key, nonce: &Nonce, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, AeadError> {
-    let mut out = Vec::with_capacity(sealed.len().saturating_sub(TAG_LEN));
-    open_into(key, nonce, aad, sealed, &mut out)?;
-    Ok(out)
-}
-
-/// [`open`] appending the recovered plaintext to `out`. Nothing is
-/// appended unless the tag verifies.
+/// Decrypt and verify a `seal` output, appending the recovered
+/// plaintext to `out`. Nothing is appended unless the tag verifies.
 pub fn open_into(
     key: &Key,
     nonce: &Nonce,
@@ -110,6 +103,11 @@ mod tests {
 
     const KEY: Key = [3; 32];
     const NONCE: Nonce = [5; 12];
+
+    fn open(key: &Key, nonce: &Nonce, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, AeadError> {
+        let mut out = Vec::new();
+        open_into(key, nonce, aad, sealed, &mut out).map(|()| out)
+    }
 
     #[test]
     fn seal_open_roundtrip() {

@@ -74,20 +74,11 @@ impl BlockCipher {
         store(&w, block);
     }
 
-    /// CBC-encrypt `plaintext` with TLS 1.2 padding.
-    ///
-    /// Output layout: `IV (16) || ciphertext blocks`. The IV must be
-    /// unique per record; the record layer derives it from the sequence
-    /// number.
-    pub fn cbc_encrypt(&self, iv: &[u8; BLOCK], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 * BLOCK + plaintext.len());
-        self.cbc_encrypt_into(iv, plaintext, &mut out);
-        out
-    }
-
-    /// [`BlockCipher::cbc_encrypt`] appending to `out` — no padding
-    /// scratch, no output allocation; the record layer reuses one wire
-    /// buffer across records.
+    /// CBC-encrypt `plaintext` with TLS 1.2 padding, appending
+    /// `IV (16) || ciphertext blocks` to `out` — no padding scratch, no
+    /// output allocation; the record layer reuses one wire buffer
+    /// across records. The IV must be unique per record; the record
+    /// layer derives it from the sequence number.
     pub fn cbc_encrypt_into(&self, iv: &[u8; BLOCK], plaintext: &[u8], out: &mut Vec<u8>) {
         out.extend_from_slice(iv);
         let mut prev = *iv;
@@ -114,17 +105,10 @@ impl BlockCipher {
         chain(&mut block, out);
     }
 
-    /// CBC-decrypt a record produced by [`BlockCipher::cbc_encrypt`].
-    ///
-    /// Returns `None` on bad length or malformed padding.
-    pub fn cbc_decrypt(&self, data: &[u8]) -> Option<Vec<u8>> {
-        let mut out = Vec::with_capacity(data.len().saturating_sub(BLOCK));
-        self.cbc_decrypt_into(data, &mut out)?;
-        Some(out)
-    }
-
-    /// [`BlockCipher::cbc_decrypt`] appending the unpadded plaintext to
-    /// `out`. On failure `out` is restored to its original length.
+    /// CBC-decrypt a record produced by
+    /// [`BlockCipher::cbc_encrypt_into`], appending the unpadded
+    /// plaintext to `out`. Returns `None` on bad length or malformed
+    /// padding, with `out` restored to its original length.
     pub fn cbc_decrypt_into(&self, data: &[u8], out: &mut Vec<u8>) -> Option<()> {
         if data.len() < 2 * BLOCK || !data.len().is_multiple_of(BLOCK) {
             return None;
@@ -184,6 +168,16 @@ pub fn cbc_ciphertext_len(plaintext_len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    fn cbc_encrypt(cipher: &BlockCipher, iv: &[u8; BLOCK], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        cipher.cbc_encrypt_into(iv, plaintext, &mut out);
+        out
+    }
+
+    fn cbc_decrypt(cipher: &BlockCipher, data: &[u8]) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        cipher.cbc_decrypt_into(data, &mut out).map(|()| out)
+    }
 
     fn cipher() -> BlockCipher {
         let mut key = [0u8; 32];
@@ -226,10 +220,10 @@ mod tests {
         let iv = [0xab; BLOCK];
         for len in [0usize, 1, 15, 16, 17, 100, 1000] {
             let plaintext: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let ct = c.cbc_encrypt(&iv, &plaintext);
+            let ct = cbc_encrypt(&c, &iv, &plaintext);
             assert_eq!(ct.len(), BLOCK + cbc_ciphertext_len(len), "len {len}");
             assert_eq!(
-                c.cbc_decrypt(&ct).as_deref(),
+                cbc_decrypt(&c, &ct).as_deref(),
                 Some(&plaintext[..]),
                 "len {len}"
             );
@@ -252,14 +246,14 @@ mod tests {
     fn cbc_rejects_tampering() {
         let c = cipher();
         let iv = [1; BLOCK];
-        let mut ct = c.cbc_encrypt(&iv, b"attack at dawn");
+        let mut ct = cbc_encrypt(&c, &iv, b"attack at dawn");
         // Flipping any byte of the final block corrupts the padding with
         // overwhelming probability; try a few.
         let n = ct.len();
         let mut rejected = 0;
         for i in 0..BLOCK {
             ct[n - 1 - i] ^= 0x55;
-            if c.cbc_decrypt(&ct).is_none() {
+            if cbc_decrypt(&c, &ct).is_none() {
                 rejected += 1;
             }
             ct[n - 1 - i] ^= 0x55;
@@ -270,16 +264,16 @@ mod tests {
     #[test]
     fn cbc_rejects_malformed_input() {
         let c = cipher();
-        assert!(c.cbc_decrypt(&[]).is_none());
-        assert!(c.cbc_decrypt(&[0u8; BLOCK]).is_none()); // IV only
-        assert!(c.cbc_decrypt(&[0u8; BLOCK + 5]).is_none()); // not block multiple
+        assert!(cbc_decrypt(&c, &[]).is_none());
+        assert!(cbc_decrypt(&c, &[0u8; BLOCK]).is_none()); // IV only
+        assert!(cbc_decrypt(&c, &[0u8; BLOCK + 5]).is_none()); // not block multiple
     }
 
     #[test]
     fn iv_changes_ciphertext() {
         let c = cipher();
-        let a = c.cbc_encrypt(&[0; BLOCK], b"same plaintext");
-        let b = c.cbc_encrypt(&[1; BLOCK], b"same plaintext");
+        let a = cbc_encrypt(&c, &[0; BLOCK], b"same plaintext");
+        let b = cbc_encrypt(&c, &[1; BLOCK], b"same plaintext");
         assert_ne!(a[BLOCK..], b[BLOCK..]);
     }
 }

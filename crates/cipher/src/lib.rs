@@ -31,7 +31,7 @@ pub mod kdf;
 pub mod mac;
 pub mod stream;
 
-pub use aead::{open, open_into, seal, seal_into, AeadError, TAG_LEN};
+pub use aead::{open_into, seal, seal_into, AeadError, TAG_LEN};
 pub use kdf::splitmix64;
 pub use mac::Mac128;
 pub use stream::Wm20;

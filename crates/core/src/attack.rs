@@ -6,10 +6,10 @@
 //! state reports and walks the story graph back to the viewer's
 //! choices.
 
-use crate::classify::{IntervalClassifier, RecordClassifier};
+use crate::classify::IntervalClassifier;
 use crate::decode::{ChoiceDecoder, DecodedChoice, DecoderConfig};
 use crate::features::{client_app_records, ClientFeatures};
-use crate::metrics::{choice_accuracy, ChoiceAccuracy, ConfusionMatrix};
+use crate::metrics::{choice_accuracy, ChoiceAccuracy};
 use crate::provenance::ChoiceProvenance;
 use std::sync::Arc;
 use wm_capture::labels::LabeledRecord;
@@ -62,33 +62,19 @@ pub struct DecodedSession {
 impl DecodedSession {
     /// Compact "DNND…" string.
     pub fn choice_string(&self) -> String {
-        self.choices
-            .iter()
-            .map(|d| match d.choice {
-                Choice::Default => 'D',
-                Choice::NonDefault => 'N',
-            })
-            .collect()
+        self.choices.iter().map(|d| d.choice.letter()).collect()
     }
 
     /// Mean per-choice confidence (1.0 when every report was observed
     /// on an intact capture; degrades before correctness does as faults
     /// mount). An empty choice list — a graph with no choice points, or
     /// a decode that produced nothing — reports 0.0, never NaN: there
-    /// is no evidence to be confident about. Use
-    /// [`DecodedSession::mean_confidence_checked`] to distinguish
-    /// "empty" from "genuinely zero".
+    /// is no evidence to be confident about.
     pub fn mean_confidence(&self) -> f64 {
-        self.mean_confidence_checked().unwrap_or(0.0)
-    }
-
-    /// Mean per-choice confidence, or `None` when no choices were
-    /// decoded (so the mean is undefined rather than silently 0.0).
-    pub fn mean_confidence_checked(&self) -> Option<f64> {
         if self.choices.is_empty() {
-            return None;
+            return 0.0;
         }
-        Some(self.choices.iter().map(|d| d.confidence).sum::<f64>() / self.choices.len() as f64)
+        self.choices.iter().map(|d| d.confidence).sum::<f64>() / self.choices.len() as f64
     }
 
     /// Multi-line "why" report: one line of evidence per decision.
@@ -245,21 +231,13 @@ impl WhiteMirror {
         let acc = choice_accuracy(&decoded.choices, truth);
         (decoded, acc)
     }
-
-    /// Per-record confusion of the trained classifier on held-out
-    /// labelled records.
-    pub fn record_confusion(&self, labels: &[LabeledRecord]) -> ConfusionMatrix {
-        let mut m = ConfusionMatrix::default();
-        for l in labels {
-            m.record(l.class, self.classifier.classify(l.length));
-        }
-        m
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::RecordClassifier;
+    use crate::metrics::ConfusionMatrix;
     use std::sync::Arc;
     use wm_capture::labels::RecordClass;
     use wm_capture::time::Duration;
@@ -370,17 +348,15 @@ mod tests {
     #[test]
     fn empty_session_confidence_is_defined() {
         // A session with no decoded choices must never produce NaN:
-        // mean_confidence is 0.0 and the checked variant is None.
+        // mean_confidence is 0.0.
         let empty = DecodedSession {
             choices: Vec::new(),
             provenance: Vec::new(),
             features: ClientFeatures::default(),
         };
         assert_eq!(empty.mean_confidence(), 0.0);
-        assert!(!empty.mean_confidence().is_nan());
-        assert_eq!(empty.mean_confidence_checked(), None);
         assert_eq!(empty.choice_string(), "");
-        // Non-empty sessions agree between the two accessors.
+        // A non-empty session's mean is a finite confidence.
         let train = run(
             100,
             &[Choice::NonDefault, Choice::Default, Choice::NonDefault],
@@ -391,11 +367,7 @@ mod tests {
             &[Choice::Default, Choice::NonDefault, Choice::NonDefault],
         );
         let decoded = attack.decode_trace(&victim.trace, &tiny_film());
-        assert_eq!(
-            Some(decoded.mean_confidence()),
-            decoded.mean_confidence_checked()
-        );
-        assert!(decoded.mean_confidence().is_finite());
+        assert!((0.0..=1.0).contains(&decoded.mean_confidence()));
     }
 
     #[test]
@@ -433,7 +405,10 @@ mod tests {
         );
         let attack = WhiteMirror::train(&train.labels, WhiteMirrorConfig::scaled(20)).unwrap();
         let heldout = run(401, &[Choice::Default, Choice::NonDefault, Choice::Default]);
-        let m = attack.record_confusion(&heldout.labels);
+        let mut m = ConfusionMatrix::default();
+        for l in &heldout.labels {
+            m.record(l.class, attack.classifier().classify(l.length));
+        }
         assert!(m.total() > 10);
         assert!(m.accuracy() > 0.95, "record accuracy {}", m.accuracy());
         assert_eq!(m.recall(RecordClass::Type1), 1.0);

@@ -44,17 +44,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Precision for one class (1.0 when the class was never predicted).
-    pub fn precision(&self, class: RecordClass) -> f64 {
-        let j = idx(class);
-        let predicted: u64 = (0..3).map(|i| self.counts[i][j]).sum();
-        if predicted == 0 {
-            1.0
-        } else {
-            self.counts[j][j] as f64 / predicted as f64
-        }
-    }
-
     /// Recall for one class (1.0 when the class never occurred).
     pub fn recall(&self, class: RecordClass) -> f64 {
         let i = idx(class);
@@ -167,16 +156,7 @@ mod tests {
         assert_eq!(m.total(), 10);
         assert!((m.accuracy() - 0.9).abs() < 1e-12);
         assert!((m.recall(RecordClass::Type1) - 0.9).abs() < 1e-12);
-        assert_eq!(m.precision(RecordClass::Type1), 1.0);
         assert_eq!(m.recall(RecordClass::Type2), 1.0, "absent class");
-    }
-
-    #[test]
-    fn confusion_precision() {
-        let mut m = ConfusionMatrix::default();
-        m.record(RecordClass::Other, RecordClass::Type2); // false positive
-        m.record(RecordClass::Type2, RecordClass::Type2);
-        assert!((m.precision(RecordClass::Type2) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -251,9 +231,7 @@ mod tests {
         let m = ConfusionMatrix::default();
         assert_eq!(m.accuracy(), 1.0);
         for class in [RecordClass::Type1, RecordClass::Type2, RecordClass::Other] {
-            assert_eq!(m.precision(class), 1.0);
             assert_eq!(m.recall(class), 1.0);
-            assert!(m.precision(class).is_finite());
             assert!(m.recall(class).is_finite());
         }
         let acc = ChoiceAccuracy::default();

@@ -21,7 +21,7 @@ pub mod spec;
 
 pub use io::{load_manifest, save_dataset};
 pub use run::{
-    aggregate_telemetry, run_dataset, try_run_dataset, try_run_dataset_with_workers, DatasetRun,
-    SessionFailure, SessionRecord, SimOptions,
+    run_dataset, try_run_dataset, try_run_dataset_with_workers, DatasetRun, SessionFailure,
+    SessionRecord, SimOptions,
 };
 pub use spec::{DatasetSpec, OperationalConditions, Table1Summary, ViewerSpec};

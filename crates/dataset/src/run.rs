@@ -10,7 +10,6 @@ use wm_net::time::Duration;
 use wm_player::PlayerConfig;
 use wm_sim::{run_session, SessionConfig, SessionError, SessionOutput};
 use wm_story::StoryGraph;
-use wm_telemetry::Snapshot;
 use wm_tls::CipherSuite;
 
 /// Knobs shared by every session of a dataset run.
@@ -22,8 +21,8 @@ pub struct SimOptions {
     pub time_scale: u32,
     pub suite: CipherSuite,
     pub defense: Defense,
-    /// Collect per-session telemetry (merged run-wide by
-    /// [`aggregate_telemetry`]). Observation only — traces are
+    /// Collect per-session telemetry (merged run-wide with
+    /// `Snapshot::merged`). Observation only — traces are
     /// byte-identical either way.
     pub telemetry: bool,
     /// Record a causal event trace per session (see `wm_telemetry::trace`).
@@ -103,16 +102,6 @@ pub fn session_config(
             FaultPlan::none()
         },
     }
-}
-
-/// Merge every session's snapshot into one run-level report.
-///
-/// Each worker thread fills its sessions' snapshots independently;
-/// because [`Snapshot::merge`] is exact, commutative and associative,
-/// the aggregate is identical regardless of worker count or completion
-/// order.
-pub fn aggregate_telemetry(records: &[SessionRecord]) -> Snapshot {
-    Snapshot::merged(records.iter().map(|r| &r.output.telemetry))
 }
 
 /// A session that could not run to completion, with its viewer spec
@@ -204,6 +193,7 @@ pub fn run_dataset(
 mod tests {
     use super::*;
     use wm_story::bandersnatch::tiny_film;
+    use wm_telemetry::Snapshot;
 
     fn fast_opts() -> SimOptions {
         SimOptions {
@@ -251,8 +241,13 @@ mod tests {
             telemetry: true,
             ..fast_opts()
         };
+        // Each worker fills its sessions' snapshots independently;
+        // `Snapshot::merge` is exact, commutative and associative.
+        let aggregate = |records: &[SessionRecord]| {
+            Snapshot::merged(records.iter().map(|r| &r.output.telemetry))
+        };
         let records = run_dataset(&graph, &spec, &opts);
-        let total = aggregate_telemetry(&records);
+        let total = aggregate(&records);
         // The merged counters equal the per-session sums exactly.
         let per_session: u64 = records
             .iter()
@@ -270,7 +265,7 @@ mod tests {
         let reversed = Snapshot::merged(records.iter().rev().map(|r| &r.output.telemetry));
         assert_eq!(total, reversed);
         // A second run reproduces every seed-deterministic counter.
-        let again = aggregate_telemetry(&run_dataset(&graph, &spec, &opts));
+        let again = aggregate(&run_dataset(&graph, &spec, &opts));
         assert_eq!(total.counters, again.counters);
     }
 

@@ -191,10 +191,10 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
 /// Why [`read_frame`] returned no frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReadError {
-    /// The stream failed or ended before a whole header arrived.
-    Header,
-    /// The stream failed or ended inside the frame.
-    Body,
+    /// The stream ended before the first byte of a frame.
+    Eof,
+    /// The stream failed, or ended inside the frame (header included).
+    Short,
     /// The header or frame does not decode.
     Frame(FrameError),
 }
@@ -204,7 +204,7 @@ impl ReadError {
     /// undecodable frame [`WorkerFault::Protocol`].
     fn fault(self) -> WorkerFault {
         match self {
-            ReadError::Header | ReadError::Body => WorkerFault::Io,
+            ReadError::Eof | ReadError::Short => WorkerFault::Io,
             ReadError::Frame(_) => WorkerFault::Protocol,
         }
     }
@@ -213,11 +213,21 @@ impl ReadError {
 /// Read one frame from `reader` into `buf` (reused, cleared first)
 /// through [`decode_frame`]: the 4-byte header first, so an empty or
 /// oversize length is rejected before the body is allocated, then
-/// exactly the bytes `decode_frame` reports missing.
+/// exactly the bytes `decode_frame` reports missing. Only an end of
+/// stream before the first header byte is [`ReadError::Eof`].
 fn read_frame<'b>(reader: &mut impl Read, buf: &'b mut Vec<u8>) -> Result<Frame<'b>, ReadError> {
     buf.clear();
     buf.resize(4, 0);
-    reader.read_exact(buf).map_err(|_| ReadError::Header)?;
+    let mut got = 0;
+    while got < 4 {
+        match reader.read(buf.get_mut(got..).unwrap_or_default()) {
+            Ok(0) if got == 0 => return Err(ReadError::Eof),
+            Ok(0) => return Err(ReadError::Short),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return Err(ReadError::Short),
+        }
+    }
     let need = match decode_frame(buf) {
         Err(FrameError::Incomplete { need }) => need,
         Err(e) => return Err(ReadError::Frame(e)),
@@ -226,7 +236,7 @@ fn read_frame<'b>(reader: &mut impl Read, buf: &'b mut Vec<u8>) -> Result<Frame<
     buf.resize(4 + need, 0);
     reader
         .read_exact(buf.get_mut(4..).unwrap_or_default())
-        .map_err(|_| ReadError::Body)?;
+        .map_err(|_| ReadError::Short)?;
     decode_frame(buf).map_err(ReadError::Frame)
 }
 
@@ -888,12 +898,13 @@ pub fn shard_worker_main() -> i32 {
 
 /// How the worker ends on a frame it cannot serve: a clean exit at
 /// EOF between frames (the supervisor dropped the pipe), exit 1 on a
-/// short body, and an `Err` reply then exit 1 on a frame that does not
+/// frame cut short (a partial header included: the supervisor died
+/// mid-write), and an `Err` reply then exit 1 on a frame that does not
 /// decode.
 fn worker_exit(output: &mut impl Write, e: ReadError) -> i32 {
     match e {
-        ReadError::Header => 0,
-        ReadError::Body => 1,
+        ReadError::Eof => 0,
+        ReadError::Short => 1,
         ReadError::Frame(_) => {
             let mut out = Vec::new();
             Reply::Err(RemoteError::Internal).encode(&mut out);
@@ -957,7 +968,7 @@ mod tests {
         let mut cases: Vec<(Vec<u8>, Outcome)> = (0..=feed.len())
             .map(|cut| {
                 let want = match cut {
-                    0..4 => EOF,
+                    0 => EOF,
                     c if c < feed.len() => SHORT,
                     c => Ok(c),
                 };

@@ -90,12 +90,6 @@ pub struct ResizeSchedule {
 }
 
 impl ResizeSchedule {
-    /// The empty schedule: the fleet keeps its configured shard count
-    /// for the whole run.
-    pub fn none() -> Self {
-        ResizeSchedule::default()
-    }
-
     /// Build a schedule from `(tick, new_shard_count)` steps,
     /// validating on construction: strictly increasing ticks, no tick
     /// 0, every step at least one shard.
@@ -181,7 +175,7 @@ mod tests {
     fn schedule_validates_on_construction() {
         let t = |us: u64| SimTime(us);
         assert!(ResizeSchedule::new(vec![(t(10), 4), (t(20), 2), (t(30), 4)]).is_ok());
-        assert!(ResizeSchedule::none().validate().is_ok());
+        assert!(ResizeSchedule::default().validate().is_ok());
         assert_eq!(
             ResizeSchedule::new(vec![(t(20), 4), (t(10), 2)]).err(),
             Some(ResizeScheduleError::Unsorted { index: 1 })

@@ -359,25 +359,11 @@ impl ShardState {
         sealed
     }
 
-    /// Restore a shard from a blob written by [`ShardState::checkpoint`].
-    /// `slot` is the supervisor slot the restore runs for; every error
-    /// is attributed to it (see [`ShardRestoreError`]).
-    pub fn restore(
-        slot: u32,
-        bytes: &[u8],
-        classifier: IntervalClassifier,
-        graph: Arc<StoryGraph>,
-        cfg: OnlineConfig,
-    ) -> Result<Self, ShardRestoreError> {
-        let mut state = ShardState::new(slot, classifier, graph, cfg);
-        state.reload(slot, bytes)?;
-        Ok(state)
-    }
-
-    /// Replace this shard's victims with a blob's, rebuilding them on
-    /// this shard's own graph and keeping its classifier, config and
-    /// telemetry registry; the shard takes the blob's shard id. Errors
-    /// are attributed to `slot`, and leave the shard as it was.
+    /// Replace this shard's victims with a blob written by
+    /// [`ShardState::checkpoint`], rebuilding them on this shard's own
+    /// graph and keeping its classifier, config and telemetry registry;
+    /// the shard takes the blob's shard id. Errors are attributed to
+    /// `slot`, and leave the shard as it was.
     pub fn reload(&mut self, slot: u32, bytes: &[u8]) -> Result<(), ShardRestoreError> {
         let envelope = parse_envelope(slot, bytes)?;
         let header = &envelope.header;

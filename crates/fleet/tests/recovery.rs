@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
-use wm_chaos::{ShardFault, ShardFaultKind, ShardFaultPlan};
+use wm_chaos::{ShardFaultKind, ShardFaultPlan};
 use wm_core::online::{OnlineConfig, OnlineDecoder, OnlineVerdict};
 use wm_core::{IntervalClassifier, WhiteMirrorConfig};
 use wm_fleet::{
@@ -257,19 +257,9 @@ fn torn_checkpoint_falls_back_to_previous_good_blob() {
         .map(|(t, _, _)| t.micros())
         .find(|&t| t >= boundary)
         .expect("a packet past the 5th cadence boundary");
-    let plan = ShardFaultPlan::from_events(vec![
-        ShardFault {
-            at: SimTime(boundary),
-            shard: 0,
-            kind: ShardFaultKind::CheckpointTorn,
-        },
-        ShardFault {
-            at: SimTime(trigger + 1),
-            shard: 0,
-            kind: ShardFaultKind::Kill,
-        },
-    ])
-    .expect("plan events are time-ordered");
+    let mut plan = ShardFaultPlan::none();
+    plan.push(SimTime(boundary), 0, ShardFaultKind::CheckpointTorn)
+        .push(SimTime(trigger + 1), 0, ShardFaultKind::Kill);
     let report = run_fleet(cfg.clone(), &stream, Some(&plan));
     assert_eq!(report.stats.kills, 1);
     assert_eq!(report.stats.restarts, 1);
@@ -306,8 +296,8 @@ fn damaged_shard_blobs_are_rejected_naming_the_shard() {
     assert!(live >= 2, "the blob must carry several victims");
     let blob = shard.checkpoint(SimTime(1));
     let restore = |bytes: &[u8]| {
-        ShardState::restore(7, bytes, clf.clone(), graph.clone(), cfg.clone())
-            .map(|s| s.live_victim_count())
+        let mut s = ShardState::new(7, clf.clone(), graph.clone(), cfg.clone());
+        s.reload(7, bytes).map(|()| s.live_victim_count())
     };
     assert_eq!(restore(&blob), Ok(live));
     let mut damaged = blob.clone();

@@ -237,8 +237,8 @@ fn run_sequence(seed: u64, frames: &[Vec<(u64, Vec<u8>)>], clf: &IntervalClassif
             2 => {
                 let blob = shard.checkpoint(SimTime(now));
                 assert_eq!(blob, model.checkpoint(SimTime(now)), "{ctx}: blob bytes");
-                shard = ShardState::restore(SHARD, &blob, clf.clone(), graph.clone(), cfg.clone())
-                    .unwrap();
+                shard = ShardState::new(SHARD, clf.clone(), graph.clone(), cfg.clone());
+                shard.reload(SHARD, &blob).unwrap();
                 model.restore(&blob);
             }
             _ => {

@@ -79,14 +79,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The items, if this is an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -155,7 +147,6 @@ mod tests {
     fn accessor_type_mismatches_are_none() {
         assert!(Value::from("s").as_i64().is_none());
         assert!(Value::from(1i64).as_str().is_none());
-        assert!(Value::Null.as_bool().is_none());
         assert!(Value::Bool(true).as_array().is_none());
         assert!(Value::Array(vec![]).as_object().is_none());
     }

@@ -49,6 +49,9 @@ pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     /// Adjacency: `edges[caller]` is a sorted, deduplicated callee list.
     pub edges: Vec<Vec<usize>>,
+    /// Sorted ids of every node some body names without calling it
+    /// (`map(f)`, `Self::f`): a function used as a value.
+    pub values: Vec<usize>,
 }
 
 /// Result of a reachability sweep.
@@ -104,6 +107,7 @@ impl CallGraph {
 
         let index = NameIndex::build(&nodes);
         let mut edges: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
+        let mut values = BTreeSet::new();
         for (id, node) in nodes.iter().enumerate() {
             let file = &files[node.file_index];
             let visible = visible_crates(&node.crate_name, deps);
@@ -113,8 +117,15 @@ impl CallGraph {
             }
             out.remove(&id); // self-recursion adds nothing to reachability
             edges.push(out.into_iter().collect());
+            for path in &node.item.values {
+                index.resolve_path(path, node, &file.items, &visible, &mut values);
+            }
         }
-        CallGraph { nodes, edges }
+        CallGraph {
+            nodes,
+            edges,
+            values: values.into_iter().collect(),
+        }
     }
 
     /// Node ids whose qualified name is exactly `qualified`.
@@ -162,6 +173,29 @@ impl CallGraph {
     /// Total edge count (for summaries).
     pub fn edge_count(&self) -> usize {
         self.edges.iter().map(Vec::len).sum()
+    }
+
+    /// Ids of the nodes nothing production runs can reach. The roots are
+    /// every binary's `main`, every fn whose name is in `named` (the
+    /// identifiers of code outside the graph, such as examples), every
+    /// fn used as a value and every method of an `impl Trait for Type`.
+    pub fn unreached(&self, named: &BTreeSet<String>) -> Vec<usize> {
+        let roots: Vec<usize> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(id, n)| {
+                (n.item.self_type.is_none() && n.item.name == "main")
+                    || named.contains(&n.item.name)
+                    || n.item.trait_impl
+                    || self.values.binary_search(id).is_ok()
+            })
+            .map(|(id, _)| id)
+            .collect();
+        let reach = self.reach(&roots, |_| false);
+        (0..self.nodes.len())
+            .filter(|&id| !reach.contains(id))
+            .collect()
     }
 }
 
@@ -239,16 +273,7 @@ impl NameIndex {
         out: &mut BTreeSet<usize>,
     ) {
         match &call.call {
-            Call::Method(name) => {
-                if let Some(entries) = self.methods.get(name) {
-                    out.extend(
-                        entries
-                            .iter()
-                            .filter(|(krate, _)| visible.contains(krate))
-                            .map(|(_, id)| *id),
-                    );
-                }
-            }
+            Call::Method(name) => self.add_method(name, visible, out),
             Call::Path(segs) => self.resolve_path(segs, caller, file, visible, out),
         }
     }
@@ -260,7 +285,9 @@ impl NameIndex {
     /// 3. a first segment naming a workspace crate ident scopes the
     ///    rest to that crate;
     /// 4. `Self::name` uses the enclosing type;
-    /// 5. otherwise the path is local: `name(..)` is a free fn in the
+    /// 5. `T::name` on a type parameter `T` resolves by method name, as
+    ///    `.name()` does, since the type is unknown;
+    /// 6. otherwise the path is local: `name(..)` is a free fn in the
     ///    caller's crate, `Type::name(..)` a typed fn in any visible
     ///    crate (types are imported cross-crate), `module::name(..)` a
     ///    free fn.
@@ -320,6 +347,11 @@ impl NameIndex {
             return;
         }
 
+        if segs.len() == 2 && caller.item.generics.contains(&first) {
+            self.add_method(&segs[1], visible, out);
+            return;
+        }
+
         match segs.len() {
             1 => self.add_free(&caller.crate_ident, &segs[0], out),
             _ => {
@@ -334,6 +366,17 @@ impl NameIndex {
                 // `module::free_fn(..)` within the caller's crate.
                 self.add_free(&caller.crate_ident, name, out);
             }
+        }
+    }
+
+    fn add_method(&self, name: &str, visible: &BTreeSet<String>, out: &mut BTreeSet<usize>) {
+        if let Some(entries) = self.methods.get(name) {
+            out.extend(
+                entries
+                    .iter()
+                    .filter(|(krate, _)| visible.contains(krate))
+                    .map(|(_, id)| *id),
+            );
         }
     }
 
@@ -461,6 +504,62 @@ mod tests {
             &deps(&[]),
         );
         assert!(edge(&g, "wm_a::top", "wm_a::f"));
+    }
+
+    #[test]
+    fn type_parameter_paths_resolve_by_method_name() {
+        let g = CallGraph::build(
+            &[
+                file(
+                    "wm-a",
+                    "crates/a/src/lib.rs",
+                    "fn head<M: Message>(s: &str) -> M { M::from_start_line(s) }\n\
+                     impl<T: Le> R<T> { fn num(&self) -> T { T::from_le(&[]) } }",
+                ),
+                file(
+                    "wm-b",
+                    "crates/b/src/lib.rs",
+                    "impl Message for Request { fn from_start_line(s: &str) -> Self { Request } }\n\
+                     impl Le for Word { fn from_le(b: &[u8]) -> Self { Word } }",
+                ),
+                file(
+                    "wm-c",
+                    "crates/c/src/lib.rs",
+                    "impl Message for Other { fn from_start_line(s: &str) -> Self { Other } }",
+                ),
+            ],
+            &deps(&[("wm-a", &["wm-b"])]),
+        );
+        assert!(edge(&g, "wm_a::head", "wm_b::Request::from_start_line"));
+        assert!(edge(&g, "wm_a::R::num", "wm_b::Word::from_le"));
+        // Only crates the caller can see, as for `.name()`.
+        assert!(!edge(&g, "wm_a::head", "wm_c::Other::from_start_line"));
+    }
+
+    #[test]
+    fn unreached_counts_what_no_production_root_reaches() {
+        let g = CallGraph::build(
+            &[file(
+                "wm-a",
+                "crates/a/src/main.rs",
+                "fn main() { run(); } fn run() { xs.iter().map(as_value); }\n\
+                     fn as_value(x: u8) {} fn named_by_example() { deep(); } fn deep() {}\n\
+                     impl Display for W { fn fmt(&self) { shown(); } } fn shown() {}\n\
+                     fn test_only() { orphan(); } fn orphan() {}\n\
+                     impl W { fn helper(&self) {} }",
+            )],
+            &deps(&[]),
+        );
+        let named: BTreeSet<String> = ["named_by_example".to_string()].into();
+        let names: Vec<&str> = g
+            .unreached(&named)
+            .into_iter()
+            .map(|id| g.nodes[id].qualified.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            ["wm_a::test_only", "wm_a::orphan", "wm_a::W::helper"]
+        );
     }
 
     #[test]

@@ -111,6 +111,11 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl`/`trait` type, if any.
     pub self_type: Option<String>,
+    /// Whether the enclosing block is an `impl Trait for Type`.
+    pub trait_impl: bool,
+    /// Type parameters in scope: the enclosing `impl`/`trait`'s and the
+    /// fn's own (`T` in `fn num<T: Le>`), without lifetimes or consts.
+    pub generics: Vec<String>,
     /// Enclosing inline-module path (file-level = empty).
     pub module: Vec<String>,
     /// Line of the `fn` keyword.
@@ -119,6 +124,9 @@ pub struct FnItem {
     pub body: Range<usize>,
     pub annotations: Vec<AnnotationSite>,
     pub calls: Vec<CallSite>,
+    /// Paths named in the body but not called (`map(f)`, `Self::f`):
+    /// the candidates for a function used as a value.
+    pub values: Vec<Vec<String>>,
 }
 
 impl FnItem {
@@ -157,7 +165,11 @@ pub fn parse_items(tokens: &[Token], comments: &[Comment]) -> SourceItems {
 
     enum ScopeKind {
         Module(String),
-        Type(String),
+        Type {
+            name: String,
+            trait_impl: bool,
+            generics: Vec<String>,
+        },
         Opaque,
     }
     // (brace depth the scope body lives at, kind)
@@ -192,11 +204,15 @@ pub fn parse_items(tokens: &[Token], comments: &[Comment]) -> SourceItems {
                 }
             }
             Tok::Ident(w) if w == "impl" || w == "trait" => {
-                let (name, brace) = impl_target(tokens, i + 1);
-                match brace {
+                let target = impl_target(tokens, i + 1);
+                match target.brace {
                     Some(b) => {
-                        pending = Some(match name {
-                            Some(n) => ScopeKind::Type(n),
+                        pending = Some(match target.name {
+                            Some(name) => ScopeKind::Type {
+                                name,
+                                trait_impl: target.trait_impl,
+                                generics: target.generics,
+                            },
                             None => ScopeKind::Opaque,
                         });
                         i = b; // land on '{'
@@ -216,10 +232,16 @@ pub fn parse_items(tokens: &[Token], comments: &[Comment]) -> SourceItems {
                 let line = tokens[i].line;
                 match fn_body(tokens, i + 2) {
                     Some((open, close)) => {
-                        let self_type = scopes.iter().rev().find_map(|(_, k)| match k {
-                            ScopeKind::Type(t) => Some(t.clone()),
+                        let scope = scopes.iter().rev().find_map(|(_, k)| match k {
+                            ScopeKind::Type {
+                                name,
+                                trait_impl,
+                                generics,
+                            } => Some((name, *trait_impl, generics)),
                             _ => None,
                         });
+                        let mut generics = scope.map(|(_, _, g)| g.clone()).unwrap_or_default();
+                        generics.extend(generic_params(tokens, i + 2));
                         let module: Vec<String> = scopes
                             .iter()
                             .filter_map(|(_, k)| match k {
@@ -229,12 +251,15 @@ pub fn parse_items(tokens: &[Token], comments: &[Comment]) -> SourceItems {
                             .collect();
                         out.fns.push(FnItem {
                             name: name.clone(),
-                            self_type,
+                            self_type: scope.map(|(t, _, _)| t.clone()),
+                            trait_impl: scope.is_some_and(|(_, t, _)| t),
+                            generics,
                             module,
                             line,
                             body: open + 1..close,
                             annotations: Vec::new(),
                             calls: Vec::new(),
+                            values: Vec::new(),
                         });
                         // Continue *inside* the body so nested items and
                         // scope tracking stay consistent.
@@ -248,17 +273,34 @@ pub fn parse_items(tokens: &[Token], comments: &[Comment]) -> SourceItems {
     }
 
     for f in &mut out.fns {
-        f.calls = extract_calls(tokens, f.body.clone());
+        (f.calls, f.values) = extract_calls(tokens, f.body.clone());
     }
     attach_annotations(&mut out, comments);
     out
 }
 
-/// From just past `impl`/`trait`, find the scope's `{` and the type
-/// name it introduces. Returns `(type name, index of '{')`.
-fn impl_target(tokens: &[Token], from: usize) -> (Option<String>, Option<usize>) {
+/// What an `impl`/`trait` header introduces.
+struct ImplTarget {
+    /// The type the block's fns belong to.
+    name: Option<String>,
+    /// Index of the block's `{`.
+    brace: Option<usize>,
+    /// `impl Trait for Type`.
+    trait_impl: bool,
+    generics: Vec<String>,
+}
+
+/// From just past `impl`/`trait`, find the scope's `{`, the type name
+/// it introduces, whether it implements a trait, and its type
+/// parameters.
+fn impl_target(tokens: &[Token], from: usize) -> ImplTarget {
+    let mut target = ImplTarget {
+        name: None,
+        brace: None,
+        trait_impl: false,
+        generics: generic_params(tokens, from),
+    };
     let mut angle = 0i32;
-    let mut brace = None;
     let mut segment_start = from;
     let mut j = from;
     while j < tokens.len() {
@@ -272,26 +314,63 @@ fn impl_target(tokens: &[Token], from: usize) -> (Option<String>, Option<usize>)
                 }
             }
             Tok::Punct('{') if angle <= 0 => {
-                brace = Some(j);
-                break;
+                target.brace = Some(j);
+                target.name = last_type_ident(tokens, segment_start, j);
+                return target;
             }
-            Tok::Punct(';') if angle <= 0 => return (None, None),
-            Tok::Ident(w) if w == "for" && angle <= 0 => segment_start = j + 1,
+            Tok::Punct(';') if angle <= 0 => return target,
+            Tok::Ident(w) if w == "for" && angle <= 0 => {
+                target.trait_impl = true;
+                segment_start = j + 1;
+            }
             // The type segment ends at `where`; keep scanning for `{`.
-            Tok::Ident(w) if w == "where" && angle <= 0 && brace.is_none() => {
-                let name = last_type_ident(tokens, segment_start, j);
-                let b = tokens[j..]
+            Tok::Ident(w) if w == "where" && angle <= 0 => {
+                target.name = last_type_ident(tokens, segment_start, j);
+                target.brace = tokens[j..]
                     .iter()
                     .position(|t| matches!(t.tok, Tok::Punct('{')))
                     .map(|off| j + off);
-                return (name, b);
+                return target;
             }
             _ => {}
         }
         j += 1;
     }
-    let name = brace.and_then(|b| last_type_ident(tokens, segment_start, b));
-    (name, brace)
+    target
+}
+
+/// Type parameter names of the `<..>` list starting at `from`, if one
+/// does: `T` and `U` in `<'a, T: Fn() -> u8, const N: usize, U>`.
+fn generic_params(tokens: &[Token], from: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    if !matches!(tokens.get(from).map(|t| &t.tok), Some(Tok::Punct('<'))) {
+        return out;
+    }
+    let mut angle = 0i32;
+    let mut param_start = false;
+    for (j, t) in tokens.iter().enumerate().skip(from) {
+        match &t.tok {
+            Tok::Punct('<') => {
+                angle += 1;
+                param_start = angle == 1;
+                continue;
+            }
+            Tok::Punct('>') if !matches!(tokens[j - 1].tok, Tok::Punct('-')) => {
+                angle -= 1;
+                if angle == 0 {
+                    break;
+                }
+            }
+            Tok::Punct(',') if angle == 1 => {
+                param_start = true;
+                continue;
+            }
+            Tok::Ident(w) if angle == 1 && param_start && w != "const" => out.push(w.clone()),
+            _ => {}
+        }
+        param_start = false;
+    }
+    out
 }
 
 /// Last identifier at angle-depth 0 in `tokens[from..to]` — the base
@@ -437,9 +516,11 @@ fn matching_group(tokens: &[Token], open: usize, to: usize) -> Option<usize> {
     None
 }
 
-/// Extract call sites from a body token range.
-fn extract_calls(tokens: &[Token], body: Range<usize>) -> Vec<CallSite> {
-    let mut out = Vec::new();
+/// Extract the call sites, and the paths named without a call, from a
+/// body token range.
+fn extract_calls(tokens: &[Token], body: Range<usize>) -> (Vec<CallSite>, Vec<Vec<String>>) {
+    let mut calls = Vec::new();
+    let mut values = Vec::new();
     let mut j = body.start;
     while j < body.end {
         let Tok::Ident(name) = &tokens[j].tok else {
@@ -451,7 +532,7 @@ fn extract_calls(tokens: &[Token], body: Range<usize>) -> Vec<CallSite> {
         // `.name(` / `.name::<..>(` — a method call.
         if matches!(prev, Some(Tok::Punct('.'))) {
             if call_follows(tokens, j + 1, body.end) {
-                out.push(CallSite {
+                calls.push(CallSite {
                     call: Call::Method(name.clone()),
                     line,
                 });
@@ -459,8 +540,13 @@ fn extract_calls(tokens: &[Token], body: Range<usize>) -> Vec<CallSite> {
             j += 1;
             continue;
         }
-        // Skip path continuations (`b` in `a::b`): consumed below.
-        if matches!(prev, Some(Tok::Punct(':'))) {
+        // Skip path continuations (`b` in `<T as A>::b`; the ones after
+        // an identifier are consumed below). A single `:` ends a field
+        // or binding name, so `field: f(..)` still starts a path.
+        let after_path_sep = j >= body.start + 2
+            && matches!(tokens[j - 1].tok, Tok::Punct(':'))
+            && matches!(tokens[j - 2].tok, Tok::Punct(':'));
+        if after_path_sep {
             j += 1;
             continue;
         }
@@ -485,14 +571,16 @@ fn extract_calls(tokens: &[Token], body: Range<usize>) -> Vec<CallSite> {
             }
         }
         if call_follows(tokens, k, body.end) {
-            out.push(CallSite {
+            calls.push(CallSite {
                 call: Call::Path(segs),
                 line,
             });
+        } else if !matches!(tokens.get(k).map(|t| &t.tok), Some(Tok::Punct('!'))) {
+            values.push(segs);
         }
         j = k.max(j + 1);
     }
-    out
+    (calls, values)
 }
 
 /// Does a call argument list start at `j` (allowing one `::<..>`
@@ -665,7 +753,8 @@ mod tests {
     fn calls_are_extracted() {
         let s = items(
             "fn f(x: Thing) { helper(1); x.method(2); wm_tls::seal(3); \
-             Type::assoc(); x.chain::<Vec<u8>>().collect::<Vec<_>>(); }",
+             Type::assoc(); x.chain::<Vec<u8>>().collect::<Vec<_>>(); \
+             P { a: field_value(), b: Q::new() }; }",
         );
         let calls: Vec<&Call> = s.fns[0].calls.iter().map(|c| &c.call).collect();
         assert!(calls.contains(&&Call::Path(vec!["helper".into()])));
@@ -674,6 +763,27 @@ mod tests {
         assert!(calls.contains(&&Call::Path(vec!["Type".into(), "assoc".into()])));
         assert!(calls.contains(&&Call::Method("chain".into())));
         assert!(calls.contains(&&Call::Method("collect".into())));
+        // Struct-literal field values are calls too.
+        assert!(calls.contains(&&Call::Path(vec!["field_value".into()])));
+        assert!(calls.contains(&&Call::Path(vec!["Q".into(), "new".into()])));
+    }
+
+    #[test]
+    fn type_params_trait_impls_and_values_are_recorded() {
+        let s = items(
+            "impl<'a, T: Fn() -> u8, const N: usize> Show for W<'a, T> {\n\
+             fn fmt<U>(&self) { xs.map(Self::one); run(helper); }\n\
+             }\n\
+             impl W { fn plain(&self) {} }",
+        );
+        let fmt = fn_named(&s, "fmt");
+        assert!(fmt.trait_impl);
+        assert_eq!(fmt.generics, ["T", "U"]);
+        assert!(fmt
+            .values
+            .contains(&vec!["Self".to_string(), "one".to_string()]));
+        assert!(fmt.values.contains(&vec!["helper".to_string()]));
+        assert!(!fn_named(&s, "plain").trait_impl);
     }
 
     #[test]

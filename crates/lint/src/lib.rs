@@ -40,7 +40,7 @@ pub mod rules_v2;
 pub use rules::Finding;
 pub use rules_v2::V2Summary;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -89,8 +89,9 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
         scan_crate(root, dir, &mut result, &mut sources, &mut deps)?;
     }
 
+    let named = named_outside(root)?;
     let (v2_findings, v2_summary) =
-        rules_v2::check_workspace(&sources, &deps, &rules_v2::V2Config::default());
+        rules_v2::check_workspace(&sources, &deps, &named, &rules_v2::V2Config::default());
     result.findings.extend(v2_findings);
     result.v2 = v2_summary;
     result.rust_lines = rust_lines(root)?;
@@ -154,6 +155,41 @@ fn scan_crate(
         });
     }
     Ok(())
+}
+
+/// Directories of production code outside the linted crates: the root
+/// package's binaries, the examples and the benchmark. They are read
+/// only for the names they use.
+const NAMED_ROOT_DIRS: &[&str] = &["src", "examples", "pipeline_ledger/src"];
+
+/// Every identifier the non-test code under [`NAMED_ROOT_DIRS`] uses,
+/// outside `use` items: an import or re-export calls nothing, and a
+/// name that is used is also written where it is used.
+fn named_outside(root: &Path) -> io::Result<BTreeSet<String>> {
+    let mut files = Vec::new();
+    for dir in NAMED_ROOT_DIRS {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs(&dir, &mut files)?;
+        }
+    }
+    let mut named = BTreeSet::new();
+    for path in files {
+        let bytes = fs::read(&path)?;
+        let tokens = rules::strip_test_items(&lexer::lex(&String::from_utf8_lossy(&bytes)).tokens);
+        let mut in_use = false;
+        for t in &tokens {
+            match &t.tok {
+                lexer::Tok::Ident(w) if w == "use" => in_use = true,
+                lexer::Tok::Punct(';') => in_use = false,
+                lexer::Tok::Ident(w) if !in_use => {
+                    named.insert(w.clone());
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(named)
 }
 
 fn rust_lines(root: &Path) -> io::Result<RustLines> {

@@ -105,7 +105,8 @@ fn main() -> ExitCode {
     println!("wm-lint: families: {}", by_family.join(" "));
     println!(
         "wm-lint: call graph: {} fns, {} edges; hotpath roots={} reachable={}; \
-         response roots={} taint-checked={}; parse roots={} panic-scope fns={}; unsafe uses={}",
+         response roots={} taint-checked={}; parse roots={} panic-scope fns={}; unsafe uses={}; \
+         unreached fns={}",
         result.v2.graph_fns,
         result.v2.graph_edges,
         result.v2.hotpath_roots,
@@ -115,6 +116,7 @@ fn main() -> ExitCode {
         result.v2.parse_roots,
         result.v2.panic_scope_fns,
         result.v2.unsafe_uses,
+        result.v2.unreached.len(),
     );
     println!(
         "wm-lint: rust lines: non-test={} test={}",

@@ -4,7 +4,8 @@
 //! lint stays std-only, and is what CI uploads as an artifact: a stable
 //! schema with per-rule counts (every known rule appears, zero or not),
 //! the call-graph pass's summary (roots and the scope each family
-//! covers) and the full finding list.
+//! covers), the names of the functions no production root reaches and
+//! the full finding list.
 
 use crate::rules::ALL_RULES;
 use crate::ScanResult;
@@ -42,6 +43,7 @@ pub fn to_json(result: &ScanResult) -> Vec<u8> {
         ("parse_roots", v2.parse_roots),
         ("panic_scope_fns", v2.panic_scope_fns),
         ("unsafe_uses", v2.unsafe_uses),
+        ("unreached_fns", v2.unreached.len()),
     ]
     .into_iter()
     .map(|(name, n)| (name.to_string(), Value::from(n as i64)))
@@ -55,6 +57,15 @@ pub fn to_json(result: &ScanResult) -> Vec<u8> {
         ("total_findings".into(), Value::from(findings.len() as i64)),
         ("counts".into(), Value::object(counts)),
         ("v2".into(), Value::object(summary)),
+        (
+            "unreached".into(),
+            Value::array(
+                v2.unreached
+                    .iter()
+                    .map(|n| Value::from(n.as_str()))
+                    .collect(),
+            ),
+        ),
         ("findings".into(), Value::array(items)),
     ]);
     to_pretty_bytes(&doc)
@@ -85,6 +96,7 @@ mod tests {
             v2: V2Summary {
                 parse_roots: 26,
                 panic_scope_fns: 580,
+                unreached: vec!["wm_a::T::helper".into()],
                 ..V2Summary::default()
             },
             rust_lines: Default::default(),
@@ -119,6 +131,12 @@ mod tests {
         assert_eq!(v2.get("parse_roots").and_then(Value::as_i64), Some(26));
         assert_eq!(v2.get("panic_scope_fns").and_then(Value::as_i64), Some(580));
         assert_eq!(v2.get("unsafe_uses").and_then(Value::as_i64), Some(0));
+        assert_eq!(v2.get("unreached_fns").and_then(Value::as_i64), Some(1));
+        let unreached = doc
+            .get("unreached")
+            .and_then(Value::as_array)
+            .expect("unreached names");
+        assert_eq!(unreached[0].as_str(), Some("wm_a::T::helper"));
     }
 
     #[test]

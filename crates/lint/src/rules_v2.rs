@@ -50,7 +50,7 @@ use crate::lexer::{lex, Tok, Token};
 use crate::rules::{
     ident, is_punct, parse_suppressions, strip_test_items, token_rules, Finding, MISSING_REASON,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 pub const HOTPATH_ALLOC: &str = "hotpath/alloc";
 pub const HOTPATH_MISSING_ROOT: &str = "hotpath/missing-root";
@@ -213,6 +213,9 @@ pub struct V2Summary {
     pub graph_edges: usize,
     /// Total `unsafe` occurrences in shipping code.
     pub unsafe_uses: usize,
+    /// Qualified names of the functions no production root reaches
+    /// ([`CallGraph::unreached`]), in graph order.
+    pub unreached: Vec<String>,
 }
 
 /// The one lint pass. Each file is lexed, stripped of `#[cfg(test)]`
@@ -221,10 +224,13 @@ pub struct V2Summary {
 /// call-graph families run over every file. One suppression filter
 /// ends the pass. `deps` maps crate name to declared dependency names
 /// (scoping call resolution; dev-deps should be excluded since test
-/// items are stripped).
+/// items are stripped). `named` holds the identifiers production code
+/// outside `files` uses (binaries, examples, the benchmark); the
+/// functions they name count as reached.
 pub fn check_workspace(
     files: &[WorkspaceFile],
     deps: &BTreeMap<String, Vec<String>>,
+    named: &BTreeSet<String>,
     config: &V2Config,
 ) -> (Vec<Finding>, V2Summary) {
     let mut findings = Vec::new();
@@ -278,6 +284,11 @@ pub fn check_workspace(
     let graph = CallGraph::build(&file_items, deps);
     summary.graph_fns = graph.nodes.len();
     summary.graph_edges = graph.edge_count();
+    summary.unreached = graph
+        .unreached(named)
+        .into_iter()
+        .map(|id| graph.nodes[id].qualified.clone())
+        .collect();
 
     hotpath_family(&graph, &tokens, config, &mut findings, &mut summary);
     concurrency_family(files, &tokens, config, &mut findings, &mut summary);
@@ -770,7 +781,7 @@ pub(crate) mod tests {
                 )
             })
             .collect();
-        check_workspace(files, &deps, config)
+        check_workspace(files, &deps, &BTreeSet::new(), config)
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {

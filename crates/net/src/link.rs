@@ -31,19 +31,6 @@ pub struct LinkParams {
     pub tap_loss_prob: f64,
 }
 
-impl LinkParams {
-    /// An idealized lossless, low-latency link (unit tests).
-    pub fn ideal() -> Self {
-        LinkParams {
-            bandwidth_bps: 1e9,
-            propagation: Duration::from_micros(1_000),
-            jitter_std: Duration::ZERO,
-            loss_prob: 0.0,
-            tap_loss_prob: 0.0,
-        }
-    }
-}
-
 /// Outcome of offering one packet to a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transit {
@@ -185,9 +172,20 @@ impl Link {
 mod tests {
     use super::*;
 
+    /// An idealized lossless, low-latency link.
+    fn ideal() -> LinkParams {
+        LinkParams {
+            bandwidth_bps: 1e9,
+            propagation: Duration::from_micros(1_000),
+            jitter_std: Duration::ZERO,
+            loss_prob: 0.0,
+            tap_loss_prob: 0.0,
+        }
+    }
+
     #[test]
     fn ideal_link_is_deterministic() {
-        let mut link = Link::new(LinkParams::ideal());
+        let mut link = Link::new(ideal());
         let mut rng = SimRng::new(1);
         let t = link.transmit(SimTime::ZERO, 1250, &mut rng); // 10 µs at 1 Gbps
         assert_eq!(t.tap_at, Some(SimTime(10)));
@@ -196,7 +194,7 @@ mod tests {
 
     #[test]
     fn serialization_queues_back_to_back() {
-        let mut link = Link::new(LinkParams::ideal());
+        let mut link = Link::new(ideal());
         let mut rng = SimRng::new(1);
         let a = link.transmit(SimTime::ZERO, 12_500, &mut rng); // 100 µs
         let b = link.transmit(SimTime::ZERO, 12_500, &mut rng); // queued behind a
@@ -209,7 +207,7 @@ mod tests {
 
     #[test]
     fn loss_rate_approximates_parameter() {
-        let mut params = LinkParams::ideal();
+        let mut params = ideal();
         params.loss_prob = 0.10;
         let mut link = Link::new(params);
         let mut rng = SimRng::new(42);
@@ -227,7 +225,7 @@ mod tests {
 
     #[test]
     fn tap_loss_independent_of_path_loss() {
-        let mut params = LinkParams::ideal();
+        let mut params = ideal();
         params.tap_loss_prob = 0.5;
         params.loss_prob = 0.0;
         let mut link = Link::new(params);
@@ -247,7 +245,7 @@ mod tests {
 
     #[test]
     fn jitter_only_delays() {
-        let mut params = LinkParams::ideal();
+        let mut params = ideal();
         params.jitter_std = Duration::from_micros(500);
         let mut link = Link::new(params);
         let mut rng = SimRng::new(5);
@@ -260,7 +258,7 @@ mod tests {
 
     #[test]
     fn telemetry_counts_outcomes() {
-        let mut params = LinkParams::ideal();
+        let mut params = ideal();
         params.loss_prob = 0.3;
         params.tap_loss_prob = 0.2;
         let mut link = Link::new(params);
@@ -291,7 +289,7 @@ mod tests {
 
     #[test]
     fn telemetry_does_not_change_outcomes() {
-        let mut params = LinkParams::ideal();
+        let mut params = ideal();
         params.loss_prob = 0.1;
         params.jitter_std = Duration::from_micros(300);
         let run = |with_telemetry: bool| -> Vec<Transit> {
@@ -310,7 +308,7 @@ mod tests {
 
     #[test]
     fn bigger_packets_take_longer() {
-        let mut params = LinkParams::ideal();
+        let mut params = ideal();
         params.bandwidth_bps = 8e6; // 1 byte per µs
         let mut link = Link::new(params);
         let mut rng = SimRng::new(2);

@@ -123,11 +123,6 @@ impl TcpEndpoint {
         }
     }
 
-    /// The flow this endpoint transmits on.
-    pub fn flow(&self) -> FlowId {
-        self.flow
-    }
-
     /// Queue application bytes for transmission.
     pub fn write(&mut self, bytes: &[u8]) {
         if self.send_head * 2 >= self.send_buf.len() {
@@ -148,11 +143,6 @@ impl TcpEndpoint {
     /// Bytes accepted but not yet acknowledged by the peer.
     pub fn outstanding(&self) -> usize {
         self.unsent() + (self.snd_nxt - self.snd_una) as usize
-    }
-
-    /// Whether every written byte has been acknowledged.
-    pub fn fully_acked(&self) -> bool {
-        self.outstanding() == 0
     }
 
     /// When the retransmission timer should fire, if armed.
@@ -408,7 +398,7 @@ mod tests {
         assert!(segs[0].flags.psh);
         let (_, b_bytes) = pump(&mut a, &mut b, segs);
         assert_eq!(b_bytes, b"hello tcp world");
-        assert!(a.fully_acked());
+        assert_eq!(a.outstanding(), 0);
     }
 
     #[test]
@@ -465,7 +455,7 @@ mod tests {
         assert_eq!(&rtx.payload[..], b"lost in transit");
         let (_, b_bytes) = pump(&mut a, &mut b, vec![rtx]);
         assert_eq!(b_bytes, b"lost in transit");
-        assert!(a.fully_acked());
+        assert_eq!(a.outstanding(), 0);
         assert_eq!(a.stats.retransmissions, 1);
     }
 

@@ -67,11 +67,6 @@ impl Duration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Scalar multiply (saturating).
-    pub fn mul_f64(self, k: f64) -> Duration {
-        Duration::from_secs_f64(self.as_secs_f64() * k)
-    }
 }
 
 impl Add<Duration> for SimTime {
@@ -137,11 +132,5 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(SimTime(1_234_567).to_string(), "1.234567s");
-    }
-
-    #[test]
-    fn mul_f64() {
-        assert_eq!(Duration::from_secs(2).mul_f64(1.5), Duration::from_secs(3));
-        assert_eq!(Duration::from_secs(2).mul_f64(0.0), Duration::ZERO);
     }
 }

@@ -18,7 +18,7 @@
 pub mod manifest;
 pub mod server;
 
-pub use manifest::{ladder_label, Manifest, BITRATE_LADDER, CHUNK_SECS};
+pub use manifest::{Manifest, BITRATE_LADDER, CHUNK_SECS};
 pub use server::{
     NetflixServer, ServerConfig, ServerTelemetry, StateEventKind, StateLogEntry, STATE_ID_OFFSET,
 };

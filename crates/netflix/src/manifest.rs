@@ -10,11 +10,6 @@ pub const BITRATE_LADDER: [u32; 5] = [235_000, 750_000, 1_750_000, 3_000_000, 5_
 /// Media chunk duration in seconds.
 pub const CHUNK_SECS: u32 = 2;
 
-/// Human label for a ladder entry ("1750k").
-pub fn ladder_label(bps: u32) -> String {
-    format!("{}k", bps / 1000)
-}
-
 /// Chunk geometry for one title.
 ///
 /// `media_scale` divides chunk byte sizes: the *timing* of the stream

@@ -82,7 +82,6 @@ pub struct NetflixServer {
     graph: Arc<StoryGraph>,
     manifest: Manifest,
     state_log: Vec<StateLogEntry>,
-    requests_served: u64,
     telemetry: Option<ServerTelemetry>,
     /// `seq` numbers of state reports already persisted (sorted).
     /// Retried/duplicated POSTs carry the same `seq`; persisting them
@@ -105,7 +104,6 @@ impl NetflixServer {
             graph,
             manifest,
             state_log: Vec::new(),
-            requests_served: 0,
             telemetry: None,
             seen_seqs: Vec::new(),
             error_burst: 0,
@@ -140,25 +138,14 @@ impl NetflixServer {
         }
     }
 
-    /// The manifest this server serves.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
     /// All state reports received, in order.
     pub fn state_log(&self) -> &[StateLogEntry] {
         &self.state_log
     }
 
-    /// Total requests handled.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
-    }
-
     /// Handle one request.
     // wm-lint: response-path
     pub fn handle(&mut self, req: &Request) -> Response {
-        self.requests_served += 1;
         if let Some(t) = &self.telemetry {
             t.requests.inc();
         }

@@ -272,14 +272,6 @@ impl Watchdog {
         self.clean_streak.resize(shards, 0);
     }
 
-    pub fn states(&self) -> &[HealthState] {
-        &self.states
-    }
-
-    pub fn transitions(&self) -> &[HealthTransition] {
-        &self.transitions
-    }
-
     pub fn status(&self) -> FleetStatus {
         FleetStatus {
             t_us: self.last_tick_us,
@@ -326,7 +318,7 @@ mod tests {
         assert!(dog.observe(5, &[v]).is_empty());
         let fired = dog.observe(6, &[v]);
         assert_eq!(fired[0].to, HealthState::Healthy);
-        assert_eq!(dog.transitions().len(), 3);
+        assert_eq!(dog.status().transitions.len(), 3);
     }
 
     #[test]
@@ -335,7 +327,7 @@ mod tests {
         let mut v = healthy(0);
         v.stalled = true;
         dog.observe(1, &[v]);
-        assert_eq!(dog.states()[0], HealthState::Degraded);
+        assert_eq!(dog.status().states[0], HealthState::Degraded);
         v.stalled = false;
         dog.observe(2, &[v]); // clean 1
         v.stalled = true;
@@ -343,12 +335,12 @@ mod tests {
         v.stalled = false;
         dog.observe(4, &[v]); // clean 1
         assert_eq!(
-            dog.states()[0],
+            dog.status().states[0],
             HealthState::Degraded,
             "one clean tick is not enough"
         );
         dog.observe(5, &[v]); // clean 2 -> recovers
-        assert_eq!(dog.states()[0], HealthState::Healthy);
+        assert_eq!(dog.status().states[0], HealthState::Healthy);
     }
 
     #[test]
@@ -381,20 +373,20 @@ mod tests {
         let mut sick = healthy(1);
         sick.alive = false;
         dog.observe(1, &[healthy(0), sick]);
-        assert_eq!(dog.states()[1], HealthState::Critical);
+        assert_eq!(dog.status().states[1], HealthState::Critical);
 
         // Grow: the new shard starts healthy; existing state is kept.
         dog.resize(3);
         let fired = dog.observe(2, &[healthy(0), sick, healthy(2)]);
         assert!(fired.is_empty(), "resize itself fires no transitions");
-        assert_eq!(dog.states().len(), 3);
-        assert_eq!(dog.states()[1], HealthState::Critical);
+        assert_eq!(dog.status().states.len(), 3);
+        assert_eq!(dog.status().states[1], HealthState::Critical);
 
         // Shrink below the sick shard: it leaves the scoreboard but
         // its past transitions stay in the alert stream.
         dog.resize(1);
-        assert_eq!(dog.states(), &[HealthState::Healthy]);
-        assert_eq!(dog.transitions().len(), 1);
+        assert_eq!(dog.status().states, [HealthState::Healthy]);
+        assert_eq!(dog.status().transitions.len(), 1);
         dog.observe(3, &[healthy(0)]);
         assert_eq!(dog.status().states.len(), 1);
     }
@@ -409,7 +401,7 @@ mod tests {
             v.stalled = t % (RECOVER_TICKS as u64 + 1) == 0;
             dog.observe(t, &[v]);
         }
-        assert_eq!(dog.transitions().len(), 2);
+        assert_eq!(dog.status().transitions.len(), 2);
         let status = dog.status();
         assert!(status.transitions_dropped > 0);
         assert!(status.render().contains("shard 0"));

@@ -9,8 +9,6 @@
 //! * [`health`] — the SLO watchdog: per-shard vitals scored into typed
 //!   [`HealthState`]s with hysteresis, producing a deterministic
 //!   alert stream of [`HealthTransition`]s;
-//! * [`export`] — byte-deterministic renderers: JSONL time-series and
-//!   Prometheus text exposition of any snapshot;
 //! * [`profile`] — a span-derived sim-time profiler emitting
 //!   collapsed-stack flamegraph output (inferno/speedscope format)
 //!   from [`wm_telemetry::trace`] span trees;
@@ -28,13 +26,11 @@
 //! and shard counts.
 
 pub mod diff;
-pub mod export;
 pub mod health;
 pub mod profile;
 pub mod series;
 
 pub use diff::{bench_diff, Band, BenchDoc, DiffReport, MetricDiff};
-pub use export::{prometheus_text, sanitize_metric_name};
 pub use health::{FleetStatus, HealthState, HealthTransition, ShardVitals, Watchdog};
 pub use profile::{collapse_jsonl, collapse_spans};
 pub use series::{SeriesPoint, SeriesRing};

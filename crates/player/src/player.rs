@@ -418,10 +418,6 @@ impl Player {
         self.phase
     }
 
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Content duration → sim duration under the time scale.
     fn scaled_secs(&self, secs: f64) -> Duration {
         Duration::from_secs_f64(secs / self.cfg.time_scale as f64)
@@ -1065,10 +1061,6 @@ impl Player {
         }
     }
 
-    pub fn is_connected(&self) -> bool {
-        self.connected
-    }
-
     fn state_timeout(&self) -> Duration {
         self.scaled_secs(STATE_TIMEOUT_SECS)
     }
@@ -1436,7 +1428,7 @@ mod tests {
                     self.apply(actions);
                     continue;
                 }
-                if self.player.is_done() {
+                if self.player.done {
                     continue;
                 }
                 let actions = if kind == 0xdead {
@@ -1480,7 +1472,7 @@ mod tests {
     #[test]
     fn all_default_session_sends_only_type1() {
         let d = run_session(&[Choice::Default; 3]);
-        assert!(d.player.is_done());
+        assert!(d.player.done);
         let log = d.server.state_log();
         // Accept-the-job path: 4 choice points (incl. the crunch-night
         // follow-up), all default.
@@ -1695,7 +1687,7 @@ mod tests {
         let server = NetflixServer::new(graph, ServerConfig { media_scale: 1024 });
         let mut d = Driver::new(player, server);
         d.run();
-        assert!(d.player.is_done());
+        assert!(d.player.done);
         let picks: Vec<Choice> = d.player.decisions().iter().map(|(_, c)| *c).collect();
         assert_eq!(
             picks,
@@ -1724,7 +1716,7 @@ mod tests {
         let mut d = make_driver(&[Choice::Default; 3]);
         d.player.inject_fault(PlayerFault::DuplicateNextStatePost);
         d.run();
-        assert!(d.player.is_done());
+        assert!(d.player.done);
         let decisions = d.player.decisions().len();
         // One extra wire copy, but the server logs each report once.
         assert_eq!(type1_sends(&d).len(), decisions + 1);
@@ -1739,7 +1731,7 @@ mod tests {
         let mut d = make_driver(&[Choice::Default; 3]);
         d.server.arm_state_errors(1, 1);
         d.run();
-        assert!(d.player.is_done());
+        assert!(d.player.done);
         let decisions = d.player.decisions().len();
         // The 503'd report is re-sent after backoff; every report lands.
         assert_eq!(type1_sends(&d).len(), decisions + 1);
@@ -1756,7 +1748,7 @@ mod tests {
         d.player
             .inject_fault(PlayerFault::DelayNextStatePost { delay });
         d.run();
-        assert!(d.player.is_done());
+        assert!(d.player.done);
         let decisions = d.player.decisions().len();
         assert_eq!(type1_logged(&d), decisions, "delayed report still lands");
         // The first report leaves at least `delay` after its question.
@@ -1786,8 +1778,8 @@ mod tests {
         d.disconnect_at = Some(first_post + Duration(1));
         d.reconnect_after = Duration::from_millis(50);
         d.run();
-        assert!(d.player.is_done());
-        assert!(d.player.is_connected());
+        assert!(d.player.done);
+        assert!(d.player.connected);
         let decisions = d.player.decisions().len();
         assert_eq!(decisions, clean_decisions, "walk is unaffected");
         // The unanswered report is replayed on the new connection and

@@ -132,12 +132,6 @@ pub struct SessionOutput {
 impl SessionOutput {
     /// The ground-truth choice string ("DNND…").
     pub fn choice_string(&self) -> String {
-        self.decisions
-            .iter()
-            .map(|(_, c)| match c {
-                Choice::Default => 'D',
-                Choice::NonDefault => 'N',
-            })
-            .collect()
+        self.decisions.iter().map(|(_, c)| c.letter()).collect()
     }
 }

@@ -1182,11 +1182,11 @@ impl<'a> SessionState<'a> {
     }
 }
 
-/// `RecordEngine::drain_records` into reusable plaintext buffers:
-/// record `i` of this call lands in `texts[i]`, growing `texts` only
-/// when a delivery yields more records than any before it. Error
-/// behavior matches the allocating API — on failure the records
-/// already parsed this call are discarded unprocessed.
+/// Drain every complete record `engine` holds into reusable plaintext
+/// buffers: record `i` of this call lands in `texts[i]`, growing
+/// `texts` only when a delivery yields more records than any before
+/// it. On failure the records already parsed this call are discarded
+/// unprocessed.
 // wm-lint: hotpath
 fn drain_records_reused(
     engine: &mut RecordEngine,

@@ -27,19 +27,13 @@ impl Choice {
         }
     }
 
-    pub fn from_index(i: usize) -> Option<Choice> {
-        match i {
-            0 => Some(Choice::Default),
-            1 => Some(Choice::NonDefault),
-            _ => None,
-        }
-    }
-
-    /// The other option.
-    pub fn flipped(self) -> Choice {
+    /// The letter of the compact form ("DNDD…") used in reports and
+    /// ground-truth files: `D` default, `N` non-default.
+    /// [`crate::ChoiceSequence::from_compact`] parses it.
+    pub fn letter(self) -> char {
         match self {
-            Choice::Default => Choice::NonDefault,
-            Choice::NonDefault => Choice::Default,
+            Choice::Default => 'D',
+            Choice::NonDefault => 'N',
         }
     }
 }
@@ -183,17 +177,6 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn choice_index_roundtrip() {
-        assert_eq!(Choice::from_index(0), Some(Choice::Default));
-        assert_eq!(Choice::from_index(1), Some(Choice::NonDefault));
-        assert_eq!(Choice::from_index(2), None);
-        for c in [Choice::Default, Choice::NonDefault] {
-            assert_eq!(Choice::from_index(c.index()), Some(c));
-            assert_eq!(c.flipped().flipped(), c);
-        }
-    }
 
     #[test]
     fn tags_have_unique_labels() {

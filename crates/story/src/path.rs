@@ -31,25 +31,13 @@ impl ChoiceSequence {
         self.0.is_empty()
     }
 
-    /// Compact string form ("DNDD…") used in reports and ground-truth
-    /// files: `D` default, `N` non-default.
-    pub fn to_compact(&self) -> String {
-        self.0
-            .iter()
-            .map(|c| match c {
-                Choice::Default => 'D',
-                Choice::NonDefault => 'N',
-            })
-            .collect()
-    }
-
-    /// Parse the compact form.
+    /// Parse the compact form ([`Choice::letter`] per choice).
     pub fn from_compact(s: &str) -> Option<Self> {
         s.chars()
-            .map(|ch| match ch {
-                'D' => Some(Choice::Default),
-                'N' => Some(Choice::NonDefault),
-                _ => None,
+            .map(|ch| {
+                [Choice::Default, Choice::NonDefault]
+                    .into_iter()
+                    .find(|c| c.letter() == ch)
             })
             .collect::<Option<Vec<_>>>()
             .map(ChoiceSequence)
@@ -176,7 +164,8 @@ mod tests {
             Choice::NonDefault,
             Choice::Default,
         ]);
-        assert_eq!(seq.to_compact(), "DNND");
+        let letters: String = seq.0.iter().map(|c| c.letter()).collect();
+        assert_eq!(letters, "DNND");
         assert_eq!(ChoiceSequence::from_compact("DNND"), Some(seq));
         assert_eq!(ChoiceSequence::from_compact("DXN"), None);
     }

@@ -113,7 +113,7 @@ fn compact_roundtrip() {
     for case in 0..300u64 {
         let mut rng = Rng(0x57_3000 + case);
         let choices = rng.choices();
-        let s = choices.to_compact();
+        let s: String = choices.0.iter().map(|c| c.letter()).collect();
         assert_eq!(
             ChoiceSequence::from_compact(&s),
             Some(choices),

@@ -221,20 +221,6 @@ impl Snapshot {
         s
     }
 
-    /// The seed-deterministic projection of this snapshot: counters
-    /// only, with every histogram dropped.
-    ///
-    /// Counters count discrete simulation events and replay exactly
-    /// per seed; histograms include `*_ns` wall-clock timings that
-    /// differ run to run. Determinism tests compare this view so a
-    /// slow CI machine can never flake them.
-    pub fn deterministic_view(&self) -> Snapshot {
-        Snapshot {
-            counters: self.counters.clone(),
-            histograms: BTreeMap::new(),
-        }
-    }
-
     /// Human-readable report: counters then histogram summaries.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
@@ -409,15 +395,6 @@ mod tests {
         for name in ["a.events", "b.frames", "lat_ns"] {
             assert!(table.contains(name), "{table}");
         }
-    }
-
-    #[test]
-    fn deterministic_view_keeps_counters_drops_histograms() {
-        let snap = sample();
-        let view = snap.deterministic_view();
-        assert_eq!(view.counters, snap.counters);
-        assert!(view.histograms.is_empty());
-        assert_eq!(view.deterministic_view(), view);
     }
 
     #[test]

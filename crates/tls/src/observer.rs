@@ -44,11 +44,6 @@ impl RecordObserver {
         self.desynced
     }
 
-    /// Total bytes consumed into complete records so far.
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
     /// Feed stream bytes; returns the records completed by this feed.
     // wm-lint: alloc-ok(reason = "owned-batch API: one Vec per feed call sized by completed records, not per byte")
     pub fn feed(&mut self, bytes: &[u8]) -> Vec<ObservedRecord> {
@@ -88,6 +83,7 @@ impl RecordObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::tests::seal;
     use crate::conn::{RecordEngine, SessionKeys};
     use crate::suite::CipherSuite;
 
@@ -98,7 +94,7 @@ mod tests {
     #[test]
     fn observes_lengths_without_keys() {
         let mut client = client_engine();
-        let wire = client.seal_payload(ContentType::ApplicationData, &vec![0u8; 2196]);
+        let wire = seal(&mut client, ContentType::ApplicationData, &vec![0u8; 2196]);
         let mut obs = RecordObserver::new();
         let records = obs.feed(&wire);
         assert_eq!(records.len(), 1);
@@ -110,8 +106,12 @@ mod tests {
     #[test]
     fn handles_byte_at_a_time_delivery() {
         let mut client = client_engine();
-        let mut wire = client.seal_payload(ContentType::ApplicationData, b"first");
-        wire.extend(client.seal_payload(ContentType::ApplicationData, b"second message"));
+        let mut wire = seal(&mut client, ContentType::ApplicationData, b"first");
+        wire.extend(seal(
+            &mut client,
+            ContentType::ApplicationData,
+            b"second message",
+        ));
         let mut obs = RecordObserver::new();
         let mut seen = Vec::new();
         for b in &wire {
@@ -122,7 +122,7 @@ mod tests {
         assert_eq!(seen[1].length as usize, 14 + 16);
         assert_eq!(seen[1].stream_offset, (RECORD_HEADER_LEN + 21) as u64);
         assert!(!obs.is_desynced());
-        assert_eq!(obs.consumed(), wire.len() as u64);
+        assert_eq!(obs.consumed, wire.len() as u64);
     }
 
     #[test]
@@ -147,7 +147,7 @@ mod tests {
         };
         wire.extend_from_slice(&hs_header.to_bytes());
         wire.extend(std::iter::repeat_n(0xaa, 236));
-        wire.extend(client.seal_payload(ContentType::ApplicationData, b"data"));
+        wire.extend(seal(&mut client, ContentType::ApplicationData, b"data"));
         let mut obs = RecordObserver::new();
         let records = obs.feed(&wire);
         assert_eq!(records.len(), 2);

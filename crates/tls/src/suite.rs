@@ -40,25 +40,6 @@ impl CipherSuite {
         }
     }
 
-    /// Inverse bound: the set of plaintext lengths that could have
-    /// produced ciphertext length `ct_len`, as an inclusive range.
-    /// AEAD inverts exactly; CBC only up to the block quantum.
-    pub fn plaintext_len_range(self, ct_len: usize) -> Option<(usize, usize)> {
-        match self {
-            CipherSuite::Aead => ct_len.checked_sub(TAG_LEN).map(|p| (p, p)),
-            CipherSuite::Cbc => {
-                let body = ct_len.checked_sub(BLOCK)?; // strip IV
-                if body == 0 || body % BLOCK != 0 {
-                    return None;
-                }
-                // padded(plain + mac) == body; padding is 1..=16 bytes.
-                let max = body.checked_sub(CBC_MAC_LEN + 1)?;
-                let min = body.saturating_sub(CBC_MAC_LEN + BLOCK);
-                Some((min, max))
-            }
-        }
-    }
-
     /// Short human-readable label used in experiment output.
     pub fn label(self) -> &'static str {
         match self {
@@ -89,31 +70,5 @@ mod tests {
             assert_eq!(CipherSuite::Cbc.ciphertext_len(len), base, "len {len}");
         }
         assert_eq!(CipherSuite::Cbc.ciphertext_len(12), base + BLOCK);
-    }
-
-    #[test]
-    fn aead_inverse_exact() {
-        for len in [0usize, 1, 100, 2196, 16384] {
-            let ct = CipherSuite::Aead.ciphertext_len(len);
-            assert_eq!(CipherSuite::Aead.plaintext_len_range(ct), Some((len, len)));
-        }
-        assert_eq!(CipherSuite::Aead.plaintext_len_range(15), None);
-    }
-
-    #[test]
-    fn cbc_inverse_brackets_truth() {
-        for len in [0usize, 1, 20, 100, 1000, 2196] {
-            let ct = CipherSuite::Cbc.ciphertext_len(len);
-            let (lo, hi) = CipherSuite::Cbc.plaintext_len_range(ct).unwrap();
-            assert!(lo <= len && len <= hi, "len {len} not in [{lo}, {hi}]");
-            assert!(hi - lo < BLOCK, "range wider than a block");
-        }
-    }
-
-    #[test]
-    fn cbc_inverse_rejects_non_block() {
-        assert_eq!(CipherSuite::Cbc.plaintext_len_range(0), None);
-        assert_eq!(CipherSuite::Cbc.plaintext_len_range(16), None); // IV only
-        assert_eq!(CipherSuite::Cbc.plaintext_len_range(49), None); // not block-aligned
     }
 }

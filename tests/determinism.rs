@@ -48,20 +48,15 @@ fn telemetry_collection_does_not_perturb_the_session() {
     assert_eq!(plain.stats.events, observed.stats.events);
 }
 
-/// The counter-only view strips the wall-clock `*_ns` histograms; what
-/// remains is a pure function of `(config, seed)` and can be asserted
-/// equal across replays as a whole snapshot.
+/// Counters count discrete simulation events, so they are a pure
+/// function of `(config, seed)` and replay exactly as a whole; the
+/// histograms include wall-clock `*_ns` timings and are left out.
 #[test]
 fn telemetry_deterministic_view_replays_exactly() {
     let a = run_session(&cfg(41, true)).expect("session a");
     let b = run_session(&cfg(41, true)).expect("session b");
-    let (va, vb) = (
-        a.telemetry.deterministic_view(),
-        b.telemetry.deterministic_view(),
-    );
-    assert!(!va.counters.is_empty());
-    assert!(va.histograms.is_empty(), "view must drop timing histograms");
-    assert_eq!(va, vb);
+    assert!(!a.telemetry.counters.is_empty());
+    assert_eq!(a.telemetry.counters, b.telemetry.counters);
 }
 
 fn traced_cfg(seed: u64) -> SessionConfig {
@@ -131,7 +126,12 @@ fn state_blob_serialization_is_order_stable() {
     let lens = |t: &white_mirror::capture::Trace| -> Vec<(u64, u64)> {
         FlowReassembler::reassemble(t)
             .iter()
-            .map(|f| (f.upstream.data_bytes(), f.downstream.data_bytes()))
+            .map(|f| {
+                let bytes = |v: &white_mirror::capture::flow::StreamView| -> u64 {
+                    v.chunks.iter().map(|c| c.data.len() as u64).sum()
+                };
+                (bytes(&f.upstream), bytes(&f.downstream))
+            })
             .collect()
     };
     assert_eq!(

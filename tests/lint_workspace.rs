@@ -71,3 +71,24 @@ fn workspace_v2_analysis_is_live() {
     );
     assert_eq!(v2.unsafe_uses, 0, "the workspace is supposed to be safe");
 }
+
+/// Production code is what production reaches. The roots are every
+/// binary's `main`, every fn named in `src/`, `examples/` or the
+/// benchmark, every fn used as a value and every trait-impl method; a
+/// function only tests call belongs in those tests. The ceiling holds
+/// the functions kept on purpose (CHANGES.md gives each one's reason),
+/// so a new test-only helper in a crate's API fails here.
+#[test]
+fn unreached_fns_stay_under_the_ceiling() {
+    const CEILING: usize = 15;
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let result = wm_lint::scan_workspace(root).expect("scan workspace");
+    let unreached = &result.v2.unreached;
+    assert!(
+        unreached.len() <= CEILING,
+        "{} fns no production root reaches (ceiling {CEILING}); move each test-only \
+         helper into its test:\n{}",
+        unreached.len(),
+        unreached.join("\n")
+    );
+}

@@ -17,7 +17,7 @@ use white_mirror::capture::time::{Duration, SimTime};
 use white_mirror::chaos::ShardFaultPlan;
 use white_mirror::core::{IntervalClassifier, WhiteMirrorConfig};
 use white_mirror::fleet::{merge_taps, Fleet, FleetConfig, FleetReport, HealthState, TapPacket};
-use white_mirror::obs::{collapse_spans, prometheus_text};
+use white_mirror::obs::collapse_spans;
 use white_mirror::prelude::*;
 use white_mirror::trace::{SpanId, TraceEvent, TraceHandle};
 
@@ -137,23 +137,26 @@ fn chaos_fleet_recovers_through_degraded_to_healthy() {
 #[test]
 fn exports_are_byte_identical_across_shard_counts() {
     let (classifier, graph, stream, span_us) = fixture();
-    let mut reference: Option<(String, String)> = None;
+    let mut reference = None;
     for shards in [1usize, 2, 4] {
         let cfg = fleet_cfg(shards, span_us);
         let (report, _) = run_observed(&cfg, &classifier, &graph, &stream, None);
         let obs = report.obs.expect("observer attached");
-        let prom = prometheus_text(&obs.snapshot);
-        assert!(prom.contains("online_records"), "{prom}");
+        assert!(
+            obs.snapshot.counters.contains_key("online.records"),
+            "{:?}",
+            obs.snapshot.counters
+        );
         match &reference {
-            None => reference = Some((obs.series_jsonl, prom)),
-            Some((series, prom_ref)) => {
+            None => reference = Some((obs.series_jsonl, obs.snapshot)),
+            Some((series, snapshot)) => {
                 assert_eq!(
                     &obs.series_jsonl, series,
                     "series JSONL diverged at {shards} shards"
                 );
                 assert_eq!(
-                    &prom, prom_ref,
-                    "Prometheus text diverged at {shards} shards"
+                    &obs.snapshot, snapshot,
+                    "snapshot diverged at {shards} shards"
                 );
             }
         }
@@ -170,16 +173,16 @@ fn observer_report_replays_identically_under_faults() {
         let obs = report.obs.expect("observer attached");
         (
             obs.series_jsonl,
-            prometheus_text(&obs.snapshot),
+            obs.snapshot,
             collapse_spans(&trace_events),
             obs.status.render(),
             trace_events,
         )
     };
-    let (series, prom, flame, status, events) = run();
+    let (series, snapshot, flame, status, events) = run();
     let again = run();
     assert_eq!(series, again.0, "series diverged on the rerun");
-    assert_eq!(prom, again.1, "Prometheus diverged on the rerun");
+    assert_eq!(snapshot, again.1, "snapshot diverged on the rerun");
     assert_eq!(flame, again.2, "flamegraph diverged on the rerun");
     assert_eq!(status, again.3, "health status diverged on the rerun");
     assert_eq!(events, again.4, "trace diverged on the rerun");
