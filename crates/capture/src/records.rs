@@ -207,13 +207,6 @@ mod tests {
     use wm_tls::record::ContentType;
     use wm_tls::suite::CipherSuite;
 
-    /// Seal `payload` into a fresh wire buffer.
-    fn seal(e: &mut RecordEngine, content_type: ContentType, payload: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::new();
-        e.seal_payload_into(content_type, payload, &mut wire);
-        wire
-    }
-
     fn engine() -> RecordEngine {
         RecordEngine::client(&SessionKeys::derive(&[9; 32], CipherSuite::Aead))
     }
@@ -236,7 +229,7 @@ mod tests {
         let mut eng = engine();
         let mut wire = Vec::new();
         for len in [100usize, 2196, 50] {
-            wire.extend(seal(&mut eng, ContentType::ApplicationData, &vec![0; len]));
+            wire.extend(eng.seal_payload(ContentType::ApplicationData, &vec![0; len]));
         }
         let view = view_of(vec![(0, wire, SimTime(77))]);
         let ex = extract_records(&view);
@@ -250,7 +243,7 @@ mod tests {
     #[test]
     fn record_spanning_chunk_boundary() {
         let mut eng = engine();
-        let wire = seal(&mut eng, ContentType::ApplicationData, &vec![1; 500]);
+        let wire = eng.seal_payload(ContentType::ApplicationData, &vec![1; 500]);
         let (a, b) = wire.split_at(200);
         let view = view_of(vec![
             (0, a.to_vec(), SimTime(1)),
@@ -265,10 +258,10 @@ mod tests {
     #[test]
     fn gap_drops_record_and_resyncs() {
         let mut eng = engine();
-        let r1 = seal(&mut eng, ContentType::ApplicationData, &vec![1; 1000]);
-        let r2 = seal(&mut eng, ContentType::ApplicationData, &vec![2; 1000]);
-        let r3 = seal(&mut eng, ContentType::ApplicationData, &vec![3; 400]);
-        let r4 = seal(&mut eng, ContentType::ApplicationData, &vec![4; 300]);
+        let r1 = eng.seal_payload(ContentType::ApplicationData, &vec![1; 1000]);
+        let r2 = eng.seal_payload(ContentType::ApplicationData, &vec![2; 1000]);
+        let r3 = eng.seal_payload(ContentType::ApplicationData, &vec![3; 400]);
+        let r4 = eng.seal_payload(ContentType::ApplicationData, &vec![4; 300]);
         // Capture r1 fully, lose the middle of r2, then r3+r4 intact.
         let mut first = r1.clone();
         first.extend_from_slice(&r2[..300]);
@@ -289,9 +282,9 @@ mod tests {
     #[test]
     fn resume_mid_record_skips_to_next_header() {
         let mut eng = engine();
-        let r1 = seal(&mut eng, ContentType::ApplicationData, &vec![1; 800]);
-        let r2 = seal(&mut eng, ContentType::ApplicationData, &vec![2; 600]);
-        let r3 = seal(&mut eng, ContentType::ApplicationData, &[3; 200]);
+        let r1 = eng.seal_payload(ContentType::ApplicationData, &vec![1; 800]);
+        let r2 = eng.seal_payload(ContentType::ApplicationData, &vec![2; 600]);
+        let r3 = eng.seal_payload(ContentType::ApplicationData, &[3; 200]);
         // The tap missed r1 entirely and the first 100 bytes of r2.
         let mut rest = r2[100..].to_vec();
         rest.extend_from_slice(&r3);

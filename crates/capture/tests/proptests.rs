@@ -15,13 +15,6 @@ use wm_tls::conn::{RecordEngine, SessionKeys};
 use wm_tls::record::ContentType;
 use wm_tls::suite::CipherSuite;
 
-/// Seal `payload` into a fresh wire buffer.
-fn seal(e: &mut RecordEngine, content_type: ContentType, payload: &[u8]) -> Vec<u8> {
-    let mut wire = Vec::new();
-    e.seal_payload_into(content_type, payload, &mut wire);
-    wire
-}
-
 const FLOW: FlowId = FlowId {
     src_ip: [192, 168, 0, 9],
     src_port: 50505,
@@ -248,11 +241,7 @@ fn extraction_lossless() {
         let mut engine = RecordEngine::client(&keys);
         let mut wire = Vec::new();
         for &s in &sizes {
-            wire.extend(seal(
-                &mut engine,
-                ContentType::ApplicationData,
-                &vec![3u8; s],
-            ));
+            wire.extend(engine.seal_payload(ContentType::ApplicationData, &vec![3u8; s]));
         }
         let mut tap = Tap::new();
         let mut seq = 77u32;

@@ -304,7 +304,11 @@ mod tests {
         for seed in 0..10u64 {
             let base = ShardFaultPlan::generate(seed, 2.0, 4, h);
             let with = ShardFaultPlan::generate_with_aborts(seed, 2.0, 4, h);
-            assert!(with.events().windows(2).all(|w| w[0].at <= w[1].at));
+            // Sorted, and no fault scheduled twice back to back.
+            assert!(with
+                .events()
+                .windows(2)
+                .all(|w| w[0].at <= w[1].at && w[0] != w[1]));
             // Every base event survives verbatim: aborts are appended
             // from their own labelled RNG, never interleaved into the
             // base generator's draw sequence.

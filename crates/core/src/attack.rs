@@ -6,10 +6,10 @@
 //! state reports and walks the story graph back to the viewer's
 //! choices.
 
-use crate::classify::IntervalClassifier;
+use crate::classify::{IntervalClassifier, RecordClassifier};
 use crate::decode::{ChoiceDecoder, DecodedChoice, DecoderConfig};
 use crate::features::{client_app_records, ClientFeatures};
-use crate::metrics::{choice_accuracy, ChoiceAccuracy};
+use crate::metrics::{choice_accuracy, ChoiceAccuracy, ConfusionMatrix};
 use crate::provenance::ChoiceProvenance;
 use std::sync::Arc;
 use wm_capture::labels::LabeledRecord;
@@ -231,13 +231,21 @@ impl WhiteMirror {
         let acc = choice_accuracy(&decoded.choices, truth);
         (decoded, acc)
     }
+
+    /// Per-record confusion of the trained classifier on held-out
+    /// labelled records.
+    pub fn record_confusion(&self, labels: &[LabeledRecord]) -> ConfusionMatrix {
+        let mut m = ConfusionMatrix::default();
+        for l in labels {
+            m.record(l.class, self.classifier.classify(l.length));
+        }
+        m
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::RecordClassifier;
-    use crate::metrics::ConfusionMatrix;
     use std::sync::Arc;
     use wm_capture::labels::RecordClass;
     use wm_capture::time::Duration;
@@ -405,10 +413,7 @@ mod tests {
         );
         let attack = WhiteMirror::train(&train.labels, WhiteMirrorConfig::scaled(20)).unwrap();
         let heldout = run(401, &[Choice::Default, Choice::NonDefault, Choice::Default]);
-        let mut m = ConfusionMatrix::default();
-        for l in &heldout.labels {
-            m.record(l.class, attack.classifier().classify(l.length));
-        }
+        let m = attack.record_confusion(&heldout.labels);
         assert!(m.total() > 10);
         assert!(m.accuracy() > 0.95, "record accuracy {}", m.accuracy());
         assert_eq!(m.recall(RecordClass::Type1), 1.0);

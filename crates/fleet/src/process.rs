@@ -218,16 +218,16 @@ impl ReadError {
 fn read_frame<'b>(reader: &mut impl Read, buf: &'b mut Vec<u8>) -> Result<Frame<'b>, ReadError> {
     buf.clear();
     buf.resize(4, 0);
-    let mut got = 0;
-    while got < 4 {
-        match reader.read(buf.get_mut(got..).unwrap_or_default()) {
-            Ok(0) if got == 0 => return Err(ReadError::Eof),
-            Ok(0) => return Err(ReadError::Short),
-            Ok(n) => got += n,
+    let (first, rest) = buf.split_at_mut(1);
+    loop {
+        match reader.read(first) {
+            Ok(0) => return Err(ReadError::Eof),
+            Ok(_) => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return Err(ReadError::Short),
         }
     }
+    reader.read_exact(rest).map_err(|_| ReadError::Short)?;
     let need = match decode_frame(buf) {
         Err(FrameError::Incomplete { need }) => need,
         Err(e) => return Err(ReadError::Frame(e)),
@@ -980,9 +980,41 @@ mod tests {
             cases.push((len.to_le_bytes().to_vec(), BAD));
         }
 
+        // A pipe may also hand the bytes over one at a time, and a read
+        // may be interrupted before any arrives: same outcome.
+        struct Trickle<'a> {
+            bytes: &'a [u8],
+            interrupt: bool,
+        }
+        impl Read for Trickle<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                self.interrupt = !self.interrupt;
+                if self.interrupt {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                match (self.bytes.split_first(), out.first_mut()) {
+                    (Some((&b, rest)), Some(o)) => {
+                        *o = b;
+                        self.bytes = rest;
+                        Ok(1)
+                    }
+                    _ => Ok(0),
+                }
+            }
+        }
+
         let mut buf = Vec::new();
-        for (bytes, want) in cases {
-            let got = match read_frame(&mut &bytes[..], &mut buf) {
+        for ((bytes, want), trickle) in cases.iter().flat_map(|case| [(case, false), (case, true)])
+        {
+            let mut reader: Box<dyn Read> = if trickle {
+                Box::new(Trickle {
+                    bytes,
+                    interrupt: false,
+                })
+            } else {
+                Box::new(&bytes[..])
+            };
+            let got = match read_frame(&mut reader, &mut buf) {
                 Ok(frame) => {
                     assert!(matches!(
                         Request::parse(frame.opcode, frame.payload),
@@ -1005,7 +1037,7 @@ mod tests {
                     Err((e.fault(), exit, !reply.is_empty()))
                 }
             };
-            assert_eq!(got, want, "{bytes:?}");
+            assert_eq!(got, *want, "{bytes:?} trickle={trickle}");
         }
     }
 

@@ -148,7 +148,8 @@ impl Ipv4Header {
         header(internet_checksum(&header([0, 0])).to_be_bytes())
     }
 
-    /// Parse and verify structure (the checksum is not verified).
+    /// Parse and verify structure (checksum verified separately by
+    /// [`verify_ipv4_checksum`] where tests need it).
     pub fn parse(bytes: &[u8]) -> Option<Self> {
         let (header, _) = bytes.split_first_chunk::<IPV4_HEADER_LEN>()?;
         let [ver_ihl, _, l0, l1, i0, i1, _, _, ttl, proto, _, _, s0, s1, s2, s3, d0, d1, d2, d3] =
@@ -164,6 +165,13 @@ impl Ipv4Header {
             ttl,
         })
     }
+}
+
+/// Verify the checksum of a serialized IPv4 header.
+pub fn verify_ipv4_checksum(bytes: &[u8]) -> bool {
+    bytes
+        .get(..IPV4_HEADER_LEN)
+        .is_some_and(|header| internet_checksum(header) == 0)
 }
 
 /// TCP header with a 12-byte timestamp-option block (the dominant shape
@@ -380,10 +388,6 @@ fn internet_checksum(data: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn verify_ipv4_checksum(bytes: &[u8]) -> bool {
-        internet_checksum(&bytes[..IPV4_HEADER_LEN]) == 0
-    }
 
     fn flow() -> FlowId {
         FlowId {

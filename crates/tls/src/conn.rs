@@ -157,9 +157,17 @@ impl RecordEngine {
     }
 
     /// Seal `payload` into one or more wire records (header included),
-    /// fragmenting at the 2^14 plaintext limit, and append them to
+    /// fragmenting at the 2^14 plaintext limit.
+    pub fn seal_payload(&mut self, content_type: ContentType, payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::with_capacity(payload.len() + 64);
+        self.seal_payload_into(content_type, payload, &mut wire);
+        wire
+    }
+
+    /// [`RecordEngine::seal_payload`] appending the wire records to
     /// `wire` — hot session loops reuse one wire buffer across sends
-    /// instead of allocating per payload.
+    /// instead of allocating per payload. Bytes appended and sequence
+    /// numbers consumed are identical to `seal_payload`.
     // wm-lint: hotpath
     pub fn seal_payload_into(
         &mut self,
@@ -241,12 +249,21 @@ impl RecordEngine {
         self.rx_buf.extend_from_slice(bytes);
     }
 
-    /// Try to parse, decrypt and authenticate the next complete record,
-    /// writing its plaintext into `out` (cleared first) — hot session
-    /// loops reuse one plaintext buffer across records instead of
-    /// allocating per record.
+    /// Try to parse, decrypt and authenticate the next complete record.
     ///
     /// Returns `Ok(None)` when more bytes are needed.
+    pub fn next_record(&mut self) -> Result<Option<(ContentType, Vec<u8>)>, TlsError> {
+        let mut out = Vec::new();
+        match self.next_record_into(&mut out)? {
+            Some(content_type) => Ok(Some((content_type, out))),
+            None => Ok(None),
+        }
+    }
+
+    /// [`RecordEngine::next_record`], writing the plaintext into `out`
+    /// (cleared first) — hot session loops reuse one plaintext buffer
+    /// across records instead of allocating per record. Consumption,
+    /// sequence and error semantics are identical to `next_record`.
     // wm-lint: hotpath
     pub fn next_record_into(&mut self, out: &mut Vec<u8>) -> Result<Option<ContentType>, TlsError> {
         out.clear();
@@ -304,6 +321,15 @@ impl RecordEngine {
             h.instant(*span, "tls.record.opened", seq, out.len() as u64);
         }
         Ok(Some(header.content_type))
+    }
+
+    /// Drain every complete record currently buffered.
+    pub fn drain_records(&mut self) -> Result<Vec<(ContentType, Vec<u8>)>, TlsError> {
+        let mut out = Vec::new();
+        while let Some(rec) = self.next_record()? {
+            out.push(rec);
+        }
+        Ok(out)
     }
 }
 
@@ -364,35 +390,8 @@ fn mac20_equal(a: &[u8; CBC_MAC_LEN], b: &[u8; CBC_MAC_LEN]) -> bool {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// Seal `payload` into a fresh wire buffer.
-    pub(crate) fn seal(e: &mut RecordEngine, content_type: ContentType, payload: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::new();
-        e.seal_payload_into(content_type, payload, &mut wire);
-        wire
-    }
-
-    /// The next complete record with its plaintext, if one is buffered.
-    pub(crate) fn next_record(
-        e: &mut RecordEngine,
-    ) -> Result<Option<(ContentType, Vec<u8>)>, TlsError> {
-        let mut out = Vec::new();
-        Ok(e.next_record_into(&mut out)?
-            .map(|content_type| (content_type, out)))
-    }
-
-    /// Every complete record currently buffered.
-    pub(crate) fn drain_records(
-        e: &mut RecordEngine,
-    ) -> Result<Vec<(ContentType, Vec<u8>)>, TlsError> {
-        let mut out = Vec::new();
-        while let Some(rec) = next_record(e)? {
-            out.push(rec);
-        }
-        Ok(out)
-    }
 
     fn keys(suite: CipherSuite) -> SessionKeys {
         SessionKeys::derive(&[0x11; 32], suite)
@@ -407,9 +406,9 @@ pub(crate) mod tests {
     fn roundtrip_both_suites() {
         for suite in [CipherSuite::Aead, CipherSuite::Cbc] {
             let (mut client, mut server) = pair(suite);
-            let wire = seal(&mut client, ContentType::ApplicationData, b"hello over tls");
+            let wire = client.seal_payload(ContentType::ApplicationData, b"hello over tls");
             server.feed(&wire);
-            let (ct, plain) = next_record(&mut server).unwrap().unwrap();
+            let (ct, plain) = server.next_record().unwrap().unwrap();
             assert_eq!(ct, ContentType::ApplicationData);
             assert_eq!(plain, b"hello over tls");
         }
@@ -421,7 +420,7 @@ pub(crate) mod tests {
             let (mut client, _) = pair(suite);
             for len in [0usize, 1, 100, 2196] {
                 let payload = vec![0x61; len];
-                let wire = seal(&mut client, ContentType::ApplicationData, &payload);
+                let wire = client.seal_payload(ContentType::ApplicationData, &payload);
                 assert_eq!(
                     wire.len(),
                     RECORD_HEADER_LEN + suite.ciphertext_len(len),
@@ -434,8 +433,8 @@ pub(crate) mod tests {
     #[test]
     fn bidirectional_keys_differ() {
         let (mut client, mut server) = pair(CipherSuite::Aead);
-        let c_wire = seal(&mut client, ContentType::ApplicationData, b"same");
-        let s_wire = seal(&mut server, ContentType::ApplicationData, b"same");
+        let c_wire = client.seal_payload(ContentType::ApplicationData, b"same");
+        let s_wire = server.seal_payload(ContentType::ApplicationData, b"same");
         assert_ne!(c_wire, s_wire, "directions must not share keystream");
     }
 
@@ -443,9 +442,9 @@ pub(crate) mod tests {
     fn fragmented_payload_reassembles() {
         let (mut client, mut server) = pair(CipherSuite::Aead);
         let big = vec![0xabu8; (1 << 14) + 5000];
-        let wire = seal(&mut client, ContentType::ApplicationData, &big);
+        let wire = client.seal_payload(ContentType::ApplicationData, &big);
         server.feed(&wire);
-        let records = drain_records(&mut server).unwrap();
+        let records = server.drain_records().unwrap();
         assert_eq!(records.len(), 2);
         let total: Vec<u8> = records.into_iter().flat_map(|(_, p)| p).collect();
         assert_eq!(total, big);
@@ -454,43 +453,35 @@ pub(crate) mod tests {
     #[test]
     fn partial_feed_waits() {
         let (mut client, mut server) = pair(CipherSuite::Aead);
-        let wire = seal(
-            &mut client,
-            ContentType::ApplicationData,
-            b"split across segments",
-        );
+        let wire = client.seal_payload(ContentType::ApplicationData, b"split across segments");
         server.feed(&wire[..3]);
-        assert_eq!(next_record(&mut server).unwrap(), None);
+        assert_eq!(server.next_record().unwrap(), None);
         server.feed(&wire[3..10]);
-        assert_eq!(next_record(&mut server).unwrap(), None);
+        assert_eq!(server.next_record().unwrap(), None);
         server.feed(&wire[10..]);
-        let (_, plain) = next_record(&mut server).unwrap().unwrap();
+        let (_, plain) = server.next_record().unwrap().unwrap();
         assert_eq!(plain, b"split across segments");
     }
 
     #[test]
     fn reordered_records_fail_auth() {
         let (mut client, mut server) = pair(CipherSuite::Aead);
-        let first = seal(&mut client, ContentType::ApplicationData, b"first");
-        let second = seal(&mut client, ContentType::ApplicationData, b"second");
+        let first = client.seal_payload(ContentType::ApplicationData, b"first");
+        let second = client.seal_payload(ContentType::ApplicationData, b"second");
         server.feed(&second);
         server.feed(&first);
-        assert_eq!(next_record(&mut server), Err(TlsError::BadRecord));
+        assert_eq!(server.next_record(), Err(TlsError::BadRecord));
     }
 
     #[test]
     fn tampered_record_fails_both_suites() {
         for suite in [CipherSuite::Aead, CipherSuite::Cbc] {
             let (mut client, mut server) = pair(suite);
-            let mut wire = seal(&mut client, ContentType::ApplicationData, b"payload bytes");
+            let mut wire = client.seal_payload(ContentType::ApplicationData, b"payload bytes");
             let idx = wire.len() - 3;
             wire[idx] ^= 0x40;
             server.feed(&wire);
-            assert_eq!(
-                next_record(&mut server),
-                Err(TlsError::BadRecord),
-                "{suite:?}"
-            );
+            assert_eq!(server.next_record(), Err(TlsError::BadRecord), "{suite:?}");
         }
     }
 
@@ -498,7 +489,7 @@ pub(crate) mod tests {
     fn garbage_header_is_desync() {
         let (_, mut server) = pair(CipherSuite::Aead);
         server.feed(&[0xff, 0xff, 0xff, 0xff, 0xff, 0x00]);
-        assert_eq!(next_record(&mut server), Err(TlsError::Desync));
+        assert_eq!(server.next_record(), Err(TlsError::Desync));
     }
 
     #[test]
@@ -506,14 +497,14 @@ pub(crate) mod tests {
         let (mut client, mut server) = pair(CipherSuite::Cbc);
         for i in 0..20 {
             let msg = format!("message number {i}");
-            let wire = seal(&mut client, ContentType::ApplicationData, msg.as_bytes());
+            let wire = client.seal_payload(ContentType::ApplicationData, msg.as_bytes());
             server.feed(&wire);
-            let (_, plain) = next_record(&mut server).unwrap().unwrap();
+            let (_, plain) = server.next_record().unwrap().unwrap();
             assert_eq!(plain, msg.as_bytes());
             let reply = format!("ack {i}");
-            let wire = seal(&mut server, ContentType::ApplicationData, reply.as_bytes());
+            let wire = server.seal_payload(ContentType::ApplicationData, reply.as_bytes());
             client.feed(&wire);
-            let (_, plain) = next_record(&mut client).unwrap().unwrap();
+            let (_, plain) = client.next_record().unwrap().unwrap();
             assert_eq!(plain, reply.as_bytes());
         }
     }
@@ -525,12 +516,12 @@ pub(crate) mod tests {
         client.set_telemetry(EngineTelemetry::register(&reg, "client"));
         server.set_telemetry(EngineTelemetry::register(&reg, "server"));
         // One small record plus a two-fragment payload.
-        let small = seal(&mut client, ContentType::ApplicationData, b"hi");
+        let small = client.seal_payload(ContentType::ApplicationData, b"hi");
         let big_payload = vec![0x5a; (1 << 14) + 100];
-        let big = seal(&mut client, ContentType::ApplicationData, &big_payload);
+        let big = client.seal_payload(ContentType::ApplicationData, &big_payload);
         server.feed(&small);
         server.feed(&big);
-        let records = drain_records(&mut server).unwrap();
+        let records = server.drain_records().unwrap();
         assert_eq!(records.len(), 3);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["tls.client.records_sealed"], 3);
@@ -557,13 +548,13 @@ pub(crate) mod tests {
             let mut plain = vec![0xa5u8; 41];
             for i in 0..12usize {
                 let payload: Vec<u8> = (0..i * 157 + 1).map(|b| (b ^ i) as u8).collect();
-                let fresh_wire = seal(&mut fresh_tx, ContentType::ApplicationData, &payload);
+                let fresh_wire = fresh_tx.seal_payload(ContentType::ApplicationData, &payload);
                 wire.clear();
                 reuse_tx.seal_payload_into(ContentType::ApplicationData, &payload, &mut wire);
                 assert_eq!(wire, fresh_wire, "suite {suite:?} iter {i}");
                 fresh_rx.feed(&fresh_wire);
                 reuse_rx.feed(&wire);
-                let (_, fresh_plain) = next_record(&mut fresh_rx).unwrap().unwrap();
+                let (_, fresh_plain) = fresh_rx.next_record().unwrap().unwrap();
                 let ct = reuse_rx.next_record_into(&mut plain).unwrap().unwrap();
                 assert_eq!(ct, ContentType::ApplicationData);
                 assert_eq!(plain, fresh_plain, "suite {suite:?} iter {i}");
@@ -575,7 +566,7 @@ pub(crate) mod tests {
     fn ciphertext_is_not_plaintext() {
         let (mut client, _) = pair(CipherSuite::Aead);
         let payload = b"THE-CHOICE-IS-SUGAR-PUFFS".repeat(4);
-        let wire = seal(&mut client, ContentType::ApplicationData, &payload);
+        let wire = client.seal_payload(ContentType::ApplicationData, &payload);
         assert!(
             !wire.windows(8).any(|w| w == &payload[..8]),
             "plaintext leaked into the wire bytes"

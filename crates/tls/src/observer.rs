@@ -83,7 +83,6 @@ impl RecordObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::tests::seal;
     use crate::conn::{RecordEngine, SessionKeys};
     use crate::suite::CipherSuite;
 
@@ -94,7 +93,7 @@ mod tests {
     #[test]
     fn observes_lengths_without_keys() {
         let mut client = client_engine();
-        let wire = seal(&mut client, ContentType::ApplicationData, &vec![0u8; 2196]);
+        let wire = client.seal_payload(ContentType::ApplicationData, &vec![0u8; 2196]);
         let mut obs = RecordObserver::new();
         let records = obs.feed(&wire);
         assert_eq!(records.len(), 1);
@@ -106,12 +105,8 @@ mod tests {
     #[test]
     fn handles_byte_at_a_time_delivery() {
         let mut client = client_engine();
-        let mut wire = seal(&mut client, ContentType::ApplicationData, b"first");
-        wire.extend(seal(
-            &mut client,
-            ContentType::ApplicationData,
-            b"second message",
-        ));
+        let mut wire = client.seal_payload(ContentType::ApplicationData, b"first");
+        wire.extend(client.seal_payload(ContentType::ApplicationData, b"second message"));
         let mut obs = RecordObserver::new();
         let mut seen = Vec::new();
         for b in &wire {
@@ -147,7 +142,7 @@ mod tests {
         };
         wire.extend_from_slice(&hs_header.to_bytes());
         wire.extend(std::iter::repeat_n(0xaa, 236));
-        wire.extend(seal(&mut client, ContentType::ApplicationData, b"data"));
+        wire.extend(client.seal_payload(ContentType::ApplicationData, b"data"));
         let mut obs = RecordObserver::new();
         let records = obs.feed(&wire);
         assert_eq!(records.len(), 2);

@@ -8,30 +8,6 @@ use wm_tls::conn::{RecordEngine, SessionKeys};
 use wm_tls::observer::RecordObserver;
 use wm_tls::record::{ContentType, MAX_FRAGMENT, RECORD_HEADER_LEN};
 use wm_tls::suite::CipherSuite;
-use wm_tls::TlsError;
-
-/// Seal `payload` into a fresh wire buffer.
-fn seal(e: &mut RecordEngine, content_type: ContentType, payload: &[u8]) -> Vec<u8> {
-    let mut wire = Vec::new();
-    e.seal_payload_into(content_type, payload, &mut wire);
-    wire
-}
-
-/// The next complete record with its plaintext, if one is buffered.
-fn next_record(e: &mut RecordEngine) -> Result<Option<(ContentType, Vec<u8>)>, TlsError> {
-    let mut out = Vec::new();
-    Ok(e.next_record_into(&mut out)?
-        .map(|content_type| (content_type, out)))
-}
-
-/// Every complete record currently buffered.
-fn drain_records(e: &mut RecordEngine) -> Result<Vec<(ContentType, Vec<u8>)>, TlsError> {
-    let mut out = Vec::new();
-    while let Some(rec) = next_record(e)? {
-        out.push(rec);
-    }
-    Ok(out)
-}
 
 /// Minimal splitmix64 case generator.
 struct Rng(u64);
@@ -85,12 +61,12 @@ fn stream_roundtrip() {
         let mut server = RecordEngine::server(&k);
         let mut wire = Vec::new();
         for p in &payloads {
-            wire.extend(seal(&mut client, ContentType::ApplicationData, p));
+            wire.extend(client.seal_payload(ContentType::ApplicationData, p));
         }
         let mut received: Vec<Vec<u8>> = Vec::new();
         for piece in wire.chunks(chunk) {
             server.feed(piece);
-            for (_, plain) in drain_records(&mut server).expect("authentic") {
+            for (_, plain) in server.drain_records().expect("authentic") {
                 received.push(plain);
             }
         }
@@ -115,11 +91,7 @@ fn observer_sees_exact_lengths() {
         let mut expected = Vec::new();
         for &s in &sizes {
             expected.push(suite.ciphertext_len(s) as u16);
-            wire.extend(seal(
-                &mut client,
-                ContentType::ApplicationData,
-                &vec![0xaa; s],
-            ));
+            wire.extend(client.seal_payload(ContentType::ApplicationData, &vec![0xaa; s]));
         }
         let mut obs = RecordObserver::new();
         let mut seen = Vec::new();
@@ -142,9 +114,9 @@ fn fragmentation_reassembles() {
         let mut client = RecordEngine::client(&k);
         let mut server = RecordEngine::server(&k);
         let payload = vec![0x42u8; MAX_FRAGMENT + extra];
-        let wire = seal(&mut client, ContentType::ApplicationData, &payload);
+        let wire = client.seal_payload(ContentType::ApplicationData, &payload);
         server.feed(&wire);
-        let records = drain_records(&mut server).expect("authentic");
+        let records = server.drain_records().expect("authentic");
         assert_eq!(records.len(), if extra == 0 { 1 } else { 2 }, "case {case}");
         let total: Vec<u8> = records.into_iter().flat_map(|(_, p)| p).collect();
         assert_eq!(total, payload, "case {case}");
@@ -161,14 +133,14 @@ fn any_corruption_detected() {
         let len = 1 + rng.below(299);
         let mut client = RecordEngine::client(&k);
         let mut server = RecordEngine::server(&k);
-        let mut wire = seal(&mut client, ContentType::ApplicationData, &vec![7u8; len]);
+        let mut wire = client.seal_payload(ContentType::ApplicationData, &vec![7u8; len]);
         let i = rng.below(wire.len());
         wire[i] ^= 0x20;
         server.feed(&wire);
         // Either the record header desyncs, the body fails auth, or —
         // if the corrupted length field now describes a longer record —
         // the engine keeps waiting (no plaintext released).
-        if let Ok(records) = drain_records(&mut server) {
+        if let Ok(records) = server.drain_records() {
             assert!(records.is_empty(), "case {case}: corrupted record released");
         }
     }
@@ -183,7 +155,7 @@ fn wire_structure() {
         let k = keys(rng.array(), rng.suite());
         let len = rng.below(2000);
         let mut client = RecordEngine::client(&k);
-        let wire = seal(&mut client, ContentType::ApplicationData, &vec![1u8; len]);
+        let wire = client.seal_payload(ContentType::ApplicationData, &vec![1u8; len]);
         assert_eq!(wire[0], 23, "case {case}"); // application_data
         assert_eq!((wire[1], wire[2]), (3, 3), "case {case}");
         let l = u16::from_be_bytes([wire[3], wire[4]]) as usize;
@@ -225,7 +197,7 @@ fn reused_buffers_match_fresh_allocation_oracle() {
             let payload = rng.bytes(MAX_FRAGMENT + MAX_FRAGMENT / 2);
             poison(&mut wire, POISON);
             client_reuse.seal_payload_into(ContentType::ApplicationData, &payload, &mut wire);
-            let oracle_wire = seal(&mut client_fresh, ContentType::ApplicationData, &payload);
+            let oracle_wire = client_fresh.seal_payload(ContentType::ApplicationData, &payload);
             assert_eq!(
                 wire, oracle_wire,
                 "case {case} round {round}: wire diverged"
@@ -241,7 +213,7 @@ fn reused_buffers_match_fresh_allocation_oracle() {
                 let got = server_reuse
                     .next_record_into(&mut plain)
                     .expect("reuse path opens");
-                let oracle = next_record(&mut server_fresh).expect("oracle opens");
+                let oracle = server_fresh.next_record().expect("oracle opens");
                 match (got, oracle) {
                     (Some(ct), Some((oracle_ct, oracle_plain))) => {
                         assert_eq!(ct, oracle_ct, "case {case} round {round}");

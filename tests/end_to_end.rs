@@ -2,9 +2,8 @@
 //! attacked from the raw pcap, scored against ground truth.
 
 use std::sync::Arc;
-use white_mirror::capture::labels::LabeledRecord;
 use white_mirror::capture::{RecordClass, Trace};
-use white_mirror::core::{client_app_records, ConfusionMatrix, RecordClassifier};
+use white_mirror::core::client_app_records;
 use white_mirror::net::time::Duration;
 use white_mirror::prelude::*;
 
@@ -23,16 +22,6 @@ fn train_attack(graph: &Arc<StoryGraph>, seeds: &[u64]) -> WhiteMirror {
         labels.extend(run_session(&cfg).expect("training session").labels);
     }
     WhiteMirror::train(&labels, WhiteMirrorConfig::scaled(TIME_SCALE)).expect("reports in training")
-}
-
-/// Per-record confusion of the trained classifier on held-out labelled
-/// records.
-fn record_confusion(attack: &WhiteMirror, labels: &[LabeledRecord]) -> ConfusionMatrix {
-    let mut m = ConfusionMatrix::default();
-    for l in labels {
-        m.record(l.class, attack.classifier().classify(l.length));
-    }
-    m
 }
 
 #[test]
@@ -83,7 +72,7 @@ fn per_record_confusion_matches_paper_shape() {
     let attack = train_attack(&graph, &[9_020, 9_021]);
     let cfg = fast_cfg(&graph, 9_300, ViewerScript::sample(9_300, 14, 0.5));
     let out = run_session(&cfg).unwrap();
-    let m = record_confusion(&attack, &out.labels);
+    let m = attack.record_confusion(&out.labels);
     assert!(
         m.accuracy() > 0.97,
         "record accuracy {:.3}\n{m}",
@@ -146,7 +135,7 @@ fn cross_platform_training_does_not_transfer() {
     let mut cfg = fast_cfg(&graph, 9_500, ViewerScript::sample(9_500, 14, 0.5));
     cfg.profile = Profile::windows_firefox_desktop();
     let out = run_session(&cfg).unwrap();
-    let m = record_confusion(&attack, &out.labels);
+    let m = attack.record_confusion(&out.labels);
     assert_eq!(
         m.recall(RecordClass::Type1),
         0.0,
@@ -208,19 +197,8 @@ fn trace_is_wireshark_compatible_pcap() {
     for p in &out.trace.packets {
         let (_, _, _) =
             white_mirror::net::headers::parse_frame(&p.frame).expect("every captured frame parses");
-        assert!(ipv4_checksum_ok(&p.frame[14..34]));
+        assert!(white_mirror::net::headers::verify_ipv4_checksum(
+            &p.frame[14..]
+        ));
     }
-}
-
-/// RFC 1071: the one's-complement sum of a valid IPv4 header's 16-bit
-/// words, checksum included, is `0xffff`.
-fn ipv4_checksum_ok(header: &[u8]) -> bool {
-    let mut sum: u32 = header
-        .chunks(2)
-        .map(|w| u32::from(u16::from_be_bytes([w[0], w[1]])))
-        .sum();
-    while sum > 0xffff {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    sum == 0xffff
 }

@@ -6,7 +6,7 @@
 //!   carries at least one Degraded→Healthy recovery transition (the
 //!   transition CI's obs-smoke job asserts on).
 //! * Every export is byte-deterministic: the streamed series JSONL and
-//!   the Prometheus exposition are identical across shard counts
+//!   the merged snapshot are identical across shard counts
 //!   (fault-free — placement must not shape observation), and under a
 //!   fault plan two runs give the identical observer report, trace and
 //!   flamegraph (recovery must not shape observation).
