@@ -37,9 +37,12 @@
 //!
 //! The decoder reads a caller-owned slice of [`ReportEvent`]s up to a
 //! horizon below which the slice is final, and steps a hypothesis past
-//! a question only once the events or the horizon decide it. The
+//! a question only once the events or the horizon decide it; when
+//! neither does, it names the horizon that would (its wake). The
 //! offline attack hands it a finished capture; the streaming decoder
-//! ([`crate::online`]) drives it at width 1 as its watermark advances.
+//! ([`crate::online`]) drives it at width 1 as its watermark advances,
+//! skipping the step until a new event arrives or the watermark
+//! passes the wake.
 
 use crate::classify::RecordClassifier;
 use crate::features::ClientFeatures;
@@ -241,14 +244,15 @@ impl ReportStream {
     /// first chunk request — the second application record (the first
     /// is the manifest GET); the opening segment chain is public. A
     /// capture with one application record falls back to it, one with
-    /// none to time zero. `None` until `horizon` (`None`: the stream is
-    /// final) decides.
-    pub fn anchor(&self, timing: &Timing, horizon: Option<SimTime>) -> Option<SimTime> {
+    /// none to time zero. Until `horizon` (`None`: the stream is final)
+    /// decides, `Err` carries the wake: the second record's time, or
+    /// [`NEVER`] while no second record is in hand.
+    pub fn anchor(&self, timing: &Timing, horizon: Option<SimTime>) -> Result<SimTime, SimTime> {
         match (self.first_app, self.second_app, horizon) {
-            (_, Some(second), _) if past(horizon, second) => Some(second + timing.initial_gap),
-            (_, _, Some(_)) => None,
-            (Some(first), _, None) => Some(first + timing.initial_gap),
-            _ => Some(SimTime::ZERO),
+            (_, Some(second), _) if past(horizon, second) => Ok(second + timing.initial_gap),
+            (_, second, Some(_)) => Err(second.unwrap_or(NEVER)),
+            (Some(first), _, None) => Ok(first + timing.initial_gap),
+            _ => Ok(SimTime::ZERO),
         }
     }
 }
@@ -258,6 +262,10 @@ impl ReportStream {
 fn past(horizon: Option<SimTime>, t: SimTime) -> bool {
     horizon.is_none_or(|h| h > t)
 }
+
+/// The wake of a step that no horizon can decide: only a new event
+/// can, or nothing (every path reached an ending).
+const NEVER: SimTime = SimTime(u64::MAX);
 
 /// Where a hypothesis stands in its walk of the story graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -398,14 +406,20 @@ impl PathDecoder {
     /// `width` after each round. `anchor` is [`ReportStream::anchor`]
     /// at the same horizon. Width 1 returns each decision as it commits,
     /// one per call; wider decoders commit at [`PathDecoder::finish`].
-    /// `None` once nothing more is decidable.
+    ///
+    /// `Err` once nothing more is decidable, carrying the **wake**: the
+    /// threshold whose `past` test came out false (seek's deadline,
+    /// scan's window close, or the anchor's second record), [`NEVER`]
+    /// when none did. Until an event is added or dropped, a call at any
+    /// horizon at or below the wake returns the same `Err` and changes
+    /// nothing, so a streaming caller may skip it.
     pub fn step(
         &mut self,
         graph: &StoryGraph,
         events: &[ReportEvent],
-        anchor: Option<SimTime>,
+        anchor: Result<SimTime, SimTime>,
         horizon: Option<SimTime>,
-    ) -> Option<Decision> {
+    ) -> Result<Decision, SimTime> {
         loop {
             while let Some(&h) = self.live.get(self.stepped) {
                 match h.frontier {
@@ -435,14 +449,14 @@ impl PathDecoder {
             self.live.clear();
             self.stepped = 0;
             if self.next.is_empty() {
-                return None;
+                return Err(NEVER);
             }
             self.next.sort_by(|a, b| b.0.score.total_cmp(&a.0.score));
             self.next.truncate(self.width);
             if self.width == 1 {
-                let (h, d) = self.next.pop()?;
+                let (h, d) = self.next.pop().ok_or(NEVER)?;
                 self.live.push(h);
-                return Some(d);
+                return Ok(d);
             }
             for (mut h, d) in self.next.drain(..) {
                 self.trail.push((h.tail, d));
@@ -459,10 +473,10 @@ impl PathDecoder {
         &mut self,
         graph: &StoryGraph,
         events: &[ReportEvent],
-        anchor: Option<SimTime>,
+        anchor: Result<SimTime, SimTime>,
     ) -> Vec<Decision> {
         let mut out: Vec<Decision> =
-            std::iter::from_fn(|| self.step(graph, events, anchor, None)).collect();
+            std::iter::from_fn(|| self.step(graph, events, anchor, None).ok()).collect();
         let unexplained = |h: &Hypothesis| {
             let rest = events.get(h.cursor..).unwrap_or_default();
             rest.iter()
@@ -488,18 +502,18 @@ impl PathDecoder {
 
     /// Place the question `h` seeks: on the first type-1 report within
     /// the slack of its predicted time, or on the prediction itself once
-    /// the events or the horizon rule one out. `None` while undecided.
-    /// A report in hand decides at once: the slice is final below the
-    /// horizon, and every later event is timed at or above it.
+    /// the events or the horizon rule one out. `Err(wake)` while
+    /// undecided. A report in hand decides at once: the slice is final
+    /// below the horizon, and every later event is timed at or above it.
     fn seek(
         &self,
         h: &Hypothesis,
         seg: SegmentId,
         cp: ChoicePointId,
         events: &[ReportEvent],
-        anchor: Option<SimTime>,
+        anchor: Result<SimTime, SimTime>,
         horizon: Option<SimTime>,
-    ) -> Option<Hypothesis> {
+    ) -> Result<Hypothesis, SimTime> {
         let anchor = anchor?;
         let slack = match h.predicted {
             None => self.timing.first_slack,
@@ -514,9 +528,9 @@ impl PathDecoder {
             Some((i, &e)) if e.time <= deadline => (e.time, true, Some(e), i + 1),
             Some(_) => (expect, false, None, h.cursor),
             None if past(horizon, deadline) => (expect, false, None, h.cursor),
-            None => return None,
+            None => return Err(deadline),
         };
-        Some(Hypothesis {
+        Ok(Hypothesis {
             frontier: Frontier::Open {
                 seg,
                 cp,
@@ -530,9 +544,9 @@ impl PathDecoder {
     }
 
     /// Scan the window of the question placed at `t1` for its type-2
-    /// report: `Some(Some(i))` when it is `events[i]`, `Some(None)` once
-    /// the window closed or the next type-1 arrived without one, `None`
-    /// while undecided.
+    /// report: `Ok(Some(i))` when it is `events[i]`, `Ok(None)` once
+    /// the window closed or the next type-1 arrived without one,
+    /// `Err(close)` while undecided.
     fn scan(
         &self,
         graph: &StoryGraph,
@@ -541,7 +555,7 @@ impl PathDecoder {
         cursor: usize,
         events: &[ReportEvent],
         horizon: Option<SimTime>,
-    ) -> Option<Option<usize>> {
+    ) -> Result<Option<usize>, SimTime> {
         let close = t1 + self.timing.question_window(graph, seg);
         let hit = events
             .iter()
@@ -549,9 +563,10 @@ impl PathDecoder {
             .skip(cursor)
             .find(|(_, e)| e.time > close || (e.time >= t1 && e.class != RecordClass::Other));
         match hit {
-            Some((i, e)) if e.time <= close && e.class == RecordClass::Type2 => Some(Some(i)),
-            Some(_) => Some(None),
-            None => past(horizon, close).then_some(None),
+            Some((i, e)) if e.time <= close && e.class == RecordClass::Type2 => Ok(Some(i)),
+            Some(_) => Ok(None),
+            None if past(horizon, close) => Ok(None),
+            None => Err(close),
         }
     }
 
@@ -1137,15 +1152,21 @@ mod tests {
         // question has no anchor to hang off.
         let early = Some(SimTime(500_000));
         let anchor = stream.anchor(timing, early);
-        assert_eq!(anchor, None);
-        assert_eq!(path.step(&g, &events, anchor, early), None);
+        assert_eq!(anchor, Err(SimTime(1_000_000)));
+        assert_eq!(
+            path.step(&g, &events, anchor, early),
+            Err(SimTime(1_000_000))
+        );
         // With q0's type-1 in hand, q0's window is still open until
         // q1's type-1 closes it.
         let horizon = Some(SimTime(5_000_000));
         let anchor = stream.anchor(timing, horizon);
-        assert_eq!(anchor, Some(SimTime(1_000_000) + timing.initial_gap));
+        assert_eq!(anchor, Ok(SimTime(1_000_000) + timing.initial_gap));
         let head = events.get(..1).unwrap();
-        assert_eq!(path.step(&g, head, anchor, horizon), None);
+        assert_eq!(
+            path.step(&g, head, anchor, horizon),
+            Err(SimTime(8_000_000))
+        );
         let d = path.step(&g, &events, anchor, horizon).unwrap();
         assert_eq!(
             (d.choice.cp, d.choice.choice),
@@ -1159,6 +1180,57 @@ mod tests {
         assert_eq!(rest.len(), 2);
         assert!(rest[0].choice.observed && !rest[1].choice.observed);
         assert!(path.is_done());
+    }
+
+    /// The contract the streaming decoder's skip rests on: over fixed
+    /// evidence, a step at any horizon up to the wake it reported stays
+    /// undecided and leaves the decoder as it was; one microsecond past
+    /// the wake, it decides.
+    #[test]
+    fn step_sleeps_until_its_wake() {
+        let c = classifier();
+        let g = tiny_film();
+        let decoder = ChoiceDecoder::new(&c, &g, aware_cfg(), 1);
+        let timing = *decoder.timing();
+        let ms = |t: u64| SimTime(t * 1000);
+        // Each blocker: the reports after the two playback records, the
+        // first horizon stepped at, and the wake that must come back.
+        let cases = [
+            (
+                "the anchor's second record",
+                vec![rec(4_000, 2212), rec(10_000, 2212)],
+                ms(500),
+                ms(1_000),
+            ),
+            (
+                "seek's deadline",
+                vec![],
+                ms(2_000),
+                ms(1_000) + timing.initial_gap + timing.first_slack,
+            ),
+            (
+                "scan's close",
+                vec![rec(4_000, 2212)],
+                ms(2_000),
+                ms(4_000) + timing.question_window(&g, SegmentId(0)),
+            ),
+        ];
+        for (blocker, reports, start, wake) in cases {
+            let mut records = vec![rec(0, 540), rec(1_000, 540)];
+            records.extend(reports);
+            let (stream, events, _) = decoder.stream(&records);
+            let step = |path: &mut PathDecoder, h: SimTime| {
+                path.step(&g, &events, stream.anchor(&timing, Some(h)), Some(h))
+            };
+            let mut path = PathDecoder::new(&g, timing, 1);
+            assert_eq!(step(&mut path, start), Err(wake), "{blocker}");
+            let state = format!("{path:?}");
+            for h in [start, SimTime((start.0 + wake.0) / 2), wake] {
+                assert_eq!(step(&mut path, h), Err(wake), "{blocker} at {h:?}");
+                assert_eq!(format!("{path:?}"), state, "{blocker} at {h:?}");
+            }
+            assert!(step(&mut path, wake + Duration(1)).is_ok(), "{blocker}");
+        }
     }
 }
 
@@ -1218,7 +1290,7 @@ mod props {
         for r in records {
             let horizon = Some(r.time);
             let anchor = stream.anchor(&timing, horizon);
-            while let Some(d) = path.step(graph, &events, anchor, horizon) {
+            while let Ok(d) = path.step(graph, &events, anchor, horizon) {
                 out.push(d.choice);
             }
             let class = classifier.classify(r.record.length);

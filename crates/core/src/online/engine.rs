@@ -22,6 +22,15 @@
 //! no earlier-timed evidence can still arrive: a verdict, once
 //! emitted, is never retracted.
 //!
+//! The decoder steps only when something it reads can have changed.
+//! An undecided step reports its wake: the earliest time whose passing
+//! could decide it (a seek deadline, a window close, the anchor's
+//! second record). Until an event finalizes or the watermark passes
+//! the wake, a packet skips the step — the fleet supervisor's tick
+//! deadline, one layer down; `finish` always steps. The wake is
+//! derived and never checkpointed, so a restored decoder steps on its
+//! first packet.
+//!
 //! Crash recovery: [`OnlineDecoder::checkpoint`] serializes the whole
 //! decoder — ingest carries, pending/ready events, the path frontier,
 //! classifier calibration — into a compact, versioned, CRC-sealed
@@ -233,6 +242,10 @@ pub struct OnlineDecoder {
     // -- decode frontier --
     pub(crate) path: PathDecoder,
     pub(crate) emitted: u64,
+    /// The last undecided step's wake ([`PathDecoder::step`]); `None`
+    /// once an event finalizes. Derived, so never checkpointed: a
+    /// restored decoder steps on its first packet.
+    wake: Option<SimTime>,
 
     // -- checkpoint cadence --
     pub(crate) records_seen: u64,
@@ -270,6 +283,7 @@ impl OnlineDecoder {
             gap_times: BoundedVec::new(MAX_GAP_TIMES),
             loss_windows: BoundedVec::new(MAX_LOSS_WINDOWS),
             emitted: 0,
+            wake: None,
             records_seen: 0,
             records_at_checkpoint: 0,
             admit_scratch: Batch::new(),
@@ -435,6 +449,9 @@ impl OnlineDecoder {
     }
 
     fn note_records(&mut self, recs: Batch<ExtractedRecord>) {
+        if recs.is_empty() {
+            return;
+        }
         // Two passes: admission filtering first, then one batch
         // classification over the survivors' contiguous length array —
         // the dominant classifier runs its branch-lean kernel instead
@@ -494,6 +511,7 @@ impl OnlineDecoder {
     /// stream (its application-record index, the anchor estimate,
     /// dedup), and queue a kept report for the path decoder.
     fn finalize(&mut self, e: PendingEvent) {
+        self.wake = None;
         let timing = self.path.timing();
         let (index, kept) = self.reports.admit(timing, e.time, e.length, e.class);
         self.recent_apps.admit_evict((index, e.time, e.length));
@@ -549,13 +567,26 @@ impl OnlineDecoder {
                 self.finalize(e);
             }
         }
-        // 3. Step the path decoder until the evidence stops deciding.
+        // 3. Step the path decoder until the evidence stops deciding —
+        //    unless no event finalized since it last stopped and the
+        //    watermark has not passed that stop's wake: the step would
+        //    come back undecided again.
+        if !self.finishing && self.wake.is_some_and(|w| self.watermark <= w) {
+            return;
+        }
         let horizon = (!self.finishing).then_some(self.watermark);
         let anchor = self.reports.anchor(self.path.timing(), horizon);
-        while let Some(d) = self
-            .path
-            .step(&self.graph, self.ready.as_slice(), anchor, horizon)
-        {
+        loop {
+            let step = self
+                .path
+                .step(&self.graph, self.ready.as_slice(), anchor, horizon);
+            let d = match step {
+                Ok(d) => d,
+                Err(wake) => {
+                    self.wake = Some(wake);
+                    return;
+                }
+            };
             self.emit(out, d);
             // The walk never revisits evidence at or before this question.
             let t1 = d.choice.time;

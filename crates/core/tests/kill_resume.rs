@@ -40,12 +40,31 @@ fn tap_packets(out: &SessionOutput) -> Vec<TapPacket> {
         .collect()
 }
 
-fn feed_all(dec: &mut OnlineDecoder, packets: &[TapPacket]) -> Vec<OnlineVerdict> {
+/// A verdict with the index of the packet that brought it out;
+/// `finish` counts as the index past the last packet.
+type Timed = (usize, OnlineVerdict);
+
+/// Feed `packets`, the capture's packets from index `first` on.
+fn feed(dec: &mut OnlineDecoder, packets: &[TapPacket], first: usize) -> Vec<Timed> {
     let mut out = Vec::new();
-    for (t, frame) in packets {
-        out.extend(dec.push_packet(SimTime(*t), frame));
+    for (i, (t, frame)) in (first..).zip(packets) {
+        out.extend(
+            dec.push_packet(SimTime(*t), frame)
+                .into_iter()
+                .map(|v| (i, v)),
+        );
     }
-    out.extend(dec.finish());
+    out
+}
+
+/// End the capture of `n` packets.
+fn finish(dec: &mut OnlineDecoder, n: usize) -> Vec<Timed> {
+    dec.finish().into_iter().map(|v| (n, v)).collect()
+}
+
+fn feed_all(dec: &mut OnlineDecoder, packets: &[TapPacket]) -> Vec<Timed> {
+    let mut out = feed(dec, packets, 0);
+    out.extend(finish(dec, packets.len()));
     out
 }
 
@@ -63,12 +82,12 @@ type Checkpoint = (usize, usize, Vec<u8>);
 fn feed_until_kill(
     mut dying: OnlineDecoder,
     packets: &[TapPacket],
-) -> (Vec<OnlineVerdict>, Option<Checkpoint>) {
-    let mut pre: Vec<OnlineVerdict> = Vec::new();
+) -> (Vec<Timed>, Option<Checkpoint>) {
+    let mut pre: Vec<Timed> = Vec::new();
     let mut checkpoint = None;
     let mut records_at_checkpoint = 0;
-    for (i, (t, frame)) in packets.iter().enumerate() {
-        pre.extend(dying.push_packet(SimTime(*t), frame));
+    for (i, packet) in packets.iter().enumerate() {
+        pre.extend(feed(&mut dying, std::slice::from_ref(packet), i));
         let records = dying.stats().records;
         if records - records_at_checkpoint >= CHECKPOINT_RECORDS {
             records_at_checkpoint = records;
@@ -119,7 +138,7 @@ fn clean_capture_matches_offline_decode_byte_for_byte() {
         let mut dec = OnlineDecoder::new(clf.clone(), graph.clone(), OnlineConfig::scaled(TS));
         let verdicts = feed_all(&mut dec, &tap_packets(&out));
         assert_eq!(verdicts.len(), off_choices.len(), "seed {seed}");
-        for (i, v) in verdicts.iter().enumerate() {
+        for (i, (_, v)) in verdicts.iter().enumerate() {
             assert_eq!(v.index, i as u64);
             assert_eq!(v.choice, off_choices[i], "seed {seed} verdict {i}");
             assert_eq!(v.provenance, off_prov[i], "seed {seed} provenance {i}");
@@ -175,16 +194,16 @@ fn kill_and_resume_with_full_replay_is_byte_identical() {
     // …restarts from the checkpoint and replays its capture spool.
     let mut resumed = OnlineDecoder::resume_from_checkpoint(&blob, graph.clone()).unwrap();
     assert_eq!(resumed.stats().resumes, 1);
-    let mut recovered: Vec<OnlineVerdict> = pre.into_iter().take(delivered).collect();
-    for (t, frame) in &packets[resume_at..] {
-        recovered.extend(resumed.push_packet(SimTime(*t), frame));
-    }
-    recovered.extend(resumed.finish());
+    let mut recovered = pre;
+    recovered.truncate(delivered);
+    recovered.extend(feed(&mut resumed, &packets[resume_at..], resume_at));
+    recovered.extend(finish(&mut resumed, packets.len()));
 
-    // Byte-identical stream: same choices, same provenance, contiguous
-    // indexes, zero duplicates, zero loss.
+    // Byte-identical stream: same choices, same provenance, each out
+    // at the same packet, contiguous indexes, zero duplicates, zero
+    // loss.
     assert_eq!(recovered, baseline);
-    for (i, v) in recovered.iter().enumerate() {
+    for (i, (_, v)) in recovered.iter().enumerate() {
         assert_eq!(v.index, i as u64, "verdict indexes must be contiguous");
     }
     assert!(
@@ -219,15 +238,14 @@ fn crash_gap_is_reported_and_decoding_recovers() {
     // This time the packets between checkpoint and kill are *lost*:
     // the tap buffered nothing while the attacker was down.
     let mut resumed = OnlineDecoder::resume_from_checkpoint(&blob, graph.clone()).unwrap();
-    let mut recovered: Vec<OnlineVerdict> = pre.into_iter().take(delivered).collect();
-    for (t, frame) in &packets[kill..] {
-        recovered.extend(resumed.push_packet(SimTime(*t), frame));
-    }
-    recovered.extend(resumed.finish());
+    let mut recovered = pre;
+    recovered.truncate(delivered);
+    recovered.extend(feed(&mut resumed, &packets[kill..], kill));
+    recovered.extend(finish(&mut resumed, packets.len()));
 
     // The walk still completes with one verdict per choice point…
     assert_eq!(recovered.len(), baseline.len());
-    for (i, v) in recovered.iter().enumerate() {
+    for (i, (_, v)) in recovered.iter().enumerate() {
         assert_eq!(v.index, i as u64);
     }
     // …the crash gap is explicitly reported…
@@ -246,7 +264,7 @@ fn crash_gap_is_reported_and_decoding_recovers() {
         let wcfg = Duration::from_secs_f64(10.0 / TS as f64);
         Duration(wcfg.micros() * 4)
     };
-    for (b, r) in baseline.iter().zip(&recovered) {
+    for ((_, b), (_, r)) in baseline.iter().zip(&recovered) {
         if b == r {
             continue;
         }
@@ -311,7 +329,7 @@ fn impaired_captures_never_panic_and_always_terminate() {
             3,
             "intensity {intensity} (impaired: {stats:?})"
         );
-        for (i, v) in verdicts.iter().enumerate() {
+        for (i, (_, v)) in verdicts.iter().enumerate() {
             assert_eq!(v.index, i as u64);
             assert!(v.choice.confidence > 0.0 && v.choice.confidence <= 1.0);
         }

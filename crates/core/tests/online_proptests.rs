@@ -6,7 +6,8 @@
 //! The property under test: for *every* packet boundary `i`, feeding
 //! packets `0..i`, checkpointing, resuming from the blob, and feeding
 //! packets `i..` yields the exact verdict stream (byte-equal choices
-//! *and* provenance) of an uninterrupted decode of the same capture.
+//! *and* provenance) of an uninterrupted decode of the same capture,
+//! each verdict brought out by the same packet.
 
 use std::sync::Arc;
 
@@ -45,12 +46,26 @@ fn tap_packets(out: &SessionOutput) -> Vec<TapPacket> {
         .collect()
 }
 
-fn feed(dec: &mut OnlineDecoder, packets: &[TapPacket]) -> Vec<OnlineVerdict> {
+/// A verdict with the index of the packet that brought it out;
+/// `finish` counts as the index past the last packet.
+type Timed = (usize, OnlineVerdict);
+
+/// Feed `packets`, the capture's packets from index `first` on.
+fn feed(dec: &mut OnlineDecoder, packets: &[TapPacket], first: usize) -> Vec<Timed> {
     let mut out = Vec::new();
-    for (t, frame) in packets {
-        out.extend(dec.push_packet(SimTime(*t), frame));
+    for (i, (t, frame)) in (first..).zip(packets) {
+        out.extend(
+            dec.push_packet(SimTime(*t), frame)
+                .into_iter()
+                .map(|v| (i, v)),
+        );
     }
     out
+}
+
+/// End the capture of `n` packets.
+fn finish(dec: &mut OnlineDecoder, n: usize) -> Vec<Timed> {
+    dec.finish().into_iter().map(|v| (n, v)).collect()
 }
 
 fn uninterrupted(
@@ -58,10 +73,10 @@ fn uninterrupted(
     graph: &Arc<wm_story::StoryGraph>,
     cfg: &OnlineConfig,
     packets: &[TapPacket],
-) -> Vec<OnlineVerdict> {
+) -> Vec<Timed> {
     let mut dec = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
-    let mut out = feed(&mut dec, packets);
-    out.extend(dec.finish());
+    let mut out = feed(&mut dec, packets, 0);
+    out.extend(finish(&mut dec, packets.len()));
     out
 }
 
@@ -73,15 +88,15 @@ fn cut_and_resume(
     cfg: &OnlineConfig,
     packets: &[TapPacket],
     cut: usize,
-) -> Vec<OnlineVerdict> {
+) -> Vec<Timed> {
     let mut first = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
-    let mut out = feed(&mut first, &packets[..cut]);
+    let mut out = feed(&mut first, &packets[..cut], 0);
     let blob = first.checkpoint();
     drop(first);
     let mut second =
         OnlineDecoder::resume_from_checkpoint(&blob, graph.clone()).expect("resume at {cut}");
-    out.extend(feed(&mut second, &packets[cut..]));
-    out.extend(second.finish());
+    out.extend(feed(&mut second, &packets[cut..], cut));
+    out.extend(finish(&mut second, packets.len()));
     out
 }
 
@@ -152,7 +167,7 @@ fn restored_state_checkpoints_byte_identically() {
 
     for cut in (1..packets.len()).step_by(7) {
         let mut original = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
-        feed(&mut original, &packets[..cut]);
+        feed(&mut original, &packets[..cut], 0);
         let blob = original.checkpoint();
         let blob_again = original.checkpoint();
 
@@ -213,7 +228,7 @@ fn checkpoint_truncated_at_every_byte_is_rejected_cleanly() {
     let cut = packets.len() / 2;
 
     let mut first = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
-    let mut verdicts = feed(&mut first, &packets[..cut]);
+    let mut verdicts = feed(&mut first, &packets[..cut], 0);
     let blob = first.checkpoint();
     drop(first);
 
@@ -243,13 +258,13 @@ fn checkpoint_truncated_at_every_byte_is_rejected_cleanly() {
     // and the tail replays to exactly the uninterrupted stream.
     let mut second =
         OnlineDecoder::resume_from_checkpoint(&blob, graph.clone()).expect("intact blob restores");
-    verdicts.extend(feed(&mut second, &packets[cut..]));
-    verdicts.extend(second.finish());
+    verdicts.extend(feed(&mut second, &packets[cut..], cut));
+    verdicts.extend(finish(&mut second, packets.len()));
     assert_eq!(
         verdicts, baseline,
         "fallback resume lost or duplicated verdicts"
     );
-    for (i, v) in verdicts.iter().enumerate() {
+    for (i, (_, v)) in verdicts.iter().enumerate() {
         assert_eq!(v.index, i as u64, "verdict indices must be contiguous");
     }
 }
@@ -310,7 +325,7 @@ fn every_single_bit_flip_of_a_checkpoint_is_rejected() {
     let mid_stream = |seed: u64, picks: &[Choice]| {
         let packets = tap_packets(&session(seed, picks));
         let mut dec = OnlineDecoder::new(clf.clone(), graph.clone(), cfg.clone());
-        feed(&mut dec, &packets[..packets.len() / 2]);
+        feed(&mut dec, &packets[..packets.len() / 2], 0);
         dec
     };
 
