@@ -1,24 +1,17 @@
-//! Offline TCP stream reassembly over a captured trace.
+//! Whole-capture TCP stream reassembly: the reference front end.
 //!
-//! The eavesdropper rebuilds each direction of each TCP flow into a
-//! byte stream before parsing TLS records out of it. Tap loss shows up
-//! as *gaps*: runs of sequence space the capture never saw (unless a
-//! captured retransmission filled them in). Gaps are first-class here —
-//! the record extractor has to resynchronize after each one, and the
-//! evaluation counts how much of the paper's accuracy loss they cause.
+//! Rebuilds each direction of each TCP flow into a byte stream at once.
+//! No attack path runs it: the attacker reads records through
+//! `wm_core`'s incremental `FlowIngest`, which `tests/ingest_reference.rs`
+//! compares with this; the benchmark's capture probe also calls it. Tap
+//! loss shows up as *gaps*: runs of sequence space the capture never saw
+//! (unless a captured retransmission filled them in).
 
 use std::collections::BTreeMap;
 use wm_net::headers::FlowId;
 use wm_net::time::SimTime;
 
 use crate::tap::{segments_of, Trace};
-
-/// Flow direction relative to the viewer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
-    ClientToServer,
-    ServerToClient,
-}
 
 /// A contiguous run of reassembled stream bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -15,12 +15,12 @@
 //!   Ethernet/IPv4/TCP frames with timestamps (and drops packets with
 //!   the tap-loss probability of the link model — monitor ports miss
 //!   packets, especially on busy wireless);
-//! * [`flow`] — offline TCP stream reassembly per flow direction, with
-//!   explicit *gap* reporting where the tap missed segments;
-//! * [`records`] — TLS record metadata extraction over the reassembled
-//!   stream, including header *resynchronization* after a gap (scan for
-//!   a plausible chain of record headers), which is what a real traffic
-//!   analyst does with lossy captures.
+//! * [`records`] — the record type every attack path reads
+//!   ([`TimedRecord`]) and header *resynchronization* after a gap
+//!   ([`find_resync`]), which is what a real traffic analyst does;
+//! * [`flow`] and [`extract_records`] — whole-capture reassembly and
+//!   record extraction, kept as the reference `wm_core`'s `FlowIngest`
+//!   is tested against and as the benchmark's capture probe.
 //!
 //! Nothing in this crate has key material: everything downstream of it
 //! sees only what a wiretap would.
@@ -31,7 +31,7 @@ pub mod pcap;
 pub mod records;
 pub mod tap;
 
-pub use flow::{Direction, FlowReassembler, FlowStreams, StreamChunk, StreamView};
+pub use flow::{FlowReassembler, FlowStreams, StreamChunk, StreamView};
 pub use labels::{LabeledRecord, RecordClass};
 pub use pcap::{PcapError, PcapPacket, PcapReader, PcapWriter};
 pub use records::{extract_records, find_resync, ExtractStats, Extraction, TimedRecord};

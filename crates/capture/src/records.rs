@@ -1,5 +1,9 @@
 //! TLS record extraction over a reassembled stream, with gap resync.
 //!
+//! The attacker's `FlowIngest` (`wm_core`) emits [`TimedRecord`]s and
+//! resyncs with [`find_resync`]; [`extract_records`] is only its
+//! whole-capture reference and the benchmark's capture probe.
+//!
 //! Within a contiguous chunk this is a straight run of the key-less
 //! record parser from `wm-tls`. After a gap the stream usually resumes
 //! mid-record, so the extractor *resynchronizes*: it scans forward for

@@ -46,12 +46,12 @@ use std::sync::Arc;
 use crate::classify::RecordClassifier;
 use crate::decode::{PathDecoder, ReportStream};
 use crate::online::bounded::{Batch, BoundedVec};
-use crate::online::ingest::{ExtractedRecord, FlowIngest, GapEvent, PER_FLOW_STATE_BOUND};
+use crate::online::ingest::{is_upstream, FlowIngest, GapEvent, PER_FLOW_STATE_BOUND};
 use crate::provenance::{resolve, ChoiceProvenance};
 use crate::{Decision, DecodedChoice, IntervalClassifier, ReportEvent, Timing};
 use wm_capture::headers::{parse_frame_lossy, FlowId};
 use wm_capture::time::{Duration, SimTime};
-use wm_capture::{ContentType, RecordClass};
+use wm_capture::{ContentType, RecordClass, TimedRecord};
 use wm_story::{Choice, StoryGraph};
 use wm_telemetry::trace::{SpanId, TraceHandle};
 use wm_telemetry::{Counter, Histogram, Registry};
@@ -254,7 +254,7 @@ pub struct OnlineDecoder {
     // -- per-call scratch: cleared on every use, never part of decoder
     //    state (checkpoints ignore it). Bounded by one push's record
     //    yield, which the ingest budgets cap.
-    admit_scratch: Batch<ExtractedRecord>,
+    admit_scratch: Batch<TimedRecord>,
     len_scratch: Batch<u16>,
     class_scratch: Vec<RecordClass>,
 
@@ -383,7 +383,7 @@ impl OnlineDecoder {
         let mut recs = Batch::new();
         let mut gaps = Batch::new();
         if let Some((flow, tcp, payload, missing)) = parse_frame_lossy(frame) {
-            if flow.dst_port == 443 && !payload.is_empty() {
+            if is_upstream(&flow, payload) {
                 self.stats.segments = self.stats.segments.saturating_add(1);
                 if missing > 0 {
                     self.stats.truncated_segments = self.stats.truncated_segments.saturating_add(1);
@@ -448,7 +448,7 @@ impl OnlineDecoder {
         }
     }
 
-    fn note_records(&mut self, recs: Batch<ExtractedRecord>) {
+    fn note_records(&mut self, recs: Batch<TimedRecord>) {
         if recs.is_empty() {
             return;
         }
@@ -467,7 +467,7 @@ impl OnlineDecoder {
         for r in recs.into_vec() {
             self.stats.records = self.stats.records.saturating_add(1);
             self.records_seen = self.records_seen.saturating_add(1);
-            if r.content_type != ContentType::ApplicationData {
+            if r.record.content_type != ContentType::ApplicationData {
                 self.stats.non_app_records = self.stats.non_app_records.saturating_add(1);
                 continue;
             }
@@ -478,7 +478,7 @@ impl OnlineDecoder {
                 continue;
             }
             admitted.put(r);
-            lengths.put(r.length);
+            lengths.put(r.record.length);
         }
         self.classifier
             .classify_lengths(lengths.as_slice(), &mut classes);
@@ -486,7 +486,7 @@ impl OnlineDecoder {
             let ev = PendingEvent {
                 time: r.time,
                 seq: self.admit_seq,
-                length: r.length,
+                length: r.record.length,
                 class,
             };
             self.admit_seq = self.admit_seq.saturating_add(1);

@@ -1,35 +1,39 @@
-//! Incremental per-flow TCP reassembly and TLS record extraction.
+//! Incremental per-flow TCP reassembly and TLS record extraction: the
+//! one front end of every attack path.
 //!
-//! The offline pipeline ([`wm_capture::flow`] + [`wm_capture::records`])
-//! reassembles a whole capture, then parses records over the finished
-//! byte stream. A live attacker cannot wait: [`FlowIngest`] consumes
-//! TCP segments one at a time and emits each TLS record the moment its
-//! last byte arrives, under hard, constant memory budgets.
+//! [`FlowIngest`] consumes TCP segments one at a time and emits each
+//! TLS record the moment its last byte arrives, under hard, constant
+//! memory budgets. The streaming decoder feeds it packet by packet; the
+//! offline attack ([`crate::client_app_records`]) feeds it a whole
+//! capture. Both admit the segments `is_upstream` accepts.
 //!
 //! Capture impairments map onto explicit state transitions:
 //!
 //! * **reordering** — a segment past the contiguous frontier is
 //!   *parked* (budgeted) until the hole before it fills;
-//! * **loss** — a hole older than the caller's patience is *declared a
-//!   gap*: the carry is abandoned, reassembly jumps to the parked data
-//!   and header parsing resynchronizes ([`wm_capture::find_resync`]),
-//!   exactly what the offline extractor does across a gap — and a
-//!   [`GapEvent`] reports the loss window downstream;
+//! * **loss** — a hole is *declared a gap* when the park budget runs
+//!   out, the streaming caller's patience does ([`FlowIngest::flush`])
+//!   or the capture ends: the carry is abandoned, reassembly jumps to
+//!   the parked data, header parsing resynchronizes
+//!   ([`wm_capture::find_resync`]) and a [`GapEvent`] reports the loss
+//!   window downstream;
 //! * **mid-session attach / snaplen truncation** — a header parse
 //!   failing mid-stream flips the flow to unsynced and hunts for the
 //!   next plausible record chain instead of discarding the rest of the
-//!   run (strictly more tolerant than the offline path);
+//!   run, as the whole-capture reference does;
 //! * **duplicate delivery** — bytes at or below the frontier are
-//!   dropped, earliest copy wins, matching the offline reassembler.
+//!   dropped, earliest copy wins.
 //!
-//! On a clean in-order capture this produces byte-for-byte the record
-//! stream the offline extractor sees: same times (each record is
+//! On a clean capture the records and gaps equal those of that
+//! reference (the `flow` and `records` modules of `wm-capture`), which
+//! `tests/ingest_reference.rs` checks: same times (each record is
 //! stamped with the capture time of the segment carrying its first
 //! byte), same lengths, same order.
 
 use crate::online::bounded::{Batch, BoundedVec, ByteCarry, ParkedSegments};
+use wm_capture::headers::FlowId;
 use wm_capture::time::{Duration, SimTime};
-use wm_capture::{find_resync, ContentType, RecordHeader, RECORD_HEADER_LEN};
+use wm_capture::{find_resync, ObservedRecord, RecordHeader, TimedRecord, RECORD_HEADER_LEN};
 
 // Memory budgets for one flow direction: every byte [`FlowIngest`]
 // holds is covered by one of these.
@@ -60,14 +64,10 @@ pub(crate) const PER_FLOW_STATE_BOUND: usize =
 /// it at or above the real size.
 const FLOW_FIXED_BYTES: usize = 288;
 
-/// One TLS record surfaced by the ingest path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtractedRecord {
-    /// Capture time of the segment carrying the record's first byte.
-    pub time: SimTime,
-    pub content_type: ContentType,
-    /// Ciphertext length from the record header (the side-channel).
-    pub length: u16,
+/// Whether a parsed frame is one the eavesdropper reassembles: a
+/// client→server (port 443) segment that carries payload.
+pub(crate) fn is_upstream(flow: &FlowId, payload: &[u8]) -> bool {
+    flow.dst_port == 443 && !payload.is_empty()
 }
 
 /// A declared loss window: reassembly skipped bytes between the last
@@ -98,10 +98,9 @@ pub struct IngestStats {
 }
 
 /// Streaming reassembler + record extractor for one upstream flow
-/// direction. Mirrors `wm_capture::flow::DirectionAssembler` semantics
-/// (relative offsets from the first payload segment's sequence number,
-/// 32-bit sequence unwrap, earliest-copy-wins) but works incrementally
-/// and under constant budgets.
+/// direction: relative offsets from the first payload segment's
+/// sequence number, 32-bit sequence unwrap, earliest copy wins, all
+/// incremental and under constant budgets.
 #[derive(Debug, Clone)]
 pub struct FlowIngest {
     /// Sequence number of the first payload byte seen (relative 0).
@@ -140,7 +139,7 @@ impl FlowIngest {
             marks: BoundedVec::new(MAX_MARKS),
             parked: ParkedSegments::new(MAX_PARKED_BYTES, MAX_PARKED_SEGMENTS),
             // The first payload segment defines relative offset 0, and
-            // the offline extractor parses straight from it — so a
+            // the reference extractor parses straight from it — so a
             // fresh flow starts synced. A tap attached mid-session
             // fails the first header parse and resynchronizes instead.
             synced: true,
@@ -159,7 +158,7 @@ impl FlowIngest {
         time: SimTime,
         seq: u32,
         payload: &[u8],
-        records: &mut Batch<ExtractedRecord>,
+        records: &mut Batch<TimedRecord>,
         gaps: &mut Batch<GapEvent>,
     ) {
         if payload.is_empty() {
@@ -168,14 +167,14 @@ impl FlowIngest {
         let base = *self.base_seq.get_or_insert(seq);
         let raw = seq.wrapping_sub(base) as i64;
         // Unwrap 32-bit sequence space around the last offset seen
-        // (same arithmetic as the offline assembler).
+        // (same arithmetic as the reference assembler).
         let span = 1i64 << 32;
         let k = (self.last_rel - raw + span / 2).div_euclid(span);
         let rel = raw + k * span;
         if rel < 0 {
             // Predates the attach point (or a retransmit from before
             // relative zero): nothing upstream anchors it. Dropped —
-            // a documented divergence from offline, which re-anchors.
+            // a documented divergence: the reference re-anchors it.
             self.stats.duplicate_bytes = self
                 .stats
                 .duplicate_bytes
@@ -192,7 +191,7 @@ impl FlowIngest {
         &mut self,
         now: SimTime,
         patience: Duration,
-        records: &mut Batch<ExtractedRecord>,
+        records: &mut Batch<TimedRecord>,
         gaps: &mut Batch<GapEvent>,
     ) {
         while let Some(h) = self.hole_since {
@@ -209,7 +208,7 @@ impl FlowIngest {
 
     /// End of capture: declare every outstanding hole, drain what
     /// parses, and write off the rest.
-    pub fn finish(&mut self, records: &mut Batch<ExtractedRecord>, gaps: &mut Batch<GapEvent>) {
+    pub fn finish(&mut self, records: &mut Batch<TimedRecord>, gaps: &mut Batch<GapEvent>) {
         self.drain(records);
         while self.jump_to_first_parked(gaps) {
             self.drain(records);
@@ -375,7 +374,7 @@ impl FlowIngest {
     }
 
     /// Parse complete records off the front of the carry.
-    fn drain(&mut self, records: &mut Batch<ExtractedRecord>) {
+    fn drain(&mut self, records: &mut Batch<TimedRecord>) {
         loop {
             if !self.synced {
                 let Some(skip) = find_resync(self.carry.as_slice()) else {
@@ -417,10 +416,14 @@ impl FlowIngest {
                 return;
             }
             let time = self.mark_time(self.carry_start);
-            records.put(ExtractedRecord {
+            records.put(TimedRecord {
                 time,
-                content_type: header.content_type,
-                length: header.length,
+                record: ObservedRecord {
+                    stream_offset: self.carry_start as u64,
+                    content_type: header.content_type,
+                    version: header.version,
+                    length: header.length,
+                },
             });
             self.stats.records = self.stats.records.saturating_add(1);
             self.last_record_time = time;
@@ -431,7 +434,7 @@ impl FlowIngest {
     }
 
     /// Capture time of the segment covering stream offset `off`: the
-    /// last mark at or before it (matches the offline assembler's
+    /// last mark at or before it (matches the reference assembler's
     /// `time_at`).
     fn mark_time(&self, off: i64) -> SimTime {
         let mut best: Option<SimTime> = None;
@@ -473,7 +476,7 @@ mod tests {
     fn drain_all(
         ing: &mut FlowIngest,
         segs: &[(u64, u32, &[u8])],
-    ) -> (Vec<ExtractedRecord>, Vec<GapEvent>) {
+    ) -> (Vec<TimedRecord>, Vec<GapEvent>) {
         let mut recs = Batch::new();
         let mut gaps = Batch::new();
         for &(t, seq, payload) in segs {
@@ -501,9 +504,9 @@ mod tests {
         );
         assert!(gaps.is_empty());
         assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].length, 100);
+        assert_eq!(recs[0].record.length, 100);
         assert_eq!(recs[0].time, SimTime(1_000));
-        assert_eq!(recs[1].length, 2212);
+        assert_eq!(recs[1].record.length, 2212);
         // Second record's first byte arrived in the first segment.
         assert_eq!(recs[1].time, SimTime(1_000));
     }
@@ -524,7 +527,7 @@ mod tests {
         );
         assert!(gaps.is_empty());
         assert_eq!(recs.len(), 2);
-        assert_eq!(recs[1].length, 60);
+        assert_eq!(recs[1].record.length, 60);
         assert_eq!(
             recs[1].time,
             SimTime(3_000),
@@ -572,7 +575,7 @@ mod tests {
         assert_eq!(gaps.as_slice()[0].last_time, SimTime(1_000));
         assert_eq!(gaps.as_slice()[0].resume_time, SimTime(2_000));
         assert_eq!(recs.len(), 2);
-        assert_eq!(recs.as_slice()[1].length, 80);
+        assert_eq!(recs.as_slice()[1].record.length, 80);
         assert!(ing.stats().resyncs >= 1);
     }
 
@@ -588,7 +591,7 @@ mod tests {
         bytes.extend_from_slice(&record(200));
         let (recs, _) = drain_all(&mut ing, &[(1_000, 77, &bytes)]);
         assert_eq!(recs.len(), 2, "resync recovers the records after the tail");
-        assert_eq!(recs[0].length, 100);
+        assert_eq!(recs[0].record.length, 100);
         assert!(ing.stats().skipped_bytes >= tail_len as u64);
     }
 

@@ -17,7 +17,7 @@
 //!   ([`STATE_BOUND`]), not by session length.
 //! * [`ingest::FlowIngest`] — per-flow streaming reassembly under hard
 //!   byte budgets, tolerant of reordering, truncation, duplicates and
-//!   mid-session tap attach.
+//!   mid-session tap attach; [`crate::client_app_records`] uses it too.
 //! * [`checkpoint`] — compact, versioned, CRC-sealed binary decoder
 //!   snapshots on a fixed record cadence, in the one layout a
 //!   fleet shard also uses for many decoders;
@@ -47,5 +47,5 @@ pub use checkpoint::{
     CheckpointError, RecordRef, CHECKPOINT_VERSION,
 };
 pub use engine::{OnlineConfig, OnlineDecoder, OnlineStats, OnlineVerdict, STATE_BOUND};
-pub use ingest::{ExtractedRecord, FlowIngest, GapEvent, IngestStats};
+pub use ingest::{FlowIngest, GapEvent, IngestStats};
 pub use shard::{decode_sessions_sharded, replay_session, CapturedPacket, SessionDecode};

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use wm_capture::time::{Duration, SimTime};
 use wm_chaos::{impair_capture, kill_index, CaptureImpairment, TapPacket};
-use wm_core::online::{OnlineConfig, OnlineDecoder, OnlineVerdict, STATE_BOUND};
+use wm_core::online::{OnlineConfig, OnlineDecoder, STATE_BOUND};
 use wm_core::provenance::ChoiceProvenance;
 use wm_core::{
     client_app_records, ChoiceDecoder, DecodedChoice, DecoderConfig, IntervalClassifier,
@@ -16,51 +16,9 @@ use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::{bandersnatch, tiny_film};
 use wm_story::{Choice, StoryGraph, ViewerScript};
 
-const TS: u32 = 20;
+mod common;
 
-fn session(seed: u64, choices: &[Choice]) -> SessionOutput {
-    let graph = Arc::new(tiny_film());
-    let script = ViewerScript::from_choices(choices, Duration::from_millis(900));
-    run_session(&SessionConfig::fast(graph, seed, script)).unwrap()
-}
-
-fn trained_classifier() -> IntervalClassifier {
-    let train = session(
-        100,
-        &[Choice::NonDefault, Choice::Default, Choice::NonDefault],
-    );
-    IntervalClassifier::train(&train.labels, WhiteMirrorConfig::DEFAULT_SLACK).unwrap()
-}
-
-fn tap_packets(out: &SessionOutput) -> Vec<TapPacket> {
-    out.trace
-        .packets
-        .iter()
-        .map(|p| (p.time.micros(), p.frame.clone()))
-        .collect()
-}
-
-/// A verdict with the index of the packet that brought it out;
-/// `finish` counts as the index past the last packet.
-type Timed = (usize, OnlineVerdict);
-
-/// Feed `packets`, the capture's packets from index `first` on.
-fn feed(dec: &mut OnlineDecoder, packets: &[TapPacket], first: usize) -> Vec<Timed> {
-    let mut out = Vec::new();
-    for (i, (t, frame)) in (first..).zip(packets) {
-        out.extend(
-            dec.push_packet(SimTime(*t), frame)
-                .into_iter()
-                .map(|v| (i, v)),
-        );
-    }
-    out
-}
-
-/// End the capture of `n` packets.
-fn finish(dec: &mut OnlineDecoder, n: usize) -> Vec<Timed> {
-    dec.finish().into_iter().map(|v| (n, v)).collect()
-}
+use common::{feed, finish, session, tap_packets, trained_classifier, Timed, TS};
 
 fn feed_all(dec: &mut OnlineDecoder, packets: &[TapPacket]) -> Vec<Timed> {
     let mut out = feed(dec, packets, 0);

@@ -14,12 +14,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use wm_capture::time::{Duration, SimTime};
+use wm_capture::time::SimTime;
 use wm_core::{IntervalClassifier, WhiteMirrorConfig};
 use wm_fleet::{merge_taps, Fleet, FleetConfig, TapPacket};
-use wm_sim::{run_session, SessionConfig, SessionOutput};
 use wm_story::bandersnatch::tiny_film;
-use wm_story::{Choice, ViewerScript};
+use wm_story::Choice;
+
+mod common;
+
+use common::session;
 
 /// Allocations (including reallocations) of the push loop below: the
 /// measured count plus 10% headroom. Lower it when the packet path
@@ -66,12 +69,6 @@ fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let out = f();
     let n = COUNT.with(|c| c.replace(None)).unwrap_or(0);
     (out, n)
-}
-
-fn session(seed: u64, choices: &[Choice]) -> SessionOutput {
-    let graph = Arc::new(tiny_film());
-    let script = ViewerScript::from_choices(choices, Duration::from_millis(900));
-    run_session(&SessionConfig::fast(graph, seed, script)).unwrap()
 }
 
 /// Eight victims, each a tiny-film session offset by two sim-seconds.
