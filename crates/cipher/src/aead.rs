@@ -50,9 +50,8 @@ pub fn seal_into(key: &Key, nonce: &Nonce, aad: &[u8], plaintext: &[u8], out: &m
     out.extend_from_slice(plaintext);
     // Keystream block 0 is reserved for the MAC key, payload starts at 1
     // (same layout as ChaCha20-Poly1305).
-    let cipher = Wm20::new(key, nonce);
-    cipher.apply(1, &mut out[start..]);
-    let tag = compute_tag(&cipher, aad, &out[start..]);
+    let mac_key = Wm20::new(key, nonce).mac_key_and_apply(&mut out[start..]);
+    let tag = compute_tag(&mac_key, aad, &out[start..]);
     out.extend_from_slice(&tag);
 }
 
@@ -69,15 +68,18 @@ pub fn open_into(
         return Err(AeadError::TooShort);
     }
     let (ct, tag_bytes) = sealed.split_at(sealed.len() - TAG_LEN);
-    let cipher = Wm20::new(key, nonce);
-    let expect = compute_tag(&cipher, aad, ct);
-    let got: [u8; TAG_LEN] = tag_bytes.try_into().expect("tag length");
-    if !tags_equal(&expect, &got) {
-        return Err(AeadError::BadTag);
-    }
+    // Decrypt first so one keystream pass also yields the MAC key; the
+    // tag covers the input ciphertext, and a bad tag takes the
+    // plaintext back out of `out`.
     let start = out.len();
     out.extend_from_slice(ct);
-    cipher.apply(1, &mut out[start..]);
+    let mac_key = Wm20::new(key, nonce).mac_key_and_apply(&mut out[start..]);
+    let expect = compute_tag(&mac_key, aad, ct);
+    let got: [u8; TAG_LEN] = tag_bytes.try_into().expect("tag length");
+    if !tags_equal(&expect, &got) {
+        out.truncate(start);
+        return Err(AeadError::BadTag);
+    }
     Ok(())
 }
 
@@ -86,10 +88,8 @@ pub fn sealed_len(plaintext_len: usize) -> usize {
     plaintext_len + TAG_LEN
 }
 
-fn compute_tag(cipher: &Wm20, aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
-    let block0 = cipher.block(0);
-    let mac_key: [u8; 16] = block0[..16].try_into().expect("16 bytes");
-    let mut mac = Mac128::new(&mac_key);
+fn compute_tag(mac_key: &[u8; 16], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
+    let mut mac = Mac128::new(mac_key);
     mac.update(aad);
     mac.update(&(aad.len() as u64).to_le_bytes());
     mac.update(ciphertext);
@@ -162,6 +162,36 @@ mod tests {
             Err(AeadError::TooShort)
         );
         assert!(open(&KEY, &NONCE, b"", &sealed[..sealed.len() - 1]).is_err());
+    }
+
+    /// A failed open leaves what `out` already held untouched: the
+    /// plaintext it decrypts before checking the tag is taken back out.
+    #[test]
+    fn failed_open_leaves_out_unchanged() {
+        let prior = b"earlier records".to_vec();
+        let mut out = prior.clone();
+        assert_eq!(
+            open_into(&KEY, &NONCE, b"", &[0; TAG_LEN - 1], &mut out),
+            Err(AeadError::TooShort)
+        );
+        assert_eq!(out, prior);
+        for len in [0, 1, 63, 64, 65, 447, 448, 449] {
+            let plaintext: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let sealed = seal(&KEY, &NONCE, b"aad", &plaintext);
+            for i in 0..sealed.len() {
+                let mut corrupted = sealed.clone();
+                corrupted[i] ^= 0x80;
+                assert_eq!(
+                    open_into(&KEY, &NONCE, b"aad", &corrupted, &mut out),
+                    Err(AeadError::BadTag),
+                    "len {len}, byte {i}"
+                );
+                assert_eq!(out, prior, "len {len}, byte {i}");
+            }
+            open_into(&KEY, &NONCE, b"aad", &sealed, &mut out).unwrap();
+            assert_eq!(out[prior.len()..], plaintext[..]);
+            out.truncate(prior.len());
+        }
     }
 
     #[test]

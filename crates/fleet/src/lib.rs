@@ -177,13 +177,27 @@ pub type TapPacket = (SimTime, u32, Vec<u8>);
 /// downstream by each decoder's ingest (earliest copy wins) and the
 /// verdict dedup stage guarantees the merged *verdict* stream carries
 /// no duplicates.
+///
+/// Sorts an index first and clones each frame once, in output order,
+/// so the merged stream's frames sit in memory in the order they are
+/// read.
 pub fn merge_taps(taps: &[Vec<TapPacket>]) -> Vec<TapPacket> {
-    let mut merged: Vec<TapPacket> = Vec::with_capacity(taps.iter().map(Vec::len).sum());
-    for tap in taps {
-        merged.extend(tap.iter().cloned());
-    }
-    merged.sort_by_key(|(t, v, _)| (t.micros(), *v));
-    merged
+    // (time, victim, tap, position): unique keys, so an unstable sort
+    // gives the stable order.
+    let mut order: Vec<(u64, u32, usize, usize)> = taps
+        .iter()
+        .enumerate()
+        .flat_map(|(ti, tap)| {
+            tap.iter()
+                .enumerate()
+                .map(move |(pi, (t, v, _))| (t.micros(), *v, ti, pi))
+        })
+        .collect();
+    order.sort_unstable();
+    order
+        .iter()
+        .map(|&(_, _, ti, pi)| taps[ti][pi].clone())
+        .collect()
 }
 
 #[cfg(test)]
@@ -218,6 +232,38 @@ mod tests {
             small.per_shard_state_bound(),
             small.max_victims_per_shard * wm_core::online::STATE_BOUND
         );
+    }
+
+    /// The oracle is the clone-then-stable-sort body the index sort
+    /// must reproduce, over unsorted multi-victim taps whose
+    /// `(time, victim)` keys tie within and across taps.
+    #[test]
+    fn merge_taps_matches_a_stable_sort_of_the_concatenation() {
+        fn reference(taps: &[Vec<TapPacket>]) -> Vec<TapPacket> {
+            let mut merged: Vec<TapPacket> = taps.iter().flatten().cloned().collect();
+            merged.sort_by_key(|(t, v, _)| (t.micros(), *v));
+            merged
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for case in 0..50 {
+            let taps: Vec<Vec<TapPacket>> = (0..next(4) + 1)
+                .map(|tap| {
+                    (0..next(40))
+                        .map(|i| {
+                            let frame = vec![case as u8, tap as u8, i as u8];
+                            (SimTime(next(12)), next(5) as u32, frame)
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(merge_taps(&taps), reference(&taps), "case {case}");
+        }
     }
 
     #[test]

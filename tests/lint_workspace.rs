@@ -69,7 +69,11 @@ fn workspace_v2_analysis_is_live() {
         "panic-family scope collapsed: {} fns",
         v2.panic_scope_fns
     );
-    assert_eq!(v2.unsafe_uses, 0, "the workspace is supposed to be safe");
+    assert_eq!(
+        v2.unsafe_uses, 1,
+        "the only `unsafe` is wm-cipher's AVX2 keystream dispatch (budget 1); any other \
+         use needs its own reviewed budget"
+    );
 }
 
 /// Production code is what production reaches. The roots are every
