@@ -26,14 +26,16 @@
 //! the simulated wire are actually unintelligible — not to protect real
 //! data. Do not reuse outside this reproduction.
 //!
-//! ## The workspace's one `unsafe`
+//! ## One of the workspace's two `unsafe` blocks
 //!
 //! [`Wm20::mac_key_and_apply`] calls its AVX2 kernel, a safe
 //! `#[target_feature(enable = "avx2")]` function, only after
 //! `is_x86_feature_detected!("avx2")` returns true; that call is the one
 //! `unsafe` block `wm-lint`'s budget allows in this crate. The scalar
 //! [`Wm20::block`]/[`Wm20::apply`] are the reference the kernel is tested
-//! against and the path every other CPU runs.
+//! against and the path every other CPU runs. The other block is
+//! `wm-core`'s CRC-32 dispatch to its PCLMULQDQ kernel, built the same
+//! way.
 
 pub mod aead;
 pub mod block;

@@ -18,9 +18,10 @@
 //! * **concurrency** — `static mut` is banned workspace-wide; the
 //!   `wm-pool` steal loops must stay lock-free (no `Mutex`/`RwLock`/
 //!   `Condvar`/`Barrier`/`mpsc` outside tests); and each crate has an
-//!   explicit `unsafe` budget (default zero; the one grant is
-//!   `wm-cipher`'s AVX2 keystream dispatch, and any other `unsafe`
-//!   needs a budget granted here).
+//!   explicit `unsafe` budget (default zero; the two grants are
+//!   `wm-cipher`'s AVX2 keystream dispatch and `wm-core`'s PCLMULQDQ
+//!   CRC-32 dispatch, and any other `unsafe` needs a budget granted
+//!   here).
 //! * **defense/length-taint** — functions annotated
 //!   `// wm-lint: response-path` are roots of victim response
 //!   construction. In `wm-defense`/`wm-netflix`, any reachable
@@ -157,10 +158,11 @@ impl Default for V2Config {
             expected_hotpath_roots: EXPECTED_HOTPATH_ROOTS,
             expected_response_roots: EXPECTED_RESPONSE_ROOTS,
             expected_parse_roots: EXPECTED_PARSE_ROOTS,
-            // The AVX2 keystream dispatch in `Wm20::mac_key_and_apply`:
-            // calling a `#[target_feature]` fn once the CPU feature has
+            // The AVX2 keystream dispatch in `Wm20::mac_key_and_apply`
+            // and the PCLMULQDQ dispatch in `online::crc::crc32`: each
+            // calls a `#[target_feature]` fn once the CPU feature has
             // been detected. Nothing else in the workspace is unsafe.
-            unsafe_budget: &[("wm-cipher", 1)],
+            unsafe_budget: &[("wm-cipher", 1), ("wm-core", 1)],
         }
     }
 }
